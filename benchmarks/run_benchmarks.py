@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Performance driver: writes ``BENCH_propagation.json``,
-``BENCH_extraction.json``, ``BENCH_pipeline.json``, ``BENCH_sweep.json``,
-``BENCH_cluster.json`` and ``BENCH_compression.json``.
+``BENCH_extraction.json``, ``BENCH_pipeline.json``, ``BENCH_sweep.json``
+and ``BENCH_cluster.json``.
 
 Runs the end-to-end benchmarks outside pytest and records
 machine-readable results (wall time, events/sec, peak RSS, speedup vs
@@ -44,18 +44,6 @@ Scenarios:
   warm rerun of that grid (fully cached).  Every cell is asserted
   bit-identical across all three modes before the speedups are
   recorded.
-* ``compression_scaling`` (``BENCH_compression.json``) — quotient-graph
-  control-plane compression (:mod:`repro.topology.compress`) on the
-  equilibrium engine at three scales: the 1060-AS and 10k-AS
-  hierarchical topologies and a 100,016-AS *scale-free* topology
-  (preferential attachment concentrates stubs, which is what the
-  compression collapses).  Each scenario measures the uncompressed run
-  against compress→propagate→inflate over the same 128-origin sample,
-  asserts parity (reachable counts + kept RIBs, route for route)
-  before recording, and reports the compression ratio and the
-  separately-timed plan cost (cached per dataset in real use).  The
-  100k scenario enforces a committed 30-second budget on the
-  compressed propagate+inflate wall time.
 * ``cluster_scaling`` (``BENCH_cluster.json``) — the distributed
   executor (:mod:`repro.cluster`) on a 4 seeds x 2 correction-depths
   paper-scale grid (wave widths 1/4/3, so up to 4 workers can be
@@ -692,174 +680,6 @@ def bench_scale_10k(repeats: int, small: bool = False) -> Dict:
     }
 
 
-#: The 100k-AS scale-free scenario: preferential attachment concentrates
-#: stubs under few providers, which is exactly what the quotient-graph
-#: compression collapses (ratio ~1.6x at this shape).
-COMPRESSION_100K_TOPOLOGY = TopologyConfig(
-    seed=2026,
-    mode="scale_free",
-    tier1_count=16,
-    tier2_count=2400,
-    tier3_count=97600,
-    tier2_peering_probability=0.004,
-)
-
-#: The committed budget for the 100k-AS compressed propagate+inflate
-#: (ISSUE 8 acceptance).  Plan construction is excluded: it is built
-#: once per (topology, policies, origins) and cached by the engine and
-#: the pipeline's ``compress`` stage.
-COMPRESSION_100K_BUDGET_SECONDS = 30.0
-
-
-def bench_compression(repeats: int, small: bool = False) -> Dict:
-    """Quotient-graph compression across scales, parity-gated.
-
-    Each scenario runs the equilibrium engine uncompressed and
-    compressed over the same 128-origin sample in the measurement
-    configuration (``keep_ribs_for`` a vantage sample).  Parity —
-    reachable counts and the kept RIBs, route for route — is asserted
-    before any ratio or speedup is recorded.  Topology generation and
-    plan construction are excluded from the timed propagate+inflate
-    section; the plan cost is reported separately (it is cached by the
-    engine and the pipeline's ``compress`` stage, so real sweeps pay it
-    once per dataset, not once per run).
-
-    The 100k-AS scale-free scenario enforces
-    ``COMPRESSION_100K_BUDGET_SECONDS`` on the compressed
-    propagate+inflate wall time.
-    """
-    from repro.bgp.engine import PropagationEngine
-    from repro.topology.compress import compress_topology
-
-    if small:
-        scenarios = (
-            ("hier_small", SMOKE_TOPOLOGY, ("stubs", "full"), None),
-            (
-                "scale_free_small",
-                TopologyConfig(
-                    seed=2026, mode="scale_free", tier1_count=4,
-                    tier2_count=40, tier3_count=400,
-                ),
-                ("stubs",),
-                None,
-            ),
-        )
-        sample = 16
-    else:
-        scenarios = (
-            ("hier_1060", SCALE_TOPOLOGY, ("stubs", "full"), None),
-            ("hier_10k", SCALE_10K_TOPOLOGY, ("stubs", "full"), None),
-            (
-                "scale_free_100k",
-                COMPRESSION_100K_TOPOLOGY,
-                ("stubs",),
-                COMPRESSION_100K_BUDGET_SECONDS,
-            ),
-        )
-        sample = 128
-
-    report: Dict[str, Dict] = {}
-    for name, topo_config, modes, budget in scenarios:
-        graph = generate_topology(topo_config).graph
-        policies = default_policies(graph.ases)
-        full = originate_one_prefix_per_as(graph, AFI.IPV4)
-        prefixes = list(full)
-        step = max(1, len(prefixes) // sample)
-        origins = {prefix: full[prefix] for prefix in prefixes[::step][:sample]}
-        keep = _vantage_sample(graph)
-
-        off = _measure(
-            lambda: PropagationEngine(
-                graph, policies, keep_ribs_for=keep, engine="equilibrium"
-            ),
-            origins,
-            repeats,
-        )
-        baseline = PropagationEngine(
-            graph, policies, keep_ribs_for=keep, engine="equilibrium"
-        ).run(origins)
-
-        scenario: Dict[str, object] = {
-            "ases": len(graph),
-            "mode": topo_config.mode,
-            "prefixes": len(origins),
-            "keep_ribs_for": len(keep),
-            "engine": "equilibrium",
-            "off_wall_seconds": off["wall_seconds"],
-            "modes": {},
-        }
-        for mode in modes:
-            plan_started = time.perf_counter()
-            plan = compress_topology(
-                graph,
-                policies,
-                mode=mode,
-                pinned=keep,
-                origin_asns=set(origins.values()),
-            )
-            plan_seconds = time.perf_counter() - plan_started
-            if not plan.applied:
-                raise AssertionError(
-                    f"{name}/{mode}: compression did not apply ({plan.reason})"
-                )
-            compressed = _measure(
-                lambda: PropagationEngine(
-                    graph,
-                    policies,
-                    keep_ribs_for=keep,
-                    engine="equilibrium",
-                    compression=mode,
-                    compression_plan=plan,
-                ),
-                origins,
-                repeats,
-            )
-            # Parity gate: never record a ratio over non-identical results.
-            check = PropagationEngine(
-                graph,
-                policies,
-                keep_ribs_for=keep,
-                engine="equilibrium",
-                compression=mode,
-                compression_plan=plan,
-            ).run(origins)
-            if check.reachable_counts != baseline.reachable_counts:
-                raise AssertionError(
-                    f"{name}/{mode}: reachable counts diverged under compression"
-                )
-            for asn in keep:
-                if (
-                    check.snapshot(asn).best_routes
-                    != baseline.snapshot(asn).best_routes
-                ):
-                    raise AssertionError(
-                        f"{name}/{mode}: routes at AS{asn} diverged under "
-                        "compression; refusing to record a speedup"
-                    )
-            run_seconds = compressed["wall_seconds"]
-            scenario["modes"][mode] = {
-                "plan_wall_seconds": round(plan_seconds, 4),
-                "run_wall_seconds": run_seconds,
-                "speedup_vs_off": round(off["wall_seconds"] / run_seconds, 2),
-                "ratio": round(plan.stats.ratio, 4),
-                "collapsed": plan.stats.collapsed,
-                "nodes_after": plan.stats.nodes_after,
-                "classes": plan.stats.classes,
-            }
-            if budget is not None:
-                within = run_seconds <= budget
-                scenario["modes"][mode]["within_budget"] = within
-                scenario["budget_seconds"] = budget
-                if not within:
-                    raise AssertionError(
-                        f"{name}/{mode}: compressed propagate+inflate took "
-                        f"{run_seconds}s, budget is {budget}s"
-                    )
-        scenario["bit_identical"] = True
-        report[name] = scenario
-    return {"scenarios": report, "peak_rss_kb": _peak_rss_kb()}
-
-
 def _host_block() -> Dict:
     """The machine *and code* the numbers came from — identical shape in
     every ``BENCH_*.json`` so cross-run comparisons can check they are
@@ -1014,24 +834,6 @@ def main(argv: Optional[list] = None) -> int:
         "(used internally, like --extraction-only)",
     )
     parser.add_argument(
-        "--skip-compression",
-        action="store_true",
-        help="skip the quotient-graph compression scenario "
-        "(BENCH_compression.json)",
-    )
-    parser.add_argument(
-        "--compression-output",
-        type=Path,
-        default=None,
-        help="where to write the compression report (default: repo root)",
-    )
-    parser.add_argument(
-        "--compression-only",
-        action="store_true",
-        help="run only the compression-scaling scenario, in this process "
-        "(used internally, like --extraction-only)",
-    )
-    parser.add_argument(
         "--skip-cluster",
         action="store_true",
         help="skip the distributed-executor scenario (BENCH_cluster.json)",
@@ -1068,8 +870,6 @@ def main(argv: Optional[list] = None) -> int:
         args.sweep_output = output_root / "BENCH_sweep.json"
     if args.cluster_output is None:
         args.cluster_output = output_root / "BENCH_cluster.json"
-    if args.compression_output is None:
-        args.compression_output = output_root / "BENCH_compression.json"
 
     if args.extraction_only:
         args.extraction_output.write_text(
@@ -1100,22 +900,6 @@ def main(argv: Optional[list] = None) -> int:
             json.dumps(
                 _report_envelope(
                     {"sweep_grid": bench_sweep(args.repeats, args.smoke)}
-                ),
-                indent=2,
-            )
-            + "\n"
-        )
-        return 0
-
-    if args.compression_only:
-        args.compression_output.write_text(
-            json.dumps(
-                _report_envelope(
-                    {
-                        "compression_scaling": bench_compression(
-                            max(1, args.repeats - 3), args.smoke
-                        )
-                    }
                 ),
                 indent=2,
             )
@@ -1175,25 +959,6 @@ def main(argv: Optional[list] = None) -> int:
             f"{scenario['distinct_stage_invocations']} distinct of "
             f"{scenario['total_stage_invocations']} stage invocations)"
         )
-
-    if not args.skip_compression:
-        print(f"[bench] compression scaling on {scale_name} ...")
-        compression_report = _run_isolated(
-            args,
-            "--compression-only",
-            "--compression-output",
-            args.compression_output,
-        )
-        scaling = compression_report["results"]["compression_scaling"]
-        for name, scenario in scaling["scenarios"].items():
-            for mode, data in scenario["modes"].items():
-                print(
-                    f"  {name}/{mode}: {scenario['ases']} ASes, "
-                    f"off {scenario['off_wall_seconds']}s vs "
-                    f"{data['run_wall_seconds']}s "
-                    f"({data['speedup_vs_off']}x, ratio {data['ratio']}x, "
-                    f"plan {data['plan_wall_seconds']}s, bit-identical)"
-                )
 
     if not args.skip_cluster:
         print(f"[bench] cluster scaling (4 seeds x 2 tops) on {scale_name} ...")

@@ -43,7 +43,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.backends.base import (
     PropagationBackend,
-    ResolutionForest,
     install_converged_routes,
     speakers_without_sessions,
 )
@@ -73,10 +72,9 @@ class ArrayBackend(PropagationBackend):
     """Allocation-light event propagation over interned arrays."""
 
     name = "array"
-    supports_resolution = True
 
-    def __init__(self, graph, policies=None, max_events_per_prefix=200_000, keep_ribs_for=None, record_resolution=False):
-        super().__init__(graph, policies, max_events_per_prefix, keep_ribs_for, record_resolution)
+    def __init__(self, graph, policies=None, max_events_per_prefix=200_000, keep_ribs_for=None):
+        super().__init__(graph, policies, max_events_per_prefix, keep_ribs_for)
         self._asns: List[int] = graph.ases  # sorted ascending
         self._id_of: Dict[int, int] = {asn: i for i, asn in enumerate(self._asns)}
         n = len(self._asns)
@@ -163,14 +161,7 @@ class ArrayBackend(PropagationBackend):
     # ------------------------------------------------------------------
     def run(self, origins: Mapping[Prefix, int]) -> PropagationResult:
         keep = self.keep_ribs_for
-        # keep == empty set means "materialize nothing" (the quotient-graph
-        # path: the forest carries the decisions out) — skip building
-        # speakers that would only ever hold empty RIBs.
-        speakers = (
-            speakers_without_sessions(self.graph, self.policies)
-            if keep is None or keep
-            else {}
-        )
+        speakers = speakers_without_sessions(self.graph, self.policies)
         asns = self._asns
         id_of = self._id_of
         best_sender = self._best_sender
@@ -183,15 +174,16 @@ class ArrayBackend(PropagationBackend):
             else [(asn, id_of[asn]) for asn in keep if asn in id_of]
         )
         reachable_counts: Dict[Prefix, int] = {}
-        forest = (
-            ResolutionForest(asns, id_of, _LEARNED_CLASSES)
-            if self.record_resolution
-            else None
-        )
 
         def resolve(asn: int):
             i = id_of[asn]
-            return asns[best_sender[i]], _LEARNED_CLASSES[best_rel[i]]
+            sender = best_sender[i]
+            if sender < 0:
+                raise ConvergenceError(
+                    f"AS{asn} is on a best-sender chain for {prefix} "
+                    "but holds no learned route"
+                )
+            return asns[sender], _LEARNED_CLASSES[best_rel[i]]
 
         total_events = 0
         for prefix, origin_asn in origins.items():
@@ -215,16 +207,12 @@ class ArrayBackend(PropagationBackend):
             install_converged_routes(
                 speakers, prefix, origin_asn, targets, resolve
             )
-            if forest is not None:
-                # Column snapshot before _reset wipes the state.
-                forest.record(prefix, best_sender, best_rel, len(routed))
             self._reset(touched)
         return PropagationResult(
             speakers=speakers,
             origins=dict(origins),
             events=total_events,
             reachable_counts=reachable_counts,
-            resolution=forest,
         )
 
     def _reset(self, touched: List[int]) -> None:

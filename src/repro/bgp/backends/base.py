@@ -33,124 +33,16 @@ reads it — collectors snapshot Loc-RIBs).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from array import array
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import Route
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
-from repro.bgp.results import PropagationResult
+from repro.bgp.results import ConvergenceError, PropagationResult
 from repro.bgp.router import BGPSpeaker
 from repro.topology.graph import ASGraph
-
-
-class ResolutionForest:
-    """Converged best-sender forest of a solver run, in column form.
-
-    The quotient-graph path (:mod:`repro.topology.compress`) needs the
-    compressed run's *decisions* — per prefix, who each reached AS
-    learned its best route from — without paying for any
-    :class:`~repro.bgp.messages.Route` materialization.  Solver backends
-    already hold exactly that as dense per-AS columns; this class
-    snapshots those columns per prefix so they survive the backend's
-    cross-prefix state reset.
-
-    Recording is two C-level ``array`` copies per prefix (no per-AS
-    Python work), which is what makes compressed propagation cheaper
-    than the uncompressed run it replaces: a dict-of-tuples forest at
-    100k ASes costs more to build than the solver run itself.
-
-    Shared across prefixes: the backend's interning tables — ``asns``
-    (column id → ASN, ascending), ``id_of`` (ASN → column id) and
-    ``rel_of_code`` (learned-class code → :class:`Relationship`,
-    indexable by int; a dict or tuple both work).  Sender-column
-    sentinels are the solver convention: ``-1`` no route, ``-2``
-    locally originated.
-    """
-
-    #: Sender-column sentinels (shared by every solver backend).
-    NO_ROUTE = -1
-    LOCAL = -2
-
-    __slots__ = ("_asns", "_id_of", "_rel_of_code", "_senders", "_relcodes", "_counts")
-
-    def __init__(
-        self,
-        asns: Sequence[int],
-        id_of: Mapping[int, int],
-        rel_of_code: Mapping[int, Relationship],
-    ) -> None:
-        self._asns = asns
-        self._id_of = id_of
-        self._rel_of_code = rel_of_code
-        self._senders: Dict[Prefix, array] = {}
-        self._relcodes: Dict[Prefix, array] = {}
-        self._counts: Dict[Prefix, int] = {}
-
-    def record(
-        self,
-        prefix: Prefix,
-        senders: Sequence[int],
-        relcodes: Sequence[int],
-        reached_count: int,
-    ) -> None:
-        """Snapshot the solver's per-AS columns for ``prefix``.
-
-        Call *before* the backend resets its per-prefix state.  The
-        columns are copied into compact typed arrays (4 + 1 bytes per
-        AS), so a 128-prefix run over 100k ASes carries ~64 MB, not a
-        quarter-billion boxed tuples.
-        """
-        self._senders[prefix] = array("i", senders)
-        self._relcodes[prefix] = array("b", relcodes)
-        self._counts[prefix] = reached_count
-
-    def prefixes(self) -> Iterable[Prefix]:
-        return self._senders.keys()
-
-    def reached_count(self, prefix: Prefix) -> int:
-        """How many ASes hold a route for ``prefix`` (origin included)."""
-        return self._counts[prefix]
-
-    def is_reached(self, prefix: Prefix, asn: int) -> bool:
-        return self._senders[prefix][self._id_of[asn]] != self.NO_ROUTE
-
-    def reached(self, prefix: Prefix) -> Iterable[int]:
-        """ASNs holding a route for ``prefix``, ascending (column scan)."""
-        senders = self._senders[prefix]
-        no_route = self.NO_ROUTE
-        for i, asn in enumerate(self._asns):
-            if senders[i] != no_route:
-                yield asn
-
-    def resolve(self, prefix: Prefix, asn: int) -> Tuple[int, Optional[Relationship]]:
-        """``(best sender ASN, learned relationship)``; origin → ``(asn, None)``."""
-        return self.resolver(prefix)(asn)
-
-    def resolver(self, prefix: Prefix) -> Callable[[int], Tuple[int, Optional[Relationship]]]:
-        """A per-prefix resolve closure with the columns pre-bound.
-
-        The chain-walk materializer calls resolve once per chain hop;
-        binding the column lookups once per prefix keeps that hot path
-        free of repeated dict indexing on ``prefix``.
-        """
-        senders = self._senders[prefix]
-        relcodes = self._relcodes[prefix]
-        asns = self._asns
-        id_of = self._id_of
-        rel_of_code = self._rel_of_code
-        local = self.LOCAL
-
-        def resolve(asn: int) -> Tuple[int, Optional[Relationship]]:
-            i = id_of[asn]
-            sender = senders[i]
-            if sender == local:
-                return asn, None
-            return asns[sender], rel_of_code[relcodes[i]]
-
-        return resolve
 
 
 class BackendNotApplicable(RuntimeError):
@@ -177,21 +69,12 @@ class PropagationBackend(ABC):
     #: Engine-config name of the backend (``event``/``equilibrium``/...).
     name: str = ""
 
-    #: Whether the backend honours ``record_resolution`` — i.e. it holds
-    #: the converged best-sender forest as interned state and can attach
-    #: it to the result without materializing any routes.  The event
-    #: simulator cannot (its state *is* the materialized RIBs); the
-    #: quotient-graph engine path checks this flag to decide between a
-    #: forest-carrying pruned run and a full-RIB run.
-    supports_resolution: bool = False
-
     def __init__(
         self,
         graph: ASGraph,
         policies: Optional[Mapping[int, RoutingPolicy]] = None,
         max_events_per_prefix: int = 200_000,
         keep_ribs_for: Optional[Iterable[int]] = None,
-        record_resolution: bool = False,
     ) -> None:
         self.graph = graph
         self.policies = dict(policies) if policies is not None else {}
@@ -199,7 +82,6 @@ class PropagationBackend(ABC):
         self.keep_ribs_for = (
             set(keep_ribs_for) if keep_ribs_for is not None else None
         )
-        self.record_resolution = record_resolution
 
     @classmethod
     def inapplicable_reason(
@@ -283,8 +165,13 @@ def install_converged_routes(
     — are bit-identical to what the event loop would have installed.
     Intermediate chain routes are memoized per prefix; only ``targets``
     are actually installed (pruned mode passes the kept ASes).
+
+    A consistent forest reaches the origin in fewer hops than there are
+    speakers, so a longer chain must contain a cycle: the walk raises
+    :class:`ConvergenceError` naming it instead of looping forever.
     """
     routes: Dict[int, Route] = {}
+    max_hops = len(speakers)
 
     def route_for(asn: int) -> Route:
         route = routes.get(asn)
@@ -299,6 +186,11 @@ def install_converged_routes(
                     base = routes[node] = Route.originate(prefix, node)
                 break
             chain.append(node)
+            if len(chain) > max_hops:
+                raise ConvergenceError(
+                    f"best-sender chain for {prefix} (origin AS{origin_asn}) "
+                    f"loops: {_describe_cycle(node, resolve)}"
+                )
             node = resolve(node)[0]
             base = routes.get(node)
             if base is not None:
@@ -318,6 +210,22 @@ def install_converged_routes(
             speakers[target].originate(prefix)
         else:
             speakers[target].loc_rib._routes[prefix] = route_for(target)
+
+
+def _describe_cycle(start: int, resolve: Callable[[int], Tuple[int, Relationship]]) -> str:
+    """``"AS7 -> AS8 -> AS7"``: the sender cycle reached from ``start``,
+    written from its lowest ASN."""
+    position: Dict[int, int] = {}
+    walk: List[int] = []
+    node = start
+    while node not in position:
+        position[node] = len(walk)
+        walk.append(node)
+        node = resolve(node)[0]
+    cycle = walk[position[node]:]
+    first = cycle.index(min(cycle))
+    cycle = cycle[first:] + cycle[:first] + [cycle[first]]
+    return " -> ".join(f"AS{asn}" for asn in cycle)
 
 
 def speakers_without_sessions(

@@ -69,13 +69,12 @@ from repro.core.relationships import AFI, Relationship
 from repro.bgp.backends.base import (
     BackendNotApplicable,
     PropagationBackend,
-    ResolutionForest,
     install_converged_routes,
     speakers_without_sessions,
 )
 from repro.bgp.policy import LocalPrefScheme, RoutingPolicy
 from repro.bgp.prefixes import Prefix
-from repro.bgp.results import PropagationResult
+from repro.bgp.results import ConvergenceError, PropagationResult
 from repro.topology.graph import ASGraph
 
 #: Learned-relationship codes used in the per-AS result arrays.
@@ -110,10 +109,9 @@ class EquilibriumBackend(PropagationBackend):
     """Direct fixed-point computation for vanilla Gao-Rexford policies."""
 
     name = "equilibrium"
-    supports_resolution = True
 
-    def __init__(self, graph, policies=None, max_events_per_prefix=200_000, keep_ribs_for=None, record_resolution=False):
-        super().__init__(graph, policies, max_events_per_prefix, keep_ribs_for, record_resolution)
+    def __init__(self, graph, policies=None, max_events_per_prefix=200_000, keep_ribs_for=None):
+        super().__init__(graph, policies, max_events_per_prefix, keep_ribs_for)
         self._asns: List[int] = graph.ases  # sorted ascending
         self._id_of: Dict[int, int] = {asn: i for i, asn in enumerate(self._asns)}
         self._planes: Dict[AFI, _Plane] = {}
@@ -182,14 +180,7 @@ class EquilibriumBackend(PropagationBackend):
             if reason is not None:
                 raise BackendNotApplicable(reason)
         keep = self.keep_ribs_for
-        # keep == empty set means "materialize nothing" (the quotient-graph
-        # path: the forest carries the decisions out) — skip building
-        # speakers that would only ever hold empty RIBs.
-        speakers = (
-            speakers_without_sessions(self.graph, self.policies)
-            if keep is None or keep
-            else {}
-        )
+        speakers = speakers_without_sessions(self.graph, self.policies)
         asns = self._asns
         id_of = self._id_of
         sender = self._sender
@@ -202,15 +193,16 @@ class EquilibriumBackend(PropagationBackend):
             else [(asn, id_of[asn]) for asn in keep if asn in id_of]
         )
         reachable_counts: Dict[Prefix, int] = {}
-        forest = (
-            ResolutionForest(asns, id_of, _REL_OF_CODE)
-            if self.record_resolution
-            else None
-        )
 
         def resolve(asn: int):
             i = id_of[asn]
-            return asns[sender[i]], _REL_OF_CODE[relc[i]]
+            best = sender[i]
+            if best < 0:
+                raise ConvergenceError(
+                    f"AS{asn} is on a best-sender chain for {prefix} "
+                    "but holds no learned route"
+                )
+            return asns[best], _REL_OF_CODE[relc[i]]
 
         for prefix, origin_asn in origins.items():
             if origin_asn not in id_of:
@@ -229,9 +221,6 @@ class EquilibriumBackend(PropagationBackend):
             install_converged_routes(
                 speakers, prefix, origin_asn, targets, resolve
             )
-            if forest is not None:
-                # Column snapshot before the reset below wipes the state.
-                forest.record(prefix, sender, relc, len(touched))
             dist = self._dist
             for i in touched:
                 dist[i] = 0
@@ -242,7 +231,6 @@ class EquilibriumBackend(PropagationBackend):
             origins=dict(origins),
             events=0,
             reachable_counts=reachable_counts,
-            resolution=forest,
         )
 
     def _solve(self, plane: _Plane, origin: int) -> List[int]:

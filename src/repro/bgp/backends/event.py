@@ -23,11 +23,8 @@ class EventBackend(PropagationBackend):
 
     name = "event"
 
-    def __init__(self, graph, policies=None, max_events_per_prefix=200_000, keep_ribs_for=None, record_resolution=False):
-        # ``record_resolution`` is accepted for constructor uniformity
-        # but never honoured: the simulator's converged state *is* the
-        # materialized RIBs (``supports_resolution`` stays False).
-        super().__init__(graph, policies, max_events_per_prefix, keep_ribs_for, record_resolution)
+    def __init__(self, graph, policies=None, max_events_per_prefix=200_000, keep_ribs_for=None):
+        super().__init__(graph, policies, max_events_per_prefix, keep_ribs_for)
         self._simulator = PropagationSimulator(
             graph,
             policies,

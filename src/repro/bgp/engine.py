@@ -16,20 +16,10 @@ loop), ``equilibrium`` (direct Gao-Rexford fixed point) or ``auto``
 (equilibrium when the policies qualify, event otherwise).  Selection
 happens once per :meth:`PropagationEngine.run_many` call on the full
 origin set and is pinned for every batch, so parallel runs can never
-mix backends.
-
-**Control-plane compression** (``compression="stubs"|"full"``) is the
-second, backend-transparent axis: the engine builds a
-:class:`~repro.topology.compress.CompressionPlan` once per distinct
-origin set (origins and kept/vantage ASes pinned as singletons), runs
-the selected backend on the quotient graph, and inflates the result
-back to the full graph through
-:func:`~repro.topology.compress.inflate_result` — Loc-RIBs are
-bit-identical to an uncompressed run.  Solver backends carry the
-converged best-sender forest across (``record_resolution``) so the
-compressed run materializes no routes at all; the event backend keeps
-full compressed RIBs instead.  Like the backend, the plan is resolved
-once per :meth:`run_many` call and pinned for every batch.
+mix backends.  When ``auto`` or ``equilibrium`` falls back to ``event``,
+the public :meth:`PropagationEngine.run`/:meth:`~PropagationEngine.run_many`
+entry points say so: one ``engine.fallback`` trace counter (attributes
+``engine`` and ``reason``) and one line on stderr per call.
 
 Because the batches are disjoint and each batch runs the same
 deterministic event loop a serial run would, the merged result is
@@ -64,6 +54,7 @@ import concurrent.futures
 import itertools
 import multiprocessing
 import os
+import sys
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.bgp.backends import BACKENDS, ENGINE_CHOICES, EquilibriumBackend
@@ -112,8 +103,6 @@ class PropagationEngine:
         max_events_per_prefix: int = 200_000,
         keep_ribs_for: Optional[Iterable[int]] = None,
         engine: str = "event",
-        compression: str = "off",
-        compression_plan=None,
     ) -> None:
         """``engine`` picks the propagation backend (see
         :mod:`repro.bgp.backends`): ``event`` (default), ``array``,
@@ -121,27 +110,10 @@ class PropagationEngine:
         back to the event backend when the policies are not vanilla
         Gao-Rexford (:meth:`select_backend` exposes the decision and the
         reason).
-
-        ``compression`` (``off``/``stubs``/``full``) collapses
-        policy-equivalent ASes into quotient nodes before propagation
-        and inflates results back — transparent to the backend choice
-        (see :mod:`repro.topology.compress`).  A prebuilt
-        ``compression_plan`` (e.g. the pipeline's cached ``compress``
-        stage artifact) may be injected; it is validated against each
-        run's origins and vantage ASes, and plans that could not
-        collapse anything fall back to an uncompressed run with the
-        plan's explicit reason.
         """
         if engine not in ENGINE_CHOICES:
             raise ValueError(
                 f"engine must be one of {ENGINE_CHOICES}, got {engine!r}"
-            )
-        from repro.topology.compress import COMPRESSION_CHOICES
-
-        if compression not in COMPRESSION_CHOICES:
-            raise ValueError(
-                f"compression must be one of {COMPRESSION_CHOICES}, "
-                f"got {compression!r}"
             )
         self.graph = graph
         self.policies = dict(policies) if policies is not None else None
@@ -150,19 +122,10 @@ class PropagationEngine:
             sorted(keep_ribs_for) if keep_ribs_for is not None else None
         )
         self.engine = engine
-        self.compression = compression
-        self._injected_plan = compression_plan
-        # Plans are pure functions of (mode, origin set, pinned set);
-        # the pinned set is fixed per engine instance, so cache by the
-        # sorted origin ASNs.
-        self._plan_cache: Dict[Tuple[int, ...], object] = {}
         # Concrete backend pinned by run_many() so that every batch —
         # including ones executed in forked/spawned worker processes —
-        # uses the backend resolved once on the *full* origin set.  The
-        # compression plan is pinned alongside it for the same reason
-        # (a per-batch origin subset would pin different singletons).
+        # uses the backend resolved once on the *full* origin set.
         self._forced_backend: Optional[str] = None
-        self._forced_plan = None
         # Trace context pinned by run_many() so batches executed in
         # pool threads/processes join the caller's span tree (the
         # TelemetryConfig is picklable and travels with the engine).
@@ -179,10 +142,18 @@ class PropagationEngine:
             keep_ribs_for=self.keep_ribs_for,
         )
 
-    def _resolve_backend(
+    def select_backend(
         self, origins: Mapping[Prefix, int]
     ) -> Tuple[str, Optional[str]]:
-        """The engine-axis half of :meth:`select_backend`."""
+        """Resolve the configured engine to ``(backend name, reason)``.
+
+        ``event`` and ``array`` are unconditional.  ``equilibrium`` and
+        ``auto`` resolve to the equilibrium solver only when it is
+        applicable to every address family present in ``origins``;
+        otherwise they resolve to ``event`` and the reason carries the
+        (first) cause of the fallback (``None`` when nothing fell back).
+        Pure: reporting a fallback is left to :meth:`run`/:meth:`run_many`.
+        """
         if self.engine in ("event", "array"):
             return self.engine, None
         for afi in sorted({prefix.afi for prefix in origins}, key=lambda a: a.value):
@@ -193,92 +164,30 @@ class PropagationEngine:
                 return "event", reason
         return "equilibrium", None
 
-    def _compression_plan_for(
-        self, origins: Mapping[Prefix, int], backend: Optional[str] = None
-    ):
-        """The compression plan serving ``origins`` (``None`` when off).
-
-        An injected plan is validated against the run's origins and
-        vantage ASes; otherwise one is built (and cached) per distinct
-        origin set, with origins and kept ASes pinned as singletons.
-        """
-        if self.compression == "off":
-            return None
-        origin_asns = set(origins.values())
-        if self._injected_plan is not None:
-            self._injected_plan.validate_for(origin_asns, self.keep_ribs_for)
-            return self._injected_plan
-        from repro.topology.compress import compress_topology
-
-        key = tuple(sorted(origin_asns))
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            attrs = {"mode": self.compression}
-            if backend is not None:
-                attrs["backend"] = backend
-            with get_tracer().span("propagation.compress", **attrs) as span:
-                plan = compress_topology(
-                    self.graph,
-                    self.policies,
-                    mode=self.compression,
-                    pinned=self.keep_ribs_for or (),
-                    origin_asns=origin_asns,
-                )
-                span.annotate(applied=plan.applied)
-            self._plan_cache[key] = plan
-        return plan
-
-    def select_backend(
-        self, origins: Mapping[Prefix, int]
-    ) -> Tuple[str, Optional[str]]:
-        """Resolve the configured engine to ``(backend name, reason)``.
-
-        ``event`` and ``array`` are unconditional.  ``equilibrium`` and
-        ``auto`` resolve to the equilibrium solver only when it is
-        applicable to every address family present in ``origins``;
-        otherwise they resolve to ``event`` and the reason carries the
-        (first) cause of the fallback.  With compression enabled the
-        reason additionally carries the compression decision (what was
-        collapsed, or why nothing was), so ``auto`` provenance reports
-        the full selection story; with ``compression="off"`` the reason
-        is exactly the historical solver-applicability string (``None``
-        when nothing fell back).
-        """
-        name, reason = self._resolve_backend(origins)
-        if self.compression != "off":
-            described = self._compression_plan_for(origins).describe()
-            reason = described if reason is None else f"{reason}; {described}"
-        return name, reason
-
     def selection_report(self, origins: Mapping[Prefix, int]) -> Dict[str, object]:
-        """Structured backend + compression provenance for one origin set.
+        """Structured backend provenance for one origin set.
 
         The machine-readable counterpart of :meth:`select_backend`,
         surfaced by ``section3 --json`` so consumers can see which
-        backend actually ran and what compression did without parsing
-        reason strings.
+        backend actually ran without parsing reason strings.
         """
-        name, fallback = self._resolve_backend(origins)
-        report: Dict[str, object] = {
+        name, fallback = self.select_backend(origins)
+        return {
             "engine": self.engine,
             "backend": name,
             "fallback_reason": fallback,
         }
-        plan = self._compression_plan_for(origins)
-        if plan is None:
-            report["compression"] = {"mode": self.compression, "applied": False}
-        else:
-            entry: Dict[str, object] = {
-                "mode": plan.mode,
-                "applied": plan.applied,
-                "description": plan.describe(),
-            }
-            if plan.applied:
-                entry["stats"] = plan.stats.as_dict()
-            else:
-                entry["reason"] = plan.reason
-            report["compression"] = entry
-        return report
+
+    def _resolve_and_report(self, origins: Mapping[Prefix, int]) -> str:
+        """:meth:`select_backend`, announcing a fallback (counter + stderr)."""
+        name, reason = self.select_backend(origins)
+        if reason is not None:
+            get_tracer().counter("engine.fallback", engine=self.engine, reason=reason)
+            print(
+                f"[engine] {self.engine} fell back to event: {reason}",
+                file=sys.stderr,
+            )
+        return name
 
     def _new_backend(self, name: str):
         return BACKENDS[name](
@@ -288,72 +197,27 @@ class PropagationEngine:
             keep_ribs_for=self.keep_ribs_for,
         )
 
-    def _run_on(
-        self, name: str, plan, origins: Mapping[Prefix, int]
-    ) -> PropagationResult:
-        """Run ``origins`` on backend ``name``, through ``plan`` if any.
-
-        With an applied plan the backend propagates over the quotient
-        graph and the result is inflated back to the full graph.  A
-        solver backend carries the best-sender forest across
-        (``record_resolution=True``, zero kept RIBs — no route is ever
-        materialized for the compressed graph); the event backend keeps
-        its full compressed RIBs as the inflation oracle instead.
-        """
+    def _run_on(self, name: str, origins: Mapping[Prefix, int]) -> PropagationResult:
+        """Run ``origins`` on a fresh instance of backend ``name``."""
         tracer = get_tracer()
-        applied = plan is not None and plan.applied
         with tracer.span(
             "propagation",
             backend=name,
             engine=self.engine,
-            compression=self.compression,
-            compression_applied=applied,
             prefixes=len(origins),
         ) as span:
-            if not applied:
-                with tracer.span("propagation.propagate", backend=name):
-                    result = self._new_backend(name).run(origins)
-                span.annotate(events=result.events)
-                return result
-            from repro.topology.compress import inflate_result
-
-            backend_cls = BACKENDS[name]
-            if backend_cls.supports_resolution:
-                backend = backend_cls(
-                    plan.graph,
-                    self.policies,
-                    max_events_per_prefix=self.max_events_per_prefix,
-                    keep_ribs_for=(),
-                    record_resolution=True,
-                )
-            else:
-                backend = backend_cls(
-                    plan.graph,
-                    self.policies,
-                    max_events_per_prefix=self.max_events_per_prefix,
-                    keep_ribs_for=None,
-                )
             with tracer.span("propagation.propagate", backend=name):
-                compressed = backend.run(origins)
-            with tracer.span("propagation.inflate", backend=name):
-                result = inflate_result(
-                    self.graph,
-                    self.policies,
-                    plan,
-                    compressed,
-                    keep_ribs_for=self.keep_ribs_for,
-                )
+                result = self._new_backend(name).run(origins)
             span.annotate(events=result.events)
             return result
 
     def _run_batch(self, batch: List[Tuple[Prefix, int]]) -> PropagationResult:
         """Propagate one batch of origins on a fresh backend instance.
 
-        Inside run_many() the backend and compression plan were
-        resolved once on the full origin set and pinned in
-        ``_forced_backend``/``_forced_plan`` (the attributes travel to
-        worker processes with the engine), so batches can never
-        disagree on the backend or on the quotient graph.
+        Inside run_many() the backend was resolved once on the full
+        origin set and pinned in ``_forced_backend`` (the attribute
+        travels to worker processes with the engine), so batches can
+        never disagree on the backend.
 
         The pinned trace context (``_forced_trace``) travels the same
         way: a batch running in the caller's process parents its span
@@ -391,14 +255,9 @@ class PropagationEngine:
             child.flush()
 
     def _run_batch_inner(self, batch: List[Tuple[Prefix, int]]) -> PropagationResult:
-        name = self._forced_backend
-        if name is None:
-            origins = dict(batch)
-            name, _reason = self._resolve_backend(origins)
-            return self._run_on(
-                name, self._compression_plan_for(origins, backend=name), origins
-            )
-        return self._run_on(name, self._forced_plan, dict(batch))
+        origins = dict(batch)
+        name = self._forced_backend or self.select_backend(origins)[0]
+        return self._run_on(name, origins)
 
     @staticmethod
     def _split(
@@ -457,13 +316,8 @@ class PropagationEngine:
         With the default ``engine="event"`` this is identical to
         ``PropagationSimulator.run``.
         """
-        name = self._forced_backend
-        if name is None:
-            name, _reason = self._resolve_backend(origins)
-            return self._run_on(
-                name, self._compression_plan_for(origins, backend=name), origins
-            )
-        return self._run_on(name, self._forced_plan, origins)
+        name = self._forced_backend or self._resolve_and_report(origins)
+        return self._run_on(name, origins)
 
     def run_many(
         self,
@@ -488,15 +342,12 @@ class PropagationEngine:
         """
         if executor not in _EXECUTORS:
             raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
-        # Resolve the backend and the compression plan once, on the
-        # complete origin set, and pin both for every batch:
-        # auto/equilibrium selection looks at the address families
-        # present in the origins, and the plan pins the full origin set
-        # as singletons — a batch that happens to contain only one AFI
-        # or an origin subset must not pick a different backend or
-        # collapse an AS that another batch originates from.
-        resolved, _reason = self._resolve_backend(origins)
-        plan = self._compression_plan_for(origins, backend=resolved)
+        # Resolve the backend once, on the complete origin set, and pin
+        # it for every batch: auto/equilibrium selection looks at the
+        # address families present in the origins, and a batch that
+        # happens to contain only one AFI must not pick a different
+        # backend.
+        resolved = self._resolve_and_report(origins)
         tracer = get_tracer()
         with tracer.span(
             "propagation.run_many",
@@ -506,13 +357,13 @@ class PropagationEngine:
             prefixes=len(origins),
         ):
             if not workers or workers <= 1 or len(origins) <= 1:
-                self._forced_backend, self._forced_plan = resolved, plan
+                self._forced_backend = resolved
                 try:
                     return self.run(origins)
                 finally:
-                    self._forced_backend = self._forced_plan = None
+                    self._forced_backend = None
             batches = self._split(origins, workers)
-            self._forced_backend, self._forced_plan = resolved, plan
+            self._forced_backend = resolved
             # The context's parent is the run_many span just opened, so
             # every batch span — local thread or pool process — joins
             # the tree right here.
@@ -528,7 +379,7 @@ class PropagationEngine:
                     return self._merge(origins, partials)
                 return self._merge(origins, self._run_batches_in_processes(batches))
             finally:
-                self._forced_backend = self._forced_plan = None
+                self._forced_backend = None
                 self._forced_trace = None
 
     def _run_batches_in_processes(

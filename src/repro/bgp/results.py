@@ -24,12 +24,9 @@ to import the event simulator module just for its result types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.relationships import AFI
-
-if TYPE_CHECKING:  # backends.base imports this module; type-only reverse edge
-    from repro.bgp.backends.base import ResolutionForest
 from repro.bgp.messages import Route
 from repro.bgp.prefixes import Prefix
 from repro.bgp.rib import RibSnapshot
@@ -38,7 +35,9 @@ from repro.topology.graph import ASGraph
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when propagation does not quiesce within the event budget."""
+    """Raised when propagation does not quiesce within the event budget,
+    or when a converged best-sender chain is inconsistent (it loops or
+    runs through an AS without a route)."""
 
 
 @dataclass
@@ -54,23 +53,12 @@ class PropagationResult:
         reachable_counts: For every propagated prefix, the number of ASes
             that ended up with a route to it (including the origin).
             Available even when per-AS RIBs were pruned to save memory.
-        resolution: The converged best-sender forest
-            (:class:`~repro.bgp.backends.base.ResolutionForest`),
-            populated only by solver backends constructed with
-            ``record_resolution=True``: per prefix, the column snapshot
-            answering ``resolve(asn) -> (best sender ASN, learned
-            relationship)`` for every reached AS — the origin resolves
-            to ``(itself, None)``.  This is the ``resolve`` oracle of
-            the chain-walk materializer; quotient-graph inflation
-            consumes it so a compressed run never has to materialize
-            routes for ASes nobody asked to keep.
     """
 
     speakers: Dict[int, BGPSpeaker]
     origins: Dict[Prefix, int]
     events: int = 0
     reachable_counts: Dict[Prefix, int] = field(default_factory=dict)
-    resolution: Optional["ResolutionForest"] = None
 
     def snapshot(self, asn: int) -> RibSnapshot:
         """Frozen Loc-RIB of one AS."""

@@ -3,13 +3,13 @@
 Seven subcommands cover the common workflows without writing any code::
 
     python -m repro section3  [--small | --paper-scale] [--engine NAME]
-                              [--compression MODE] [--json PATH]
+                              [--json PATH]
                               [--cache-dir DIR | --from-snapshot DIR]
     python -m repro figure2   [--small | --paper-scale] [--engine NAME]
-                              [--compression MODE] [--top N] [--json PATH]
+                              [--top N] [--json PATH]
                               [--cache-dir DIR | --from-snapshot DIR]
     python -m repro snapshot  --output DIR [--small | --paper-scale]
-                              [--engine NAME] [--compression MODE]
+                              [--engine NAME]
     python -m repro sweep     --grid grid.json [--cache-dir DIR]
                               [--executor serial|thread|process|cluster]
                               [--distributed --queue-dir DIR
@@ -79,17 +79,10 @@ produces bit-identical reports — CI diffs the ``--json`` output across
 engines — so the flag only trades build time, never results.  The engine
 participates in the propagation stage fingerprint, so switching it on a
 shared ``--cache-dir`` recomputes propagation instead of reusing a
-stale artifact.
-
-``--compression`` (``off`` | ``stubs`` | ``full``) collapses
-policy-equivalent stub ASes into quotient nodes before propagation and
-inflates the results back (see :mod:`repro.topology.compress`) — like
-the engine it trades build time only, never results, and participates
-in the stage fingerprints.  ``section3 --json`` reports carry a
-``provenance`` block stating, per address family, which backend
-actually ran, why ``auto`` fell back (if it did) and what compression
-collapsed; CI strips that block before diffing reports across engine
-and compression configurations.
+stale artifact.  ``section3 --json`` reports carry a ``provenance``
+block stating, per address family, which backend actually ran and why
+``auto`` fell back (if it did); CI strips that block before diffing
+reports across engines.  A fallback is also announced on stderr.
 
 ``--trace-dir DIR`` (on ``section3``/``figure2``/``snapshot``/``sweep``
 /``worker``) turns on structured telemetry: spans and counters are
@@ -113,7 +106,6 @@ gate (see ``docs/observability.md`` and ``docs/performance.md``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -157,13 +149,8 @@ def _write_json_report(path: str, payload: dict) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> DatasetConfig:
     if args.paper_scale:
-        config = paper_scale_config(seed=args.seed)
-    else:
-        config = small_config(seed=args.seed)
-    fraction = getattr(args, "origin_fraction", None)
-    if fraction is not None:
-        config = dataclasses.replace(config, origin_fraction=fraction)
-    return config
+        return paper_scale_config(seed=args.seed)
+    return small_config(seed=args.seed)
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -181,23 +168,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         default="event",
         help="propagation backend (all engines produce identical results; "
         "'auto' picks the equilibrium solver when the policies qualify)",
-    )
-    parser.add_argument(
-        "--compression",
-        choices=("off", "stubs", "full"),
-        default="off",
-        help="control-plane compression: collapse policy-equivalent stub "
-        "ASes into quotient nodes before propagation and inflate results "
-        "back (bit-identical reports; 'full' adds bisimulation refinement)",
-    )
-    parser.add_argument(
-        "--origin-fraction",
-        type=float,
-        default=None,
-        metavar="F",
-        help="announce prefixes from only this fraction of the origin ASes "
-        "(0 < F <= 1, default: the scale preset's value); non-announcing "
-        "stubs become pure listeners that --compression can collapse",
     )
 
 
@@ -260,10 +230,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         dataset=_config_from_args(args),
         top=getattr(args, "top", 20),
         max_sources=getattr(args, "max_sources", 60),
-        propagation=PropagationConfig(
-            engine=getattr(args, "engine", "event"),
-            compression=getattr(args, "compression", "off"),
-        ),
+        propagation=PropagationConfig(engine=getattr(args, "engine", "event")),
         telemetry=_telemetry_from_args(args),
     )
 
@@ -284,28 +251,23 @@ def _artifacts_from_disk(directory: str) -> Section3Artifacts:
 
 
 def _selection_provenance(config: PipelineConfig, run) -> dict:
-    """Per-AFI backend + compression provenance for ``--json`` reports.
+    """Per-AFI backend provenance for ``--json`` reports.
 
     The structured counterpart of
     :meth:`repro.bgp.engine.PropagationEngine.selection_report`: which
     backend each address family actually ran on (``auto`` may fall back
-    per plane), why, and what the compression pass did.  CI strips this
-    block before byte-comparing reports across engines — it is the one
-    part of the report that *should* differ.
+    per plane) and why.  CI strips this block before byte-comparing
+    reports across engines — it is the one part of the report that
+    *should* differ.
     """
     from repro.bgp.engine import PropagationEngine
 
     scenario = run.value("scenario")
-    compression = config.propagation.compression
     engine = PropagationEngine(
         scenario.topology.graph,
         scenario.policies,
         keep_ribs_for=scenario.vantage_asns,
         engine=config.propagation.engine,
-        compression=compression,
-        compression_plan=(
-            run.value("compress") if compression != "off" else None
-        ),
     )
     return {
         afi.name.lower(): engine.selection_report(scenario.origins[afi])
@@ -400,7 +362,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         _config_from_args(args),
         cache_dir=args.cache_dir,
         engine=getattr(args, "engine", "event"),
-        compression=getattr(args, "compression", "off"),
         telemetry=_telemetry_from_args(args),
     )
     output = Path(args.output)

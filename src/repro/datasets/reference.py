@@ -80,7 +80,7 @@ def reference_build_snapshot(
         simulator = PropagationSimulator(
             graph, policies, keep_ribs_for=vantage_asns
         )
-        origins = _select_origins(topology, config, allocator, rng, afi)
+        origins = _select_origins(topology, allocator, afi)
         result = simulator.run(origins)
         propagation[afi] = result
         for collector in collectors:

@@ -76,8 +76,6 @@ class DatasetConfig:
     vantage_points: int = 20
     collectors_per_project: int = 2
     exports_local_pref_fraction: float = 0.7
-    # Which ASes originate prefixes (1.0 = every AS in the plane).
-    origin_fraction: float = 1.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -86,7 +84,6 @@ class DatasetConfig:
             "te_override_fraction",
             "gratuitous_leak_fraction",
             "exports_local_pref_fraction",
-            "origin_fraction",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -297,18 +294,12 @@ def _select_vantage_points(
 
 
 def _select_origins(
-    topology: GeneratedTopology,
-    config: DatasetConfig,
-    allocator: PrefixAllocator,
-    rng: random.Random,
-    afi: AFI,
+    topology: GeneratedTopology, allocator: PrefixAllocator, afi: AFI
 ) -> Dict[Prefix, int]:
-    graph = topology.graph
-    ases = graph.ases_in(afi)
-    if config.origin_fraction < 1.0:
-        count = max(int(round(config.origin_fraction * len(ases))), 1)
-        ases = sorted(rng.sample(ases, count))
-    return {allocator.prefix(asn, afi): asn for asn in ases}
+    """Every AS in the ``afi`` plane originates one prefix."""
+    return {
+        allocator.prefix(asn, afi): asn for asn in topology.graph.ases_in(afi)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +309,6 @@ def build_snapshot(
     config: Optional[DatasetConfig] = None,
     cache_dir=None,
     engine: str = "event",
-    compression: str = "off",
     telemetry=None,
 ) -> SyntheticSnapshot:
     """Build a complete synthetic measurement snapshot.
@@ -341,7 +331,7 @@ def build_snapshot(
 
     pipeline_config = PipelineConfig(
         dataset=config or DatasetConfig(),
-        propagation=PropagationConfig(engine=engine, compression=compression),
+        propagation=PropagationConfig(engine=engine),
         telemetry=telemetry,
     )
     run = run_pipeline(pipeline_config, cache_dir=cache_dir, targets=("snapshot",))

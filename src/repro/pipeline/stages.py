@@ -6,11 +6,11 @@ This module decomposes the formerly monolithic
 individually cacheable stages (see ``docs/architecture.md`` for the
 full picture)::
 
-    topology ──┬─> scenario ──┬─> compress ─┬─> propagation_v4 ──┐
-    irr ───────┘              │             └─> propagation_v6 ──┼─> archive ─> store
-                              └─> ground_truth                   │
-                                                                 v
-    snapshot  <─────── (assembly of everything above) ───────────┘
+    topology ──┬─> scenario ──┬─> propagation_v4 ──┐
+    irr ───────┘              ├─> propagation_v6 ──┼─> archive ─> store
+                              └─> ground_truth     │
+                                                   v
+    snapshot  <─── (assembly of everything above) ─┘
 
     store + irr ─> inference ─> views ─┬─> section3
                                        └─> correction   (Figure 2)
@@ -84,34 +84,17 @@ class PropagationConfig:
             reported event counts and — deliberately — the stage
             fingerprints: a changed engine is a cache miss, and the
             freshly computed result is still golden-identical.
-        compression: Control-plane compression mode (see
-            :mod:`repro.topology.compress`): ``off`` (default),
-            ``stubs`` (one-pass signature grouping of export-silent
-            sinks) or ``full`` (bisimulation refinement).  Transparent
-            to the engine choice — the ``compress`` stage builds the
-            quotient plan once per scenario, the propagation stages run
-            their backend through it and inflate back, and the inflated
-            Loc-RIBs are bit-identical to an uncompressed run (the
-            golden compression suite).  Sweepable as the
-            ``propagation.compression`` grid axis.
     """
 
     engine: str = "event"
-    compression: str = "off"
 
     def __post_init__(self) -> None:
         from repro.bgp.backends import ENGINE_CHOICES
-        from repro.topology.compress import COMPRESSION_CHOICES
 
         if self.engine not in ENGINE_CHOICES:
             raise ValueError(
                 f"propagation.engine must be one of {ENGINE_CHOICES}, "
                 f"got {self.engine!r}"
-            )
-        if self.compression not in COMPRESSION_CHOICES:
-            raise ValueError(
-                "propagation.compression must be one of "
-                f"{COMPRESSION_CHOICES}, got {self.compression!r}"
             )
 
 
@@ -193,8 +176,7 @@ def _stage_scenario(run: PipelineRun) -> ScenarioArtifact:
 
     This stage consumes the shared ``random.Random(config.seed)`` stream
     in exactly the order the monolithic builder did: policies →
-    disputes → leaks → vantage points → IPv4 origins → IPv6 origins
-    (nothing between the two origin selections touched the stream).
+    disputes → leaks → vantage points (origin selection draws nothing).
     Splitting any of these into separate stages would need the RNG state
     itself to become an artifact; keeping them together keeps the
     fingerprinting honest and the results bit-identical.
@@ -221,7 +203,7 @@ def _stage_scenario(run: PipelineRun) -> ScenarioArtifact:
         exports_local_pref_fraction=config.exports_local_pref_fraction,
     )
     origins = {
-        afi: _select_origins(topology, config, allocator, rng, afi)
+        afi: _select_origins(topology, allocator, afi)
         for afi in (AFI.IPV4, AFI.IPV6)
     }
     return ScenarioArtifact(
@@ -264,45 +246,15 @@ def propagation_parallelism(workers: int, executor: str = "process") -> Iterator
         _PROPAGATION_PARALLELISM = previous
 
 
-def _stage_compress(run: PipelineRun):
-    """Build the quotient-graph plan for this scenario (cheap when off).
-
-    Origins of *both* address families and the vantage ASes are pinned
-    as singleton survivors, so one cached plan serves both propagation
-    stages — and any run whose origins are a subset of the scenario's.
-    With ``compression="off"`` the stage returns an unapplied plan
-    carrying the explicit reason, keeping the DAG shape (and downstream
-    fingerprint chaining) identical across modes.
-    """
-    from repro.topology.compress import compress_topology
-
-    scenario: ScenarioArtifact = run.value("scenario")
-    origin_asns = set()
-    for per_afi in scenario.origins.values():
-        origin_asns.update(per_afi.values())
-    return compress_topology(
-        scenario.topology.graph,
-        scenario.policies,
-        mode=run.config.propagation.compression,
-        pinned=scenario.vantage_asns,
-        origin_asns=origin_asns,
-    )
-
-
 def _propagate(run: PipelineRun, afi: AFI) -> PropagationResult:
     scenario: ScenarioArtifact = run.value("scenario")
     from repro.bgp.engine import PropagationEngine
 
-    compression = run.config.propagation.compression
     engine = PropagationEngine(
         scenario.topology.graph,
         scenario.policies,
         keep_ribs_for=scenario.vantage_asns,
         engine=run.config.propagation.engine,
-        compression=compression,
-        compression_plan=(
-            run.value("compress") if compression != "off" else None
-        ),
     )
     if _PROPAGATION_PARALLELISM is not None:
         workers, executor = _PROPAGATION_PARALLELISM
@@ -430,7 +382,6 @@ def _scenario_slice(config: PipelineConfig) -> tuple:
         dataset.vantage_points,
         dataset.collectors_per_project,
         dataset.exports_local_pref_fraction,
-        dataset.origin_fraction,
     )
 
 
@@ -461,42 +412,23 @@ def snapshot_stages() -> List[StageSpec]:
             compute=_stage_scenario,
             config_slice=_scenario_slice,
         ),
-        # The quotient-graph plan: one compression pass per scenario,
-        # shared by both propagation stages (and cached across sweeps
-        # that share a topology/scenario but vary the engine).
-        StageSpec(
-            name="compress",
-            version="1",
-            dependencies=("scenario",),
-            compute=_stage_compress,
-            config_slice=lambda config: config.propagation.compression,
-        ),
-        # Version 2: pluggable propagation backends.  Version 3: the
-        # compress → propagate → inflate path.  Both the engine and the
-        # compression mode participate in the fingerprint on purpose —
-        # either change recomputes (and its descendants with it) even
-        # though a correct backend/compression produces identical
-        # routes, so a cached artifact always states truthfully which
-        # configuration built it.
+        # The engine participates in the fingerprint on purpose —
+        # changing it recomputes (and its descendants with it) even
+        # though a correct backend produces identical routes, so a
+        # cached artifact always states truthfully which engine built it.
         StageSpec(
             name="propagation_v4",
             version="3",
-            dependencies=("scenario", "compress"),
+            dependencies=("scenario",),
             compute=_stage_propagation_v4,
-            config_slice=lambda config: (
-                config.propagation.engine,
-                config.propagation.compression,
-            ),
+            config_slice=lambda config: config.propagation.engine,
         ),
         StageSpec(
             name="propagation_v6",
             version="3",
-            dependencies=("scenario", "compress"),
+            dependencies=("scenario",),
             compute=_stage_propagation_v6,
-            config_slice=lambda config: (
-                config.propagation.engine,
-                config.propagation.compression,
-            ),
+            config_slice=lambda config: config.propagation.engine,
         ),
         StageSpec(
             name="archive",

@@ -210,8 +210,7 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         stage_rollup[name] = rollup
 
     engines: Dict[str, dict] = {}
-    phase_names = ("propagation.compress", "propagation.propagate",
-                   "propagation.inflate", "propagation.batch")
+    phase_names = ("propagation.propagate", "propagation.batch")
     phase_groups: Dict[str, Dict[str, List[float]]] = {}
     for span in spans:
         name = span.get("name")
@@ -220,13 +219,11 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
             backend = str(attrs.get("backend", "unknown"))
             entry = engines.setdefault(
                 backend,
-                {"durations": [], "events": 0, "prefixes": 0, "compression": {}},
+                {"durations": [], "events": 0, "prefixes": 0},
             )
             entry["durations"].append(float(span.get("seconds", 0.0)))
             entry["events"] += int(attrs.get("events") or 0)
             entry["prefixes"] += int(attrs.get("prefixes") or 0)
-            mode = str(attrs.get("compression", "off"))
-            entry["compression"][mode] = entry["compression"].get(mode, 0) + 1
         elif name in phase_names:
             backend = str(attrs.get("backend", "unknown"))
             phases = phase_groups.setdefault(backend, {})
@@ -239,7 +236,6 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         rollup.update(
             events=entry["events"],
             prefixes=entry["prefixes"],
-            compression=entry["compression"],
             phases={
                 phase: _duration_rollup(durations)
                 for phase, durations in phase_groups.get(backend, {}).items()
@@ -253,7 +249,6 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
             engine_rollup[backend] = {
                 "count": 0, "total_seconds": 0.0, "p50_seconds": 0.0,
                 "p95_seconds": 0.0, "events": 0, "prefixes": 0,
-                "compression": {},
                 "phases": {phase: _duration_rollup(d) for phase, d in phases.items()},
             }
 

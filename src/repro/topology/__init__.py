@@ -10,14 +10,6 @@ from repro.topology.tiers import (
     tier_members,
     tier_of_link,
 )
-from repro.topology.compress import (
-    COMPRESSION_CHOICES,
-    CompressionMap,
-    CompressionPlan,
-    CompressionStats,
-    compress_topology,
-    inflate_result,
-)
 from repro.topology.serialization import (
     TopologyFormatError,
     dumps_dual_stack,
@@ -31,12 +23,6 @@ from repro.topology.serialization import (
 __all__ = [
     "ASGraph",
     "ASNode",
-    "COMPRESSION_CHOICES",
-    "CompressionMap",
-    "CompressionPlan",
-    "CompressionStats",
-    "compress_topology",
-    "inflate_result",
     "GeneratedTopology",
     "TopologyConfig",
     "generate_topology",

@@ -50,9 +50,8 @@ class TopologyConfig:
     # preferential attachment — a provider's chance of winning the next
     # stub is proportional to 1 + its current customer count, producing
     # the Internet's heavy-tailed degree distribution (a few providers
-    # serve most stubs).  Scale-free graphs are where control-plane
-    # compression shines: big populations of stubs share one provider
-    # set and collapse into a handful of quotient nodes.
+    # serve most stubs).  Sweepable as the ``dataset.topology.mode``
+    # grid axis.
     mode: str = "hierarchical"
     # Hierarchy sizes.
     tier1_count: int = 10

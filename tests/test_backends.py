@@ -34,10 +34,15 @@ from repro.bgp.backends import (
     EquilibriumBackend,
     EventBackend,
 )
+from repro.bgp.backends.base import install_converged_routes
 from repro.bgp.engine import PropagationEngine
-from repro.bgp.policy import LocalPrefScheme, RoutingPolicy
+from repro.bgp.policy import LocalPrefScheme, RoutingPolicy, TrafficEngineeringOverride
+from repro.bgp.prefixes import PrefixAllocator
 from repro.bgp.propagation import PropagationSimulator, originate_one_prefix_per_as
+from repro.bgp.results import ConvergenceError
+from repro.bgp.router import BGPSpeaker
 from repro.irr.registry import build_registry
+from repro.telemetry import Tracer, activated
 from repro.topology.generator import TopologyConfig, generate_topology
 
 from test_propagation_golden import GOLDEN_SEEDS, _golden_topology, _rich_policies
@@ -255,6 +260,41 @@ class TestEngineSelection:
                     asn, prefix
                 )
 
+    @pytest.mark.parametrize("mode, per_run", (("auto", 1), ("event", 0)))
+    def test_fallback_is_counted_once_per_run(self, tmp_path, capsys, mode, per_run):
+        """A fallback emits one ``engine.fallback`` counter and one stderr
+        line per public run; selection alone emits neither."""
+        graph = _golden_topology(2011).graph
+        policies = _vanilla_policies(graph, 2011)
+        asn = next(a for a in graph.ases if graph.providers_of(a, AFI.IPV4))
+        policies[asn].te_overrides.append(
+            TrafficEngineeringOverride(
+                neighbor=graph.providers_of(asn, AFI.IPV4)[0], local_pref=50
+            )
+        )
+        origins = originate_one_prefix_per_as(graph, AFI.IPV4)
+        engine = PropagationEngine(graph, policies, engine=mode)
+        tracer = Tracer(tmp_path)
+
+        def fallbacks():
+            return [
+                r for r in tracer.records()
+                if r["kind"] == "counter" and r["name"] == "engine.fallback"
+            ]
+
+        with activated(tracer):
+            engine.select_backend(origins)
+            engine.selection_report(origins)
+            assert fallbacks() == []
+            engine.run(origins)
+            engine.run_many(origins, workers=2)
+        counted = fallbacks()
+        assert len(counted) == 2 * per_run
+        for record in counted:
+            assert record["attrs"]["engine"] == mode
+            assert "traffic-engineering override" in record["attrs"]["reason"]
+        assert capsys.readouterr().err.count("fell back to event") == 2 * per_run
+
     def test_array_engine_through_run_many(self):
         graph = _golden_topology(2012).graph
         policies = _rich_policies(graph, 2012)
@@ -265,6 +305,56 @@ class TestEngineSelection:
         )
         assert array.events == event.events
         _assert_same_converged_state(graph, event, array, origins)
+
+
+class TestChainWalk:
+    """The converged-route materializer refuses inconsistent forests."""
+
+    def test_sender_cycle_raises_naming_the_cycle(self):
+        speakers = {asn: BGPSpeaker(asn) for asn in (1, 2, 3, 4)}
+        prefix = PrefixAllocator().prefix(4, AFI.IPV4)
+        calls = 0
+
+        def resolve(asn):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                pytest.fail("the chain walk does not stop on a sender cycle")
+            return {1: 2, 2: 3, 3: 1}[asn], Relationship.P2C
+
+        with pytest.raises(ConvergenceError, match="AS1 -> AS2 -> AS3 -> AS1"):
+            install_converged_routes(speakers, prefix, 4, [1], resolve)
+
+    @pytest.mark.parametrize("backend_cls", (ArrayBackend, EquilibriumBackend))
+    def test_chain_through_an_unrouted_as_raises(self, backend_cls, monkeypatch):
+        """A sender chain must never index the ASN table with the
+        no-route sentinel (``asns[-1]`` would silently be the last AS)."""
+        graph = _golden_topology(2011).graph
+        backend = backend_cls(graph, _vanilla_policies(graph, 2011))
+        origin, holder, unrouted = graph.ases[:3]
+        ids = {asn: i for i, asn in enumerate(graph.ases)}
+        if backend_cls is ArrayBackend:
+            senders = backend._best_sender
+
+            def plant(*_args):
+                senders[ids[origin]] = -2
+                senders[ids[holder]] = ids[unrouted]
+                backend._best_rel[ids[holder]] = 1
+                return 0, [ids[origin], ids[holder]]
+
+            monkeypatch.setattr(backend, "_propagate_prefix", plant)
+        else:
+
+            def plant(*_args):
+                backend._sender[ids[origin]] = -2
+                backend._sender[ids[holder]] = ids[unrouted]
+                backend._relc[ids[holder]] = 1
+                return [ids[origin], ids[holder]]
+
+            monkeypatch.setattr(backend, "_solve", plant)
+        prefix = PrefixAllocator().prefix(origin, AFI.IPV4)
+        with pytest.raises(ConvergenceError, match=f"AS{unrouted} "):
+            backend.run({prefix: origin})
 
 
 # ----------------------------------------------------------------------

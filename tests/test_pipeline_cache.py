@@ -32,7 +32,6 @@ ANALYSIS_CLOSURE = [
     "topology",
     "irr",
     "scenario",
-    "compress",
     "propagation_v4",
     "propagation_v6",
     "archive",
@@ -167,7 +166,6 @@ class TestInvalidation:
             "topology",
             "irr",
             "scenario",
-            "compress",
             "propagation_v4",
             "propagation_v6",
         ]

@@ -138,7 +138,7 @@ class TestExpansion:
 
     def test_bad_axis_value_fails_at_construction(self):
         with pytest.raises(GridError):
-            SweepGrid(base_config(), [GridAxis("dataset.origin_fraction", (0.5, 2.0))])
+            SweepGrid(base_config(), [GridAxis("dataset.documented_fraction", (0.5, 2.0))])
 
 
 class TestJsonLoading:

@@ -68,9 +68,9 @@ class TestSharing:
 
     def test_invocation_counts(self):
         plan = seeds_by_tops_plan()
-        # 12-stage closure x 4 scenarios vs 1 + 10*2 + 4 distinct.
-        assert plan.total_stage_invocations() == 48
-        assert plan.distinct_stage_invocations() == 25
+        # 11-stage closure x 4 scenarios vs 1 + 9*2 + 4 distinct.
+        assert plan.total_stage_invocations() == 44
+        assert plan.distinct_stage_invocations() == 23
 
     def test_sharing_summary_shape(self):
         summary = seeds_by_tops_plan().sharing_summary()
@@ -134,7 +134,7 @@ class TestSchedule:
         plan = seeds_by_tops_plan(targets=("section3",))
         assert "correction" not in plan.distinct_fingerprints()
         # Without the correction stage the two tops collapse entirely.
-        assert plan.distinct_stage_invocations() == 1 + 10 * 2
+        assert plan.distinct_stage_invocations() == 1 + 9 * 2
 
 
 class TestNonCacheableStages:
@@ -155,10 +155,10 @@ class TestNonCacheableStages:
         plan = self.plan()
         assert "snapshot" not in plan.distinct_fingerprints()
         assert "snapshot" not in plan.sharing_summary()
-        # 2 scenarios x (topology..propagation..store chain of 9
+        # 2 scenarios x (topology..propagation..store chain of 8
         # cacheable stages, topology shared).
-        assert plan.total_stage_invocations() == 2 * 9
-        assert plan.distinct_stage_invocations() == 1 + 8 * 2
+        assert plan.total_stage_invocations() == 2 * 8
+        assert plan.distinct_stage_invocations() == 1 + 7 * 2
 
     def test_schedule_claims_only_cacheable_fingerprints(self):
         """Scenarios identical in the snapshot closure (a `top` axis
