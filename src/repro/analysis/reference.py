@@ -2,9 +2,9 @@
 
 The measurement-side counterpart of :mod:`repro.bgp.reference`: this
 module preserves the *algorithmic shape* the pipeline had before the
-:class:`~repro.core.store.ObservationStore` overhaul, so the tracked
-benchmark (``benchmarks/run_benchmarks.py``) can keep reporting an
-optimized-vs-seed speedup on identical inputs.
+:class:`~repro.core.store.ObservationStore` overhaul, so the golden
+tests (``tests/test_store.py``) can check that the indexed pipeline
+still yields the same Section-3 report on identical inputs.
 
 What is frozen here (one full re-scan of the observation list per
 stage, exactly as the seed did):
@@ -26,7 +26,7 @@ same conservative-denominator convention ``repro.bgp.reference`` uses.
 The collector-layer semantics fixed in the same PR (optional
 LOCAL_PREF, richer-copy deduplication) are retained, not reverted:
 the reference must produce *identical results* to the live pipeline so
-the benchmark can assert equality before reporting a speedup.
+the golden tests can assert equality.
 
 This module must not be "optimized" — it exists to stay slow in the
 same way the seed was slow.

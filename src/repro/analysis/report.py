@@ -2,8 +2,8 @@
 
 Every report object in the library exposes ``summary()`` / ``rows()`` /
 ``as_dict()`` methods with plain Python values; this module turns them
-into aligned text tables (for the examples and the benchmark harness
-output) and JSON documents (for EXPERIMENTS.md bookkeeping).
+into aligned text tables (for the examples and the CLI output) and
+JSON documents (for EXPERIMENTS.md bookkeeping).
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def format_series(
 ) -> str:
     """Render aligned columns for one or more series sharing an x axis.
 
-    Used by the Figure-2 benchmark/example to print the correction sweep
+    Used by the Figure-2 example to print the correction sweep
     the way the paper plots it (one row per number of corrected links).
     """
     lengths = {len(values) for values in series.values()}

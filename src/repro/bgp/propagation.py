@@ -40,8 +40,7 @@ The hot loop is profile-guided (see ``docs/performance.md``):
   speaker in the topology.
 
 The frozen seed implementation lives in :mod:`repro.bgp.reference`;
-golden-equivalence tests assert the two produce identical routes, and
-the benchmark harness measures the speedup between them.
+golden-equivalence tests assert the two produce identical routes.
 
 This simulator is also the ``event`` backend of the pluggable engine
 layer (:mod:`repro.bgp.backends`): the equilibrium solver and the

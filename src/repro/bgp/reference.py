@@ -11,15 +11,10 @@ This module preserves, verbatim in behaviour, the pre-optimization
   and prunes every speaker, exactly like the seed
   ``PropagationSimulator`` did.
 
-It exists for two reasons:
-
-1. **Golden equivalence** — the optimized fast path in
-   :mod:`repro.bgp.propagation` must produce identical routes; the
-   golden test suite runs both implementations over the same topologies
-   and asserts route-for-route equality.
-2. **Performance tracking** — ``benchmarks/run_benchmarks.py`` measures
-   the optimized/reference speedup and records it in
-   ``BENCH_propagation.json``.
+It exists as a golden oracle: the optimized fast path in
+:mod:`repro.bgp.propagation` must produce identical routes, and the
+golden test suite runs both implementations over the same topologies
+and asserts route-for-route equality.
 
 Do not optimize this module; it is the baseline.
 """

@@ -1,6 +1,6 @@
 """Command-line interface for the reproduction.
 
-Seven subcommands cover the common workflows without writing any code::
+Nine subcommands cover the common workflows without writing any code::
 
     python -m repro section3  [--small | --paper-scale] [--engine NAME]
                               [--json PATH]
@@ -23,8 +23,6 @@ Seven subcommands cover the common workflows without writing any code::
     python -m repro trace     show | summary | profile  --trace-dir DIR [--json]
     python -m repro top       [--queue-dir DIR] [--trace-dir DIR]
                               [--once] [--json] [--serve PORT]
-    python -m repro bench     record | compare  [--bench-dir DIR]
-                              [--history-dir DIR] [--smoke]
     python -m repro cache     stats | prune  --cache-dir DIR
 
 ``section3`` prints the Section-3 statistics table, ``figure2`` prints
@@ -98,9 +96,8 @@ total, p50/p95, cache hit rate, retry and dead-letter counts).
 in deterministic ``cProfile`` + ``tracemalloc`` capture; ``trace
 profile`` renders the hot-function rollup.  ``repro top`` is the live
 monitor over a distributed sweep's queue and trace (``--serve PORT``
-exposes ``/metrics`` + ``/health`` over HTTP), and ``repro bench
-record|compare`` maintains the benchmark-history ledger and regression
-gate (see ``docs/observability.md`` and ``docs/performance.md``).
+exposes ``/metrics`` + ``/health`` over HTTP; see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -159,7 +156,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--small", action="store_true", help="small snapshot (default, seconds to build)"
     )
     scale.add_argument(
-        "--paper-scale", action="store_true", help="larger snapshot (minutes to build)"
+        "--paper-scale", action="store_true", help="larger snapshot (seconds to build)"
     )
     parser.add_argument("--seed", type=int, default=7, help="snapshot seed")
     parser.add_argument(
@@ -824,71 +821,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
             print()
 
 
-def _cmd_bench_record(args: argparse.Namespace) -> int:
-    from repro.telemetry.history import load_reports, record
-
-    bench_dir = Path(args.bench_dir)
-    reports = load_reports(bench_dir)
-    if not reports:
-        print(f"error: no BENCH_*.json under {bench_dir}", file=sys.stderr)
-        return 2
-    path = record(args.history_dir, reports, smoke=args.smoke)
-    print(f"[bench] recorded {len(reports)} report(s) -> {path}")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.telemetry.history import (
-        baseline,
-        compare,
-        load_entries,
-        load_reports,
-        metrics_of_reports,
-        render_comparison,
-    )
-
-    bench_dir = Path(args.bench_dir)
-    reports = load_reports(bench_dir)
-    if not reports:
-        print(f"error: no BENCH_*.json under {bench_dir}", file=sys.stderr)
-        return 2
-    entries = load_entries(args.history_dir)
-    if not entries:
-        print(
-            f"[bench] no history entries under {args.history_dir}: nothing to "
-            "compare against (record a baseline with 'repro bench record')"
-        )
-        return 0
-    host = next(iter(sorted(reports.items())))[1].get("host")
-    base, used = baseline(
-        entries, host, smoke=args.smoke, any_host=args.any_host
-    )
-    if not used:
-        print(
-            "[bench] no comparable history entries (same host key, same "
-            "smoke/full kind); skipping — use --any-host to force a "
-            "cross-host comparison"
-        )
-        return 0
-    result = compare(
-        metrics_of_reports(reports), base, threshold=args.threshold
-    )
-    result["baseline_entries"] = [
-        {"recorded_at": e.get("recorded_at"), "commit": e.get("commit")}
-        for e in used
-    ]
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True, default=str))
-    else:
-        print(
-            f"[bench] comparing {bench_dir} against {len(used)} history "
-            f"entr{'y' if len(used) == 1 else 'ies'}"
-        )
-        for line in render_comparison(result):
-            print(line)
-    return 0 if result["ok"] else 1
-
-
 def _open_cache(args: argparse.Namespace) -> Optional[ArtifactCache]:
     """Open a cache for ``cache stats|prune``, whatever backend wrote it.
 
@@ -1252,53 +1184,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.set_defaults(handler=_cmd_top)
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="benchmark-history ledger: record BENCH_*.json runs and "
-        "gate on regressions",
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    bench_record = bench_commands.add_parser(
-        "record",
-        help="append one ledger entry (commit + host + wall-clock metrics) "
-        "for a directory of BENCH_*.json reports",
-    )
-    bench_compare = bench_commands.add_parser(
-        "compare",
-        help="compare a directory of BENCH_*.json reports against the "
-        "ledger's same-host best; exit 1 on regression",
-    )
-    for sub in (bench_record, bench_compare):
-        sub.add_argument(
-            "--bench-dir", default=None,
-            help="directory holding BENCH_*.json (default: '.'; with "
-            "--smoke: benchmarks/smoke)",
-        )
-        sub.add_argument(
-            "--history-dir", default="benchmarks/history",
-            help="ledger directory (default: benchmarks/history)",
-        )
-        sub.add_argument(
-            "--smoke", action="store_true",
-            help="the reports came from a --smoke run (tiny scale; kept "
-            "separate in the ledger — smoke never gates against full runs)",
-        )
-    bench_record.set_defaults(handler=_cmd_bench_record)
-    bench_compare.add_argument(
-        "--threshold", type=float, default=None,
-        help="relative slowdown tolerated before failing (default: 0.30 "
-        "= 30%%)",
-    )
-    bench_compare.add_argument(
-        "--any-host", action="store_true",
-        help="compare against entries from other hosts too (wall-clock "
-        "numbers across machines measure the machines; off by default)",
-    )
-    bench_compare.add_argument(
-        "--json", action="store_true", help="machine-readable comparison"
-    )
-    bench_compare.set_defaults(handler=_cmd_bench_compare)
-
     cache = subparsers.add_parser(
         "cache", help="inspect or prune an artifact cache (directory or "
         "sqlite object store)"
@@ -1332,7 +1217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point used by ``python -m repro`` and the console script."""
+    """Entry point used by ``python -m repro``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "max_sources", None) == 0:
@@ -1345,12 +1230,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Profile records are written beside the trace; without a trace
         # dir the capture would run and then be dropped on the floor.
         parser.error("--profile requires --trace-dir")
-    if getattr(args, "bench_command", None) and args.bench_dir is None:
-        args.bench_dir = "benchmarks/smoke" if args.smoke else "."
-    if getattr(args, "bench_command", None) == "compare" and args.threshold is None:
-        from repro.telemetry.history import DEFAULT_THRESHOLD
-
-        args.threshold = DEFAULT_THRESHOLD
     return args.handler(args)
 
 

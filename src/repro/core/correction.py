@@ -119,8 +119,8 @@ def correction_payload(
     """The one JSON-shaped rendering of a Figure-2 series.
 
     Shared by ``repro figure2 --json`` and every sweep cell, so the two
-    reports stay comparable field-for-field (the sweep benchmark
-    asserts cells bit-identical to standalone runs).
+    reports stay comparable field-for-field (the sweep tests assert
+    cells bit-identical to standalone runs).
     """
     return {
         "top": top,

@@ -18,8 +18,8 @@ against the relationships already established from its communities:
    yields relationships for first-hop links that communities alone did
    not cover.
 
-The class also exposes the two ablation knobs evaluated in the benchmark
-harness: disabling the communities validation (step 1-2 replaced by a
+The class also exposes the two ablation knobs evaluated in the
+integration tests (ablation A1): disabling the communities validation (step 1-2 replaced by a
 rank-based guess) and disabling the traffic-engineering filter.
 """
 

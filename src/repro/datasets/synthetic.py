@@ -353,10 +353,11 @@ def small_config(seed: int = 7) -> DatasetConfig:
 
 
 def paper_scale_config(seed: int = 2010) -> DatasetConfig:
-    """The configuration used by the benchmark harness.
+    """The ``--paper-scale`` configuration (449 ASes).
 
-    Large enough for the statistics to be stable, small enough to build
-    within a couple of minutes on a laptop.
+    Large enough for the statistics to be stable, small enough that a
+    cold ``section3`` builds in seconds; ``perfbench/`` measures the
+    paper pipeline at this scale.
     """
     return DatasetConfig(
         topology=TopologyConfig(

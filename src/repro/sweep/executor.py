@@ -292,7 +292,7 @@ def run_sweep(
 
     Without ``cache_dir`` nothing can be shared: the sweep degenerates
     to independent full runs (one wave), which is exactly the baseline
-    the ``sweep_grid`` benchmark measures the cache against.
+    the sweep tests compare the cached cells against.
 
     ``executor="cluster"`` hands the waves to the durable task queue in
     ``queue_dir`` (see :mod:`repro.cluster`); ``workers`` then counts

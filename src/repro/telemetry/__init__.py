@@ -16,8 +16,6 @@ Public surface:
   ``tracemalloc`` capture behind ``repro trace profile``.
 * :func:`monitor_snapshot` / :class:`MonitorServer` — the live view
   (``repro top``) and its ``/metrics`` + ``/health`` HTTP plane.
-* :mod:`repro.telemetry.history` — the benchmark-history ledger and
-  regression gate behind ``repro bench record|compare``.
 
 See ``docs/observability.md`` for the span model and the JSONL schema.
 """

@@ -40,8 +40,7 @@ class TopologyConfig:
 
     The defaults produce a topology of roughly 550 ASes which is large
     enough to exhibit the paper's qualitative behaviour while keeping the
-    route-propagation simulator fast enough for the test suite.  The
-    benchmark harness scales the counts up.
+    route-propagation simulator fast enough for the test suite.
     """
 
     seed: int = 2010

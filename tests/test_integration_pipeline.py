@@ -1,22 +1,31 @@
 """End-to-end integration tests: the full paper pipeline on a synthetic snapshot.
 
 These tests assert the *shape* of the paper's findings (see DESIGN.md):
-coverage, hybrid share and mix, hybrid path visibility, valley fractions
-and the Figure-2 trend, computed exactly the way the benchmark harness
-computes them.
+coverage, hybrid share and mix, hybrid path visibility, valley fractions,
+the Figure-1 effect, the Figure-2 trend and the two ablations (A1:
+LocPrf without Communities validation; A2: IPv6 propagation without the
+valley-free relaxations).
 """
 
 import pytest
 
 from repro.analysis.partition import analyze_reachability
 from repro.analysis.stats import compute_section3
+from repro.bgp.engine import PropagationEngine
+from repro.bgp.policy import RoutingPolicy
+from repro.bgp.propagation import PropagationSimulator
 from repro.core.combined_inference import CombinedInference
 from repro.core.correction import CorrectionExperiment, plane_agnostic_annotation
+from repro.core.customer_tree import customer_tree, union_of_customer_trees
 from repro.core.hybrid import HybridDetector
-from repro.core.relationships import AFI, HybridType
+from repro.core.locpref_inference import LocPrefInference
+from repro.core.relationships import AFI, HybridType, Relationship
+from repro.core.valley import ValleyAnalyzer
 from repro.core.visibility import build_visibility_index
 from repro.inference.comparison import compare_annotations
+from repro.inference.degree_based import DegreeBasedInference
 from repro.inference.gao import GaoInference
+from repro.topology.tiers import classify_tiers, tier_of_link
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +59,17 @@ class TestSection3Shape:
         report = section3.report
         # 10-15% of links produce >25% of path crossings (paper: 13% -> 28%).
         assert report.fraction_paths_crossing_hybrid > report.hybrid_fraction
+        assert report.fraction_paths_crossing_hybrid > 0.15
+
+    def test_hybrid_links_live_in_the_core(self, snapshot, section3):
+        """Paper: "the hybrid links usually happen among tier-1 or tier-2 ASes"."""
+        tiers = classify_tiers(snapshot.graph, AFI.IPV4)
+        hybrid_links = section3.hybrid.hybrid_link_set()
+        core = sum(
+            1 for link in hybrid_links if tier_of_link(tiers, link.a, link.b) <= 2
+        )
+        assert hybrid_links
+        assert core / len(hybrid_links) >= 0.5
 
     def test_valley_paths_exist_but_are_minority(self, section3):
         report = section3.report
@@ -66,6 +86,21 @@ class TestSection3Shape:
         )
         assert validation.precision >= 0.9
         assert validation.recall >= 0.9
+
+    def test_validated_locpref_at_least_as_accurate_as_naive(self, snapshot):
+        """Ablation A1: LocPrf calibrated with the Communities validation
+        and the traffic-engineering filter vs naive rank-based LocPrf."""
+        reference = snapshot.ground_truth_annotation(AFI.IPV6)
+        validated = LocPrefInference(snapshot.registry).infer(snapshot.observations)
+        naive = LocPrefInference(
+            snapshot.registry,
+            validate_with_communities=False,
+            filter_traffic_engineering=False,
+        ).infer(snapshot.observations)
+        validated_report = compare_annotations(validated.annotation(AFI.IPV6), reference)
+        naive_report = compare_annotations(naive.annotation(AFI.IPV6), reference)
+        assert validated_report.common_links and naive_report.common_links
+        assert validated_report.accuracy >= naive_report.accuracy - 1e-9
 
     def test_inferred_relationships_match_ground_truth(self, snapshot, section3):
         """Communities/LocPrf inference should essentially never contradict
@@ -92,6 +127,44 @@ class TestValleyAndPartition:
         if snapshot.dispute_links:
             assert report.reachable_fraction <= 1.0
 
+    def test_relaxations_never_lose_reachability(self, snapshot):
+        """Ablation A2 at the routing layer: the same IPv6 origins reach at
+        least as many (origin, AS) pairs with the relaxed adjacencies as
+        under strict valley-free export."""
+        sample_origins = dict(
+            list(snapshot.propagation[AFI.IPV6].origins.items())[:40]
+        )
+        vantages = [
+            vantage.asn
+            for collector in snapshot.collectors
+            for vantage in collector.vantage_points
+        ]
+        strict_policies = {
+            asn: RoutingPolicy(
+                asn=asn,
+                local_pref=policy.local_pref,
+                tagger=policy.tagger,
+                te_overrides=policy.te_overrides,
+                strip_communities_on_export=policy.strip_communities_on_export,
+            )
+            for asn, policy in snapshot.policies.items()
+        }
+        relaxed = PropagationSimulator(
+            snapshot.graph, snapshot.policies, keep_ribs_for=vantages
+        ).run(sample_origins)
+        strict = PropagationSimulator(
+            snapshot.graph, strict_policies, keep_ribs_for=vantages
+        ).run(sample_origins)
+        assert sum(relaxed.reachable_counts.values()) >= sum(
+            strict.reachable_counts.values()
+        )
+
+    def test_ground_truth_annotation_has_valley_paths(self, snapshot):
+        report = ValleyAnalyzer(snapshot.ground_truth_annotation(AFI.IPV6)).analyze(
+            snapshot.observations_for(AFI.IPV6), afi=AFI.IPV6
+        )
+        assert report.valley_count > 0
+
     def test_valley_paths_traverse_relaxed_adjacencies(self, snapshot, section3):
         relaxed = {frozenset(pair) for pair in snapshot.relaxed_adjacencies}
         traversing = 0
@@ -102,6 +175,46 @@ class TestValleyAndPartition:
                 traversing += 1
         if section3.valley.valley_paths:
             assert traversing / len(section3.valley.valley_paths) >= 0.5
+
+
+class TestRunManyOnSnapshot:
+    def test_reaches_exactly_its_origins_reaches_exactly_its_origins(self, snapshot):
+        origins = snapshot.propagation[AFI.IPV6].origins
+        engine = PropagationEngine(snapshot.graph, snapshot.policies)
+        result = engine.run_many(origins, workers=4)
+        assert set(result.reachable_counts) == set(origins)
+
+
+class TestFigure1OnSnapshot:
+    def test_customer_tree_union_is_all_transit(self, section3):
+        """Every edge of the union of the IPv6 customer trees (Figure 2's
+        substrate) is a P2C/C2P edge of the annotation."""
+        annotation = section3.inference.annotation(AFI.IPV6)
+        union = union_of_customer_trees(annotation)
+        assert union.size > 0
+        for link in union.edges:
+            assert annotation.get_canonical(link) in (Relationship.P2C, Relationship.C2P)
+
+    def test_transit_flip_never_grows_the_tree(self, section3):
+        """Figure-1 effect on the measured topology: re-labelling the most
+        visible hybrid transit link as p2p shrinks (or keeps) the
+        provider's customer tree."""
+        annotation = section3.inference.annotation(AFI.IPV6)
+        hybrid_links = [
+            link
+            for link in section3.visibility.top_links(
+                20, links=section3.hybrid.hybrid_link_set()
+            )
+            if annotation.get_canonical(link).is_transit
+        ]
+        assert hybrid_links
+        link = hybrid_links[0]
+        provider = link.a if annotation.get(link.a, link.b) is Relationship.P2C else link.b
+        flipped = annotation.copy()
+        flipped.set_canonical(link, Relationship.P2P)
+        assert customer_tree(flipped, provider).size <= customer_tree(
+            annotation, provider
+        ).size
 
 
 class TestFigure2Trend:
@@ -153,6 +266,13 @@ class TestFigure2Trend:
         reference = section3.inference.annotation(AFI.IPV6)
         report = compare_annotations(baseline, reference)
         assert report.disagreement_count > 0
+
+    def test_degree_baseline_overlaps_the_inference(self, snapshot, section3):
+        baseline = DegreeBasedInference().infer(
+            snapshot.observations_for(AFI.IPV6), AFI.IPV6
+        )
+        reference = section3.inference.annotation(AFI.IPV6)
+        assert compare_annotations(baseline, reference).common_links > 0
 
     def test_plane_agnostic_annotation_misinfers_exactly_the_hybrids(self, section3):
         reference = section3.inference.annotation(AFI.IPV6)

@@ -1,4 +1,4 @@
-"""The performance observatory: profiling hooks, live monitor, bench gate.
+"""The performance observatory: profiling hooks and the live monitor.
 
 Acceptance criteria under test:
 
@@ -13,9 +13,6 @@ Acceptance criteria under test:
   the verdict machine covers empty/active/drained/stalled/degraded,
 * ``/metrics`` is valid Prometheus text exposition and ``/health``
   speaks 200/503,
-* the history ledger records commit+host-keyed entries and
-  ``repro bench compare`` fails on an injected ≥20% slowdown, skips
-  cross-host comparisons, and passes a clean self-comparison,
 * ``analyze`` survives adversarial traces: deep nesting, error spans,
   a torn final line from a concurrent writer,
 * worker log lines carry the greppable ``run/worker/task`` prefix.
@@ -47,15 +44,6 @@ from repro.telemetry import (
     read_trace,
     render_tree,
     summarize,
-)
-from repro.telemetry.history import (
-    baseline,
-    compare,
-    extract_metrics,
-    git_info,
-    host_key,
-    load_entries,
-    record,
 )
 from repro.telemetry.monitor import (
     MonitorServer,
@@ -423,158 +411,6 @@ class TestMonitor:
         queue.claim("w1", 30.0, now=time.time() - 100.0)
         assert main(["top", "--once", "--queue-dir", str(tmp_path)]) == 1
         assert "stalled" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# history ledger + regression gate
-# ----------------------------------------------------------------------
-def _report(metrics, host=None):
-    host = host or {
-        "cpus": 4,
-        "machine": "x86_64",
-        "python": "3.11.7",
-        "python_implementation": "CPython",
-    }
-    return {"schema_version": 1, "host": host, "results": metrics}
-
-
-class TestHistoryLedger:
-    def test_extract_metrics_takes_only_wall_second_leaves(self):
-        report = _report(
-            {
-                "scenario": {
-                    "cold_wall_seconds": 1.5,
-                    "run_wall_seconds": 0.5,
-                    "speedup": 3.0,
-                    "budget_seconds": 60.0,
-                    "within_budget": True,
-                    "nested": {"wall_seconds": 0.25},
-                }
-            }
-        )
-        assert extract_metrics(report) == {
-            "scenario.cold_wall_seconds": 1.5,
-            "scenario.run_wall_seconds": 0.5,
-            "scenario.nested.wall_seconds": 0.25,
-        }
-
-    def test_record_and_load_round_trip(self, tmp_path):
-        path = record(
-            tmp_path / "history",
-            {"BENCH_x": _report({"s": {"wall_seconds": 1.0}})},
-            smoke=True,
-            commit="abc123",
-            dirty=False,
-            recorded_at="2026-08-07T00:00:00+00:00",
-        )
-        assert path.exists()
-        (entry,) = load_entries(tmp_path / "history")
-        assert entry["commit"] == "abc123" and entry["smoke"] is True
-        assert entry["metrics"] == {"BENCH_x.s.wall_seconds": 1.0}
-        assert entry["host_key"] == host_key(_report({})["host"])
-        # Append-only: same stamp+commit gets a disambiguated name.
-        second = record(
-            tmp_path / "history",
-            {"BENCH_x": _report({"s": {"wall_seconds": 2.0}})},
-            smoke=True,
-            commit="abc123",
-            dirty=False,
-            recorded_at="2026-08-07T00:00:00+00:00",
-        )
-        assert second != path and len(load_entries(tmp_path / "history")) == 2
-
-    def test_baseline_is_per_metric_minimum_same_host_same_kind(self):
-        host = _report({})["host"]
-        entries = [
-            {"smoke": False, "host_key": host_key(host),
-             "metrics": {"m": 2.0, "n": 1.0}, "recorded_at": "a"},
-            {"smoke": False, "host_key": host_key(host),
-             "metrics": {"m": 1.0, "n": 3.0}, "recorded_at": "b"},
-            {"smoke": True, "host_key": host_key(host),
-             "metrics": {"m": 0.1}, "recorded_at": "c"},  # smoke: excluded
-            {"smoke": False, "host_key": "other/8cpu/CPython-3.12",
-             "metrics": {"m": 0.2}, "recorded_at": "d"},  # other host
-        ]
-        best, used = baseline(entries, host, smoke=False)
-        assert best == {"m": 1.0, "n": 1.0} and len(used) == 2
-        best_any, used_any = baseline(entries, host, smoke=False, any_host=True)
-        assert best_any["m"] == 0.2 and len(used_any) == 3
-
-    def test_compare_flags_regressions_not_new_metrics(self):
-        result = compare(
-            {"slow": 2.0, "same": 1.0, "fast": 0.5, "new": 9.9},
-            {"slow": 1.0, "same": 1.0, "fast": 1.0, "gone": 1.0},
-            threshold=0.30,
-        )
-        assert [r["metric"] for r in result["regressions"]] == ["slow"]
-        assert [r["metric"] for r in result["improvements"]] == ["fast"]
-        assert result["only_current"] == ["new"]
-        assert result["only_baseline"] == ["gone"]
-        assert result["ok"] is False
-        assert compare({"m": 1.2}, {"m": 1.0}, threshold=0.30)["ok"] is True
-
-    def test_host_key_collapses_patch_version(self):
-        key = host_key({"machine": "arm64", "cpus": 8,
-                        "python_implementation": "CPython", "python": "3.12.4"})
-        assert key == "arm64/8cpu/CPython-3.12"
-
-    def test_git_info_in_this_checkout(self):
-        info = git_info(cwd=Path(__file__).resolve().parent)
-        assert info["commit"] is None or len(info["commit"]) == 40
-
-    def _write_bench(self, bench_dir, seconds):
-        bench_dir.mkdir(parents=True, exist_ok=True)
-        (bench_dir / "BENCH_x.json").write_text(
-            json.dumps(_report({"s": {"wall_seconds": seconds}}))
-        )
-
-    def test_bench_cli_gate(self, tmp_path, capsys):
-        bench_dir = tmp_path / "bench"
-        history_dir = tmp_path / "history"
-        self._write_bench(bench_dir, 1.0)
-        base = ["--bench-dir", str(bench_dir), "--history-dir", str(history_dir)]
-
-        # Empty ledger: compare skips with exit 0.
-        assert main(["bench", "compare", *base]) == 0
-        assert "no history entries" in capsys.readouterr().out
-        # Record, then a self-comparison passes.
-        assert main(["bench", "record", *base]) == 0
-        assert main(["bench", "compare", *base]) == 0
-        assert "no regressions" in capsys.readouterr().out
-        # Injected >=20% slowdown fails the gate at a 0.2 threshold.
-        self._write_bench(bench_dir, 1.3)
-        assert main(["bench", "compare", *base, "--threshold", "0.2"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        # ... and machine-readably.
-        assert main(["bench", "compare", *base, "--threshold", "0.2", "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False and payload["regressions"]
-
-    def test_bench_compare_skips_cross_host(self, tmp_path, capsys):
-        bench_dir = tmp_path / "bench"
-        history_dir = tmp_path / "history"
-        self._write_bench(bench_dir, 5.0)
-        record(
-            history_dir,
-            {"BENCH_x": _report({"s": {"wall_seconds": 1.0}},
-                                host={"machine": "other", "cpus": 1,
-                                      "python": "3.8.0",
-                                      "python_implementation": "PyPy"})},
-            commit="abc",
-        )
-        base = ["--bench-dir", str(bench_dir), "--history-dir", str(history_dir)]
-        assert main(["bench", "compare", *base]) == 0
-        assert "no comparable history entries" in capsys.readouterr().out
-        # --any-host forces the comparison and catches the slowdown.
-        assert main(["bench", "compare", *base, "--any-host"]) == 1
-
-    def test_bench_record_errors_without_reports(self, tmp_path, capsys):
-        code = main(
-            ["bench", "record", "--bench-dir", str(tmp_path),
-             "--history-dir", str(tmp_path / "h")]
-        )
-        assert code == 2
-        assert "no BENCH_*.json" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.core.correction import correction_payload
 from repro.datasets import DatasetConfig
 from repro.pipeline import (
     ArtifactCache,
@@ -69,6 +70,12 @@ class TestWarmRuns:
         warm = run_pipeline(config, cache_dir=cache_dir, targets=ALL_ANALYSIS_TARGETS)
         assert warm.computed_stages() == []
         assert warm.cached_stages() == ANALYSIS_CLOSURE
+        # The cached artifacts yield the same reports as a fresh computation.
+        fresh = run_pipeline(config, targets=ALL_ANALYSIS_TARGETS)
+        assert warm.value("section3").as_dict() == fresh.value("section3").as_dict()
+        assert correction_payload(
+            warm.value("correction"), config.top, config.max_sources
+        ) == correction_payload(fresh.value("correction"), config.top, config.max_sources)
 
     def test_figure2_after_section3_reuses_all_shared_stages(self, tmp_path):
         config = tiny_config()

@@ -3,9 +3,8 @@ list pipeline, plus the store's index invariants.
 
 The store is a pure accelerator: every consumer that accepts it must
 produce *identical* results to the plain-list path.  These tests pin
-that equivalence on two differently seeded snapshots, and also pin the
-frozen seed pipeline (``repro.analysis.reference``) the benchmark uses
-as its speedup denominator.
+that equivalence on two differently seeded snapshots, and also pin it
+against the frozen seed pipeline (``repro.analysis.reference``).
 """
 
 import pytest

@@ -97,8 +97,8 @@ class TestGolden2x2:
         assert warm.fully_cached()
         assert warm.cache_counters()["computed"] == 0
         # And the warm cells still match the cold ones.
-        cold_cells = {r.scenario_id: r.section3 for r in cold.results}
-        warm_cells = {r.scenario_id: r.section3 for r in warm.results}
+        cold_cells = {r.scenario_id: (r.section3, r.correction) for r in cold.results}
+        warm_cells = {r.scenario_id: (r.section3, r.correction) for r in warm.results}
         assert warm_cells == cold_cells
 
 
