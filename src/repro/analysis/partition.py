@@ -23,7 +23,11 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.core.annotation import ToRAnnotation, valley_free_distances
+from repro.core.annotation import (
+    ToRAnnotation,
+    directed_adjacency,
+    valley_free_distances,
+)
 from repro.core.relationships import AFI
 
 
@@ -100,8 +104,12 @@ def analyze_reachability(
     report.ordered_pairs = len(members) * (len(members) - 1)
 
     reachable_sets: Dict[int, Set[int]] = {}
+    directed = directed_adjacency(annotation)
     for source in members:
-        reachable = set(valley_free_distances(annotation, source)) & member_set
+        reachable = (
+            set(valley_free_distances(annotation, source, directed=directed))
+            & member_set
+        )
         reachable.discard(source)
         reachable_sets[source] = reachable
         report.reachable_pairs += len(reachable)

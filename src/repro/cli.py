@@ -1,6 +1,6 @@
 """Command-line interface for the reproduction.
 
-Nine subcommands cover the common workflows without writing any code::
+Six subcommands cover the common workflows without writing any code::
 
     python -m repro section3  [--small | --paper-scale] [--engine NAME]
                               [--json PATH]
@@ -11,18 +11,10 @@ Nine subcommands cover the common workflows without writing any code::
     python -m repro snapshot  --output DIR [--small | --paper-scale]
                               [--engine NAME]
     python -m repro sweep     --grid grid.json [--cache-dir DIR]
-                              [--executor serial|thread|process|cluster]
-                              [--distributed --queue-dir DIR
-                               --local-workers N --task-timeout S]
+                              [--executor serial|thread|process]
                               [--cache-budget-bytes N]
                               [--json PATH] [--markdown PATH]
-    python -m repro worker    --queue-dir DIR [--worker-id ID]
-                              [--lease-seconds S] [--max-idle-seconds S]
-                              [--task-timeout S]
-    python -m repro queue     status --queue-dir DIR [--json]
     python -m repro trace     show | summary | profile  --trace-dir DIR [--json]
-    python -m repro top       [--queue-dir DIR] [--trace-dir DIR]
-                              [--once] [--json] [--serve PORT]
     python -m repro cache     stats | prune  --cache-dir DIR
 
 ``section3`` prints the Section-3 statistics table, ``figure2`` prints
@@ -34,22 +26,7 @@ a directory, so the pipeline can also be exercised from files on disk.
 ``sweep`` expands a JSON parameter grid (see :mod:`repro.sweep.grid`)
 into scenarios and runs them all over one shared artifact cache —
 upstream stages two scenarios have in common are computed once and
-reused — then prints/writes a cross-scenario report.  With
-``--distributed`` the waves go through the durable task queue in
-``--queue-dir`` and cooperating worker processes execute them:
-``--local-workers N`` spawns N on this host, and any number of
-``repro worker --queue-dir DIR`` processes started from other shells
-can join the same queue.  The queue is a SQLite file (WAL mode), so
-sharing it across *machines* requires a filesystem with coherent
-SQLite locking — typical NFS is not; multi-host fan-out beyond that is
-the networked-backend item on the roadmap.  ``queue status`` snapshots
-a live (or finished) queue: per-state counts, running-task lease ages,
-and the dead-letter records of quarantined tasks.  A ``repro worker``
-drains gracefully on SIGTERM — it finishes its current task and exits
-0; a second SIGTERM also releases the in-flight task back to the queue
-(attempt refunded) for an immediate exit.  ``--task-timeout`` arms the
-per-task watchdog that aborts stuck-but-heartbeating attempts (see
-``docs/robustness.md``).  ``cache stats``
+reused — then prints/writes a cross-scenario report.  ``cache stats``
 and ``cache prune`` keep those caches from growing unbounded —
 ``--cache-budget-bytes`` automates the prune after every sweep wave.
 Every ``--cache-dir`` is a cache *spec*: a directory (the default
@@ -82,22 +59,20 @@ block stating, per address family, which backend actually ran and why
 ``auto`` fell back (if it did); CI strips that block before diffing
 reports across engines.  A fallback is also announced on stderr.
 
-``--trace-dir DIR`` (on ``section3``/``figure2``/``snapshot``/``sweep``
-/``worker``) turns on structured telemetry: spans and counters are
-appended to ``DIR/trace*.jsonl`` (see :mod:`repro.telemetry` and
+``--trace-dir DIR`` (on ``section3``/``figure2``/``snapshot``/``sweep``)
+turns on structured telemetry: spans and counters are appended to
+``DIR/trace*.jsonl`` (see :mod:`repro.telemetry` and
 ``docs/observability.md``).  Tracing is off by default, adds no
 overhead when off, and never changes a fingerprint or an output byte.
-``trace show`` renders the reassembled span tree — for a distributed
-sweep, the coordinator's and every worker's spans join into one tree —
-and ``trace summary`` prints per-stage/per-engine rollups (count,
-total, p50/p95, cache hit rate, retry and dead-letter counts).
+``trace show`` renders the reassembled span tree — a process-pool
+sweep's scenario spans join the driver's tree — and ``trace summary``
+prints per-stage/per-engine rollups (count, total, p50/p95, cache hit
+rate, retry count) plus the root span's wall time and the part of it
+outside every stage.
 
 ``--profile`` (with ``--trace-dir``) additionally wraps the hot spans
 in deterministic ``cProfile`` + ``tracemalloc`` capture; ``trace
-profile`` renders the hot-function rollup.  ``repro top`` is the live
-monitor over a distributed sweep's queue and trace (``--serve PORT``
-exposes ``/metrics`` + ``/health`` over HTTP; see
-``docs/observability.md``).
+profile`` renders the hot-function rollup.
 """
 
 from __future__ import annotations
@@ -401,66 +376,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "(every cell computes its full closure)"
         )
 
-    if args.distributed and args.executor not in (None, "cluster"):
-        print(
-            f"error: --distributed conflicts with --executor {args.executor}",
-            file=sys.stderr,
-        )
-        return 2
-    executor = "cluster" if args.distributed else (args.executor or "thread")
-    if executor == "cluster" and args.workers is not None:
-        # Silently dropping --workers would leave the user with zero
-        # spawned workers and a coordinator waiting forever.
-        print(
-            "error: use --local-workers (spawned worker processes) with a "
-            "distributed sweep; --workers bounds in-process pools only",
-            file=sys.stderr,
-        )
-        return 2
-    if executor != "cluster" and (
-        args.local_workers is not None
-        or args.lease_seconds is not None
-        or args.wave_timeout is not None
-        or args.task_timeout is not None
-    ):
-        # The symmetric silent drop: cluster-only flags on a local
-        # executor would be ignored, which reads like they worked.
-        print(
-            "error: --local-workers/--lease-seconds/--wave-timeout/"
-            "--task-timeout require --distributed (or --executor cluster)",
-            file=sys.stderr,
-        )
-        return 2
-    workers = args.local_workers if executor == "cluster" else args.workers
-    if executor == "cluster" and not args.local_workers and args.queue_dir:
-        # Guarded on queue_dir: a missing one errors in run_sweep, and
-        # a notice quoting '--queue-dir None' would be copy-paste bait.
-        print(
-            "[sweep] no --local-workers: waiting for external 'repro worker "
-            f"--queue-dir {args.queue_dir}' processes to drain the queue"
-        )
-    from repro.cluster.backends import BackendError
-    from repro.cluster.coordinator import ClusterError
-
     try:
         result = run_sweep(
             plan,  # the announced plan IS the executed plan
             cache_dir=args.cache_dir,
-            executor=executor,
-            workers=workers,
+            executor=args.executor,
+            workers=args.workers,
             propagation_workers=args.propagation_workers,
-            queue_dir=args.queue_dir,
             cache_budget_bytes=args.cache_budget_bytes,
-            lease_seconds=args.lease_seconds if args.lease_seconds is not None else 30.0,
-            wave_timeout=args.wave_timeout,
-            task_timeout_seconds=args.task_timeout,
             trace_dir=args.trace_dir,
             profiling=_profiling_from_args(args),
         )
-    except (ValueError, ClusterError, BackendError) as exc:
-        # Invalid option combinations, a cluster that cannot make
-        # progress (all workers dead, wave timeout) or a broken cache
-        # backend — scenario failures never raise here.
+    except (ValueError, OSError) as exc:
+        # Invalid option combinations or an unusable cache —
+        # scenario failures never raise here.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for scenario in result.results:
@@ -473,17 +402,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         else:
             print(f"[sweep] {scenario.scenario_id:<40} FAILED  {scenario.error}")
-    if result.dead_letters:
-        print(
-            f"[sweep] {len(result.dead_letters)} task(s) quarantined "
-            "(dead letters; full per-attempt history via "
-            "'repro queue status'):"
-        )
-        for letter in result.dead_letters:
-            print(
-                f"[sweep]   {letter['task_id']} after {letter['attempts']} "
-                f"attempt(s): {letter['error']}"
-            )
     counters = result.cache_counters()
     print(
         f"[sweep] {len(result.results)} scenarios in {result.seconds:.2f}s: "
@@ -516,115 +434,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         Path(args.markdown).write_text(render_markdown(report), encoding="utf-8")
         print(f"[sweep] wrote markdown report to {args.markdown}")
     return 1 if result.failed() else 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import os
-    import signal
-
-    from repro.cluster.coordinator import queue_path
-    from repro.cluster.worker import Worker, default_worker_id
-    from repro.faults.plan import WORKER_ID_ENV
-
-    queue_file = queue_path(args.queue_dir)
-    worker_id = args.worker_id or default_worker_id()
-    # Exported so fault plans (fault:// cache specs) can target one
-    # worker of a pool deterministically by its id.
-    os.environ[WORKER_ID_ENV] = worker_id
-    worker = Worker(
-        queue_file,
-        worker_id=worker_id,
-        lease_seconds=args.lease_seconds,
-        poll_interval=args.poll_interval,
-        task_timeout=args.task_timeout,
-        trace_dir=args.trace_dir,
-    )
-
-    def _drain(signum: int, frame: object) -> None:
-        # First SIGTERM: finish the in-flight task, then exit 0.
-        # Second SIGTERM: release the in-flight task back to the queue
-        # (attempt refunded) and exit 0 as soon as it is handed over.
-        if worker.draining:
-            print(
-                f"[worker {worker_id}] second SIGTERM: releasing current task",
-                flush=True,
-            )
-            worker.request_drain(release_current=True)
-        else:
-            print(
-                f"[worker {worker_id}] SIGTERM: draining "
-                "(finishing current task, claiming no more)",
-                flush=True,
-            )
-            worker.request_drain()
-
-    previous = signal.signal(signal.SIGTERM, _drain)
-    print(f"[worker {worker_id}] polling {queue_file}", flush=True)
-    try:
-        processed = worker.run(
-            max_tasks=args.max_tasks,
-            exit_when_closed=not args.keep_alive,
-            max_idle_seconds=args.max_idle_seconds,
-        )
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-    verb = "drained" if worker.draining else "done"
-    print(f"[worker {worker_id}] {verb}: {processed} tasks processed", flush=True)
-    return 0
-
-
-def _cmd_queue_status(args: argparse.Namespace) -> int:
-    from repro.cluster.coordinator import queue_path
-    from repro.cluster.queue import TaskQueue
-
-    queue_file = queue_path(args.queue_dir)
-    if not queue_file.exists():
-        # Opening a TaskQueue would *create* an empty queue file — a
-        # read-only status command must not.
-        print(f"error: no task queue at {queue_file}", file=sys.stderr)
-        return 2
-    report = TaskQueue(queue_file).status_report()
-    if args.json:
-        print(
-            json.dumps(
-                {"schema_version": REPORT_SCHEMA_VERSION, **report},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 0
-    print(f"task queue at {queue_file}")
-    print(f"  state: {report['state']}, {report['total_tasks']} tasks")
-    counts = report["counts"]
-    if counts:
-        # Column widths computed from the data: a status name longer
-        # than 8 chars must not shear the count column off its grid.
-        status_width = max(len(status) for status in counts)
-        count_width = max(len(str(count)) for count in counts.values())
-        for status in sorted(counts):
-            print(f"  {status:<{status_width}} {counts[status]:>{count_width}}")
-    for row in report["running"]:
-        lease_age = row.get("lease_age_seconds")
-        held = (
-            f"lease held {lease_age:.1f}s, " if lease_age is not None else ""
-        )
-        print(
-            f"  running {row['task_id']} (owner {row['owner']}, attempt "
-            f"{row['attempts']}): {held}{row['seconds_since_update']:.1f}s "
-            f"since last heartbeat, lease expires in "
-            f"{row['lease_seconds_remaining']:.1f}s"
-        )
-    for letter in report["dead_letters"]:
-        print(
-            f"  dead    {letter['task_id']} after {letter['attempts']} "
-            f"attempt(s): {letter['error']}"
-        )
-        for entry in letter["attempts_log"]:
-            print(
-                f"          attempt {entry.get('attempt')} "
-                f"({entry.get('owner')}): {entry.get('error')}"
-            )
-    return 0
 
 
 def _read_trace_records(args: argparse.Namespace):
@@ -725,9 +534,10 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
         print("  counters:")
         for name in sorted(summary["counters"]):
             print(f"    {name:<{width}} {summary['counters'][name]:g}")
+    print(f"  retries: {summary['retries']}")
     print(
-        f"  retries: {summary['retries']}, "
-        f"dead letters: {summary['dead_letters']}"
+        f"  root: {summary['root_seconds']:.3f}s, "
+        f"outside any stage: {summary['unattributed_seconds']:.3f}s"
     )
     return 0
 
@@ -767,67 +577,13 @@ def _cmd_trace_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.telemetry import monitor_snapshot, render_snapshot
-    from repro.telemetry.monitor import MonitorServer
-
-    if args.queue_dir is None and args.trace_dir is None:
-        print("error: repro top needs --queue-dir and/or --trace-dir", file=sys.stderr)
-        return 2
-    if args.serve is not None:
-        try:
-            server = MonitorServer(
-                queue_dir=args.queue_dir, trace_dir=args.trace_dir, port=args.serve
-            )
-        except OSError as exc:
-            print(f"error: cannot bind port {args.serve}: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"[top] serving {server.url}/metrics, {server.url}/health, "
-            f"{server.url}/snapshot (Ctrl-C to stop)",
-            flush=True,
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.shutdown()
-        return 0
-
-    while True:
-        try:
-            snap = monitor_snapshot(queue_dir=args.queue_dir, trace_dir=args.trace_dir)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps(snap, indent=2, sort_keys=True, default=str))
-        else:
-            for line in render_snapshot(snap):
-                print(line)
-        if args.once:
-            verdict = (snap.get("health") or {}).get("verdict")
-            return 0 if verdict in ("drained", "active", "empty", "idle") else 1
-        if (snap.get("health") or {}).get("verdict") == "drained":
-            return 0
-        try:
-            _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
-        if not args.json:
-            print()
-
-
 def _open_cache(args: argparse.Namespace) -> Optional[ArtifactCache]:
     """Open a cache for ``cache stats|prune``, whatever backend wrote it.
 
     ``--cache-dir`` may name a cache directory *or* a SQLite
     object-store file (``*.sqlite`` / ``sqlite://``) — the spec sniffing
     in :meth:`ArtifactCache.from_spec` picks the right backend, so the
-    hygiene commands work on caches written by distributed workers too.
+    hygiene commands work on caches of any backend.
     """
     from repro.cluster.backends import spec_path
 
@@ -964,55 +720,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--executor",
-        choices=("serial", "thread", "process", "cluster"),
-        default=None,
-        help="how scenarios of one wave run (default: thread; 'cluster' "
-        "routes waves through the durable task queue, like --distributed)",
+        choices=("serial", "thread", "process"),
+        default="thread",
+        help="how scenarios of one wave run: in this process, on a thread "
+        "pool, or on a process pool sharing the cache directory "
+        "(default: thread)",
     )
     sweep.add_argument(
         "--workers", type=int, default=None, help="scenario-level worker bound"
-    )
-    sweep.add_argument(
-        "--distributed",
-        action="store_true",
-        help="run the waves through the durable task queue in --queue-dir "
-        "(equivalent to --executor cluster); requires --cache-dir",
-    )
-    sweep.add_argument(
-        "--queue-dir",
-        help="directory holding the task queue shared with 'repro worker' "
-        "processes (required with --distributed)",
-    )
-    sweep.add_argument(
-        "--local-workers",
-        type=int,
-        default=None,
-        help="spawn this many local worker processes for a distributed "
-        "sweep (external 'repro worker' processes may join the queue too)",
-    )
-    sweep.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=None,
-        help="task lease for distributed workers: a dead worker's task is "
-        "re-claimed after this long without a heartbeat (default: 30)",
-    )
-    sweep.add_argument(
-        "--wave-timeout",
-        type=float,
-        default=None,
-        help="fail a distributed sweep if one wave has not finished after "
-        "this many seconds (default: wait indefinitely — workers may join "
-        "late; set a bound when relying on external workers that could die)",
-    )
-    sweep.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="per-attempt watchdog for distributed tasks: an attempt still "
-        "running after this many seconds is aborted and retried (or "
-        "quarantined once attempts are exhausted), even if its worker is "
-        "still heartbeating (default: no watchdog)",
     )
     sweep.add_argument(
         "--cache-budget-bytes",
@@ -1037,81 +752,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_option(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 
-    worker = subparsers.add_parser(
-        "worker",
-        help="run a distributed-sweep worker over a shared task queue",
-    )
-    worker.add_argument(
-        "--queue-dir", required=True,
-        help="queue directory shared with the coordinating 'repro sweep "
-        "--distributed' (and any other workers)",
-    )
-    worker.add_argument(
-        "--worker-id", default=None,
-        help="stable worker identity for leases/logs (default: host-pid)",
-    )
-    worker.add_argument(
-        "--lease-seconds", type=float, default=30.0,
-        help="lease granted per claimed task; heartbeats extend it while "
-        "the scenario runs (default: 30)",
-    )
-    worker.add_argument(
-        "--poll-interval", type=float, default=0.2,
-        help="seconds between claim attempts when the queue is empty",
-    )
-    worker.add_argument(
-        "--task-timeout", type=float, default=None,
-        help="per-attempt watchdog: abort an attempt still running after "
-        "this many seconds even while heartbeating (a task's own "
-        "timeout_seconds takes precedence; default: no watchdog)",
-    )
-    worker.add_argument(
-        "--max-tasks", type=int, default=None,
-        help="exit after processing this many tasks (default: unbounded)",
-    )
-    worker.add_argument(
-        "--max-idle-seconds", type=float, default=None,
-        help="exit after this long without claimable work (default: wait "
-        "until the coordinator closes the queue)",
-    )
-    worker.add_argument(
-        "--keep-alive", action="store_true",
-        help="do not exit when the queue is closed: keep polling for the "
-        "next sweep (a reused queue directory is 'closed' between sweeps; "
-        "the next coordinator reopens it).  Use for standing worker pools, "
-        "ideally with --max-idle-seconds as a safety bound",
-    )
-    # No --profile here: a worker's profiling choice rides in the task's
-    # trace context, stamped by the coordinator.
-    _add_trace_option(worker, profile=False)
-    worker.set_defaults(handler=_cmd_worker)
-
-    queue = subparsers.add_parser(
-        "queue", help="inspect a distributed-sweep task queue"
-    )
-    queue_commands = queue.add_subparsers(dest="queue_command", required=True)
-    queue_status = queue_commands.add_parser(
-        "status",
-        help="queue state, per-state task counts, running-task lease ages "
-        "and dead-letter records",
-    )
-    queue_status.add_argument(
-        "--queue-dir", required=True,
-        help="queue directory of the sweep (same as 'repro sweep/worker')",
-    )
-    queue_status.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    queue_status.set_defaults(handler=_cmd_queue_status)
-
     trace = subparsers.add_parser(
         "trace", help="inspect telemetry written by --trace-dir runs"
     )
     trace_commands = trace.add_subparsers(dest="trace_command", required=True)
     trace_show = trace_commands.add_parser(
         "show",
-        help="render the reassembled span tree (distributed runs merge "
-        "into one tree via their shared run id)",
+        help="render the reassembled span tree (a sweep's pool processes "
+        "merge into one tree via their shared run id)",
     )
     trace_show.add_argument(
         "--trace-dir", required=True,
@@ -1124,7 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_summary = trace_commands.add_parser(
         "summary",
         help="per-stage and per-engine rollups (count, total, p50/p95, "
-        "cache hit rate), counters, retry and dead-letter totals",
+        "cache hit rate), counters, retry totals, root wall time and "
+        "time outside any stage",
     )
     trace_summary.add_argument(
         "--trace-dir", required=True,
@@ -1151,38 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable rollup"
     )
     trace_profile.set_defaults(handler=_cmd_trace_profile)
-
-    top = subparsers.add_parser(
-        "top",
-        help="live view of a distributed sweep: wave progress, worker "
-        "liveness, cache hit rate, ETA and a health verdict",
-    )
-    top.add_argument(
-        "--queue-dir", default=None,
-        help="queue directory of the sweep (same as 'repro sweep/worker')",
-    )
-    top.add_argument(
-        "--trace-dir", default=None,
-        help="trace directory of the sweep (adds cache/counter rollups)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="print one snapshot and exit (0 when healthy, 1 when "
-        "stalled/degraded)",
-    )
-    top.add_argument(
-        "--json", action="store_true", help="machine-readable snapshot(s)"
-    )
-    top.add_argument(
-        "--interval", type=float, default=2.0,
-        help="seconds between refreshes in poll mode (default: 2)",
-    )
-    top.add_argument(
-        "--serve", type=int, default=None, metavar="PORT",
-        help="serve /metrics (Prometheus text), /health and /snapshot "
-        "over HTTP on this port instead of polling (0 = ephemeral)",
-    )
-    top.set_defaults(handler=_cmd_top)
 
     cache = subparsers.add_parser(
         "cache", help="inspect or prune an artifact cache (directory or "

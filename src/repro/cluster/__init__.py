@@ -1,28 +1,14 @@
-"""Distributed sweep execution: queue, workers, coordinator, backends.
-
-The cluster subsystem fans the waves of a planned sweep
-(:mod:`repro.sweep.planner`) out to cooperating worker processes:
+"""Cache storage for the artifact cache: backends and retries.
 
 * :mod:`repro.cluster.backends` — pluggable :class:`CacheBackend`
   object stores behind the artifact cache (local directory, SQLite
-  object store) with atomic put-if-absent for concurrent writers,
-* :mod:`repro.cluster.queue` — a durable SQLite task queue with
-  leases, heartbeats and retry-on-lease-expiry,
-* :mod:`repro.cluster.worker` — the worker loop: claim a task, run the
-  pipeline stages, publish artifacts and the result,
-* :mod:`repro.cluster.coordinator` — turns sweep waves into task
-  batches, enforces wave barriers, collects a
-  :class:`~repro.sweep.executor.SweepResult`.
+  object store, in-memory) with atomic put-if-absent for concurrent
+  writers such as the ``process`` sweep executor's pool processes,
+* :mod:`repro.cluster.retry` — :class:`RetryPolicy` and the
+  :class:`RetryingBackend` decorator every cache wraps its backend in.
 
-CLI entry points: ``repro worker --queue-dir DIR`` and ``repro sweep
---distributed --queue-dir DIR --cache-dir DIR [--local-workers N]``.
-See the "Distributed sweeps" section of ``docs/architecture.md``.
-
-This module keeps its eager imports dependency-free (``backends`` and
-``queue`` are pure stdlib) because :mod:`repro.pipeline.artifacts`
-imports the backends; the coordinator/worker layers — which import the
-pipeline and sweep packages back — load lazily on first attribute
-access.
+Both modules are pure stdlib apart from telemetry, because
+:mod:`repro.pipeline.artifacts` imports them.
 """
 
 from repro.cluster.backends import (
@@ -36,7 +22,6 @@ from repro.cluster.backends import (
     TransientBackendError,
     open_backend,
 )
-from repro.cluster.queue import Task, TaskQueue, TaskSpec
 from repro.cluster.retry import (
     DEFAULT_RETRY_POLICY,
     RetryExhausted,
@@ -45,16 +30,9 @@ from repro.cluster.retry import (
     with_retries,
 )
 
-_LAZY = {
-    "run_distributed_sweep": ("repro.cluster.coordinator", "run_distributed_sweep"),
-    "ClusterError": ("repro.cluster.coordinator", "ClusterError"),
-    "Worker": ("repro.cluster.worker", "Worker"),
-}
-
 __all__ = [
     "BackendError",
     "CacheBackend",
-    "ClusterError",
     "DEFAULT_RETRY_POLICY",
     "LocalDirectoryBackend",
     "MemoryBackend",
@@ -64,21 +42,8 @@ __all__ = [
     "RetryPolicy",
     "RetryingBackend",
     "SQLiteObjectStoreBackend",
-    "Task",
-    "TaskQueue",
-    "TaskSpec",
     "TransientBackendError",
-    "Worker",
     "open_backend",
-    "run_distributed_sweep",
     "with_retries",
 ]
 
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        module_name, attribute = _LAZY[name]
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.annotation import ToRAnnotation, valley_free_distances
+from repro.core.annotation import (
+    ToRAnnotation,
+    directed_adjacency,
+    valley_free_distances,
+)
 from repro.core.relationships import Link, Relationship
 
 
@@ -160,8 +164,9 @@ def valley_free_path_metrics(
     total = 0
     pairs = 0
     diameter = 0
+    directed = directed_adjacency(annotation)
     for source in sources:
-        distances = valley_free_distances(annotation, source)
+        distances = valley_free_distances(annotation, source, directed=directed)
         for target, distance in distances.items():
             if target == source or target not in node_set:
                 continue

@@ -1,124 +1,18 @@
-"""Fault hooks for the queue and the pipeline: stalls, crashes, flaky ops.
+"""Fault hook for the pipeline: stalls, crashes, flaky stages.
 
-The backend injector covers storage; the remaining fault surfaces of a
-distributed sweep are the *queue* (a worker whose heartbeat or claim
-hits a flaky SQLite file) and the *scenario itself* (a stage that hangs
-or dies mid-flight).  Both get deterministic hooks here:
-
-* :class:`FaultInjectingQueue` wraps a
-  :class:`~repro.cluster.queue.TaskQueue` and runs a
-  :class:`~repro.faults.FaultPlan` against its worker-facing operations
-  (``claim`` / ``heartbeat`` / ``complete`` / ``fail`` / ``release``).
-  Raising kinds raise :class:`InjectedQueueFault` — a plain
-  ``RuntimeError``, because that is what a real ``sqlite3`` fault looks
-  like to the worker's except-clauses.
-* :func:`intercept_stage` rewrites one stage of a stage list so a
-  callable runs *before* its compute — the single primitive behind
-  simulated stalls (sleep/wait in the callable), crashes
-  (``os._exit``), and flaky stages (raise).  It builds on the public
-  ``StageSpec`` replace idiom, so intercepted DAGs stay real DAGs:
-  fingerprints, caching and resume behave exactly as in production.
+The backend injector covers storage; :func:`intercept_stage` covers the
+*scenario itself* (a stage that hangs or dies mid-flight).  It rewrites
+one stage of a stage list so a callable runs *before* its compute — the
+single primitive behind simulated stalls (sleep/wait in the callable),
+crashes (``os._exit``), and flaky stages (raise).  It builds on the
+public ``StageSpec`` replace idiom, so intercepted DAGs stay real DAGs:
+fingerprints, caching and resume behave exactly as in production.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Callable, List, Optional, Sequence
-
-from repro.faults.plan import FaultPlan, FaultState
-
-#: Queue operations the injector intercepts.
-QUEUE_OPERATIONS = ("claim", "heartbeat", "complete", "fail", "release")
-
-
-class InjectedQueueFault(RuntimeError):
-    """A scripted queue-operation failure (transient or persistent —
-    the distinction lives in the plan; to the caller both look like a
-    raising queue, which is the point)."""
-
-
-class FaultInjectingQueue:
-    """Delegates to a real :class:`TaskQueue`, injecting scripted
-    faults into the worker-facing operations.
-
-    Only ``delay`` and the raising kinds make sense here (``corrupt``
-    has no byte stream to corrupt and is rejected at construction);
-    ``crash`` works exactly as in the backend injector.  Everything not
-    intercepted — enqueue, counts, status — passes straight through.
-    """
-
-    def __init__(self, queue, plan: FaultPlan, state: Optional[FaultState] = None):
-        for spec in plan.entries:
-            if spec.operation in QUEUE_OPERATIONS and spec.kind == "corrupt":
-                raise ValueError(
-                    f"queue operation {spec.operation!r} cannot be corrupted; "
-                    "use transient/persistent/delay/crash"
-                )
-        self._queue = queue
-        self._injector = _QueueTripwire(plan, state)
-
-    def claim(self, *args, **kwargs):
-        self._injector.trip("claim")
-        return self._queue.claim(*args, **kwargs)
-
-    def heartbeat(self, *args, **kwargs):
-        self._injector.trip("heartbeat")
-        return self._queue.heartbeat(*args, **kwargs)
-
-    def complete(self, *args, **kwargs):
-        self._injector.trip("complete")
-        return self._queue.complete(*args, **kwargs)
-
-    def fail(self, *args, **kwargs):
-        self._injector.trip("fail")
-        return self._queue.fail(*args, **kwargs)
-
-    def release(self, *args, **kwargs):
-        self._injector.trip("release")
-        return self._queue.release(*args, **kwargs)
-
-    def injections(self):
-        return self._injector.state.injections()
-
-    def __getattr__(self, name):
-        return getattr(self._queue, name)
-
-
-class _QueueTripwire:
-    """The counting/firing core shared with the backend injector's
-    semantics, minus keys (queue operations are not key-addressed)."""
-
-    def __init__(self, plan: FaultPlan, state: Optional[FaultState]) -> None:
-        import os
-
-        from repro.faults.plan import WORKER_ID_ENV, shared_state
-
-        self.plan = plan
-        if state is not None:
-            self.state = state
-        elif plan.state_key is not None:
-            self.state = shared_state("queue:" + plan.state_key)
-        else:
-            self.state = FaultState()
-        self._worker_env = lambda: os.environ.get(WORKER_ID_ENV, "")
-
-    def trip(self, operation: str) -> None:
-        import os
-        import time
-
-        call = self.state.next_call(operation)
-        for spec in self.plan.matching(operation, call, None, self._worker_env()):
-            if spec.kind == "delay":
-                self.state.count_injection("delay")
-                time.sleep(spec.delay_seconds)
-            elif spec.kind == "crash":
-                self.state.count_injection("crash")
-                os._exit(3)
-            else:
-                self.state.count_injection(spec.kind)
-                raise InjectedQueueFault(
-                    f"injected {spec.kind} queue fault: {operation} call #{call}"
-                )
 
 
 def intercept_stage(

@@ -13,8 +13,8 @@ Plans serialize to JSON (``schema_version``, sorted keys) so a chaos CI
 job can commit its storm, and a ``fault://PLAN.json!INNER`` cache spec
 (see :func:`repro.cluster.backends.open_backend`) threads a plan
 through every component that already passes cache specs around —
-coordinator, queue rows, spawned workers — without any of them growing
-a chaos-testing parameter.
+sweep executors, pool processes — without any of them growing a
+chaos-testing parameter.
 
 Call counts are kept **per process** in a module-level registry keyed
 by the plan's ``state_key`` (the JSON file path): one worker process
@@ -41,9 +41,9 @@ FAULT_PLAN_SCHEMA_VERSION = 1
 #: The injectable fault kinds.
 FAULT_KINDS = ("transient", "persistent", "corrupt", "delay", "crash")
 
-#: Environment variable carrying the executing worker's identity —
-#: ``repro worker`` exports it so plan entries can target one worker of
-#: a pool (``worker_pattern``), which is what makes "exactly one worker
+#: Environment variable carrying the executing process's identity —
+#: set it so plan entries can target one process of a pool
+#: (``worker_pattern``), which is what makes "exactly one worker
 #: crashes" deterministic instead of a race.
 WORKER_ID_ENV = "REPRO_WORKER_ID"
 
@@ -58,8 +58,7 @@ class FaultSpec:
 
     Attributes:
         operation: The intercepted operation name (a backend method like
-            ``"get"``/``"put"``/``"put_if_absent"``, or a queue method
-            like ``"heartbeat"`` for queue-level injection).
+            ``"get"``/``"put"``/``"put_if_absent"``).
         call: 1-based count of that operation *in this process* at
             which the fault fires.
         kind: ``"transient"`` / ``"persistent"`` (raise the matching

@@ -280,9 +280,9 @@ class PipelineRunner:
             if not tracer or tracer.pid != os.getpid():
                 owned = tracer = Tracer.from_config(telemetry)
         # Nest under whatever span is already open on this thread (a
-        # worker's "task" span, a serial sweep's "wave" span); the
-        # context's parent is the fallback for threads with no open
-        # span — a thread-pool sweep's pool threads land here.
+        # serial sweep's "wave" span); the context's parent is the
+        # fallback for threads with no open span — a thread-pool
+        # sweep's pool threads land here.
         parent_id = (
             None
             if tracer.current_span_id() is not None

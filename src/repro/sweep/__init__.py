@@ -9,18 +9,16 @@ as the unit of work:
 * :mod:`repro.sweep.planner` — fingerprint-level dedup: shared upstream
   slices are identified before execution and scheduled into waves so
   each is computed exactly once,
-* :mod:`repro.sweep.executor` — serial/thread/process/cluster
-  execution with per-scenario failure isolation, resume-from-cache on
-  rerun, and optional post-wave cache-budget pruning (the distributed
-  ``cluster`` executor lives in :mod:`repro.cluster`),
+* :mod:`repro.sweep.executor` — serial/thread/process execution with
+  per-scenario failure isolation, resume-from-cache on rerun, and
+  optional post-wave cache-budget pruning,
 * :mod:`repro.sweep.report` — cross-scenario delta tables and
   seed-variance statistics with t-based confidence intervals
   (JSON + markdown).
 
 CLI entry point: ``repro sweep --grid grid.json --cache-dir DIR``
-(add ``--distributed --queue-dir DIR --local-workers N`` to fan the
-waves out to worker processes).  See the "Sweeps" and "Distributed
-sweeps" sections of ``docs/architecture.md``.
+(add ``--executor process`` to run each wave's scenarios in worker
+processes).  See the "Sweeps" section of ``docs/architecture.md``.
 """
 
 from repro.sweep.executor import ScenarioResult, SweepResult, run_sweep

@@ -26,11 +26,6 @@ Executors:
   which is what makes cross-process reuse safe (atomic writes,
   hash-verified reads).  Requires the default stage DAG (a custom
   ``stages`` list may close over unpicklable state).
-* ``"cluster"`` — scenarios run on cooperating worker *processes*
-  coordinated through a durable task queue (``queue_dir``); see
-  :mod:`repro.cluster`.  Requires a shared ``cache_dir`` and the
-  default stage DAG.  ``workers`` spawns that many local drain-mode
-  workers; external ``repro worker`` processes can join the same queue.
 
 Cache hygiene: ``cache_budget_bytes`` prunes the shared cache down to
 the budget after every wave (age-then-LRU, the ``repro cache prune``
@@ -63,7 +58,7 @@ from repro.sweep.grid import Scenario, SweepGrid
 from repro.sweep.planner import DEFAULT_TARGETS, ScenarioPlan, SweepPlan, plan_sweep
 from repro.telemetry import TelemetryConfig, Tracer, activated, get_tracer
 
-_EXECUTORS = ("serial", "thread", "process", "cluster")
+_EXECUTORS = ("serial", "thread", "process")
 
 
 @dataclass
@@ -99,9 +94,6 @@ class SweepResult:
     executor: str
     cache_dir: Optional[str]
     waves: List[List[str]] = field(default_factory=list)
-    #: Post-mortem records of quarantined (``dead``) tasks — cluster
-    #: executor only; in-process executors have no queue, so always [].
-    dead_letters: List[Dict[str, object]] = field(default_factory=list)
 
     def by_id(self) -> Dict[str, ScenarioResult]:
         return {result.scenario_id: result for result in self.results}
@@ -274,11 +266,7 @@ def run_sweep(
     workers: Optional[int] = None,
     stages: Optional[Sequence[StageSpec]] = None,
     propagation_workers: Optional[int] = None,
-    queue_dir: Optional[str] = None,
     cache_budget_bytes: Optional[int] = None,
-    lease_seconds: float = 30.0,
-    wave_timeout: Optional[float] = None,
-    task_timeout_seconds: Optional[float] = None,
     trace_dir: Optional[str] = None,
     profiling=None,
 ) -> SweepResult:
@@ -294,26 +282,24 @@ def run_sweep(
     to independent full runs (one wave), which is exactly the baseline
     the sweep tests compare the cached cells against.
 
-    ``executor="cluster"`` hands the waves to the durable task queue in
-    ``queue_dir`` (see :mod:`repro.cluster`); ``workers`` then counts
-    spawned local worker processes.  ``cache_budget_bytes`` prunes the
-    cache to the budget after every wave barrier.
+    ``cache_budget_bytes`` prunes the cache to the budget after every
+    wave barrier.
 
     ``trace_dir`` turns on telemetry for the sweep: one ``sweep`` span,
     one ``wave`` span per wave, and a trace context stamped onto every
-    scenario config so spans from pool threads, pool processes and
-    cluster workers all join one tree (fingerprint-neutral — traced and
-    untraced sweeps produce byte-identical results).  An already-active
+    scenario config so spans from pool threads and pool processes all
+    join one tree (fingerprint-neutral — traced and untraced sweeps
+    produce byte-identical results).  An already-active
     ambient tracer is used as-is; ``trace_dir`` is then ignored.
     ``profiling`` (a :class:`repro.telemetry.ProfilingConfig`) rides
-    the trace context, so pool processes and cluster workers profile
-    their hot spans too; it requires a ``trace_dir``.
+    the trace context, so pool processes profile their hot spans too;
+    it requires a ``trace_dir``.
     """
     if profiling is not None and trace_dir is None:
         raise ValueError("profiling requires a trace_dir to write to")
     if executor not in _EXECUTORS:
         raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
-    if executor in ("process", "cluster") and stages is not None:
+    if executor == "process" and stages is not None:
         raise ValueError(
             f"executor={executor!r} supports only the default stage DAG "
             "(custom stage lists may not survive pickling)"
@@ -328,39 +314,8 @@ def run_sweep(
             "propagation_workers requires executor='serial' (scenario-level "
             "parallelism cannot nest per-scenario process pools)"
         )
-    if queue_dir is not None and executor != "cluster":
-        raise ValueError("queue_dir only applies to executor='cluster'")
-    if task_timeout_seconds is not None and executor != "cluster":
-        raise ValueError(
-            "task_timeout_seconds only applies to executor='cluster' "
-            "(the watchdog lives in the queue workers)"
-        )
     if cache_budget_bytes is not None and cache_dir is None:
         raise ValueError("cache_budget_bytes requires a cache_dir to prune")
-    if executor == "cluster":
-        if queue_dir is None:
-            raise ValueError("executor='cluster' requires a queue_dir")
-        if cache_dir is None:
-            raise ValueError(
-                "executor='cluster' requires a shared cache_dir (workers "
-                "exchange artifacts through it)"
-            )
-        # Imported lazily: the cluster package imports this module back.
-        from repro.cluster.coordinator import run_distributed_sweep
-
-        return run_distributed_sweep(
-            grid,
-            queue_dir=queue_dir,
-            cache_dir=cache_dir,
-            targets=targets,
-            local_workers=workers,
-            lease_seconds=lease_seconds,
-            cache_budget_bytes=cache_budget_bytes,
-            wave_timeout=wave_timeout,
-            task_timeout_seconds=task_timeout_seconds,
-            trace_dir=trace_dir,
-            profiling=profiling,
-        )
     if isinstance(grid, SweepPlan):
         plan = grid
     else:

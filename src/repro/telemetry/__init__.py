@@ -7,15 +7,13 @@ Public surface:
   activation stack (off by default, zero-overhead no-op when off).
 * :class:`TelemetryConfig` — the picklable trace context (trace dir,
   run id, parent span id) that rides in ``PipelineConfig.telemetry``
-  and through cluster task payloads.
+  into sweep pool workers.
 * :func:`read_trace` / :func:`build_tree` / :func:`summarize` /
   :func:`render_tree` — the join/rollup side behind
   ``repro trace show|summary``.
 * :class:`ProfilingConfig` / :func:`read_profiles` /
   :func:`profile_rollup` — opt-in per-span ``cProfile`` +
   ``tracemalloc`` capture behind ``repro trace profile``.
-* :func:`monitor_snapshot` / :class:`MonitorServer` — the live view
-  (``repro top``) and its ``/metrics`` + ``/health`` HTTP plane.
 
 See ``docs/observability.md`` for the span model and the JSONL schema.
 """
@@ -29,14 +27,6 @@ from repro.telemetry.analyze import (
     summarize,
     trace_files,
 )
-from repro.telemetry.monitor import (
-    MONITOR_SCHEMA_VERSION,
-    MonitorServer,
-    prometheus_metrics,
-    render_snapshot,
-)
-from repro.telemetry.monitor import snapshot as monitor_snapshot
-from repro.telemetry.monitor import verdict as monitor_verdict
 from repro.telemetry.profile import (
     PROFILE_FILENAME,
     PROFILE_SCHEMA_VERSION,
@@ -61,8 +51,6 @@ from repro.telemetry.tracer import (
 )
 
 __all__ = [
-    "MONITOR_SCHEMA_VERSION",
-    "MonitorServer",
     "NULL_TRACER",
     "NullTracer",
     "PROFILED_SPANS",
@@ -79,16 +67,12 @@ __all__ = [
     "build_tree",
     "deactivate",
     "get_tracer",
-    "monitor_snapshot",
-    "monitor_verdict",
     "parse_jsonl",
     "profile_files",
     "profile_rollup",
-    "prometheus_metrics",
     "read_profiles",
     "read_trace",
     "render_profiles",
-    "render_snapshot",
     "render_tree",
     "summarize",
     "trace_files",

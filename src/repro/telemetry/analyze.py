@@ -3,8 +3,8 @@
 A trace directory holds one or more ``trace*.jsonl`` files (a shared
 ``trace.jsonl`` plus any per-process files).  :func:`read_trace` merges
 them; :func:`build_tree` reassembles the span tree across processes
-(a distributed sweep's coordinator, workers and pool processes all
-stamp the same ``run_id`` and resolvable parent ids);
+(a sweep's driver and its pool processes all stamp the same
+``run_id`` and resolvable parent ids);
 :func:`summarize` produces the per-stage / per-engine / counter
 rollups behind ``repro trace summary``.
 """
@@ -58,8 +58,8 @@ def read_trace(trace_dir) -> List[dict]:
 
     Raises ``FileNotFoundError`` when the directory holds no trace
     files and ``ValueError`` on an unparsable line; a torn final line
-    (a live run's flush caught mid-append) is skipped, so monitors can
-    read the trace of a running sweep (see :func:`parse_jsonl`).
+    (a live run's flush caught mid-append) is skipped, so the trace of
+    a running sweep can be read (see :func:`parse_jsonl`).
     """
     files = trace_files(trace_dir)
     if not files:
@@ -118,8 +118,8 @@ def render_tree(records: Sequence[dict], max_attrs: int = 4) -> List[str]:
     roots, orphans = build_tree(records)
     lines: List[str] = []
 
-    preferred = ("stage", "backend", "status", "scenario", "task_id",
-                 "worker", "engine", "events", "targets")
+    preferred = ("stage", "backend", "status", "scenario", "engine",
+                 "events", "targets")
 
     def describe(node: dict) -> str:
         attrs = node.get("attrs") or {}
@@ -165,14 +165,46 @@ def _duration_rollup(durations: List[float]) -> Dict[str, float]:
     }
 
 
+def _interval(span: dict) -> Tuple[float, float]:
+    start = float(span.get("start_time", 0.0))
+    return start, start + float(span.get("seconds", 0.0))
+
+
+def root_accounting(records: Sequence[dict]) -> Tuple[float, float]:
+    """``(root_seconds, unattributed_seconds)`` of a trace.
+
+    ``root_seconds`` is the wall time of the root spans (the whole
+    traced run); ``unattributed_seconds`` is the part of it that no
+    ``stage`` span covers — runner bookkeeping between stages, and
+    scheduling and pool start-up in sweeps.  Overlapping stage spans
+    (concurrent sweep scenarios) count once.
+    """
+    spans = spans_of(records)
+    covered: List[List[float]] = []
+    for start, end in sorted(_interval(s) for s in spans if s.get("name") == "stage"):
+        if covered and start <= covered[-1][1]:
+            covered[-1][1] = max(covered[-1][1], end)
+        else:
+            covered.append([start, end])
+    root_seconds = unattributed = 0.0
+    for span in spans:
+        if span.get("parent_id") is not None:
+            continue
+        start, end = _interval(span)
+        inside = sum(max(0.0, min(end, e) - max(start, s)) for s, e in covered)
+        root_seconds += end - start
+        unattributed += end - start - inside
+    return round(root_seconds, 6), round(unattributed, 6)
+
+
 def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
     """The ``repro trace summary`` payload: rollups over one trace dir.
 
     Per-stage rollups (count, total, p50/p95, computed vs cached and
     the cache hit rate, artifact bytes), per-engine rollups (events,
-    per-phase timings), aggregated counters, and tree health (roots /
-    orphans) — everything the acceptance gate compares against the
-    sweep's own accounting.
+    per-phase timings), aggregated counters, cache-storage retries,
+    tree health (roots / orphans), and the root wall time with the part of it outside every
+    stage (:func:`root_accounting`).
     """
     spans = spans_of(records)
     roots, orphans = build_tree(records)
@@ -271,6 +303,6 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         "engines": engine_rollup,
         "counters": counters,
         "retries": int(counters.get("backend.retry", 0)),
-        "dead_letters": int(counters.get("queue.task_dead", 0)),
     }
+    summary["root_seconds"], summary["unattributed_seconds"] = root_accounting(records)
     return summary

@@ -57,8 +57,7 @@ class ProfilingConfig:
     """Opt-in profiling rider on a :class:`TelemetryConfig`.
 
     Frozen and picklable like its carrier, so a sweep's profiling
-    choice travels to pool processes and cluster workers inside the
-    trace context.
+    choice travels to pool processes inside the trace context.
 
     Attributes:
         top_n: Functions kept per span record, by cumulative time.

@@ -5,7 +5,7 @@ collects finished records in memory (thread-safe) and appends them to
 ``trace.jsonl`` in its trace directory on :meth:`Tracer.flush` — one
 JSON object per line, ``schema_version`` + sorted keys like every other
 report in the repo.  Appends go through a single ``O_APPEND`` write so
-several processes (sweep pool workers, cluster workers) can share one
+several processes (sweep pool workers) can share one
 file without interleaving mid-line; readers additionally glob
 ``trace*.jsonl`` so per-process files merge too.
 
@@ -61,7 +61,7 @@ class TelemetryConfig:
             logical run (a sweep stamps its own onto every scenario so
             all workers' spans merge into one tree).
         parent_span_id: Span the receiving process should parent its
-            root spans under (e.g. the coordinator's wave span).
+            root spans under (e.g. a sweep's wave span).
         profiling: Opt-in :class:`~repro.telemetry.ProfilingConfig`
             riding with the context, so every process joined to the
             run profiles the same spans.  ``None`` (the default) keeps

@@ -22,6 +22,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["section3", "--small", "--paper-scale"])
 
+    def test_subcommands_are_the_six_workflows(self):
+        parser = build_parser()
+        (subparsers,) = [
+            action for action in parser._actions
+            if action.dest == "command"
+        ]
+        assert list(subparsers.choices) == [
+            "section3", "figure2", "snapshot", "sweep", "trace", "cache",
+        ]
+
     def test_snapshot_requires_output(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["snapshot"])
@@ -219,6 +229,14 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", grid, "--executor", "serial"]) == 0
         assert "warning" not in capsys.readouterr().out
 
+    def test_budget_requires_cache_dir(self, tmp_path, capsys):
+        grid = _tiny_grid(tmp_path, tops=(2,))
+        assert main(
+            ["sweep", "--grid", grid, "--executor", "serial",
+             "--cache-budget-bytes", "100"]
+        ) == 2
+        assert "cache_budget_bytes" in capsys.readouterr().err
+
     def test_warm_sweep_reports_fully_cached(self, tmp_path, capsys):
         grid = _tiny_grid(tmp_path)
         cache_dir = str(tmp_path / "cache")
@@ -230,94 +248,6 @@ class TestSweepCommand:
             ["sweep", "--grid", grid, "--cache-dir", cache_dir, "--executor", "serial"]
         ) == 0
         assert "fully cached: nothing was recomputed" in capsys.readouterr().out
-
-
-class TestDistributedSweepOptions:
-    def test_worker_requires_queue_dir(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
-
-    def test_distributed_requires_queue_dir(self, tmp_path, capsys):
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        assert main(
-            ["sweep", "--grid", grid, "--distributed",
-             "--cache-dir", str(tmp_path / "cache")]
-        ) == 2
-        assert "queue_dir" in capsys.readouterr().err
-
-    def test_distributed_requires_cache_dir(self, tmp_path, capsys):
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        assert main(
-            ["sweep", "--grid", grid, "--distributed",
-             "--queue-dir", str(tmp_path / "queue")]
-        ) == 2
-        assert "cache_dir" in capsys.readouterr().err
-
-    def test_distributed_conflicts_with_other_executor(self, tmp_path, capsys):
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        assert main(
-            ["sweep", "--grid", grid, "--distributed", "--executor", "serial",
-             "--queue-dir", str(tmp_path / "q"), "--cache-dir", str(tmp_path / "c")]
-        ) == 2
-        assert "--distributed conflicts" in capsys.readouterr().err
-
-    def test_budget_requires_cache_dir(self, tmp_path, capsys):
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        assert main(
-            ["sweep", "--grid", grid, "--executor", "serial",
-             "--cache-budget-bytes", "100"]
-        ) == 2
-        assert "cache_budget_bytes" in capsys.readouterr().err
-
-    def test_workers_flag_rejected_for_distributed(self, tmp_path, capsys):
-        """--workers silently meaning 'zero local workers' would hang
-        the coordinator forever; it must be an explicit error."""
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        assert main(
-            ["sweep", "--grid", grid, "--distributed",
-             "--queue-dir", str(tmp_path / "q"),
-             "--cache-dir", str(tmp_path / "c"), "--workers", "2"]
-        ) == 2
-        assert "--local-workers" in capsys.readouterr().err
-
-    def test_cluster_flags_rejected_for_local_executors(self, tmp_path, capsys):
-        """The symmetric silent drop: cluster-only flags on a local
-        executor must error, not be ignored."""
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        assert main(
-            ["sweep", "--grid", grid, "--executor", "serial",
-             "--local-workers", "2"]
-        ) == 2
-        assert "--distributed" in capsys.readouterr().err
-        assert main(
-            ["sweep", "--grid", grid, "--executor", "serial",
-             "--lease-seconds", "10"]
-        ) == 2
-        assert "--distributed" in capsys.readouterr().err
-
-    def test_distributed_sweep_end_to_end(self, tmp_path, capsys):
-        """The CLI spelling of the acceptance run: --distributed with a
-        spawned local worker, report identical in shape to the serial
-        one and exactly-once intact."""
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        json_path = tmp_path / "dist.json"
-        assert main(
-            [
-                "sweep", "--grid", grid, "--distributed",
-                "--queue-dir", str(tmp_path / "queue"),
-                "--cache-dir", str(tmp_path / "cache"),
-                "--local-workers", "1",
-                "--json", str(json_path),
-            ]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "2 scenarios" in output
-        report = json.loads(json_path.read_text())
-        assert report["executor"] == "cluster"
-        assert report["cache"]["duplicate_computes"] == {}
-        assert all(
-            cell["status"] == "ok" for cell in report["scenarios"].values()
-        )
 
 
 class TestCacheCommands:
@@ -379,86 +309,3 @@ class TestCacheCommands:
         assert "would remove" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["total_bytes"] == before
-
-
-class TestTaskTimeoutOptions:
-    def test_worker_parser_accepts_task_timeout(self):
-        args = build_parser().parse_args(
-            ["worker", "--queue-dir", "/tmp/q", "--task-timeout", "8.5"]
-        )
-        assert args.task_timeout == 8.5
-
-    def test_sweep_parser_accepts_task_timeout(self):
-        args = build_parser().parse_args(
-            ["sweep", "--grid", "g.json", "--distributed",
-             "--queue-dir", "q", "--cache-dir", "c", "--task-timeout", "30"]
-        )
-        assert args.task_timeout == 30.0
-
-    def test_task_timeout_rejected_without_distributed(self, tmp_path, capsys):
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        assert main(["sweep", "--grid", grid, "--task-timeout", "5"]) == 2
-        assert "--task-timeout require --distributed" in capsys.readouterr().err
-
-
-class TestQueueStatusCommand:
-    def _queue_with_history(self, tmp_path):
-        from repro.cluster.coordinator import queue_path
-        from repro.cluster.queue import TaskQueue, TaskSpec
-
-        queue_dir = tmp_path / "queue"
-        queue_dir.mkdir()
-        queue = TaskQueue(queue_path(queue_dir))
-        queue.enqueue(
-            [
-                TaskSpec(
-                    task_id=task_id, sweep_id="sweep", wave=0,
-                    scenario_id=f"scenario-{task_id}", config=b"cfg",
-                    targets=json.dumps(["section3"]),
-                    max_attempts=max_attempts,
-                )
-                for task_id, max_attempts in (("run-t", 3), ("dead-t", 1))
-            ]
-        )
-        queue.claim("w1", lease_seconds=60)  # run-t stays running
-        queue.claim("w2", lease_seconds=60)
-        queue.fail("dead-t", "w2", "injected poison")  # quarantined
-        return queue_dir
-
-    def test_missing_queue_is_an_error_not_a_creation(self, tmp_path, capsys):
-        queue_dir = tmp_path / "never-created"
-        assert main(["queue", "status", "--queue-dir", str(queue_dir)]) == 2
-        assert "no task queue at" in capsys.readouterr().err
-        assert not queue_dir.exists()  # read-only command left no trace
-
-    def test_human_output_shows_leases_and_dead_letters(self, tmp_path, capsys):
-        queue_dir = self._queue_with_history(tmp_path)
-        capsys.readouterr()
-        assert main(["queue", "status", "--queue-dir", str(queue_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "task queue at" in out
-        assert "state: open, 2 tasks" in out
-        assert "running run-t (owner w1, attempt 1)" in out
-        assert "lease expires in" in out
-        assert "dead    dead-t after 1 attempt(s): injected poison" in out
-        assert "attempt 1 (w2): injected poison" in out
-
-    def test_json_output_is_versioned_and_machine_readable(self, tmp_path, capsys):
-        queue_dir = self._queue_with_history(tmp_path)
-        capsys.readouterr()
-        assert main(
-            ["queue", "status", "--queue-dir", str(queue_dir), "--json"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 1
-        assert report["counts"] == {"dead": 1, "running": 1}
-        (running,) = report["running"]
-        assert running["task_id"] == "run-t"
-        assert running["lease_seconds_remaining"] > 0
-        (letter,) = report["dead_letters"]
-        assert letter["task_id"] == "dead-t"
-        assert [e["error"] for e in letter["attempts_log"]] == ["injected poison"]
-        # Retries are visible from the outside via the task roster.
-        roster = {row["task_id"]: row for row in report["tasks"]}
-        assert roster["dead-t"]["status"] == "dead"
-        assert roster["run-t"]["attempts"] == 1

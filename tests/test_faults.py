@@ -2,9 +2,8 @@
 
 Unit-level coverage: deterministic plan construction and serialization,
 the backend injector's call accounting and fault kinds, the retry
-policy's transient/persistent classification and jittered backoff, the
-queue injector, and the stage-intercept hook.  End-to-end chaos runs
-(storms over a distributed sweep) live in ``test_chaos.py``.
+policy's transient/persistent classification and jittered backoff, and
+the stage-intercept hook.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.cluster.backends import (
     open_backend,
     spec_path,
 )
-from repro.cluster.queue import TaskQueue, TaskSpec
 from repro.cluster.retry import (
     DEFAULT_RETRY_POLICY,
     RetryExhausted,
@@ -38,11 +36,9 @@ from repro.cluster.retry import (
 from repro.faults import (
     FAULT_PLAN_SCHEMA_VERSION,
     FaultInjectingBackend,
-    FaultInjectingQueue,
     FaultPlan,
     FaultPlanError,
     FaultSpec,
-    InjectedQueueFault,
     intercept_stage,
 )
 from repro.pipeline.artifacts import ArtifactCache
@@ -360,33 +356,6 @@ class TestRetryingBackend:
         assert isinstance(wrapped, RetryingBackend)
         assert wrapped.policy is DEFAULT_RETRY_POLICY
         assert with_retries(wrapped) is wrapped  # no nested retry loops
-
-
-class TestFaultInjectingQueue:
-    def queue(self, tmp_path) -> TaskQueue:
-        queue = TaskQueue(tmp_path / "queue.sqlite")
-        queue.enqueue([
-            TaskSpec(task_id="t1", sweep_id="s", wave=0, scenario_id="sc",
-                     config=b"c", targets=json.dumps(["section3"]))
-        ])
-        return queue
-
-    def test_corrupt_on_queue_operations_rejected(self, tmp_path):
-        plan = FaultPlan((FaultSpec("heartbeat", 1, "corrupt"),))
-        with pytest.raises(ValueError, match="cannot be corrupted"):
-            FaultInjectingQueue(self.queue(tmp_path), plan)
-
-    def test_scripted_claim_fault_then_passthrough(self, tmp_path):
-        plan = FaultPlan((FaultSpec("claim", 1, "transient"),))
-        flaky = FaultInjectingQueue(self.queue(tmp_path), plan)
-        with pytest.raises(InjectedQueueFault, match="claim call #1"):
-            flaky.claim("w1", 30)
-        task = flaky.claim("w1", 30)  # call 2: clean
-        assert task.task_id == "t1"
-        assert flaky.injections() == {"transient": 1}
-        # Uninjected operations delegate straight through.
-        assert flaky.counts() == {"running": 1}
-        assert flaky.state() == "open"
 
 
 class TestInterceptStage:

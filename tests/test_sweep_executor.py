@@ -7,7 +7,8 @@ The acceptance criteria of the sweep subsystem:
   compute, never *what* they compute),
 * with a shared cache every distinct stage invocation is computed
   **exactly once** across the whole sweep (cache hit/miss counters),
-* a warm rerun of the same grid recomputes nothing, and
+* a warm rerun of the same grid recomputes nothing,
+* ``cache_budget_bytes`` prunes the shared cache after each wave, and
 * one failing scenario does not take the sweep down.
 """
 
@@ -19,7 +20,7 @@ import pytest
 
 from repro.core.correction import correction_payload
 from repro.datasets import DatasetConfig
-from repro.pipeline import PipelineConfig, full_stages, run_pipeline
+from repro.pipeline import ArtifactCache, PipelineConfig, full_stages, run_pipeline
 from repro.sweep import GridAxis, SweepGrid, run_sweep
 from repro.topology.generator import TopologyConfig
 
@@ -113,6 +114,22 @@ class TestExecutors:
         assert serial.duplicate_computes() == {}
         assert thread.duplicate_computes() == {}
 
+    def test_serial_and_process_agree(self, tmp_path):
+        """Process-pool scenarios share artifacts only through the cache
+        directory; the cells and the exactly-once schedule must match a
+        serial run."""
+        grid = two_by_two()
+        serial = run_sweep(grid, cache_dir=tmp_path / "serial", executor="serial")
+        process = run_sweep(
+            grid, cache_dir=tmp_path / "process", executor="process", workers=2
+        )
+        assert [r.status for r in process.results] == ["ok"] * 4
+        assert {
+            r.scenario_id: (r.section3, r.correction) for r in serial.results
+        } == {r.scenario_id: (r.section3, r.correction) for r in process.results}
+        assert serial.duplicate_computes() == {}
+        assert process.duplicate_computes() == {}
+
     def test_no_cache_runs_standalone_per_cell(self):
         """Without a cache nothing is shared — one wave, every scenario
         computes its full closure."""
@@ -154,6 +171,37 @@ class TestExecutors:
             batched = run_sweep(grid, executor="serial")
         assert plain.results[0].section3 == batched.results[0].section3
         assert plain.results[0].correction == batched.results[0].correction
+
+
+class TestCacheBudget:
+    def test_budget_prunes_after_each_wave(self, tmp_path):
+        """--cache-budget-bytes automation: after the sweep the cache
+        fits the budget; scenarios still all succeed (evictions are
+        misses, never errors)."""
+        grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
+        cache_dir = tmp_path / "cache"
+        result = run_sweep(
+            grid, cache_dir=cache_dir, executor="serial", cache_budget_bytes=1
+        )
+        assert [r.status for r in result.results] == ["ok", "ok"]
+        assert ArtifactCache(cache_dir).stats().total_bytes <= 1
+
+    def test_generous_budget_preserves_exactly_once(self, tmp_path):
+        grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
+        result = run_sweep(
+            grid,
+            cache_dir=tmp_path / "cache",
+            executor="serial",
+            cache_budget_bytes=10 ** 9,
+        )
+        assert result.duplicate_computes() == {}
+        stats = ArtifactCache(tmp_path / "cache").stats()
+        assert 0 < stats.total_bytes <= 10 ** 9
+
+    def test_budget_requires_cache(self):
+        grid = SweepGrid(tiny_base(), [GridAxis("top", (2,))])
+        with pytest.raises(ValueError, match="cache_budget_bytes"):
+            run_sweep(grid, executor="serial", cache_budget_bytes=100)
 
 
 def _failing_stages():

@@ -8,13 +8,11 @@ The acceptance criteria of the observability work:
 * a traced pipeline run yields one coherent span tree with per-stage
   cache status, and cache hit/miss counters that match the run,
 * a trace context propagates across ``run_many(executor="process")``
-  on both the fork and the spawn pool paths, and across a 2-worker
-  distributed sweep — every process's spans join one tree under one
-  run id with no orphans,
+  on both the fork and the spawn pool paths, and across a process-pool
+  sweep — every process's spans join one tree under one run id with no
+  orphans,
 * ``summarize`` reproduces the sweep's per-stage compute counts
-  exactly, and a chaos run's retries and injected faults appear as
-  counters,
-* ``repro queue status`` reports lease age and time-in-state per task.
+  exactly, and accounts the root span's wall time outside every stage.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import pytest
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.propagation import originate_one_prefix_per_as
 from repro.bgp.policy import default_policies
-from repro.cluster.queue import TaskQueue, TaskSpec
 from repro.core.relationships import AFI
 from repro.datasets import DatasetConfig
 from repro.pipeline import PipelineConfig, run_pipeline
@@ -290,7 +287,7 @@ class TestRunManyTracePropagation:
 
 
 # ----------------------------------------------------------------------
-# sweeps: process pools and the 2-worker distributed cluster
+# sweeps: process pools
 # ----------------------------------------------------------------------
 class TestSweepTrace:
     def test_process_executor_scenarios_join_one_tree(self, tmp_path):
@@ -316,43 +313,9 @@ class TestSweepTrace:
         assert orphans == []
         assert [r["name"] for r in roots] == ["sweep"]
 
-    def test_two_worker_distributed_sweep_merges_into_one_tree(self, tmp_path):
-        grid = SweepGrid(
-            tiny_base(), [GridAxis("dataset.seed", (1, 2)), GridAxis("top", (2, 3))]
-        )
-        trace_dir = tmp_path / "trace"
-        result = run_sweep(
-            grid,
-            cache_dir=str(tmp_path / "cache"),
-            executor="cluster",
-            queue_dir=str(tmp_path / "queue"),
-            workers=2,
-            trace_dir=str(trace_dir),
-        )
-        assert not result.failed()
-        records = read_trace(trace_dir)
-        (sweep_span,) = spans_named(records, "sweep")
-        run_id = sweep_span["run_id"]
-        sweep_records = [r for r in records if r.get("run_id") == run_id]
-
-        # The coordinator's waves and every worker's task/pipeline spans
-        # share the sweep's run id and assemble into one rooted tree.
-        tasks = spans_named(sweep_records, "task")
-        assert len(tasks) == 4
-        assert len({t["pid"] for t in tasks} | {sweep_span["pid"]}) >= 2
-        wave_ids = {w["span_id"] for w in spans_named(sweep_records, "wave")}
-        assert all(t["parent_id"] in wave_ids for t in tasks)
-        task_ids = {t["span_id"] for t in tasks}
-        pipelines = spans_named(sweep_records, "pipeline")
-        assert len(pipelines) == 4
-        assert all(p["parent_id"] in task_ids for p in pipelines)
-        roots, orphans = build_tree(sweep_records)
-        assert orphans == []
-        assert [r["name"] for r in roots] == ["sweep"]
-
         # The summary reproduces the sweep's per-stage compute counts
         # exactly (cacheable stages — the ones the counters track).
-        summary = summarize(records, trace_dir=trace_dir)
+        summary = summarize(records, trace_dir=tmp_path / "trace")
         expected = {}
         for scenario in result.results:
             for stage, status in scenario.stage_statuses.items():
@@ -364,13 +327,11 @@ class TestSweepTrace:
             if entry["computed"]
         }
         assert traced == expected
-        assert summary["spans"]["orphans"] == 0
-        assert summary["counters"]["queue.task_completed"] == 4
-        assert summary["dead_letters"] == 0
 
     def test_chaos_sweep_trace_shows_retries_and_faults(self, tmp_path):
         """A fault storm under tracing: injected faults and backend
-        retries surface as counters in the merged trace."""
+        retries in the pool processes surface as counters in the merged
+        trace."""
         from repro.faults import FaultPlan
 
         grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
@@ -381,8 +342,7 @@ class TestSweepTrace:
         result = run_sweep(
             grid,
             cache_dir=f"fault://{plan_path}!{tmp_path / 'cache'}",
-            executor="cluster",
-            queue_dir=str(tmp_path / "queue"),
+            executor="process",
             workers=2,
             trace_dir=str(trace_dir),
         )
@@ -394,65 +354,56 @@ class TestSweepTrace:
 
 
 # ----------------------------------------------------------------------
-# queue lease ages (satellite: queue status time-in-state)
+# root-span accounting
 # ----------------------------------------------------------------------
-class TestQueueLeaseAges:
-    def _spec(self, task_id: str) -> TaskSpec:
-        return TaskSpec(
-            task_id=task_id,
-            sweep_id="s",
-            wave=0,
-            scenario_id=f"scn-{task_id}",
-            config=b"cfg",
-            targets="[]",
-            cache_spec=None,
+def _timed_span(span_id, parent, name, start, seconds):
+    return {
+        "kind": "span",
+        "span_id": span_id,
+        "parent_id": parent,
+        "name": name,
+        "start_time": start,
+        "seconds": seconds,
+        "status": "ok",
+        "attrs": {},
+    }
+
+
+class TestRootAccounting:
+    def test_unattributed_is_root_time_outside_every_stage(self):
+        records = [
+            _timed_span("root", None, "pipeline", 100.0, 10.0),
+            _timed_span("a", "root", "stage", 101.0, 3.0),
+            _timed_span("b", "root", "stage", 104.0, 2.0),
+            # Overlaps "b" (a concurrent scenario): counted once.
+            _timed_span("c", "root", "stage", 105.0, 2.5),
+            # Nested inside "a": adds no coverage.
+            _timed_span("d", "a", "propagation", 101.5, 1.0),
+        ]
+        summary = summarize(records)
+        assert summary["root_seconds"] == 10.0
+        # Stages cover 101-104 and 104-107.5: 6.5 s of the 10 s root.
+        assert summary["unattributed_seconds"] == 3.5
+
+    def test_no_spans_is_zero(self):
+        summary = summarize([{"kind": "counter", "name": "x", "value": 1}])
+        assert summary["root_seconds"] == 0.0
+        assert summary["unattributed_seconds"] == 0.0
+
+    def test_trace_summary_prints_both(self, tmp_path, capsys):
+        from repro.cli import main
+
+        records = [
+            _timed_span("root", None, "pipeline", 0.0, 2.0),
+            _timed_span("a", "root", "stage", 0.5, 1.0),
+        ]
+        (tmp_path / "trace.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
         )
-
-    def test_status_report_lease_age_and_time_in_state(self, tmp_path):
-        queue = TaskQueue(tmp_path / "queue.sqlite")
-        queue.enqueue([self._spec("t1"), self._spec("t2")])
-        claimed = queue.claim("w1", lease_seconds=30.0, now=1000.0)
-        assert claimed.task_id == "t1"
-        assert claimed.claimed_at == 1000.0
-
-        report = queue.status_report(now=1002.5)
-        (running,) = report["running"]
-        assert running["lease_age_seconds"] == 2.5
-        by_id = {row["task_id"]: row for row in report["tasks"]}
-        assert by_id["t1"]["seconds_in_state"] == 2.5
-        # Pending tasks report time-in-state too (enqueue used wall time,
-        # so only the field's presence is asserted against synthetic now).
-        assert "seconds_in_state" in by_id["t2"]
-
-        # Heartbeats bump updated_at but must NOT reset the lease age.
-        assert queue.heartbeat("t1", "w1", lease_seconds=30.0)
-        report = queue.status_report(now=1004.0)
-        (running,) = report["running"]
-        assert running["lease_age_seconds"] == 4.0
-        assert "seconds_since_update" in running
-
-    def test_lease_age_clears_on_every_exit_path(self, tmp_path):
-        queue = TaskQueue(tmp_path / "queue.sqlite")
-        queue.enqueue([self._spec(f"t{i}") for i in range(3)])
-        done = queue.claim("w1", 30.0, now=10.0)
-        queue.complete(done.task_id, "w1", {"ok": True})
-        failed = queue.claim("w1", 30.0, now=11.0)
-        queue.fail(failed.task_id, "w1", "boom")
-        released = queue.claim("w1", 30.0, now=12.0)
-        queue.release(released.task_id, "w1")
-        assert all(task.claimed_at is None for task in queue.tasks())
-
-    def test_queue_counters_emitted_under_active_tracer(self, tmp_path):
-        tracer = Tracer(tmp_path / "trace")
-        queue = TaskQueue(tmp_path / "queue.sqlite")
-        queue.enqueue([self._spec("t1")])
-        with activated(tracer):
-            task = queue.claim("w1", lease_seconds=0.1, now=100.0)
-            # Lease expires; next claim sweeps it and re-claims.
-            again = queue.claim("w2", lease_seconds=30.0, now=200.0)
-            queue.complete(again.task_id, "w2", {"ok": True})
-        names = [r["name"] for r in tracer.records()]
-        assert task is not None
-        assert names.count("queue.task_claimed") == 2
-        assert "queue.lease_expired" in names
-        assert "queue.task_completed" in names
+        assert main(["trace", "summary", "--trace-dir", str(tmp_path)]) == 0
+        assert "root: 2.000s, outside any stage: 1.000s" in capsys.readouterr().out
+        assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["root_seconds"], payload["unattributed_seconds"]) == (2.0, 1.0)
+        assert payload["retries"] == 0
+        assert "dead_letters" not in payload
