@@ -29,9 +29,8 @@ upstream stages two scenarios have in common are computed once and
 reused — then prints/writes a cross-scenario report.  ``cache stats``
 and ``cache prune`` keep those caches from growing unbounded —
 ``--cache-budget-bytes`` automates the prune after every sweep wave.
-Every ``--cache-dir`` is a cache *spec*: a directory (the default
-layout) or a ``*.sqlite`` / ``sqlite://`` object-store file; the cache
-subcommands auto-detect which backend wrote a given cache.
+Every ``--cache-dir`` is a plain directory (created on demand); naming
+an existing file instead is refused with exit code 2.
 
 Two flags connect the single-run commands into a staged workflow:
 
@@ -67,7 +66,8 @@ overhead when off, and never changes a fingerprint or an output byte.
 ``trace show`` renders the reassembled span tree — a process-pool
 sweep's scenario spans join the driver's tree — and ``trace summary``
 prints per-stage/per-engine rollups (count, total, p50/p95, cache hit
-rate, retry count) plus the root span's wall time and the part of it
+rate) and counters (``cache.corrupt`` counts artifacts that failed
+verification) plus the root span's wall time and the part of it
 outside every stage.
 
 ``--profile`` (with ``--trace-dir``) additionally wraps the hot spans
@@ -147,7 +147,9 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group()
     source.add_argument(
         "--cache-dir",
-        help="artifact-cache directory: warm re-runs skip unchanged stages",
+        metavar="DIR",
+        help="artifact-cache directory (created on demand): warm re-runs "
+        "skip unchanged stages",
     )
     source.add_argument(
         "--from-snapshot",
@@ -534,7 +536,6 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
         print("  counters:")
         for name in sorted(summary["counters"]):
             print(f"    {name:<{width}} {summary['counters'][name]:g}")
-    print(f"  retries: {summary['retries']}")
     print(
         f"  root: {summary['root_seconds']:.3f}s, "
         f"outside any stage: {summary['unattributed_seconds']:.3f}s"
@@ -578,27 +579,12 @@ def _cmd_trace_profile(args: argparse.Namespace) -> int:
 
 
 def _open_cache(args: argparse.Namespace) -> Optional[ArtifactCache]:
-    """Open a cache for ``cache stats|prune``, whatever backend wrote it.
-
-    ``--cache-dir`` may name a cache directory *or* a SQLite
-    object-store file (``*.sqlite`` / ``sqlite://``) — the spec sniffing
-    in :meth:`ArtifactCache.from_spec` picks the right backend, so the
-    hygiene commands work on caches of any backend.
-    """
-    from repro.cluster.backends import spec_path
-
-    spec = str(args.cache_dir)
-    path = spec_path(spec)
-    if not path.exists():
-        print(f"error: cache {path} does not exist", file=sys.stderr)
+    """Open an existing cache for ``cache stats|prune`` (the hygiene
+    commands never create one)."""
+    if not Path(args.cache_dir).exists():
+        print(f"error: cache {args.cache_dir} does not exist", file=sys.stderr)
         return None
-    try:
-        return ArtifactCache.from_spec(spec)
-    except OSError as exc:
-        # E.g. --cache-dir pointing at a regular file that is not a
-        # SQLite store, or a corrupt database (BackendError is OSError).
-        print(f"error: cannot open cache {path}: {exc}", file=sys.stderr)
-        return None
+    return ArtifactCache(args.cache_dir)
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
@@ -695,7 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("--output", required=True, help="output directory")
     snapshot.add_argument(
         "--cache-dir",
-        help="artifact-cache directory: reuse cached build stages",
+        metavar="DIR",
+        help="artifact-cache directory (created on demand): reuse cached "
+        "build stages",
     )
     _add_trace_option(snapshot)
     snapshot.set_defaults(handler=_cmd_snapshot)
@@ -709,8 +697,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--cache-dir",
-        help="shared artifact cache: stages common to several scenarios "
-        "are computed once and reused (strongly recommended)",
+        metavar="DIR",
+        help="shared artifact-cache directory (created on demand): stages "
+        "common to several scenarios are computed once and reused "
+        "(strongly recommended)",
     )
     sweep.add_argument(
         "--targets",
@@ -772,8 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_summary = trace_commands.add_parser(
         "summary",
         help="per-stage and per-engine rollups (count, total, p50/p95, "
-        "cache hit rate), counters, retry totals, root wall time and "
-        "time outside any stage",
+        "cache hit rate), counters, root wall time and time outside any "
+        "stage",
     )
     trace_summary.add_argument(
         "--trace-dir", required=True,
@@ -802,14 +792,13 @@ def build_parser() -> argparse.ArgumentParser:
     trace_profile.set_defaults(handler=_cmd_trace_profile)
 
     cache = subparsers.add_parser(
-        "cache", help="inspect or prune an artifact cache (directory or "
-        "sqlite object store)"
+        "cache", help="inspect or prune an artifact-cache directory"
     )
     cache_commands = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_commands.add_parser(
         "stats", help="per-stage entry counts and byte totals"
     )
-    cache_stats.add_argument("--cache-dir", required=True)
+    cache_stats.add_argument("--cache-dir", required=True, metavar="DIR")
     cache_stats.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
@@ -817,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_prune = cache_commands.add_parser(
         "prune", help="evict artifacts by age and/or LRU down to a byte budget"
     )
-    cache_prune.add_argument("--cache-dir", required=True)
+    cache_prune.add_argument("--cache-dir", required=True, metavar="DIR")
     cache_prune.add_argument(
         "--max-bytes", type=int, help="evict least-recently-used artifacts "
         "until the cache fits this many bytes"
@@ -847,6 +836,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Profile records are written beside the trace; without a trace
         # dir the capture would run and then be dropped on the floor.
         parser.error("--profile requires --trace-dir")
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir is not None and Path(cache_dir).exists() and not Path(cache_dir).is_dir():
+        # One check for every subcommand taking --cache-dir: the cache
+        # is a directory, and a file there would otherwise fail deep
+        # inside the first cache write.
+        print(
+            f"error: cannot open cache {cache_dir}: not a directory", file=sys.stderr
+        )
+        return 2
     return args.handler(args)
 
 

@@ -10,21 +10,18 @@ identity is fully determined by a **fingerprint** — a SHA-256 digest of
 * the fingerprints of its upstream artifacts (so invalidation cascades
   through the DAG without ever loading a payload).
 
-:class:`ArtifactCache` stores artifacts through a pluggable
-:class:`~repro.cluster.backends.CacheBackend` under the keys
+:class:`ArtifactCache` stores artifacts in one directory under
 ``<stage>/<fingerprint>.pkl`` with a ``.json`` metadata sidecar
-recording the SHA-256 of the pickled payload.  The default backend is
-the original on-disk directory layout
-(:class:`~repro.cluster.backends.LocalDirectoryBackend`); a SQLite
-object store is available for caches shared by concurrent worker
-processes (``ArtifactCache.from_spec`` sniffs the kind, so
-``repro cache stats|prune`` work on either).  A load verifies the
+recording the SHA-256 of the pickled payload.  A load verifies the
 payload hash against the sidecar, so a truncated or bit-flipped artifact
 is detected and reported as a miss (the runner then recomputes and
 overwrites it) instead of being deserialized into silent corruption.
-Stores go through the backend's **atomic put-if-absent**: when two
-workers race to publish the same fingerprint, one write wins and the
-loser adopts it (the payloads are bit-identical by construction).
+Writes are atomic (temp file + ``os.replace``) and a payload is
+published with a single-winner **put-if-absent** (``os.link``, or an
+``O_EXCL`` reservation where hardlinks are unsupported): when two
+workers of a ``process`` sweep race to publish the same fingerprint,
+one write wins and the loser adopts it (the payloads are bit-identical
+by construction).
 
 Pickle is the payload format on purpose: artifacts are internal
 intermediate state exchanged between stages of one code base, not an
@@ -49,24 +46,26 @@ time).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime as _dt
 import enum
 import hashlib
 import json
+import os
 import pickle
+import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster.backends import (
-    CacheBackend,
-    LocalDirectoryBackend,
-    open_backend,
-)
-from repro.cluster.retry import RetryPolicy, with_retries
 from repro.telemetry import get_tracer
+
+try:  # POSIX cross-process locking; degrade to in-process elsewhere.
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platform
+    fcntl = None  # type: ignore[assignment]
 
 #: Bump when the cache layout / metadata schema changes incompatibly.
 CACHE_LAYOUT_VERSION = 1
@@ -74,11 +73,19 @@ CACHE_LAYOUT_VERSION = 1
 #: Root-level sidecar recording last-access times for LRU eviction.
 INDEX_FILENAME = "cache-index.json"
 
+#: Lock file serializing the index read-modify-write across processes.
+LOCK_FILENAME = ".cache.lock"
+
 #: Bounded wait for the locks guarding advisory index maintenance.
 #: Past it the touch/cleanup is skipped — LRU recency degrades, the run
 #: proceeds.  Honest contention (one small read-modify-write) clears in
 #: well under this; only a wedged holder exhausts it.
 INDEX_LOCK_TIMEOUT_SECONDS = 0.25
+
+#: Temp files this old are orphans of a crashed writer (a healthy write
+#: holds its temp file for milliseconds) and are collected by the next
+#: ``stats``/``prune``, so budgeted caches cannot leak invisible disk.
+TEMP_GC_AGE_SECONDS = 3600.0
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +219,8 @@ class PruneReport:
     remaining_entries: int
     remaining_bytes: int
     dry_run: bool
-    #: Orphaned temporary files swept (directory backend: leftovers of
-    #: writers that crashed mid ``put_if_absent``; 0 for other backends).
+    #: Orphaned temporary files swept (leftovers of writers that
+    #: crashed between writing a temp file and publishing it).
     temp_files_removed: int = 0
 
     def to_dict(self) -> Dict[str, object]:
@@ -234,20 +241,202 @@ class PruneReport:
         }
 
 
-class ArtifactCache:
-    """Content-addressed store of stage artifacts over a backend.
+class _CacheDirectory:
+    """The byte-level store under an :class:`ArtifactCache`: objects as
+    files below one root, addressed by relative POSIX keys such as
+    ``"store/<fingerprint>.pkl"``.
 
-    Default (directory backend) layout::
+    * ``put`` is atomic: temp file + ``os.replace``, so no reader ever
+      sees a prefix of the new bytes.
+    * ``scan`` sizes come from ``stat`` of the files themselves.
+    * ``put_if_absent`` is an atomic test-and-set: temp file +
+      ``os.link``, which fails with ``EEXIST`` exactly when another
+      writer won.  Where hardlinks are unsupported an ``O_EXCL``
+      reservation gives the same single winner.
+    * ``lock`` is an ``flock`` on :data:`LOCK_FILENAME`, exclusive
+      across processes and across threads (each acquisition opens its
+      own file description).
+    * Dot-prefixed files (in-flight temp files, the lock file) are
+      invisible to ``scan``; aged ones are orphans that
+      ``collect_orphans`` removes.
+    """
+
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def path(self, key: str) -> Path:
+        """The file of ``key``; rejects keys that could escape the root
+        or alias another key (``..``, ``.``/dot-prefixed or empty
+        segments, absolute paths, backslashes)."""
+        segments = key.split("/")
+        if "\\" in key or any(not part or part.startswith(".") for part in segments):
+            raise ValueError(f"cache key must be a relative POSIX name, got {key!r}")
+        return self.root.joinpath(*segments)
+
+    def get(self, key: str) -> Optional[bytes]:
+        try:
+            return self.path(key).read_bytes()
+        except (FileNotFoundError, IsADirectoryError):
+            return None
+
+    def _write_temp(self, path: Path, data: bytes) -> str:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(handle, "wb") as stream:
+                stream.write(data)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temp_name)
+            raise
+        return temp_name
+
+    def put(self, key: str, data: bytes) -> None:
+        path = self.path(key)
+        os.replace(self._write_temp(path, data), path)
+
+    def put_if_absent(self, key: str, data: bytes) -> bool:
+        """Store only if ``key`` is free; ``True`` iff this call won."""
+        path = self.path(key)
+        temp_name = self._write_temp(path, data)
+        try:
+            try:
+                os.link(temp_name, path)  # atomic: fails iff the key exists
+                return True
+            except FileExistsError:
+                return False
+            except OSError:
+                # Filesystems without hardlinks (exFAT, some mounts):
+                # reserve the key with an exclusive create, then move the
+                # payload over the reservation.  A reader glimpsing the
+                # empty reservation sees a hash mismatch, i.e. a miss,
+                # never torn data.
+                try:
+                    os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                except FileExistsError:
+                    return False
+                os.replace(temp_name, path)
+                return True
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(temp_name)
+
+    def delete(self, key: str) -> bool:
+        """Remove one object (and the directories that leaves empty);
+        ``True`` iff it existed."""
+        path = self.path(key)
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            return False
+        parent = path.parent
+        while parent != self.root:
+            try:
+                parent.rmdir()  # refuses non-empty directories
+            except OSError:
+                break
+            parent = parent.parent
+        return True
+
+    def scan(self, prefix: str = "") -> List[Tuple[str, os.stat_result]]:
+        """Every visible key starting with ``prefix`` with its stat,
+        sorted by key.  Files that vanish mid-scan are skipped."""
+        results: List[Tuple[str, os.stat_result]] = []
+        for directory, _dirnames, filenames in os.walk(self.root):
+            for name in filenames:
+                if name.startswith("."):
+                    continue  # temp files, the lock file
+                path = Path(directory, name)
+                key = path.relative_to(self.root).as_posix()
+                if not key.startswith(prefix):
+                    continue
+                try:
+                    results.append((key, path.stat()))
+                except FileNotFoundError:
+                    continue
+        return sorted(results, key=lambda item: item[0])
+
+    def touch(self, key: str) -> None:
+        os.utime(self.path(key))
+
+    @contextlib.contextmanager
+    def lock(self, timeout: Optional[float] = None) -> Iterator[None]:
+        """Exclusive ``flock`` over the whole directory.
+
+        With a ``timeout``, a lock that stays busy raises the built-in
+        :class:`TimeoutError` (an ``OSError``) instead of blocking, so a
+        wedged holder cannot stall callers whose critical section is
+        advisory.  Without ``fcntl`` this is a no-op and only the
+        in-process lock of :class:`ArtifactCache` excludes writers.
+        """
+        if fcntl is None:  # pragma: no cover - non-POSIX platform
+            yield
+            return
+        handle = os.open(self.root / LOCK_FILENAME, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            if timeout is None:
+                fcntl.flock(handle, fcntl.LOCK_EX)
+            else:
+                deadline = time.monotonic() + timeout
+                while True:
+                    try:
+                        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                        break
+                    except BlockingIOError:
+                        if time.monotonic() >= deadline:
+                            raise TimeoutError(
+                                f"cache lock {self.root / LOCK_FILENAME} still "
+                                f"held after {timeout:g}s"
+                            ) from None
+                        time.sleep(0.01)
+            try:
+                yield
+            finally:
+                fcntl.flock(handle, fcntl.LOCK_UN)
+        finally:
+            os.close(handle)
+
+    def collect_orphans(
+        self, max_age_seconds: float = TEMP_GC_AGE_SECONDS, dry_run: bool = False
+    ) -> int:
+        """Remove (or with ``dry_run`` only count) temp files older than
+        ``max_age_seconds`` — debris of writers killed between writing a
+        temp file and publishing it.  Age-gated so in-flight writes are
+        never touched; never called from ``scan``, so a ``dry_run``
+        prune truly deletes nothing.  Returns how many were found."""
+        cutoff = time.time() - max_age_seconds
+        collected = 0
+        for directory, _dirnames, filenames in os.walk(self.root):
+            for name in filenames:
+                if not name.startswith(".") or name == LOCK_FILENAME:
+                    continue
+                path = Path(directory, name)
+                try:
+                    if path.stat().st_mtime < cutoff:
+                        if not dry_run:
+                            path.unlink()
+                        collected += 1
+                except OSError:
+                    continue  # vanished or undeletable: not our problem
+        return collected
+
+
+class ArtifactCache:
+    """Content-addressed store of stage artifacts in one directory.
+
+    Layout::
 
         <root>/
           cache-index.json       # last-access times (LRU eviction order)
+          .cache.lock            # flock guarding the index read-modify-write
           <stage-name>/
             <fingerprint>.pkl    # pickled payload
             <fingerprint>.json   # ArtifactRecord sidecar (payload hash)
 
-    Writes are atomic (the backend contract) so a crashed run never
-    leaves a half-written payload that a later run would trust; loads
-    verify the payload hash against the sidecar before unpickling.
+    Writes are atomic so a crashed run never leaves a half-written
+    payload that a later run would trust; loads verify the payload hash
+    against the sidecar before unpickling.
     """
 
     PAYLOAD_SUFFIX = ".pkl"
@@ -256,45 +445,15 @@ class ArtifactCache:
     #: Class-level: every ArtifactCache instance over any root shares it
     #: (sweep executors build one instance per scenario over the same
     #: root, so a per-instance lock would never serialize anything).
-    #: Cross-*process* exclusion is the backend lock's job.
+    #: Cross-*process* exclusion is the directory's ``flock``.
     _index_lock = threading.Lock()
 
-    def __init__(
-        self,
-        root: Union[str, Path, CacheBackend, None] = None,
-        backend: Optional[CacheBackend] = None,
-        retry: Union[RetryPolicy, bool, None] = None,
-    ) -> None:
-        if backend is None:
-            if root is None:
-                raise ValueError("ArtifactCache needs a root path or a backend")
-            backend = (
-                root if isinstance(root, CacheBackend) else LocalDirectoryBackend(root)
-            )
-        # Every cache tolerates transient storage faults by default —
-        # ``retry=False`` opts out (tests asserting exact backend call
-        # sequences), a RetryPolicy overrides attempt/backoff tuning.
-        if retry is not False:
-            backend = with_retries(
-                backend, retry if isinstance(retry, RetryPolicy) else None
-            )
-        self.backend = backend
-        #: The backend location as a path.  For the directory backend
-        #: this is the cache root the ``payload_path``/``meta_path``
-        #: helpers resolve under; for other backends it is the store
-        #: file and the path helpers are meaningless (the artifacts are
-        #: not files).
-        self.root = Path(backend.location)
-
-    @classmethod
-    def from_spec(cls, spec: Union[str, Path, CacheBackend]) -> "ArtifactCache":
-        """Open a cache from a spec string: a directory path (the
-        default layout), ``sqlite://PATH`` / a ``*.sqlite`` path / an
-        existing file (the SQLite object store), or a ready backend."""
-        return cls(backend=open_backend(spec))
+    def __init__(self, root: Union[str, Path]) -> None:
+        self._dir = _CacheDirectory(root)
+        self.root = self._dir.root
 
     # ------------------------------------------------------------------
-    # keys and (directory-layout) paths
+    # keys and paths
     # ------------------------------------------------------------------
     def _payload_key(self, stage: str, fingerprint: str) -> str:
         return f"{stage}/{fingerprint}{self.PAYLOAD_SUFFIX}"
@@ -303,12 +462,10 @@ class ArtifactCache:
         return f"{stage}/{fingerprint}{self.META_SUFFIX}"
 
     def payload_path(self, stage: str, fingerprint: str) -> Path:
-        """The payload file of the *directory* backend layout."""
-        return self.root / stage / f"{fingerprint}{self.PAYLOAD_SUFFIX}"
+        return self._dir.path(self._payload_key(stage, fingerprint))
 
     def meta_path(self, stage: str, fingerprint: str) -> Path:
-        """The sidecar file of the *directory* backend layout."""
-        return self.root / stage / f"{fingerprint}{self.META_SUFFIX}"
+        return self._dir.path(self._meta_key(stage, fingerprint))
 
     # ------------------------------------------------------------------
     # queries
@@ -318,20 +475,28 @@ class ArtifactCache:
         return self.verify(stage, fingerprint) is not None
 
     def _verified_bytes(
-        self, stage: str, fingerprint: str
+        self, stage: str, fingerprint: str, report_corrupt: bool = True
     ) -> Optional[Tuple[bytes, ArtifactRecord]]:
-        """One read + one hash: the payload bytes iff they verify."""
-        meta = self.backend.get(self._meta_key(stage, fingerprint))
+        """One read + one hash: the payload bytes iff they verify.
+
+        A stored artifact that fails verification (unreadable sidecar,
+        hash mismatch) emits a ``cache.corrupt`` counter unless
+        ``report_corrupt`` is off, so a trace tells "absent" apart from
+        "present but bad".
+        """
+        meta = self._dir.get(self._meta_key(stage, fingerprint))
         if meta is None:
+            return None
+        payload = self._dir.get(self._payload_key(stage, fingerprint))
+        if payload is None:
             return None
         try:
             record = ArtifactRecord.from_json(meta.decode("utf-8"))
         except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError):
-            return None
-        payload = self.backend.get(self._payload_key(stage, fingerprint))
-        if payload is None:
-            return None
-        if hashlib.sha256(payload).hexdigest() != record.payload_sha256:
+            record = None
+        if record is None or hashlib.sha256(payload).hexdigest() != record.payload_sha256:
+            if report_corrupt:
+                _count_corrupt(stage)
             return None
         return payload, record
 
@@ -375,6 +540,7 @@ class ArtifactCache:
         try:
             value = pickle.loads(payload)
         except Exception:
+            _count_corrupt(stage)
             if tracer:
                 tracer.counter("cache.miss", stage=stage)
             return None
@@ -386,7 +552,7 @@ class ArtifactCache:
     ) -> ArtifactRecord:
         """Persist one artifact atomically; returns its metadata record.
 
-        The payload goes through the backend's **put-if-absent**: when a
+        The payload is published with **put-if-absent**: when a
         concurrent worker already published this fingerprint, the
         existing entry is adopted if it verifies (bit-identical by
         construction — same fingerprint, same deterministic pipeline)
@@ -404,8 +570,10 @@ class ArtifactCache:
         )
         payload_key = self._payload_key(stage, fingerprint)
         meta_key = self._meta_key(stage, fingerprint)
-        if not self.backend.put_if_absent(payload_key, payload):
-            existing = self._verified_bytes(stage, fingerprint)
+        if not self._dir.put_if_absent(payload_key, payload):
+            # The entry being replaced was already reported corrupt by
+            # the verify/load that sent the runner here.
+            existing = self._verified_bytes(stage, fingerprint, report_corrupt=False)
             if (
                 existing is not None
                 and existing[1].payload_sha256 == record.payload_sha256
@@ -414,8 +582,8 @@ class ArtifactCache:
                 # dedupe — adopt its record instead of rewriting.
                 self._touch(stage, fingerprint, stored=True)
                 return existing[1]
-            self.backend.put(payload_key, payload)
-        self.backend.put(meta_key, record.to_json().encode("utf-8"))
+            self._dir.put(payload_key, payload)
+        self._dir.put(meta_key, record.to_json().encode("utf-8"))
         self._touch(stage, fingerprint, stored=True)
         tracer = get_tracer()
         if tracer:
@@ -426,21 +594,11 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def _payload_keys(self) -> List[Tuple[str, str]]:
-        """Every stored ``(stage, fingerprint)`` pair, sorted."""
-        pairs: List[Tuple[str, str]] = []
-        for key in self.backend.list():
-            if "/" not in key or not key.endswith(self.PAYLOAD_SUFFIX):
-                continue  # the index, locks, foreign top-level objects
-            stage, name = key.split("/", 1)
-            pairs.append((stage, name[: -len(self.PAYLOAD_SUFFIX)]))
-        return sorted(pairs)
-
     def entries(self) -> Dict[str, List[str]]:
         """Stage name -> stored fingerprints (for reports and tests)."""
         result: Dict[str, List[str]] = {}
-        for stage, fingerprint in self._payload_keys():
-            result.setdefault(stage, []).append(fingerprint)
+        for entry in self._scan_entries():
+            result.setdefault(entry.stage, []).append(entry.fingerprint)
         return result
 
     # ------------------------------------------------------------------
@@ -453,7 +611,7 @@ class ArtifactCache:
     def _read_index(self) -> Dict[str, float]:
         """``"stage/fingerprint" -> last-used epoch seconds`` (best effort)."""
         try:
-            raw = self.backend.get(INDEX_FILENAME)
+            raw = self._dir.get(INDEX_FILENAME)
         except OSError:
             return {}
         if raw is None:
@@ -477,78 +635,90 @@ class ArtifactCache:
             indent=2,
             sort_keys=True,
         )
-        self.backend.put(INDEX_FILENAME, payload.encode("utf-8"))
+        self._dir.put(INDEX_FILENAME, payload.encode("utf-8"))
+
+    @contextlib.contextmanager
+    def _index_locked(self) -> Iterator[bool]:
+        """Hold both index locks for one read-modify-write: the
+        class-level thread lock and the directory's ``flock``.  Yields
+        ``False`` (lock skipped) when the thread lock stays busy; a busy
+        ``flock`` raises :class:`TimeoutError`.  Both waits are bounded
+        by :data:`INDEX_LOCK_TIMEOUT_SECONDS`."""
+        if not self._index_lock.acquire(timeout=INDEX_LOCK_TIMEOUT_SECONDS):
+            yield False
+            return
+        try:
+            with self._dir.lock(timeout=INDEX_LOCK_TIMEOUT_SECONDS):
+                yield True
+        finally:
+            self._index_lock.release()
 
     def _touch(self, stage: str, fingerprint: str, stored: bool = False) -> None:
         """Record an access for LRU ordering.
 
-        A plain read access is an O(1) backend ``touch`` (an
-        ``os.utime`` bump for the directory backend) — cheap enough for
-        every warm cache hit, visible across processes.  Only a *store*
-        rewrites the sidecar index (stores are amortized by the stage
-        computation they follow); the read-modify-write runs under the
-        class-level thread lock **and** the backend's cross-process
-        lock, so concurrent workers and prunes never interleave their
-        index rewrites (a worker/prune race used to be able to resurrect
+        A plain read access is an O(1) ``os.utime`` bump of the payload
+        — cheap enough for every warm cache hit, visible across
+        processes.  Only a *store* rewrites the sidecar index (stores
+        are amortized by the stage computation they follow); the
+        read-modify-write runs under :meth:`_index_locked`, so
+        concurrent workers and prunes never interleave their index
+        rewrites (a worker/prune race could otherwise resurrect
         just-pruned index entries or drop a fresh store's).
 
         Both locks are acquired with a *bounded* wait and the touch is
-        skipped when they stay busy: the section does backend IO, so a
-        wedged holder — e.g. a watchdog-abandoned worker thread stalled
-        inside its index read — would otherwise pass its fate on to
-        every healthy sibling that merely wanted to note a timestamp.
-        Recency is advisory by contract; stalling a run for it is not.
+        skipped when they stay busy: a wedged holder must not pass its
+        fate on to every healthy sibling that merely wanted to note a
+        timestamp.  Recency is advisory by contract; stalling a run for
+        it is not.
         """
         try:
             if not stored:
-                self.backend.touch(self._payload_key(stage, fingerprint))
+                self._dir.touch(self._payload_key(stage, fingerprint))
                 return
-            if not self._index_lock.acquire(timeout=INDEX_LOCK_TIMEOUT_SECONDS):
-                return
-            try:
-                with self.backend.lock(timeout=INDEX_LOCK_TIMEOUT_SECONDS):
+            with self._index_locked() as locked:
+                if locked:
                     entries = self._read_index()
                     entries[f"{stage}/{fingerprint}"] = time.time()
                     self._write_index(entries)
-            finally:
-                self._index_lock.release()
         except OSError:
-            # A read-only or vanished cache (or a lock timeout —
-            # TransientBackendError) must never break the run the touch
-            # was bookkeeping for (BackendError subclasses OSError).
+            # A read-only or vanished cache, or a lock timeout
+            # (TimeoutError is an OSError), must never break the run the
+            # touch was bookkeeping for.
             pass
 
     def _scan_entries(self) -> List[CacheEntry]:
         """Every stored artifact with its actual size and last use.
 
-        Sizes always come from the backend's ``stat`` of the object
-        itself — never from the advisory index — so artifacts the index
-        has no entry for (written by another process or backend, index
-        lost or stale) are reported at their true size instead of being
-        miscounted.  A missing metadata sidecar only loses the sidecar's
-        own bytes from the total.  ``last_used`` is the newer of the
-        index entry (written at store time) and the object's mtime
-        (bumped by :meth:`_touch` on every read).  Entries that vanish
-        mid-scan — another process pruning the same cache — are silently
-        skipped: hygiene is best-effort by contract, never an error.
+        Sizes always come from ``stat`` of the files themselves — never
+        from the advisory index — so artifacts the index has no entry
+        for (written by another process, index lost or stale) are
+        reported at their true size instead of being miscounted.  A
+        missing metadata sidecar only loses the sidecar's own bytes from
+        the total.  ``last_used`` is the newer of the index entry
+        (written at store time) and the payload's mtime (bumped by
+        :meth:`_touch` on every read).  Entries that vanish mid-scan —
+        another process pruning the same cache — are silently skipped:
+        hygiene is best-effort by contract, never an error.
         """
         index = self._read_index()
         try:
-            stats = dict(self.backend.scan())
+            stats = dict(self._dir.scan())
         except OSError:
             return []
         entries: List[CacheEntry] = []
         for key in sorted(stats):
             if "/" not in key or not key.endswith(self.PAYLOAD_SUFFIX):
-                continue  # the index, locks, foreign top-level objects
+                continue  # the index, foreign top-level files
             stage, name = key.split("/", 1)
             fingerprint = name[: -len(self.PAYLOAD_SUFFIX)]
             payload_stat = stats[key]
-            size = payload_stat.size
+            size = payload_stat.st_size
             meta_stat = stats.get(self._meta_key(stage, fingerprint))
             if meta_stat is not None:
-                size += meta_stat.size
-            last_used = max(index.get(f"{stage}/{fingerprint}", 0.0), payload_stat.mtime)
+                size += meta_stat.st_size
+            last_used = max(
+                index.get(f"{stage}/{fingerprint}", 0.0), payload_stat.st_mtime
+            )
             entries.append(
                 CacheEntry(
                     stage=stage,
@@ -564,7 +734,7 @@ class ArtifactCache:
         try:
             # Hygiene entry point: sweep crashed writers' stale temp
             # files while we are here (best effort, like prune's).
-            self.backend.collect_orphans()
+            self._dir.collect_orphans()
         except OSError:
             pass
         per_stage: Dict[str, Dict[str, int]] = {}
@@ -604,10 +774,7 @@ class ArtifactCache:
         if now is None:
             now = time.time()
         try:
-            # Count crashed writers' stale temp files before the entry
-            # scan (whose backend-side hygiene also collects them, but
-            # silently); best-effort like the rest of prune.
-            temp_files_removed = self.backend.collect_orphans(dry_run=dry_run)
+            temp_files_removed = self._dir.collect_orphans(dry_run=dry_run)
         except OSError:
             temp_files_removed = 0
         entries = self._scan_entries()
@@ -641,27 +808,24 @@ class ArtifactCache:
                     self._meta_key(entry.stage, entry.fingerprint),
                 ):
                     try:
-                        self.backend.delete(key)
+                        self._dir.delete(key)
                     except OSError:
-                        # Already gone, or undeletable (permissions,
-                        # read-only mount): hygiene is best-effort —
-                        # keep evicting the rest.
+                        # Undeletable (permissions, read-only mount):
+                        # hygiene is best-effort — keep evicting the rest.
                         pass
             # Bounded like _touch: eviction already happened, the index
             # cleanup is advisory — a wedged lock holder must not stall
             # the prune (stale index entries are ignored by _scan_entries).
-            if self._index_lock.acquire(timeout=INDEX_LOCK_TIMEOUT_SECONDS):
-                try:
-                    with self.backend.lock(timeout=INDEX_LOCK_TIMEOUT_SECONDS):
+            try:
+                with self._index_locked() as locked:
+                    if locked:
                         index = self._read_index()
                         kept = {f"{e.stage}/{e.fingerprint}" for e in survivors}
                         self._write_index(
                             {key: value for key, value in index.items() if key in kept}
                         )
-                except OSError:
-                    pass
-                finally:
-                    self._index_lock.release()
+            except OSError:
+                pass
         freed = sum(entry.size_bytes for entry in doomed)
         return PruneReport(
             removed=sorted(doomed, key=lambda e: (e.stage, e.fingerprint)),
@@ -671,3 +835,9 @@ class ArtifactCache:
             dry_run=dry_run,
             temp_files_removed=temp_files_removed,
         )
+
+
+def _count_corrupt(stage: str) -> None:
+    tracer = get_tracer()
+    if tracer:
+        tracer.counter("cache.corrupt", stage=stage)

@@ -509,13 +509,10 @@ def full_stages() -> List[StageSpec]:
 def make_runner(
     cache_dir=None, stages: Optional[Sequence[StageSpec]] = None
 ) -> PipelineRunner:
-    """A runner over the full DAG, optionally backed by a cache.
-
-    ``cache_dir`` is a cache *spec*: a directory path (the default
-    layout), a ``sqlite://``/``*.sqlite`` object store, or a ready
-    backend — see :meth:`ArtifactCache.from_spec`.
-    """
-    cache = ArtifactCache.from_spec(cache_dir) if cache_dir is not None else None
+    """A runner over the full DAG (or ``stages``), backed by the
+    artifact cache in directory ``cache_dir`` when one is given (created
+    on demand)."""
+    cache = ArtifactCache(cache_dir) if cache_dir is not None else None
     return PipelineRunner(list(stages) if stages is not None else full_stages(), cache)
 
 

@@ -357,7 +357,7 @@ def run_sweep(
                     if cache_budget_bytes is not None and cache_str is not None:
                         from repro.pipeline import ArtifactCache
 
-                        ArtifactCache.from_spec(cache_str).prune(
+                        ArtifactCache(cache_str).prune(
                             max_bytes=cache_budget_bytes
                         )
     finally:

@@ -16,7 +16,7 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 
 
 def trace_files(trace_dir) -> List[str]:
@@ -202,8 +202,8 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
 
     Per-stage rollups (count, total, p50/p95, computed vs cached and
     the cache hit rate, artifact bytes), per-engine rollups (events,
-    per-phase timings), aggregated counters, cache-storage retries,
-    tree health (roots / orphans), and the root wall time with the part of it outside every
+    per-phase timings), aggregated counters, tree health (roots /
+    orphans), and the root wall time with the part of it outside every
     stage (:func:`root_accounting`).
     """
     spans = spans_of(records)
@@ -302,7 +302,6 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         "stages": stage_rollup,
         "engines": engine_rollup,
         "counters": counters,
-        "retries": int(counters.get("backend.retry", 0)),
     }
     summary["root_seconds"], summary["unattributed_seconds"] = root_accounting(records)
     return summary

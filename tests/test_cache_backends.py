@@ -1,214 +1,234 @@
-"""CacheBackend conformance suite + ArtifactCache over every backend.
+"""The directory store under the artifact cache, and the cache over it.
 
-Every backend must satisfy the same contract
-(:mod:`repro.cluster.backends`): atomic ``put``, atomic test-and-set
-``put_if_absent`` (the distributed dedupe primitive), truthful ``stat``
-sizes, prefix ``list``, advisory ``touch`` and a store-scoped ``lock``.
-The suite runs identically against the directory backend, the SQLite
-object store and the in-memory reference — a new backend earns its
-place by passing it unchanged.
+The store (:class:`repro.pipeline.artifacts._CacheDirectory`) carries
+every safety property the cache relies on: atomic ``put``, an atomic
+test-and-set ``put_if_absent`` (the dedupe primitive for concurrent
+writers, with an ``O_EXCL`` fallback where hardlinks are unsupported),
+truthful ``scan`` sizes, an ``flock`` serializing read-modify-write,
+and the aged orphan-temp-file sweep.
 
-On top of the raw contract, the ArtifactCache must behave identically
-over any backend (store/load/verify/stats/prune, warm pipeline runs),
-and the hygiene commands must tolerate caches whose advisory index is
-stale, missing or written by someone else — sizes always come from
-``stat`` of the object itself.
+On top of it, the ArtifactCache must store/load/verify/stats/prune
+correctly, and the hygiene commands must tolerate caches whose advisory
+index is stale, missing or written by someone else — sizes always come
+from ``stat`` of the files themselves.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
+import time
 
 import pytest
 
-from repro.cluster.backends import (
-    LocalDirectoryBackend,
-    MemoryBackend,
-    SQLiteObjectStoreBackend,
-    open_backend,
-)
+import repro.pipeline.artifacts as artifacts_module
 from repro.pipeline import ArtifactCache
-from repro.pipeline.artifacts import INDEX_FILENAME
+from repro.pipeline.artifacts import (
+    INDEX_FILENAME,
+    LOCK_FILENAME,
+    TEMP_GC_AGE_SECONDS,
+    _CacheDirectory,
+)
 
-BACKENDS = ("directory", "sqlite", "memory")
-
-
-def make_backend(kind: str, tmp_path):
-    if kind == "directory":
-        return LocalDirectoryBackend(tmp_path / "store")
-    if kind == "sqlite":
-        return SQLiteObjectStoreBackend(tmp_path / "store.sqlite")
-    return MemoryBackend()
+#: The stores the suite runs against: the cache keeps exactly one.
+STORES = ("directory",)
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, tmp_path):
-    return make_backend(request.param, tmp_path)
+@pytest.fixture(params=STORES)
+def directory(request, tmp_path):
+    return _CacheDirectory(tmp_path / "store")
+
+
+def stat_of(directory, key):
+    """The stat ``scan`` reports for ``key``, or ``None`` when absent."""
+    return dict(directory.scan()).get(key)
+
+
+def race(count, contender):
+    """Run ``contender(index)`` on ``count`` threads released together."""
+    barrier = threading.Barrier(count)
+
+    def run(index: int) -> None:
+        barrier.wait()
+        contender(index)
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads), "a contender hung"
 
 
 class TestConformance:
-    def test_get_missing_is_none(self, backend):
-        assert backend.get("alpha/missing.pkl") is None
-        assert backend.stat("alpha/missing.pkl") is None
-        assert not backend.exists("alpha/missing.pkl")
+    def test_get_missing_is_none(self, directory):
+        assert directory.get("alpha/missing.pkl") is None
+        assert stat_of(directory, "alpha/missing.pkl") is None
 
-    def test_put_get_roundtrip(self, backend):
-        backend.put("alpha/a.pkl", b"payload")
-        assert backend.get("alpha/a.pkl") == b"payload"
-        assert backend.exists("alpha/a.pkl")
-        assert backend.stat("alpha/a.pkl").size == len(b"payload")
+    def test_put_get_roundtrip(self, directory):
+        directory.put("alpha/a.pkl", b"payload")
+        assert directory.get("alpha/a.pkl") == b"payload"
+        assert stat_of(directory, "alpha/a.pkl").st_size == len(b"payload")
 
-    def test_put_overwrites(self, backend):
-        backend.put("alpha/a.pkl", b"one")
-        backend.put("alpha/a.pkl", b"two-longer")
-        assert backend.get("alpha/a.pkl") == b"two-longer"
-        assert backend.stat("alpha/a.pkl").size == len(b"two-longer")
+    def test_put_overwrites(self, directory):
+        directory.put("alpha/a.pkl", b"one")
+        directory.put("alpha/a.pkl", b"two-longer")
+        assert directory.get("alpha/a.pkl") == b"two-longer"
+        assert stat_of(directory, "alpha/a.pkl").st_size == len(b"two-longer")
 
-    def test_put_if_absent_first_wins(self, backend):
-        assert backend.put_if_absent("alpha/a.pkl", b"winner")
-        assert not backend.put_if_absent("alpha/a.pkl", b"loser")
-        assert backend.get("alpha/a.pkl") == b"winner"
+    def test_put_is_atomic(self, directory, monkeypatch):
+        """Readers racing an overwrite see the old or the new bytes,
+        never a prefix; a write that dies before publishing leaves the
+        old bytes and only an invisible temp file behind."""
+        old, new = b"o" * 1_000_000, b"n" * 1_000_000
+        directory.put("alpha/a.pkl", old)
+        seen = set()
 
-    def test_put_if_absent_after_delete_stores_again(self, backend):
-        backend.put_if_absent("alpha/a.pkl", b"one")
-        assert backend.delete("alpha/a.pkl")
-        assert backend.put_if_absent("alpha/a.pkl", b"two")
-        assert backend.get("alpha/a.pkl") == b"two"
+        def contender(index: int) -> None:
+            for step in range(20):
+                if index == 0:
+                    directory.put("alpha/a.pkl", new if step % 2 else old)
+                else:
+                    seen.add(directory.get("alpha/a.pkl"))
 
-    def test_delete_reports_existence(self, backend):
-        backend.put("alpha/a.pkl", b"x")
-        assert backend.delete("alpha/a.pkl")
-        assert not backend.delete("alpha/a.pkl")
-        assert backend.get("alpha/a.pkl") is None
+        race(3, contender)
+        assert seen <= {old, new}
 
-    def test_list_prefix_and_sorting(self, backend):
-        backend.put("beta/b.pkl", b"x")
-        backend.put("alpha/a.pkl", b"x")
-        backend.put("alpha/a.json", b"x")
-        backend.put("top-level.json", b"x")
-        assert backend.list() == [
+        def crash(src, dst):
+            raise OSError(5, "Input/output error")
+
+        directory.put("alpha/a.pkl", old)
+        monkeypatch.setattr(artifacts_module.os, "replace", crash)
+        with pytest.raises(OSError):
+            directory.put("alpha/a.pkl", new)
+        assert directory.get("alpha/a.pkl") == old
+        assert [key for key, _ in directory.scan()] == ["alpha/a.pkl"]
+
+    def test_put_if_absent_first_wins(self, directory):
+        assert directory.put_if_absent("alpha/a.pkl", b"winner")
+        assert not directory.put_if_absent("alpha/a.pkl", b"loser")
+        assert directory.get("alpha/a.pkl") == b"winner"
+
+    def test_put_if_absent_after_delete_stores_again(self, directory):
+        directory.put_if_absent("alpha/a.pkl", b"one")
+        assert directory.delete("alpha/a.pkl")
+        assert directory.put_if_absent("alpha/a.pkl", b"two")
+        assert directory.get("alpha/a.pkl") == b"two"
+
+    def test_delete_reports_existence(self, directory):
+        directory.put("alpha/a.pkl", b"x")
+        assert directory.delete("alpha/a.pkl")
+        assert not directory.delete("alpha/a.pkl")
+        assert directory.get("alpha/a.pkl") is None
+
+    def test_list_prefix_and_sorting(self, directory):
+        directory.put("beta/b.pkl", b"x")
+        directory.put("alpha/a.pkl", b"x")
+        directory.put("alpha/a.json", b"x")
+        directory.put("top-level.json", b"x")
+        assert [key for key, _ in directory.scan()] == [
             "alpha/a.json", "alpha/a.pkl", "beta/b.pkl", "top-level.json",
         ]
-        assert backend.list(prefix="alpha/") == ["alpha/a.json", "alpha/a.pkl"]
-
-    def test_touch_bumps_mtime(self, backend):
-        backend.put("alpha/a.pkl", b"x")
-        before = backend.stat("alpha/a.pkl").mtime
-        # Force a visible clock difference regardless of fs granularity.
-        if isinstance(backend, LocalDirectoryBackend):
-            import os
-
-            old = before - 3600
-            os.utime(backend.root / "alpha" / "a.pkl", (old, old))
-            before = backend.stat("alpha/a.pkl").mtime
-            backend.touch("alpha/a.pkl")
-            assert backend.stat("alpha/a.pkl").mtime > before + 1800
-        else:
-            backend.touch("alpha/a.pkl")
-            assert backend.stat("alpha/a.pkl").mtime >= before
-
-    def test_key_validation(self, backend):
-        for bad in ("", "/abs.pkl", "a//b.pkl", "../escape.pkl", "a/../b.pkl",
-                    "a\\b.pkl", "./a.pkl", "a/./b.pkl", "."):
-            with pytest.raises(ValueError):
-                backend.put(bad, b"x")
-
-    def test_scan_matches_list_plus_stat(self, backend):
-        backend.put("alpha/a.pkl", b"x" * 10)
-        backend.put("alpha/a.json", b"y" * 5)
-        backend.put("beta/b.pkl", b"z" * 20)
-        scanned = backend.scan()
-        assert [key for key, _ in scanned] == backend.list()
-        for key, stat in scanned:
-            assert stat == backend.stat(key)
-        assert [key for key, _ in backend.scan(prefix="alpha/")] == [
+        assert [key for key, _ in directory.scan(prefix="alpha/")] == [
             "alpha/a.json", "alpha/a.pkl",
         ]
 
-    def test_list_prefix_is_literal_not_a_pattern(self, backend):
-        """SQL-wildcard characters in a prefix must match literally."""
-        backend.put("a%b/x.pkl", b"x")
-        backend.put("axb/y.pkl", b"y")
-        assert backend.list(prefix="a%b/") == ["a%b/x.pkl"]
-        assert [key for key, _ in backend.scan(prefix="a%b/")] == ["a%b/x.pkl"]
+    def test_touch_bumps_mtime(self, directory):
+        directory.put("alpha/a.pkl", b"x")
+        # Force a visible clock difference regardless of fs granularity.
+        old = stat_of(directory, "alpha/a.pkl").st_mtime - 3600
+        os.utime(directory.path("alpha/a.pkl"), (old, old))
+        directory.touch("alpha/a.pkl")
+        assert stat_of(directory, "alpha/a.pkl").st_mtime > old + 1800
 
-    def test_concurrent_put_if_absent_single_winner(self, backend):
+    def test_key_validation(self, directory):
+        for bad in ("", "/abs.pkl", "a//b.pkl", "../escape.pkl", "a/../b.pkl",
+                    "a\\b.pkl", "./a.pkl", "a/./b.pkl", "."):
+            with pytest.raises(ValueError):
+                directory.put(bad, b"x")
+
+    def test_scan_matches_list_plus_stat(self, directory):
+        directory.put("alpha/a.pkl", b"x" * 10)
+        directory.put("alpha/a.json", b"y" * 5)
+        directory.put("beta/b.pkl", b"z" * 20)
+        scanned = directory.scan()
+        assert [key for key, _ in scanned] == ["alpha/a.json", "alpha/a.pkl", "beta/b.pkl"]
+        for key, stat in scanned:
+            assert stat == directory.path(key).stat()
+
+    def test_list_prefix_is_literal_not_a_pattern(self, directory):
+        """Wildcard characters in a prefix must match literally."""
+        directory.put("a%b/x.pkl", b"x")
+        directory.put("axb/y.pkl", b"y")
+        assert [key for key, _ in directory.scan(prefix="a%b/")] == ["a%b/x.pkl"]
+
+    def test_concurrent_put_if_absent_single_winner(self, directory):
         """The dedupe primitive: N racing writers, exactly one victory,
         and the stored bytes are the winner's."""
         results = {}
-        barrier = threading.Barrier(8)
 
         def contender(index: int) -> None:
-            barrier.wait()
-            results[index] = backend.put_if_absent(
+            results[index] = directory.put_if_absent(
                 "alpha/contested.pkl", f"writer-{index}".encode()
             )
 
-        threads = [
-            threading.Thread(target=contender, args=(index,)) for index in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        race(8, contender)
         winners = [index for index, won in results.items() if won]
         assert len(winners) == 1
-        assert backend.get("alpha/contested.pkl") == f"writer-{winners[0]}".encode()
+        assert directory.get("alpha/contested.pkl") == f"writer-{winners[0]}".encode()
 
-    def test_lock_serializes_read_modify_write(self, backend):
-        """Unlocked RMW of one object loses updates; under the backend
-        lock every increment must survive."""
-        backend.put("counter.json", b"0")
+    def test_lock_serializes_read_modify_write(self, directory):
+        """Unlocked RMW of one object loses updates; under the
+        directory lock every increment must survive."""
+        directory.put("counter.json", b"0")
 
-        def bump() -> None:
+        def bump(_index: int) -> None:
             for _ in range(25):
-                with backend.lock():
-                    value = int(backend.get("counter.json"))
-                    backend.put("counter.json", str(value + 1).encode())
+                with directory.lock():
+                    value = int(directory.get("counter.json"))
+                    directory.put("counter.json", str(value + 1).encode())
 
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert backend.get("counter.json") == b"100"
+        race(4, bump)
+        assert directory.get("counter.json") == b"100"
 
-
-class TestSqliteTouchDebounce:
-    def test_stale_entries_bump_fresh_entries_stay_read_only(self, tmp_path):
-        import time
-
-        backend = SQLiteObjectStoreBackend(tmp_path / "store.sqlite")
-        backend.put("alpha/x.pkl", b"v")
-        fresh = backend.stat("alpha/x.pkl").mtime
-        backend.touch("alpha/x.pkl")  # debounced: no write
-        assert backend.stat("alpha/x.pkl").mtime == fresh
-        old = time.time() - 10 * backend.TOUCH_DEBOUNCE_SECONDS
-        with backend._connect() as conn:
-            conn.execute("UPDATE objects SET last_used = ?", (old,))
-        backend.touch("alpha/x.pkl")  # stale: really bumps
-        assert backend.stat("alpha/x.pkl").mtime > old + backend.TOUCH_DEBOUNCE_SECONDS
+    def test_busy_lock_times_out_as_oserror(self, directory):
+        """A bounded wait on a held lock raises the built-in
+        TimeoutError, an OSError the cache's index bookkeeping absorbs."""
+        with directory.lock():
+            with pytest.raises(TimeoutError):
+                with directory.lock(timeout=0.05):
+                    pass
+        assert issubclass(TimeoutError, OSError)
 
 
 class TestHardlinkFreeFallback:
     def test_put_if_absent_without_os_link(self, tmp_path, monkeypatch):
         """Filesystems without hardlink support (exFAT, some mounts)
         must keep the single-winner put-if-absent semantics through the
-        exclusive-create fallback — a plain store must not regress into
-        BackendError."""
-        import repro.cluster.backends as backends_module
+        exclusive-create fallback, also under concurrent writers."""
 
         def no_link(src, dst, **kwargs):
             raise OSError(1, "Operation not permitted")  # EPERM
 
-        monkeypatch.setattr(backends_module.os, "link", no_link)
-        backend = LocalDirectoryBackend(tmp_path / "store")
-        assert backend.put_if_absent("alpha/a.pkl", b"winner")
-        assert not backend.put_if_absent("alpha/a.pkl", b"loser")
-        assert backend.get("alpha/a.pkl") == b"winner"
+        monkeypatch.setattr(artifacts_module.os, "link", no_link)
+        cache = ArtifactCache(tmp_path / "store")
+        directory = cache._dir
+        assert directory.put_if_absent("alpha/a.pkl", b"winner")
+        assert not directory.put_if_absent("alpha/a.pkl", b"loser")
+        assert directory.get("alpha/a.pkl") == b"winner"
+        results = {}
+
+        def contender(index: int) -> None:
+            results[index] = directory.put_if_absent(
+                "alpha/contested.pkl", f"writer-{index}".encode()
+            )
+
+        race(8, contender)
+        winners = [index for index, won in results.items() if won]
+        assert len(winners) == 1
+        assert directory.get("alpha/contested.pkl") == f"writer-{winners[0]}".encode()
         # The ArtifactCache store path (put_if_absent + adoption) works.
-        cache = ArtifactCache(backend=backend)
         cache.store("beta", "b" * 64, {"x": 1}, code_version="1")
         assert cache.load("beta", "b" * 64)[0] == {"x": 1}
 
@@ -216,70 +236,42 @@ class TestHardlinkFreeFallback:
 class TestOrphanedTempFileCollection:
     def test_stale_temp_files_are_collected(self, tmp_path):
         """A writer SIGKILLed mid-put leaves a dot-prefixed temp file
-        that list() hides; collect_orphans must remove old ones so a
+        that scan() hides; collect_orphans must remove old ones so a
         budgeted cache cannot leak invisible disk — while in-flight
-        (recent) temp files and the lock file are untouched."""
-        import os
-        import time
-
-        backend = LocalDirectoryBackend(tmp_path / "store")
-        backend.put("alpha/a.pkl", b"x")
-        with backend.lock():
+        (recent) temp files and the lock file are untouched, and
+        ``dry_run`` only counts."""
+        directory = _CacheDirectory(tmp_path / "store")
+        directory.put("alpha/a.pkl", b"x")
+        with directory.lock():
             pass  # materialize the lock file
-        stage_dir = backend.root / "alpha"
+        stage_dir = directory.root / "alpha"
         stale = stage_dir / ".a.pkl.orphan"
         stale.write_bytes(b"big orphan payload")
-        old = time.time() - 2 * backend.TEMP_GC_AGE_SECONDS
+        old = time.time() - 2 * TEMP_GC_AGE_SECONDS
         os.utime(stale, (old, old))
         fresh = stage_dir / ".b.pkl.inflight"
         fresh.write_bytes(b"in-flight write")
-        lock = backend.root / backend.LOCK_FILENAME
+        lock = directory.root / LOCK_FILENAME
         assert lock.exists()
 
-        assert backend.collect_orphans() == 1
+        assert directory.collect_orphans(dry_run=True) == 1
+        assert stale.exists()
+        assert directory.collect_orphans() == 1
         assert not stale.exists()
         assert fresh.exists()
         assert lock.exists()
-        assert backend.get("alpha/a.pkl") == b"x"
+        assert directory.get("alpha/a.pkl") == b"x"
         # scan itself stays read-only: no hidden deletion side effects.
         fresh2 = stage_dir / ".c.pkl.orphan"
         fresh2.write_bytes(b"x")
         os.utime(fresh2, (old, old))
-        backend.scan()
+        directory.scan()
         assert fresh2.exists()
 
 
-class TestOpenBackend:
-    def test_directory_spec(self, tmp_path):
-        backend = open_backend(tmp_path / "cache")
-        assert isinstance(backend, LocalDirectoryBackend)
-
-    def test_sqlite_suffix_spec(self, tmp_path):
-        backend = open_backend(tmp_path / "cache.sqlite")
-        assert isinstance(backend, SQLiteObjectStoreBackend)
-
-    def test_sqlite_url_spec(self, tmp_path):
-        backend = open_backend(f"sqlite://{tmp_path / 'store.db'}")
-        assert isinstance(backend, SQLiteObjectStoreBackend)
-        assert backend.path == tmp_path / "store.db"
-
-    def test_existing_file_is_sniffed_as_sqlite(self, tmp_path):
-        """A cache written by the sqlite backend under an extension-less
-        name must still open as sqlite (tolerating the other backend)."""
-        path = tmp_path / "store.db"
-        SQLiteObjectStoreBackend(path).put("alpha/a.pkl", b"x")
-        backend = open_backend(path)
-        assert isinstance(backend, SQLiteObjectStoreBackend)
-        assert backend.get("alpha/a.pkl") == b"x"
-
-    def test_backend_instance_passes_through(self):
-        backend = MemoryBackend()
-        assert open_backend(backend) is backend
-
-
-@pytest.fixture(params=("directory", "sqlite", "memory"))
+@pytest.fixture(params=STORES)
 def cache(request, tmp_path):
-    return ArtifactCache(backend=make_backend(request.param, tmp_path))
+    return ArtifactCache(tmp_path / "store")
 
 
 class TestArtifactCacheOverBackends:
@@ -301,7 +293,7 @@ class TestArtifactCacheOverBackends:
 
     def test_corrupt_entry_is_repaired_by_store(self, cache):
         cache.store("alpha", "a" * 64, {"x": 1}, code_version="1")
-        cache.backend.put(f"alpha/{'a' * 64}.pkl", b"corrupted!")
+        cache.payload_path("alpha", "a" * 64).write_bytes(b"corrupted!")
         assert cache.load("alpha", "a" * 64) is None
         cache.store("alpha", "a" * 64, {"x": 2}, code_version="1")
         assert cache.load("alpha", "a" * 64)[0] == {"x": 2}
@@ -343,8 +335,8 @@ class TestStaleIndexTolerance:
         assert report.remaining_entries == 0
 
     def test_artifacts_unknown_to_index_get_statted_sizes(self, tmp_path):
-        """An artifact written by another process/backend (index never
-        updated) is sized by stat, not treated as zero bytes."""
+        """An artifact written by another process (index never updated)
+        is sized by stat, not treated as zero bytes."""
         cache = ArtifactCache(tmp_path)
         cache.store("alpha", "a" * 64, b"x" * 500, code_version="1")
         (tmp_path / INDEX_FILENAME).unlink()  # the whole index is lost
@@ -363,68 +355,3 @@ class TestStaleIndexTolerance:
         # And pruning the sidecar-less entry works.
         report = cache.prune(max_bytes=0)
         assert report.remaining_entries == 0
-
-    def test_cli_stats_on_non_database_file_errors_cleanly(self, tmp_path, capsys):
-        """A regular file that is not a SQLite store must produce the
-        CLI's clean error contract, not a BackendError traceback."""
-        from repro.cli import main
-
-        bogus = tmp_path / "notes.txt"
-        bogus.write_text("not a database")
-        assert main(["cache", "stats", "--cache-dir", str(bogus)]) == 2
-        assert "cannot open cache" in capsys.readouterr().err
-
-    def test_pruned_sqlite_store_releases_disk(self, tmp_path):
-        """--cache-budget-bytes must bound the actual file size: with
-        FULL auto-vacuum a pruned store shrinks instead of keeping its
-        peak size forever."""
-        spec = tmp_path / "cache.sqlite"
-        cache = ArtifactCache.from_spec(spec)
-        for index in range(20):
-            cache.store("alpha", f"{index:064x}", b"x" * 50_000, code_version="1")
-        peak = spec.stat().st_size
-        assert peak > 20 * 50_000
-        cache.prune(max_bytes=0)
-        assert cache.stats().entries == 0
-        assert spec.stat().st_size < peak / 4
-
-    def test_cli_stats_and_prune_on_sqlite_cache(self, tmp_path, capsys):
-        """The hygiene CLI auto-detects the object-store backend."""
-        from repro.cli import main
-
-        spec = str(tmp_path / "cache.sqlite")
-        cache = ArtifactCache.from_spec(spec)
-        cache.store("alpha", "a" * 64, b"x" * 100, code_version="1")
-        assert main(["cache", "stats", "--cache-dir", spec, "--json"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["entries"] == 1
-        assert stats["total_bytes"] > 100
-        assert main(["cache", "prune", "--cache-dir", spec, "--max-bytes", "0"]) == 0
-        assert "removed 1 artifacts" in capsys.readouterr().out
-        assert ArtifactCache.from_spec(spec).stats().entries == 0
-
-
-class TestPipelineOverSqliteBackend:
-    def test_warm_rerun_fully_cached_and_identical(self, tmp_path):
-        """The staged pipeline over the object-store backend: cold run
-        computes, warm run reuses everything, reports bit-identical."""
-        from repro.datasets import DatasetConfig
-        from repro.pipeline import PipelineConfig, run_pipeline
-        from repro.topology.generator import TopologyConfig
-
-        config = PipelineConfig(
-            dataset=DatasetConfig(
-                topology=TopologyConfig(
-                    seed=5, tier1_count=3, tier2_count=8, tier3_count=20
-                ),
-                seed=5,
-                vantage_points=4,
-            ),
-            top=2,
-            max_sources=10,
-        )
-        spec = str(tmp_path / "cache.sqlite")
-        cold = run_pipeline(config, cache_dir=spec, targets=("section3",))
-        warm = run_pipeline(config, cache_dir=spec, targets=("section3",))
-        assert warm.computed_stages() == []
-        assert warm.value("section3").as_dict() == cold.value("section3").as_dict()

