@@ -355,3 +355,19 @@ class TestStaleIndexTolerance:
         # And pruning the sidecar-less entry works.
         report = cache.prune(max_bytes=0)
         assert report.remaining_entries == 0
+
+    def test_cli_stats_on_non_database_file_errors_cleanly(self, tmp_path, capsys):
+        """A regular file in place of the cache directory gets the CLI's
+        clean error contract from the hygiene commands, and is refused
+        before anything (index, lock, temp file) is written beside it."""
+        from repro.cli import main
+
+        bogus = tmp_path / "notes.txt"
+        bogus.write_text("not a database")
+        assert main(["cache", "stats", "--cache-dir", str(bogus)]) == 2
+        assert "cannot open cache" in capsys.readouterr().err
+        prune = ["cache", "prune", "--max-bytes", "0", "--cache-dir", str(bogus)]
+        assert main(prune) == 2
+        assert "cannot open cache" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["notes.txt"]
+        assert bogus.read_text() == "not a database"
