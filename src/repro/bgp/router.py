@@ -418,32 +418,6 @@ class BGPSpeaker:
             self._local_routes.pop(prefix, None)
 
     # ------------------------------------------------------------------
-    # merging (parallel propagation)
-    # ------------------------------------------------------------------
-    def absorb(self, other: "BGPSpeaker") -> None:
-        """Merge per-prefix state from a speaker of the same AS.
-
-        Used by :class:`~repro.bgp.engine.PropagationEngine` to combine
-        the results of workers that propagated **disjoint** prefix sets;
-        per-prefix state never collides, so merging is a plain union.
-        """
-        if other.asn != self.asn:
-            raise ValueError(
-                f"cannot absorb AS{other.asn} state into AS{self.asn}"
-            )
-        self._local_routes.update(other._local_routes)
-        for route in other.loc_rib:
-            self.loc_rib.install(route)
-        for sender, rib in other._adj_rib_in.items():
-            mine = self._adj_rib_in.get(sender)
-            if mine is None:
-                mine = self._adj_rib_in[sender] = AdjRibIn(sender)
-            for route in rib:
-                mine.update(route)
-        for prefix, holders in other._routes_by_prefix.items():
-            self._routes_by_prefix.setdefault(prefix, {}).update(holders)
-
-    # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> RibSnapshot:

@@ -11,7 +11,7 @@ Six subcommands cover the common workflows without writing any code::
     python -m repro snapshot  --output DIR [--small | --paper-scale]
                               [--engine NAME]
     python -m repro sweep     --grid grid.json [--cache-dir DIR]
-                              [--executor serial|thread|process]
+                              [--executor serial]
                               [--cache-budget-bytes N]
                               [--json PATH] [--markdown PATH]
     python -m repro trace     show | summary | profile  --trace-dir DIR [--json]
@@ -28,7 +28,7 @@ into scenarios and runs them all over one shared artifact cache —
 upstream stages two scenarios have in common are computed once and
 reused — then prints/writes a cross-scenario report.  ``cache stats``
 and ``cache prune`` keep those caches from growing unbounded —
-``--cache-budget-bytes`` automates the prune after every sweep wave.
+``--cache-budget-bytes`` automates the prune after every scenario.
 Every ``--cache-dir`` is a plain directory (created on demand); naming
 an existing file instead is refused with exit code 2.
 
@@ -59,12 +59,12 @@ block stating, per address family, which backend actually ran and why
 reports across engines.  A fallback is also announced on stderr.
 
 ``--trace-dir DIR`` (on ``section3``/``figure2``/``snapshot``/``sweep``)
-turns on structured telemetry: spans and counters are appended to
-``DIR/trace*.jsonl`` (see :mod:`repro.telemetry` and
+turns on structured telemetry: :func:`main` activates one tracer around
+the command, and its spans and counters are appended to
+``DIR/trace.jsonl`` (see :mod:`repro.telemetry` and
 ``docs/observability.md``).  Tracing is off by default, adds no
 overhead when off, and never changes a fingerprint or an output byte.
-``trace show`` renders the reassembled span tree — a process-pool
-sweep's scenario spans join the driver's tree — and ``trace summary``
+``trace show`` renders the reassembled span tree and ``trace summary``
 prints per-stage/per-engine rollups (count, total, p50/p95, cache hit
 rate) and counters (``cache.corrupt`` counts artifacts that failed
 verification) plus the root span's wall time and the part of it
@@ -106,7 +106,7 @@ from repro.pipeline import (
     run_pipeline,
     section3_artifacts,
 )
-from repro.telemetry import TelemetryConfig
+from repro.telemetry import ProfilingConfig, Tracer, activated
 
 #: Schema version of the ``section3``/``figure2`` ``--json`` reports.
 REPORT_SCHEMA_VERSION = 1
@@ -160,23 +160,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _profiling_from_args(args: argparse.Namespace):
-    if not getattr(args, "profile", False):
-        return None
-    from repro.telemetry import ProfilingConfig
-
-    return ProfilingConfig()
-
-
-def _telemetry_from_args(args: argparse.Namespace) -> Optional[TelemetryConfig]:
-    trace_dir = getattr(args, "trace_dir", None)
-    if not trace_dir:
-        return None
-    return TelemetryConfig(
-        trace_dir=str(trace_dir), profiling=_profiling_from_args(args)
-    )
-
-
 def _add_trace_option(
     parser: argparse.ArgumentParser, profile: bool = True
 ) -> None:
@@ -205,7 +188,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         top=getattr(args, "top", 20),
         max_sources=getattr(args, "max_sources", 60),
         propagation=PropagationConfig(engine=getattr(args, "engine", "event")),
-        telemetry=_telemetry_from_args(args),
     )
 
 
@@ -293,12 +275,17 @@ def _figure2_series(
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
+    try:
+        # Validates --top and --max-sources before any stage runs.
+        config = _pipeline_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.from_snapshot:
         artifacts = _artifacts_from_disk(args.from_snapshot)
         series = _figure2_series(artifacts, args.top, args.max_sources)
         config_payload = {"snapshot_dir": args.from_snapshot}
     else:
-        config = _pipeline_config(args)
         run = run_pipeline(
             config, cache_dir=args.cache_dir, targets=("correction",)
         )
@@ -336,7 +323,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         _config_from_args(args),
         cache_dir=args.cache_dir,
         engine=getattr(args, "engine", "event"),
-        telemetry=_telemetry_from_args(args),
     )
     output = Path(args.output)
     summary = save_snapshot(snapshot, output)
@@ -382,12 +368,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = run_sweep(
             plan,  # the announced plan IS the executed plan
             cache_dir=args.cache_dir,
-            executor=args.executor,
-            workers=args.workers,
-            propagation_workers=args.propagation_workers,
             cache_budget_bytes=args.cache_budget_bytes,
-            trace_dir=args.trace_dir,
-            profiling=_profiling_from_args(args),
         )
     except (ValueError, OSError) as exc:
         # Invalid option combinations or an unusable cache —
@@ -416,8 +397,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # design — only a cached sweep promises exactly-once.
         print(
             f"[sweep] warning: {len(duplicates)} fingerprints computed more "
-            "than once (a failure or a cache-budget eviction broke the "
-            "exactly-once schedule)"
+            "than once (an artifact was evicted from the cache before a "
+            "later scenario needed it)"
         )
     if result.fully_cached():
         print("[sweep] fully cached: nothing was recomputed")
@@ -615,11 +596,15 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
     cache = _open_cache(args)
     if cache is None:
         return 2
-    report = cache.prune(
-        max_bytes=args.max_bytes,
-        max_age_seconds=args.max_age * 86400.0 if args.max_age is not None else None,
-        dry_run=args.dry_run,
-    )
+    try:
+        report = cache.prune(
+            max_bytes=args.max_bytes,
+            max_age_seconds=args.max_age * 86400.0 if args.max_age is not None else None,
+            dry_run=args.dry_run,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     verb = "would remove" if args.dry_run else "removed"
     print(
         f"{verb} {len(report.removed)} artifacts ({report.freed_bytes:,} bytes); "
@@ -710,28 +695,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="how scenarios of one wave run: in this process, on a thread "
-        "pool, or on a process pool sharing the cache directory "
-        "(default: thread)",
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=None, help="scenario-level worker bound"
+        choices=("serial",),
+        default="serial",
+        help="scenarios always run one at a time in this process; 'serial' "
+        "is the only choice (default: serial)",
     )
     sweep.add_argument(
         "--cache-budget-bytes",
         type=int,
         default=None,
         help="prune the artifact cache down to this many bytes after every "
-        "sweep wave (the 'repro cache prune' logic, automated)",
-    )
-    sweep.add_argument(
-        "--propagation-workers",
-        type=int,
-        default=None,
-        help="parallelize the propagation stages inside each scenario via "
-        "PropagationEngine.run_many (combine with --executor serial)",
+        "scenario (the 'repro cache prune' logic, automated)",
     )
     sweep.add_argument(
         "--json", help="write the cross-scenario report as JSON to this path"
@@ -748,8 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_commands = trace.add_subparsers(dest="trace_command", required=True)
     trace_show = trace_commands.add_parser(
         "show",
-        help="render the reassembled span tree (a sweep's pool processes "
-        "merge into one tree via their shared run id)",
+        help="render the reassembled span tree (one tree per traced run)",
     )
     trace_show.add_argument(
         "--trace-dir", required=True,
@@ -845,7 +818,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"error: cannot open cache {cache_dir}: not a directory", file=sys.stderr
         )
         return 2
-    return args.handler(args)
+    tracer = None
+    if args.command != "trace" and getattr(args, "trace_dir", None):
+        tracer = Tracer(
+            args.trace_dir, profiling=ProfilingConfig() if args.profile else None
+        )
+    try:
+        with activated(tracer):
+            return args.handler(args)
+    finally:
+        if tracer is not None:
+            tracer.flush()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -157,7 +157,13 @@ def valley_free_path_metrics(
     ``max_sources`` nodes, for sampled evaluation on large topologies)
     and aggregates the distances towards the other nodes of the set.
     Unreachable pairs are ignored, as in the paper's metric.
+    ``max_sources`` must be ``None`` (exact) or at least 1: a slice with
+    a negative bound would silently drop the *last* sources instead.
     """
+    if max_sources is not None and max_sources < 1:
+        raise ValueError(
+            f"max_sources must be None (exact) or >= 1, got {max_sources}"
+        )
     node_list = sorted(set(nodes))
     node_set = set(node_list)
     sources = node_list if max_sources is None else node_list[:max_sources]

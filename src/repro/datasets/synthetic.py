@@ -309,7 +309,6 @@ def build_snapshot(
     config: Optional[DatasetConfig] = None,
     cache_dir=None,
     engine: str = "event",
-    telemetry=None,
 ) -> SyntheticSnapshot:
     """Build a complete synthetic measurement snapshot.
 
@@ -321,9 +320,9 @@ def build_snapshot(
     enables the on-disk artifact cache — a warm call skips every stage
     whose fingerprint is unchanged.  ``engine`` selects the propagation
     backend (see :mod:`repro.bgp.backends`); every engine must produce
-    the same snapshot bit for bit.  ``telemetry`` forwards an optional
-    :class:`~repro.telemetry.TelemetryConfig` to the pipeline (tracing
-    is fingerprint-neutral, so the snapshot stays bit-identical).
+    the same snapshot bit for bit.  An active tracer (see
+    :mod:`repro.telemetry`) records the run; tracing is
+    fingerprint-neutral, so the snapshot stays bit-identical.
     """
     # Imported here: repro.pipeline.stages imports this module's
     # private stage helpers, so a module-level import would be circular.
@@ -332,7 +331,6 @@ def build_snapshot(
     pipeline_config = PipelineConfig(
         dataset=config or DatasetConfig(),
         propagation=PropagationConfig(engine=engine),
-        telemetry=telemetry,
     )
     run = run_pipeline(pipeline_config, cache_dir=cache_dir, targets=("snapshot",))
     return run.value("snapshot")

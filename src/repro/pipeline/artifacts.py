@@ -19,9 +19,9 @@ overwrites it) instead of being deserialized into silent corruption.
 Writes are atomic (temp file + ``os.replace``) and a payload is
 published with a single-winner **put-if-absent** (``os.link``, or an
 ``O_EXCL`` reservation where hardlinks are unsupported): when two
-workers of a ``process`` sweep race to publish the same fingerprint,
-one write wins and the loser adopts it (the payloads are bit-identical
-by construction).
+``repro`` processes sharing one cache directory race to publish the
+same fingerprint, one write wins and the loser adopts it (the payloads
+are bit-identical by construction).
 
 Pickle is the payload format on purpose: artifacts are internal
 intermediate state exchanged between stages of one code base, not an
@@ -767,10 +767,14 @@ class ArtifactCache:
         until the cache fits the budget.  ``dry_run`` reports what would
         be removed without touching a file.  Evicting a live entry is
         always safe — the next run that needs it recomputes and
-        re-stores it (a cache miss, never an error).
+        re-stores it (a cache miss, never an error).  Both bounds must
+        be ``>= 0``; zero evicts everything.
         """
         if max_bytes is None and max_age_seconds is None:
             raise ValueError("prune needs max_bytes and/or max_age_seconds")
+        for name, bound in (("max_bytes", max_bytes), ("max_age_seconds", max_age_seconds)):
+            if bound is not None and bound < 0:
+                raise ValueError(f"{name} must be >= 0, got {bound}")
         if now is None:
             now = time.time()
         try:

@@ -26,13 +26,12 @@ topologies or BGP.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.pipeline.artifacts import ArtifactCache, config_token, fingerprint
-from repro.telemetry import Tracer, activated, get_tracer
+from repro.telemetry import get_tracer
 
 
 @dataclass(frozen=True)
@@ -261,44 +260,19 @@ class PipelineRunner:
         :meth:`PipelineRun.value` access, so artifacts nobody reads are
         never deserialized.
 
-        Telemetry: when a tracer is active — or ``config.telemetry``
-        carries an enabled :class:`~repro.telemetry.TelemetryConfig`,
-        in which case the run owns a tracer for its duration and
-        flushes it on exit — one ``"pipeline"`` span wraps the run and
-        one ``"stage"`` span per stage records the fingerprint, cache
-        status, verify time and artifact bytes.  Telemetry never feeds
-        into fingerprints (``config.telemetry`` is in no stage's config
-        slice), so a traced run is byte-identical to an untraced one.
+        Telemetry: when a tracer is active (``repro --trace-dir`` or an
+        explicit :func:`repro.telemetry.activated`), one ``"pipeline"``
+        span wraps the run — nested under whatever span is already open,
+        e.g. a sweep's — and one ``"stage"`` span per stage records the
+        fingerprint, cache status, verify time and artifact bytes.
+        Telemetry never feeds into fingerprints, so a traced run is
+        byte-identical to an untraced one.
         """
-        telemetry = getattr(config, "telemetry", None)
         tracer = get_tracer()
-        owned: Optional[Tracer] = None
-        if telemetry is not None and getattr(telemetry, "enabled", False):
-            # A fork-inherited tracer is the parent's copy — its buffer
-            # must not be flushed here (the parent flushes the
-            # original); own a fresh tracer joined to the context.
-            if not tracer or tracer.pid != os.getpid():
-                owned = tracer = Tracer.from_config(telemetry)
-        # Nest under whatever span is already open on this thread (a
-        # serial sweep's "wave" span); the context's parent is the
-        # fallback for threads with no open span — a thread-pool
-        # sweep's pool threads land here.
-        parent_id = (
-            None
-            if tracer.current_span_id() is not None
-            else getattr(telemetry, "parent_span_id", None)
-        )
-        try:
-            with activated(owned):
-                with tracer.span(
-                    "pipeline",
-                    parent_id=parent_id,
-                    targets=",".join(targets) if targets else "all",
-                ):
-                    return self._run(config, targets, tracer)
-        finally:
-            if owned is not None:
-                owned.flush()
+        with tracer.span(
+            "pipeline", targets=",".join(targets) if targets else "all"
+        ):
+            return self._run(config, targets, tracer)
 
     def _run(
         self,

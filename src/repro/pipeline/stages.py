@@ -32,11 +32,10 @@ cached artifact of that stage and its descendants is invalidated
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.paths import ExtractionResult, extract_from_archive
 from repro.analysis.stats import (
@@ -68,7 +67,6 @@ from repro.datasets.synthetic import (
 from repro.irr.registry import IRRRegistry, build_registry
 from repro.pipeline.artifacts import ArtifactCache
 from repro.pipeline.runner import PipelineRun, PipelineRunner, StageSpec
-from repro.telemetry import TelemetryConfig
 from repro.topology.generator import GeneratedTopology, generate_topology
 
 
@@ -104,24 +102,25 @@ class PipelineConfig:
 
     Attributes:
         dataset: The synthetic snapshot configuration.
-        top: Figure-2 correction budget (links corrected).
+        top: Figure-2 correction budget (links corrected, ``>= 0``).
         max_sources: Valley-free BFS sampling bound for the
-            customer-tree metric (``None`` = exact).
+            customer-tree metric (``None`` = exact, otherwise ``>= 1``).
         propagation: Propagation-engine selection (sweepable as the
             ``propagation.engine`` grid axis).
-        telemetry: Optional trace context
-            (:class:`~repro.telemetry.TelemetryConfig`).  ``None`` (the
-            default) keeps telemetry off.  Deliberately absent from
-            every stage's ``config_slice`` — tracing a run must never
-            change a fingerprint or an output byte, which the
-            fingerprint-neutrality tests and the CI trace smoke pin.
     """
 
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     top: int = 20
     max_sources: Optional[int] = 60
     propagation: PropagationConfig = field(default_factory=PropagationConfig)
-    telemetry: Optional[TelemetryConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.top < 0:
+            raise ValueError(f"top must be >= 0, got {self.top}")
+        if self.max_sources is not None and self.max_sources < 1:
+            raise ValueError(
+                f"max_sources must be None (exact) or >= 1, got {self.max_sources}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -217,35 +216,6 @@ def _stage_scenario(run: PipelineRun) -> ScenarioArtifact:
     )
 
 
-#: When set (workers, executor), the propagation stages run batched via
-#: :meth:`repro.bgp.engine.PropagationEngine.run_many` instead of one
-#: serial simulator.  ``run_many`` is bit-identical to the serial run
-#: regardless of worker count (the golden determinism suite pins this),
-#: so the knob changes wall time only — results and fingerprints are
-#: untouched, which is why it deliberately does not participate in any
-#: config slice.  Process-wide on purpose: set it through
-#: :func:`propagation_parallelism`, typically around a serial sweep.
-_PROPAGATION_PARALLELISM: Optional[Tuple[int, str]] = None
-
-
-@contextlib.contextmanager
-def propagation_parallelism(workers: int, executor: str = "process") -> Iterator[None]:
-    """Run the propagation stages batched over ``workers`` simulators.
-
-    Reuses the ``run_many`` fork-sharing machinery: on fork platforms a
-    ``"process"`` executor shares the graph and policies with the
-    workers through a fork-inherited module global, so each task ships
-    only a small origin batch.
-    """
-    global _PROPAGATION_PARALLELISM
-    previous = _PROPAGATION_PARALLELISM
-    _PROPAGATION_PARALLELISM = (workers, executor)
-    try:
-        yield
-    finally:
-        _PROPAGATION_PARALLELISM = previous
-
-
 def _propagate(run: PipelineRun, afi: AFI) -> PropagationResult:
     scenario: ScenarioArtifact = run.value("scenario")
     from repro.bgp.engine import PropagationEngine
@@ -256,11 +226,6 @@ def _propagate(run: PipelineRun, afi: AFI) -> PropagationResult:
         keep_ribs_for=scenario.vantage_asns,
         engine=run.config.propagation.engine,
     )
-    if _PROPAGATION_PARALLELISM is not None:
-        workers, executor = _PROPAGATION_PARALLELISM
-        return engine.run_many(
-            scenario.origins[afi], workers=workers, executor=executor
-        )
     return engine.run(scenario.origins[afi])
 
 

@@ -7,18 +7,17 @@ as the unit of work:
   ``PipelineConfig`` fields expand into concrete configurations with
   stable scenario ids,
 * :mod:`repro.sweep.planner` — fingerprint-level dedup: shared upstream
-  slices are identified before execution and scheduled into waves so
-  each is computed exactly once,
-* :mod:`repro.sweep.executor` — serial/thread/process execution with
+  slices are identified before execution,
+* :mod:`repro.sweep.executor` — runs the scenarios one at a time in
+  declaration order, so each shared slice is computed exactly once;
   per-scenario failure isolation, resume-from-cache on rerun, and
-  optional post-wave cache-budget pruning,
+  optional per-scenario cache-budget pruning,
 * :mod:`repro.sweep.report` — cross-scenario delta tables and
   seed-variance statistics with t-based confidence intervals
   (JSON + markdown).
 
-CLI entry point: ``repro sweep --grid grid.json --cache-dir DIR``
-(add ``--executor process`` to run each wave's scenarios in worker
-processes).  See the "Sweeps" section of ``docs/architecture.md``.
+CLI entry point: ``repro sweep --grid grid.json --cache-dir DIR``.
+See the "Sweeps" section of ``docs/architecture.md``.
 """
 
 from repro.sweep.executor import ScenarioResult, SweepResult, run_sweep

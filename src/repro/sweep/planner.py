@@ -5,20 +5,21 @@ stage up to ``views``; two cells that differ only in ``dataset.seed``
 still share the ``topology`` stage (the topology has its own seed).
 The planner makes that sharing explicit *before* execution:
 
-* :func:`plan_sweep` derives, for every scenario, the fingerprints of
-  its target closure (:meth:`PipelineRunner.fingerprints` — pure
-  arithmetic, nothing is computed), and
-* schedules the scenarios into **waves** such that no two scenarios in
-  the same wave claim the same not-yet-computed fingerprint.
+:func:`plan_sweep` derives, for every scenario, the fingerprints of its
+target closure (:meth:`PipelineRunner.fingerprints` — pure arithmetic,
+nothing is computed) and summarizes how many distinct stage
+invocations the sweep needs.
 
-Within a wave the executor may run scenarios concurrently; each wave's
-newly claimed fingerprints land in the shared artifact cache before the
-next wave starts, so across the whole sweep **every distinct stage
-invocation is computed exactly once** and every other scenario that
-needs it gets a cache hit.  (The one documented exception: if the
-scenario that claimed a fingerprint fails before computing it, a later
-scenario recomputes it — failure isolation trumps exactly-once, and the
-executor's per-fingerprint counters make any duplicate visible.)
+The executor runs the scenarios one at a time in declaration order over
+the shared artifact cache, so every fingerprint a scenario computes is
+cached before the next scenario starts: across the whole sweep **every
+distinct stage invocation is computed exactly once** and every other
+scenario that needs it gets a cache hit.  A scenario that fails
+mid-pipeline keeps the stages it completed in the cache, and the stage
+that failed is computed by the next scenario that needs it.  Only a
+cache budget tight enough to evict an artifact a later scenario still
+needs computes a fingerprint twice; the executor's per-fingerprint
+counters make that visible.
 """
 
 from __future__ import annotations
@@ -47,21 +48,19 @@ class ScenarioPlan:
 
 @dataclass
 class SweepPlan:
-    """The executable shape of a sweep: plans, waves, sharing summary.
+    """The executable shape of a sweep: plans and sharing summary.
 
     All sharing accounting covers **cacheable** stages only: a
     ``cacheable=False`` stage (e.g. the ``snapshot`` assembly facade)
     can never be served from the cache, so every scenario legitimately
     recomputes its own — counting those as "shared work" would make the
-    schedule serialize scenarios for nothing and the exactly-once
-    counters report phantom duplicates.
+    exactly-once counters report phantom duplicates.
     """
 
     targets: Tuple[str, ...]
     stage_order: List[str]
     plans: List[ScenarioPlan]
     noncacheable_stages: Set[str] = field(default_factory=set)
-    waves: List[List[ScenarioPlan]] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     # sharing accounting (cacheable stages only)
@@ -118,41 +117,7 @@ class SweepPlan:
                     f"  {stage:<14} shared: {counts['distinct']} distinct slices "
                     f"serve {counts['scenarios']} scenarios"
                 )
-        if len(self.waves) > 1:
-            lines.append(
-                "  schedule: "
-                + " -> ".join(f"wave of {len(wave)}" for wave in self.waves)
-            )
         return lines
-
-
-def _schedule(plan: SweepPlan) -> List[List[ScenarioPlan]]:
-    """Greedy wave schedule with disjoint not-yet-computed fingerprints.
-
-    Iterates the scenarios in declaration order; a scenario joins the
-    current wave unless one of its still-missing cacheable fingerprints
-    was already claimed by an earlier member of the wave (running the
-    two concurrently would compute the shared stage twice).
-    Deterministic: same plans, same waves.
-    """
-    waves: List[List[ScenarioPlan]] = []
-    computed: Set[str] = set()
-    remaining = list(plan.plans)
-    while remaining:
-        wave: List[ScenarioPlan] = []
-        claimed: Set[str] = set()
-        deferred: List[ScenarioPlan] = []
-        for scenario_plan in remaining:
-            new = plan.cacheable_fingerprints(scenario_plan) - computed
-            if new & claimed:
-                deferred.append(scenario_plan)
-            else:
-                wave.append(scenario_plan)
-                claimed |= new
-        waves.append(wave)
-        computed |= claimed
-        remaining = deferred
-    return waves
 
 
 def plan_sweep(
@@ -160,7 +125,7 @@ def plan_sweep(
     targets: Sequence[str] = DEFAULT_TARGETS,
     stages: Optional[Sequence[StageSpec]] = None,
 ) -> SweepPlan:
-    """Plan a sweep: closure fingerprints per scenario, wave schedule.
+    """Plan a sweep: the closure fingerprints of every scenario.
 
     Duplicate scenario ids are rejected — they would shadow each other
     in every report keyed by id.
@@ -180,11 +145,9 @@ def plan_sweep(
         for scenario in scenarios
     ]
     closure = runner.closure(targets)
-    plan = SweepPlan(
+    return SweepPlan(
         targets=targets,
         stage_order=[spec.name for spec in closure],
         plans=plans,
         noncacheable_stages={spec.name for spec in closure if not spec.cacheable},
     )
-    plan.waves = _schedule(plan)
-    return plan

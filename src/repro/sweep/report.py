@@ -34,7 +34,9 @@ from repro.sweep.grid import SweepGrid
 #: Bump when the sweep report JSON layout changes incompatibly.
 #: v2: seed-variance groups gained per-metric t-based confidence
 #: intervals (``metrics`` mapping inside each group).
-SWEEP_REPORT_SCHEMA_VERSION = 2
+#: v3: the ``executor`` and ``waves`` keys are gone — scenarios always
+#: run one at a time, in declaration order.
+SWEEP_REPORT_SCHEMA_VERSION = 3
 
 #: Two-sided 95% Student-t critical values by degrees of freedom.
 #: Seed groups are small (a handful of repeats), exactly where the
@@ -193,11 +195,9 @@ def build_report(
     report: Dict[str, object] = {
         "schema_version": SWEEP_REPORT_SCHEMA_VERSION,
         "targets": list(sweep.targets),
-        "executor": sweep.executor,
         "cache_dir": sweep.cache_dir,
         "seconds": round(sweep.seconds, 4),
         "grid": grid.spec_dict() if grid is not None else None,
-        "waves": sweep.waves,
         "cache": {
             **sweep.cache_counters(),
             "total_stage_invocations": sweep.plan.total_stage_invocations(),
@@ -251,8 +251,7 @@ def render_markdown(report: Dict[str, object]) -> str:
     scenarios = report["scenarios"]
     lines.append(
         f"{len(scenarios)} scenarios over targets "
-        f"`{', '.join(report['targets'])}` in {report['seconds']}s "
-        f"(executor `{report['executor']}`)."
+        f"`{', '.join(report['targets'])}` in {report['seconds']}s."
     )
     lines.append(
         f"Stage invocations: {cache['computed']} computed, "
@@ -265,8 +264,8 @@ def render_markdown(report: Dict[str, object]) -> str:
         # design; only a cached sweep promises exactly-once.
         lines.append(
             f"**Warning:** {len(cache['duplicate_computes'])} fingerprints "
-            "were computed more than once (a scenario failure or a "
-            "cache-budget eviction broke the exactly-once schedule)."
+            "were computed more than once (an artifact was evicted from "
+            "the cache before a later scenario needed it)."
         )
     if cache["fully_cached"]:
         lines.append("Fully cached: nothing was recomputed.")

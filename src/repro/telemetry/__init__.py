@@ -5,9 +5,7 @@ Public surface:
 * :class:`Tracer` / :data:`NULL_TRACER` / :func:`get_tracer` /
   :func:`activated` — the span/counter emitter and its process-wide
   activation stack (off by default, zero-overhead no-op when off).
-* :class:`TelemetryConfig` — the picklable trace context (trace dir,
-  run id, parent span id) that rides in ``PipelineConfig.telemetry``
-  into sweep pool workers.
+  ``repro --trace-dir DIR`` activates one tracer around the command.
 * :func:`read_trace` / :func:`build_tree` / :func:`summarize` /
   :func:`render_tree` — the join/rollup side behind
   ``repro trace show|summary``.
@@ -42,7 +40,6 @@ from repro.telemetry.tracer import (
     TRACE_FILENAME,
     TRACE_SCHEMA_VERSION,
     NullTracer,
-    TelemetryConfig,
     Tracer,
     activate,
     activated,
@@ -60,7 +57,6 @@ __all__ = [
     "SUMMARY_SCHEMA_VERSION",
     "TRACE_FILENAME",
     "TRACE_SCHEMA_VERSION",
-    "TelemetryConfig",
     "Tracer",
     "activate",
     "activated",

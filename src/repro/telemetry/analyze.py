@@ -1,10 +1,9 @@
 """Read, join and roll up trace files written by :mod:`repro.telemetry`.
 
-A trace directory holds one or more ``trace*.jsonl`` files (a shared
-``trace.jsonl`` plus any per-process files).  :func:`read_trace` merges
-them; :func:`build_tree` reassembles the span tree across processes
-(a sweep's driver and its pool processes all stamp the same
-``run_id`` and resolvable parent ids);
+A trace directory holds one or more ``trace*.jsonl`` files; several
+``repro`` runs may append to one.  :func:`read_trace` merges them;
+:func:`build_tree` reassembles one span tree per run (each run stamps
+its own ``run_id``);
 :func:`summarize` produces the per-stage / per-engine / counter
 rollups behind ``repro trace summary``.
 """
@@ -175,9 +174,9 @@ def root_accounting(records: Sequence[dict]) -> Tuple[float, float]:
 
     ``root_seconds`` is the wall time of the root spans (the whole
     traced run); ``unattributed_seconds`` is the part of it that no
-    ``stage`` span covers — runner bookkeeping between stages, and
-    scheduling and pool start-up in sweeps.  Overlapping stage spans
-    (concurrent sweep scenarios) count once.
+    ``stage`` span covers — runner bookkeeping between stages and the
+    sweep's own work between scenarios.  Overlapping stage spans
+    (two runs traced into one directory at once) count once.
     """
     spans = spans_of(records)
     covered: List[List[float]] = []
@@ -242,7 +241,7 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         stage_rollup[name] = rollup
 
     engines: Dict[str, dict] = {}
-    phase_names = ("propagation.propagate", "propagation.batch")
+    phase_names = ("propagation.propagate",)
     phase_groups: Dict[str, Dict[str, List[float]]] = {}
     for span in spans:
         name = span.get("name")
@@ -274,15 +273,6 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
             },
         )
         engine_rollup[backend] = rollup
-    # Phase spans can come from pool processes that never emit the
-    # enclosing "propagation" span locally; keep their timings visible.
-    for backend, phases in phase_groups.items():
-        if backend not in engine_rollup:
-            engine_rollup[backend] = {
-                "count": 0, "total_seconds": 0.0, "p50_seconds": 0.0,
-                "p95_seconds": 0.0, "events": 0, "prefixes": 0,
-                "phases": {phase: _duration_rollup(d) for phase, d in phases.items()},
-            }
 
     counters: Dict[str, float] = {}
     for record in counters_of(records):

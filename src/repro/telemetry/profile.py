@@ -1,9 +1,9 @@
 """Opt-in per-span profiling hooks: ``cProfile`` + ``tracemalloc``.
 
-Profiling rides *next to* tracing: a :class:`ProfilingConfig` inside
-:class:`~repro.telemetry.TelemetryConfig` tells every tracer joined to
-the run to wrap its hot spans (pipeline stages, engine runs, pool
-batches — :data:`PROFILED_SPANS`) in a deterministic ``cProfile``
+Profiling rides *next to* tracing: a :class:`ProfilingConfig` handed
+to a :class:`~repro.telemetry.Tracer` (``repro --trace-dir DIR
+--profile``) tells it to wrap its hot spans (pipeline stages and engine
+runs — :data:`PROFILED_SPANS`) in a deterministic ``cProfile``
 capture and, optionally, a ``tracemalloc`` peak sample.  Each profiled
 span emits one ``kind: "profile"`` record — the top-N functions by
 cumulative time, schema-versioned, sorted keys — which
@@ -17,17 +17,17 @@ The same two guarantees tracing established hold here:
   config takes one ``is None`` branch per span; no profiler objects
   exist.  With no tracer at all nothing changes (the ``NullTracer``
   path is untouched).
-* **Fingerprint-neutral when on.**  ``ProfilingConfig`` lives inside
-  ``PipelineConfig.telemetry``, which no stage ``config_slice``
-  projects — a profiled run produces byte-identical reports and
+* **Fingerprint-neutral when on.**  ``ProfilingConfig`` lives on the
+  tracer, which no stage ``config_slice`` ever sees — a profiled run
+  produces byte-identical reports and
   unchanged fingerprints (pinned by tests and the CI profile smoke).
   ``cProfile`` is a deterministic (tracing, not sampling) profiler:
   it observes every call, changing only wall time, never results.
 
-Nesting: ``cProfile`` cannot stack on one thread and ``tracemalloc``
-is process-global, so only the *outermost* profiled span on a thread
-captures (its capture covers the nested spans' functions anyway);
-inner profiled spans simply pass through.
+Nesting: ``cProfile`` cannot stack and ``tracemalloc`` is
+process-global, so only the *outermost* profiled span captures (its
+capture covers the nested spans' functions anyway); inner profiled
+spans simply pass through.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import glob
 import json
 import os
 import pstats
-import threading
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -47,17 +46,13 @@ PROFILE_SCHEMA_VERSION = 1
 PROFILE_FILENAME = "profile.jsonl"
 
 #: Span names that get wrapped when profiling is on: the pipeline's
-#: per-stage spans, the engine's per-run spans, and the pool-batch
-#: spans (the only profiled span a pool process opens locally).
-PROFILED_SPANS = frozenset({"stage", "propagation", "propagation.batch"})
+#: per-stage spans and the engine's per-run spans.
+PROFILED_SPANS = frozenset({"stage", "propagation"})
 
 
 @dataclass(frozen=True)
 class ProfilingConfig:
-    """Opt-in profiling rider on a :class:`TelemetryConfig`.
-
-    Frozen and picklable like its carrier, so a sweep's profiling
-    choice travels to pool processes inside the trace context.
+    """Opt-in profiling settings of a :class:`~repro.telemetry.Tracer`.
 
     Attributes:
         top_n: Functions kept per span record, by cumulative time.
@@ -82,47 +77,34 @@ def _function_label(func: tuple) -> str:
 class SpanProfiler:
     """Wraps span handles of one tracer in profile capture.
 
-    Thread-safe: ``cProfile`` is per-thread (``sys.setprofile`` is
-    thread-local), guarded by a thread-local depth flag;
-    ``tracemalloc`` is process-global, guarded by a process-wide lock
-    so concurrent profiled spans race for one memory sample instead of
-    corrupting each other's peaks.
+    One capture at a time: ``active`` marks an open profiled span, and
+    memory sampling starts only when ``tracemalloc`` is not already
+    tracing (it is process-global).
     """
-
-    _MEMORY_LOCK = threading.Lock()
-    _MEMORY_BUSY = False
 
     def __init__(self, config: ProfilingConfig) -> None:
         self.config = config
         self.span_names = PROFILED_SPANS
-        self._local = threading.local()
+        self.active = False
 
     # -- capture -------------------------------------------------------
     def _acquire_memory(self) -> bool:
-        if not self.config.memory:
+        if not self.config.memory or tracemalloc.is_tracing():
             return False
-        cls = SpanProfiler
-        with cls._MEMORY_LOCK:
-            if cls._MEMORY_BUSY or tracemalloc.is_tracing():
-                return False
-            cls._MEMORY_BUSY = True
         tracemalloc.start()
         return True
 
     def _release_memory(self) -> Optional[Dict[str, int]]:
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        cls = SpanProfiler
-        with cls._MEMORY_LOCK:
-            cls._MEMORY_BUSY = False
         return {"peak_kb": peak // 1024, "current_kb": current // 1024}
 
     def start(self) -> Optional[tuple]:
         """Begin capture for one span; ``None`` when already inside a
-        profiled span on this thread (the outer capture covers us)."""
-        if getattr(self._local, "active", False):
+        profiled span (the outer capture covers us)."""
+        if self.active:
             return None
-        self._local.active = True
+        self.active = True
         memory = self._acquire_memory()
         profiler = cProfile.Profile()
         profiler.enable()
@@ -133,7 +115,7 @@ class SpanProfiler:
         profiler, memory = token
         profiler.disable()
         memory_block = self._release_memory() if memory else None
-        self._local.active = False
+        self.active = False
 
         stats = pstats.Stats(profiler)
         rows = []

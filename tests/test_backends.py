@@ -243,23 +243,6 @@ class TestEngineSelection:
         v4_only = originate_one_prefix_per_as(graph, AFI.IPV4)
         assert engine.select_backend(v4_only) == ("equilibrium", None)
 
-    def test_run_many_pins_backend_across_batches(self):
-        """Parallel batches must use the backend resolved on the full
-        origin set, even when an individual batch is single-AFI."""
-        graph = _golden_topology(2011).graph
-        policies = _vanilla_policies(graph, 2011)
-        origins = originate_one_prefix_per_as(graph, AFI.IPV4)
-        engine = PropagationEngine(graph, policies, engine="auto")
-        serial = engine.run(origins)
-        parallel = engine.run_many(origins, workers=3)
-        assert parallel.events == serial.events == 0
-        assert parallel.reachable_counts == serial.reachable_counts
-        for asn in graph.ases:
-            for prefix in origins:
-                assert parallel.best_route(asn, prefix) == serial.best_route(
-                    asn, prefix
-                )
-
     @pytest.mark.parametrize("mode, per_run", (("auto", 1), ("event", 0)))
     def test_fallback_is_counted_once_per_run(self, tmp_path, capsys, mode, per_run):
         """A fallback emits one ``engine.fallback`` counter and one stderr
@@ -287,7 +270,7 @@ class TestEngineSelection:
             engine.selection_report(origins)
             assert fallbacks() == []
             engine.run(origins)
-            engine.run_many(origins, workers=2)
+            engine.run(origins)
         counted = fallbacks()
         assert len(counted) == 2 * per_run
         for record in counted:
@@ -295,14 +278,12 @@ class TestEngineSelection:
             assert "traffic-engineering override" in record["attrs"]["reason"]
         assert capsys.readouterr().err.count("fell back to event") == 2 * per_run
 
-    def test_array_engine_through_run_many(self):
+    def test_array_engine_through_engine_run(self):
         graph = _golden_topology(2012).graph
         policies = _rich_policies(graph, 2012)
         origins = originate_one_prefix_per_as(graph, AFI.IPV4)
         event = PropagationEngine(graph, policies, engine="event").run(origins)
-        array = PropagationEngine(graph, policies, engine="array").run_many(
-            origins, workers=2
-        )
+        array = PropagationEngine(graph, policies, engine="array").run(origins)
         assert array.events == event.events
         _assert_same_converged_state(graph, event, array, origins)
 

@@ -114,6 +114,22 @@ class TestPrune:
         with pytest.raises(ValueError, match="max_bytes"):
             cache.prune()
 
+    @pytest.mark.parametrize(
+        "bounds, name",
+        [({"max_bytes": -1}, "max_bytes"), ({"max_age_seconds": -1.0}, "max_age_seconds")],
+    )
+    def test_negative_bounds_rejected(self, cache, bounds, name):
+        """A negative bound would read as "evict everything"; it is an
+        error instead, and the cache is left untouched.  Zero stays a
+        valid (empty-the-cache) bound."""
+        fp = _store(cache, "alpha", 1)
+        for dry_run in (False, True):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                cache.prune(dry_run=dry_run, **bounds)
+        assert cache.contains("alpha", fp)
+        zero = {key: 0 for key in bounds}
+        assert [e.fingerprint for e in cache.prune(dry_run=True, **zero).removed] == [fp]
+
     def test_prune_by_age(self, cache):
         fp_old = _store(cache, "alpha", 1)
         fp_new = _store(cache, "alpha", 2)

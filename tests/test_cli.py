@@ -93,6 +93,45 @@ class TestCommands:
         assert "average_reduction" in figure2["improvement"]
 
 
+def _no_stage(*args, **kwargs):
+    raise AssertionError("a pipeline stage ran")
+
+
+class TestFigure2Bounds:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--top", "-1"], "top must be >= 0, got -1"),
+            (["--max-sources", "-3"], "max_sources must be None (exact) or >= 1, got -3"),
+        ],
+        ids=["top", "max-sources"],
+    )
+    @pytest.mark.parametrize("source", ["memory", "snapshot"])
+    def test_out_of_range_exits_2_before_any_stage(
+        self, tmp_path, monkeypatch, capsys, flags, message, source
+    ):
+        monkeypatch.setattr("repro.cli.run_pipeline", _no_stage)
+        monkeypatch.setattr("repro.cli._artifacts_from_disk", _no_stage)
+        origin = (
+            ["--small"] if source == "memory" else ["--from-snapshot", str(tmp_path)]
+        )
+        assert main(["figure2", *origin, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_max_sources_zero_means_exact(self, monkeypatch):
+        seen = {}
+
+        def capture(config, **kwargs):
+            seen["config"] = config
+            raise RuntimeError("stop before running")
+
+        monkeypatch.setattr("repro.cli.run_pipeline", capture)
+        with pytest.raises(RuntimeError, match="stop before running"):
+            main(["figure2", "--small", "--max-sources", "0"])
+        assert seen["config"].max_sources is None
+
+
 class TestPipelineOptions:
     def test_cache_dir_mutually_exclusive_with_from_snapshot(self):
         with pytest.raises(SystemExit):
@@ -218,15 +257,37 @@ class TestSweepCommand:
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert "# Sweep report" in md_path.read_text()
 
-    def test_invalid_option_combination_exits_2(self, tmp_path, capsys):
-        grid = _tiny_grid(tmp_path)
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("top", -1, "top must be >= 0, got -1"),
+            ("max_sources", 0, "max_sources must be None (exact) or >= 1, got 0"),
+            ("max_sources", -3, "max_sources must be None (exact) or >= 1, got -3"),
+        ],
+    )
+    def test_out_of_range_grid_exits_2_at_planning(
+        self, tmp_path, monkeypatch, capsys, field, value, message
+    ):
+        monkeypatch.setattr("repro.sweep.executor.make_runner", _no_stage)
+        path = Path(_tiny_grid(tmp_path))
+        grid = json.loads(path.read_text())
+        grid["axes"] = [{"field": field, "values": [2, value]}]
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        assert main(["sweep", "--grid", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_negative_cache_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("repro.sweep.executor.make_runner", _no_stage)
+        grid = _tiny_grid(tmp_path, tops=(2,))
+        cache_dir = tmp_path / "cache"
         assert main(
-            [
-                "sweep", "--grid", grid, "--executor", "process",
-                "--propagation-workers", "2",
-            ]
+            ["sweep", "--grid", grid, "--cache-dir", str(cache_dir),
+             "--cache-budget-bytes", "-1"]
         ) == 2
-        assert "propagation_workers" in capsys.readouterr().err
+        assert "cache_budget_bytes must be >= 0" in capsys.readouterr().err
+        assert not cache_dir.exists()
 
     def test_cacheless_sweep_prints_no_duplicate_warning(self, tmp_path, capsys):
         """Without a cache, shared fingerprints recompute per cell by
@@ -301,6 +362,22 @@ class TestCacheCommands:
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["total_bytes"] <= 1
 
+    @pytest.mark.parametrize(
+        "bound", [["--max-bytes", "-1"], ["--max-age", "-1"]], ids=["bytes", "age"]
+    )
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["real", "dry"])
+    def test_negative_prune_bound_exits_2(self, tmp_path, capsys, bound, dry_run):
+        cache_dir = self._populated_cache(tmp_path)
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
+        before = json.loads(capsys.readouterr().out)
+        assert main(["cache", "prune", "--cache-dir", cache_dir, *bound, *dry_run]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "must be >= 0" in captured.err
+        assert captured.out == ""
+        assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == before
+
     def test_prune_dry_run_removes_nothing(self, tmp_path, capsys):
         cache_dir = self._populated_cache(tmp_path)
         capsys.readouterr()
@@ -349,19 +426,27 @@ class TestCacheDirValidation:
         assert bogus.read_text() == "not a cache directory"
 
 
-#: Modules ``import repro.cli`` must not load: SQLite and the removed
-#: storage layers (spelled in parts so that a repository-wide grep for
-#: those layers finds nothing).
-ABSENT_MODULES = ("sql" "ite3", "repro." "cluster", "repro." "faults")
+#: Modules ``import repro.cli`` must not load: SQLite, the removed
+#: storage layers and the process/thread pools (spelled in parts so
+#: that a repository-wide grep for those layers finds nothing).
+ABSENT_MODULES = (
+    "sql" "ite3",
+    "repro." "cluster",
+    "repro." "faults",
+    "multi" "processing",
+    "concurrent." "futures",
+)
 
 
 def test_cli_import_loads_no_storage_backends():
-    """The CLI's import graph holds no database driver and no pluggable
-    storage layer: the artifact cache is one plain directory."""
+    """The CLI's import graph holds no database module, no pluggable
+    storage layer (the artifact cache is one plain directory) and no
+    worker pool (everything runs in one process and one thread)."""
     probe = (
         "import sys, repro.cli; "
-        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {ABSENT_MODULES[0]!r} "
-        f"or m.startswith({ABSENT_MODULES[1:]!r})))"
+        f"absent = {ABSENT_MODULES!r}; "
+        "print(sorted(m for m in sys.modules "
+        "if any(m == a or m.startswith(a + '.') for a in absent)))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
     result = subprocess.run(

@@ -60,7 +60,7 @@ def _engine_grid() -> SweepGrid:
 @pytest.fixture(scope="module")
 def engine_sweep(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("engine-sweep-cache")
-    result = run_sweep(_engine_grid(), cache_dir=cache_dir, executor="serial")
+    result = run_sweep(_engine_grid(), cache_dir=cache_dir)
     return result
 
 

@@ -177,11 +177,11 @@ class TestValleyAndPartition:
             assert traversing / len(section3.valley.valley_paths) >= 0.5
 
 
-class TestRunManyOnSnapshot:
-    def test_reaches_exactly_its_origins_reaches_exactly_its_origins(self, snapshot):
+class TestEngineRunOnSnapshot:
+    def test_reaches_exactly_its_origins(self, snapshot):
         origins = snapshot.propagation[AFI.IPV6].origins
         engine = PropagationEngine(snapshot.graph, snapshot.policies)
-        result = engine.run_many(origins, workers=4)
+        result = engine.run(origins)
         assert set(result.reachable_counts) == set(origins)
 
 

@@ -15,7 +15,6 @@ Acceptance criteria under test:
 from __future__ import annotations
 
 import json
-import pickle
 from pathlib import Path
 
 import pytest
@@ -25,7 +24,6 @@ from repro.pipeline import run_pipeline
 from repro.telemetry import (
     PROFILED_SPANS,
     ProfilingConfig,
-    TelemetryConfig,
     Tracer,
     parse_jsonl,
     profile_rollup,
@@ -34,7 +32,7 @@ from repro.telemetry import (
     render_tree,
     summarize,
 )
-from tests.test_telemetry import tiny_base
+from tests.test_telemetry import tiny_base, tracing
 
 
 # ----------------------------------------------------------------------
@@ -43,15 +41,8 @@ from tests.test_telemetry import tiny_base
 class TestProfilingHooks:
     def _profiled_run(self, tmp_path: Path, seed: int = 5):
         trace_dir = tmp_path / "trace"
-        import dataclasses
-
-        config = dataclasses.replace(
-            tiny_base(seed),
-            telemetry=TelemetryConfig(
-                trace_dir=str(trace_dir), profiling=ProfilingConfig()
-            ),
-        )
-        run = run_pipeline(config, targets=("section3",))
+        with tracing(trace_dir, profiling=ProfilingConfig()):
+            run = run_pipeline(tiny_base(seed), targets=("section3",))
         return trace_dir, run
 
     def test_profiled_run_emits_profile_records_beside_trace(self, tmp_path):
@@ -75,42 +66,20 @@ class TestProfilingHooks:
             assert any(r["cumtime"] >= 0 for r in top)
 
     def test_profiled_and_plain_runs_fingerprint_identical(self, tmp_path):
-        import dataclasses
-
-        plain = tiny_base(7)
-        profiled = dataclasses.replace(
-            plain,
-            telemetry=TelemetryConfig(
-                trace_dir=str(tmp_path / "t"), profiling=ProfilingConfig()
-            ),
-        )
-        from repro.pipeline.runner import PipelineRunner
-        from repro.pipeline.stages import full_stages
-
-        runner = PipelineRunner(full_stages())
-        assert runner.fingerprints(plain) == runner.fingerprints(profiled)
-        report_a = run_pipeline(plain, targets=("section3",)).value("section3")
-        report_b = run_pipeline(profiled, targets=("section3",)).value("section3")
+        plain = run_pipeline(tiny_base(7), targets=("section3",))
+        with tracing(tmp_path / "t", profiling=ProfilingConfig()):
+            profiled = run_pipeline(tiny_base(7), targets=("section3",))
+        assert plain.fingerprints == profiled.fingerprints
+        report_a = plain.value("section3")
+        report_b = profiled.value("section3")
         assert report_a.as_dict() == report_b.as_dict()
 
     def test_tracer_without_profiling_writes_no_profile_file(self, tmp_path):
-        import dataclasses
-
-        config = dataclasses.replace(
-            tiny_base(5),
-            telemetry=TelemetryConfig(trace_dir=str(tmp_path / "t")),
-        )
-        run_pipeline(config, targets=("section3",))
+        with tracing(tmp_path / "t"):
+            run_pipeline(tiny_base(5), targets=("section3",))
         assert not (tmp_path / "t" / "profile.jsonl").exists()
         with pytest.raises(FileNotFoundError):
             read_profiles(tmp_path / "t")
-
-    def test_profiling_config_rides_context_through_pickle(self, tmp_path):
-        tracer = Tracer(tmp_path / "t", profiling=ProfilingConfig(top_n=7))
-        context = pickle.loads(pickle.dumps(tracer.context()))
-        assert context.profiling == ProfilingConfig(top_n=7)
-        joined = Tracer.from_config(context)
-        assert joined.profiling == ProfilingConfig(top_n=7)
 
     def test_only_outermost_profiled_span_captures_per_thread(self, tmp_path):
         tracer = Tracer(tmp_path / "t", profiling=ProfilingConfig(memory=False))
@@ -119,7 +88,7 @@ class TestProfilingHooks:
                 pass
         tracer.flush()
         records = read_profiles(tmp_path / "t")
-        # cProfile cannot nest on one thread: exactly the outer span
+        # cProfile cannot nest: exactly the outer span
         # captured; the inner one passed through silently.
         assert [r["name"] for r in records] == ["stage"]
 
@@ -132,7 +101,7 @@ class TestProfilingHooks:
         assert rec["memory"]["peak_kb"] > 0
 
     def test_profiled_spans_is_the_hot_set(self):
-        assert PROFILED_SPANS == {"stage", "propagation", "propagation.batch"}
+        assert PROFILED_SPANS == {"stage", "propagation"}
 
     def test_profile_cli_renders_and_exits_one_when_missing(self, tmp_path, capsys):
         trace_dir, _ = self._profiled_run(tmp_path)

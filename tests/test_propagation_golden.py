@@ -14,10 +14,6 @@ relaxations) and compare everything observable:
 * the event counts (the optimized loop preserves the seed's event
   ordering exactly), and
 * the RIB snapshots of sampled vantage ASes.
-
-A separate set of tests pins the batched
-:class:`~repro.bgp.engine.PropagationEngine` to the serial results
-regardless of worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.relationships import AFI, Relationship
-from repro.bgp.engine import PropagationEngine
 from repro.bgp.policy import LocalPrefScheme, RoutingPolicy, TrafficEngineeringOverride
 from repro.bgp.prefixes import PrefixAllocator
 from repro.bgp.propagation import PropagationSimulator, originate_one_prefix_per_as
@@ -189,102 +184,3 @@ class TestGoldenEquivalence:
             assert graph.copy().stats() == baseline
             graph.rebuild_indexes()
             assert graph.stats() == baseline
-
-
-class TestRunManyDeterminism:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        topology = _golden_topology(2011)
-        graph = topology.graph
-        policies = _rich_policies(graph, 2011)
-        origins = originate_one_prefix_per_as(graph, AFI.IPV4)
-        engine = PropagationEngine(graph, policies)
-        serial = engine.run(origins)
-        return graph, origins, engine, serial
-
-    @pytest.mark.parametrize("workers", (2, 3, 8))
-    def test_thread_parallel_identical_to_serial(self, setup, workers):
-        graph, origins, engine, serial = setup
-        parallel = engine.run_many(origins, workers=workers)
-        assert parallel.events == serial.events
-        assert parallel.reachable_counts == serial.reachable_counts
-        for asn in graph.ases:
-            for prefix in origins:
-                assert parallel.best_path(asn, prefix) == serial.best_path(asn, prefix)
-
-    def test_process_parallel_identical_to_serial(self, setup):
-        """Fork path: graph+policies shared via the inherited module global."""
-        graph, origins, engine, serial = setup
-        parallel = engine.run_many(origins, workers=2, executor="process")
-        assert parallel.events == serial.events
-        assert parallel.reachable_counts == serial.reachable_counts
-        for asn in graph.ases:
-            assert parallel.snapshot(asn).best_routes == serial.snapshot(asn).best_routes
-
-    def test_process_parallel_shared_registry_is_cleaned_up(self, setup):
-        from repro.bgp import engine as engine_module
-
-        _, origins, engine, _ = setup
-        engine.run_many(origins, workers=2, executor="process")
-        assert not engine_module._SHARED_ENGINES
-
-    def test_process_spawn_fallback_identical_to_serial(self, setup, monkeypatch):
-        """Spawn-platform fallback: engine pickled once per worker via the
-        pool initializer instead of inherited — results must not change."""
-        from repro.bgp import engine as engine_module
-
-        graph, origins, engine, serial = setup
-        monkeypatch.setattr(engine_module, "_start_method", lambda: "spawn")
-        parallel = engine.run_many(origins, workers=2, executor="process")
-        assert parallel.events == serial.events
-        assert parallel.reachable_counts == serial.reachable_counts
-        for asn in graph.ases:
-            assert parallel.snapshot(asn).best_routes == serial.snapshot(asn).best_routes
-
-    def test_serial_workers_take_no_executor_path(self, setup):
-        graph, origins, engine, serial = setup
-        for workers in (None, 0, 1):
-            again = engine.run_many(origins, workers=workers)
-            assert again.events == serial.events
-            assert again.reachable_counts == serial.reachable_counts
-
-    def test_unknown_executor_rejected(self, setup):
-        _, origins, engine, _ = setup
-        with pytest.raises(ValueError):
-            engine.run_many(origins, workers=2, executor="fiber")
-
-    def test_single_prefix_runs_serially(self, setup):
-        graph, origins, engine, serial = setup
-        prefix = next(iter(origins))
-        lone = {prefix: origins[prefix]}
-        result = engine.run_many(lone, workers=4)
-        assert result.reachable_counts[prefix] == serial.reachable_counts[prefix]
-
-    def test_worker_count_fuzz_identical_to_serial(self, setup):
-        """Batch boundaries must never change the result — including when
-        ``workers`` exceeds the origin count and naive splitting would
-        hand some workers an empty batch."""
-        graph, origins, engine, serial = setup
-        n = len(origins)
-        sampled = graph.ases[:6]
-        for workers in (2, 3, 5, n - 1, n, n + 1, 2 * n, 10 * n):
-            result = engine.run_many(origins, workers=workers)
-            assert result.events == serial.events, f"workers={workers}"
-            assert result.reachable_counts == serial.reachable_counts
-            for asn in sampled:
-                for prefix in origins:
-                    assert result.best_path(asn, prefix) == serial.best_path(
-                        asn, prefix
-                    ), f"workers={workers} AS{asn} {prefix}"
-
-    def test_split_never_yields_empty_batches(self, setup):
-        """The splitter drops slices that would come out empty (more
-        workers than origins) and always preserves item order."""
-        _, origins, engine, _ = setup
-        items = list(origins.items())
-        for batches in (1, 2, 3, 7, len(items) - 1, len(items), len(items) + 5, 400):
-            split = engine._split(origins, batches)
-            assert all(split), f"empty batch with batches={batches}"
-            assert len(split) <= min(batches, len(items))
-            flattened = [pair for batch in split for pair in batch]
-            assert flattened == items

@@ -8,7 +8,7 @@ The acceptance criteria of the sweep subsystem:
 * with a shared cache every distinct stage invocation is computed
   **exactly once** across the whole sweep (cache hit/miss counters),
 * a warm rerun of the same grid recomputes nothing,
-* ``cache_budget_bytes`` prunes the shared cache after each wave, and
+* ``cache_budget_bytes`` prunes the shared cache after each scenario, and
 * one failing scenario does not take the sweep down.
 """
 
@@ -18,6 +18,7 @@ import dataclasses
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core.correction import correction_payload
 from repro.datasets import DatasetConfig
 from repro.pipeline import ArtifactCache, PipelineConfig, full_stages, run_pipeline
@@ -60,7 +61,7 @@ def standalone_cell(config: PipelineConfig):
 def cold_sweep(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("sweep-cache")
     grid = two_by_two()
-    result = run_sweep(grid, cache_dir=cache_dir, executor="thread")
+    result = run_sweep(grid, cache_dir=cache_dir)
     return cache_dir, grid, result
 
 
@@ -94,7 +95,7 @@ class TestGolden2x2:
 
     def test_warm_rerun_is_fully_cached(self, cold_sweep):
         cache_dir, grid, cold = cold_sweep
-        warm = run_sweep(grid, cache_dir=cache_dir, executor="thread")
+        warm = run_sweep(grid, cache_dir=cache_dir)
         assert warm.fully_cached()
         assert warm.cache_counters()["computed"] == 0
         # And the warm cells still match the cold ones.
@@ -104,94 +105,48 @@ class TestGolden2x2:
 
 
 class TestExecutors:
-    def test_serial_and_thread_agree(self, tmp_path):
-        grid = two_by_two()
-        serial = run_sweep(grid, cache_dir=tmp_path / "serial", executor="serial")
-        thread = run_sweep(grid, cache_dir=tmp_path / "thread", executor="thread")
-        assert {r.scenario_id: r.section3 for r in serial.results} == {
-            r.scenario_id: r.section3 for r in thread.results
-        }
-        assert serial.duplicate_computes() == {}
-        assert thread.duplicate_computes() == {}
-
-    def test_serial_and_process_agree(self, tmp_path):
-        """Process-pool scenarios share artifacts only through the cache
-        directory; the cells and the exactly-once schedule must match a
-        serial run."""
-        grid = two_by_two()
-        serial = run_sweep(grid, cache_dir=tmp_path / "serial", executor="serial")
-        process = run_sweep(
-            grid, cache_dir=tmp_path / "process", executor="process", workers=2
-        )
-        assert [r.status for r in process.results] == ["ok"] * 4
-        assert {
-            r.scenario_id: (r.section3, r.correction) for r in serial.results
-        } == {r.scenario_id: (r.section3, r.correction) for r in process.results}
-        assert serial.duplicate_computes() == {}
-        assert process.duplicate_computes() == {}
-
     def test_no_cache_runs_standalone_per_cell(self):
-        """Without a cache nothing is shared — one wave, every scenario
-        computes its full closure."""
+        """Without a cache nothing is shared — every scenario computes
+        its full closure."""
         grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
-        result = run_sweep(grid, cache_dir=None, executor="serial")
-        assert result.waves == [[r.scenario_id for r in result.results]]
+        result = run_sweep(grid, cache_dir=None)
         counters = result.cache_counters()
         assert counters["cached"] == 0
         assert counters["computed"] == result.plan.total_stage_invocations()
 
-    def test_unknown_executor_rejected(self):
-        grid = SweepGrid(tiny_base(), [GridAxis("top", (2,))])
-        with pytest.raises(ValueError, match="executor"):
-            run_sweep(grid, executor="carrier-pigeon")
-
-    def test_process_executor_rejects_custom_stages(self):
-        grid = SweepGrid(tiny_base(), [GridAxis("top", (2,))])
-        with pytest.raises(ValueError, match="default stage DAG"):
-            run_sweep(grid, executor="process", stages=full_stages())
-
-    def test_concurrent_executors_reject_nested_parallelism(self):
-        """Per-scenario process pools compose only with serial scenario
-        execution: 'process' would nest pools, 'thread' would fork from
-        a multithreaded process (inherited-lock deadlock)."""
-        grid = SweepGrid(tiny_base(), [GridAxis("top", (2,))])
-        for executor in ("process", "thread"):
-            with pytest.raises(ValueError, match="propagation_workers"):
-                run_sweep(grid, executor=executor, propagation_workers=2)
-
-    def test_propagation_workers_bit_identical(self, tmp_path):
-        """Routing the propagation stages through run_many (thread mode
-        here; the process mode is pinned by the engine's golden suite)
-        must not change a single number."""
-        grid = SweepGrid(tiny_base(), [GridAxis("top", (2,))])
-        plain = run_sweep(grid, executor="serial")
-        from repro.pipeline.stages import propagation_parallelism
-
-        with propagation_parallelism(2, executor="thread"):
-            batched = run_sweep(grid, executor="serial")
-        assert plain.results[0].section3 == batched.results[0].section3
-        assert plain.results[0].correction == batched.results[0].correction
+    def test_unknown_executor_rejected(self, capsys):
+        """Scenarios only ever run serially: ``repro sweep`` accepts
+        ``--executor serial`` and rejects every other executor name."""
+        parser = build_parser()
+        assert parser.parse_args(
+            ["sweep", "--grid", "g.json", "--executor", "serial"]
+        ).executor == "serial"
+        for executor in ("thread", "process", "carrier-pigeon"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["sweep", "--grid", "g.json", "--executor", executor])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCacheBudget:
-    def test_budget_prunes_after_each_wave(self, tmp_path):
+    def test_budget_prunes_after_each_scenario(self, tmp_path):
         """--cache-budget-bytes automation: after the sweep the cache
         fits the budget; scenarios still all succeed (evictions are
         misses, never errors)."""
         grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
         cache_dir = tmp_path / "cache"
-        result = run_sweep(
-            grid, cache_dir=cache_dir, executor="serial", cache_budget_bytes=1
-        )
+        result = run_sweep(grid, cache_dir=cache_dir, cache_budget_bytes=1)
         assert [r.status for r in result.results] == ["ok", "ok"]
         assert ArtifactCache(cache_dir).stats().total_bytes <= 1
+        # The prune ran between the scenarios: the second one found
+        # nothing of the first's shared upstream left to reuse.
+        second = result.results[1]
+        assert set(second.stage_statuses.values()) == {"computed"}
 
     def test_generous_budget_preserves_exactly_once(self, tmp_path):
         grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
         result = run_sweep(
             grid,
             cache_dir=tmp_path / "cache",
-            executor="serial",
             cache_budget_bytes=10 ** 9,
         )
         assert result.duplicate_computes() == {}
@@ -201,7 +156,7 @@ class TestCacheBudget:
     def test_budget_requires_cache(self):
         grid = SweepGrid(tiny_base(), [GridAxis("top", (2,))])
         with pytest.raises(ValueError, match="cache_budget_bytes"):
-            run_sweep(grid, executor="serial", cache_budget_bytes=100)
+            run_sweep(grid, cache_budget_bytes=100)
 
 
 def _failing_stages():
@@ -229,11 +184,11 @@ class TestNonCacheableTargets:
         cached even though each scenario rebuilt its facade."""
         grid = SweepGrid(tiny_base(), [GridAxis("dataset.seed", (1, 2))])
         targets = ("snapshot", "section3")
-        cold = run_sweep(grid, cache_dir=tmp_path, targets=targets, executor="serial")
+        cold = run_sweep(grid, cache_dir=tmp_path, targets=targets)
         assert not cold.failed()
         assert cold.duplicate_computes() == {}
         assert cold.cache_counters()["computed"] == cold.plan.distinct_stage_invocations()
-        warm = run_sweep(grid, cache_dir=tmp_path, targets=targets, executor="serial")
+        warm = run_sweep(grid, cache_dir=tmp_path, targets=targets)
         assert warm.fully_cached()
         # The recompute is still truthfully visible per scenario.
         assert all(
@@ -245,7 +200,7 @@ class TestFailureIsolation:
     def test_one_failure_does_not_stop_the_sweep(self, tmp_path):
         grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 99, 3))])
         result = run_sweep(
-            grid, cache_dir=tmp_path, executor="serial", stages=_failing_stages()
+            grid, cache_dir=tmp_path, stages=_failing_stages()
         )
         statuses = {r.scenario_id: r.status for r in result.results}
         assert statuses == {"top=2": "ok", "top=99": "failed", "top=3": "ok"}
@@ -260,18 +215,18 @@ class TestFailureIsolation:
 
     def test_rerun_resumes_from_cache_after_failure(self, tmp_path):
         grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 99))])
-        run_sweep(grid, cache_dir=tmp_path, executor="serial", stages=_failing_stages())
+        run_sweep(grid, cache_dir=tmp_path, stages=_failing_stages())
         # Second attempt with the failure fixed: everything the failed
         # run cached (the whole shared prefix) is reused.
-        retry = run_sweep(grid, cache_dir=tmp_path, executor="serial")
+        retry = run_sweep(grid, cache_dir=tmp_path)
         assert not retry.failed()
         recovered = retry.by_id()["top=99"]
         assert recovered.computed_stages() == ["correction"]
 
-    def test_failed_scenarios_surface_in_waves_and_counters(self, tmp_path):
+    def test_failed_scenarios_surface_in_counters(self, tmp_path):
         grid = SweepGrid(tiny_base(), [GridAxis("top", (99,))])
         result = run_sweep(
-            grid, cache_dir=tmp_path, executor="serial", stages=_failing_stages()
+            grid, cache_dir=tmp_path, stages=_failing_stages()
         )
         assert result.failed()
         assert not result.fully_cached()
@@ -296,7 +251,7 @@ class TestFailureIsolation:
                 spec = dataclasses.replace(spec, compute=compute)
             stages.append(spec)
         grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
-        result = run_sweep(grid, cache_dir=tmp_path, executor="serial", stages=stages)
+        result = run_sweep(grid, cache_dir=tmp_path, stages=stages)
         failed, ok = result.results
         assert failed.status == "failed" and "transient" in failed.error
         assert ok.status == "ok"

@@ -1,9 +1,8 @@
-"""Sweep planning: fingerprint sharing and the exactly-once schedule.
+"""Sweep planning: fingerprint sharing.
 
 The planner's claims are structural, so these tests run no pipeline at
 all — they check the fingerprint arithmetic (which stages two grid
-cells share) and the wave invariant (no two scenarios of one wave claim
-the same not-yet-computed fingerprint).
+cells share).
 """
 
 from __future__ import annotations
@@ -93,38 +92,6 @@ class TestSharing:
 
 
 class TestSchedule:
-    def test_waves_cover_every_scenario_once(self):
-        plan = seeds_by_tops_plan()
-        scheduled = [p.scenario_id for wave in plan.waves for p in wave]
-        assert sorted(scheduled) == sorted(p.scenario_id for p in plan.plans)
-
-    def test_wave_members_claim_disjoint_new_fingerprints(self):
-        plan = seeds_by_tops_plan()
-        computed: set = set()
-        for wave in plan.waves:
-            claimed: set = set()
-            for scenario_plan in wave:
-                new = set(scenario_plan.fingerprints.values()) - computed
-                assert not (new & claimed), (
-                    "two scenarios in one wave claim the same fingerprint"
-                )
-                claimed |= new
-            computed |= claimed
-
-    def test_first_wave_is_a_single_pathbreaker(self):
-        """All cells share the topology, so the first wave must be one
-        scenario that computes it for everyone."""
-        plan = seeds_by_tops_plan()
-        assert len(plan.waves[0]) == 1
-
-    def test_disjoint_scenarios_run_in_one_wave(self):
-        """Cells that share nothing (different topology seeds) are
-        scheduled concurrently."""
-        grid = SweepGrid(tiny_base(), [GridAxis("dataset.topology.seed", (1, 2, 3))])
-        plan = plan_sweep(grid.expand())
-        assert len(plan.waves) == 1
-        assert len(plan.waves[0]) == 3
-
     def test_summary_lines_mention_sharing(self):
         text = "\n".join(seeds_by_tops_plan().summary_lines())
         assert "4 scenarios" in text
@@ -140,9 +107,8 @@ class TestSchedule:
 class TestNonCacheableStages:
     """``cacheable=False`` stages (the ``snapshot`` facade) can never be
     served from the cache, so they must not participate in the sharing
-    accounting or the wave schedule — otherwise every multi-scenario
-    sweep targeting them would report phantom duplicate computes and
-    serialize scenarios for nothing."""
+    accounting — otherwise every multi-scenario sweep targeting them
+    would report phantom duplicate computes."""
 
     def plan(self):
         grid = SweepGrid(tiny_base(), [GridAxis("dataset.seed", (1, 2))])
@@ -163,12 +129,11 @@ class TestNonCacheableStages:
     def test_schedule_claims_only_cacheable_fingerprints(self):
         """Scenarios identical in the snapshot closure (a `top` axis
         does not feed it) share every fingerprint, including the
-        non-cacheable snapshot's; the schedule must claim only the
-        cacheable ones, so the second scenario simply waits for the
-        first wave's cache instead of conflicting forever."""
+        non-cacheable snapshot's; only the cacheable ones count as work
+        the cache can share."""
         grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
         plan = plan_sweep(grid.expand(), targets=("snapshot",))
-        first = plan.waves[0][0]
+        first = plan.plans[0]
         assert "snapshot" in first.fingerprints
         claimed = plan.cacheable_fingerprints(first)
         assert first.fingerprints["snapshot"] not in claimed

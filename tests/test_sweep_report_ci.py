@@ -95,7 +95,7 @@ def seed_grid(seeds=(1, 2, 3)) -> SweepGrid:
 def seed_sweep_report(tmp_path_factory):
     cache = tmp_path_factory.mktemp("ci-cache")
     grid = seed_grid()
-    result = run_sweep(grid, cache_dir=cache, executor="serial")
+    result = run_sweep(grid, cache_dir=cache)
     assert not result.failed()
     return build_report(result, grid)
 
@@ -144,6 +144,6 @@ class TestReportIntegration:
         grid = SweepGrid(
             seed_grid().base, [GridAxis("top", (2, 3))]
         )
-        result = run_sweep(grid, cache_dir=tmp_path, executor="serial")
+        result = run_sweep(grid, cache_dir=tmp_path)
         markdown = render_markdown(build_report(result, grid))
         assert "No scenario group differs only in a seed axis" in markdown

@@ -7,29 +7,21 @@ The acceptance criteria of the observability work:
   tracing a run never changes a stage fingerprint or an output byte,
 * a traced pipeline run yields one coherent span tree with per-stage
   cache status, and cache hit/miss counters that match the run,
-* a trace context propagates across ``run_many(executor="process")``
-  on both the fork and the spawn pool paths, and across a process-pool
-  sweep — every process's spans join one tree under one run id with no
-  orphans,
+* a traced sweep yields one tree: every scenario's pipeline span nests
+  under the sweep span, under one run id, with no orphans,
 * ``summarize`` reproduces the sweep's per-stage compute counts
   exactly, and accounts the root span's wall time outside every stage.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import json
-import os
-import pickle
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.bgp.engine import PropagationEngine
-from repro.bgp.propagation import originate_one_prefix_per_as
-from repro.bgp.policy import default_policies
-from repro.core.relationships import AFI
 from repro.datasets import DatasetConfig
 from repro.pipeline import PipelineConfig, run_pipeline
 from repro.pipeline.runner import PipelineRunner
@@ -39,7 +31,6 @@ from repro.telemetry import (
     NULL_TRACER,
     SUMMARY_SCHEMA_VERSION,
     TRACE_SCHEMA_VERSION,
-    TelemetryConfig,
     Tracer,
     activated,
     build_tree,
@@ -48,7 +39,7 @@ from repro.telemetry import (
     render_tree,
     summarize,
 )
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.generator import TopologyConfig
 
 
 def tiny_base(seed: int = 5) -> PipelineConfig:
@@ -63,6 +54,19 @@ def tiny_base(seed: int = 5) -> PipelineConfig:
         top=3,
         max_sources=10,
     )
+
+
+@contextlib.contextmanager
+def tracing(trace_dir, **kwargs):
+    """Run the block under a fresh tracer writing to ``trace_dir`` and
+    flush it afterwards — what ``repro --trace-dir`` does around a
+    command."""
+    tracer = Tracer(trace_dir, **kwargs)
+    try:
+        with activated(tracer):
+            yield tracer
+    finally:
+        tracer.flush()
 
 
 def spans_named(records, name):
@@ -127,16 +131,6 @@ class TestTracerBasics:
         # Nothing buffered twice: a second flush with no records is a no-op.
         assert tracer.flush() is None
 
-    def test_context_round_trips_through_pickle(self, tmp_path):
-        tracer = Tracer(tmp_path, run_id="rx")
-        with tracer.span("parent") as span:
-            context = tracer.context()
-        assert context.parent_span_id == span.span_id
-        clone = pickle.loads(pickle.dumps(context))
-        child = Tracer.from_config(clone)
-        assert child.run_id == "rx"
-        assert child.parent_span_id == span.span_id
-
     def test_activation_stack(self, tmp_path):
         assert get_tracer() is NULL_TRACER
         tracer = Tracer(tmp_path)
@@ -161,7 +155,6 @@ class TestDisabledPathIsFree:
         assert span is tracer.span("other")  # shared singleton handle
         with span:
             span.annotate(more="attrs")
-        assert tracer.context() is None
         assert tracer.flush() is None
 
     def test_disabled_span_overhead_is_bounded(self):
@@ -180,24 +173,14 @@ class TestDisabledPathIsFree:
 # fingerprint neutrality + pipeline instrumentation
 # ----------------------------------------------------------------------
 class TestFingerprintNeutrality:
-    def test_telemetry_config_changes_no_fingerprint(self):
-        runner = PipelineRunner(full_stages())
-        plain = tiny_base()
-        traced = dataclasses.replace(
-            plain, telemetry=TelemetryConfig(trace_dir="/tmp/nowhere")
-        )
-        assert runner.fingerprints(plain) == runner.fingerprints(traced)
-
     def test_traced_run_output_identical_to_untraced(self, tmp_path):
         plain = run_pipeline(
             tiny_base(), cache_dir=tmp_path / "c1", targets=("section3",)
         )
-        traced_config = dataclasses.replace(
-            tiny_base(), telemetry=TelemetryConfig(trace_dir=str(tmp_path / "trace"))
-        )
-        traced = run_pipeline(
-            traced_config, cache_dir=tmp_path / "c2", targets=("section3",)
-        )
+        with tracing(tmp_path / "trace"):
+            traced = run_pipeline(
+                tiny_base(), cache_dir=tmp_path / "c2", targets=("section3",)
+            )
         assert traced.fingerprints == plain.fingerprints
         assert traced.value("section3").as_dict() == plain.value("section3").as_dict()
         # ... and the trace really was written.
@@ -207,10 +190,10 @@ class TestFingerprintNeutrality:
 class TestPipelineTrace:
     def test_cold_then_warm_run_spans_and_counters(self, tmp_path):
         trace_dir = tmp_path / "trace"
-        config = dataclasses.replace(
-            tiny_base(), telemetry=TelemetryConfig(trace_dir=str(trace_dir))
-        )
-        run_pipeline(config, cache_dir=tmp_path / "cache", targets=("section3",))
+        config = tiny_base()
+        # Two traced runs, as two `repro --trace-dir` commands would be.
+        with tracing(trace_dir):
+            run_pipeline(config, cache_dir=tmp_path / "cache", targets=("section3",))
         cold = read_trace(trace_dir)
         cold_stages = spans_named(cold, "stage")
         statuses = {s["attrs"]["stage"]: s["attrs"]["status"] for s in cold_stages}
@@ -225,7 +208,8 @@ class TestPipelineTrace:
             s["attrs"].get("artifact_bytes", 0) > 0 for s in cold_stages
         )
 
-        run_pipeline(config, cache_dir=tmp_path / "cache", targets=("section3",))
+        with tracing(trace_dir):
+            run_pipeline(config, cache_dir=tmp_path / "cache", targets=("section3",))
         warm = read_trace(trace_dir)[len(cold):]
         warm_stages = spans_named(warm, "stage")
         assert {s["attrs"]["status"] for s in warm_stages} == {"cached"}
@@ -242,65 +226,15 @@ class TestPipelineTrace:
 
 
 # ----------------------------------------------------------------------
-# run_many trace propagation: fork AND spawn pool paths
-# ----------------------------------------------------------------------
-class TestRunManyTracePropagation:
-    @pytest.fixture(scope="class")
-    def engine_setup(self):
-        topology = generate_topology(
-            TopologyConfig(seed=3, tier1_count=3, tier2_count=8, tier3_count=20)
-        )
-        graph = topology.graph
-        policies = default_policies(graph.ases)
-        origins = originate_one_prefix_per_as(graph, AFI.IPV4)
-        return graph, policies, origins
-
-    def _traced_run_many(self, tmp_path, engine_setup):
-        graph, policies, origins = engine_setup
-        engine = PropagationEngine(graph, policies)
-        serial = engine.run(origins)
-        tracer = Tracer(tmp_path / "trace")
-        with activated(tracer):
-            parallel = engine.run_many(origins, workers=2, executor="process")
-        tracer.flush()
-        assert parallel.reachable_counts == serial.reachable_counts
-        records = read_trace(tmp_path / "trace")
-        (run_many,) = spans_named(records, "propagation.run_many")
-        batches = spans_named(records, "propagation.batch")
-        assert len(batches) == 2
-        assert {b["run_id"] for b in batches} == {tracer.run_id}
-        assert {b["parent_id"] for b in batches} == {run_many["span_id"]}
-        # Batches really ran in pool workers, not inline.
-        assert all(b["pid"] != os.getpid() for b in batches)
-        _, orphans = build_tree(records)
-        assert orphans == []
-
-    def test_fork_pool_spans_join_callers_tree(self, tmp_path, engine_setup):
-        self._traced_run_many(tmp_path, engine_setup)
-
-    def test_spawn_pool_spans_join_callers_tree(
-        self, tmp_path, engine_setup, monkeypatch
-    ):
-        from repro.bgp import engine as engine_module
-
-        monkeypatch.setattr(engine_module, "_start_method", lambda: "spawn")
-        self._traced_run_many(tmp_path, engine_setup)
-
-
-# ----------------------------------------------------------------------
-# sweeps: process pools
+# sweeps
 # ----------------------------------------------------------------------
 class TestSweepTrace:
-    def test_process_executor_scenarios_join_one_tree(self, tmp_path):
+    def test_serial_sweep_scenarios_join_one_tree(self, tmp_path):
         grid = SweepGrid(tiny_base(), [GridAxis("dataset.seed", (1, 2))])
-        result = run_sweep(
-            grid,
-            cache_dir=tmp_path / "cache",
-            executor="process",
-            workers=2,
-            targets=("section3",),
-            trace_dir=str(tmp_path / "trace"),
-        )
+        with tracing(tmp_path / "trace"):
+            result = run_sweep(
+                grid, cache_dir=tmp_path / "cache", targets=("section3",)
+            )
         assert not result.failed()
         records = read_trace(tmp_path / "trace")
         (sweep_span,) = spans_named(records, "sweep")
@@ -308,8 +242,7 @@ class TestSweepTrace:
         pipelines = spans_named(records, "pipeline")
         assert len(pipelines) == 2
         assert {p["run_id"] for p in pipelines} == {run_id}
-        waves = {w["span_id"] for w in spans_named(records, "wave")}
-        assert all(p["parent_id"] in waves for p in pipelines)
+        assert {p["parent_id"] for p in pipelines} == {sweep_span["span_id"]}
         roots, orphans = build_tree(records)
         assert orphans == []
         assert [r["name"] for r in roots] == ["sweep"]
@@ -330,13 +263,13 @@ class TestSweepTrace:
         assert traced == expected
 
     def test_bitflipped_cache_sweep_heals_and_counts_corruption(self, tmp_path):
-        """A traced process-pool sweep over a warm cache whose ``store``
-        payloads were bit-flipped: every cell equals the clean sweep's,
-        and the merged trace counts one ``cache.corrupt`` per flipped
-        payload (present-but-bad, told apart from absent)."""
+        """A traced sweep over a warm cache whose ``store`` payloads were
+        bit-flipped: every cell equals the clean sweep's, and the trace
+        counts one ``cache.corrupt`` per flipped payload (present-but-bad,
+        told apart from absent)."""
         grid = SweepGrid(tiny_base(), [GridAxis("dataset.seed", (1, 2))])
         cache_dir = tmp_path / "cache"
-        clean = run_sweep(grid, cache_dir=cache_dir, executor="process", workers=2)
+        clean = run_sweep(grid, cache_dir=cache_dir)
         flipped = sorted((cache_dir / "store").glob("*.pkl"))
         assert len(flipped) == 2
         for payload in flipped:
@@ -344,13 +277,8 @@ class TestSweepTrace:
             data[len(data) // 2] ^= 0xFF
             payload.write_bytes(bytes(data))
         trace_dir = tmp_path / "trace"
-        healed = run_sweep(
-            grid,
-            cache_dir=cache_dir,
-            executor="process",
-            workers=2,
-            trace_dir=str(trace_dir),
-        )
+        with tracing(trace_dir):
+            healed = run_sweep(grid, cache_dir=cache_dir)
         assert not healed.failed()
 
         def cells(result):
@@ -383,7 +311,7 @@ class TestRootAccounting:
             _timed_span("root", None, "pipeline", 100.0, 10.0),
             _timed_span("a", "root", "stage", 101.0, 3.0),
             _timed_span("b", "root", "stage", 104.0, 2.0),
-            # Overlaps "b" (a concurrent scenario): counted once.
+            # Overlaps "b" (two runs traced at once): counted once.
             _timed_span("c", "root", "stage", 105.0, 2.5),
             # Nested inside "a": adds no coverage.
             _timed_span("d", "a", "propagation", 101.5, 1.0),
