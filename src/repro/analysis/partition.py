@@ -21,13 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
-from repro.core.annotation import (
-    ToRAnnotation,
-    directed_adjacency,
-    valley_free_distances,
-)
+from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
 from repro.core.relationships import AFI
 
 
@@ -104,12 +98,9 @@ def analyze_reachability(
     report.ordered_pairs = len(members) * (len(members) - 1)
 
     reachable_sets: Dict[int, Set[int]] = {}
-    directed = directed_adjacency(annotation)
+    index = ValleyFreeIndex(annotation)
     for source in members:
-        reachable = (
-            set(valley_free_distances(annotation, source, directed=directed))
-            & member_set
-        )
+        reachable = set(index.distances_from(source)) & member_set
         reachable.discard(source)
         reachable_sets[source] = reachable
         report.reachable_pairs += len(reachable)
@@ -123,15 +114,23 @@ def analyze_reachability(
 
     # Mutual-reachability islands: connected components of the symmetric
     # "reachable in both directions" relation.
-    mutual = nx.Graph()
-    mutual.add_nodes_from(members)
-    for source in members:
-        for destination in reachable_sets[source]:
-            if source < destination and source in reachable_sets.get(destination, ()):
-                mutual.add_edge(source, destination)
-    report.island_sizes = sorted(
-        (len(component) for component in nx.connected_components(mutual)), reverse=True
-    )
+    island_sizes: List[int] = []
+    placed: Set[int] = set()
+    for start in members:
+        if start in placed:
+            continue
+        placed.add(start)
+        stack = [start]
+        size = 0
+        while stack:
+            source = stack.pop()
+            size += 1
+            for destination in reachable_sets[source]:
+                if destination not in placed and source in reachable_sets[destination]:
+                    placed.add(destination)
+                    stack.append(destination)
+        island_sizes.append(size)
+    report.island_sizes = sorted(island_sizes, reverse=True)
     return report
 
 

@@ -6,7 +6,7 @@ and Local Preference, (b) detect hybrid IPv4/IPv6 relationships, and
 metrics.
 """
 
-from repro.core.annotation import ToRAnnotation, valley_free_distances
+from repro.core.annotation import ToRAnnotation, ValleyFreeIndex, valley_free_distances
 from repro.core.combined_inference import (
     CombinedInference,
     CombinedInferenceResult,
@@ -78,6 +78,7 @@ from repro.core.visibility import VisibilityIndex, build_visibility_index
 
 __all__ = [
     "ToRAnnotation",
+    "ValleyFreeIndex",
     "valley_free_distances",
     "CombinedInference",
     "CombinedInferenceResult",

@@ -205,85 +205,172 @@ class ToRAnnotation:
         return annotation
 
 
-def directed_adjacency(
-    annotation: ToRAnnotation,
-) -> Dict[int, List[Tuple[int, Relationship]]]:
-    """Known (neighbour, relationship-from-asn) lists per AS.
+class ValleyFreeIndex:
+    """The known links of an annotation as an integer-indexed valley-free plane.
 
-    One build replaces a sort plus a ``Link`` construction per edge
-    visit in the valley-free BFS; callers running the BFS from many
-    sources should build this once and pass it along.
+    ASes are interned to ids ``0 .. n-1`` in :attr:`ToRAnnotation.ases`
+    (sorted) order, so ``ases[:k]`` are the first ``k`` sorted ASes.
+    Every id has three neighbour lists, one per move of the two-state
+    valley-free BFS:
+
+    * ``climb[i]`` — c2p and sibling neighbours: uphill stays uphill;
+    * ``turn[i]`` — p2p and p2c neighbours: uphill turns downhill;
+    * ``descend[i]`` — p2c and sibling neighbours: downhill stays downhill.
+
+    UNKNOWN links appear in no list (their endpoints still get ids).
+    :meth:`relabel` changes one link's relationship in place, rebuilding
+    only its two endpoints' lists, so a sweep that flips one link per
+    step never re-reads the annotation.
     """
-    directed: Dict[int, List[Tuple[int, Relationship]]] = {}
-    for link, relationship in annotation.items():
-        if not relationship.is_known:
-            continue
-        directed.setdefault(link.a, []).append((link.b, relationship))
-        directed.setdefault(link.b, []).append((link.a, relationship.inverse))
-    for edges in directed.values():
-        edges.sort(key=lambda edge: edge[0])
-    return directed
+
+    def __init__(self, annotation: ToRAnnotation) -> None:
+        self.ases: List[int] = annotation.ases
+        self.ids: Dict[int, int] = {asn: node for node, asn in enumerate(self.ases)}
+        # Per id: neighbour id -> relationship seen from this id (known only).
+        self._edges: List[Dict[int, Relationship]] = [{} for _ in self.ases]
+        for link, relationship in annotation.items():
+            if relationship.is_known:
+                a, b = self.ids[link.a], self.ids[link.b]
+                self._edges[a][b] = relationship
+                self._edges[b][a] = relationship.inverse
+        self.climb: List[List[int]] = [[] for _ in self.ases]
+        self.turn: List[List[int]] = [[] for _ in self.ases]
+        self.descend: List[List[int]] = [[] for _ in self.ases]
+        for node in range(len(self.ases)):
+            self._rebuild(node)
+
+    def _rebuild(self, node: int) -> None:
+        climb: List[int] = []
+        turn: List[int] = []
+        descend: List[int] = []
+        for neighbor, relationship in self._edges[node].items():
+            if relationship is Relationship.C2P:
+                climb.append(neighbor)
+            elif relationship is Relationship.P2C:
+                turn.append(neighbor)
+                descend.append(neighbor)
+            elif relationship is Relationship.P2P:
+                turn.append(neighbor)
+            else:  # SIBLING
+                climb.append(neighbor)
+                descend.append(neighbor)
+        self.climb[node] = climb
+        self.turn[node] = turn
+        self.descend[node] = descend
+
+    def relabel(self, link: Link, relationship: Relationship) -> None:
+        """Give ``link`` the canonical ``relationship`` (UNKNOWN removes it).
+
+        Both endpoints must already have ids (``KeyError`` otherwise):
+        a new AS would break the sorted id order, so callers rebuild
+        the index from the annotation instead.
+        """
+        a, b = self.ids[link.a], self.ids[link.b]
+        if relationship.is_known:
+            self._edges[a][b] = relationship
+            self._edges[b][a] = relationship.inverse
+        else:
+            self._edges[a].pop(b, None)
+            self._edges[b].pop(a, None)
+        self._rebuild(a)
+        self._rebuild(b)
+
+    def distances(self, source: int, targets: Optional[Set[int]] = None) -> List[int]:
+        """Shortest valley-free path lengths (in AS hops) from id ``source``.
+
+        Implements the classic two-state BFS over the annotated graph:
+
+        * In the **uphill** state the path may continue over c2p (or
+          sibling) links, still climbing, or take a single p2p link or a
+          p2c link, which switches it to the downhill state.
+        * In the **downhill** state only p2c (or sibling) links may be
+          taken.
+
+        Returns one entry per id: the length of the shortest *valid*
+        (valley-free) path from ``source``, ``0`` for ``source`` itself
+        and ``-1`` when no valley-free path exists.  ``targets`` (ids)
+        optionally stops the search after the level on which the last
+        of them was reached.
+        """
+        size = len(self.ases)
+        distance = [-1] * size
+        distance[source] = 0
+        seen_up = bytearray(size)
+        seen_down = bytearray(size)
+        seen_up[source] = 1
+        pending = None
+        if targets is not None:
+            pending = set(targets)
+            pending.discard(source)
+        climb, turn, descend = self.climb, self.turn, self.descend
+        up: List[int] = [source]
+        down: List[int] = []
+        depth = 0
+        while up or down:
+            if pending is not None and not pending:
+                break
+            depth += 1
+            next_up: List[int] = []
+            next_down: List[int] = []
+            for node in up:
+                for neighbor in climb[node]:
+                    if not seen_up[neighbor]:
+                        seen_up[neighbor] = 1
+                        next_up.append(neighbor)
+                        if distance[neighbor] < 0:
+                            distance[neighbor] = depth
+                for neighbor in turn[node]:
+                    if not seen_down[neighbor]:
+                        seen_down[neighbor] = 1
+                        next_down.append(neighbor)
+                        if distance[neighbor] < 0:
+                            distance[neighbor] = depth
+            for node in down:
+                for neighbor in descend[node]:
+                    if not seen_down[neighbor]:
+                        seen_down[neighbor] = 1
+                        next_down.append(neighbor)
+                        if distance[neighbor] < 0:
+                            distance[neighbor] = depth
+            if pending is not None:
+                pending.difference_update(next_up)
+                pending.difference_update(next_down)
+            up, down = next_up, next_down
+        return distance
+
+    def distances_from(
+        self, source: int, targets: Optional[Set[int]] = None
+    ) -> Dict[int, int]:
+        """:meth:`distances` keyed by ASN, reachable ASes only.
+
+        ``source`` and ``targets`` are ASNs; an AS the index does not
+        know reaches only itself.
+        """
+        node = self.ids.get(source)
+        if node is None:
+            return {source: 0}
+        target_ids = None
+        # A target the index does not know is unreachable: search everything.
+        if targets is not None and all(asn in self.ids for asn in targets):
+            target_ids = {self.ids[asn] for asn in targets}
+        ases = self.ases
+        return {
+            ases[other]: hops
+            for other, hops in enumerate(self.distances(node, target_ids))
+            if hops >= 0
+        }
 
 
 def valley_free_distances(
     annotation: ToRAnnotation,
     source: int,
     targets: Optional[Set[int]] = None,
-    directed: Optional[Dict[int, List[Tuple[int, Relationship]]]] = None,
 ) -> Dict[int, int]:
     """Shortest valley-free path lengths (in AS hops) from ``source``.
 
-    Implements the classic two-state BFS over the annotated graph:
-
-    * In the **uphill** state the path may continue over c2p links (still
-      climbing), or take a single p2p link or a p2c link, which switches
-      it to the downhill state.
-    * In the **downhill** state only p2c links may be taken.
-
-    The returned mapping contains, for every reachable AS, the length of
-    the shortest *valid* (valley-free) path from ``source``; ``source``
-    itself maps to 0.  ``targets`` optionally stops the search early once
-    all the requested targets have been reached.
+    The mapping holds every AS reachable over a valley-free path, with
+    ``source`` itself at 0 (see :meth:`ValleyFreeIndex.distances`).
+    Callers running the BFS from many sources should build one
+    :class:`ValleyFreeIndex` and call :meth:`ValleyFreeIndex.distances_from`.
     """
-    UP, DOWN = 0, 1
-    if directed is None:
-        directed = directed_adjacency(annotation)
-    best: Dict[Tuple[int, int], int] = {(source, UP): 0}
-    distances: Dict[int, int] = {source: 0}
-    remaining = set(targets) - {source} if targets is not None else None
-    frontier: List[Tuple[int, int]] = [(source, UP)]
-    depth = 0
-    while frontier:
-        if remaining is not None and not remaining:
-            break
-        depth += 1
-        next_frontier: List[Tuple[int, int]] = []
-        for asn, state in frontier:
-            for neighbor, relationship in directed.get(asn, ()):
-                if state == UP:
-                    if relationship is Relationship.C2P:
-                        new_state = UP
-                    elif relationship in (Relationship.P2P, Relationship.P2C):
-                        new_state = DOWN
-                    elif relationship is Relationship.SIBLING:
-                        new_state = UP
-                    else:
-                        continue
-                else:  # DOWN
-                    if relationship is Relationship.P2C:
-                        new_state = DOWN
-                    elif relationship is Relationship.SIBLING:
-                        new_state = DOWN
-                    else:
-                        continue
-                key = (neighbor, new_state)
-                if key in best:
-                    continue
-                best[key] = depth
-                next_frontier.append(key)
-                if neighbor not in distances:
-                    distances[neighbor] = depth
-                    if remaining is not None:
-                        remaining.discard(neighbor)
-        frontier = next_frontier
-    return distances
+    return ValleyFreeIndex(annotation).distances_from(source, targets)

@@ -19,13 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.annotation import (
-    ToRAnnotation,
-    directed_adjacency,
-    valley_free_distances,
-)
+from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
 from repro.core.relationships import Link, Relationship
 
 
@@ -147,7 +143,7 @@ class PathLengthMetrics:
 
 
 def valley_free_path_metrics(
-    annotation: ToRAnnotation,
+    plane: Union[ToRAnnotation, ValleyFreeIndex],
     nodes: Iterable[int],
     max_sources: Optional[int] = None,
 ) -> PathLengthMetrics:
@@ -159,27 +155,34 @@ def valley_free_path_metrics(
     Unreachable pairs are ignored, as in the paper's metric.
     ``max_sources`` must be ``None`` (exact) or at least 1: a slice with
     a negative bound would silently drop the *last* sources instead.
+    ``plane`` is an annotation or a :class:`ValleyFreeIndex` built from
+    one; callers measuring one plane repeatedly should pass the index.
     """
     if max_sources is not None and max_sources < 1:
         raise ValueError(
             f"max_sources must be None (exact) or >= 1, got {max_sources}"
         )
+    index = plane if isinstance(plane, ValleyFreeIndex) else ValleyFreeIndex(plane)
     node_list = sorted(set(nodes))
-    node_set = set(node_list)
     sources = node_list if max_sources is None else node_list[:max_sources]
+    ids = index.ids
+    members = [ids[asn] for asn in node_list if asn in ids]
+    every_node = len(members) == len(index.ases)
     total = 0
     pairs = 0
     diameter = 0
-    directed = directed_adjacency(annotation)
     for source in sources:
-        distances = valley_free_distances(annotation, source, directed=directed)
-        for target, distance in distances.items():
-            if target == source or target not in node_set:
-                continue
-            total += distance
-            pairs += 1
-            if distance > diameter:
-                diameter = distance
+        if source not in ids:
+            continue  # an AS without links reaches no other node
+        distances = index.distances(ids[source])
+        if not every_node:
+            distances = [distances[member] for member in members]
+        # Only the source is at distance 0; unreachable nodes are at -1.
+        reached = [hops for hops in distances if hops > 0]
+        if reached:
+            total += sum(reached)
+            pairs += len(reached)
+            diameter = max(diameter, max(reached))
     average = total / pairs if pairs else 0.0
     return PathLengthMetrics(
         average=average,

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.annotation import ToRAnnotation, directed_adjacency, valley_free_distances
+from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link, Relationship
 
@@ -200,9 +200,11 @@ class ValleyAnalyzer:
         # Cache of valley-free reachability: source -> set of ASes with a
         # valley-free path from source.  Computed lazily per source.
         self._reachable_cache: Dict[int, Set[int]] = {}
-        # Directed adjacency shared by every BFS source (built lazily;
-        # the annotation must not be mutated while an analyzer uses it).
-        self._directed = None
+        # The valley-free index shared by every BFS source, built on first
+        # use.  It and the reachability cache are snapshots of the
+        # annotation at that moment: after mutating the annotation, build
+        # a new analyzer.
+        self._index: Optional[ValleyFreeIndex] = None
 
     # ------------------------------------------------------------------
     # classification helpers
@@ -210,11 +212,9 @@ class ValleyAnalyzer:
     def _valley_free_reachable(self, source: int) -> Set[int]:
         cached = self._reachable_cache.get(source)
         if cached is None:
-            if self._directed is None:
-                self._directed = directed_adjacency(self.annotation)
-            cached = set(
-                valley_free_distances(self.annotation, source, directed=self._directed)
-            )
+            if self._index is None:
+                self._index = ValleyFreeIndex(self.annotation)
+            cached = set(self._index.distances_from(source))
             self._reachable_cache[source] = cached
         return cached
 

@@ -40,9 +40,7 @@ must call :meth:`rebuild_indexes` afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.relationships import (
     AFI,
@@ -51,6 +49,9 @@ from repro.core.relationships import (
     Relationship,
     orient_relationship,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Shared immutable fallback for index lookups of ASes with no links.
 _EMPTY: Dict[int, Relationship] = {}
@@ -493,6 +494,10 @@ class ASGraph:
         Edge attributes ``rel_v4`` / ``rel_v6`` hold the canonical
         relationship values; node attributes mirror :class:`ASNode`.
         """
+        # Imported here: nothing else in the package needs networkx, and
+        # importing it costs every command about 0.2 s of start-up.
+        import networkx as nx
+
         graph = nx.Graph()
         for asn, node in self._nodes.items():
             if afi is not None and not node.supports(afi):

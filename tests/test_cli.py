@@ -428,13 +428,15 @@ class TestCacheDirValidation:
 
 #: Modules ``import repro.cli`` must not load: SQLite, the removed
 #: storage layers and the process/thread pools (spelled in parts so
-#: that a repository-wide grep for those layers finds nothing).
+#: that a repository-wide grep for those layers finds nothing), and
+#: networkx, which only ``ASGraph.to_networkx`` imports.
 ABSENT_MODULES = (
     "sql" "ite3",
     "repro." "cluster",
     "repro." "faults",
     "multi" "processing",
     "concurrent." "futures",
+    "networkx",
 )
 
 
