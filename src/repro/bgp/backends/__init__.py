@@ -14,8 +14,9 @@ the :class:`~repro.bgp.backends.base.PropagationBackend` interface:
 =============  ====================================================
 
 Callers normally go through :class:`~repro.bgp.engine.PropagationEngine`
-(which adds ``auto`` selection, equilibrium→event fallback and parallel
-batching) rather than instantiating backends directly.
+(which adds ``auto`` selection and the equilibrium→event fallback)
+rather than instantiating backends directly.  ``array`` is the default
+engine; ``event`` stays the oracle that tests and CI check it against.
 """
 
 from __future__ import annotations
@@ -44,10 +45,14 @@ BACKENDS: Dict[str, Type[PropagationBackend]] = {
 #: Valid values of the ``propagation.engine`` config field.
 ENGINE_CHOICES = ("event", "equilibrium", "array", "auto")
 
+#: The engine every entry point uses unless told otherwise.
+DEFAULT_ENGINE = "array"
+
 __all__ = [
     "ArrayBackend",
     "BACKENDS",
     "BackendNotApplicable",
+    "DEFAULT_ENGINE",
     "ENGINE_CHOICES",
     "EquilibriumBackend",
     "EventBackend",

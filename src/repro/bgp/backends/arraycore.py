@@ -19,12 +19,15 @@ that replaces every per-event Python object with flat per-AS state:
 
 Route **attributes** are never computed during propagation.  Two routes
 at the same AS are equal iff their ``(sender, AS path)`` pairs are
-equal — attributes are a pure function of the export chain, by
-induction from the immutable origin route — so best-route *change*
+equal — attributes are a pure function of the prefix and the AS path,
+by induction from the immutable origin route — so best-route *change*
 detection needs only the interned state.  Actual routes are
-materialized once per prefix at quiescence by the shared chain-walk
-materializer, which replays the real per-edge export/import transforms
-and therefore reproduces the event engine's routes bit for bit.
+materialized once per prefix at quiescence by walking each installed
+route's *stored* path from the origin outward, memoized per path
+suffix, replaying the real per-edge export/import transforms.  That
+reproduces the event engine's routes bit for bit, including the stale
+Adj-RIB-In entries it keeps when a loop check rejects an update (a
+walk along the current best senders would not).
 
 The port preserves event-loop semantics exactly — same queue
 discipline, same incremental decision shortcuts, same withdrawal
@@ -43,12 +46,14 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.backends.base import (
     PropagationBackend,
-    install_converged_routes,
+    imported_route,
     speakers_without_sessions,
 )
+from repro.bgp.messages import Route
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
 from repro.bgp.results import ConvergenceError, PropagationResult
+from repro.bgp.router import BGPSpeaker
 
 #: Learned-relationship classes, in the event engine's plan order.
 #: Index 0 is the locally-originated class (learned relationship None).
@@ -162,29 +167,14 @@ class ArrayBackend(PropagationBackend):
     def run(self, origins: Mapping[Prefix, int]) -> PropagationResult:
         keep = self.keep_ribs_for
         speakers = speakers_without_sessions(self.graph, self.policies)
-        asns = self._asns
         id_of = self._id_of
         best_sender = self._best_sender
-        best_rel = self._best_rel
-        # Pruned mode: interned (asn, id) pairs so the per-prefix target
+        # Pruned mode: the kept ASes as ids, so the per-prefix target
         # scan is O(|keep|), not O(touched) x a list-membership probe.
         keep_ids = (
-            None
-            if keep is None
-            else [(asn, id_of[asn]) for asn in keep if asn in id_of]
+            None if keep is None else [id_of[asn] for asn in keep if asn in id_of]
         )
         reachable_counts: Dict[Prefix, int] = {}
-
-        def resolve(asn: int):
-            i = id_of[asn]
-            sender = best_sender[i]
-            if sender < 0:
-                raise ConvergenceError(
-                    f"AS{asn} is on a best-sender chain for {prefix} "
-                    "but holds no learned route"
-                )
-            return asns[sender], _LEARNED_CLASSES[best_rel[i]]
-
         total_events = 0
         for prefix, origin_asn in origins.items():
             if origin_asn not in id_of:
@@ -194,19 +184,14 @@ class ArrayBackend(PropagationBackend):
                     f"AS{origin_asn} does not participate in {prefix.afi} "
                     f"but originates {prefix}"
                 )
-            events, touched = self._propagate_prefix(prefix, id_of[origin_asn])
+            origin = id_of[origin_asn]
+            events, touched = self._propagate_prefix(prefix, origin)
             total_events += events
             routed = [i for i in touched if best_sender[i] != _NO_ROUTE]
             reachable_counts[prefix] = len(routed)
-            if keep_ids is None:
-                targets = [asns[i] for i in routed]
-            else:
-                targets = [
-                    asn for asn, i in keep_ids if best_sender[i] != _NO_ROUTE
-                ]
-            install_converged_routes(
-                speakers, prefix, origin_asn, targets, resolve
-            )
+            if keep_ids is not None:
+                routed = [i for i in keep_ids if best_sender[i] != _NO_ROUTE]
+            self._install_routes(speakers, prefix, origin, routed)
             self._reset(touched)
         return PropagationResult(
             speakers=speakers,
@@ -214,6 +199,71 @@ class ArrayBackend(PropagationBackend):
             events=total_events,
             reachable_counts=reachable_counts,
         )
+
+    def _install_routes(
+        self,
+        speakers: Dict[int, BGPSpeaker],
+        prefix: Prefix,
+        origin: int,
+        targets: List[int],
+    ) -> None:
+        """Materialize and install the converged routes of one prefix.
+
+        Each target's route is rebuilt from the AS path it *stored*, not
+        from its best sender's current route, which differs where a
+        loop check left a stale Adj-RIB-In entry.  A route is a pure
+        function of the prefix and its full path (holder first), so the
+        walk starts at the longest already-built suffix of the path and
+        replays the real transforms outward
+        (:meth:`BGPSpeaker.exported_attributes` at the sender, then
+        :func:`imported_route` at the receiver), memoizing every suffix.
+
+        Raises :class:`ConvergenceError` naming the prefix and the hop
+        when a stored path crosses a pair with no known relationship in
+        the plane, or does not end at the origin.
+        """
+        asns = self._asns
+        best_path = self._best_path
+        afi = prefix.afi
+        relationship = self.graph.relationship
+        routes: Dict[Tuple[int, ...], Route] = {
+            (origin,): Route.originate(prefix, asns[origin])
+        }
+        for i in targets:
+            if i == origin:
+                # Exactly like the event path: the origin keeps its
+                # locally originated route (Loc-RIB + local-routes table).
+                speakers[asns[i]].originate(prefix)
+                continue
+            path = (i,) + best_path[i]
+            for start in range(1, len(path)):
+                route = routes.get(path[start:])
+                if route is not None:
+                    break
+            else:
+                raise ConvergenceError(
+                    f"stored AS path of AS{asns[i]} for {prefix} does not "
+                    f"end at origin AS{asns[origin]}"
+                )
+            for hop in range(start - 1, -1, -1):
+                receiver = asns[path[hop]]
+                sender = asns[path[hop + 1]]
+                rel = relationship(receiver, sender, afi)
+                if not rel.is_known:
+                    raise ConvergenceError(
+                        f"stored AS path of AS{asns[i]} for {prefix} crosses "
+                        f"AS{receiver} -> AS{sender}, which have no known "
+                        f"relationship in {afi}"
+                    )
+                route = imported_route(
+                    speakers[receiver],
+                    prefix,
+                    sender,
+                    rel,
+                    speakers[sender].exported_attributes(route),
+                )
+                routes[path[hop:]] = route
+            speakers[asns[i]].loc_rib._routes[prefix] = route
 
     def _reset(self, touched: List[int]) -> None:
         cand = self._cand

@@ -18,7 +18,8 @@ exist:
     A faithful port of the event loop over dense integer ids and flat
     per-AS arrays — bit-identical to ``event`` (same event ordering,
     same event *count*) for arbitrary policies, with routes
-    materialized once at quiescence instead of once per event.
+    materialized from their stored AS paths once at quiescence instead
+    of once per event.  The default engine.
 
 Contract (pinned by the golden cross-validation suite): for the same
 inputs every backend produces identical best routes (Loc-RIB contents,
@@ -157,7 +158,10 @@ def install_converged_routes(
 
     ``resolve(asn)`` returns ``(best_sender, learned_relationship)`` for
     any AS that holds a (non-local) route — the converged best-sender
-    forest a solver backend computed.  Routes are rebuilt by walking
+    forest the equilibrium solver computed.  (The ``array`` backend
+    cannot use this walk: some of its routes are stale entries that no
+    longer match the sender's best route, so it rebuilds each route
+    from its stored path instead.)  Routes are rebuilt by walking
     each target's sender chain down to the origin and applying the
     *real* export/import transformations edge by edge (the sender's
     :meth:`BGPSpeaker.exported_attributes`, then :func:`imported_route`

@@ -2,8 +2,9 @@
 
 :class:`PropagationEngine` is where the pluggable backends of
 :mod:`repro.bgp.backends` become a configuration choice: ``engine``
-selects ``event`` (the default simulator), ``array`` (interned event
-loop), ``equilibrium`` (direct Gao-Rexford fixed point) or ``auto``
+selects ``array`` (the default: the event loop over interned arrays),
+``event`` (the simulator the others are checked against),
+``equilibrium`` (direct Gao-Rexford fixed point) or ``auto``
 (equilibrium when the policies qualify, event otherwise).  Selection
 happens once per :meth:`PropagationEngine.run` call, on the full origin
 set.  When ``auto`` or ``equilibrium`` falls back to ``event``,
@@ -12,8 +13,9 @@ counter (attributes ``engine`` and ``reason``) and one line on stderr
 per call.
 
 Every run is serial and in-process: the whole origin set propagates on
-one fresh backend instance, so with the default ``engine="event"`` a
-run is exactly :meth:`repro.bgp.propagation.PropagationSimulator.run`.
+one fresh backend instance.  With ``engine="event"`` a run is exactly
+:meth:`repro.bgp.propagation.PropagationSimulator.run`; the default
+``array`` gives the same events and routes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from __future__ import annotations
 import sys
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.bgp.backends import BACKENDS, ENGINE_CHOICES, EquilibriumBackend
+from repro.bgp.backends import (
+    BACKENDS,
+    DEFAULT_ENGINE,
+    ENGINE_CHOICES,
+    EquilibriumBackend,
+)
 from repro.telemetry import get_tracer
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
@@ -38,10 +45,10 @@ class PropagationEngine:
         policies: Optional[Mapping[int, RoutingPolicy]] = None,
         max_events_per_prefix: int = 200_000,
         keep_ribs_for: Optional[Iterable[int]] = None,
-        engine: str = "event",
+        engine: str = DEFAULT_ENGINE,
     ) -> None:
         """``engine`` picks the propagation backend (see
-        :mod:`repro.bgp.backends`): ``event`` (default), ``array``,
+        :mod:`repro.bgp.backends`): ``array`` (default), ``event``,
         ``equilibrium`` or ``auto``.  ``equilibrium`` and ``auto`` fall
         back to the event backend when the policies are not vanilla
         Gao-Rexford (:meth:`select_backend` exposes the decision and the
@@ -109,7 +116,7 @@ class PropagationEngine:
     def run(self, origins: Mapping[Prefix, int]) -> PropagationResult:
         """Propagate ``origins`` on a fresh instance of the resolved backend.
 
-        With the default ``engine="event"`` this is identical to
+        With ``engine="event"`` this is identical to
         ``PropagationSimulator.run``.
         """
         name = self._resolve_and_report(origins)

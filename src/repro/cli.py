@@ -47,13 +47,13 @@ Every ``--json`` report is written with sorted keys and carries a
 ``schema_version`` field, so golden files and cross-run diffs stay
 stable.
 
-``--engine`` selects the propagation backend (``event`` | ``equilibrium``
-| ``array`` | ``auto``, see :mod:`repro.bgp.backends`).  Every engine
-produces bit-identical reports — CI diffs the ``--json`` output across
-engines — so the flag only trades build time, never results.  The engine
-participates in the propagation stage fingerprint, so switching it on a
-shared ``--cache-dir`` recomputes propagation instead of reusing a
-stale artifact.  ``section3 --json`` reports carry a ``provenance``
+``--engine`` selects the propagation backend (``array``, the default |
+``event`` | ``equilibrium`` | ``auto``, see :mod:`repro.bgp.backends`).
+Every engine produces bit-identical reports — CI diffs the ``--json``
+output across engines — so the flag only trades build time, never
+results.  The engine participates in the propagation stage fingerprint,
+so switching it on a shared ``--cache-dir`` recomputes propagation
+instead of reusing a stale artifact.  ``section3 --json`` reports carry a ``provenance``
 block stating, per address family, which backend actually ran and why
 ``auto`` fell back (if it did); CI strips that block before diffing
 reports across engines.  A fallback is also announced on stderr.
@@ -86,6 +86,7 @@ from typing import Optional, Sequence
 from repro.analysis import format_series, format_summary, format_table
 from repro.analysis.report import write_json_report
 from repro.analysis.stats import Section3Artifacts, compute_section3
+from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
 from repro.core.correction import (
     CorrectionSeries,
     correction_payload,
@@ -136,10 +137,12 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7, help="snapshot seed")
     parser.add_argument(
         "--engine",
-        choices=("event", "equilibrium", "array", "auto"),
-        default="event",
-        help="propagation backend (all engines produce identical results; "
-        "'auto' picks the equilibrium solver when the policies qualify)",
+        choices=ENGINE_CHOICES,
+        default=DEFAULT_ENGINE,
+        help="propagation backend (default: %(default)s; 'event' is the "
+        "reference simulator it is checked against; 'auto' picks the "
+        "equilibrium solver when the policies qualify). All engines produce "
+        "identical results",
     )
 
 
@@ -187,7 +190,9 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         dataset=_config_from_args(args),
         top=getattr(args, "top", 20),
         max_sources=getattr(args, "max_sources", 60),
-        propagation=PropagationConfig(engine=getattr(args, "engine", "event")),
+        propagation=PropagationConfig(
+            engine=getattr(args, "engine", DEFAULT_ENGINE)
+        ),
     )
 
 
@@ -322,7 +327,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     snapshot = build_snapshot(
         _config_from_args(args),
         cache_dir=args.cache_dir,
-        engine=getattr(args, "engine", "event"),
+        engine=getattr(args, "engine", DEFAULT_ENGINE),
     )
     output = Path(args.output)
     summary = save_snapshot(snapshot, output)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.paths import ExtractionResult
+from repro.bgp.backends import DEFAULT_ENGINE
 from repro.bgp.policy import LocalPrefScheme, RoutingPolicy, TrafficEngineeringOverride
 from repro.bgp.prefixes import Prefix, PrefixAllocator
 from repro.bgp.propagation import PropagationResult
@@ -308,7 +309,7 @@ def _select_origins(
 def build_snapshot(
     config: Optional[DatasetConfig] = None,
     cache_dir=None,
-    engine: str = "event",
+    engine: str = DEFAULT_ENGINE,
 ) -> SyntheticSnapshot:
     """Build a complete synthetic measurement snapshot.
 

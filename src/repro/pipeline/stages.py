@@ -46,6 +46,7 @@ from repro.analysis.stats import (
     build_views,
     run_inference,
 )
+from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix, PrefixAllocator
 from repro.bgp.propagation import PropagationResult
@@ -76,7 +77,7 @@ class PropagationConfig:
 
     Attributes:
         engine: Propagation backend (see :mod:`repro.bgp.backends`):
-            ``event`` (default), ``array``, ``equilibrium`` or ``auto``.
+            ``array`` (default), ``event``, ``equilibrium`` or ``auto``.
             Every engine is pinned to produce identical routes (the
             golden parity suite), so changing it changes wall time, the
             reported event counts and — deliberately — the stage
@@ -84,11 +85,9 @@ class PropagationConfig:
             freshly computed result is still golden-identical.
     """
 
-    engine: str = "event"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
-        from repro.bgp.backends import ENGINE_CHOICES
-
         if self.engine not in ENGINE_CHOICES:
             raise ValueError(
                 f"propagation.engine must be one of {ENGINE_CHOICES}, "

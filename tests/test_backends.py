@@ -23,6 +23,8 @@ silently narrow to the golden seeds.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,42 @@ def _vanilla_policies(graph, seed: int):
             strip_communities_on_export=(index + seed) % 7 == 0,
         )
     return policies
+
+
+def _leaky_policies(graph, seed: int):
+    """The rich golden mix (a TE override, an IPv6 export relaxation)
+    plus leaks over half of the IPv6 peering adjacencies.
+
+    The rich mix alone left no stale Adj-RIB-In entry in 150 sampled
+    small topologies.  With the leaks and tier-2 peering probability
+    0.5, about one IPv6 plane in nine holds one.
+    """
+    policies = _rich_policies(graph, seed)
+    peerings = [
+        pair
+        for link in graph.links(AFI.IPV6)
+        if graph.relationship(link.a, link.b, AFI.IPV6) is Relationship.P2P
+        for pair in ((link.a, link.b), (link.b, link.a))
+    ]
+    random.Random(seed).shuffle(peerings)
+    for asn, neighbor in peerings[: len(peerings) // 2]:
+        policies[asn].add_relaxation(neighbor, AFI.IPV6)
+    return policies
+
+
+def _stale_routes(graph, result, origins):
+    """Installed routes whose path is not the sender's best path with
+    the sender prepended: entries a loop check left stale."""
+    stale = []
+    for prefix in origins:
+        for asn in graph.ases:
+            route = result.best_route(asn, prefix)
+            if route is None or route.learned_from is None:
+                continue
+            sender_best = result.best_route(route.learned_from, prefix)
+            if route.as_path.hops != sender_best.full_path():
+                stale.append((asn, prefix))
+    return stale
 
 
 def _assert_same_converged_state(graph, oracle, candidate, origins):
@@ -308,22 +346,34 @@ class TestChainWalk:
 
     @pytest.mark.parametrize("backend_cls", (ArrayBackend, EquilibriumBackend))
     def test_chain_through_an_unrouted_as_raises(self, backend_cls, monkeypatch):
-        """A sender chain must never index the ASN table with the
-        no-route sentinel (``asns[-1]`` would silently be the last AS)."""
+        """Inconsistent converged state fails loudly, naming the culprit.
+
+        ``equilibrium``: a sender chain must never index the ASN table
+        with the no-route sentinel (``asns[-1]`` would silently be the
+        last AS).  ``array``: a stored path that crosses a pair with no
+        relationship in the plane names the prefix and that hop."""
         graph = _golden_topology(2011).graph
         backend = backend_cls(graph, _vanilla_policies(graph, 2011))
         origin, holder, unrouted = graph.ases[:3]
         ids = {asn: i for i, asn in enumerate(graph.ases)}
+        prefix = PrefixAllocator().prefix(origin, AFI.IPV4)
         if backend_cls is ArrayBackend:
-            senders = backend._best_sender
+            stranger = next(
+                asn
+                for asn in graph.ases
+                if asn != origin
+                and not graph.relationship(asn, origin, AFI.IPV4).is_known
+            )
 
             def plant(*_args):
-                senders[ids[origin]] = -2
-                senders[ids[holder]] = ids[unrouted]
-                backend._best_rel[ids[holder]] = 1
-                return 0, [ids[origin], ids[holder]]
+                backend._best_sender[ids[origin]] = -2
+                backend._best_path[ids[origin]] = (ids[origin],)
+                backend._best_sender[ids[stranger]] = ids[origin]
+                backend._best_path[ids[stranger]] = (ids[origin],)
+                return 0, [ids[origin], ids[stranger]]
 
             monkeypatch.setattr(backend, "_propagate_prefix", plant)
+            match = f"{prefix} crosses AS{stranger} -> AS{origin}, "
         else:
 
             def plant(*_args):
@@ -333,20 +383,119 @@ class TestChainWalk:
                 return [ids[origin], ids[holder]]
 
             monkeypatch.setattr(backend, "_solve", plant)
-        prefix = PrefixAllocator().prefix(origin, AFI.IPV4)
-        with pytest.raises(ConvergenceError, match=f"AS{unrouted} "):
+            match = f"AS{unrouted} "
+        with pytest.raises(ConvergenceError, match=match):
             backend.run({prefix: origin})
+
+
+class TestStaleAdjRibInEntries:
+    """``array`` keeps the stale entries the event oracle keeps.
+
+    When a loop check rejects an update, the receiver keeps the
+    sender's *previous* Adj-RIB-In entry, so its installed path is not
+    the sender's current best path with the sender prepended.  On the
+    paper-scale scenario, a materializer that walks the current best
+    senders finds a loop instead of the route the oracle holds on
+    ``3fff:4::/32`` (seed 2) and ``3fff:bc::/32`` (seed 7).
+    """
+
+    CASES = {
+        2: ("3fff:4::/32", 4),
+        7: ("3fff:bc::/32", 188),
+    }
+
+    @pytest.fixture(scope="class")
+    def scenarios(self):
+        from repro.datasets import paper_scale_config
+        from repro.pipeline import PipelineConfig, run_pipeline
+
+        return {
+            seed: run_pipeline(
+                PipelineConfig(dataset=paper_scale_config(seed=seed)),
+                targets=["scenario"],
+            ).value("scenario")
+            for seed in self.CASES
+        }
+
+    @staticmethod
+    def _origins(scenario, seed):
+        text, origin = TestStaleAdjRibInEntries.CASES[seed]
+        origins = {
+            prefix: asn
+            for prefix, asn in scenario.origins[AFI.IPV6].items()
+            if str(prefix) == text
+        }
+        assert list(origins.values()) == [origin]
+        return origins
+
+    @pytest.mark.parametrize("pruned", (True, False), ids=("pruned", "unpruned"))
+    @pytest.mark.parametrize("seed", sorted(CASES))
+    def test_array_matches_event(self, scenarios, seed, pruned):
+        scenario = scenarios[seed]
+        graph = scenario.topology.graph
+        origins = self._origins(scenario, seed)
+        keep = scenario.vantage_asns if pruned else None
+        event = EventBackend(graph, scenario.policies, keep_ribs_for=keep).run(origins)
+        array = ArrayBackend(graph, scenario.policies, keep_ribs_for=keep).run(origins)
+        assert array.events == event.events
+        assert array.reachable_counts == event.reachable_counts
+        for asn in graph.ases:
+            for prefix in origins:
+                assert array.best_route(asn, prefix) == event.best_route(
+                    asn, prefix
+                ), f"AS{asn} towards {prefix}"
+
+    def test_small_leaky_topology(self):
+        """The same state on a small topology the property test can draw."""
+        graph = generate_topology(
+            TopologyConfig(
+                seed=5348,
+                tier1_count=5,
+                tier2_count=8,
+                tier3_count=11,
+                tier2_providers=(1, 2),
+                tier2_peering_probability=0.5,
+            )
+        ).graph
+        policies = _leaky_policies(graph, 730)
+        origins = originate_one_prefix_per_as(graph, AFI.IPV6)
+        event = EventBackend(graph, policies).run(origins)
+        array = ArrayBackend(graph, policies).run(origins)
+        assert _stale_routes(graph, event, origins)
+        assert array.events == event.events
+        _assert_same_converged_state(graph, event, array, origins)
+
+    @pytest.mark.parametrize("backend_cls", (EventBackend, ArrayBackend))
+    def test_installed_path_is_not_the_senders_best(self, scenarios, backend_cls):
+        """Documents the open stale-route bug (ROADMAP item 1): AS7 holds
+        ``3fff:bc::/32`` via AS8 on a path AS8 no longer uses."""
+        scenario = scenarios[7]
+        origins = self._origins(scenario, 7)
+        (prefix,) = origins
+        result = backend_cls(scenario.topology.graph, scenario.policies).run(origins)
+        held = result.best_route(7, prefix)
+        sender_best = result.best_route(8, prefix)
+        assert held.learned_from == 8
+        assert held.as_path.hops != (8,) + sender_best.as_path.hops
 
 
 # ----------------------------------------------------------------------
 # property-based harness: random topologies x random origin subsets
 # ----------------------------------------------------------------------
 @st.composite
-def random_scenario(draw):
-    """A small random topology, vanilla policies and an origin subset."""
+def random_scenario(draw, rich=False):
+    """A small random topology, policies and an origin subset.
+
+    Policies are vanilla Gao-Rexford.  With ``rich`` the draw may
+    instead pick :func:`_leaky_policies` over a densely peered
+    topology, which can leave stale Adj-RIB-In entries behind.  Such a
+    draw propagates every IPv6 prefix: the leaks are IPv6-only, and a
+    stale entry sits on a single prefix of the plane.
+    """
     topo_seed = draw(st.integers(min_value=1, max_value=10_000))
     policy_seed = draw(st.integers(min_value=0, max_value=999))
-    afi = draw(st.sampled_from((AFI.IPV4, AFI.IPV6)))
+    leaky = rich and draw(st.booleans())
+    afi = AFI.IPV6 if leaky else draw(st.sampled_from((AFI.IPV4, AFI.IPV6)))
     topology = generate_topology(
         TopologyConfig(
             seed=topo_seed,
@@ -354,11 +503,16 @@ def random_scenario(draw):
             tier2_count=draw(st.integers(min_value=4, max_value=10)),
             tier3_count=draw(st.integers(min_value=8, max_value=24)),
             tier2_providers=(1, 2),
+            tier2_peering_probability=(
+                0.5 if leaky else TopologyConfig.tier2_peering_probability
+            ),
         )
     )
     graph = topology.graph
-    policies = _vanilla_policies(graph, policy_seed)
     full = originate_one_prefix_per_as(graph, afi)
+    if leaky:
+        return graph, _leaky_policies(graph, policy_seed), full
+    policies = _vanilla_policies(graph, policy_seed)
     prefixes = sorted(full, key=str)
     chosen = draw(
         st.lists(
@@ -387,8 +541,8 @@ class TestPropertyBasedCrossValidation:
                     asn, prefix
                 ), f"AS{asn} towards {prefix}"
 
-    @settings(max_examples=10, deadline=None)
-    @given(scenario=random_scenario())
+    @settings(max_examples=50, deadline=None)
+    @given(scenario=random_scenario(rich=True))
     def test_array_matches_event_on_random_scenarios(self, scenario):
         graph, policies, origins = scenario
         event = EventBackend(graph, policies).run(origins)
