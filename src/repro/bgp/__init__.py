@@ -18,7 +18,6 @@ from repro.bgp.propagation import (
     PropagationSimulator,
     originate_one_prefix_per_as,
 )
-from repro.bgp.reference import ReferenceBGPSpeaker, ReferencePropagationSimulator
 from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
 from repro.bgp.router import BGPSpeaker, Neighbor
 
@@ -42,8 +41,6 @@ __all__ = [
     "PropagationEngine",
     "PropagationResult",
     "PropagationSimulator",
-    "ReferenceBGPSpeaker",
-    "ReferencePropagationSimulator",
     "originate_one_prefix_per_as",
     "AdjRibIn",
     "LocRib",

@@ -504,9 +504,9 @@ class ArtifactCache:
         """Validate the stored artifact; ``None`` when missing/corrupt.
 
         Reads and hashes the payload — corruption is detected here, not
-        at unpickle time.  The runner calls this once per warm stage, so
-        a warm run pays one sequential read of each cached artifact in
-        its closure (the deliberate price of eager corruption
+        at unpickle time.  The runner calls this once per stage it
+        demands, so a run pays one sequential read of each cached
+        artifact it needs (the deliberate price of eager corruption
         detection) but no deserialization.
         """
         verified = self._verified_bytes(stage, fingerprint)

@@ -1,23 +1,26 @@
 """Generic stage-DAG runner with fingerprint-addressed caching.
 
-:class:`PipelineRunner` executes a declared sequence of
-:class:`~repro.pipeline.stages.StageSpec` objects in topological order.
-For every stage it derives the invocation fingerprint (stage name, code
-version, configuration token, upstream fingerprints — see
-:mod:`repro.pipeline.artifacts`) and then either
+:class:`PipelineRunner` runs the closure of a set of target stages
+declared as :class:`~repro.pipeline.stages.StageSpec` objects.  Every
+stage has an invocation fingerprint (stage name, code version,
+configuration token, upstream fingerprints — see
+:mod:`repro.pipeline.artifacts`), so the runner resolves the closure
+**backwards from the targets** before computing anything:
 
-* reuses a verified artifact from the :class:`ArtifactCache` (a *warm*
-  stage — its payload is loaded lazily, only if something actually reads
-  it), or
-* calls the stage's compute function and stores the result.
+* a target, or an input of a stage that has to be computed, is
+  *demanded*;
+* a demanded cacheable stage is hash-verified in the
+  :class:`ArtifactCache`; a hit satisfies it (its payload is loaded
+  lazily, only if something reads it) and ends the walk up that branch;
+* a demanded stage that missed, or is not cacheable, is computed, which
+  demands its inputs in turn.
 
-Because fingerprints chain on upstream fingerprints rather than on
-payload bytes, a warm run decides "everything is cached" without
-deserializing a single artifact: each warm stage pays one sequential
-read + hash of its payload (eager corruption detection, see
-:meth:`ArtifactCache.verify`) but unpickles only the artifacts the
-caller actually reads — for a fully warm ``section3`` + ``figure2``,
-just the two small final ones.
+Closure stages no demanded stage needs are *skipped*: a warm
+``figure2`` verifies ``correction``, ``views`` and ``inference`` and
+touches nothing upstream of them.  The computed stages then run in
+declared topological order, so results and span order do not depend on
+the cache.  :meth:`PipelineRun.value` resolves a skipped stage on first
+access (load it from the cache, or compute it).
 
 The runner is deliberately generic: the concrete snapshot/analysis DAG
 lives in :mod:`repro.pipeline.stages`, and nothing here knows about
@@ -27,10 +30,15 @@ topologies or BGP.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.pipeline.artifacts import ArtifactCache, config_token, fingerprint
+from repro.pipeline.artifacts import (
+    ArtifactCache,
+    ArtifactRecord,
+    config_token,
+    fingerprint,
+)
 from repro.telemetry import get_tracer
 
 
@@ -51,8 +59,10 @@ class StageSpec:
             stage actually consumes; only changes to that slice
             invalidate the stage.  ``None`` means the stage reads no
             configuration beyond its upstream artifacts.
-        cacheable: Cheap assembly stages can opt out of persistence;
-            their fingerprint still chains so downstream caching works.
+        cacheable: Stages whose artifact no workload reads back opt
+            out of persistence; their fingerprint still chains so
+            downstream caching works, and they are computed only when
+            a consumer that missed the cache needs them.
     """
 
     name: str
@@ -96,10 +106,12 @@ class PipelineRun:
     """One execution of (a target-closure of) the pipeline.
 
     Stage values are exposed through :meth:`value`; artifacts of warm
-    stages are unpickled on first access.  When a cached payload turns
-    out to be unloadable at access time (e.g. corrupted between the
-    fingerprint check and the read), the stage is recomputed
-    transparently and the repaired artifact is stored back.
+    stages are unpickled on first access, and closure stages the run
+    skipped are resolved then (loaded from the cache or computed).
+    When a cached payload turns out to be unloadable at access time
+    (e.g. corrupted between the fingerprint check and the read), the
+    stage is recomputed transparently and the repaired artifact is
+    stored back.
     """
 
     def __init__(self, config: object, runner: "PipelineRunner") -> None:
@@ -118,28 +130,37 @@ class PipelineRun:
         """The artifact of one stage, materializing it if necessary."""
         if name in self._ready:
             return self._ready[name]
-        if name not in self._pending:
+        if name not in self.fingerprints:
             raise KeyError(f"stage {name!r} was not part of this run")
         spec = self._runner.stage(name)
         cache = self._runner.cache
+        stage_fingerprint = self.fingerprints[name]
         loaded = (
-            cache.load(name, self.fingerprints[name]) if cache is not None else None
+            cache.load(name, stage_fingerprint)
+            if cache is not None and spec.cacheable
+            else None
         )
         if loaded is not None:
             value = loaded[0]
+            if name not in self._outcome_index:
+                self._record(StageOutcome(name, stage_fingerprint, "cached", 0.0))
         else:
-            # The verified artifact became unloadable; recompute.
-            tracer = get_tracer()
-            if tracer:
-                tracer.counter("cache.unloadable", stage=name)
+            if name in self._pending:
+                # The verified artifact became unloadable; recompute.
+                tracer = get_tracer()
+                if tracer:
+                    tracer.counter("cache.unloadable", stage=name)
             started = time.perf_counter()
             try:
                 value = spec.compute(self)
             except Exception as exc:
                 raise StageFailure(name, self, exc) from exc
             if cache is not None and spec.cacheable:
-                cache.store(name, self.fingerprints[name], value, spec.version)
-            outcome = self._outcome_index[name]
+                cache.store(name, stage_fingerprint, value, spec.version)
+            outcome = self._outcome_index.get(name)
+            if outcome is None:
+                outcome = StageOutcome(name, stage_fingerprint, "computed", 0.0)
+                self._record(outcome)
             outcome.status = "computed"
             outcome.seconds = time.perf_counter() - started
         self._pending.discard(name)
@@ -254,45 +275,63 @@ class PipelineRunner:
     ) -> PipelineRun:
         """Run the closure of ``targets`` (default: every stage).
 
-        Warm stages are hash-verified here (one read of each payload —
-        corruption surfaces immediately as a recompute) but *not*
-        deserialized; payloads unpickle on first
-        :meth:`PipelineRun.value` access, so artifacts nobody reads are
-        never deserialized.
+        Stages are resolved backwards from the targets (see the module
+        docstring).  A hit is hash-verified here (one read of its
+        payload — corruption surfaces immediately as a recompute) and
+        unpickled only on first :meth:`PipelineRun.value` access.
 
         Telemetry: when a tracer is active (``repro --trace-dir`` or an
         explicit :func:`repro.telemetry.activated`), one ``"pipeline"``
         span wraps the run — nested under whatever span is already open,
-        e.g. a sweep's — and one ``"stage"`` span per stage records the
-        fingerprint, cache status, verify time and artifact bytes.
-        Telemetry never feeds into fingerprints, so a traced run is
-        byte-identical to an untraced one.
+        e.g. a sweep's — and lists the ``skipped`` closure stages; one
+        ``"stage"`` span per demanded stage records the fingerprint,
+        cache status, verify time and artifact bytes.  Telemetry never
+        feeds into fingerprints, so a traced run is byte-identical to
+        an untraced one.
         """
         tracer = get_tracer()
         with tracer.span(
             "pipeline", targets=",".join(targets) if targets else "all"
-        ):
-            return self._run(config, targets, tracer)
+        ) as span:
+            return self._run(config, targets, tracer, span)
 
     def _run(
         self,
         config: object,
         targets: Optional[Sequence[str]],
         tracer,
+        pipeline_span,
     ) -> PipelineRun:
         run = PipelineRun(config, self)
         run.fingerprints = self.fingerprints(config, targets)
-        for spec in self.closure(targets):
+        closure = self.closure(targets)
+        # Reverse topological order decides every consumer of a stage
+        # before the stage itself, so ``demanded`` is final on arrival.
+        demanded = set(targets) if targets is not None else set(run.fingerprints)
+        verified: Dict[str, Tuple[Optional[ArtifactRecord], float]] = {}
+        for spec in reversed(closure):
+            if spec.name not in demanded:
+                continue
+            if self.cache is not None and spec.cacheable:
+                verify_started = time.perf_counter()
+                record = self.cache.verify(spec.name, run.fingerprints[spec.name])
+                verified[spec.name] = (record, time.perf_counter() - verify_started)
+                if record is not None:
+                    continue
+            demanded.update(spec.dependencies)
+        skipped = [spec.name for spec in closure if spec.name not in demanded]
+        if skipped:
+            pipeline_span.annotate(skipped=",".join(skipped))
+        for spec in closure:
+            if spec.name not in demanded:
+                continue
             stage_fingerprint = run.fingerprints[spec.name]
             with tracer.span(
                 "stage", stage=spec.name, fingerprint=stage_fingerprint
             ) as span:
-                if self.cache is not None and spec.cacheable:
-                    verify_started = time.perf_counter()
-                    record = self.cache.verify(spec.name, stage_fingerprint)
-                    span.annotate(
-                        verify_seconds=round(time.perf_counter() - verify_started, 6)
-                    )
+                if spec.name in verified:
+                    record, verify_seconds = verified[spec.name]
+                    span.annotate(verify_seconds=round(verify_seconds, 6))
                     if record is not None:
                         span.annotate(
                             status="cached", artifact_bytes=record.size_bytes

@@ -2,18 +2,26 @@
 
 This module decomposes the formerly monolithic
 ``repro.datasets.synthetic.build_snapshot`` +
-``repro.analysis.stats.compute_section3`` chain into declared,
-individually cacheable stages (see ``docs/architecture.md`` for the
-full picture)::
+``repro.analysis.stats.compute_section3`` chain into declared stages
+(see ``docs/architecture.md`` for the full picture; ``[c]`` marks the
+stages the artifact cache persists)::
 
-    topology ──┬─> scenario ──┬─> propagation_v4 ──┐
-    irr ───────┘              ├─> propagation_v6 ──┼─> archive ─> store
-                              └─> ground_truth     │
-                                                   v
-    snapshot  <─── (assembly of everything above) ─┘
+    topology[c] ──┬─> scenario[c] ──┬─> propagation_v4 ──┐
+    irr[c] ───────┘                 ├─> propagation_v6 ──┼─> archive ─> store
+                                    └─> ground_truth[c]  │
+                                                         v
+    snapshot  <──── (assembly of everything above) ──────┘
 
-    store + irr ─> inference ─> views ─┬─> section3
-                                       └─> correction   (Figure 2)
+    store + irr ─> inference[c] ─> views[c] ─┬─> section3[c]
+                                             └─> correction[c]  (Figure 2)
+
+The propagation results, the collector archive and the extracted store
+are not persisted.  The demand-driven runner needs them only when
+``inference`` or ``views`` misses the cache, and on every workload that
+means a new configuration, whose propagation would miss as well; a
+version bump of ``inference`` or ``views`` recomputes them once.  A
+warm ``repro snapshot`` recomputes them too: the snapshot assembles
+them.
 
 Every stage calls exactly the code the monolithic path called, in the
 same order; in particular the *scenario* stage owns the single
@@ -377,15 +385,16 @@ def snapshot_stages() -> List[StageSpec]:
             config_slice=_scenario_slice,
         ),
         # The engine participates in the fingerprint on purpose —
-        # changing it recomputes (and its descendants with it) even
-        # though a correct backend produces identical routes, so a
-        # cached artifact always states truthfully which engine built it.
+        # changing it recomputes the descendants even though a correct
+        # backend produces identical routes, so a cached artifact always
+        # states truthfully which engine built it.
         StageSpec(
             name="propagation_v4",
             version="3",
             dependencies=("scenario",),
             compute=_stage_propagation_v4,
             config_slice=lambda config: config.propagation.engine,
+            cacheable=False,
         ),
         StageSpec(
             name="propagation_v6",
@@ -393,6 +402,7 @@ def snapshot_stages() -> List[StageSpec]:
             dependencies=("scenario",),
             compute=_stage_propagation_v6,
             config_slice=lambda config: config.propagation.engine,
+            cacheable=False,
         ),
         StageSpec(
             name="archive",
@@ -400,12 +410,14 @@ def snapshot_stages() -> List[StageSpec]:
             dependencies=("scenario", "propagation_v4", "propagation_v6"),
             compute=_stage_archive,
             config_slice=lambda config: config.dataset.snapshot_date,
+            cacheable=False,
         ),
         StageSpec(
             name="store",
             version="1",
             dependencies=("archive",),
             compute=_stage_store,
+            cacheable=False,
         ),
         StageSpec(
             name="ground_truth",

@@ -200,7 +200,8 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
     """The ``repro trace summary`` payload: rollups over one trace dir.
 
     Per-stage rollups (count, total, p50/p95, computed vs cached and
-    the cache hit rate, artifact bytes), per-engine rollups (events,
+    the cache hit rate, artifact bytes, and how often a run skipped the
+    stage because a descendant hit the cache), per-engine rollups (events,
     per-phase timings), aggregated counters, tree health (roots /
     orphans), and the root wall time with the part of it outside every
     stage (:func:`root_accounting`).
@@ -209,15 +210,22 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
     roots, orphans = build_tree(records)
 
     stages: Dict[str, dict] = {}
-    for span in spans:
-        if span.get("name") != "stage":
-            continue
-        attrs = span.get("attrs") or {}
-        entry = stages.setdefault(
-            str(attrs.get("stage")),
-            {"durations": [], "computed": 0, "cached": 0,
+
+    def stage_entry(name) -> dict:
+        return stages.setdefault(
+            str(name),
+            {"durations": [], "computed": 0, "cached": 0, "skipped": 0,
              "artifact_bytes": 0, "verify_seconds": 0.0, "errors": 0},
         )
+
+    for span in spans:
+        attrs = span.get("attrs") or {}
+        if span.get("name") == "pipeline" and attrs.get("skipped"):
+            for name in str(attrs["skipped"]).split(","):
+                stage_entry(name)["skipped"] += 1
+        if span.get("name") != "stage":
+            continue
+        entry = stage_entry(attrs.get("stage"))
         entry["durations"].append(float(span.get("seconds", 0.0)))
         status = attrs.get("status")
         if status in ("computed", "cached"):
@@ -233,6 +241,7 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         rollup.update(
             computed=entry["computed"],
             cached=entry["cached"],
+            skipped=entry["skipped"],
             errors=entry["errors"],
             cache_hit_rate=round(entry["cached"] / lookups, 4) if lookups else 0.0,
             artifact_bytes=entry["artifact_bytes"],

@@ -153,6 +153,34 @@ class TestPipelineOptions:
         assert "reused cached stages" in output
         assert "inference" in output
 
+    def test_warm_section3_json_identical_to_cold(self, tmp_path, capsys):
+        """A warm ``section3`` hits its target and reads ``views``,
+        ``inference`` and ``scenario`` (provenance) lazily: the report,
+        provenance included, is byte-identical to the cold one."""
+        cache_dir = str(tmp_path / "cache")
+        reports = []
+        for name in ("cold.json", "warm.json"):
+            report = tmp_path / name
+            argv = ["section3", "--small", "--seed", "3", "--cache-dir", cache_dir]
+            assert main(argv + ["--json", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert "reused cached stages: section3\n" in capsys.readouterr().out
+        assert reports[0] == reports[1]
+        assert b'"provenance"' in reports[1]
+
+    def test_trace_summary_shows_skipped_stages(self, tmp_path, capsys):
+        cache_dir, trace_dir = str(tmp_path / "cache"), str(tmp_path / "trace")
+        argv = ["figure2", "--small", "--seed", "3", "--top", "3", "--cache-dir", cache_dir]
+        assert main(argv) == 0
+        assert main(argv + ["--trace-dir", trace_dir]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summary", "--trace-dir", trace_dir]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (scenario,) = [line for line in lines if line.strip().startswith("scenario ")]
+        assert "computed 0 cached 0 skipped 1" in scenario
+        (correction,) = [line for line in lines if line.strip().startswith("correction ")]
+        assert "computed 0 cached 1 skipped 0" in correction
+
     def test_section3_from_snapshot_matches_in_memory(self, tmp_path, capsys):
         snap_dir = str(tmp_path / "snap")
         in_memory_json = tmp_path / "memory.json"
@@ -394,6 +422,36 @@ class TestCacheCommands:
         assert json.loads(capsys.readouterr().out)["total_bytes"] == before
 
 
+class TestGarbageCollectorPolicy:
+    def test_command_runs_under_the_policy_and_restores_thresholds(
+        self, monkeypatch
+    ):
+        import gc
+
+        import repro.cli as cli
+
+        seen = []
+
+        def handler(args):
+            seen.append(gc.get_threshold())
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_cache_stats", handler)
+        before = gc.get_threshold()
+        assert before != cli.GC_THRESHOLDS
+        assert cli.main(["cache", "stats", "--cache-dir", "unused"]) == 0
+        assert seen == [cli.GC_THRESHOLDS]
+        assert gc.get_threshold() == before
+
+    def test_thresholds_restored_when_parsing_fails(self):
+        import gc
+
+        before = gc.get_threshold()
+        with pytest.raises(SystemExit):
+            main(["section3", "--small", "--paper-scale"])
+        assert gc.get_threshold() == before
+
+
 class TestCacheDirValidation:
     @pytest.mark.parametrize(
         "command",
@@ -428,8 +486,9 @@ class TestCacheDirValidation:
 
 #: Modules ``import repro.cli`` must not load: SQLite, the removed
 #: storage layers and the process/thread pools (spelled in parts so
-#: that a repository-wide grep for those layers finds nothing), and
-#: networkx, which only ``ASGraph.to_networkx`` imports.
+#: that a repository-wide grep for those layers finds nothing),
+#: networkx, which only ``ASGraph.to_networkx`` imports, and the frozen
+#: BGP oracle, which only the golden tests import.
 ABSENT_MODULES = (
     "sql" "ite3",
     "repro." "cluster",
@@ -437,6 +496,7 @@ ABSENT_MODULES = (
     "multi" "processing",
     "concurrent." "futures",
     "networkx",
+    "repro.bgp.reference",
 )
 
 

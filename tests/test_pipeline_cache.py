@@ -4,7 +4,9 @@ Pins the contract of :mod:`repro.pipeline.artifacts` and the stage
 fingerprinting rules: a changed seed / config field / stage code
 version invalidates exactly the stages downstream of the change, and a
 corrupted or truncated artifact is detected by its payload hash and
-recomputed rather than loaded.
+recomputed rather than loaded.  It also pins the demand-driven runner:
+a run verifies a cached stage only when a consumer that missed needs
+it, and resolves the stages it skipped when something reads them.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from repro.pipeline import (
     full_stages,
     make_runner,
     run_pipeline,
+    section3_artifacts,
 )
 from repro.telemetry import Tracer, activated
 from repro.topology.generator import TopologyConfig
 
 ALL_ANALYSIS_TARGETS = ("section3", "correction")
-#: Every cacheable stage in the closure of the analysis targets.
+#: Every stage in the closure of the analysis targets, in execution order.
 ANALYSIS_CLOSURE = [
     "topology",
     "irr",
@@ -71,7 +74,8 @@ class TestWarmRuns:
         cache_dir, config = warm_cache
         warm = run_pipeline(config, cache_dir=cache_dir, targets=ALL_ANALYSIS_TARGETS)
         assert warm.computed_stages() == []
-        assert warm.cached_stages() == ANALYSIS_CLOSURE
+        # Both targets hit, so nothing upstream of them is even verified.
+        assert warm.cached_stages() == list(ALL_ANALYSIS_TARGETS)
         # The cached artifacts yield the same reports as a fresh computation.
         fresh = run_pipeline(config, targets=ALL_ANALYSIS_TARGETS)
         assert warm.value("section3").as_dict() == fresh.value("section3").as_dict()
@@ -117,6 +121,14 @@ class TestWarmRuns:
             assert cold_links[link].is_known
 
 
+def changed_stages(config, changed):
+    """The closure stages whose fingerprint differs between two configs."""
+    runner = PipelineRunner(full_stages())
+    before = runner.fingerprints(config, ALL_ANALYSIS_TARGETS)
+    after = runner.fingerprints(changed, ALL_ANALYSIS_TARGETS)
+    return {stage for stage in before if before[stage] != after[stage]}
+
+
 class TestInvalidation:
     def _statuses(self, cache_dir, config):
         run = run_pipeline(config, cache_dir=cache_dir, targets=ALL_ANALYSIS_TARGETS)
@@ -154,10 +166,14 @@ class TestInvalidation:
         changed = PipelineConfig(
             dataset=config.dataset, top=config.top + 1, max_sources=config.max_sources
         )
-        statuses = self._statuses(cache_dir, changed)
-        assert statuses["correction"] == "computed"
-        for stage in ANALYSIS_CLOSURE[:-1]:
-            assert statuses[stage] == "cached", stage
+        assert changed_stages(config, changed) == {"correction"}
+        # The miss demands correction's inputs, which hit and end the walk.
+        assert self._statuses(cache_dir, changed) == {
+            "inference": "cached",
+            "views": "cached",
+            "section3": "cached",
+            "correction": "computed",
+        }
 
     def test_changed_snapshot_date_invalidates_archive_and_downstream(self, warm_cache):
         import datetime
@@ -170,44 +186,65 @@ class TestInvalidation:
             top=config.top,
             max_sources=config.max_sources,
         )
+        downstream = ANALYSIS_CLOSURE[ANALYSIS_CLOSURE.index("archive"):]
+        assert changed_stages(config, changed) == set(downstream)
         statuses = self._statuses(cache_dir, changed)
-        upstream = [
-            "topology",
-            "irr",
-            "scenario",
-            "propagation_v4",
-            "propagation_v6",
-        ]
-        for stage in upstream:
-            assert statuses[stage] == "cached", stage
-        for stage in ANALYSIS_CLOSURE[len(upstream):]:
+        for stage in downstream:
             assert statuses[stage] == "computed", stage
+        # The archive reads the propagation results, which are not
+        # persisted: they recompute from the cached scenario.
+        assert statuses["propagation_v4"] == statuses["propagation_v6"] == "computed"
+        assert statuses["scenario"] == statuses["irr"] == "cached"
+        assert "topology" not in statuses
 
     def test_bumped_stage_version_invalidates_stage_and_descendants(self, warm_cache):
         cache_dir, config = warm_cache
         stages = [
             dataclasses.replace(spec, version=spec.version + ".bumped")
-            if spec.name == "store"
+            if spec.name == "inference"
             else spec
             for spec in full_stages()
         ]
-        runner = PipelineRunner(stages, ArtifactCache(cache_dir))
-        run = runner.run(config, targets=ALL_ANALYSIS_TARGETS)
+        bumped = PipelineRunner(stages).fingerprints(config, ALL_ANALYSIS_TARGETS)
+        original = PipelineRunner(full_stages()).fingerprints(
+            config, ALL_ANALYSIS_TARGETS
+        )
+        from_inference = ANALYSIS_CLOSURE[ANALYSIS_CLOSURE.index("inference"):]
+        assert {s for s in bumped if bumped[s] != original[s]} == set(from_inference)
+
+        run = PipelineRunner(stages, ArtifactCache(cache_dir)).run(
+            config, targets=ALL_ANALYSIS_TARGETS
+        )
         statuses = {outcome.stage: outcome.status for outcome in run.outcomes}
-        before_store = ANALYSIS_CLOSURE[: ANALYSIS_CLOSURE.index("store")]
-        from_store = ANALYSIS_CLOSURE[ANALYSIS_CLOSURE.index("store"):]
-        for stage in before_store:
-            assert statuses[stage] == "cached", stage
-        for stage in from_store:
-            assert statuses[stage] == "computed", stage
+        # The uncached store chain recomputes from the cached scenario.
+        assert run.computed_stages() == [
+            "propagation_v4",
+            "propagation_v6",
+            "archive",
+            "store",
+            "inference",
+            "views",
+            "section3",
+            "correction",
+        ]
+        assert statuses["scenario"] == statuses["irr"] == "cached"
+        assert "topology" not in statuses
+        cold = run_pipeline(config, targets=ALL_ANALYSIS_TARGETS)
+        assert run.value("section3").as_dict() == cold.value("section3").as_dict()
+        assert correction_payload(
+            run.value("correction"), config.top, config.max_sources
+        ) == correction_payload(cold.value("correction"), config.top, config.max_sources)
 
 
 def traced_section3(config, cache_dir):
-    """Run the ``section3`` closure under an in-memory tracer; returns
-    the run and its ``cache.corrupt`` counts per stage."""
+    """Run the ``section3`` closure and read its artifacts back the way
+    ``repro section3`` does (``views`` and ``inference`` too), under an
+    in-memory tracer; returns the run and its ``cache.corrupt`` counts
+    per stage."""
     tracer = Tracer(None)
     with activated(tracer):
         run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+        section3_artifacts(run)
     corrupt = Counter(
         record["attrs"]["stage"]
         for record in tracer.records()
@@ -224,13 +261,13 @@ class TestCorruptionDetection:
 
     def test_truncated_payload_is_recomputed(self, warm_cache):
         cache_dir, config = warm_cache
-        payload = self._payload_path(cache_dir, config, "store")
+        payload = self._payload_path(cache_dir, config, "section3")
         payload.write_bytes(payload.read_bytes()[: len(payload.read_bytes()) // 2])
         run, corrupt = traced_section3(config, cache_dir)
-        assert "store" in run.computed_stages()
-        assert corrupt == {"store": 1}
-        # Downstream stages still verify: their artifacts were not touched.
-        assert run.status_of("section3") == "cached"
+        assert run.computed_stages() == ["section3"]
+        assert corrupt == {"section3": 1}
+        # Its inputs still verify: their artifacts were not touched.
+        assert run.status_of("views") == run.status_of("inference") == "cached"
         # The recompute repaired the cache in place.
         repaired, corrupt = traced_section3(config, cache_dir)
         assert repaired.computed_stages() == []
@@ -243,7 +280,9 @@ class TestCorruptionDetection:
         data[len(data) // 2] ^= 0xFF
         payload.write_bytes(bytes(data))
         run, corrupt = traced_section3(config, cache_dir)
-        assert "inference" in run.computed_stages()
+        # section3 hits; the lazy read of inference finds the flip.
+        assert run.status_of("section3") == "cached"
+        assert run.status_of("inference") == "computed"
         assert corrupt == {"inference": 1}
 
     def test_unreadable_metadata_is_a_miss(self, warm_cache):
@@ -253,18 +292,141 @@ class TestCorruptionDetection:
         meta = runner.cache.meta_path("views", run.fingerprints["views"])
         meta.write_text("{not json", encoding="utf-8")
         rerun, corrupt = traced_section3(config, cache_dir)
-        assert "views" in rerun.computed_stages()
+        assert rerun.status_of("views") == "computed"
         assert corrupt == {"views": 1}
 
     def test_corrupted_and_recomputed_results_match_clean_run(self, warm_cache):
         cache_dir, config = warm_cache
-        clean = run_pipeline(config, targets=("section3",)).value("section3")
+        clean = section3_artifacts(run_pipeline(config, targets=("section3",)))
         payload = self._payload_path(cache_dir, config, "views")
         payload.write_bytes(b"garbage")
-        recovered = run_pipeline(
-            config, cache_dir=cache_dir, targets=("section3",)
-        ).value("section3")
-        assert recovered.as_dict() == clean.as_dict()
+        run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+        recovered = section3_artifacts(run)
+        assert run.status_of("views") == "computed"
+        assert recovered.report.as_dict() == clean.report.as_dict()
+        assert recovered.hybrid.hybrid_link_set() == clean.hybrid.hybrid_link_set()
+        assert recovered.inventory.summary() == clean.inventory.summary()
+
+
+class CountingCache(ArtifactCache):
+    """An artifact cache that records the stages it verifies and loads."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.verified = []
+        self.loaded = []
+
+    def verify(self, stage, fingerprint):
+        self.verified.append(stage)
+        return super().verify(stage, fingerprint)
+
+    def load(self, stage, fingerprint):
+        self.loaded.append(stage)
+        return super().load(stage, fingerprint)
+
+
+def flip_payload(cache_dir, config, stage):
+    """Bit-flip the middle byte of one stage's cached payload."""
+    runner = make_runner(cache_dir)
+    path = runner.cache.payload_path(stage, runner.fingerprints(config)[stage])
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def traced_figure2(config, cache_dir):
+    """A ``correction`` run under an in-memory tracer: its payload and
+    its ``cache.corrupt`` counts per stage."""
+    tracer = Tracer(None)
+    with activated(tracer):
+        run = run_pipeline(config, cache_dir=cache_dir, targets=("correction",))
+    corrupt = Counter(
+        record["attrs"]["stage"]
+        for record in tracer.records()
+        if record["kind"] == "counter" and record["name"] == "cache.corrupt"
+    )
+    payload = correction_payload(
+        run.value("correction"), config.top, config.max_sources
+    )
+    return run, payload, corrupt
+
+
+@pytest.fixture()
+def section3_cache(tmp_path):
+    """A cache filled by one cold ``section3`` run of the tiny config."""
+    config = tiny_config()
+    run_pipeline(config, cache_dir=tmp_path, targets=("section3",))
+    return tmp_path, config
+
+
+class TestDemandDriven:
+    def test_warm_figure2_verifies_only_what_it_reads(self, section3_cache):
+        cache_dir, config = section3_cache
+        cache = CountingCache(cache_dir)
+        run = PipelineRunner(full_stages(), cache).run(config, targets=("correction",))
+        assert sorted(cache.verified) == ["correction", "inference", "views"]
+        assert run.computed_stages() == ["correction"]
+        assert run.cached_stages() == ["inference", "views"]
+        assert sorted(cache.loaded) == ["inference", "views"]
+        # Everything upstream of the two hits was neither verified nor run.
+        untouched = set(run.fingerprints) - {o.stage for o in run.outcomes}
+        assert untouched == set(ANALYSIS_CLOSURE[: ANALYSIS_CLOSURE.index("inference")])
+
+    def test_corrupt_unread_ancestor_is_not_touched(self, section3_cache):
+        cache_dir, config = section3_cache
+        _, cold, _ = traced_figure2(config, None)
+        flip_payload(cache_dir, config, "scenario")
+        run, payload, corrupt = traced_figure2(config, cache_dir)
+        assert corrupt == {}
+        assert run.computed_stages() == ["correction"]
+        assert payload == cold
+
+    def test_corrupt_read_stage_heals(self, section3_cache):
+        cache_dir, config = section3_cache
+        _, cold, _ = traced_figure2(config, None)
+        flip_payload(cache_dir, config, "views")
+        run, payload, corrupt = traced_figure2(config, cache_dir)
+        assert corrupt == {"views": 1}
+        assert run.computed_stages() == [
+            "propagation_v4",
+            "propagation_v6",
+            "archive",
+            "store",
+            "views",
+            "correction",
+        ]
+        assert run.status_of("scenario") == run.status_of("inference") == "cached"
+        assert payload == cold
+        # The recompute stored a good artifact back.
+        rerun, payload, corrupt = traced_figure2(config, cache_dir)
+        assert rerun.computed_stages() == [] and corrupt == {}
+        assert payload == cold
+
+    def test_warm_section3_resolves_scenario_lazily(self, section3_cache):
+        from repro.cli import _selection_provenance
+
+        cache_dir, config = section3_cache
+        cold = run_pipeline(config, targets=("section3",))
+        cache = CountingCache(cache_dir)
+        run = PipelineRunner(full_stages(), cache).run(config, targets=("section3",))
+        assert cache.verified == ["section3"]
+        assert cache.loaded == []
+        assert _selection_provenance(config, run) == _selection_provenance(
+            config, cold
+        )
+        assert cache.loaded == ["scenario"]
+        assert run.status_of("scenario") == "cached"
+        assert run.computed_stages() == []
+
+    def test_skipped_uncached_stage_is_computed_on_read(self, section3_cache):
+        cache_dir, config = section3_cache
+        run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+        cold = run_pipeline(config, targets=("store",))
+        store = run.value("store")
+        assert run.status_of("store") == "computed"
+        assert store.stats == cold.value("store").stats
+        with pytest.raises(KeyError):
+            run.value("correction")
 
 
 class TestArtifactCacheUnit:

@@ -94,7 +94,22 @@ class TestCachedEqualsCold:
         targets = ("snapshot", "section3", "correction")
         cold = run_pipeline(config, cache_dir=tmp_path, targets=targets)
         warm = run_pipeline(config, cache_dir=tmp_path, targets=targets)
-        assert warm.computed_stages() == ["snapshot"]  # assembly is never cached
+        # Only the stages that are never persisted recompute: the
+        # snapshot assembly and the propagation → store chain it reads.
+        assert warm.computed_stages() == [
+            "propagation_v4",
+            "propagation_v6",
+            "archive",
+            "store",
+            "snapshot",
+        ]
+        assert warm.cached_stages() == [
+            "irr",
+            "scenario",
+            "ground_truth",
+            "section3",
+            "correction",
+        ]
         monolith = reference_build_snapshot(golden_config(seed))
         _assert_snapshots_identical(warm.value("snapshot"), monolith)
         assert (

@@ -47,7 +47,6 @@ class TestSharing:
         """Everything from irr to section3 depends on the dataset seed
         but not on the correction budget: two distinct slices each."""
         plan = seeds_by_tops_plan()
-        distinct = plan.distinct_fingerprints()
         for stage in (
             "irr",
             "scenario",
@@ -59,7 +58,7 @@ class TestSharing:
             "views",
             "section3",
         ):
-            assert len(distinct[stage]) == 2, stage
+            assert len({p.fingerprints[stage] for p in plan.plans}) == 2, stage
 
     def test_correction_distinct_per_cell(self):
         plan = seeds_by_tops_plan()
@@ -67,9 +66,11 @@ class TestSharing:
 
     def test_invocation_counts(self):
         plan = seeds_by_tops_plan()
-        # 11-stage closure x 4 scenarios vs 1 + 9*2 + 4 distinct.
-        assert plan.total_stage_invocations() == 44
-        assert plan.distinct_stage_invocations() == 23
+        # 7 cacheable closure stages (topology, irr, scenario, inference,
+        # views, section3, correction) x 4 scenarios vs 1 + 5*2 + 4
+        # distinct.
+        assert plan.total_stage_invocations() == 28
+        assert plan.distinct_stage_invocations() == 15
 
     def test_sharing_summary_shape(self):
         summary = seeds_by_tops_plan().sharing_summary()
@@ -101,14 +102,15 @@ class TestSchedule:
         plan = seeds_by_tops_plan(targets=("section3",))
         assert "correction" not in plan.distinct_fingerprints()
         # Without the correction stage the two tops collapse entirely.
-        assert plan.distinct_stage_invocations() == 1 + 9 * 2
+        assert plan.distinct_stage_invocations() == 1 + 5 * 2
 
 
 class TestNonCacheableStages:
-    """``cacheable=False`` stages (the ``snapshot`` facade) can never be
-    served from the cache, so they must not participate in the sharing
-    accounting — otherwise every multi-scenario sweep targeting them
-    would report phantom duplicate computes."""
+    """``cacheable=False`` stages (the ``snapshot`` facade and the
+    propagation → store chain) can never be served from the cache, so
+    they must not participate in the sharing accounting — otherwise
+    every multi-scenario sweep targeting them would report phantom
+    duplicate computes."""
 
     def plan(self):
         grid = SweepGrid(tiny_base(), [GridAxis("dataset.seed", (1, 2))])
@@ -119,12 +121,14 @@ class TestNonCacheableStages:
 
     def test_noncacheable_stages_excluded_from_accounting(self):
         plan = self.plan()
-        assert "snapshot" not in plan.distinct_fingerprints()
-        assert "snapshot" not in plan.sharing_summary()
-        # 2 scenarios x (topology..propagation..store chain of 8
-        # cacheable stages, topology shared).
-        assert plan.total_stage_invocations() == 2 * 8
-        assert plan.distinct_stage_invocations() == 1 + 7 * 2
+        uncached = {"propagation_v4", "propagation_v6", "archive", "store", "snapshot"}
+        assert plan.noncacheable_stages == uncached
+        assert not uncached & set(plan.distinct_fingerprints())
+        assert not uncached & set(plan.sharing_summary())
+        # 2 scenarios x 4 cacheable stages (topology, irr, scenario,
+        # ground_truth), topology shared.
+        assert plan.total_stage_invocations() == 2 * 4
+        assert plan.distinct_stage_invocations() == 1 + 3 * 2
 
     def test_schedule_claims_only_cacheable_fingerprints(self):
         """Scenarios identical in the snapshot closure (a `top` axis

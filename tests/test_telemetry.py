@@ -200,22 +200,36 @@ class TestPipelineTrace:
         assert statuses and set(statuses.values()) == {"computed"}
         assert all("fingerprint" in s["attrs"] for s in cold_stages)
         assert not counters_named(cold, "cache.hit")
+        cacheable = {spec.name for spec in full_stages() if spec.cacheable}
+        cold_cached = [s for s in cold_stages if s["attrs"]["stage"] in cacheable]
         misses = counters_named(cold, "cache.miss")
-        assert len(misses) == len(cold_stages)
+        assert len(misses) == len(cold_cached)
         assert counters_named(cold, "cache.put")
         # Computed cacheable stages record their stored artifact size.
-        assert all(
-            s["attrs"].get("artifact_bytes", 0) > 0 for s in cold_stages
-        )
+        assert all(s["attrs"].get("artifact_bytes", 0) > 0 for s in cold_cached)
+        # A cold run skips nothing.
+        assert "skipped" not in spans_named(cold, "pipeline")[0]["attrs"]
 
         with tracing(trace_dir):
             run_pipeline(config, cache_dir=tmp_path / "cache", targets=("section3",))
         warm = read_trace(trace_dir)[len(cold):]
         warm_stages = spans_named(warm, "stage")
+        assert [s["attrs"]["stage"] for s in warm_stages] == ["section3"]
         assert {s["attrs"]["status"] for s in warm_stages} == {"cached"}
         assert all("verify_seconds" in s["attrs"] for s in warm_stages)
         assert len(counters_named(warm, "cache.hit")) == len(warm_stages)
         assert not counters_named(warm, "cache.miss")
+        # The pipeline span names every closure stage the hit made
+        # unnecessary, and the summary counts them per stage.
+        (warm_pipeline,) = spans_named(warm, "pipeline")
+        skipped = set(warm_pipeline["attrs"]["skipped"].split(","))
+        assert skipped == set(statuses) - {"section3"}
+        summary = summarize(read_trace(trace_dir))
+        assert {
+            name for name, entry in summary["stages"].items() if entry["skipped"]
+        } == skipped
+        assert summary["stages"]["scenario"]["skipped"] == 1
+        assert summary["stages"]["scenario"]["computed"] == 1
 
         roots, orphans = build_tree(read_trace(trace_dir))
         assert orphans == []
@@ -263,15 +277,18 @@ class TestSweepTrace:
         assert traced == expected
 
     def test_bitflipped_cache_sweep_heals_and_counts_corruption(self, tmp_path):
-        """A traced sweep over a warm cache whose ``store`` payloads were
-        bit-flipped: every cell equals the clean sweep's, and the trace
-        counts one ``cache.corrupt`` per flipped payload (present-but-bad,
-        told apart from absent)."""
+        """A traced sweep over a warm cache whose ``correction`` and
+        ``views`` payloads were bit-flipped: every cell equals the clean
+        sweep's, and the trace counts one ``cache.corrupt`` per flipped
+        payload (present-but-bad, told apart from absent).  The flipped
+        correction makes each cell read its views, so both are found."""
         grid = SweepGrid(tiny_base(), [GridAxis("dataset.seed", (1, 2))])
         cache_dir = tmp_path / "cache"
         clean = run_sweep(grid, cache_dir=cache_dir)
-        flipped = sorted((cache_dir / "store").glob("*.pkl"))
-        assert len(flipped) == 2
+        flipped = sorted((cache_dir / "correction").glob("*.pkl")) + sorted(
+            (cache_dir / "views").glob("*.pkl")
+        )
+        assert len(flipped) == 4
         for payload in flipped:
             data = bytearray(payload.read_bytes())
             data[len(data) // 2] ^= 0xFF
