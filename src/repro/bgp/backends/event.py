@@ -3,9 +3,8 @@
 :class:`~repro.bgp.propagation.PropagationSimulator` predates the
 backend interface and remains directly usable; this adapter gives it a
 :class:`~repro.bgp.backends.base.PropagationBackend` face so the engine
-can treat all backends uniformly.  It is the oracle the other backends
-are cross-validated against and the only backend valid for *every*
-policy configuration.
+can treat both backends uniformly.  It is the oracle ``array`` is
+cross-validated against.
 """
 
 from __future__ import annotations

@@ -2,15 +2,10 @@
 
 :class:`PropagationEngine` is where the pluggable backends of
 :mod:`repro.bgp.backends` become a configuration choice: ``engine``
-selects ``array`` (the default: the event loop over interned arrays),
-``event`` (the simulator the others are checked against),
-``equilibrium`` (direct Gao-Rexford fixed point) or ``auto``
-(equilibrium when the policies qualify, event otherwise).  Selection
-happens once per :meth:`PropagationEngine.run` call, on the full origin
-set.  When ``auto`` or ``equilibrium`` falls back to ``event``,
-:meth:`~PropagationEngine.run` says so: one ``engine.fallback`` trace
-counter (attributes ``engine`` and ``reason``) and one line on stderr
-per call.
+selects ``array`` (the default: the event loop over interned arrays) or
+``event`` (the simulator ``array`` is checked against).  Both are valid
+for every policy configuration, so the engine named is the backend that
+runs.
 
 Every run is serial and in-process: the whole origin set propagates on
 one fresh backend instance.  With ``engine="event"`` a run is exactly
@@ -20,20 +15,25 @@ one fresh backend instance.  With ``engine="event"`` a run is exactly
 
 from __future__ import annotations
 
-import sys
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional
 
-from repro.bgp.backends import (
-    BACKENDS,
-    DEFAULT_ENGINE,
-    ENGINE_CHOICES,
-    EquilibriumBackend,
-)
+from repro.bgp.backends import BACKENDS, DEFAULT_ENGINE, ENGINE_CHOICES
 from repro.telemetry import get_tracer
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
 from repro.bgp.propagation import PropagationResult
 from repro.topology.graph import ASGraph
+
+
+def engine_provenance(engine: str) -> Dict[str, object]:
+    """Which backend a run configured with ``engine`` used, and why.
+
+    The per-plane entry of ``section3 --json``'s ``provenance`` block.
+    ``backend`` is always ``engine`` (no engine falls back), and
+    ``fallback_reason`` is always ``None``; both keys stay so the report
+    keeps its shape.
+    """
+    return {"engine": engine, "backend": engine, "fallback_reason": None}
 
 
 class PropagationEngine:
@@ -48,11 +48,8 @@ class PropagationEngine:
         engine: str = DEFAULT_ENGINE,
     ) -> None:
         """``engine`` picks the propagation backend (see
-        :mod:`repro.bgp.backends`): ``array`` (default), ``event``,
-        ``equilibrium`` or ``auto``.  ``equilibrium`` and ``auto`` fall
-        back to the event backend when the policies are not vanilla
-        Gao-Rexford (:meth:`select_backend` exposes the decision and the
-        reason).
+        :mod:`repro.bgp.backends`): ``array`` (default) or ``event``.
+        Any other name raises :class:`ValueError`.
         """
         if engine not in ENGINE_CHOICES:
             raise ValueError(
@@ -66,69 +63,27 @@ class PropagationEngine:
         )
         self.engine = engine
 
-    def select_backend(
-        self, origins: Mapping[Prefix, int]
-    ) -> Tuple[str, Optional[str]]:
-        """Resolve the configured engine to ``(backend name, reason)``.
-
-        ``event`` and ``array`` are unconditional.  ``equilibrium`` and
-        ``auto`` resolve to the equilibrium solver only when it is
-        applicable to every address family present in ``origins``;
-        otherwise they resolve to ``event`` and the reason carries the
-        (first) cause of the fallback (``None`` when nothing fell back).
-        Pure: reporting a fallback is left to :meth:`run`.
-        """
-        if self.engine in ("event", "array"):
-            return self.engine, None
-        for afi in sorted({prefix.afi for prefix in origins}, key=lambda a: a.value):
-            reason = EquilibriumBackend.inapplicable_reason(
-                self.graph, self.policies, afi
-            )
-            if reason is not None:
-                return "event", reason
-        return "equilibrium", None
-
     def selection_report(self, origins: Mapping[Prefix, int]) -> Dict[str, object]:
-        """Structured backend provenance for one origin set.
-
-        The machine-readable counterpart of :meth:`select_backend`,
-        surfaced by ``section3 --json`` so consumers can see which
-        backend actually ran without parsing reason strings.
-        """
-        name, fallback = self.select_backend(origins)
-        return {
-            "engine": self.engine,
-            "backend": name,
-            "fallback_reason": fallback,
-        }
-
-    def _resolve_and_report(self, origins: Mapping[Prefix, int]) -> str:
-        """:meth:`select_backend`, announcing a fallback (counter + stderr)."""
-        name, reason = self.select_backend(origins)
-        if reason is not None:
-            get_tracer().counter("engine.fallback", engine=self.engine, reason=reason)
-            print(
-                f"[engine] {self.engine} fell back to event: {reason}",
-                file=sys.stderr,
-            )
-        return name
+        """Structured backend provenance for one origin set
+        (:func:`engine_provenance` of the configured engine, whatever
+        the origins)."""
+        return engine_provenance(self.engine)
 
     def run(self, origins: Mapping[Prefix, int]) -> PropagationResult:
-        """Propagate ``origins`` on a fresh instance of the resolved backend.
+        """Propagate ``origins`` on a fresh instance of the configured backend.
 
         With ``engine="event"`` this is identical to
         ``PropagationSimulator.run``.
         """
-        name = self._resolve_and_report(origins)
         tracer = get_tracer()
         with tracer.span(
             "propagation",
-            backend=name,
+            backend=self.engine,
             engine=self.engine,
             prefixes=len(origins),
         ) as span:
-            with tracer.span("propagation.propagate", backend=name):
-                result = BACKENDS[name](
+            with tracer.span("propagation.propagate", backend=self.engine):
+                result = BACKENDS[self.engine](
                     self.graph,
                     self.policies,
                     max_events_per_prefix=self.max_events_per_prefix,

@@ -43,8 +43,8 @@ The frozen seed implementation lives in :mod:`repro.bgp.reference`;
 golden-equivalence tests assert the two produce identical routes.
 
 This simulator is also the ``event`` backend of the pluggable engine
-layer (:mod:`repro.bgp.backends`): the equilibrium solver and the
-array-native core are cross-validated against it as the oracle.  The
+layer (:mod:`repro.bgp.backends`): the array-native core is
+cross-validated against it as the oracle.  The
 result types it shares with the other backends live in
 :mod:`repro.bgp.results` and are re-exported here for compatibility.
 """

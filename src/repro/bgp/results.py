@@ -2,19 +2,16 @@
 
 :class:`PropagationResult` is the **engine-agnostic contract** of the
 propagation subsystem: whichever backend computed it (the event-driven
-simulator, the Gao-Rexford equilibrium solver or the array-native core
-— see :mod:`repro.bgp.backends`), downstream consumers read the same
-shape:
+simulator or the array-native core — see :mod:`repro.bgp.backends`),
+downstream consumers read the same shape:
 
 * ``speakers`` — converged :class:`~repro.bgp.router.BGPSpeaker`
   objects whose Loc-RIBs hold the best routes (the collectors snapshot
   these),
 * ``reachable_counts`` — per-prefix reachability, available even when
   RIBs were pruned to the vantage points, and
-* ``events`` — the number of best-route changes processed.  Only the
-  event-faithful backends (``event``, ``array``) report a meaningful
-  count; the equilibrium solver computes the fixed point directly and
-  reports ``0``.
+* ``events`` — the number of best-route changes processed (the same
+  count on both backends).
 
 This module also hosts :class:`ConvergenceError` and the
 :func:`originate_one_prefix_per_as` convenience so backends do not have
@@ -36,8 +33,8 @@ from repro.topology.graph import ASGraph
 
 class ConvergenceError(RuntimeError):
     """Raised when propagation does not quiesce within the event budget,
-    or when a converged best-sender chain is inconsistent (it loops or
-    runs through an AS without a route)."""
+    or when a converged route's stored AS path is inconsistent (it
+    crosses a pair with no known relationship or misses the origin)."""
 
 
 @dataclass

@@ -47,16 +47,17 @@ Every ``--json`` report is written with sorted keys and carries a
 ``schema_version`` field, so golden files and cross-run diffs stay
 stable.
 
-``--engine`` selects the propagation backend (``array``, the default |
-``event`` | ``equilibrium`` | ``auto``, see :mod:`repro.bgp.backends`).
-Every engine produces bit-identical reports — CI diffs the ``--json``
-output across engines — so the flag only trades build time, never
-results.  The engine participates in the propagation stage fingerprint,
-so switching it on a shared ``--cache-dir`` recomputes propagation
-instead of reusing a stale artifact.  ``section3 --json`` reports carry a ``provenance``
-block stating, per address family, which backend actually ran and why
-``auto`` fell back (if it did); CI strips that block before diffing
-reports across engines.  A fallback is also announced on stderr.
+``--engine`` selects the propagation backend (``array``, the default,
+or ``event``, the oracle it is checked against; see
+:mod:`repro.bgp.backends`); any other name is refused.  Both engines
+produce bit-identical reports — CI diffs the ``--json`` output across
+engines — so the flag only trades build time, never results.  The
+engine participates in the propagation stage fingerprint, so switching
+it on a shared ``--cache-dir`` recomputes propagation instead of
+reusing a stale artifact.  ``section3 --json`` reports carry a
+``provenance`` block stating, per address family, which backend ran
+(always the one named); CI strips that block before diffing reports
+across engines.
 
 ``--trace-dir DIR`` (on ``section3``/``figure2``/``snapshot``/``sweep``)
 turns on structured telemetry: :func:`main` activates one tracer around
@@ -89,6 +90,7 @@ from repro.analysis import format_series, format_summary, format_table
 from repro.analysis.report import write_json_report
 from repro.analysis.stats import Section3Artifacts, compute_section3
 from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
+from repro.bgp.engine import engine_provenance
 from repro.core.correction import (
     CorrectionSeries,
     correction_payload,
@@ -150,8 +152,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         choices=ENGINE_CHOICES,
         default=DEFAULT_ENGINE,
         help="propagation backend (default: %(default)s; 'event' is the "
-        "reference simulator it is checked against; 'auto' picks the "
-        "equilibrium solver when the policies qualify). All engines produce "
+        "reference simulator it is checked against). Both engines produce "
         "identical results",
     )
 
@@ -221,27 +222,18 @@ def _artifacts_from_disk(directory: str) -> Section3Artifacts:
     return compute_section3(extraction.store, loaded.registry)
 
 
-def _selection_provenance(config: PipelineConfig, run) -> dict:
+def _selection_provenance(config: PipelineConfig) -> dict:
     """Per-AFI backend provenance for ``--json`` reports.
 
-    The structured counterpart of
-    :meth:`repro.bgp.engine.PropagationEngine.selection_report`: which
-    backend each address family actually ran on (``auto`` may fall back
-    per plane) and why.  CI strips this block before byte-comparing
-    reports across engines — it is the one part of the report that
-    *should* differ.
+    Each plane runs the configured engine, so the block follows from
+    the config alone (:func:`repro.bgp.engine.engine_provenance`, the
+    shape :meth:`~repro.bgp.engine.PropagationEngine.selection_report`
+    returns) and needs no pipeline artifact.  CI strips this block
+    before byte-comparing reports across engines — it is the one part
+    of the report that *should* differ.
     """
-    from repro.bgp.engine import PropagationEngine
-
-    scenario = run.value("scenario")
-    engine = PropagationEngine(
-        scenario.topology.graph,
-        scenario.policies,
-        keep_ribs_for=scenario.vantage_asns,
-        engine=config.propagation.engine,
-    )
     return {
-        afi.name.lower(): engine.selection_report(scenario.origins[afi])
+        afi.name.lower(): engine_provenance(config.propagation.engine)
         for afi in (AFI.IPV4, AFI.IPV6)
     }
 
@@ -262,7 +254,7 @@ def _cmd_section3(args: argparse.Namespace) -> int:
             "ases": config.dataset.topology.total_ases,
             "seed": args.seed,
         }
-        provenance = _selection_provenance(config, run)
+        provenance = _selection_provenance(config)
     print(format_table(artifacts.report.rows(), title="Section 3 statistics"))
     if args.json:
         payload = {"config": config_payload, "section3": artifacts.report.as_dict()}

@@ -85,12 +85,12 @@ class PropagationConfig:
 
     Attributes:
         engine: Propagation backend (see :mod:`repro.bgp.backends`):
-            ``array`` (default), ``event``, ``equilibrium`` or ``auto``.
-            Every engine is pinned to produce identical routes (the
-            golden parity suite), so changing it changes wall time, the
-            reported event counts and — deliberately — the stage
-            fingerprints: a changed engine is a cache miss, and the
-            freshly computed result is still golden-identical.
+            ``array`` (default) or ``event``; any other name raises
+            :class:`ValueError`.  Both engines are pinned to produce
+            identical routes and event counts (the parity suite), so
+            changing it changes wall time and — deliberately — the
+            stage fingerprints: a changed engine is a cache miss, and
+            the freshly computed result is still identical.
     """
 
     engine: str = DEFAULT_ENGINE

@@ -42,6 +42,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["snapshot"])
 
+    def test_engine_accepts_only_event_and_array(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["section3", "--engine", "auto"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'auto'" in err
+        choices = err[err.index("choose from"):]
+        assert "event" in choices and "array" in choices
+        assert "equi" "librium" not in choices
+
 
 class TestCommands:
     def test_section3_prints_table_and_writes_json(self, tmp_path, capsys):
@@ -154,9 +164,10 @@ class TestPipelineOptions:
         assert "inference" in output
 
     def test_warm_section3_json_identical_to_cold(self, tmp_path, capsys):
-        """A warm ``section3`` hits its target and reads ``views``,
-        ``inference`` and ``scenario`` (provenance) lazily: the report,
-        provenance included, is byte-identical to the cold one."""
+        """A warm ``section3`` hits its target and reads ``views`` and
+        ``inference`` lazily; the provenance block comes from the config
+        alone.  The report, provenance included, is byte-identical to
+        the cold one."""
         cache_dir = str(tmp_path / "cache")
         reports = []
         for name in ("cold.json", "warm.json"):

@@ -406,17 +406,22 @@ class TestDemandDriven:
         from repro.cli import _selection_provenance
 
         cache_dir, config = section3_cache
-        cold = run_pipeline(config, targets=("section3",))
+        cold = run_pipeline(config, targets=("scenario",)).value("scenario")
         cache = CountingCache(cache_dir)
         run = PipelineRunner(full_stages(), cache).run(config, targets=("section3",))
         assert cache.verified == ["section3"]
         assert cache.loaded == []
-        assert _selection_provenance(config, run) == _selection_provenance(
-            config, cold
-        )
-        assert cache.loaded == ["scenario"]
+        # What ``section3 --json`` reads: the facade loads its
+        # artifacts; the provenance block needs none.
+        section3_artifacts(run)
+        _selection_provenance(config)
+        assert sorted(cache.loaded) == ["inference", "section3", "views"]
+        scenario = run.value("scenario")
+        assert cache.loaded[-1] == "scenario"
         assert run.status_of("scenario") == "cached"
         assert run.computed_stages() == []
+        assert scenario.origins == cold.origins
+        assert scenario.vantage_asns == cold.vantage_asns
 
     def test_skipped_uncached_stage_is_computed_on_read(self, section3_cache):
         cache_dir, config = section3_cache
