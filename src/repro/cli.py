@@ -12,7 +12,6 @@ Six subcommands cover the common workflows without writing any code::
                               [--engine NAME]
     python -m repro sweep     --grid grid.json [--cache-dir DIR]
                               [--executor serial]
-                              [--cache-budget-bytes N]
                               [--json PATH] [--markdown PATH]
     python -m repro trace     show | summary | profile  --trace-dir DIR [--json]
     python -m repro cache     stats | prune  --cache-dir DIR
@@ -27,8 +26,9 @@ a directory, so the pipeline can also be exercised from files on disk.
 into scenarios and runs them all over one shared artifact cache —
 upstream stages two scenarios have in common are computed once and
 reused — then prints/writes a cross-scenario report.  ``cache stats``
-and ``cache prune`` keep those caches from growing unbounded —
-``--cache-budget-bytes`` automates the prune after every scenario.
+reports a cache's footprint and ``cache prune`` is the one way to bound
+it (``prune`` alone deletes files, including aged temp files left by
+crashed writers).
 Every ``--cache-dir`` is a plain directory (created on demand); naming
 an existing file instead is refused with exit code 2.
 
@@ -375,11 +375,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = run_sweep(
             plan,  # the announced plan IS the executed plan
             cache_dir=args.cache_dir,
-            cache_budget_bytes=args.cache_budget_bytes,
         )
-    except (ValueError, OSError) as exc:
-        # Invalid option combinations or an unusable cache —
-        # scenario failures never raise here.
+    except OSError as exc:
+        # An unusable cache or trace directory — scenario failures
+        # never raise here.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for scenario in result.results:
@@ -707,13 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
         help="scenarios always run one at a time in this process; 'serial' "
         "is the only choice (default: serial)",
-    )
-    sweep.add_argument(
-        "--cache-budget-bytes",
-        type=int,
-        default=None,
-        help="prune the artifact cache down to this many bytes after every "
-        "scenario (the 'repro cache prune' logic, automated)",
     )
     sweep.add_argument(
         "--json", help="write the cross-scenario report as JSON to this path"

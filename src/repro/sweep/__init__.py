@@ -10,8 +10,7 @@ as the unit of work:
   slices are identified before execution,
 * :mod:`repro.sweep.executor` — runs the scenarios one at a time in
   declaration order, so each shared slice is computed exactly once;
-  per-scenario failure isolation, resume-from-cache on rerun, and
-  optional per-scenario cache-budget pruning,
+  per-scenario failure isolation and resume-from-cache on rerun,
 * :mod:`repro.sweep.report` — cross-scenario delta tables and
   seed-variance statistics with t-based confidence intervals
   (JSON + markdown).

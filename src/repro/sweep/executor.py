@@ -7,12 +7,10 @@ this process.  Every stage a scenario computes lands in the shared
 so every distinct stage invocation is computed exactly once and reused
 by every later scenario that needs it.
 
-Cache hygiene: ``cache_budget_bytes`` prunes the shared cache down to
-the budget after every scenario (age-then-LRU, the ``repro cache
-prune`` logic), so long campaigns stay inside a disk quota.  A budget
-tight enough to evict artifacts a *later* scenario still needs trades
-the exactly-once guarantee for the quota — the recompute shows up in
-the per-fingerprint counters, never as an error.
+The sweep never evicts: ``repro cache prune`` is the one way to bound
+the cache.  An artifact evicted (or corrupted) under a running sweep
+costs exactly-once, not correctness — the recompute shows up in the
+per-fingerprint counters, never as an error.
 
 Failure isolation: a scenario that raises is recorded as ``"failed"``
 with its error message; every other scenario still runs.  A rerun of
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.correction import correction_payload
-from repro.pipeline import ArtifactCache, PipelineRun, StageSpec, make_runner
+from repro.pipeline import PipelineRun, StageSpec, make_runner
 from repro.pipeline.runner import StageFailure
 from repro.sweep.grid import Scenario, SweepGrid
 from repro.sweep.planner import DEFAULT_TARGETS, ScenarioPlan, SweepPlan, plan_sweep
@@ -173,7 +171,6 @@ def run_sweep(
     cache_dir: Optional[str] = None,
     targets: Sequence[str] = DEFAULT_TARGETS,
     stages: Optional[Sequence[StageSpec]] = None,
-    cache_budget_bytes: Optional[int] = None,
 ) -> SweepResult:
     """Run every scenario of a grid over one shared artifact cache.
 
@@ -187,20 +184,10 @@ def run_sweep(
     to independent full runs, which is exactly the baseline the sweep
     tests compare the cached cells against.
 
-    ``cache_budget_bytes`` (``>= 0``) prunes the cache to the budget
-    after every scenario.
-
     An active tracer (``repro sweep --trace-dir``) records one
     ``sweep`` span with every scenario's ``pipeline`` span nested in it;
     tracing never changes a result.
     """
-    if cache_budget_bytes is not None:
-        if cache_dir is None:
-            raise ValueError("cache_budget_bytes requires a cache_dir to prune")
-        if cache_budget_bytes < 0:
-            raise ValueError(
-                f"cache_budget_bytes must be >= 0, got {cache_budget_bytes}"
-            )
     if isinstance(grid, SweepPlan):
         plan = grid
     else:
@@ -215,8 +202,6 @@ def run_sweep(
             results.append(
                 _run_scenario(scenario_plan, cache_str, plan.targets, stages)
             )
-            if cache_budget_bytes is not None:
-                ArtifactCache(cache_str).prune(max_bytes=cache_budget_bytes)
     return SweepResult(
         targets=plan.targets,
         plan=plan,

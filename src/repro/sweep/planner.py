@@ -16,10 +16,10 @@ cached before the next scenario starts: across the whole sweep **every
 distinct stage invocation is computed exactly once** and every other
 scenario that needs it gets a cache hit.  A scenario that fails
 mid-pipeline keeps the stages it completed in the cache, and the stage
-that failed is computed by the next scenario that needs it.  Only a
-cache budget tight enough to evict an artifact a later scenario still
-needs computes a fingerprint twice; the executor's per-fingerprint
-counters make that visible.
+that failed is computed by the next scenario that needs it.  Only an
+artifact evicted (``repro cache prune``) or corrupted before a later
+scenario needs it computes a fingerprint twice; the executor's
+per-fingerprint counters make that visible.
 """
 
 from __future__ import annotations

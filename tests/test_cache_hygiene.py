@@ -1,21 +1,22 @@
-"""Cache hygiene: size accounting, the access index, age/LRU eviction.
+"""Cache hygiene: size accounting, recency, age/LRU eviction.
 
-Sweeps multiply cache entries, so the cache now reports its footprint
-(:meth:`ArtifactCache.stats`) and evicts (:meth:`ArtifactCache.prune`)
-— by age, then LRU down to a byte budget, ordered by the last-access
-times in the ``cache-index.json`` sidecar.  Evicting a live artifact is
-always safe: the next run recomputes it (a miss, never an error).
+Sweeps multiply cache entries, so the cache reports its footprint
+(:meth:`ArtifactCache.stats`, which deletes nothing) and evicts
+(:meth:`ArtifactCache.prune`) — by age, then LRU down to a byte budget,
+ordered by each payload's mtime (set by the write, bumped by every
+verified read).  Evicting a live artifact is always safe: the next run
+recomputes it (a miss, never an error).
 """
 
 from __future__ import annotations
 
-import json
+import os
+import time
 
 import pytest
 
 from repro.datasets import DatasetConfig
 from repro.pipeline import ArtifactCache, PipelineConfig, run_pipeline
-from repro.pipeline.artifacts import INDEX_FILENAME
 from repro.topology.generator import TopologyConfig
 
 
@@ -31,17 +32,10 @@ def _store(cache, stage, seed, payload_size=100):
 
 
 def _age(cache, stage, fingerprint, by_seconds):
-    """Make an entry look unused for ``by_seconds`` (both the sidecar
-    index entry and the payload mtime feed the last-used time)."""
-    import os
-    import time
-
+    """Make an entry look unused for ``by_seconds`` (its payload mtime
+    is its last-used time)."""
     old = time.time() - by_seconds
     os.utime(cache.payload_path(stage, fingerprint), (old, old))
-    with cache._index_lock:
-        entries = cache._read_index()
-        entries[f"{stage}/{fingerprint}"] = old
-        cache._write_index(entries)
 
 
 class TestStats:
@@ -66,21 +60,12 @@ class TestStats:
             bucket["bytes"] for bucket in stats.per_stage.values()
         )
         assert stats.to_dict()["entries"] == 2
-        # The root-level index file is metadata, not an artifact.
-        assert (cache.root / INDEX_FILENAME).exists()
 
 
-class TestAccessIndex:
-    def test_store_writes_the_index(self, cache):
-        fp = _store(cache, "alpha", 1)
-        index = json.loads((cache.root / INDEX_FILENAME).read_text())
-        assert f"alpha/{fp}" in index["entries"]
-
+class TestRecency:
     def test_read_access_bumps_payload_mtime(self, cache):
-        """Warm hits are O(1): a read bumps the payload's mtime instead
-        of rewriting the index (which would be O(total entries))."""
-        import os
-
+        """Warm hits are O(1): a read bumps the payload's mtime, which
+        is the entry's last-used time."""
         fp = _store(cache, "alpha", 1)
         payload = cache.payload_path("alpha", fp)
         old = payload.stat().st_mtime - 3600
@@ -89,24 +74,6 @@ class TestAccessIndex:
         assert payload.stat().st_mtime > old + 1800
         entry = {e.fingerprint: e for e in cache._scan_entries()}[fp]
         assert entry.last_used > old + 1800
-
-    def test_non_utf8_index_is_ignored(self, cache):
-        fp = _store(cache, "alpha", 1)
-        (cache.root / INDEX_FILENAME).write_bytes(b"\xff\xfe broken")
-        assert cache.contains("alpha", fp)
-        assert cache.stats().entries == 1
-        _store(cache, "beta", 2)  # store must not crash on the bad index
-
-    def test_corrupt_index_is_ignored(self, cache):
-        fp = _store(cache, "alpha", 1)
-        (cache.root / INDEX_FILENAME).write_text("{broken", encoding="utf-8")
-        # Reads still verify, stats still work (mtime fallback), and
-        # the next store rebuilds the index.
-        assert cache.contains("alpha", fp)
-        assert cache.stats().entries == 1
-        fp_b = _store(cache, "beta", 2)
-        index = json.loads((cache.root / INDEX_FILENAME).read_text())
-        assert f"beta/{fp_b}" in index["entries"]
 
 
 class TestPrune:
@@ -167,14 +134,6 @@ class TestPrune:
         assert len(report.removed) == 1
         assert cache.contains("alpha", fp)
 
-    def test_index_entries_of_removed_artifacts_are_dropped(self, cache):
-        fp = _store(cache, "alpha", 1)
-        _store(cache, "beta", 2)
-        cache.prune(max_bytes=0)
-        index = json.loads((cache.root / INDEX_FILENAME).read_text())
-        assert index["entries"] == {}
-        assert not cache.contains("alpha", fp)
-
     def test_report_serializes(self, cache):
         _store(cache, "alpha", 1)
         payload = cache.prune(max_bytes=0).to_dict()
@@ -209,12 +168,9 @@ class TestPruneLiveCache:
 
 class TestTempFileSweep:
     """Orphaned temp files (crashed writers) are swept by prune and
-    surfaced in the report."""
+    surfaced in the report; nothing else deletes them."""
 
     def _plant_orphan(self, cache, age_seconds=7200.0):
-        import os
-        import time
-
         orphan = cache.root / "alpha" / ".tmp-crashed-writer"
         orphan.parent.mkdir(parents=True, exist_ok=True)
         orphan.write_bytes(b"half-written payload")
@@ -235,6 +191,13 @@ class TestTempFileSweep:
         orphan = self._plant_orphan(cache, age_seconds=1.0)
         report = cache.prune(max_age_seconds=10**9)
         assert report.temp_files_removed == 0
+        assert orphan.exists()
+
+    def test_stats_leaves_aged_orphans_alone(self, cache):
+        """Reporting is read-only: only prune sweeps orphans."""
+        _store(cache, "alpha", 1)
+        orphan = self._plant_orphan(cache)
+        assert cache.stats().entries == 1
         assert orphan.exists()
 
     def test_dry_run_counts_without_deleting(self, cache):

@@ -52,6 +52,13 @@ class TestParser:
         assert "event" in choices and "array" in choices
         assert "equi" "librium" not in choices
 
+    def test_sweep_has_no_cache_budget_flag(self, capsys):
+        """``repro cache prune`` is the one way to bound the cache."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--grid", "g.json", "--cache-budget-bytes", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cache-budget-bytes" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_section3_prints_table_and_writes_json(self, tmp_path, capsys):
@@ -317,31 +324,12 @@ class TestSweepCommand:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
 
-    def test_negative_cache_budget_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("repro.sweep.executor.make_runner", _no_stage)
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        cache_dir = tmp_path / "cache"
-        assert main(
-            ["sweep", "--grid", grid, "--cache-dir", str(cache_dir),
-             "--cache-budget-bytes", "-1"]
-        ) == 2
-        assert "cache_budget_bytes must be >= 0" in capsys.readouterr().err
-        assert not cache_dir.exists()
-
     def test_cacheless_sweep_prints_no_duplicate_warning(self, tmp_path, capsys):
         """Without a cache, shared fingerprints recompute per cell by
         design — that is not a broken exactly-once schedule."""
         grid = _tiny_grid(tmp_path, tops=(2,))
         assert main(["sweep", "--grid", grid, "--executor", "serial"]) == 0
         assert "warning" not in capsys.readouterr().out
-
-    def test_budget_requires_cache_dir(self, tmp_path, capsys):
-        grid = _tiny_grid(tmp_path, tops=(2,))
-        assert main(
-            ["sweep", "--grid", grid, "--executor", "serial",
-             "--cache-budget-bytes", "100"]
-        ) == 2
-        assert "cache_budget_bytes" in capsys.readouterr().err
 
     def test_warm_sweep_reports_fully_cached(self, tmp_path, capsys):
         grid = _tiny_grid(tmp_path)

@@ -7,8 +7,7 @@ The acceptance criteria of the sweep subsystem:
   compute, never *what* they compute),
 * with a shared cache every distinct stage invocation is computed
   **exactly once** across the whole sweep (cache hit/miss counters),
-* a warm rerun of the same grid recomputes nothing,
-* ``cache_budget_bytes`` prunes the shared cache after each scenario, and
+* a warm rerun of the same grid recomputes nothing, and
 * one failing scenario does not take the sweep down.
 """
 
@@ -21,7 +20,7 @@ import pytest
 from repro.cli import build_parser
 from repro.core.correction import correction_payload
 from repro.datasets import DatasetConfig
-from repro.pipeline import ArtifactCache, PipelineConfig, full_stages, run_pipeline
+from repro.pipeline import PipelineConfig, full_stages, run_pipeline
 from repro.sweep import GridAxis, SweepGrid, run_sweep
 from repro.topology.generator import TopologyConfig
 
@@ -127,38 +126,6 @@ class TestExecutors:
             with pytest.raises(SystemExit):
                 parser.parse_args(["sweep", "--grid", "g.json", "--executor", executor])
         assert "invalid choice" in capsys.readouterr().err
-
-
-class TestCacheBudget:
-    def test_budget_prunes_after_each_scenario(self, tmp_path):
-        """--cache-budget-bytes automation: after the sweep the cache
-        fits the budget; scenarios still all succeed (evictions are
-        misses, never errors)."""
-        grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
-        cache_dir = tmp_path / "cache"
-        result = run_sweep(grid, cache_dir=cache_dir, cache_budget_bytes=1)
-        assert [r.status for r in result.results] == ["ok", "ok"]
-        assert ArtifactCache(cache_dir).stats().total_bytes <= 1
-        # The prune ran between the scenarios: the second one found
-        # nothing of the first's shared upstream left to reuse.
-        second = result.results[1]
-        assert set(second.stage_statuses.values()) == {"computed"}
-
-    def test_generous_budget_preserves_exactly_once(self, tmp_path):
-        grid = SweepGrid(tiny_base(), [GridAxis("top", (2, 3))])
-        result = run_sweep(
-            grid,
-            cache_dir=tmp_path / "cache",
-            cache_budget_bytes=10 ** 9,
-        )
-        assert result.duplicate_computes() == {}
-        stats = ArtifactCache(tmp_path / "cache").stats()
-        assert 0 < stats.total_bytes <= 10 ** 9
-
-    def test_budget_requires_cache(self):
-        grid = SweepGrid(tiny_base(), [GridAxis("top", (2,))])
-        with pytest.raises(ValueError, match="cache_budget_bytes"):
-            run_sweep(grid, cache_budget_bytes=100)
 
 
 def _failing_stages():
