@@ -8,7 +8,7 @@ extended AS path and freshly computed LOCAL_PREF / communities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
 from repro.core.relationships import AFI, Relationship
@@ -97,10 +97,6 @@ class Route:
                 path = (self.holder,) + self.attributes.as_path.hops
             object.__setattr__(self, "_full_path", path)
         return path
-
-    def with_attributes(self, attributes: PathAttributes) -> "Route":
-        """Return a copy with different attributes."""
-        return replace(self, attributes=attributes)
 
     @classmethod
     def originate(cls, prefix: Prefix, origin_as: int) -> "Route":

@@ -70,11 +70,9 @@ prints per-stage/per-engine rollups (count, total, p50/p95, cache hit
 rate, runs that skipped the stage because a descendant hit the cache)
 and counters (``cache.corrupt`` counts artifacts that failed
 verification) plus the root span's wall time and the part of it
-outside every stage.
-
-``--profile`` (with ``--trace-dir``) additionally wraps the hot spans
-in deterministic ``cProfile`` + ``tracemalloc`` capture; ``trace
-profile`` renders the hot-function rollup.
+outside every stage.  For a function-level view inside a stage, run
+the command under the standard library's profiler (recipe in
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -111,7 +109,7 @@ from repro.pipeline import (
     run_pipeline,
     section3_artifacts,
 )
-from repro.telemetry import ProfilingConfig, Tracer, activated
+from repro.telemetry import Tracer, activated
 
 #: Schema version of the ``section3``/``figure2`` ``--json`` reports.
 REPORT_SCHEMA_VERSION = 1
@@ -174,9 +172,7 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_trace_option(
-    parser: argparse.ArgumentParser, profile: bool = True
-) -> None:
+def _add_trace_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-dir",
         default=None,
@@ -185,15 +181,6 @@ def _add_trace_option(
         "directory; inspect with 'repro trace show|summary'.  Off by "
         "default; tracing never changes fingerprints or outputs",
     )
-    if profile:
-        parser.add_argument(
-            "--profile",
-            action="store_true",
-            help="also wrap stage/engine spans in cProfile + tracemalloc "
-            "capture, writing profile*.jsonl beside the trace (requires "
-            "--trace-dir); inspect with 'repro trace profile'.  Slows the "
-            "run but never changes fingerprints or outputs",
-        )
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -531,41 +518,6 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_profile(args: argparse.Namespace) -> int:
-    from repro.telemetry import profile_rollup, read_profiles, render_profiles
-
-    try:
-        records = read_profiles(args.trace_dir)
-    except FileNotFoundError:
-        print(
-            f"error: no profile*.jsonl files under {args.trace_dir} "
-            "(was the run started with --trace-dir and --profile?)",
-            file=sys.stderr,
-        )
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema_version": REPORT_SCHEMA_VERSION,
-                    "records": len(records),
-                    "rollup": profile_rollup(records, top_n=args.top),
-                },
-                indent=2,
-                sort_keys=True,
-                default=str,
-            )
-        )
-        return 0
-    print(f"profiles at {args.trace_dir} ({len(records)} span capture(s))")
-    for line in render_profiles(records, top_n=args.top):
-        print(line)
-    return 0
-
-
 def _open_cache(args: argparse.Namespace) -> Optional[ArtifactCache]:
     """Open an existing cache for ``cache stats|prune`` (the hygiene
     commands never create one)."""
@@ -746,23 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable rollup"
     )
     trace_summary.set_defaults(handler=_cmd_trace_summary)
-    trace_profile = trace_commands.add_parser(
-        "profile",
-        help="hot-function rollup of profile*.jsonl records written by "
-        "--profile runs (top cumulative-time functions per stage/engine)",
-    )
-    trace_profile.add_argument(
-        "--trace-dir", required=True,
-        help="trace directory a --profile run wrote",
-    )
-    trace_profile.add_argument(
-        "--top", type=int, default=10,
-        help="functions shown per profiled unit (default: 10)",
-    )
-    trace_profile.add_argument(
-        "--json", action="store_true", help="machine-readable rollup"
-    )
-    trace_profile.set_defaults(handler=_cmd_trace_profile)
 
     cache = subparsers.add_parser(
         "cache", help="inspect or prune an artifact-cache directory"
@@ -818,10 +753,6 @@ def _run_command(argv: Optional[Sequence[str]]) -> int:
         # The snapshot on disk fixes the scale; a sizing flag alongside
         # it would be silently ignored, which reads like it worked.
         parser.error("--small/--paper-scale cannot be combined with --from-snapshot")
-    if getattr(args, "profile", False) and not getattr(args, "trace_dir", None):
-        # Profile records are written beside the trace; without a trace
-        # dir the capture would run and then be dropped on the floor.
-        parser.error("--profile requires --trace-dir")
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None and Path(cache_dir).exists() and not Path(cache_dir).is_dir():
         # One check for every subcommand taking --cache-dir: the cache
@@ -833,9 +764,7 @@ def _run_command(argv: Optional[Sequence[str]]) -> int:
         return 2
     tracer = None
     if args.command != "trace" and getattr(args, "trace_dir", None):
-        tracer = Tracer(
-            args.trace_dir, profiling=ProfilingConfig() if args.profile else None
-        )
+        tracer = Tracer(args.trace_dir)
     try:
         with activated(tracer):
             return args.handler(args)

@@ -137,10 +137,6 @@ class PathLengthMetrics:
     reachable_pairs: int = 0
     measured_sources: int = 0
 
-    def as_tuple(self) -> Tuple[float, int]:
-        """(average, diameter) — convenient for plotting Figure 2."""
-        return (self.average, self.diameter)
-
 
 def valley_free_path_metrics(
     plane: Union[ToRAnnotation, ValleyFreeIndex],

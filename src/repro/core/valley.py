@@ -67,11 +67,6 @@ class PathValidation:
     violating_hop: Optional[int] = None
     unknown_hops: Tuple[int, ...] = ()
 
-    @property
-    def is_valley(self) -> bool:
-        """True when the path violates the valley-free rule."""
-        return self.validity is PathValidity.VALLEY
-
 
 def validate_path(
     path: Sequence[int], annotation: ToRAnnotation

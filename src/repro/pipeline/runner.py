@@ -179,13 +179,6 @@ class PipelineRun:
         """Names of the stages that were (re)computed."""
         return [o.stage for o in self.outcomes if o.status == "computed"]
 
-    def summary_lines(self) -> List[str]:
-        """Human-readable per-stage outcome lines (for the CLI)."""
-        return [
-            f"{outcome.stage:<14} {outcome.status:<8} {outcome.seconds:7.2f}s"
-            for outcome in self.outcomes
-        ]
-
     # internal: registration by the runner -----------------------------
     def _record(self, outcome: StageOutcome) -> None:
         self.outcomes.append(outcome)
@@ -219,10 +212,6 @@ class PipelineRunner:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def stage_names(self) -> List[str]:
-        return [spec.name for spec in self._order]
-
     def stage(self, name: str) -> StageSpec:
         return self._by_name[name]
 

@@ -9,9 +9,6 @@ Public surface:
 * :func:`read_trace` / :func:`build_tree` / :func:`summarize` /
   :func:`render_tree` — the join/rollup side behind
   ``repro trace show|summary``.
-* :class:`ProfilingConfig` / :func:`read_profiles` /
-  :func:`profile_rollup` — opt-in per-span ``cProfile`` +
-  ``tracemalloc`` capture behind ``repro trace profile``.
 
 See ``docs/observability.md`` for the span model and the JSONL schema.
 """
@@ -25,50 +22,28 @@ from repro.telemetry.analyze import (
     summarize,
     trace_files,
 )
-from repro.telemetry.profile import (
-    PROFILE_FILENAME,
-    PROFILE_SCHEMA_VERSION,
-    PROFILED_SPANS,
-    ProfilingConfig,
-    profile_files,
-    profile_rollup,
-    read_profiles,
-    render_profiles,
-)
 from repro.telemetry.tracer import (
     NULL_TRACER,
     TRACE_FILENAME,
     TRACE_SCHEMA_VERSION,
     NullTracer,
     Tracer,
-    activate,
     activated,
-    deactivate,
     get_tracer,
 )
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
-    "PROFILED_SPANS",
-    "PROFILE_FILENAME",
-    "PROFILE_SCHEMA_VERSION",
-    "ProfilingConfig",
     "SUMMARY_SCHEMA_VERSION",
     "TRACE_FILENAME",
     "TRACE_SCHEMA_VERSION",
     "Tracer",
-    "activate",
     "activated",
     "build_tree",
-    "deactivate",
     "get_tracer",
     "parse_jsonl",
-    "profile_files",
-    "profile_rollup",
-    "read_profiles",
     "read_trace",
-    "render_profiles",
     "render_tree",
     "summarize",
     "trace_files",

@@ -1,4 +1,4 @@
-"""Process-local tracer: nested spans, counters and gauges.
+"""Process-local tracer: nested spans and counters.
 
 The tracer is deliberately tiny and stdlib-only.  A :class:`Tracer`
 collects finished records in memory and appends them to
@@ -31,13 +31,6 @@ import time
 import uuid
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
-
-from repro.telemetry.profile import (
-    PROFILE_FILENAME,
-    ProfiledSpanHandle,
-    ProfilingConfig,
-    SpanProfiler,
-)
 
 TRACE_SCHEMA_VERSION = 1
 TRACE_FILENAME = "trace.jsonl"
@@ -113,9 +106,6 @@ class NullTracer:
     def counter(self, name, value=1, **attrs) -> None:
         pass
 
-    def gauge(self, name, value, **attrs) -> None:
-        pass
-
     def flush(self) -> None:
         return None
 
@@ -124,24 +114,15 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects spans/counters/gauges; flushes to JSONL.
+    """Collects spans and counters; flushes to JSONL.
 
     Span parentage follows one stack of open spans: a span opened with
     no span open is a root.
     """
 
-    def __init__(
-        self,
-        trace_dir,
-        *,
-        run_id: Optional[str] = None,
-        profiling: Optional[ProfilingConfig] = None,
-    ) -> None:
+    def __init__(self, trace_dir, *, run_id: Optional[str] = None) -> None:
         self.trace_dir = os.fspath(trace_dir) if trace_dir is not None else None
         self.run_id = run_id or _new_id()
-        #: Opt-in per-span profiling (``None`` = off; the disabled path
-        #: is a single ``is None`` branch per span).
-        self._profiler = SpanProfiler(profiling) if profiling is not None else None
         self._records: List[Dict[str, object]] = []
         self._stack: List[str] = []  # ids of the open spans, innermost last
 
@@ -172,29 +153,16 @@ class Tracer:
             "_started": time.perf_counter(),
         }
         self._stack.append(record["span_id"])
-        handle = _SpanHandle(self, record)
-        if self._profiler is not None and name in self._profiler.span_names:
-            return ProfiledSpanHandle(handle, record, self._profiler, self._append)
-        return handle
+        return _SpanHandle(self, record)
 
     def _finish_span(self, record: Dict[str, object]) -> None:
         if self._stack and self._stack[-1] == record["span_id"]:
             self._stack.pop()
         self._records.append(record)
 
-    def _append(self, record: Dict[str, object]) -> None:
-        """Buffer a ready-made record (profile records use this)."""
-        self._records.append(record)
-
     def counter(self, name: str, value: int = 1, **attrs) -> None:
-        self._emit("counter", name, value, attrs)
-
-    def gauge(self, name: str, value: float, **attrs) -> None:
-        self._emit("gauge", name, value, attrs)
-
-    def _emit(self, kind: str, name: str, value, attrs: Dict[str, object]) -> None:
         record = {
-            "kind": kind,
+            "kind": "counter",
             "schema_version": TRACE_SCHEMA_VERSION,
             "run_id": self.run_id,
             "span_id": self.current_span_id(),
@@ -217,37 +185,19 @@ class Tracer:
         """Append all buffered records to ``<trace_dir>/trace.jsonl``.
 
         The whole batch goes through one ``O_APPEND`` write, so flushes
-        from concurrent ``repro`` processes never interleave mid-line.  Profile
-        records flush the same way but to ``profile.jsonl`` — beside
-        the trace, never into it, so ``trace*.jsonl`` readers see only
-        span/counter records.  Returns the trace path written (``None``
-        when nothing was buffered or the tracer has no trace
-        directory).
+        from concurrent ``repro`` processes never interleave mid-line.
+        Returns the trace path written (``None`` when nothing was
+        buffered or the tracer has no trace directory).
         """
         records, self._records = self._records, []
         if not records or self.trace_dir is None:
             return None
-        trace_lines, profile_lines = [], []
+        lines = []
         for record in records:
             record.pop("_started", None)
-            line = json.dumps(record, sort_keys=True, default=str)
-            if record.get("kind") == "profile":
-                profile_lines.append(line)
-            else:
-                trace_lines.append(line)
+            lines.append(json.dumps(record, sort_keys=True, default=str))
         os.makedirs(self.trace_dir, exist_ok=True)
-        path: Optional[str] = None
-        if trace_lines:
-            path = os.path.join(self.trace_dir, TRACE_FILENAME)
-            self._append_file(path, trace_lines)
-        if profile_lines:
-            self._append_file(
-                os.path.join(self.trace_dir, PROFILE_FILENAME), profile_lines
-            )
-        return path
-
-    @staticmethod
-    def _append_file(path: str, lines: List[str]) -> None:
+        path = os.path.join(self.trace_dir, TRACE_FILENAME)
         payload = ("\n".join(lines) + "\n").encode("utf-8")
         fd = os.open(path, os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
         try:
@@ -256,6 +206,7 @@ class Tracer:
                 payload = payload[written:]
         finally:
             os.close(fd)
+        return path
 
 
 # ----------------------------------------------------------------------
@@ -270,22 +221,10 @@ def get_tracer():
     return active[-1] if active else NULL_TRACER
 
 
-def activate(tracer: Tracer) -> None:
-    """Push ``tracer`` onto the process-wide activation stack."""
-    _ACTIVE.append(tracer)
-
-
-def deactivate(tracer: Tracer) -> None:
-    """Pop the most recent activation of ``tracer`` (no-op if absent)."""
-    for index in range(len(_ACTIVE) - 1, -1, -1):
-        if _ACTIVE[index] is tracer:
-            del _ACTIVE[index]
-            return
-
-
 @contextmanager
 def activated(tracer) -> Iterator[None]:
-    """Activate ``tracer`` for the duration of the block.
+    """Push ``tracer`` onto the activation stack for the duration of the
+    block; activations nest and the innermost one wins.
 
     Accepts ``None`` or a :class:`NullTracer` (the block runs with the
     ambient tracer untouched), so call sites need no conditionals.
@@ -293,8 +232,11 @@ def activated(tracer) -> Iterator[None]:
     if not tracer:
         yield
         return
-    activate(tracer)
+    _ACTIVE.append(tracer)
     try:
         yield
     finally:
-        deactivate(tracer)
+        for index in range(len(_ACTIVE) - 1, -1, -1):
+            if _ACTIVE[index] is tracer:
+                del _ACTIVE[index]
+                break

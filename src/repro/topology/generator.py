@@ -118,11 +118,6 @@ class GeneratedTopology:
     tier3: List[int]
     hybrid_links: Dict[Link, HybridType] = field(default_factory=dict)
 
-    @property
-    def all_ases(self) -> List[int]:
-        """Every ASN in the topology (tier order)."""
-        return self.tier1 + self.tier2 + self.tier3
-
     def tier_of(self, asn: int) -> int:
         """Tier (1, 2 or 3) the generator assigned to ``asn``."""
         if asn in self.tier1:

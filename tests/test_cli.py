@@ -59,6 +59,16 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --cache-budget-bytes" in capsys.readouterr().err
 
+    def test_profile_flag_and_trace_profile_are_gone(self, capsys):
+        """Profiling is ``python -m cProfile``'s job, not the CLI's."""
+        for argv in (
+            ["section3", "--trace-dir", "D", "--profile"],
+            ["trace", "profile", "--trace-dir", "D"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+
 
 class TestCommands:
     def test_section3_prints_table_and_writes_json(self, tmp_path, capsys):
@@ -496,13 +506,17 @@ ABSENT_MODULES = (
     "concurrent." "futures",
     "networkx",
     "repro.bgp.reference",
+    "cProfile",
+    "pstats",
+    "tracemalloc",
 )
 
 
 def test_cli_import_loads_no_storage_backends():
     """The CLI's import graph holds no database module, no pluggable
-    storage layer (the artifact cache is one plain directory) and no
-    worker pool (everything runs in one process and one thread)."""
+    storage layer (the artifact cache is one plain directory), no
+    worker pool (everything runs in one process and one thread) and no
+    profiler (profiling is ``python -m cProfile``'s job)."""
     probe = (
         "import sys, repro.cli; "
         f"absent = {ABSENT_MODULES!r}; "

@@ -57,11 +57,11 @@ def tiny_base(seed: int = 5) -> PipelineConfig:
 
 
 @contextlib.contextmanager
-def tracing(trace_dir, **kwargs):
+def tracing(trace_dir):
     """Run the block under a fresh tracer writing to ``trace_dir`` and
     flush it afterwards — what ``repro --trace-dir`` does around a
     command."""
-    tracer = Tracer(trace_dir, **kwargs)
+    tracer = Tracer(trace_dir)
     try:
         with activated(tracer):
             yield tracer
@@ -107,9 +107,8 @@ class TestTracerBasics:
         tracer = Tracer(tmp_path)
         with tracer.span("work") as span:
             tracer.counter("widgets", 3, kind="round")
-            tracer.gauge("queue_depth", 7.5)
         counters = [r for r in tracer.records() if r["kind"] != "span"]
-        assert {r["name"] for r in counters} == {"widgets", "queue_depth"}
+        assert {r["name"] for r in counters} == {"widgets"}
         assert all(r["span_id"] == span.span_id for r in counters)
 
     def test_flush_writes_sorted_key_jsonl_and_appends(self, tmp_path):
