@@ -61,9 +61,7 @@ def main() -> None:
     )
 
     print("Most visible hybrid links in the IPv6 AS paths:")
-    visibility = build_visibility_index(
-        snapshot.observations_for(AFI.IPV6), afi=AFI.IPV6
-    )
+    visibility = build_visibility_index(snapshot.store, afi=AFI.IPV6)
     rows = []
     for link, count in visibility.rank_links(report.hybrid_link_set())[:10]:
         entry = detector.classify(link)

@@ -5,7 +5,6 @@ from repro.analysis.links import (
     build_link_inventory,
     endpoint_ases,
     links_between,
-    links_of,
 )
 from repro.analysis.partition import (
     ReachabilityPartitionReport,
@@ -15,11 +14,7 @@ from repro.analysis.partition import (
 from repro.analysis.paths import (
     ExtractionResult,
     ExtractionStats,
-    distinct_paths,
-    extract_from_archive,
-    extract_observations,
     observation_from_record,
-    paths_by_origin,
     store_from_records,
 )
 from repro.analysis.report import (
@@ -44,17 +39,12 @@ __all__ = [
     "build_link_inventory",
     "endpoint_ases",
     "links_between",
-    "links_of",
     "ReachabilityPartitionReport",
     "analyze_reachability",
     "compare_relaxation",
     "ExtractionResult",
     "ExtractionStats",
-    "distinct_paths",
-    "extract_from_archive",
-    "extract_observations",
     "observation_from_record",
-    "paths_by_origin",
     "store_from_records",
     "format_series",
     "format_summary",

@@ -12,10 +12,10 @@ observations, derive
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Set
 
-from repro.core.observations import ObservedRoute, unique_links
 from repro.core.relationships import AFI, Link
+from repro.core.store import ObservationStore
 
 
 @dataclass
@@ -60,34 +60,16 @@ class LinkInventory:
         }
 
 
-def build_link_inventory(observations: Iterable[ObservedRoute]) -> LinkInventory:
-    """Build the per-plane link sets from a mixed set of observations.
+def build_link_inventory(store: ObservationStore) -> LinkInventory:
+    """The per-plane link sets of a store.
 
-    An :class:`~repro.core.store.ObservationStore` input copies the
-    store's precomputed per-plane link sets instead of re-walking every
-    path (the copies keep the inventory independently mutable).
+    Copies the store's precomputed per-plane link sets, so the inventory
+    stays independently mutable.
     """
-    from repro.core.store import ObservationStore
-
-    if isinstance(observations, ObservationStore):
-        return LinkInventory(
-            ipv4_links=set(observations.links(AFI.IPV4)),
-            ipv6_links=set(observations.links(AFI.IPV6)),
-        )
-    inventory = LinkInventory()
-    for observation in observations:
-        target = (
-            inventory.ipv4_links
-            if observation.afi is AFI.IPV4
-            else inventory.ipv6_links
-        )
-        target.update(observation.links())
-    return inventory
-
-
-def links_of(observations: Iterable[ObservedRoute], afi: AFI) -> Set[Link]:
-    """Links visible in the observations of one plane."""
-    return unique_links(o for o in observations if o.afi is afi)
+    return LinkInventory(
+        ipv4_links=set(store.links(AFI.IPV4)),
+        ipv6_links=set(store.links(AFI.IPV6)),
+    )
 
 
 def endpoint_ases(links: Iterable[Link]) -> Set[int]:

@@ -10,14 +10,12 @@ story of a run can be reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.bgp.prefixes import Prefix
-from repro.collectors.archive import CollectorArchive
 from repro.collectors.mrt import TableDumpRecord
 from repro.core.observations import ObservedRoute, clean_raw_path
-from repro.core.relationships import AFI
 from repro.core.store import ObservationStore
 
 
@@ -41,18 +39,12 @@ class ExtractionStats:
 
 @dataclass
 class ExtractionResult:
-    """Observations plus the counters of the extraction that produced them.
-
-    ``store`` carries the indexed
-    :class:`~repro.core.store.ObservationStore` when the extraction was
-    asked to build one (:func:`store_from_records`,
-    :func:`extract_from_archive`); plain :func:`extract_observations`
-    leaves it ``None``.
-    """
+    """Observations, the indexed store over them, and the counters of
+    the extraction that produced them (see :func:`store_from_records`)."""
 
     observations: List[ObservedRoute]
     stats: ExtractionStats
-    store: Optional[ObservationStore] = None
+    store: ObservationStore
 
     def __iter__(self) -> Iterator[ObservedRoute]:
         return iter(self.observations)
@@ -116,46 +108,32 @@ def _merge_duplicate(kept: ObservedRoute, duplicate: ObservedRoute) -> ObservedR
     )
 
 
-def _extract(
-    records: Iterable[TableDumpRecord],
-    afi: Optional[AFI],
-    deduplicate: bool,
-    store: Optional[ObservationStore],
-) -> ExtractionResult:
-    """The single extraction loop behind both public entry points.
+def store_from_records(records: Iterable[TableDumpRecord]) -> ExtractionResult:
+    """Extract deduplicated observations from raw records and index them.
 
-    One copy of the extraction semantics (AFI filter, path cleaning,
-    vantage re-anchoring, attribute-merging deduplication); when ``store`` is
-    given, every accepted observation is additionally indexed into it
-    inline (mirroring :meth:`ObservationStore._build`), so extraction
-    and index building are one streaming pass.  The per-record body of
-    :func:`observation_from_record` is inlined because the call overhead
-    is measurable at paper scale.
+    One observation is kept per (vantage, prefix, path) triple, which
+    matters when several collectors archive the same feed.  When
+    duplicates collide their attributes are merged — a collector whose
+    feed strips LOCAL_PREF or communities must not shadow a copy of the
+    same route that carries them, whichever arrives first.  The
+    surviving observation keeps the position (and the collector
+    attribution) of the first copy seen, so ordering stays
+    deterministic.
+
+    The records iterator is consumed exactly once (collectors and
+    archives can therefore feed it lazily).  The indexed
+    :class:`~repro.core.store.ObservationStore` is built from the final
+    observation list and attached to the returned
+    :class:`ExtractionResult`.  The per-record body of
+    :func:`observation_from_record` is inlined because the call
+    overhead is measurable at paper scale.
     """
     stats = ExtractionStats()
+    observations: List[ObservedRoute] = []
     seen: Dict[Tuple[int, Prefix, Tuple[int, ...]], int] = {}
-    distinct_paths: Set[Tuple[int, ...]] = set()
     records_seen = looped = 0
-    replaced = False
     trusted = ObservedRoute.trusted
-    ipv4 = AFI.IPV4
-    if store is not None:
-        observations = store.observations
-        by_vantage = store.by_vantage
-        with_local_pref = store.with_local_pref
-        with_communities = store.with_communities
-        path_links = store._path_links
-        links_of = store._links_of
-        v4_obs, v6_obs = store.by_afi[ipv4], store.by_afi[AFI.IPV6]
-        v4_distinct, v6_distinct = store._distinct[ipv4], store._distinct[AFI.IPV6]
-        v4_links, v6_links = store._links[ipv4], store._links[AFI.IPV6]
-        v4_seen: Set[Tuple[int, ...]] = set()
-        v6_seen: Set[Tuple[int, ...]] = set()
-    else:
-        observations = []
     for record in records:
-        if afi is not None and record.afi is not afi:
-            continue
         records_seen += 1
         cleaned = clean_raw_path(record.as_path.hops)
         if cleaned is None:
@@ -176,133 +154,16 @@ def _extract(
             local_pref=record.local_pref,
             collector=record.collector,
         )
-        if deduplicate:
-            key = (vantage, record.prefix, cleaned)
-            index = seen.get(key)
-            if index is not None:
-                kept = observations[index]
-                merged = _merge_duplicate(kept, observation)
-                if merged is not kept:
-                    observations[index] = merged
-                    replaced = True
-                continue
-            seen[key] = len(observations)
-        observations.append(observation)
-        distinct_paths.add(cleaned)
-        if store is None:
+        key = (vantage, record.prefix, cleaned)
+        index = seen.get(key)
+        if index is not None:
+            observations[index] = _merge_duplicate(observations[index], observation)
             continue
-        # Inline indexing (mirrors ObservationStore._build).
-        if observation.afi is ipv4:
-            obs_list, seen_plane = v4_obs, v4_seen
-            distinct, plane_links = v4_distinct, v4_links
-        else:
-            obs_list, seen_plane = v6_obs, v6_seen
-            distinct, plane_links = v6_distinct, v6_links
-        obs_list.append(observation)
-        vantage_list = by_vantage.get(vantage)
-        if vantage_list is None:
-            by_vantage[vantage] = [observation]
-        else:
-            vantage_list.append(observation)
-        links = path_links.get(cleaned)
-        if links is None:
-            links = path_links[cleaned] = links_of(cleaned)
-        if cleaned not in seen_plane:
-            seen_plane.add(cleaned)
-            distinct.append(cleaned)
-            plane_links.update(links)
-        if observation.local_pref is not None:
-            with_local_pref.append(observation)
-        if observation.communities:
-            with_communities.append(observation)
+        seen[key] = len(observations)
+        observations.append(observation)
+    store = ObservationStore(observations)
     stats.records = records_seen
     stats.looped_paths = looped
-    stats.observations = len(observations)
-    stats.distinct_paths = len(distinct_paths)
-    if store is not None and replaced:
-        # A richer duplicate displaced an observation that the streaming
-        # indexes already reference; rebuild them from the final list.
-        store = ObservationStore(observations)
-    return ExtractionResult(observations=observations, stats=stats, store=store)
-
-
-def extract_observations(
-    records: Iterable[TableDumpRecord],
-    afi: Optional[AFI] = None,
-    deduplicate: bool = False,
-) -> ExtractionResult:
-    """Extract observations from raw records.
-
-    ``deduplicate=True`` keeps a single observation per (vantage, prefix,
-    path) triple, which is useful when several collectors archive the
-    same feed.  When duplicates collide their attributes are merged — a
-    collector whose feed strips LOCAL_PREF or communities must not
-    shadow a copy of the same route that carries them, whichever arrives
-    first.  The surviving observation keeps the position (and the
-    collector attribution) of the first copy seen, so ordering stays
-    deterministic.
-    """
-    return _extract(records, afi, deduplicate, store=None)
-
-
-def store_from_records(
-    records: Iterable[TableDumpRecord],
-    afi: Optional[AFI] = None,
-    deduplicate: bool = True,
-) -> ExtractionResult:
-    """Extract observations and index them in one streaming pass.
-
-    The records iterator is consumed exactly once (collectors and
-    archives can therefore feed it lazily) and every accepted
-    observation is indexed into the
-    :class:`~repro.core.store.ObservationStore` as it is extracted,
-    saving a second full pass over the observation list.  The one case
-    the streaming indexes cannot express — a duplicate contributing
-    attributes to an already-indexed observation — falls back to
-    rebuilding the store from the final list (``tests/test_store.py``
-    pins the two constructions to identical indexes).  The store is
-    attached to the returned :class:`ExtractionResult`.
-    """
-    return _extract(records, afi, deduplicate, store=ObservationStore(()))
-
-
-def extract_from_archive(
-    archive: CollectorArchive,
-    afi: Optional[AFI] = None,
-    deduplicate: bool = True,
-) -> ExtractionResult:
-    """Extract and index the observations of every record of an archive."""
-    return store_from_records(archive.records(afi=afi), afi=afi, deduplicate=deduplicate)
-
-
-def distinct_paths(
-    observations: Iterable[ObservedRoute], afi: Optional[AFI] = None
-) -> List[Tuple[int, ...]]:
-    """The distinct AS paths among the observations (sorted)."""
-    if isinstance(observations, ObservationStore):
-        return sorted(observations.distinct_paths(afi))
-    paths = {
-        observation.path
-        for observation in observations
-        if afi is None or observation.afi is afi
-    }
-    return sorted(paths)
-
-
-def paths_by_origin(
-    observations: Iterable[ObservedRoute], afi: Optional[AFI] = None
-) -> Dict[int, List[Tuple[int, ...]]]:
-    """Distinct paths grouped by the origin AS they lead to."""
-    if isinstance(observations, ObservationStore):
-        # Copy the cached lists: legacy callers get fresh, safely
-        # mutable lists and must not corrupt the store's cache.
-        return {
-            origin: list(paths)
-            for origin, paths in observations.paths_by_origin(afi).items()
-        }
-    grouped: Dict[int, Set[Tuple[int, ...]]] = {}
-    for observation in observations:
-        if afi is not None and observation.afi is not afi:
-            continue
-        grouped.setdefault(observation.origin_as, set()).add(observation.path)
-    return {origin: sorted(paths) for origin, paths in grouped.items()}
+    stats.observations = len(store)
+    stats.distinct_paths = store.distinct_path_count()
+    return ExtractionResult(observations=store.observations, stats=stats, store=store)

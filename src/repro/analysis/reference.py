@@ -16,7 +16,8 @@ stage, exactly as the seed did):
 * LocPrf calibration and application as two independent passes, each
   re-evaluating the traffic-engineering filter per route,
 * per-observation link enumeration for the inventory, the coverage
-  denominators and the visibility index, and
+  denominators and the visibility index (the seed's list scan, inlined
+  here now that the live index is built only from the store), and
 * valley validation through :func:`repro.core.valley.validate_path` for
   every distinct path.
 
@@ -34,11 +35,11 @@ same way the seed was slow.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.links import LinkInventory
-from repro.analysis.paths import ExtractionResult, ExtractionStats, _merge_duplicate
+from repro.analysis.paths import ExtractionStats, _merge_duplicate
 from repro.analysis.stats import Section3Report
 from repro.collectors.archive import CollectorArchive
 from repro.collectors.mrt import TableDumpRecord
@@ -56,7 +57,7 @@ from repro.core.relationships import (
     majority_relationship,
 )
 from repro.core.valley import PathValidity, ValleyAnalyzer, ValleyReason, validate_path
-from repro.core.visibility import VisibilityIndex, build_visibility_index
+from repro.core.visibility import VisibilityIndex
 from repro.irr.registry import IRRRegistry
 
 
@@ -67,8 +68,9 @@ def reference_extract_observations(
     records: Iterable[TableDumpRecord],
     afi: Optional[AFI] = None,
     deduplicate: bool = True,
-) -> ExtractionResult:
-    """Seed extraction loop; results identical to the live extraction."""
+) -> Tuple[List[ObservedRoute], ExtractionStats]:
+    """Seed extraction loop: the observations and counters of the live
+    extraction, without its store."""
     stats = ExtractionStats()
     observations: List[ObservedRoute] = []
     seen: Dict[Tuple[int, str, Tuple[int, ...]], int] = {}
@@ -107,7 +109,7 @@ def reference_extract_observations(
         distinct.add(observation.path)
     stats.observations = len(observations)
     stats.distinct_paths = len(distinct)
-    return ExtractionResult(observations=observations, stats=stats)
+    return observations, stats
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +306,18 @@ def reference_compute_section3(
         HybridType.TRANSIT_REVERSED
     )
 
-    visibility = build_visibility_index(by_afi[AFI.IPV6], afi=AFI.IPV6)
+    visibility = VisibilityIndex(afi=AFI.IPV6)
+    visible_paths: Set[Tuple[int, ...]] = set()
+    link_paths: Counter = Counter()
+    for observation in by_afi[AFI.IPV6]:
+        if observation.path in visible_paths:
+            continue
+        visible_paths.add(observation.path)
+        links = set(observation.links())
+        link_paths.update(links)
+        visibility._path_links.append(links)
+    visibility.path_count = len(visibility._path_links)
+    visibility.link_paths = dict(link_paths)
     hybrid_links = hybrid_report.hybrid_link_set()
     report.paths_crossing_hybrid = visibility.paths_crossing_any(hybrid_links)
     report.fraction_paths_crossing_hybrid = visibility.fraction_crossing_any(
@@ -347,5 +360,5 @@ def reference_pipeline(
     archive: CollectorArchive, registry: IRRRegistry
 ) -> Section3Report:
     """The full seed pipeline: archive records -> Section-3 report."""
-    extraction = reference_extract_observations(archive.records(), deduplicate=True)
-    return reference_compute_section3(extraction.observations, registry)
+    observations, _ = reference_extract_observations(archive.records(), deduplicate=True)
+    return reference_compute_section3(observations, registry)

@@ -1,8 +1,9 @@
 """Section-3 statistics: the numbers the paper reports inline.
 
-:func:`compute_section3` runs the full measurement pipeline over a set of
-observations — coverage of the Communities/LocPrf inference, hybrid-link
-detection, hybrid path visibility, valley-path analysis — and packages
+:func:`compute_section3` runs the full measurement pipeline over the
+observations of an :class:`~repro.core.store.ObservationStore` —
+coverage of the Communities/LocPrf inference, hybrid-link detection,
+hybrid path visibility, valley-path analysis — and packages
 the results as a :class:`Section3Report` whose fields map one-to-one to
 the statistics of Section 3 of the paper (see the experiment table in
 DESIGN.md).
@@ -22,14 +23,13 @@ golden tests pin this against the frozen references).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.links import LinkInventory, build_link_inventory
 from repro.core.combined_inference import CombinedInference, CombinedInferenceResult
 from repro.core.hybrid import HybridDetectionReport, HybridDetector
-from repro.core.observations import ObservedRoute, group_by_afi, unique_paths
-from repro.core.relationships import AFI, HybridType, Link
+from repro.core.relationships import AFI, HybridType
 from repro.core.store import ObservationStore
 from repro.core.valley import ValleyAnalysisReport, ValleyAnalyzer
 from repro.core.visibility import VisibilityIndex, build_visibility_index
@@ -165,58 +165,34 @@ class Section3Views:
 
 
 def run_inference(
-    observations: Iterable[ObservedRoute],
+    store: ObservationStore,
     registry: IRRRegistry,
     engine: Optional[CombinedInference] = None,
 ) -> CombinedInferenceResult:
     """Stage: run the Communities/LocPrf combined inference."""
     engine = engine or CombinedInference(registry)
-    return engine.infer(observations)
+    return engine.infer(store)
 
 
 def build_views(
-    observations: Iterable[ObservedRoute],
+    store: ObservationStore,
     result: CombinedInferenceResult,
 ) -> Section3Views:
-    """Stage: build every observation-derived view the report needs.
-
-    ``observations`` may be a plain list (the legacy path) or an
-    :class:`~repro.core.store.ObservationStore`; with a store every view
-    queries the shared indexes instead of re-scanning, producing
-    identical results.
-    """
-    if isinstance(observations, ObservationStore):
-        ipv6_observations: Iterable[ObservedRoute] = observations
-        ipv6_path_count = observations.distinct_path_count(AFI.IPV6)
-    else:
-        observations = list(observations)
-        by_afi = group_by_afi(observations)
-        ipv6_observations = by_afi[AFI.IPV6]
-        ipv6_path_count = len(unique_paths(ipv6_observations))
-    inventory = build_link_inventory(observations)
-
+    """Stage: build every observation-derived view the report needs,
+    each from the store's shared indexes."""
     # S3.5 / S3.6 — hybrid detection over the visible dual-stack links.
     detector = HybridDetector(
         result.annotation(AFI.IPV4), result.annotation(AFI.IPV6)
     )
-    if isinstance(observations, ObservationStore):
-        hybrid_report = detector.detect_visible(observations)
-    else:
-        hybrid_report = detector.detect(inventory.dual_stack_links)
-
-    # S3.7 — visibility of links in the IPv6 paths.
-    visibility = build_visibility_index(ipv6_observations, afi=AFI.IPV6)
-
     # S3.8 / S3.9 — valley analysis of the IPv6 paths.
     analyzer = ValleyAnalyzer(result.annotation(AFI.IPV6))
-    valley_report = analyzer.analyze(ipv6_observations, afi=AFI.IPV6)
-
     return Section3Views(
-        ipv6_path_count=ipv6_path_count,
-        inventory=inventory,
-        hybrid=hybrid_report,
-        visibility=visibility,
-        valley=valley_report,
+        ipv6_path_count=store.distinct_path_count(AFI.IPV6),
+        inventory=build_link_inventory(store),
+        hybrid=detector.detect_visible(store),
+        # S3.7 — visibility of links in the IPv6 paths.
+        visibility=build_visibility_index(store, afi=AFI.IPV6),
+        valley=analyzer.analyze(store, afi=AFI.IPV6),
     )
 
 
@@ -267,25 +243,18 @@ def assemble_report(
 
 
 def compute_section3(
-    observations: Iterable[ObservedRoute],
+    store: ObservationStore,
     registry: IRRRegistry,
     inference: Optional[CombinedInference] = None,
 ) -> Section3Artifacts:
-    """Compute every Section-3 statistic for a set of observations.
-
-    ``observations`` may be a plain iterable (the legacy list path) or
-    an :class:`~repro.core.store.ObservationStore`; with a store every
-    stage queries the shared indexes instead of re-scanning the list,
-    producing identical statistics.
+    """Compute every Section-3 statistic for the observations of a store.
 
     This is the thin, cache-free composition of the three stage
     functions; the staged pipeline (:mod:`repro.pipeline`) runs the same
     functions with per-stage artifact caching.
     """
-    if not isinstance(observations, ObservationStore):
-        observations = list(observations)
-    result = run_inference(observations, registry, inference)
-    views = build_views(observations, result)
+    result = run_inference(store, registry, inference)
+    views = build_views(store, result)
     report = assemble_report(views, result)
     return Section3Artifacts(
         report=report,

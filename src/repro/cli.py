@@ -13,7 +13,7 @@ Six subcommands cover the common workflows without writing any code::
     python -m repro sweep     --grid grid.json [--cache-dir DIR]
                               [--executor serial]
                               [--json PATH] [--markdown PATH]
-    python -m repro trace     show | summary | profile  --trace-dir DIR [--json]
+    python -m repro trace     show | summary  --trace-dir DIR [--json]
     python -m repro cache     stats | prune  --cache-dir DIR
 
 ``section3`` prints the Section-3 statistics table, ``figure2`` prints
@@ -136,6 +136,15 @@ def _config_from_args(args: argparse.Namespace) -> DatasetConfig:
     return small_config(seed=args.seed)
 
 
+class _SeedAction(argparse.Action):
+    """Store ``--seed`` and record that it was given explicitly, so a
+    ``--from-snapshot`` run can refuse it (the default stays 7)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.seed_given = True
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     scale = parser.add_mutually_exclusive_group()
     scale.add_argument(
@@ -144,7 +153,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     scale.add_argument(
         "--paper-scale", action="store_true", help="larger snapshot (seconds to build)"
     )
-    parser.add_argument("--seed", type=int, default=7, help="snapshot seed")
+    parser.add_argument(
+        "--seed", type=int, default=7, action=_SeedAction, help="snapshot seed"
+    )
     parser.add_argument(
         "--engine",
         choices=ENGINE_CHOICES,
@@ -203,9 +214,9 @@ def _print_stage_summary(run) -> None:
 def _artifacts_from_disk(directory: str) -> Section3Artifacts:
     """The measurement pipeline over a snapshot directory on disk."""
     loaded = load_snapshot(Path(directory))
-    from repro.analysis.paths import extract_from_archive
+    from repro.analysis.paths import store_from_records
 
-    extraction = extract_from_archive(loaded.archive)
+    extraction = store_from_records(loaded.archive.records())
     return compute_section3(extraction.store, loaded.registry)
 
 
@@ -749,10 +760,15 @@ def _run_command(argv: Optional[Sequence[str]]) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "max_sources", None) == 0:
         args.max_sources = None
-    if getattr(args, "from_snapshot", None) and (args.small or args.paper_scale):
-        # The snapshot on disk fixes the scale; a sizing flag alongside
-        # it would be silently ignored, which reads like it worked.
-        parser.error("--small/--paper-scale cannot be combined with --from-snapshot")
+    if getattr(args, "from_snapshot", None) and (
+        args.small or args.paper_scale or getattr(args, "seed_given", False)
+    ):
+        # The snapshot on disk fixes the scale and the seed; a sizing
+        # flag alongside it would be silently ignored, which reads like
+        # it worked.
+        parser.error(
+            "--small/--paper-scale/--seed cannot be combined with --from-snapshot"
+        )
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None and Path(cache_dir).exists() and not Path(cache_dir).is_dir():
         # One check for every subcommand taking --cache-dir: the cache

@@ -44,14 +44,7 @@ from repro.core.locpref_inference import (
     LocPrefInferenceResult,
     LocPrefMapping,
 )
-from repro.core.observations import (
-    ObservedRoute,
-    clean_raw_path,
-    group_by_afi,
-    group_by_vantage,
-    unique_links,
-    unique_paths,
-)
+from repro.core.observations import ObservedRoute, clean_raw_path
 from repro.core.relationships import (
     AFI,
     DualStackRelationship,
@@ -107,10 +100,6 @@ __all__ = [
     "LocPrefMapping",
     "ObservedRoute",
     "clean_raw_path",
-    "group_by_afi",
-    "group_by_vantage",
-    "unique_links",
-    "unique_paths",
     "AFI",
     "DualStackRelationship",
     "HybridType",

@@ -20,8 +20,8 @@ from repro.core.communities_inference import (
     CommunitiesInferenceResult,
 )
 from repro.core.locpref_inference import LocPrefInference, LocPrefInferenceResult
-from repro.core.observations import ObservedRoute, group_by_afi, unique_links
 from repro.core.relationships import AFI, Link, Relationship, RelationshipSource
+from repro.core.store import ObservationStore
 from repro.irr.registry import IRRRegistry
 
 
@@ -108,20 +108,14 @@ class CombinedInference:
         self.communities = communities or CommunitiesInference(registry)
         self.locpref = locpref or LocPrefInference(registry)
 
-    def infer(self, observations: Iterable[ObservedRoute]) -> CombinedInferenceResult:
-        """Infer relationships for every link visible in the observations.
+    def infer(self, store: ObservationStore) -> CombinedInferenceResult:
+        """Infer relationships for every link visible in the store.
 
-        An :class:`~repro.core.store.ObservationStore` input is passed
-        through to both stages (which query its indexes) and supplies
-        the per-plane visible-link sets without another scan.
+        Both stages query the store's indexes, and the store supplies
+        the per-plane visible-link sets for the coverage report.
         """
-        from repro.core.store import ObservationStore
-
-        store = observations if isinstance(observations, ObservationStore) else None
-        if store is None:
-            observations = list(observations)
-        communities_result = self.communities.infer(observations)
-        locpref_result = self.locpref.infer(observations)
+        communities_result = self.communities.infer(store)
+        locpref_result = self.locpref.infer(store)
 
         annotations: Dict[AFI, ToRAnnotation] = {}
         for afi in (AFI.IPV4, AFI.IPV6):
@@ -131,10 +125,9 @@ class CombinedInference:
             merged.update(locpref_result.annotation(afi), overwrite=False)
             annotations[afi] = merged
 
-        by_afi = None if store is not None else group_by_afi(observations)
         coverage = {}
         for afi in (AFI.IPV4, AFI.IPV6):
-            visible = store.links(afi) if store is not None else unique_links(by_afi[afi])
+            visible = store.links(afi)
             annotated = set(annotations[afi].links()) & visible
             coverage[afi] = CoverageReport(
                 total_links=len(visible), annotated_links=len(annotated)

@@ -33,6 +33,7 @@ from repro.core.relationships import (
     RelationshipSource,
     majority_relationship,
 )
+from repro.core.store import ObservationStore
 from repro.irr.registry import IRRRegistry
 
 
@@ -162,27 +163,20 @@ class CommunitiesInference:
         return votes
 
     def collect_votes(
-        self, observations: Iterable[ObservedRoute]
+        self, store: ObservationStore
     ) -> Dict[Tuple[Link, AFI], List[RelationshipVote]]:
-        """Extract and group votes from many observations.
+        """Extract and group votes from the observations of a store.
 
         Equivalent to running :meth:`votes_for_route` over every
-        observation, but the hot quantities are memoized per distinct
-        value instead of being recomputed per occurrence: snapshots carry
-        only a few hundred distinct community values and a few thousand
-        distinct tagger links, so the registry translation and the
-        canonical ``Link`` construction are looked up, not re-derived.
-        An :class:`~repro.core.store.ObservationStore` input additionally
-        restricts the scan to the observations that carry communities
-        (the only ones that can vote).  The grouped votes are identical
-        to the naive scan.
+        observation, but only the store's community-carrying subset (the
+        only observations that can vote) is scanned, and the hot
+        quantities are memoized per distinct value instead of being
+        recomputed per occurrence: snapshots carry only a few hundred
+        distinct community values and a few thousand distinct tagger
+        links, so the registry translation and the canonical ``Link``
+        construction are looked up, not re-derived.  The grouped votes
+        are identical to the naive scan.
         """
-        from repro.core.store import ObservationStore
-
-        if isinstance(observations, ObservationStore):
-            routes: Iterable[ObservedRoute] = observations.with_communities
-        else:
-            routes = observations
         # Grouping is keyed by plain int tuples (lo, hi, afi value) while
         # collecting — hashing a Link (generated dataclass __hash__) and
         # an AFI (enum __hash__) per vote is measurably slower than
@@ -201,7 +195,7 @@ class CommunitiesInference:
         missing = object()
         ipv6 = AFI.IPV6
         relationship_for = self.registry.relationship_for
-        for route in routes:
+        for route in store.with_communities:
             path = route.path
             last = len(path) - 1
             afi = route.afi
@@ -248,9 +242,9 @@ class CommunitiesInference:
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
-    def infer(self, observations: Iterable[ObservedRoute]) -> CommunitiesInferenceResult:
-        """Run the full inference over a set of observations."""
-        votes = self.collect_votes(observations)
+    def infer(self, store: ObservationStore) -> CommunitiesInferenceResult:
+        """Run the full inference over the observations of a store."""
+        votes = self.collect_votes(store)
         annotations = {
             AFI.IPV4: ToRAnnotation(AFI.IPV4, source=RelationshipSource.COMMUNITIES),
             AFI.IPV6: ToRAnnotation(AFI.IPV6, source=RelationshipSource.COMMUNITIES),

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.annotation import ToRAnnotation
-from repro.core.observations import ObservedRoute, group_by_vantage
+from repro.core.observations import ObservedRoute
 from repro.core.relationships import (
     AFI,
     Link,
@@ -38,6 +38,7 @@ from repro.core.relationships import (
     RelationshipSource,
     majority_relationship,
 )
+from repro.core.store import ObservationStore
 from repro.irr.registry import IRRRegistry
 
 
@@ -184,42 +185,24 @@ class LocPrefInference:
     # ------------------------------------------------------------------
     # calibration (the Rosetta Stone)
     # ------------------------------------------------------------------
-    def calibrate(self, observations: Iterable[ObservedRoute]) -> Dict[int, LocPrefMapping]:
+    def calibrate(self, store: ObservationStore) -> Dict[int, LocPrefMapping]:
         """Build per-vantage LocPrf → relationship mappings.
 
-        An :class:`~repro.core.store.ObservationStore` input calibrates
-        from the store's LOCAL_PREF-carrying subset instead of
-        re-grouping every observation; results are identical.
+        Calibrates from the store's LOCAL_PREF-carrying subset; every
+        vantage of the store gets a mapping (possibly empty).
         """
-        from repro.core.store import ObservationStore
-
-        if isinstance(observations, ObservationStore):
-            store = observations
-            routes = store.with_local_pref
-            return self._calibrate_store(store, routes, self._te_flags(routes))
-        by_vantage = group_by_vantage(observations)
-        mappings: Dict[int, LocPrefMapping] = {}
-        for vantage, routes in by_vantage.items():
-            mapping = LocPrefMapping(vantage=vantage)
-            if self.validate_with_communities:
-                self._calibrate_with_communities(mapping, routes)
-            else:
-                self._calibrate_by_rank(mapping, routes)
-            mappings[vantage] = mapping
-        return mappings
+        routes = store.with_local_pref
+        return self._calibrate_store(store, routes, self._te_flags(routes))
 
     def _calibrate_store(
         self,
-        store: "ObservationStore",
+        store: ObservationStore,
         routes: List[ObservedRoute],
         te_flags: List[bool],
     ) -> Dict[int, LocPrefMapping]:
-        """Store-indexed calibration: same mappings, one grouping pass.
-
-        Every vantage of the store gets a mapping (possibly empty), in
-        the same first-seen order the legacy ``group_by_vantage`` pass
-        produced, so the result dict compares equal.
-        """
+        """Calibrate from ``routes`` (LOCAL_PREF-carrying) and their TE
+        flags, one grouping pass, vantages in the store's first-seen
+        order."""
         by_vantage: Dict[int, List[Tuple[ObservedRoute, bool]]] = {
             vantage: [] for vantage in store.by_vantage
         }
@@ -235,20 +218,6 @@ class LocPrefInference:
                 self._calibrate_by_rank(mapping, [route for route, _ in pairs])
             mappings[vantage] = mapping
         return mappings
-
-    def _calibrate_with_communities(
-        self, mapping: LocPrefMapping, routes: List[ObservedRoute]
-    ) -> None:
-        has_te = self._te_checker()
-        self._calibrate_pairs(
-            mapping,
-            (
-                (route, self.filter_traffic_engineering and has_te(route))
-                for route in routes
-                if route.local_pref is not None
-            ),
-            self._first_hop_checker(),
-        )
 
     def _calibrate_pairs(
         self,
@@ -302,32 +271,16 @@ class LocPrefInference:
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
-    def infer(self, observations: Iterable[ObservedRoute]) -> LocPrefInferenceResult:
+    def infer(self, store: ObservationStore) -> LocPrefInferenceResult:
         """Run calibration then apply the mappings to all observations.
 
-        An :class:`~repro.core.store.ObservationStore` input walks only
-        the LOCAL_PREF-carrying subset and evaluates the
-        traffic-engineering filter once per route (the legacy path
-        evaluates it separately for calibration and application); the
-        result is identical.
+        Walks only the store's LOCAL_PREF-carrying subset and evaluates
+        the traffic-engineering filter once per route, for calibration
+        and application alike.
         """
-        from repro.core.store import ObservationStore
-
-        if isinstance(observations, ObservationStore):
-            store = observations
-            routes = store.with_local_pref
-            te_flags = self._te_flags(routes)
-            mappings = self._calibrate_store(store, routes, te_flags)
-            candidates = zip(routes, te_flags)
-        else:
-            observations = list(observations)
-            mappings = self.calibrate(observations)
-            has_te = self._te_checker()
-            candidates = (
-                (route, self.filter_traffic_engineering and has_te(route))
-                for route in observations
-                if route.local_pref is not None
-            )
+        routes = store.with_local_pref
+        te_flags = self._te_flags(routes)
+        mappings = self._calibrate_store(store, routes, te_flags)
         annotations = {
             AFI.IPV4: ToRAnnotation(AFI.IPV4, source=RelationshipSource.LOCPREF),
             AFI.IPV6: ToRAnnotation(AFI.IPV6, source=RelationshipSource.LOCPREF),
@@ -342,7 +295,7 @@ class LocPrefInference:
         # carries the AFI as its integer value (enum hashing is a Python
         # call; int hashing is not).
         outcome_memo: Dict[Tuple[int, int, int, int], Tuple] = {}
-        for route, excluded in candidates:
+        for route, excluded in zip(routes, te_flags):
             path = route.path
             if len(path) < 2:
                 continue

@@ -14,9 +14,9 @@ unit tests without dragging the whole collector substrate in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.relationships import AFI, Link
+from repro.core.relationships import Link
 from repro.bgp.attributes import Community
 from repro.bgp.prefixes import Prefix
 
@@ -151,36 +151,3 @@ def clean_raw_path(raw_hops: Sequence[int]) -> Optional[Tuple[int, ...]]:
     if len(set(collapsed)) != len(collapsed):
         return None
     return tuple(collapsed)
-
-
-def unique_paths(observations: Iterable[ObservedRoute]) -> Set[Tuple[int, ...]]:
-    """The set of distinct AS paths among the observations."""
-    return {observation.path for observation in observations}
-
-
-def unique_links(observations: Iterable[ObservedRoute]) -> Set[Link]:
-    """The set of distinct AS links traversed by the observations."""
-    links: Set[Link] = set()
-    for observation in observations:
-        links.update(observation.links())
-    return links
-
-
-def group_by_afi(
-    observations: Iterable[ObservedRoute],
-) -> Dict[AFI, List[ObservedRoute]]:
-    """Split observations by address family."""
-    groups: Dict[AFI, List[ObservedRoute]] = {AFI.IPV4: [], AFI.IPV6: []}
-    for observation in observations:
-        groups[observation.afi].append(observation)
-    return groups
-
-
-def group_by_vantage(
-    observations: Iterable[ObservedRoute],
-) -> Dict[int, List[ObservedRoute]]:
-    """Group observations by vantage-point AS."""
-    groups: Dict[int, List[ObservedRoute]] = {}
-    for observation in observations:
-        groups.setdefault(observation.vantage, []).append(observation)
-    return groups

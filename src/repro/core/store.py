@@ -1,22 +1,22 @@
 """An indexed, build-once store of route observations.
 
-Every inference stage of the measurement pipeline consumes the same flat
-list of :class:`~repro.core.observations.ObservedRoute` objects, and
-before this module existed each stage re-scanned that list from scratch:
-the communities inference walked every observation looking for tagged
-routes, the LocPrf inference grouped by vantage twice, the visibility
-index re-created ``Link`` objects per path, the valley analysis re-dedup
--licated paths, and the link inventory re-walked every hop.  On a
-paper-scale snapshot those repeated passes dominate ``build_snapshot``.
+Every inference stage of the measurement pipeline reads the same set of
+:class:`~repro.core.observations.ObservedRoute` objects: the
+communities inference needs the tagged routes, the LocPrf inference
+groups by vantage, the visibility index and the link inventory need the
+links of every distinct path, and the valley analysis needs the distinct
+paths themselves.
 
-:class:`ObservationStore` applies the precompute-once methodology of the
-propagation fast path (PR 1) to the measurement side: one pass over the
-observations builds every shared index —
+:class:`ObservationStore` is built once, by
+:func:`repro.analysis.paths.store_from_records`, and is the only input
+type of the measurement layer (``repro.analysis`` and the inference
+modules in ``repro.core``).  One pass over the observations builds
+every shared index —
 
 * observations **by AFI** and **by vantage** (and, lazily, by origin AS
   and by canonical link),
-* the **distinct-path tables** (global and per AFI, in first-seen
-  order, exactly the order the legacy scans produced),
+* the **distinct-path tables** (per AFI in first-seen order; the
+  mixed-plane table lazily),
 * the canonical **link tuple of every distinct path** (``Link`` objects
   are created once per path instead of once per scan),
 * the subsets of observations **carrying LOCAL_PREF** and **carrying
@@ -25,10 +25,10 @@ observations builds every shared index —
 * lazily, per-AFI :class:`~repro.core.visibility.VisibilityIndex` tables
   and per-path next-hop maps.
 
-The consumers (``repro.analysis`` and the inference modules in
-``repro.core``) accept either a plain iterable of observations — the
-legacy path, kept bit-identical — or an ``ObservationStore``, in which
-case they query the indexes instead of re-iterating.
+:meth:`ObservationStore._build` is the only code that fills these
+indexes.  The frozen seed pipeline in :mod:`repro.analysis.reference`
+re-scans a plain list instead and is the oracle the store-backed
+results are pinned to (``tests/test_store.py``).
 
 Index invariants
 ----------------
@@ -37,7 +37,7 @@ Index invariants
    preserves the relative order of that list (``by_afi``/``by_vantage``
    lists, ``with_local_pref``/``with_communities`` subsequences,
    distinct-path tables in first-seen order).  This is what makes the
-   store path produce *identical* results to the legacy scans, down to
+   store-backed results *identical* to the seed's list scans, down to
    dict insertion order.
 2. ``path_links(path)`` is a pure function of the path; the cached tuple
    is shared by every observation of that path in either plane.
@@ -91,7 +91,7 @@ class ObservationStore:
         # Lazy caches.
         self._all_links: Optional[Set[Link]] = None
         self._dual_stack_links: Optional[Set[Link]] = None
-        self._visibility: Dict[Tuple[Optional[AFI], bool], VisibilityIndex] = {}
+        self._visibility: Dict[Optional[AFI], VisibilityIndex] = {}
         self._next_hops: Dict[PathTuple, Dict[int, int]] = {}
         self._by_origin: Optional[Dict[int, List[ObservedRoute]]] = None
         self._by_link: Optional[Dict[Link, List[ObservedRoute]]] = None
@@ -99,11 +99,6 @@ class ObservationStore:
         self._build()
 
     def _build(self) -> None:
-        # NOTE: the streaming extraction in repro.analysis.paths._extract
-        # maintains these same indexes inline (one pass over the archive
-        # records); any index added here must be added there as well.
-        # tests/test_store.py compares the full eager index state of the
-        # two constructions, so a forgotten mirror fails loudly.
         path_links = self._path_links
         by_afi = self.by_afi
         by_vantage = self.by_vantage
@@ -228,11 +223,8 @@ class ObservationStore:
         return tuple(links)
 
     def path_links(self, path: PathTuple) -> Tuple[Link, ...]:
-        """Canonical links of a path (cached; observer side first)."""
-        links = self._path_links.get(path)
-        if links is None:
-            links = self._path_links[path] = self._links_of(path)
-        return links
+        """Canonical links of a stored path (observer side first)."""
+        return self._path_links[path]
 
     def next_hops(self, path: PathTuple) -> Mapping[int, int]:
         """Map each non-origin hop of ``path`` to the hop it learned from.
@@ -274,35 +266,25 @@ class ObservationStore:
             self._dual_stack_links = self._links[AFI.IPV4] & self._links[AFI.IPV6]
         return self._dual_stack_links
 
-    def visibility_index(
-        self, afi: Optional[AFI] = None, distinct_paths_only: bool = True
-    ) -> VisibilityIndex:
+    def visibility_index(self, afi: Optional[AFI] = None) -> VisibilityIndex:
         """The per-link path-visibility table of one plane (cached).
 
-        Identical to running
-        :func:`repro.core.visibility.build_visibility_index` over the
-        plane's observations, but each path's link set is taken from the
-        shared cache instead of being rebuilt.
+        Each distinct AS path of the plane is counted once, which is how
+        the paper counts "IPv6 AS paths"; each path's link set is taken
+        from the shared cache instead of being rebuilt.
         """
-        key = (afi, distinct_paths_only)
-        cached = self._visibility.get(key)
+        cached = self._visibility.get(afi)
         if cached is not None:
             return cached
         index = VisibilityIndex(afi=afi)
         counter: Counter = Counter()
         path_links: List[Set[Link]] = []
-        if distinct_paths_only:
-            for path in self.distinct_paths(afi):
-                links = set(self._path_links[path])
-                counter.update(links)
-                path_links.append(links)
-        else:
-            for observation in self.observations_for(afi):
-                links = set(self._path_links[observation.path])
-                counter.update(links)
-                path_links.append(links)
+        for path in self.distinct_paths(afi):
+            links = set(self._path_links[path])
+            counter.update(links)
+            path_links.append(links)
         index.path_count = len(path_links)
         index.link_paths = dict(counter)
         index._path_links = path_links
-        self._visibility[key] = index
+        self._visibility[afi] = index
         return index

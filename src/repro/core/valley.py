@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
-from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link, Relationship
+from repro.core.store import ObservationStore
 
 
 class PathValidity(enum.Enum):
@@ -311,25 +311,8 @@ class ValleyAnalyzer:
         return report
 
     def analyze(
-        self, observations: Iterable[ObservedRoute], afi: Optional[AFI] = None
+        self, store: ObservationStore, afi: Optional[AFI] = None
     ) -> ValleyAnalysisReport:
-        """Analyse the distinct paths of a set of observations.
-
-        An :class:`~repro.core.store.ObservationStore` input supplies its
-        precomputed distinct-path table (same paths, same first-seen
-        order) instead of being re-scanned.
-        """
-        from repro.core.store import ObservationStore
-
-        if isinstance(observations, ObservationStore):
-            return self.analyze_paths(observations.distinct_paths(afi))
-        seen: Set[Tuple[int, ...]] = set()
-        paths: List[Tuple[int, ...]] = []
-        for observation in observations:
-            if afi is not None and observation.afi is not afi:
-                continue
-            if observation.path in seen:
-                continue
-            seen.add(observation.path)
-            paths.append(observation.path)
-        return self.analyze_paths(paths)
+        """Analyse the distinct paths of one plane of a store, in
+        first-seen order."""
+        return self.analyze_paths(store.distinct_paths(afi))

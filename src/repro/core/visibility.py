@@ -10,12 +10,13 @@ observed paths traverse it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link
+
+if TYPE_CHECKING:  # the store module imports this one
+    from repro.core.store import ObservationStore
 
 
 @dataclass
@@ -84,39 +85,11 @@ class VisibilityIndex:
 
 
 def build_visibility_index(
-    observations: Iterable[ObservedRoute],
-    afi: Optional[AFI] = None,
-    distinct_paths_only: bool = True,
+    store: ObservationStore, afi: Optional[AFI] = None
 ) -> VisibilityIndex:
-    """Index the paths of a set of observations.
+    """Index the distinct AS paths of one plane of ``store``.
 
-    ``distinct_paths_only`` counts each distinct AS path once, which is
-    how the paper counts "IPv6 AS paths"; setting it to False counts
-    every observation (one per vantage point, prefix and collector).
-
-    When ``observations`` is an
-    :class:`~repro.core.store.ObservationStore` the store's cached index
-    is returned instead of re-scanning (identical contents).
+    Each distinct path is counted once, which is how the paper counts
+    "IPv6 AS paths".  The index is the store's cached table.
     """
-    from repro.core.store import ObservationStore  # circular at module level
-
-    if isinstance(observations, ObservationStore):
-        return observations.visibility_index(afi, distinct_paths_only)
-    index = VisibilityIndex(afi=afi)
-    seen_paths: Set[Tuple[int, ...]] = set()
-    counter: Counter = Counter()
-    path_links: List[Set[Link]] = []
-    for observation in observations:
-        if afi is not None and observation.afi is not afi:
-            continue
-        if distinct_paths_only:
-            if observation.path in seen_paths:
-                continue
-            seen_paths.add(observation.path)
-        links = set(observation.links())
-        counter.update(links)
-        path_links.append(links)
-    index.path_count = len(path_links)
-    index.link_paths = dict(counter)
-    index._path_links = path_links
-    return index
+    return store.visibility_index(afi)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from repro.analysis.paths import extract_from_archive
+from repro.analysis.paths import store_from_records
 from repro.bgp.prefixes import PrefixAllocator
 from repro.bgp.propagation import PropagationResult, PropagationSimulator
 from repro.collectors.archive import CollectorArchive
@@ -87,7 +87,7 @@ def reference_build_snapshot(
             records = collector.collect(result, afi=afi)
             archive.add_collection(collector, config.snapshot_date, records)
 
-    extraction = extract_from_archive(archive)  # builds the indexed store
+    extraction = store_from_records(archive.records())
     ground_truth = {
         AFI.IPV4: ToRAnnotation.from_graph(graph, AFI.IPV4),
         AFI.IPV6: ToRAnnotation.from_graph(graph, AFI.IPV6),

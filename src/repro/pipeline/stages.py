@@ -45,7 +45,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.paths import ExtractionResult, extract_from_archive
+from repro.analysis.paths import ExtractionResult, store_from_records
 from repro.analysis.stats import (
     Section3Artifacts,
     Section3Report,
@@ -260,7 +260,7 @@ def _stage_archive(run: PipelineRun) -> CollectorArchive:
 
 
 def _stage_store(run: PipelineRun) -> ExtractionResult:
-    return extract_from_archive(run.value("archive"))
+    return store_from_records(run.value("archive").records())
 
 
 def _stage_ground_truth(run: PipelineRun) -> GroundTruthArtifact:

@@ -2,19 +2,9 @@
 
 import pytest
 
-from repro.analysis.links import (
-    build_link_inventory,
-    endpoint_ases,
-    links_between,
-    links_of,
-)
+from repro.analysis.links import build_link_inventory, endpoint_ases, links_between
 from repro.analysis.partition import analyze_reachability, compare_relaxation
-from repro.analysis.paths import (
-    extract_observations,
-    observation_from_record,
-    distinct_paths,
-    paths_by_origin,
-)
+from repro.analysis.paths import observation_from_record, store_from_records
 from repro.analysis.report import format_series, format_summary, format_table, to_json
 from repro.bgp.attributes import ASPath, Community
 from repro.bgp.prefixes import Prefix
@@ -22,6 +12,7 @@ from repro.collectors.mrt import TableDumpRecord
 from repro.core.annotation import ToRAnnotation
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link, Relationship
+from repro.core.store import ObservationStore
 
 
 def record(path, prefix="3fff:77::/32", peer_as=None, local_pref=200):
@@ -73,7 +64,7 @@ class TestPathExtraction:
             record([10, 20, 10, 30]),          # loop
             record([11, 20, 30], prefix="10.3.0.0/20"),
         ]
-        result = extract_observations(records, deduplicate=True)
+        result = store_from_records(records)
         assert result.stats.records == 4
         assert result.stats.looped_paths == 1
         assert result.stats.observations == 2
@@ -94,7 +85,7 @@ class TestPathExtraction:
             **base, local_pref=200, communities=(Community(10, 100),)
         )
         for ordering in ([poor, rich], [rich, poor]):
-            result = extract_observations(ordering, deduplicate=True)
+            result = store_from_records(ordering)
             assert result.stats.observations == 1
             assert result.observations[0].local_pref == 200
             assert result.observations[0].communities == (Community(10, 100),)
@@ -104,15 +95,10 @@ class TestPathExtraction:
         comm_only = TableDumpRecord(
             **base, local_pref=None, communities=(Community(20, 300),)
         )
-        result = extract_observations([lp_only, comm_only], deduplicate=True)
+        result = store_from_records([lp_only, comm_only])
         assert result.stats.observations == 1
         assert result.observations[0].local_pref == 120
         assert result.observations[0].communities == (Community(20, 300),)
-
-    def test_extract_with_afi_filter(self):
-        records = [record([10, 20, 30]), record([11, 20], prefix="10.3.0.0/20")]
-        result = extract_observations(records, afi=AFI.IPV6)
-        assert all(obs.afi is AFI.IPV6 for obs in result)
 
     def test_distinct_paths_and_by_origin(self):
         observations = [
@@ -120,8 +106,9 @@ class TestPathExtraction:
             ObservedRoute(path=(1, 2, 3), prefix=Prefix("3fff:2::/32"), vantage=1),
             ObservedRoute(path=(4, 2, 3), prefix=Prefix("3fff:1::/32"), vantage=4),
         ]
-        assert distinct_paths(observations) == [(1, 2, 3), (4, 2, 3)]
-        assert paths_by_origin(observations) == {3: [(1, 2, 3), (4, 2, 3)]}
+        store = ObservationStore(observations)
+        assert store.distinct_paths() == [(1, 2, 3), (4, 2, 3)]
+        assert store.paths_by_origin() == {3: [(1, 2, 3), (4, 2, 3)]}
 
 
 class TestLinkInventory:
@@ -133,7 +120,7 @@ class TestLinkInventory:
         ]
 
     def test_inventory_sets(self):
-        inventory = build_link_inventory(self.make_observations())
+        inventory = build_link_inventory(ObservationStore(self.make_observations()))
         assert inventory.ipv6_links == {Link(1, 2), Link(2, 3)}
         assert inventory.ipv4_links == {Link(1, 2), Link(2, 4), Link(2, 5)}
         assert inventory.dual_stack_links == {Link(1, 2)}
@@ -141,8 +128,8 @@ class TestLinkInventory:
         assert inventory.summary()["dual_stack_links"] == 1
 
     def test_links_of_and_helpers(self):
-        observations = self.make_observations()
-        assert links_of(observations, AFI.IPV6) == {Link(1, 2), Link(2, 3)}
+        store = ObservationStore(self.make_observations())
+        assert store.links(AFI.IPV6) == {Link(1, 2), Link(2, 3)}
         assert endpoint_ases([Link(1, 2), Link(2, 3)]) == {1, 2, 3}
         assert links_between([Link(1, 2), Link(2, 3)], [1, 2]) == {Link(1, 2)}
 

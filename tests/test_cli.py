@@ -244,6 +244,20 @@ class TestPipelineOptions:
         with pytest.raises(SystemExit):
             main(["figure2", "--paper-scale", "--from-snapshot", str(tmp_path)])
 
+    def test_seed_rejected_with_from_snapshot(self, tmp_path, capsys):
+        """The snapshot on disk fixes the seed; ``--seed`` is refused, not
+        silently ignored."""
+        snap_dir = str(tmp_path / "snap")
+        assert main(["snapshot", "--small", "--seed", "3", "--output", snap_dir]) == 0
+        capsys.readouterr()
+        for command in (["section3"], ["figure2", "--top", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + ["--from-snapshot", snap_dir, "--seed", "3"])
+            assert exit_info.value.code == 2
+            assert "--seed" in capsys.readouterr().err
+        # Without --seed the same snapshot runs.
+        assert main(["section3", "--from-snapshot", snap_dir]) == 0
+
     def test_json_reports_carry_schema_version_and_sorted_keys(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"
         assert main(["section3", "--small", "--seed", "3", "--json", str(json_path)]) == 0

@@ -7,6 +7,7 @@ from repro.bgp.prefixes import Prefix
 from repro.core.communities_inference import CommunitiesInference
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link, Relationship
+from repro.core.store import ObservationStore
 from repro.irr.dictionary import CommunityDictionary
 from repro.irr.registry import IRRRegistry
 
@@ -91,7 +92,7 @@ class TestAggregation:
             observe([100, 200, 301], [Community(100, 30)]),
             observe([100, 200, 302], [Community(100, 20)]),  # minority vote
         ]
-        result = inference.infer(observations)
+        result = inference.infer(ObservationStore(observations))
         assert result.annotation(AFI.IPV6).get(100, 200) is Relationship.C2P
 
     def test_conflicting_votes_left_unannotated(self, registry):
@@ -100,7 +101,7 @@ class TestAggregation:
             observe([100, 200, 300], [Community(100, 30)]),
             observe([100, 200, 301], [Community(100, 20)]),
         ]
-        result = inference.infer(observations)
+        result = inference.infer(ObservationStore(observations))
         assert result.annotation(AFI.IPV6).get(100, 200) is Relationship.UNKNOWN
         assert Link(100, 200) in result.conflicting_links[AFI.IPV6]
 
@@ -113,7 +114,7 @@ class TestAggregation:
             observe([100, 200, 300], [Community(100, 20)], prefix=V4),
             observe([100, 200, 300], [Community(100, 30)], prefix=V6),
         ]
-        result = inference.infer(observations)
+        result = inference.infer(ObservationStore(observations))
         assert result.annotation(AFI.IPV4).get(100, 200) is Relationship.P2P
         assert result.annotation(AFI.IPV6).get(100, 200) is Relationship.C2P
 
@@ -125,14 +126,14 @@ class TestAggregation:
             # Seen from AS200's side: learned from customer AS100.
             observe([200, 100, 50], [Community(200, 10)]),
         ]
-        result = inference.infer(observations)
+        result = inference.infer(ObservationStore(observations))
         assert result.annotation(AFI.IPV6).get(100, 200) is Relationship.C2P
         assert len(result.votes[(Link(100, 200), AFI.IPV6)]) == 2
 
     def test_coverage_computation(self, registry):
         inference = CommunitiesInference(registry)
         observations = [observe([100, 200, 300], [Community(100, 30)])]
-        result = inference.infer(observations)
+        result = inference.infer(ObservationStore(observations))
         links = [Link(100, 200), Link(200, 300)]
         assert result.coverage(AFI.IPV6, links) == pytest.approx(0.5)
         assert result.coverage(AFI.IPV6, []) == 0.0
@@ -145,7 +146,9 @@ class TestAggregation:
 
     def test_records_export(self, registry):
         inference = CommunitiesInference(registry)
-        result = inference.infer([observe([100, 200, 300], [Community(100, 30)])])
+        result = inference.infer(
+            ObservationStore([observe([100, 200, 300], [Community(100, 30)])])
+        )
         records = result.records()
         assert len(records) == 1
         assert records[0].afi is AFI.IPV6

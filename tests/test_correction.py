@@ -8,6 +8,7 @@ from repro.core.correction import CorrectionExperiment
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link, Relationship
 from repro.core.visibility import build_visibility_index
+from repro.core.store import ObservationStore
 
 
 def build_annotations():
@@ -88,7 +89,7 @@ class TestCorrectionExperiment:
     def test_visibility_ranking_orders_links(self):
         misinferred, reference = build_annotations()
         experiment = CorrectionExperiment(misinferred, reference)
-        index = build_visibility_index(observations(), afi=AFI.IPV6)
+        index = build_visibility_index(ObservationStore(observations()), afi=AFI.IPV6)
         ranked = experiment.rank_by_visibility([Link(2, 6), Link(2, 3)], index, top=2)
         # Link 2-3 appears in three paths, link 2-6 in one.
         assert ranked == [Link(2, 3), Link(2, 6)]
@@ -96,7 +97,7 @@ class TestCorrectionExperiment:
     def test_run_with_visibility(self):
         misinferred, reference = build_annotations()
         experiment = CorrectionExperiment(misinferred, reference)
-        index = build_visibility_index(observations(), afi=AFI.IPV6)
+        index = build_visibility_index(ObservationStore(observations()), afi=AFI.IPV6)
         series = experiment.run_with_visibility([Link(2, 3), Link(2, 6)], index, top=1)
         assert len(series.steps) == 2
         assert series.steps[1].link == Link(2, 3)

@@ -7,6 +7,7 @@ from repro.core.annotation import ToRAnnotation
 from repro.core.hybrid import HybridDetector, detect_hybrid_links
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, HybridType, Link, Relationship
+from repro.core.store import ObservationStore
 from repro.core.visibility import build_visibility_index
 
 
@@ -119,25 +120,18 @@ class TestVisibilityIndex:
         ]
 
     def test_distinct_path_counting(self):
-        index = build_visibility_index(self.make_observations(), afi=AFI.IPV6)
+        index = build_visibility_index(ObservationStore(self.make_observations()), afi=AFI.IPV6)
         assert index.path_count == 3
         assert index.visibility_of(Link(1, 2)) == 2
         assert index.visibility_of(Link(2, 3)) == 2
         assert index.visibility_of(Link(8, 9)) == 0
 
-    def test_counting_every_observation(self):
-        index = build_visibility_index(
-            self.make_observations(), afi=AFI.IPV6, distinct_paths_only=False
-        )
-        assert index.path_count == 4
-        assert index.visibility_of(Link(2, 3)) == 3
-
     def test_visibility_fraction(self):
-        index = build_visibility_index(self.make_observations(), afi=AFI.IPV6)
+        index = build_visibility_index(ObservationStore(self.make_observations()), afi=AFI.IPV6)
         assert index.visibility_fraction(Link(1, 2)) == pytest.approx(2 / 3)
 
     def test_ranking_and_top_links(self):
-        index = build_visibility_index(self.make_observations(), afi=AFI.IPV6)
+        index = build_visibility_index(ObservationStore(self.make_observations()), afi=AFI.IPV6)
         ranked = index.rank_links()
         assert ranked[0][1] >= ranked[-1][1]
         top = index.top_links(1, links=[Link(2, 3), Link(2, 4)])
@@ -146,13 +140,13 @@ class TestVisibilityIndex:
             index.top_links(-1)
 
     def test_paths_crossing_any(self):
-        index = build_visibility_index(self.make_observations(), afi=AFI.IPV6)
+        index = build_visibility_index(ObservationStore(self.make_observations()), afi=AFI.IPV6)
         assert index.paths_crossing_any([Link(2, 3), Link(2, 4)]) == 3
         assert index.fraction_crossing_any([Link(2, 3)]) == pytest.approx(2 / 3)
         assert index.fraction_crossing_any([Link(7, 8)]) == 0.0
 
     def test_empty_index(self):
-        index = build_visibility_index([], afi=AFI.IPV6)
+        index = build_visibility_index(ObservationStore([]), afi=AFI.IPV6)
         assert index.path_count == 0
         assert index.visibility_fraction(Link(1, 2)) == 0.0
         assert index.fraction_crossing_any([Link(1, 2)]) == 0.0

@@ -31,7 +31,7 @@ from repro.topology.tiers import classify_tiers, tier_of_link
 @pytest.fixture(scope="module")
 def section3(snapshot):
     """Section-3 artifacts computed once for this module."""
-    return compute_section3(snapshot.observations, snapshot.registry)
+    return compute_section3(snapshot.store, snapshot.registry)
 
 
 class TestSection3Shape:
@@ -91,12 +91,12 @@ class TestSection3Shape:
         """Ablation A1: LocPrf calibrated with the Communities validation
         and the traffic-engineering filter vs naive rank-based LocPrf."""
         reference = snapshot.ground_truth_annotation(AFI.IPV6)
-        validated = LocPrefInference(snapshot.registry).infer(snapshot.observations)
+        validated = LocPrefInference(snapshot.registry).infer(snapshot.store)
         naive = LocPrefInference(
             snapshot.registry,
             validate_with_communities=False,
             filter_traffic_engineering=False,
-        ).infer(snapshot.observations)
+        ).infer(snapshot.store)
         validated_report = compare_annotations(validated.annotation(AFI.IPV6), reference)
         naive_report = compare_annotations(naive.annotation(AFI.IPV6), reference)
         assert validated_report.common_links and naive_report.common_links
@@ -161,7 +161,7 @@ class TestValleyAndPartition:
 
     def test_ground_truth_annotation_has_valley_paths(self, snapshot):
         report = ValleyAnalyzer(snapshot.ground_truth_annotation(AFI.IPV6)).analyze(
-            snapshot.observations_for(AFI.IPV6), afi=AFI.IPV6
+            snapshot.store, afi=AFI.IPV6
         )
         assert report.valley_count > 0
 

@@ -8,6 +8,7 @@ from repro.core.combined_inference import CombinedInference
 from repro.core.locpref_inference import LocPrefInference
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link, Relationship
+from repro.core.store import ObservationStore
 from repro.irr.dictionary import CommunityDictionary
 from repro.irr.registry import IRRRegistry
 
@@ -25,7 +26,7 @@ def observe(path, communities=(), local_pref=None, prefix="3fff:9::/32"):
 class TestCalibration:
     def test_rosetta_mapping_built_from_communities(self, rosetta):
         inference = LocPrefInference(rosetta.registry)
-        mappings = inference.calibrate(rosetta.observations)
+        mappings = inference.calibrate(ObservationStore(rosetta.observations))
         mapping = mappings[rosetta.vantage]
         assert mapping.mapping[rosetta.CUSTOMER_PREF] is Relationship.P2C
         assert mapping.mapping[rosetta.PEER_PREF] is Relationship.P2P
@@ -42,7 +43,7 @@ class TestCalibration:
             )
         ]
         inference = LocPrefInference(registry)
-        mapping = inference.calibrate(conflicting)[100]
+        mapping = inference.calibrate(ObservationStore(conflicting))[100]
         assert 900 in mapping.ambiguous_values
         assert 900 not in mapping.mapping
 
@@ -56,12 +57,12 @@ class TestCalibration:
             )
         ] + rosetta.observations
         inference = LocPrefInference(registry)
-        mapping = inference.calibrate(observations)[100]
+        mapping = inference.calibrate(ObservationStore(observations))[100]
         assert 50 not in mapping.mapping
 
     def test_rank_calibration_when_validation_disabled(self, rosetta):
         inference = LocPrefInference(rosetta.registry, validate_with_communities=False)
-        mapping = inference.calibrate(rosetta.observations)[100]
+        mapping = inference.calibrate(ObservationStore(rosetta.observations))[100]
         # Highest value observed becomes customer, lowest provider.
         assert mapping.mapping[900] is Relationship.P2C
         assert mapping.mapping[50] is Relationship.C2P
@@ -70,7 +71,7 @@ class TestCalibration:
 class TestLocPrefInference:
     def test_first_hop_link_inferred_from_calibrated_value(self, rosetta):
         inference = LocPrefInference(rosetta.registry)
-        result = inference.infer(rosetta.observations)
+        result = inference.infer(ObservationStore(rosetta.observations))
         annotation = result.annotation(AFI.IPV6)
         # The (100, 250) link had no relationship community but LOCAL_PREF
         # 800 which calibrates to peer.
@@ -78,33 +79,33 @@ class TestLocPrefInference:
 
     def test_te_routes_filtered_and_counted(self, rosetta):
         inference = LocPrefInference(rosetta.registry)
-        result = inference.infer(rosetta.observations)
+        result = inference.infer(ObservationStore(rosetta.observations))
         assert result.filtered_traffic_engineering == 1
         assert result.annotation(AFI.IPV6).get(100, 260) is Relationship.UNKNOWN
 
     def test_te_filter_can_be_disabled(self, rosetta):
         inference = LocPrefInference(rosetta.registry, filter_traffic_engineering=False)
-        result = inference.infer(rosetta.observations)
+        result = inference.infer(ObservationStore(rosetta.observations))
         assert result.filtered_traffic_engineering == 0
 
     def test_unmapped_values_counted(self, rosetta):
         extra = rosetta.observations + [observe([100, 280, 281], local_pref=555)]
         inference = LocPrefInference(rosetta.registry)
-        result = inference.infer(extra)
+        result = inference.infer(ObservationStore(extra))
         assert result.unmapped_observations >= 1
         assert result.annotation(AFI.IPV6).get(100, 280) is Relationship.UNKNOWN
 
     def test_routes_without_local_pref_ignored(self, rosetta):
         extra = rosetta.observations + [observe([100, 290, 291], local_pref=None)]
         inference = LocPrefInference(rosetta.registry)
-        result = inference.infer(extra)
+        result = inference.infer(ObservationStore(extra))
         assert result.annotation(AFI.IPV6).get(100, 290) is Relationship.UNKNOWN
 
 
 class TestCombinedInference:
     def test_communities_take_precedence_and_locpref_fills_gaps(self, rosetta):
         engine = CombinedInference(rosetta.registry)
-        result = engine.infer(rosetta.observations)
+        result = engine.infer(ObservationStore(rosetta.observations))
         annotation = result.annotation(AFI.IPV6)
         # From communities: vantage-customer link.
         assert annotation.get(100, 400) is Relationship.P2C
@@ -113,7 +114,7 @@ class TestCombinedInference:
 
     def test_coverage_reports(self, rosetta):
         engine = CombinedInference(rosetta.registry)
-        result = engine.infer(rosetta.observations)
+        result = engine.infer(ObservationStore(rosetta.observations))
         coverage = result.coverage[AFI.IPV6]
         assert coverage.total_links >= 5
         assert 0.0 < coverage.fraction <= 1.0
@@ -121,7 +122,7 @@ class TestCombinedInference:
 
     def test_dual_stack_coverage_requires_both_planes(self, rosetta):
         engine = CombinedInference(rosetta.registry)
-        result = engine.infer(rosetta.observations)
+        result = engine.infer(ObservationStore(rosetta.observations))
         # No IPv4 observations at all: dual-stack coverage of any link is 0.
         report = result.dual_stack_coverage([Link(100, 400)])
         assert report.annotated_links == 0
@@ -129,7 +130,7 @@ class TestCombinedInference:
 
     def test_relationship_shortcut(self, rosetta):
         engine = CombinedInference(rosetta.registry)
-        result = engine.infer(rosetta.observations)
+        result = engine.infer(ObservationStore(rosetta.observations))
         assert result.relationship(400, 100, AFI.IPV6) is Relationship.C2P
 
     def test_locpref_never_overrides_communities(self):
@@ -148,5 +149,5 @@ class TestCombinedInference:
             observe([100, 8, 9], communities=[Community(100, 20)], local_pref=300),
         ]
         engine = CombinedInference(registry)
-        result = engine.infer(observations)
+        result = engine.infer(ObservationStore(observations))
         assert result.relationship(100, 8, AFI.IPV6) is Relationship.P2P

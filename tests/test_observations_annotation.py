@@ -5,14 +5,7 @@ import pytest
 from repro.bgp.attributes import Community
 from repro.bgp.prefixes import Prefix
 from repro.core.annotation import ToRAnnotation, valley_free_distances
-from repro.core.observations import (
-    ObservedRoute,
-    clean_raw_path,
-    group_by_afi,
-    group_by_vantage,
-    unique_links,
-    unique_paths,
-)
+from repro.core.observations import ObservedRoute, clean_raw_path
 from repro.core.relationships import AFI, Link, Relationship, RelationshipSource
 
 V6 = Prefix("3fff:abc::/32")
@@ -68,18 +61,6 @@ class TestObservedRoute:
         route = self.make(communities=(Community(10, 1), Community(20, 2)))
         assert route.communities_of(10) == [Community(10, 1)]
         assert route.communities_of(30) == []
-
-    def test_grouping_helpers(self):
-        a = self.make()
-        b = self.make(path=(10, 40), prefix=V4)
-        c = self.make(path=(11, 40))
-        assert unique_paths([a, b, c]) == {(10, 20, 30), (10, 40), (11, 40)}
-        assert Link(10, 40) in unique_links([a, b, c])
-        by_afi = group_by_afi([a, b, c])
-        assert len(by_afi[AFI.IPV6]) == 2
-        by_vantage = group_by_vantage([a, b, c])
-        assert set(by_vantage) == {10, 11}
-        assert len(by_vantage[10]) == 2
 
 
 class TestToRAnnotation:

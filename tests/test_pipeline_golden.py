@@ -79,13 +79,6 @@ class TestStagedEqualsMonolith:
         monolith_report = compute_section3(monolith.store, monolith.registry).report
         assert staged_report.as_dict() == monolith_report.as_dict()
 
-    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-    def test_legacy_list_path_identical_to_store_path(self, seed):
-        snapshot = build_snapshot(golden_config(seed))
-        from_store = compute_section3(snapshot.store, snapshot.registry)
-        from_list = compute_section3(list(snapshot.observations), snapshot.registry)
-        assert from_store.report.as_dict() == from_list.report.as_dict()
-
 
 class TestCachedEqualsCold:
     @pytest.mark.parametrize("seed", GOLDEN_SEEDS)

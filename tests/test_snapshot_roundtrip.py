@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.paths import extract_from_archive
+from repro.analysis.paths import store_from_records
 from repro.analysis.stats import compute_section3
 from repro.core.relationships import AFI
 from repro.datasets import load_snapshot, save_snapshot
@@ -68,7 +68,7 @@ class TestRoundTrip:
         Section-3 report as the in-memory snapshot that wrote it."""
         directory, _ = saved
         loaded = load_snapshot(directory)
-        extraction = extract_from_archive(loaded.archive)
+        extraction = store_from_records(loaded.archive.records())
         from_disk = compute_section3(extraction.store, loaded.registry)
         in_memory = compute_section3(snapshot.store, snapshot.registry)
         assert from_disk.report.as_dict() == in_memory.report.as_dict()

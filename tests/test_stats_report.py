@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.report import format_table, to_json
 from repro.analysis.stats import Section3Report, compute_section3
 from repro.core.relationships import AFI
+from repro.core.store import ObservationStore
 
 
 class TestSection3Report:
@@ -49,7 +50,7 @@ class TestSection3Report:
 
 class TestComputeSection3Artifacts:
     def test_artifacts_are_consistent(self, snapshot):
-        artifacts = compute_section3(snapshot.observations, snapshot.registry)
+        artifacts = compute_section3(snapshot.store, snapshot.registry)
         report = artifacts.report
         # The report's counts agree with the underlying artifacts.
         assert report.ipv6_links == len(artifacts.inventory.ipv6_links)
@@ -73,7 +74,7 @@ class TestComputeSection3Artifacts:
     def test_ipv6_only_observations(self, snapshot):
         """The pipeline degrades gracefully when only IPv6 data is supplied."""
         artifacts = compute_section3(
-            snapshot.observations_for(AFI.IPV6), snapshot.registry
+            ObservationStore(snapshot.observations_for(AFI.IPV6)), snapshot.registry
         )
         assert artifacts.report.ipv4_links == 0
         assert artifacts.report.dual_stack_links == 0

@@ -1,21 +1,20 @@
-"""Golden equivalence of the indexed ObservationStore vs the legacy
-list pipeline, plus the store's index invariants.
+"""The indexed ObservationStore pinned to the frozen seed pipeline,
+plus the store's index invariants.
 
-The store is a pure accelerator: every consumer that accepts it must
-produce *identical* results to the plain-list path.  These tests pin
-that equivalence on two differently seeded snapshots, and also pin it
-against the frozen seed pipeline (``repro.analysis.reference``).
+The store is the only input of the measurement layer.  These tests pin
+its results, from the extraction counters through the communities and
+LocPrf evidence to the Section-3 report, against the frozen seed
+implementation (``repro.analysis.reference``) on two differently seeded
+snapshots.
 """
 
 import pytest
 
-from repro.analysis.paths import (
-    distinct_paths,
-    extract_observations,
-    paths_by_origin,
-    store_from_records,
-)
+from repro.analysis.paths import store_from_records
 from repro.analysis.reference import (
+    _reference_collect_votes,
+    _reference_communities_annotations,
+    _reference_locpref_annotations,
     reference_extract_observations,
     reference_pipeline,
 )
@@ -26,7 +25,6 @@ from repro.collectors.mrt import TableDumpRecord
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link
 from repro.core.store import ObservationStore
-from repro.core.visibility import build_visibility_index
 from repro.datasets import build_snapshot, small_config
 
 
@@ -37,117 +35,41 @@ def seeded_snapshot(request):
 
 
 class TestGoldenEquivalence:
-    def test_section3_identical_via_store_and_list(self, seeded_snapshot):
-        snapshot = seeded_snapshot
-        legacy = compute_section3(list(snapshot.observations), snapshot.registry)
-        fast = compute_section3(snapshot.store, snapshot.registry)
-        assert legacy.report.as_dict() == fast.report.as_dict()
-        # Communities evidence: raw votes, conflicts and annotations.
-        assert legacy.inference.communities.votes == fast.inference.communities.votes
-        assert (
-            legacy.inference.communities.conflicting_links
-            == fast.inference.communities.conflicting_links
-        )
-        for afi in (AFI.IPV4, AFI.IPV6):
-            assert dict(legacy.inference.annotation(afi).items()) == dict(
-                fast.inference.annotation(afi).items()
-            )
-        # LocPrf evidence: mappings, counters, annotations.
-        legacy_locpref, fast_locpref = (
-            legacy.inference.locpref,
-            fast.inference.locpref,
-        )
-        assert (
-            legacy_locpref.filtered_traffic_engineering
-            == fast_locpref.filtered_traffic_engineering
-        )
-        assert legacy_locpref.unmapped_observations == fast_locpref.unmapped_observations
-        assert {
-            vantage: (mapping.mapping, mapping.ambiguous_values, mapping.samples)
-            for vantage, mapping in legacy_locpref.mappings.items()
-        } == {
-            vantage: (mapping.mapping, mapping.ambiguous_values, mapping.samples)
-            for vantage, mapping in fast_locpref.mappings.items()
-        }
-        # Valley statistics down to the individual valley paths.
-        assert legacy.valley.summary() == fast.valley.summary()
-        assert [vp.path for vp in legacy.valley.valley_paths] == [
-            vp.path for vp in fast.valley.valley_paths
-        ]
-        # Visibility tables.
-        assert legacy.visibility.path_count == fast.visibility.path_count
-        assert legacy.visibility.link_paths == fast.visibility.link_paths
-
     def test_reference_pipeline_matches_store_pipeline(self, seeded_snapshot):
         snapshot = seeded_snapshot
-        reference_report = reference_pipeline(snapshot.archive, snapshot.registry)
-        fast = compute_section3(snapshot.store, snapshot.registry)
+        registry = snapshot.registry
+        reference_report = reference_pipeline(snapshot.archive, registry)
+        fast = compute_section3(snapshot.store, registry)
         assert reference_report.as_dict() == fast.report.as_dict()
+        # Below the report: the inference evidence of the seed scans.
+        observations, _ = reference_extract_observations(snapshot.archive.records())
+        assert fast.inference.communities.votes == _reference_collect_votes(
+            observations, registry
+        )
+        communities = _reference_communities_annotations(observations, registry)
+        locpref = _reference_locpref_annotations(observations, registry)
+        for afi in (AFI.IPV4, AFI.IPV6):
+            assert (
+                fast.inference.communities.annotation(afi).records()
+                == communities[afi].records()
+            )
+            assert (
+                fast.inference.locpref.annotation(afi).records()
+                == locpref[afi].records()
+            )
 
     def test_reference_extraction_matches_live(self, seeded_snapshot):
         snapshot = seeded_snapshot
-        reference = reference_extract_observations(
+        observations, stats = reference_extract_observations(
             snapshot.archive.records(), deduplicate=True
         )
-        live = extract_observations(snapshot.archive.records(), deduplicate=True)
-        assert reference.observations == live.observations
-        assert reference.stats == live.stats
-
-    def test_wrappers_match_store_queries(self, seeded_snapshot):
-        snapshot = seeded_snapshot
-        store, observations = snapshot.store, snapshot.observations
-        assert distinct_paths(store) == distinct_paths(observations)
-        assert distinct_paths(store, AFI.IPV6) == distinct_paths(
-            observations, AFI.IPV6
-        )
-        assert paths_by_origin(store) == paths_by_origin(observations)
-        assert paths_by_origin(store, AFI.IPV4) == paths_by_origin(
-            observations, AFI.IPV4
-        )
-        store_index = build_visibility_index(store, afi=AFI.IPV6)
-        list_index = build_visibility_index(
-            [o for o in observations if o.afi is AFI.IPV6], afi=AFI.IPV6
-        )
-        assert store_index.path_count == list_index.path_count
-        assert store_index.link_paths == list_index.link_paths
-        some_links = sorted(list_index.link_paths)[:5]
-        assert store_index.paths_crossing_any(
-            some_links
-        ) == list_index.paths_crossing_any(some_links)
+        live = store_from_records(snapshot.archive.records())
+        assert observations == live.observations
+        assert observations == live.store.observations
+        assert stats == live.stats
 
 
 class TestStoreIndexes:
-    #: Attributes that are lazily derived (and therefore may differ in
-    #: "not yet computed" state between two freshly built stores).
-    LAZY_ATTRIBUTES = {
-        "_all_links",
-        "_dual_stack_links",
-        "_visibility",
-        "_next_hops",
-        "_by_origin",
-        "_by_link",
-        "_paths_by_origin",
-    }
-
-    def test_streaming_store_matches_rebuild(self, seeded_snapshot):
-        result = store_from_records(seeded_snapshot.archive.records(), deduplicate=True)
-        rebuilt = ObservationStore(result.observations)
-        # Compare the FULL eager index state generically, so that an
-        # index added to ObservationStore._build but forgotten in the
-        # streaming path (repro.analysis.paths._extract) fails here even
-        # before any test queries it.
-        eager = set(rebuilt.__dict__) - self.LAZY_ATTRIBUTES
-        assert set(result.store.__dict__) == set(rebuilt.__dict__)
-        for attribute in sorted(eager):
-            assert (
-                result.store.__dict__[attribute] == rebuilt.__dict__[attribute]
-            ), f"streaming and rebuilt stores disagree on {attribute}"
-        # Lazily derived tables agree once forced.
-        for afi in (None, AFI.IPV4, AFI.IPV6):
-            assert result.store.distinct_paths(afi) == rebuilt.distinct_paths(afi)
-        assert result.store.dual_stack_links() == rebuilt.dual_stack_links()
-        assert result.store.paths_by_origin() == rebuilt.paths_by_origin()
-
     def make_observations(self):
         return [
             ObservedRoute(
@@ -205,15 +127,9 @@ class TestStoreIndexes:
             5: [(1, 5)],
         }
         assert store.observations_for(None) is store.observations
-
-    def test_visibility_index_counts_observations_when_asked(self):
-        store = ObservationStore(self.make_observations())
-        distinct = store.visibility_index(AFI.IPV6)
-        assert distinct.path_count == 3
-        all_obs = store.visibility_index(AFI.IPV6, distinct_paths_only=False)
-        assert all_obs.path_count == 3  # the v6 duplicates share no path
-        mixed = store.visibility_index(None, distinct_paths_only=False)
-        assert mixed.path_count == 4
+        # Visibility counts each distinct path of the plane once.
+        assert store.visibility_index(AFI.IPV6).path_count == 3
+        assert store.visibility_index(None).path_count == 3
 
     def test_streaming_dedup_replacement_rebuilds_indexes(self):
         base = dict(
@@ -227,11 +143,10 @@ class TestStoreIndexes:
         rich = TableDumpRecord(
             **base, local_pref=200, communities=(Community(10, 100),)
         )
-        result = store_from_records([poor, rich], deduplicate=True)
+        result = store_from_records([poor, rich])
         assert len(result.observations) == 1
         assert result.observations[0].local_pref == 200
-        # The replacement forces a rebuild: every index must reference
-        # the surviving (richer) observation.
+        # Every index must reference the surviving (richer) observation.
         assert result.store.with_local_pref == result.observations
         assert result.store.with_communities == result.observations
         assert result.store.by_vantage[10] == result.observations

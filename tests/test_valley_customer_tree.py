@@ -12,6 +12,7 @@ from repro.core.customer_tree import (
 )
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link, Relationship
+from repro.core.store import ObservationStore
 from repro.core.valley import (
     PathValidity,
     ValleyAnalyzer,
@@ -105,7 +106,7 @@ class TestValleyAnalyzer:
             observe((4, 2, 1), "10.0.0.0/20"),   # IPv4: excluded
         ]
         analyzer = ValleyAnalyzer(hierarchy)
-        report = analyzer.analyze(observations, afi=AFI.IPV6)
+        report = analyzer.analyze(ObservationStore(observations), afi=AFI.IPV6)
         assert report.total_paths == 2
         assert report.valley_count == 1
         summary = report.summary()
