@@ -18,12 +18,12 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis import format_table
+from repro.analysis.report import format_table
 from repro.core.annotation import ToRAnnotation
 from repro.core.customer_tree import customer_tree
 from repro.core.relationships import AFI, HybridType, Relationship
-from repro.datasets import figure1_scenario
-from repro.topology import TopologyConfig, generate_topology
+from repro.datasets.scenarios import figure1_scenario
+from repro.topology.generator import TopologyConfig, generate_topology
 
 
 def paper_example() -> None:

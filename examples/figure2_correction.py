@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis import compute_section3, format_series, format_summary
+from repro.analysis.report import format_series, format_summary
+from repro.analysis.stats import compute_section3
 from repro.core.correction import CorrectionExperiment, plane_agnostic_annotation
 from repro.core.relationships import AFI
-from repro.datasets import build_snapshot, paper_scale_config, small_config
+from repro.datasets.synthetic import build_snapshot, paper_scale_config, small_config
 
 
 def main() -> None:

@@ -18,12 +18,12 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis import format_summary, format_table
+from repro.analysis.report import format_summary, format_table
 from repro.core.combined_inference import CombinedInference
 from repro.core.hybrid import HybridDetector
 from repro.core.relationships import AFI
 from repro.core.visibility import build_visibility_index
-from repro.datasets import build_snapshot, small_config
+from repro.datasets.synthetic import build_snapshot, small_config
 
 
 def main() -> None:

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis import compute_section3, format_table
-from repro.datasets import build_snapshot, paper_scale_config, small_config
+from repro.analysis.report import format_table
+from repro.analysis.stats import compute_section3
+from repro.datasets.synthetic import build_snapshot, paper_scale_config, small_config
 
 #: The values reported by the paper for August 2010 (absolute counts are
 #: not expected to match a synthetic snapshot; the shapes should).

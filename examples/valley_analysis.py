@@ -18,11 +18,12 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis import analyze_reachability, format_summary
+from repro.analysis.partition import analyze_reachability
+from repro.analysis.report import format_summary
 from repro.analysis.stats import compute_section3
 from repro.core.relationships import AFI
 from repro.core.valley import ValleyReason
-from repro.datasets import build_snapshot, small_config
+from repro.datasets.synthetic import build_snapshot, small_config
 
 
 def main() -> None:

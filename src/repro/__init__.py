@@ -16,12 +16,15 @@ The package is organised as follows:
   records, collectors, archives).
 * :mod:`repro.irr` — community documentation substrate (dictionaries,
   registry, free-text parser).
-* :mod:`repro.inference` — baseline ToR algorithms (Gao 2001,
-  degree-based) and comparison tooling.
 * :mod:`repro.analysis` — the measurement pipeline and the Section-3
   statistics.
 * :mod:`repro.datasets` — synthetic snapshot builder and hand-built
   scenarios.
+
+Apart from :mod:`repro.pipeline` and :mod:`repro.sweep`, the
+subpackages re-export nothing: import each name from the module that
+defines it (``repro.core.relationships``, ``repro.analysis.stats`` ...),
+so a command loads only the modules it runs.
 """
 
 from repro.core.relationships import AFI, HybridType, Link, Relationship

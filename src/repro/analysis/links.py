@@ -12,10 +12,12 @@ observations, derive
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Set
+from typing import TYPE_CHECKING, Dict, Iterable, Set
 
 from repro.core.relationships import AFI, Link
-from repro.core.store import ObservationStore
+
+if TYPE_CHECKING:
+    from repro.core.store import ObservationStore
 
 
 @dataclass

@@ -24,16 +24,18 @@ golden tests pin this against the frozen references).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.links import LinkInventory, build_link_inventory
 from repro.core.combined_inference import CombinedInference, CombinedInferenceResult
 from repro.core.hybrid import HybridDetectionReport, HybridDetector
 from repro.core.relationships import AFI, HybridType
-from repro.core.store import ObservationStore
 from repro.core.valley import ValleyAnalysisReport, ValleyAnalyzer
 from repro.core.visibility import VisibilityIndex, build_visibility_index
-from repro.irr.registry import IRRRegistry
+
+if TYPE_CHECKING:
+    from repro.core.store import ObservationStore
+    from repro.irr.registry import IRRRegistry
 
 
 @dataclass

@@ -16,37 +16,12 @@ rather than instantiating backends directly.  ``array`` is the default
 engine; ``event`` stays the oracle that tests and CI check it against.
 """
 
-from __future__ import annotations
-
-from typing import Dict, Type
-
-from repro.bgp.backends.arraycore import ArrayBackend
-from repro.bgp.backends.base import (
-    PropagationBackend,
-    imported_route,
-    speakers_without_sessions,
-)
-from repro.bgp.backends.event import EventBackend
-
-#: Concrete backends by engine-config name.
-BACKENDS: Dict[str, Type[PropagationBackend]] = {
-    EventBackend.name: EventBackend,
-    ArrayBackend.name: ArrayBackend,
-}
-
-#: Valid values of the ``propagation.engine`` config field and ``--engine``.
-ENGINE_CHOICES = tuple(BACKENDS)
+#: Valid values of the ``propagation.engine`` config field and ``--engine``
+#: (the keys of :data:`repro.bgp.engine.BACKENDS`).  Naming the engines
+#: here, not importing the backend classes, keeps this module free of
+#: the propagation code, so the CLI and the pipeline config can validate
+#: an engine name without loading an engine.
+ENGINE_CHOICES = ("event", "array")
 
 #: The engine every entry point uses unless told otherwise.
 DEFAULT_ENGINE = "array"
-
-__all__ = [
-    "ArrayBackend",
-    "BACKENDS",
-    "DEFAULT_ENGINE",
-    "ENGINE_CHOICES",
-    "EventBackend",
-    "PropagationBackend",
-    "imported_route",
-    "speakers_without_sessions",
-]

@@ -15,14 +15,24 @@ one fresh backend instance.  With ``engine="event"`` a run is exactly
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Type
 
-from repro.bgp.backends import BACKENDS, DEFAULT_ENGINE, ENGINE_CHOICES
-from repro.telemetry import get_tracer
+from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
+from repro.bgp.backends.arraycore import ArrayBackend
+from repro.bgp.backends.base import PropagationBackend
+from repro.bgp.backends.event import EventBackend
+from repro.telemetry.tracer import get_tracer
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
 from repro.bgp.propagation import PropagationResult
 from repro.topology.graph import ASGraph
+
+#: Concrete backends by engine-config name, in
+#: :data:`~repro.bgp.backends.ENGINE_CHOICES` order.
+BACKENDS: Dict[str, Type[PropagationBackend]] = {
+    EventBackend.name: EventBackend,
+    ArrayBackend.name: ArrayBackend,
+}
 
 
 def engine_provenance(engine: str) -> Dict[str, object]:

@@ -82,34 +82,33 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.analysis import format_series, format_summary, format_table
-from repro.analysis.report import write_json_report
-from repro.analysis.stats import Section3Artifacts, compute_section3
+from repro.analysis.report import (
+    format_series,
+    format_summary,
+    format_table,
+    write_json_report,
+)
 from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
-from repro.bgp.engine import engine_provenance
 from repro.core.correction import (
     CorrectionSeries,
     correction_payload,
     run_correction_sweep,
 )
 from repro.core.relationships import AFI
-from repro.datasets import (
-    DatasetConfig,
-    load_snapshot,
-    paper_scale_config,
-    save_snapshot,
-    small_config,
-)
+from repro.datasets.synthetic import DatasetConfig, paper_scale_config, small_config
 from repro.pipeline import (
-    ArtifactCache,
     PipelineConfig,
     PropagationConfig,
     run_pipeline,
     section3_artifacts,
 )
-from repro.telemetry import Tracer, activated
+from repro.telemetry.tracer import Tracer, activated
+
+if TYPE_CHECKING:
+    from repro.analysis.stats import Section3Artifacts
+    from repro.pipeline.artifacts import ArtifactCache
 
 #: Schema version of the ``section3``/``figure2`` ``--json`` reports.
 REPORT_SCHEMA_VERSION = 1
@@ -213,9 +212,11 @@ def _print_stage_summary(run) -> None:
 
 def _artifacts_from_disk(directory: str) -> Section3Artifacts:
     """The measurement pipeline over a snapshot directory on disk."""
-    loaded = load_snapshot(Path(directory))
     from repro.analysis.paths import store_from_records
+    from repro.analysis.stats import compute_section3
+    from repro.datasets.snapshot_io import load_snapshot
 
+    loaded = load_snapshot(Path(directory))
     extraction = store_from_records(loaded.archive.records())
     return compute_section3(extraction.store, loaded.registry)
 
@@ -230,6 +231,8 @@ def _selection_provenance(config: PipelineConfig) -> dict:
     before byte-comparing reports across engines — it is the one part
     of the report that *should* differ.
     """
+    from repro.bgp.engine import engine_provenance
+
     return {
         afi.name.lower(): engine_provenance(config.propagation.engine)
         for afi in (AFI.IPV4, AFI.IPV6)
@@ -322,7 +325,8 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from repro.datasets import build_snapshot
+    from repro.datasets.snapshot_io import save_snapshot
+    from repro.datasets.synthetic import build_snapshot
 
     snapshot = build_snapshot(
         _config_from_args(args),
@@ -426,7 +430,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _read_trace_records(args: argparse.Namespace):
     """Load a trace directory for the ``trace`` subcommands, or report
     why it cannot be (no files, malformed line) and return ``None``."""
-    from repro.telemetry import read_trace
+    from repro.telemetry.analyze import read_trace
 
     try:
         return read_trace(args.trace_dir)
@@ -443,7 +447,7 @@ def _read_trace_records(args: argparse.Namespace):
 
 
 def _cmd_trace_show(args: argparse.Namespace) -> int:
-    from repro.telemetry import build_tree, render_tree
+    from repro.telemetry.analyze import build_tree, render_tree
 
     records = _read_trace_records(args)
     if records is None:
@@ -472,7 +476,7 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_summary(args: argparse.Namespace) -> int:
-    from repro.telemetry import summarize
+    from repro.telemetry.analyze import summarize
 
     records = _read_trace_records(args)
     if records is None:
@@ -532,6 +536,8 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
 def _open_cache(args: argparse.Namespace) -> Optional[ArtifactCache]:
     """Open an existing cache for ``cache stats|prune`` (the hygiene
     commands never create one)."""
+    from repro.pipeline.artifacts import ArtifactCache
+
     if not Path(args.cache_dir).exists():
         print(f"error: cache {args.cache_dir} does not exist", file=sys.stderr)
         return None

@@ -1,28 +1,1 @@
 """Collector substrate: MRT-like records, collectors, vantage points, archives."""
-
-from repro.collectors.archive import CollectorArchive, SnapshotKey
-from repro.collectors.collector import (
-    DEFAULT_TIMESTAMP,
-    Collector,
-    VantagePoint,
-    default_collectors,
-)
-from repro.collectors.mrt import (
-    MRTFormatError,
-    TableDumpRecord,
-    parse_table_dump,
-    write_table_dump,
-)
-
-__all__ = [
-    "CollectorArchive",
-    "SnapshotKey",
-    "DEFAULT_TIMESTAMP",
-    "Collector",
-    "VantagePoint",
-    "default_collectors",
-    "MRTFormatError",
-    "TableDumpRecord",
-    "parse_table_dump",
-    "write_table_dump",
-]

@@ -8,9 +8,10 @@ together with the helpers needed to treat it as an annotated graph
 (neighbour queries, customer cones, valley-free reachability ...).
 
 Producers: the ground-truth topology, the Communities/LocPrf inference
-(:mod:`repro.core.combined_inference`) and the baseline ToR algorithms
-(:mod:`repro.inference`).  Consumers: hybrid detection, valley analysis,
-customer-tree metrics and the Figure-2 correction experiment.
+(:mod:`repro.core.combined_inference`) and
+:func:`repro.core.correction.plane_agnostic_annotation`.  Consumers:
+hybrid detection, valley analysis, customer-tree metrics and the
+Figure-2 correction experiment.
 """
 
 from __future__ import annotations

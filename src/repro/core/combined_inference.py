@@ -12,7 +12,7 @@ IPv6 links and for the dual-stack subset).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.annotation import ToRAnnotation
 from repro.core.communities_inference import (
@@ -21,8 +21,10 @@ from repro.core.communities_inference import (
 )
 from repro.core.locpref_inference import LocPrefInference, LocPrefInferenceResult
 from repro.core.relationships import AFI, Link, Relationship, RelationshipSource
-from repro.core.store import ObservationStore
-from repro.irr.registry import IRRRegistry
+
+if TYPE_CHECKING:
+    from repro.core.store import ObservationStore
+    from repro.irr.registry import IRRRegistry
 
 
 @dataclass

@@ -21,10 +21,18 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.core.annotation import ToRAnnotation
-from repro.core.observations import ObservedRoute
 from repro.core.relationships import (
     AFI,
     Link,
@@ -33,8 +41,11 @@ from repro.core.relationships import (
     RelationshipSource,
     majority_relationship,
 )
-from repro.core.store import ObservationStore
-from repro.irr.registry import IRRRegistry
+
+if TYPE_CHECKING:
+    from repro.core.observations import ObservedRoute
+    from repro.core.store import ObservationStore
+    from repro.irr.registry import IRRRegistry
 
 
 class RelationshipVote(NamedTuple):

@@ -8,8 +8,8 @@ relationships with the highest visibility in the IPv6 AS paths".
 The experiment therefore needs four ingredients:
 
 1. a **misinferred** IPv6 annotation (in the paper, the Oliveira et al.
-   inference; here, one of the baseline algorithms in
-   :mod:`repro.inference`, or any annotation the caller provides),
+   inference; here, :func:`plane_agnostic_annotation` — the IPv4 label
+   on every dual-stack link — or any annotation the caller provides),
 2. a **reference** annotation with the correct relationships (the
    Communities/LocPrf inference, or the ground truth),
 3. the list of **hybrid links** to correct, and

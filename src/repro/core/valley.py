@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
 from repro.core.relationships import AFI, Link, Relationship
-from repro.core.store import ObservationStore
+
+if TYPE_CHECKING:
+    from repro.core.store import ObservationStore
 
 
 class PathValidity(enum.Enum):

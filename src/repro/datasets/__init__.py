@@ -1,45 +1,7 @@
-"""Dataset builders: the synthetic snapshot and hand-built scenarios."""
+"""Dataset builders: the synthetic snapshot and hand-built scenarios.
 
-from repro.datasets.scenarios import (
-    Figure1Scenario,
-    HybridScenario,
-    RosettaScenario,
-    ValleyScenario,
-    figure1_scenario,
-    hybrid_scenario,
-    rosetta_scenario,
-    valley_scenario,
-)
-from repro.datasets.snapshot_io import (
-    LoadedSnapshot,
-    SnapshotFormatError,
-    load_snapshot,
-    save_snapshot,
-)
-from repro.datasets.synthetic import (
-    DatasetConfig,
-    SyntheticSnapshot,
-    build_snapshot,
-    paper_scale_config,
-    small_config,
-)
-
-__all__ = [
-    "LoadedSnapshot",
-    "SnapshotFormatError",
-    "load_snapshot",
-    "save_snapshot",
-    "Figure1Scenario",
-    "HybridScenario",
-    "RosettaScenario",
-    "ValleyScenario",
-    "figure1_scenario",
-    "hybrid_scenario",
-    "rosetta_scenario",
-    "valley_scenario",
-    "DatasetConfig",
-    "SyntheticSnapshot",
-    "build_snapshot",
-    "paper_scale_config",
-    "small_config",
-]
+* :mod:`repro.datasets.synthetic` — ``DatasetConfig``, the
+  ``small_config``/``paper_scale_config`` presets and ``build_snapshot``,
+* :mod:`repro.datasets.snapshot_io` — ``save_snapshot``/``load_snapshot``,
+* :mod:`repro.datasets.scenarios` — the hand-built paper scenarios.
+"""

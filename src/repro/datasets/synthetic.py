@@ -26,21 +26,23 @@ from __future__ import annotations
 import datetime as _dt
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.analysis.paths import ExtractionResult
 from repro.bgp.backends import DEFAULT_ENGINE
-from repro.bgp.policy import LocalPrefScheme, RoutingPolicy, TrafficEngineeringOverride
-from repro.bgp.prefixes import Prefix, PrefixAllocator
-from repro.bgp.propagation import PropagationResult
-from repro.collectors.archive import CollectorArchive
-from repro.collectors.collector import Collector
-from repro.core.annotation import ToRAnnotation
-from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, HybridType, Link, Relationship
-from repro.core.store import ObservationStore
-from repro.irr.registry import IRRRegistry
 from repro.topology.generator import GeneratedTopology, TopologyConfig
+
+if TYPE_CHECKING:
+    from repro.analysis.paths import ExtractionResult
+    from repro.bgp.policy import RoutingPolicy
+    from repro.bgp.prefixes import Prefix, PrefixAllocator
+    from repro.bgp.propagation import PropagationResult
+    from repro.collectors.archive import CollectorArchive
+    from repro.collectors.collector import Collector
+    from repro.core.annotation import ToRAnnotation
+    from repro.core.observations import ObservedRoute
+    from repro.core.store import ObservationStore
+    from repro.irr.registry import IRRRegistry
 
 #: LOCAL_PREF numbering conventions assigned round-robin-ish to ASes.
 _LOCPREF_STYLES: Tuple[Tuple[int, int, int], ...] = (
@@ -156,6 +158,12 @@ def _build_policies(
     rng: random.Random,
     allocator: PrefixAllocator,
 ) -> Dict[int, RoutingPolicy]:
+    from repro.bgp.policy import (
+        LocalPrefScheme,
+        RoutingPolicy,
+        TrafficEngineeringOverride,
+    )
+
     graph = topology.graph
     policies: Dict[int, RoutingPolicy] = {}
     for asn in graph.ases:

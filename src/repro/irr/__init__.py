@@ -1,32 +1,1 @@
 """IRR substrate: community dictionaries, documentation parsing, registry."""
-
-from repro.irr.dictionary import (
-    CommunityDictionary,
-    CommunityMeaning,
-    MeaningKind,
-    build_standard_dictionary,
-)
-from repro.irr.parser import (
-    DocumentationParseError,
-    classify_description,
-    dictionary_from_documentation,
-    parse_documentation,
-    parse_documentation_line,
-    render_documentation,
-)
-from repro.irr.registry import IRRRegistry, build_registry
-
-__all__ = [
-    "CommunityDictionary",
-    "CommunityMeaning",
-    "MeaningKind",
-    "build_standard_dictionary",
-    "DocumentationParseError",
-    "classify_description",
-    "dictionary_from_documentation",
-    "parse_documentation",
-    "parse_documentation_line",
-    "render_documentation",
-    "IRRRegistry",
-    "build_registry",
-]

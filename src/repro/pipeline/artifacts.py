@@ -54,7 +54,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.telemetry import get_tracer
+from repro.telemetry.tracer import get_tracer
 
 #: Bump when the cache layout / metadata schema changes incompatibly.
 CACHE_LAYOUT_VERSION = 1

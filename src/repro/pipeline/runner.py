@@ -39,7 +39,7 @@ from repro.pipeline.artifacts import (
     config_token,
     fingerprint,
 )
-from repro.telemetry import get_tracer
+from repro.telemetry.tracer import get_tracer
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ class PipelineRunner:
         unpickled only on first :meth:`PipelineRun.value` access.
 
         Telemetry: when a tracer is active (``repro --trace-dir`` or an
-        explicit :func:`repro.telemetry.activated`), one ``"pipeline"``
+        explicit :func:`repro.telemetry.tracer.activated`), one ``"pipeline"``
         span wraps the run — nested under whatever span is already open,
         e.g. a sweep's — and lists the ``skipped`` closure stages; one
         ``"stage"`` span per demanded stage records the fingerprint,

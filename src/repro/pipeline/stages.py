@@ -43,40 +43,28 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.paths import ExtractionResult, store_from_records
-from repro.analysis.stats import (
-    Section3Artifacts,
-    Section3Report,
-    Section3Views,
-    assemble_report,
-    build_views,
-    run_inference,
-)
 from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
-from repro.bgp.policy import RoutingPolicy
-from repro.bgp.prefixes import Prefix, PrefixAllocator
-from repro.bgp.propagation import PropagationResult
-from repro.collectors.archive import CollectorArchive
-from repro.collectors.collector import Collector, default_collectors
-from repro.core.annotation import ToRAnnotation
-from repro.core.combined_inference import CombinedInferenceResult
-from repro.core.correction import CorrectionSeries, run_correction_sweep
 from repro.core.relationships import AFI, HybridType, Link
-from repro.datasets.synthetic import (
-    DatasetConfig,
-    SyntheticSnapshot,
-    _apply_gratuitous_leaks,
-    _apply_peering_disputes,
-    _build_policies,
-    _select_origins,
-    _select_vantage_points,
-)
-from repro.irr.registry import IRRRegistry, build_registry
+from repro.datasets.synthetic import DatasetConfig
 from repro.pipeline.artifacts import ArtifactCache
 from repro.pipeline.runner import PipelineRun, PipelineRunner, StageSpec
-from repro.topology.generator import GeneratedTopology, generate_topology
+
+if TYPE_CHECKING:
+    from repro.analysis.paths import ExtractionResult
+    from repro.analysis.stats import Section3Artifacts, Section3Report, Section3Views
+    from repro.bgp.policy import RoutingPolicy
+    from repro.bgp.prefixes import Prefix
+    from repro.bgp.propagation import PropagationResult
+    from repro.collectors.archive import CollectorArchive
+    from repro.collectors.collector import Collector
+    from repro.core.annotation import ToRAnnotation
+    from repro.core.combined_inference import CombinedInferenceResult
+    from repro.core.correction import CorrectionSeries
+    from repro.datasets.synthetic import SyntheticSnapshot
+    from repro.irr.registry import IRRRegistry
+    from repro.topology.generator import GeneratedTopology
 
 
 @dataclass(frozen=True)
@@ -164,10 +152,14 @@ class GroundTruthArtifact:
 # snapshot-side stage computations
 # ----------------------------------------------------------------------
 def _stage_topology(run: PipelineRun) -> GeneratedTopology:
+    from repro.topology.generator import generate_topology
+
     return generate_topology(run.config.dataset.topology)
 
 
 def _stage_irr(run: PipelineRun) -> IRRRegistry:
+    from repro.irr.registry import build_registry
+
     config = run.config.dataset
     topology: GeneratedTopology = run.value("topology")
     return build_registry(
@@ -192,6 +184,16 @@ def _stage_scenario(run: PipelineRun) -> ScenarioArtifact:
     it was just computed or unpickled from the cache) and the mutated
     copy travels inside the scenario artifact.
     """
+    from repro.bgp.prefixes import PrefixAllocator
+    from repro.collectors.collector import default_collectors
+    from repro.datasets.synthetic import (
+        _apply_gratuitous_leaks,
+        _apply_peering_disputes,
+        _build_policies,
+        _select_origins,
+        _select_vantage_points,
+    )
+
     config = run.config.dataset
     topology: GeneratedTopology = copy.deepcopy(run.value("topology"))
     registry: IRRRegistry = run.value("irr")
@@ -224,9 +226,9 @@ def _stage_scenario(run: PipelineRun) -> ScenarioArtifact:
 
 
 def _propagate(run: PipelineRun, afi: AFI) -> PropagationResult:
-    scenario: ScenarioArtifact = run.value("scenario")
     from repro.bgp.engine import PropagationEngine
 
+    scenario: ScenarioArtifact = run.value("scenario")
     engine = PropagationEngine(
         scenario.topology.graph,
         scenario.policies,
@@ -245,6 +247,8 @@ def _stage_propagation_v6(run: PipelineRun) -> PropagationResult:
 
 
 def _stage_archive(run: PipelineRun) -> CollectorArchive:
+    from repro.collectors.archive import CollectorArchive
+
     config = run.config.dataset
     scenario: ScenarioArtifact = run.value("scenario")
     results = {
@@ -260,10 +264,14 @@ def _stage_archive(run: PipelineRun) -> CollectorArchive:
 
 
 def _stage_store(run: PipelineRun) -> ExtractionResult:
+    from repro.analysis.paths import store_from_records
+
     return store_from_records(run.value("archive").records())
 
 
 def _stage_ground_truth(run: PipelineRun) -> GroundTruthArtifact:
+    from repro.core.annotation import ToRAnnotation
+
     scenario: ScenarioArtifact = run.value("scenario")
     graph = scenario.topology.graph
     annotations = {
@@ -284,6 +292,8 @@ def _stage_ground_truth(run: PipelineRun) -> GroundTruthArtifact:
 def _stage_snapshot(run: PipelineRun) -> SyntheticSnapshot:
     """Assemble the :class:`SyntheticSnapshot` facade (never cached —
     it only references the upstream artifacts)."""
+    from repro.datasets.synthetic import SyntheticSnapshot
+
     scenario: ScenarioArtifact = run.value("scenario")
     extraction: ExtractionResult = run.value("store")
     ground_truth: GroundTruthArtifact = run.value("ground_truth")
@@ -312,21 +322,29 @@ def _stage_snapshot(run: PipelineRun) -> SyntheticSnapshot:
 # analysis-side stage computations
 # ----------------------------------------------------------------------
 def _stage_inference(run: PipelineRun) -> CombinedInferenceResult:
+    from repro.analysis.stats import run_inference
+
     extraction: ExtractionResult = run.value("store")
     return run_inference(extraction.store, run.value("irr"))
 
 
 def _stage_views(run: PipelineRun) -> Section3Views:
+    from repro.analysis.stats import build_views
+
     extraction: ExtractionResult = run.value("store")
     return build_views(extraction.store, run.value("inference"))
 
 
 def _stage_section3(run: PipelineRun) -> Section3Report:
+    from repro.analysis.stats import assemble_report
+
     return assemble_report(run.value("views"), run.value("inference"))
 
 
 def _stage_correction(run: PipelineRun) -> CorrectionSeries:
     """The Figure-2 sweep over the most visible hybrid links."""
+    from repro.core.correction import run_correction_sweep
+
     views: Section3Views = run.value("views")
     inference: CombinedInferenceResult = run.value("inference")
     return run_correction_sweep(
@@ -504,6 +522,8 @@ def run_pipeline(
 def section3_artifacts(run: PipelineRun) -> Section3Artifacts:
     """Assemble the legacy :class:`Section3Artifacts` facade from a run
     that executed (at least) the ``section3`` target."""
+    from repro.analysis.stats import Section3Artifacts
+
     views: Section3Views = run.value("views")
     return Section3Artifacts(
         report=run.value("section3"),

@@ -29,7 +29,7 @@ from repro.pipeline import PipelineRun, StageSpec, make_runner
 from repro.pipeline.runner import StageFailure
 from repro.sweep.grid import Scenario, SweepGrid
 from repro.sweep.planner import DEFAULT_TARGETS, ScenarioPlan, SweepPlan, plan_sweep
-from repro.telemetry import get_tracer
+from repro.telemetry.tracer import get_tracer
 
 
 @dataclass

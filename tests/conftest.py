@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets import build_snapshot, small_config
+from repro.datasets.synthetic import build_snapshot, small_config
 from repro.datasets.scenarios import (
     figure1_scenario,
     hybrid_scenario,

@@ -25,8 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.relationships import AFI, Relationship
-from repro.bgp.backends import ArrayBackend, EventBackend
-from repro.bgp.engine import PropagationEngine
+from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
+from repro.bgp.backends.arraycore import ArrayBackend
+from repro.bgp.backends.event import EventBackend
+from repro.bgp.engine import BACKENDS, PropagationEngine
 from repro.bgp.policy import LocalPrefScheme, RoutingPolicy
 from repro.bgp.prefixes import PrefixAllocator
 from repro.bgp.propagation import originate_one_prefix_per_as
@@ -34,6 +36,7 @@ from repro.bgp.results import ConvergenceError
 from repro.irr.registry import build_registry
 from repro.topology.generator import TopologyConfig, generate_topology
 
+from test_cli import _loaded
 from test_propagation_golden import GOLDEN_SEEDS, _golden_topology, _rich_policies
 
 _SCHEMES = (
@@ -153,6 +156,17 @@ class TestEngineSelection:
     #: for the deleted engine's name finds no code).
     REFUSED = ("quantum", "auto", "equi" "librium")
 
+    def test_engine_names_have_one_home(self):
+        """``repro.bgp.backends`` names the engines; ``BACKENDS`` maps
+        exactly those names, in the same order, to backend classes."""
+        assert tuple(BACKENDS) == ENGINE_CHOICES
+        assert DEFAULT_ENGINE in ENGINE_CHOICES
+
+    def test_engine_names_import_no_backend(self):
+        """Validating an engine name loads no propagation code."""
+        backends = ("repro.bgp.backends.arraycore", "repro.bgp.backends.event")
+        assert _loaded("import repro.bgp.backends", backends)[1] == "[]"
+
     def test_invalid_engine_rejected(self):
         graph = _golden_topology(2010).graph
         for name in self.REFUSED:
@@ -226,7 +240,7 @@ class TestStaleAdjRibInEntries:
 
     @pytest.fixture(scope="class")
     def scenarios(self):
-        from repro.datasets import paper_scale_config
+        from repro.datasets.synthetic import paper_scale_config
         from repro.pipeline import PipelineConfig, run_pipeline
 
         return {

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.datasets import DatasetConfig
+from repro.datasets.synthetic import DatasetConfig
 from repro.pipeline import ArtifactCache, PipelineConfig, run_pipeline
 from repro.topology.generator import TopologyConfig
 

@@ -526,14 +526,30 @@ ABSENT_MODULES = (
 )
 
 
-def test_cli_import_loads_no_storage_backends():
-    """The CLI's import graph holds no database module, no pluggable
-    storage layer (the artifact cache is one plain directory), no
-    worker pool (everything runs in one process and one thread) and no
-    profiler (profiling is ``python -m cProfile``'s job)."""
+#: Compute-side modules a warm ``figure2`` never runs: propagation
+#: (engines, backends, speakers), the collectors, the hand-built
+#: scenarios, snapshot I/O, path extraction and the trace analysis.
+#: ``import repro.cli`` must not load them either.
+COMPUTE_MODULES = (
+    "repro.bgp.backends.arraycore",
+    "repro.bgp.backends.event",
+    "repro.bgp.router",
+    "repro.bgp.engine",
+    "repro.collectors",
+    "repro.datasets.scenarios",
+    "repro.datasets.snapshot_io",
+    "repro.analysis.paths",
+    "repro.telemetry.analyze",
+)
+
+
+def _loaded(code, modules):
+    """Run ``code`` in a fresh interpreter; return its stdout and which
+    of ``modules`` (or their submodules) it loaded."""
     probe = (
-        "import sys, repro.cli; "
-        f"absent = {ABSENT_MODULES!r}; "
+        "import sys\n"
+        f"{code}\n"
+        f"absent = {tuple(modules)!r}\n"
         "print(sorted(m for m in sys.modules "
         "if any(m == a or m.startswith(a + '.') for a in absent)))"
     )
@@ -541,4 +557,34 @@ def test_cli_import_loads_no_storage_backends():
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    assert result.stdout.strip() == "[]"
+    *output, loaded = result.stdout.strip().splitlines()
+    return "\n".join(output), loaded
+
+
+def test_cli_import_loads_no_storage_backends():
+    """The CLI's import graph holds no database module, no pluggable
+    storage layer (the artifact cache is one plain directory), no
+    worker pool (everything runs in one process and one thread) and no
+    profiler (profiling is ``python -m cProfile``'s job)."""
+    assert _loaded("import repro.cli", ABSENT_MODULES)[1] == "[]"
+
+
+def test_cli_import_loads_no_compute_modules():
+    """Package roots re-export nothing heavy and the CLI imports the
+    compute side inside the handlers that run it."""
+    assert _loaded("import repro.cli", COMPUTE_MODULES)[1] == "[]"
+
+
+def test_warm_figure2_loads_no_compute_modules(tmp_path, capsys):
+    """A warm ``figure2`` unpickles ``inference`` and ``views`` and runs
+    the correction sweep: no propagation, collector or extraction
+    module is imported, by the stages or by the unpickling."""
+    cache = str(tmp_path / "cache")
+    assert main(["section3", "--small", "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    argv = ["figure2", "--small", "--top", "3", "--cache-dir", cache]
+    output, loaded = _loaded(
+        f"from repro.cli import main\nassert main({argv!r}) == 0", COMPUTE_MODULES
+    )
+    assert "[pipeline] reused cached stages: inference, views" in output
+    assert loaded == "[]"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets import DatasetConfig
+from repro.datasets.synthetic import DatasetConfig
 from repro.pipeline import PipelineConfig, run_pipeline
 from repro.sweep import GridAxis, SweepGrid, run_sweep
 from repro.topology.generator import TopologyConfig

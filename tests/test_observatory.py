@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.telemetry import parse_jsonl, read_trace, render_tree, summarize
+from repro.telemetry.analyze import parse_jsonl, read_trace, render_tree, summarize
 
 
 # ----------------------------------------------------------------------

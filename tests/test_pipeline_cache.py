@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.core.correction import correction_payload
-from repro.datasets import DatasetConfig
+from repro.datasets.synthetic import DatasetConfig
 from repro.pipeline import (
     ArtifactCache,
     PipelineConfig,
@@ -29,7 +29,7 @@ from repro.pipeline import (
     run_pipeline,
     section3_artifacts,
 )
-from repro.telemetry import Tracer, activated
+from repro.telemetry.tracer import Tracer, activated
 from repro.topology.generator import TopologyConfig
 
 ALL_ANALYSIS_TARGETS = ("section3", "correction")

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.stats import compute_section3
 from repro.collectors.mrt import write_table_dump
 from repro.core.relationships import AFI
-from repro.datasets import DatasetConfig, build_snapshot
+from repro.datasets.synthetic import DatasetConfig, build_snapshot
 from repro.datasets.reference import reference_build_snapshot
 from repro.pipeline import PipelineConfig, run_pipeline, section3_artifacts
 from repro.topology.generator import TopologyConfig

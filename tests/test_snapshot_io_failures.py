@@ -3,7 +3,7 @@
 A snapshot directory is an interchange artifact — it gets copied,
 archived and hand-edited.  ``load_snapshot`` therefore cross-checks the
 member files against the manifest and raises
-:class:`~repro.datasets.SnapshotFormatError` with a message naming the
+:class:`~repro.datasets.snapshot_io.SnapshotFormatError` with a message naming the
 defect; none of these cases may come back as a silently partial (and
 wrong) archive/registry.
 """
@@ -15,13 +15,15 @@ import shutil
 
 import pytest
 
-from repro.datasets import SnapshotFormatError, load_snapshot, save_snapshot
 from repro.datasets.snapshot_io import (
     GROUND_TRUTH_FILENAME,
     IRR_DIRNAME,
     MANIFEST_FILENAME,
     RIB_DIRNAME,
     SNAPSHOT_FORMAT_VERSION,
+    SnapshotFormatError,
+    load_snapshot,
+    save_snapshot,
 )
 
 

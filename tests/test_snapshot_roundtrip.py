@@ -13,8 +13,12 @@ import pytest
 from repro.analysis.paths import store_from_records
 from repro.analysis.stats import compute_section3
 from repro.core.relationships import AFI
-from repro.datasets import load_snapshot, save_snapshot
-from repro.datasets.snapshot_io import GROUND_TRUTH_FILENAME, MANIFEST_FILENAME
+from repro.datasets.snapshot_io import (
+    GROUND_TRUTH_FILENAME,
+    MANIFEST_FILENAME,
+    load_snapshot,
+    save_snapshot,
+)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +107,7 @@ class TestLoaderErrors:
         directory, _ = saved
         import shutil
 
-        from repro.datasets import SnapshotFormatError
+        from repro.datasets.snapshot_io import SnapshotFormatError
 
         partial = tmp_path / "no-manifest"
         shutil.copytree(directory, partial)

@@ -25,7 +25,7 @@ from repro.collectors.mrt import TableDumpRecord
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link
 from repro.core.store import ObservationStore
-from repro.datasets import build_snapshot, small_config
+from repro.datasets.synthetic import build_snapshot, small_config
 
 
 @pytest.fixture(scope="module", params=[7, 13], ids=["seed7", "seed13"])

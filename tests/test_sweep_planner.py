@@ -7,7 +7,7 @@ cells share).
 
 from __future__ import annotations
 
-from repro.datasets import DatasetConfig
+from repro.datasets.synthetic import DatasetConfig
 from repro.pipeline import PipelineConfig
 from repro.sweep import GridAxis, SweepGrid, plan_sweep
 from repro.topology.generator import TopologyConfig

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.datasets import DatasetConfig
+from repro.datasets.synthetic import DatasetConfig
 from repro.pipeline import PipelineConfig
 from repro.sweep import (
     SWEEP_REPORT_SCHEMA_VERSION,

@@ -22,22 +22,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.datasets import DatasetConfig
+from repro.datasets.synthetic import DatasetConfig
 from repro.pipeline import PipelineConfig, run_pipeline
 from repro.pipeline.runner import PipelineRunner
 from repro.pipeline.stages import full_stages
 from repro.sweep import GridAxis, SweepGrid, run_sweep
-from repro.telemetry import (
-    NULL_TRACER,
+from repro.telemetry.analyze import (
     SUMMARY_SCHEMA_VERSION,
-    TRACE_SCHEMA_VERSION,
-    Tracer,
-    activated,
     build_tree,
-    get_tracer,
     read_trace,
     render_tree,
     summarize,
+)
+from repro.telemetry.tracer import (
+    NULL_TRACER,
+    TRACE_SCHEMA_VERSION,
+    Tracer,
+    activated,
+    get_tracer,
 )
 from repro.topology.generator import TopologyConfig
 
