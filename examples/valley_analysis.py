@@ -8,7 +8,8 @@ Reproduces the Section-3 valley analysis on a synthetic snapshot:
   paper's "relaxation of the valley-free rule in order to expand the
   reachability of IPv6 prefixes"), and
 * how partitioned the IPv6 plane would be under strict valley-free
-  routing (ablation A2 in DESIGN.md), starting from the peering-dispute
+  routing (ablation A2, checked by ``TestValleyAndPartition`` in
+  ``tests/test_integration_pipeline.py``), starting from the peering-dispute
   scenario described in the paper's footnote.
 
 Run with::

@@ -5,8 +5,9 @@ observations of an :class:`~repro.core.store.ObservationStore` —
 coverage of the Communities/LocPrf inference, hybrid-link detection,
 hybrid path visibility, valley-path analysis — and packages
 the results as a :class:`Section3Report` whose fields map one-to-one to
-the statistics of Section 3 of the paper (see the experiment table in
-DESIGN.md).
+the statistics of Section 3 of the paper
+(``tests/test_integration_pipeline.py::TestSection3Shape`` checks each
+against the paper's regime).
 
 The computation is decomposed into three stage functions the staged
 pipeline (:mod:`repro.pipeline.stages`) caches individually:
@@ -42,7 +43,8 @@ if TYPE_CHECKING:
 class Section3Report:
     """All Section-3 statistics for one snapshot.
 
-    Attribute names follow the experiment ids used in DESIGN.md.
+    The ``S3.x`` comments number the statistics in the order Section 3
+    reports them.
     """
 
     # S3.1 / S3.2 / S3.3 — raw visibility counts.

@@ -111,7 +111,9 @@ if TYPE_CHECKING:
     from repro.pipeline.artifacts import ArtifactCache
 
 #: Schema version of the ``section3``/``figure2`` ``--json`` reports.
-REPORT_SCHEMA_VERSION = 1
+#: v2: the ``figure2`` block lost its source-sampling bound; Figure 2 is
+#: always measured from every source.
+REPORT_SCHEMA_VERSION = 2
 
 #: Collector generation thresholds while a command runs.  A cold
 #: paper-scale snapshot allocates millions of objects that stay alive
@@ -197,7 +199,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(
         dataset=_config_from_args(args),
         top=getattr(args, "top", 20),
-        max_sources=getattr(args, "max_sources", 60),
         propagation=PropagationConfig(
             engine=getattr(args, "engine", DEFAULT_ENGINE)
         ),
@@ -266,9 +267,7 @@ def _cmd_section3(args: argparse.Namespace) -> int:
     return 0
 
 
-def _figure2_series(
-    artifacts: Section3Artifacts, top: int, max_sources: Optional[int]
-) -> CorrectionSeries:
+def _figure2_series(artifacts: Section3Artifacts, top: int) -> CorrectionSeries:
     """The Figure-2 sweep from precomputed Section-3 artifacts (the
     same shared implementation the pipeline's ``correction`` stage
     runs)."""
@@ -278,20 +277,19 @@ def _figure2_series(
         artifacts.hybrid.hybrid_link_set(),
         artifacts.visibility,
         top=top,
-        max_sources=max_sources,
     )
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
     try:
-        # Validates --top and --max-sources before any stage runs.
+        # Validates --top before any stage runs.
         config = _pipeline_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.from_snapshot:
         artifacts = _artifacts_from_disk(args.from_snapshot)
-        series = _figure2_series(artifacts, args.top, args.max_sources)
+        series = _figure2_series(artifacts, args.top)
         config_payload = {"snapshot_dir": args.from_snapshot}
     else:
         run = run_pipeline(
@@ -317,7 +315,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
             args.json,
             {
                 "config": config_payload,
-                "figure2": correction_payload(series, args.top, args.max_sources),
+                "figure2": correction_payload(series, args.top),
             },
         )
         print(f"\nwrote JSON report to {args.json}")
@@ -627,10 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_option(figure2)
     figure2.add_argument("--top", type=int, default=20, help="links to correct")
     figure2.add_argument(
-        "--max-sources", type=int, default=60,
-        help="valley-free BFS sources sampled per step (0 = exact)",
-    )
-    figure2.add_argument(
         "--json", help="also write the sweep series and summary as JSON to this path"
     )
     figure2.set_defaults(handler=_cmd_figure2)
@@ -764,8 +758,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run_command(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_sources", None) == 0:
-        args.max_sources = None
     if getattr(args, "from_snapshot", None) and (
         args.small or args.paper_scale or getattr(args, "seed_given", False)
     ):

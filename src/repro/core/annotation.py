@@ -210,9 +210,8 @@ class ValleyFreeIndex:
     """The known links of an annotation as an integer-indexed valley-free plane.
 
     ASes are interned to ids ``0 .. n-1`` in :attr:`ToRAnnotation.ases`
-    (sorted) order, so ``ases[:k]`` are the first ``k`` sorted ASes.
-    Every id has three neighbour lists, one per move of the two-state
-    valley-free BFS:
+    (sorted) order.  Every id has three neighbour lists, one per move of
+    the two-state valley-free BFS:
 
     * ``climb[i]`` — c2p and sibling neighbours: uphill stays uphill;
     * ``turn[i]`` — p2p and p2c neighbours: uphill turns downhill;

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
 from repro.core.customer_tree import PathLengthMetrics, valley_free_path_metrics
-from repro.core.relationships import AFI, Link, Relationship
+from repro.core.relationships import AFI, Link
 from repro.core.visibility import VisibilityIndex
 
 
@@ -94,7 +94,7 @@ class CorrectionSeries:
         The reductions are signed: ``(start - end) / start``, so a
         negative value means the metric grew over the sweep.  On the
         paper-scale seed-7 snapshot with ``top=20``, for example, the
-        diameter goes from 4 to 7 and ``diameter_reduction`` is -0.75.
+        diameter goes from 5 to 8 and ``diameter_reduction`` is -0.6.
         """
         start, end = self.initial, self.final
         average_reduction = (
@@ -116,9 +116,7 @@ class CorrectionSeries:
         }
 
 
-def correction_payload(
-    series: "CorrectionSeries", top: int, max_sources: Optional[int]
-) -> Dict[str, object]:
+def correction_payload(series: "CorrectionSeries", top: int) -> Dict[str, object]:
     """The one JSON-shaped rendering of a Figure-2 series.
 
     Shared by ``repro figure2 --json`` and every sweep cell, so the two
@@ -127,7 +125,6 @@ def correction_payload(
     """
     return {
         "top": top,
-        "max_sources": max_sources,
         "corrected_links": [step.corrected_links for step in series.steps],
         "links": [
             None if step.link is None else [step.link.a, step.link.b]
@@ -176,7 +173,6 @@ def run_correction_sweep(
     hybrid_links: Iterable[Link],
     visibility: VisibilityIndex,
     top: int = 20,
-    max_sources: Optional[int] = None,
 ) -> CorrectionSeries:
     """The canonical Figure-2 sweep from a pair of inferred annotations.
 
@@ -189,9 +185,7 @@ def run_correction_sweep(
     points.
     """
     misinferred = plane_agnostic_annotation(ipv6_annotation, ipv4_annotation)
-    experiment = CorrectionExperiment(
-        misinferred, ipv6_annotation, max_sources=max_sources
-    )
+    experiment = CorrectionExperiment(misinferred, ipv6_annotation)
     return experiment.run_with_visibility(hybrid_links, visibility, top=top)
 
 
@@ -203,21 +197,13 @@ class CorrectionExperiment:
             never mutated; every step works on a copy.
         reference: The annotation holding the correct relationships for
             the links to be corrected.
-        max_sources: Optional sampling bound passed to the customer-tree
-            metric (useful on large topologies).
     """
 
-    def __init__(
-        self,
-        misinferred: ToRAnnotation,
-        reference: ToRAnnotation,
-        max_sources: Optional[int] = None,
-    ) -> None:
+    def __init__(self, misinferred: ToRAnnotation, reference: ToRAnnotation) -> None:
         if misinferred.afi is not reference.afi:
             raise ValueError("both annotations must describe the same address family")
         self.misinferred = misinferred
         self.reference = reference
-        self.max_sources = max_sources
 
     # ------------------------------------------------------------------
     # link selection
@@ -264,7 +250,7 @@ class CorrectionExperiment:
         series = CorrectionSeries()
         working = self.misinferred.copy()
         plane = ValleyFreeIndex(working)
-        metrics = valley_free_path_metrics(plane, plane.ases, self.max_sources)
+        metrics = valley_free_path_metrics(plane, plane.ases)
         series.steps.append(CorrectionStep(corrected_links=0, link=None, metrics=metrics))
         for step, link in enumerate(ordered_links, start=1):
             reference_relationship = self.reference.get_canonical(link)
@@ -276,7 +262,7 @@ class CorrectionExperiment:
             else:
                 # A new AS joins the plane: re-intern in sorted order.
                 plane = ValleyFreeIndex(working)
-            metrics = valley_free_path_metrics(plane, plane.ases, self.max_sources)
+            metrics = valley_free_path_metrics(plane, plane.ases)
             series.steps.append(
                 CorrectionStep(corrected_links=step, link=link, metrics=metrics)
             )
@@ -300,9 +286,10 @@ class CorrectionExperiment:
     ) -> CorrectionSeries:
         """Control experiment: correct ``count`` random candidates instead.
 
-        DESIGN.md lists this as the ablation showing that the visibility
-        ranking matters: correcting low-visibility links first barely
-        moves the metric.
+        The ablation showing that the visibility ranking matters:
+        correcting low-visibility links first barely moves the metric
+        (checked by ``test_visibility_order_moves_metric_more_than_random_order``
+        in ``tests/test_integration_pipeline.py``).
         """
         candidates = self.correctable_links(candidate_links)
         rng = random.Random(seed)

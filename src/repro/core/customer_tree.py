@@ -17,12 +17,11 @@ the quantities plotted in Figure 2.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
-from repro.core.relationships import Link, Relationship
+from repro.core.relationships import Link
 
 
 @dataclass(frozen=True)
@@ -125,73 +124,83 @@ class PathLengthMetrics:
     """Average and maximum (diameter) of shortest valley-free path lengths.
 
     Attributes:
-        average: Mean shortest valley-free path length over the measured
-            pairs (0 when no pair is reachable).
+        average: Mean shortest valley-free path length over the reachable
+            ordered pairs (0 when no pair is reachable).
         diameter: Longest of the shortest valley-free path lengths.
         reachable_pairs: Number of ordered pairs with a valley-free path.
-        measured_sources: Number of source ASes the BFS ran from.
     """
 
     average: float = 0.0
     diameter: int = 0
     reachable_pairs: int = 0
-    measured_sources: int = 0
+
+
+def _push(frontier: Dict[int, int], moves: List[List[int]], into: Dict[int, int]) -> None:
+    """OR each frontier node's source mask into its neighbours along ``moves``."""
+    for node, sources in frontier.items():
+        for neighbor in moves[node]:
+            into[neighbor] = into.get(neighbor, 0) | sources
+
+
+def _advance(candidates: Dict[int, int], seen: List[int]) -> Dict[int, int]:
+    """The candidate sources each node has not seen yet, now marked seen."""
+    fresh = {}
+    for node, sources in candidates.items():
+        sources &= ~seen[node]
+        if sources:
+            seen[node] |= sources
+            fresh[node] = sources
+    return fresh
 
 
 def valley_free_path_metrics(
-    plane: Union[ToRAnnotation, ValleyFreeIndex],
-    nodes: Iterable[int],
-    max_sources: Optional[int] = None,
+    plane: Union[ToRAnnotation, ValleyFreeIndex], nodes: Iterable[int]
 ) -> PathLengthMetrics:
     """Average / diameter of shortest valley-free paths among ``nodes``.
 
-    Runs the two-state valley-free BFS from every node (or the first
-    ``max_sources`` nodes, for sampled evaluation on large topologies)
-    and aggregates the distances towards the other nodes of the set.
-    Unreachable pairs are ignored, as in the paper's metric.
-    ``max_sources`` must be ``None`` (exact) or at least 1: a slice with
-    a negative bound would silently drop the *last* sources instead.
-    ``plane`` is an annotation or a :class:`ValleyFreeIndex` built from
-    one; callers measuring one plane repeatedly should pass the index.
+    Every ordered pair of distinct ``nodes`` is measured; unreachable
+    pairs are ignored, as in the paper's metric, and an AS the plane
+    does not know reaches no other node.  ``plane`` is an annotation or
+    a :class:`ValleyFreeIndex` built from one; callers measuring one
+    plane repeatedly should pass the index.
+
+    All sources advance together through one level-synchronous run of
+    the two-state BFS of :meth:`ValleyFreeIndex.distances`.  Source ids
+    are bits of a Python int: per id, ``up`` and ``down`` hold the
+    sources that have reached it uphill and downhill.  Each level
+    pushes the frontier masks along ``climb``/``turn``/``descend``; the
+    pairs a level adds to ``up[t] | down[t]`` over the targets ``t`` in
+    ``nodes`` are the pairs whose shortest path has that many hops.
     """
-    if max_sources is not None and max_sources < 1:
-        raise ValueError(
-            f"max_sources must be None (exact) or >= 1, got {max_sources}"
-        )
     index = plane if isinstance(plane, ValleyFreeIndex) else ValleyFreeIndex(plane)
-    node_list = sorted(set(nodes))
-    sources = node_list if max_sources is None else node_list[:max_sources]
-    ids = index.ids
-    members = [ids[asn] for asn in node_list if asn in ids]
-    every_node = len(members) == len(index.ases)
-    total = 0
-    pairs = 0
-    diameter = 0
-    for source in sources:
-        if source not in ids:
-            continue  # an AS without links reaches no other node
-        distances = index.distances(ids[source])
-        if not every_node:
-            distances = [distances[member] for member in members]
-        # Only the source is at distance 0; unreachable nodes are at -1.
-        reached = [hops for hops in distances if hops > 0]
-        if reached:
-            total += sum(reached)
-            pairs += len(reached)
-            diameter = max(diameter, max(reached))
+    members = {index.ids[asn] for asn in nodes if asn in index.ids}
+    up = [0] * len(index.ases)
+    down = [0] * len(index.ases)
+    frontier_up = _advance({member: 1 << member for member in members}, up)
+    frontier_down: Dict[int, int] = {}
+    reached = len(members)  # every member reaches itself, at 0 hops
+    total = diameter = depth = 0
+    while frontier_up or frontier_down:
+        depth += 1
+        next_up: Dict[int, int] = {}
+        next_down: Dict[int, int] = {}
+        _push(frontier_up, index.climb, next_up)
+        _push(frontier_up, index.turn, next_down)
+        _push(frontier_down, index.descend, next_down)
+        frontier_up = _advance(next_up, up)
+        frontier_down = _advance(next_down, down)
+        count = sum((up[member] | down[member]).bit_count() for member in members)
+        if count > reached:
+            total += depth * (count - reached)
+            diameter = depth
+            reached = count
+    pairs = reached - len(members)
     average = total / pairs if pairs else 0.0
-    return PathLengthMetrics(
-        average=average,
-        diameter=diameter,
-        reachable_pairs=pairs,
-        measured_sources=len(sources),
-    )
+    return PathLengthMetrics(average=average, diameter=diameter, reachable_pairs=pairs)
 
 
 def customer_tree_union_metrics(
-    annotation: ToRAnnotation,
-    roots: Optional[Iterable[int]] = None,
-    max_sources: Optional[int] = None,
+    annotation: ToRAnnotation, roots: Optional[Iterable[int]] = None
 ) -> Tuple[CustomerTreeUnion, PathLengthMetrics]:
     """The paper's Figure-2 metric for one annotation.
 
@@ -199,5 +208,5 @@ def customer_tree_union_metrics(
     valley-free paths among the union's member ASes.
     """
     union = union_of_customer_trees(annotation, roots)
-    metrics = valley_free_path_metrics(annotation, union.members, max_sources=max_sources)
+    metrics = valley_free_path_metrics(annotation, union.members)
     return union, metrics

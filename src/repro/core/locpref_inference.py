@@ -99,7 +99,9 @@ class LocPrefInference:
         validate_with_communities: When False the Rosetta-Stone
             calibration is replaced by the naive rank heuristic (highest
             observed value = customer, middle = peer, lowest = provider).
-            This is ablation A1 in DESIGN.md.
+            This is ablation A1, checked by
+            ``test_validated_locpref_at_least_as_accurate_as_naive`` in
+            ``tests/test_integration_pipeline.py``.
         filter_traffic_engineering: When False routes carrying
             traffic-engineering communities are *not* excluded, letting
             TE-tuned LocPrf values pollute both calibration and

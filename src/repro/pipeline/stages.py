@@ -98,24 +98,17 @@ class PipelineConfig:
     Attributes:
         dataset: The synthetic snapshot configuration.
         top: Figure-2 correction budget (links corrected, ``>= 0``).
-        max_sources: Valley-free BFS sampling bound for the
-            customer-tree metric (``None`` = exact, otherwise ``>= 1``).
         propagation: Propagation-engine selection (sweepable as the
             ``propagation.engine`` grid axis).
     """
 
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     top: int = 20
-    max_sources: Optional[int] = 60
     propagation: PropagationConfig = field(default_factory=PropagationConfig)
 
     def __post_init__(self) -> None:
         if self.top < 0:
             raise ValueError(f"top must be >= 0, got {self.top}")
-        if self.max_sources is not None and self.max_sources < 1:
-            raise ValueError(
-                f"max_sources must be None (exact) or >= 1, got {self.max_sources}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +346,6 @@ def _stage_correction(run: PipelineRun) -> CorrectionSeries:
         views.hybrid.hybrid_link_set(),
         views.visibility,
         top=run.config.top,
-        max_sources=run.config.max_sources,
     )
 
 
@@ -484,10 +476,10 @@ def analysis_stages() -> List[StageSpec]:
         ),
         StageSpec(
             name="correction",
-            version="1",
+            version="2",
             dependencies=("views", "inference"),
             compute=_stage_correction,
-            config_slice=lambda config: (config.top, config.max_sources),
+            config_slice=lambda config: (config.top,),
         ),
     ]
 

@@ -148,9 +148,7 @@ def _run_scenario(
         if "section3" in targets:
             result.section3 = run.value("section3").as_dict()
         if "correction" in targets:
-            result.correction = correction_payload(
-                run.value("correction"), config.top, config.max_sources
-            )
+            result.correction = correction_payload(run.value("correction"), config.top)
     except StageFailure as exc:
         result.status, result.error = "failed", str(exc)
         run = exc.run

@@ -65,14 +65,11 @@ def _coerce(current: object, value: object, path: str) -> object:
     Type mismatches must fail here, eagerly: a quoted number in a
     hand-edited grid (``"seed": "7"``) would otherwise seed
     ``random.Random("7")`` and silently produce a cell that is *not*
-    bit-identical to the standalone run its scenario id names.
-
-    An explicit ``null`` passes through: optional fields
-    (``max_sources``) accept it, and a field that cannot take ``None``
-    fails in that scenario alone (failure isolation contains it).
+    bit-identical to the standalone run its scenario id names.  No
+    config field is optional, so an explicit ``null`` is refused too.
     """
     if value is None:
-        return None
+        raise GridError(f"{path}: null is not a value of this field")
     if isinstance(current, _dt.date):
         if isinstance(value, _dt.date):
             return value
@@ -100,13 +97,14 @@ def _coerce(current: object, value: object, path: str) -> object:
         if isinstance(value, str):
             return value
         raise GridError(f"{path}: expected a string, got {value!r}")
-    if dataclasses.is_dataclass(current):
-        raise GridError(
-            f"{path}: cannot replace a whole config section; override its "
-            "fields individually with dotted paths"
-        )
-    # No basis to check (e.g. the current value is None): pass through.
-    return value
+    if isinstance(current, tuple):
+        if isinstance(value, (list, tuple)) and len(value) == len(current):
+            return tuple(_coerce(old, new, path) for old, new in zip(current, value))
+        raise GridError(f"{path}: expected a list of {len(current)}, got {value!r}")
+    raise GridError(
+        f"{path}: cannot replace a whole config section; override its "
+        "fields individually with dotted paths"
+    )
 
 
 def _replace_path(config: object, parts: Sequence[str], value: object, path: str):

@@ -36,7 +36,9 @@ from repro.sweep.grid import SweepGrid
 #: intervals (``metrics`` mapping inside each group).
 #: v3: the ``executor`` and ``waves`` keys are gone — scenarios always
 #: run one at a time, in declaration order.
-SWEEP_REPORT_SCHEMA_VERSION = 3
+#: v4: cells' ``correction`` blocks lost their source-sampling bound
+#: (Figure 2 is always measured from every source).
+SWEEP_REPORT_SCHEMA_VERSION = 4
 
 #: Two-sided 95% Student-t critical values by degrees of freedom.
 #: Seed groups are small (a handful of repeats), exactly where the

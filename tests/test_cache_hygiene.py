@@ -154,8 +154,7 @@ class TestPruneLiveCache:
                 vantage_points=4,
             ),
             top=2,
-            max_sources=10,
-        )
+            )
         cold = run_pipeline(config, cache_dir=tmp_path, targets=("section3",))
         reference = cold.value("section3").as_dict()
         cache = ArtifactCache(tmp_path)

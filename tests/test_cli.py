@@ -84,7 +84,7 @@ class TestCommands:
 
     def test_figure2_prints_series(self, capsys):
         exit_code = main(
-            ["figure2", "--small", "--seed", "3", "--top", "3", "--max-sources", "20"]
+            ["figure2", "--small", "--seed", "3", "--top", "3"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
@@ -108,13 +108,14 @@ class TestCommands:
         exit_code = main(
             [
                 "figure2", "--small", "--seed", "3", "--top", "3",
-                "--max-sources", "20", "--json", str(json_path),
+                "--json", str(json_path),
             ]
         )
         assert exit_code == 0
         payload = json.loads(json_path.read_text())
         figure2 = payload["figure2"]
         assert figure2["top"] == 3
+        assert "max_sources" not in figure2
         assert len(figure2["averages"]) == len(figure2["corrected_links"])
         assert figure2["corrected_links"][0] == 0
         assert "average_reduction" in figure2["improvement"]
@@ -127,11 +128,8 @@ def _no_stage(*args, **kwargs):
 class TestFigure2Bounds:
     @pytest.mark.parametrize(
         "flags, message",
-        [
-            (["--top", "-1"], "top must be >= 0, got -1"),
-            (["--max-sources", "-3"], "max_sources must be None (exact) or >= 1, got -3"),
-        ],
-        ids=["top", "max-sources"],
+        [(["--top", "-1"], "top must be >= 0, got -1")],
+        ids=["top"],
     )
     @pytest.mark.parametrize("source", ["memory", "snapshot"])
     def test_out_of_range_exits_2_before_any_stage(
@@ -146,17 +144,14 @@ class TestFigure2Bounds:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
-    def test_max_sources_zero_means_exact(self, monkeypatch):
-        seen = {}
-
-        def capture(config, **kwargs):
-            seen["config"] = config
-            raise RuntimeError("stop before running")
-
-        monkeypatch.setattr("repro.cli.run_pipeline", capture)
-        with pytest.raises(RuntimeError, match="stop before running"):
-            main(["figure2", "--small", "--max-sources", "0"])
-        assert seen["config"].max_sources is None
+    def test_max_sources_is_gone(self, monkeypatch, capsys):
+        """Figure 2 always measures from every source; the old sampling
+        flag is an argparse error, not silently ignored."""
+        monkeypatch.setattr("repro.cli.run_pipeline", _no_stage)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure2", "--small", "--max-sources", "20"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --max-sources" in capsys.readouterr().err
 
 
 class TestPipelineOptions:
@@ -173,7 +168,7 @@ class TestPipelineOptions:
         assert main(
             [
                 "figure2", "--small", "--seed", "3", "--top", "3",
-                "--max-sources", "20", "--cache-dir", cache_dir,
+                "--cache-dir", cache_dir,
             ]
         ) == 0
         output = capsys.readouterr().out
@@ -232,8 +227,7 @@ class TestPipelineOptions:
         assert main(["snapshot", "--small", "--seed", "3", "--output", snap_dir]) == 0
         assert main(
             [
-                "figure2", "--top", "2", "--max-sources", "10",
-                "--from-snapshot", snap_dir,
+                "figure2", "--top", "2", "--from-snapshot", snap_dir,
             ]
         ) == 0
         assert "Figure 2" in capsys.readouterr().out
@@ -263,7 +257,7 @@ class TestPipelineOptions:
         assert main(["section3", "--small", "--seed", "3", "--json", str(json_path)]) == 0
         text = json_path.read_text()
         payload = json.loads(text)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -277,7 +271,6 @@ def _tiny_grid(tmp_path, tops=(2, 3)):
                 "dataset.topology.tier2_count": 8,
                 "dataset.topology.tier3_count": 20,
                 "dataset.vantage_points": 4,
-                "max_sources": 10,
             },
         },
         "axes": [
@@ -331,8 +324,6 @@ class TestSweepCommand:
         "field, value, message",
         [
             ("top", -1, "top must be >= 0, got -1"),
-            ("max_sources", 0, "max_sources must be None (exact) or >= 1, got 0"),
-            ("max_sources", -3, "max_sources must be None (exact) or >= 1, got -3"),
         ],
     )
     def test_out_of_range_grid_exits_2_at_planning(
@@ -393,7 +384,7 @@ class TestCacheCommands:
         assert "topology" in human
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["schema_version"] == 1
+        assert stats["schema_version"] == 2
         assert stats["entries"] > 0
         assert stats["total_bytes"] > 0
 

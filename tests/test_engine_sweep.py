@@ -41,7 +41,7 @@ def _tiny_dataset(seed: int) -> DatasetConfig:
 
 
 def _engine_grid() -> SweepGrid:
-    base = PipelineConfig(dataset=_tiny_dataset(1), top=3, max_sources=10)
+    base = PipelineConfig(dataset=_tiny_dataset(1), top=3)
     return SweepGrid(
         base,
         [

@@ -1,10 +1,9 @@
 """Figure-2 series pinned against a committed canonical-JSON fixture.
 
 ``tests/fixtures/figure2_small.json`` holds the full correction series
-(corrected link, ``repr`` of the average, diameter, reachable pairs and
-measured sources of every step) of the ``--small`` preset for seeds 1,
-2 and 7, ``top=20``, with ``max_sources`` 60 (sampled) and ``None``
-(exact).  Any change to the sweep, the valley-free BFS or the metric
+(corrected link, ``repr`` of the average, diameter and reachable pairs
+of every step) of the ``--small`` preset for seeds 1, 2 and 7,
+``top=20``.  Any change to the sweep, the valley-free BFS or the metric
 that moves a single number fails here.
 
 Regenerate (only on purpose, and say why in CHANGES.md)::
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List
 
 import pytest
 
@@ -28,36 +27,30 @@ from repro.pipeline import PipelineConfig, run_pipeline
 FIXTURE = Path(__file__).parent / "fixtures" / "figure2_small.json"
 SEEDS = (1, 2, 7)
 TOP = 20
-MAX_SOURCES = (60, None)
 
 
-def seed_series(seed: int) -> Dict[str, List[dict]]:
-    """Every pinned series of one ``--small`` seed, keyed by ``max_sources``."""
+def seed_series(seed: int) -> List[dict]:
+    """The pinned series of one ``--small`` seed."""
     run = run_pipeline(
         PipelineConfig(dataset=small_config(seed=seed)), targets=("views", "inference")
     )
     views, inference = run.value("views"), run.value("inference")
-    result = {}
-    for max_sources in MAX_SOURCES:
-        series = run_correction_sweep(
-            inference.annotation(AFI.IPV4),
-            inference.annotation(AFI.IPV6),
-            views.hybrid.hybrid_link_set(),
-            views.visibility,
-            top=TOP,
-            max_sources=max_sources,
-        )
-        result[str(max_sources)] = [
-            {
-                "link": None if step.link is None else [step.link.a, step.link.b],
-                "average": repr(step.metrics.average),
-                "diameter": step.metrics.diameter,
-                "reachable_pairs": step.metrics.reachable_pairs,
-                "measured_sources": step.metrics.measured_sources,
-            }
-            for step in series.steps
-        ]
-    return result
+    series = run_correction_sweep(
+        inference.annotation(AFI.IPV4),
+        inference.annotation(AFI.IPV6),
+        views.hybrid.hybrid_link_set(),
+        views.visibility,
+        top=TOP,
+    )
+    return [
+        {
+            "link": None if step.link is None else [step.link.a, step.link.b],
+            "average": repr(step.metrics.average),
+            "diameter": step.metrics.diameter,
+            "reachable_pairs": step.metrics.reachable_pairs,
+        }
+        for step in series.steps
+    ]
 
 
 def canonical(payload: object) -> str:

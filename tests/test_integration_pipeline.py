@@ -1,6 +1,6 @@
 """End-to-end integration tests: the full paper pipeline on a synthetic snapshot.
 
-These tests assert the *shape* of the paper's findings (see DESIGN.md):
+These tests assert the *shape* of the paper's findings:
 coverage, hybrid share and mix, hybrid path visibility, valley fractions,
 the Figure-1 effect, the Figure-2 trend and the two ablations (A1:
 LocPrf without Communities validation; A2: IPv6 propagation without the
@@ -229,7 +229,7 @@ class TestFigure2Trend:
         misinferred = plane_agnostic_annotation(
             reference, section3.inference.annotation(AFI.IPV4)
         )
-        experiment = CorrectionExperiment(misinferred, reference, max_sources=40)
+        experiment = CorrectionExperiment(misinferred, reference)
         visibility = section3.visibility
         hybrid_links = section3.hybrid.hybrid_link_set()
         series = experiment.run_with_visibility(hybrid_links, visibility, top=10)
@@ -245,14 +245,14 @@ class TestFigure2Trend:
         )
 
     def test_visibility_order_moves_metric_more_than_random_order(self, section3):
-        """DESIGN.md ablation: correcting the most visible links changes the
+        """Ablation: correcting the most visible links changes the
         metric at least as much as correcting randomly chosen ones with the
         same budget."""
         reference = section3.inference.annotation(AFI.IPV6)
         misinferred = plane_agnostic_annotation(
             reference, section3.inference.annotation(AFI.IPV4)
         )
-        experiment = CorrectionExperiment(misinferred, reference, max_sources=40)
+        experiment = CorrectionExperiment(misinferred, reference)
         hybrid_links = section3.hybrid.hybrid_link_set()
         budget = 3
         by_visibility = experiment.run_with_visibility(

@@ -58,7 +58,7 @@ def tiny_config(seed: int = 5, **overrides) -> PipelineConfig:
         vantage_points=4,
         **overrides,
     )
-    return PipelineConfig(dataset=dataset, top=3, max_sources=10)
+    return PipelineConfig(dataset=dataset, top=3)
 
 
 @pytest.fixture()
@@ -79,9 +79,9 @@ class TestWarmRuns:
         # The cached artifacts yield the same reports as a fresh computation.
         fresh = run_pipeline(config, targets=ALL_ANALYSIS_TARGETS)
         assert warm.value("section3").as_dict() == fresh.value("section3").as_dict()
-        assert correction_payload(
-            warm.value("correction"), config.top, config.max_sources
-        ) == correction_payload(fresh.value("correction"), config.top, config.max_sources)
+        assert correction_payload(warm.value("correction"), config.top) == (
+            correction_payload(fresh.value("correction"), config.top)
+        )
 
     def test_figure2_after_section3_reuses_all_shared_stages(self, tmp_path):
         config = tiny_config()
@@ -141,7 +141,6 @@ class TestInvalidation:
         changed = PipelineConfig(
             dataset=dataclasses.replace(config.dataset, seed=config.dataset.seed + 1),
             top=config.top,
-            max_sources=config.max_sources,
         )
         statuses = self._statuses(cache_dir, changed)
         assert statuses["topology"] == "cached"
@@ -156,7 +155,6 @@ class TestInvalidation:
         changed = PipelineConfig(
             dataset=dataclasses.replace(config.dataset, topology=changed_topology),
             top=config.top,
-            max_sources=config.max_sources,
         )
         statuses = self._statuses(cache_dir, changed)
         assert all(status == "computed" for status in statuses.values())
@@ -164,7 +162,7 @@ class TestInvalidation:
     def test_changed_correction_budget_invalidates_only_correction(self, warm_cache):
         cache_dir, config = warm_cache
         changed = PipelineConfig(
-            dataset=config.dataset, top=config.top + 1, max_sources=config.max_sources
+            dataset=config.dataset, top=config.top + 1
         )
         assert changed_stages(config, changed) == {"correction"}
         # The miss demands correction's inputs, which hit and end the walk.
@@ -184,7 +182,6 @@ class TestInvalidation:
                 config.dataset, snapshot_date=datetime.date(2010, 8, 21)
             ),
             top=config.top,
-            max_sources=config.max_sources,
         )
         downstream = ANALYSIS_CLOSURE[ANALYSIS_CLOSURE.index("archive"):]
         assert changed_stages(config, changed) == set(downstream)
@@ -231,9 +228,9 @@ class TestInvalidation:
         assert "topology" not in statuses
         cold = run_pipeline(config, targets=ALL_ANALYSIS_TARGETS)
         assert run.value("section3").as_dict() == cold.value("section3").as_dict()
-        assert correction_payload(
-            run.value("correction"), config.top, config.max_sources
-        ) == correction_payload(cold.value("correction"), config.top, config.max_sources)
+        assert correction_payload(run.value("correction"), config.top) == (
+            correction_payload(cold.value("correction"), config.top)
+        )
 
 
 def traced_section3(config, cache_dir):
@@ -345,9 +342,7 @@ def traced_figure2(config, cache_dir):
         for record in tracer.records()
         if record["kind"] == "counter" and record["name"] == "cache.corrupt"
     )
-    payload = correction_payload(
-        run.value("correction"), config.top, config.max_sources
-    )
+    payload = correction_payload(run.value("correction"), config.top)
     return run, payload, corrupt
 
 
@@ -486,7 +481,6 @@ class TestConfigToken:
         changed = PipelineConfig(
             dataset=dataclasses.replace(base.dataset, documented_fraction=0.5),
             top=base.top,
-            max_sources=base.max_sources,
         )
         assert config_token(base) != config_token(changed)
 

@@ -83,7 +83,7 @@ class TestStagedEqualsMonolith:
 class TestCachedEqualsCold:
     @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
     def test_warm_cache_results_identical(self, seed, tmp_path):
-        config = PipelineConfig(dataset=golden_config(seed), top=5, max_sources=20)
+        config = PipelineConfig(dataset=golden_config(seed), top=5)
         targets = ("snapshot", "section3", "correction")
         cold = run_pipeline(config, cache_dir=tmp_path, targets=targets)
         warm = run_pipeline(config, cache_dir=tmp_path, targets=targets)

@@ -35,7 +35,6 @@ def tiny_base(seed: int = 5) -> PipelineConfig:
             vantage_points=4,
         ),
         top=3,
-        max_sources=10,
     )
 
 
@@ -52,7 +51,7 @@ def standalone_cell(config: PipelineConfig):
     run = run_pipeline(config, targets=("section3", "correction"))
     return (
         run.value("section3").as_dict(),
-        correction_payload(run.value("correction"), config.top, config.max_sources),
+        correction_payload(run.value("correction"), config.top),
     )
 
 

@@ -86,9 +86,28 @@ class TestApplyOverrides:
         with pytest.raises(GridError, match="expected an integer"):
             apply_overrides(base_config(), {"top": True})
 
-    def test_none_passes_through_for_optional_fields(self):
-        config = apply_overrides(base_config(), {"max_sources": None})
-        assert config.max_sources is None
+    def test_null_override_is_rejected(self):
+        """No config field is optional: ``null`` fails here, not as a
+        ``TypeError`` inside the scenario."""
+        with pytest.raises(GridError, match="top: null"):
+            apply_overrides(base_config(), {"top": None})
+
+    def test_null_axis_value_is_rejected(self):
+        with pytest.raises(GridError, match="dataset.seed: null"):
+            SweepGrid(base_config(), [GridAxis("dataset.seed", (1, None))])
+
+    def test_max_sources_is_an_unknown_field(self):
+        with pytest.raises(GridError, match="has no field 'max_sources'"):
+            apply_overrides(base_config(), {"max_sources": 10})
+
+    def test_tuple_field_takes_a_list_of_its_length(self):
+        path = "dataset.topology.tier2_providers"
+        config = apply_overrides(base_config(), {path: [2, 4]})
+        assert config.dataset.topology.tier2_providers == (2, 4)
+        with pytest.raises(GridError, match="expected a list of 2"):
+            apply_overrides(base_config(), {path: [2]})
+        with pytest.raises(GridError, match="expected an integer"):
+            apply_overrides(base_config(), {path: [2, "4"]})
 
     def test_whole_section_replacement_is_rejected(self):
         with pytest.raises(GridError, match="dotted paths"):
@@ -152,7 +171,7 @@ class TestJsonLoading:
             tmp_path,
             {
                 "schema_version": 1,
-                "base": {"scale": "small", "overrides": {"max_sources": 10}},
+                "base": {"scale": "small", "overrides": {"dataset.vantage_points": 4}},
                 "axes": [
                     {"field": "dataset.seed", "values": [1, 2]},
                     {"field": "top", "values": [3]},
@@ -161,8 +180,20 @@ class TestJsonLoading:
         )
         grid = SweepGrid.from_json_file(path)
         assert len(grid) == 2
-        assert grid.base.max_sources == 10
+        assert grid.base.dataset.vantage_points == 4
         assert [axis.field for axis in grid.axes] == ["dataset.seed", "top"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"base": {"overrides": {"top": None}}, "axes": {"top": [1]}},
+            {"axes": {"top": [1, None]}},
+        ],
+        ids=["base", "axis"],
+    )
+    def test_null_is_rejected_at_load(self, tmp_path, payload):
+        with pytest.raises(GridError, match="top: null"):
+            SweepGrid.from_json_file(self.write(tmp_path, payload))
 
     def test_axes_as_mapping(self, tmp_path):
         path = self.write(tmp_path, {"axes": {"top": [1, 2]}})

@@ -23,7 +23,6 @@ def tiny_base(seed: int = 5) -> PipelineConfig:
             vantage_points=4,
         ),
         top=3,
-        max_sources=10,
     )
 
 

@@ -86,7 +86,6 @@ def seed_grid(seeds=(1, 2, 3)) -> SweepGrid:
             vantage_points=4,
         ),
         top=2,
-        max_sources=10,
     )
     return SweepGrid(base, [GridAxis("dataset.seed", tuple(seeds))])
 

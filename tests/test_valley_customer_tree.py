@@ -5,6 +5,7 @@ import pytest
 from repro.bgp.prefixes import Prefix
 from repro.core.annotation import ToRAnnotation
 from repro.core.customer_tree import (
+    PathLengthMetrics,
     customer_tree,
     customer_tree_union_metrics,
     union_of_customer_trees,
@@ -165,11 +166,13 @@ class TestCustomerTree:
         assert metrics.diameter >= 2
         assert metrics.average > 0
         assert metrics.reachable_pairs > 0
-        assert metrics.measured_sources == 5
 
-    def test_metrics_with_sampling(self, hierarchy):
-        metrics = valley_free_path_metrics(hierarchy, {1, 2, 3, 4, 5}, max_sources=2)
-        assert metrics.measured_sources == 2
+    def test_metrics_over_a_subset(self, hierarchy):
+        """Only pairs inside ``nodes`` count, the shortest path between
+        them may leave the subset (4 -> 2 -> 3 -> 5), and an AS the
+        annotation lacks (99) reaches nothing."""
+        metrics = valley_free_path_metrics(hierarchy, {4, 5, 99})
+        assert metrics == PathLengthMetrics(average=3.0, diameter=3, reachable_pairs=2)
 
     def test_metrics_empty_set(self, hierarchy):
         metrics = valley_free_path_metrics(hierarchy, set())

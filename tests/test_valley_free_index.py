@@ -5,12 +5,14 @@ The oracle is the plain two-state BFS over ``(asn, state)`` tuples and
 random annotations holding all five relationship kinds (UNKNOWN links
 included, so some ASes have no usable link), and in-place relabelling
 must leave the index equal to one built fresh from the mutated
-annotation.
+annotation.  The all-sources bit-parallel Figure-2 metric must equal
+the per-source :meth:`ValleyFreeIndex.distances` aggregated pair by
+pair.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List
 
 import networkx as nx
 import pytest
@@ -20,7 +22,11 @@ from hypothesis import strategies as st
 from repro.analysis.partition import analyze_reachability
 from repro.core.annotation import ToRAnnotation, ValleyFreeIndex, valley_free_distances
 from repro.core.correction import CorrectionExperiment
-from repro.core.customer_tree import PathLengthMetrics, union_of_customer_trees
+from repro.core.customer_tree import (
+    PathLengthMetrics,
+    union_of_customer_trees,
+    valley_free_path_metrics,
+)
 from repro.core.relationships import AFI, Link, Relationship
 
 RELATIONSHIPS = st.sampled_from(list(Relationship))
@@ -59,24 +65,36 @@ def oracle_distances(annotation: ToRAnnotation, source: int) -> Dict[int, int]:
     return distances
 
 
-def oracle_metrics(
-    annotation: ToRAnnotation, max_sources: Optional[int]
-) -> PathLengthMetrics:
-    """The Figure-2 metric over the union of every AS's customer tree."""
-    members = sorted(union_of_customer_trees(annotation).members)
-    sources = members if max_sources is None else members[:max_sources]
-    lengths = [
-        hops
-        for source in sources
-        for target, hops in oracle_distances(annotation, source).items()
-        if target != source and target in members
-    ]
+def metrics_of(lengths: List[int]) -> PathLengthMetrics:
     return PathLengthMetrics(
         average=sum(lengths) / len(lengths) if lengths else 0.0,
         diameter=max(lengths, default=0),
         reachable_pairs=len(lengths),
-        measured_sources=len(sources),
     )
+
+
+def oracle_metrics(annotation: ToRAnnotation) -> PathLengthMetrics:
+    """The Figure-2 metric over the union of every AS's customer tree."""
+    members = union_of_customer_trees(annotation).members
+    return metrics_of(
+        [
+            hops
+            for source in members
+            for target, hops in oracle_distances(annotation, source).items()
+            if target != source and target in members
+        ]
+    )
+
+
+def per_source_metrics(index: ValleyFreeIndex, nodes: Iterable[int]) -> PathLengthMetrics:
+    """The metric among ``nodes`` from one :meth:`ValleyFreeIndex.distances`
+    run per source; an ASN the index lacks reaches nothing."""
+    members = sorted({index.ids[asn] for asn in nodes if asn in index.ids})
+    lengths = []
+    for source in members:
+        distances = index.distances(source)
+        lengths.extend(distances[target] for target in members if distances[target] > 0)
+    return metrics_of(lengths)
 
 
 def layout(index: ValleyFreeIndex):
@@ -178,13 +196,21 @@ def test_union_of_every_customer_tree_is_every_as(annotation):
     assert union_of_customer_trees(annotation).members == set(annotation.ases)
 
 
+@settings(max_examples=150, deadline=None)
+@given(annotation=annotations(), data=st.data())
+def test_path_metrics_match_per_source_bfs(annotation, data):
+    """All sources in one bit-parallel BFS equal one BFS per source, on
+    any subset of the ASes, with ASes 0 and 41 (never in the
+    annotation) drawn too."""
+    index = ValleyFreeIndex(annotation)
+    nodes = data.draw(st.sets(st.sampled_from(annotation.ases + [0, 41])))
+    assert valley_free_path_metrics(index, nodes) == per_source_metrics(index, nodes)
+    assert valley_free_path_metrics(annotation, nodes) == per_source_metrics(index, nodes)
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    misinferred=annotations(),
-    data=st.data(),
-    max_sources=st.sampled_from([None, 1, 3]),
-)
-def test_correction_steps_match_rebuilt_oracle(misinferred, data, max_sources):
+@given(misinferred=annotations(), data=st.data())
+def test_correction_steps_match_rebuilt_oracle(misinferred, data):
     """Every step equals the union metric of the annotation rebuilt from
     scratch, including corrections that bring in an AS (41..43) the
     misinferred annotation does not have."""
@@ -195,29 +221,25 @@ def test_correction_steps_match_rebuilt_oracle(misinferred, data, max_sources):
         if relationship.is_known:
             reference.set_canonical(link, relationship)
     ordered = sorted({link for link, _ in corrections if link in reference})
-    series = CorrectionExperiment(misinferred, reference, max_sources=max_sources).run(
-        ordered
-    )
+    series = CorrectionExperiment(misinferred, reference).run(ordered)
     working = misinferred.copy()
-    expected = [oracle_metrics(working, max_sources)]
+    expected = [oracle_metrics(working)]
     for link in ordered:
         working.set_canonical(link, reference.get_canonical(link))
-        expected.append(oracle_metrics(working, max_sources))
+        expected.append(oracle_metrics(working))
     assert [step.metrics for step in series.steps] == expected
 
 
 def test_correction_with_reference_link_to_unknown_as():
     """A reference link to an AS missing from the misinferred plane
-    re-interns the index: the new AS becomes a source in sorted order."""
+    re-interns the index: the new AS is measured from and towards."""
     misinferred = ToRAnnotation(
         AFI.IPV6, {Link(2, 3): Relationship.P2C, Link(3, 4): Relationship.P2C}
     )
     reference = ToRAnnotation(AFI.IPV6, {Link(1, 2): Relationship.P2C})
-    series = CorrectionExperiment(misinferred, reference, max_sources=2).run(
-        [Link(1, 2)]
-    )
+    series = CorrectionExperiment(misinferred, reference).run([Link(1, 2)])
     assert [step.metrics for step in series.steps] == [
-        oracle_metrics(misinferred, 2),
+        oracle_metrics(misinferred),
         oracle_metrics(
             ToRAnnotation(
                 AFI.IPV6,
@@ -227,9 +249,8 @@ def test_correction_with_reference_link_to_unknown_as():
                     Link(3, 4): Relationship.P2C,
                 },
             ),
-            2,
         ),
     ]
-    # AS 1 is now the first sorted source: it reaches 2, 3 and 4 downhill.
-    assert series.final.metrics.measured_sources == 2
-    assert series.final.metrics.reachable_pairs == 3 + 3
+    # Every ordered pair of the chain 1 > 2 > 3 > 4 is valley-free.
+    assert series.initial.metrics.reachable_pairs == 3 * 2
+    assert series.final.metrics.reachable_pairs == 4 * 3
