@@ -16,8 +16,9 @@ stage, exactly as the seed did):
 * LocPrf calibration and application as two independent passes, each
   re-evaluating the traffic-engineering filter per route,
 * per-observation link enumeration for the inventory, the coverage
-  denominators and the visibility index (the seed's list scan, inlined
-  here now that the live index is built only from the store), and
+  denominators and the hybrid path-crossing count (the seed's list
+  scan, inlined here now that the live pipeline answers it from the
+  store), and
 * valley validation through :func:`repro.core.valley.validate_path` for
   every distinct path.
 
@@ -35,7 +36,7 @@ same way the seed was slow.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.links import LinkInventory
@@ -57,7 +58,6 @@ from repro.core.relationships import (
     majority_relationship,
 )
 from repro.core.valley import PathValidity, ValleyAnalyzer, ValleyReason, validate_path
-from repro.core.visibility import VisibilityIndex
 from repro.irr.registry import IRRRegistry
 
 
@@ -306,22 +306,18 @@ def reference_compute_section3(
         HybridType.TRANSIT_REVERSED
     )
 
-    visibility = VisibilityIndex(afi=AFI.IPV6)
     visible_paths: Set[Tuple[int, ...]] = set()
-    link_paths: Counter = Counter()
+    path_link_sets: List[Set[Link]] = []
     for observation in by_afi[AFI.IPV6]:
         if observation.path in visible_paths:
             continue
         visible_paths.add(observation.path)
-        links = set(observation.links())
-        link_paths.update(links)
-        visibility._path_links.append(links)
-    visibility.path_count = len(visibility._path_links)
-    visibility.link_paths = dict(link_paths)
+        path_link_sets.append(set(observation.links()))
     hybrid_links = hybrid_report.hybrid_link_set()
-    report.paths_crossing_hybrid = visibility.paths_crossing_any(hybrid_links)
-    report.fraction_paths_crossing_hybrid = visibility.fraction_crossing_any(
-        hybrid_links
+    crossing = sum(1 for links in path_link_sets if links & hybrid_links)
+    report.paths_crossing_hybrid = crossing
+    report.fraction_paths_crossing_hybrid = (
+        crossing / len(path_link_sets) if path_link_sets else 0.0
     )
 
     analyzer = ValleyAnalyzer(ipv6_annotation)

@@ -139,8 +139,8 @@ class Section3Report:
 class Section3Artifacts:
     """Intermediate objects produced while computing the report.
 
-    Keeping them around lets the examples and benchmarks reuse the heavy
-    steps (inference, visibility index) without recomputation.
+    Keeping them around lets the examples and tests read the heavy
+    steps' results (inference, visibility index) without recomputation.
     """
 
     report: Section3Report
@@ -158,13 +158,14 @@ class Section3Views:
     One cacheable unit in the staged pipeline: everything downstream of
     the inference that re-reads the observations (inventory, hybrid
     detection, visibility index, valley analysis), plus the distinct
-    IPv6 path count.
+    IPv6 path count and how many of those paths cross a hybrid link.
     """
 
     ipv6_path_count: int
     inventory: LinkInventory
     hybrid: HybridDetectionReport
     visibility: VisibilityIndex
+    paths_crossing_hybrid: int
     valley: ValleyAnalysisReport
 
 
@@ -188,14 +189,18 @@ def build_views(
     detector = HybridDetector(
         result.annotation(AFI.IPV4), result.annotation(AFI.IPV6)
     )
+    hybrid = detector.detect_visible(store)
     # S3.8 / S3.9 — valley analysis of the IPv6 paths.
     analyzer = ValleyAnalyzer(result.annotation(AFI.IPV6))
     return Section3Views(
         ipv6_path_count=store.distinct_path_count(AFI.IPV6),
         inventory=build_link_inventory(store),
-        hybrid=detector.detect_visible(store),
+        hybrid=hybrid,
         # S3.7 — visibility of links in the IPv6 paths.
         visibility=build_visibility_index(store, afi=AFI.IPV6),
+        paths_crossing_hybrid=store.paths_crossing_any(
+            hybrid.hybrid_link_set(), AFI.IPV6
+        ),
         valley=analyzer.analyze(store, afi=AFI.IPV6),
     )
 
@@ -233,10 +238,10 @@ def assemble_report(
         HybridType.TRANSIT_REVERSED
     )
 
-    hybrid_links = hybrid_report.hybrid_link_set()
-    report.paths_crossing_hybrid = views.visibility.paths_crossing_any(hybrid_links)
-    report.fraction_paths_crossing_hybrid = views.visibility.fraction_crossing_any(
-        hybrid_links
+    path_count = views.visibility.path_count
+    report.paths_crossing_hybrid = views.paths_crossing_hybrid
+    report.fraction_paths_crossing_hybrid = (
+        views.paths_crossing_hybrid / path_count if path_count else 0.0
     )
 
     report.valley_paths = views.valley.valley_count

@@ -44,11 +44,7 @@ from collections import deque
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.relationships import AFI, Relationship
-from repro.bgp.backends.base import (
-    PropagationBackend,
-    imported_route,
-    speakers_without_sessions,
-)
+from repro.bgp.backends.base import PropagationBackend, speakers_without_sessions
 from repro.bgp.messages import Route
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
@@ -216,7 +212,7 @@ class ArrayBackend(PropagationBackend):
         walk starts at the longest already-built suffix of the path and
         replays the real transforms outward
         (:meth:`BGPSpeaker.exported_attributes` at the sender, then
-        :func:`imported_route` at the receiver), memoizing every suffix.
+        :meth:`BGPSpeaker.imported` at the receiver), memoizing every suffix.
 
         Raises :class:`ConvergenceError` naming the prefix and the hop
         when a stored path crosses a pair with no known relationship in
@@ -255,8 +251,7 @@ class ArrayBackend(PropagationBackend):
                         f"AS{receiver} -> AS{sender}, which have no known "
                         f"relationship in {afi}"
                     )
-                route = imported_route(
-                    speakers[receiver],
+                route = speakers[receiver].imported(
                     prefix,
                     sender,
                     rel,

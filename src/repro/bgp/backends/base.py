@@ -1,4 +1,4 @@
-"""The propagation-backend interface and the route-materialization helpers.
+"""The propagation-backend interface and the session-less speaker helper.
 
 A *backend* turns ``(graph, policies, origins)`` into a converged
 :class:`~repro.bgp.results.PropagationResult`.  Two implementations
@@ -27,9 +27,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Mapping, Optional
 
-from repro.core.relationships import Relationship
-from repro.bgp.attributes import PathAttributes
-from repro.bgp.messages import Route
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
 from repro.bgp.results import PropagationResult
@@ -68,48 +65,6 @@ class PropagationBackend(ABC):
     @abstractmethod
     def run(self, origins: Mapping[Prefix, int]) -> PropagationResult:
         """Originate ``origins`` and return the converged result."""
-
-
-# ----------------------------------------------------------------------
-# converged-route materialization (used by ``array``)
-# ----------------------------------------------------------------------
-def imported_route(
-    speaker: BGPSpeaker,
-    prefix: Prefix,
-    sender: int,
-    relationship: Relationship,
-    attributes: PathAttributes,
-) -> Route:
-    """The route ``speaker`` installs after import processing.
-
-    Replicates the attribute transformation of
-    :meth:`BGPSpeaker.import_route` (LOCAL_PREF assignment, community
-    tagging) without any RIB side effects — keep the two in sync; the
-    golden cross-backend suite pins them against each other.  Always
-    consults the policy hooks: for vanilla policies that is exactly
-    what the event loop's defaults cache snapshots, and for custom
-    policies it is what the event loop does per route anyway.
-    """
-    policy = speaker.policy
-    local_pref, override = policy.local_pref_for(sender, relationship, prefix)
-    added = tuple(policy.import_communities(relationship, override))
-    if added:
-        attributes = attributes.add_communities(added)
-    attributes = PathAttributes(
-        as_path=attributes.as_path,
-        local_pref=local_pref,
-        med=attributes.med,
-        origin=attributes.origin,
-        next_hop=attributes.next_hop,
-        communities=attributes.communities,
-    )
-    return Route(
-        prefix=prefix,
-        holder=speaker.asn,
-        attributes=attributes,
-        learned_from=sender,
-        learned_relationship=relationship,
-    )
 
 
 def speakers_without_sessions(

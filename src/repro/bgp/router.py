@@ -190,6 +190,51 @@ class BGPSpeaker:
         self._import_defaults = defaults
         return defaults
 
+    def imported(
+        self,
+        prefix: Prefix,
+        sender: int,
+        relationship: Relationship,
+        attributes: PathAttributes,
+    ) -> Route:
+        """The route this AS installs for ``attributes`` from ``sender``.
+
+        The import transform alone (LOCAL_PREF assignment and community
+        tagging), with no loop check and no RIB side effects: the event
+        loop's :meth:`import_route` and the ``array`` backend's
+        converged-route materialization both build their routes here.
+        Vanilla policies are served from the per-relationship import
+        defaults; custom import hooks and traffic-engineering overrides
+        are consulted per route.
+        """
+        policy = self.policy
+        defaults = self._import_defaults
+        if defaults is None:
+            defaults = self._build_import_defaults()
+        if policy.te_overrides or defaults is _CONSULT_POLICY:
+            local_pref, override = policy.local_pref_for(sender, relationship, prefix)
+            added_communities: Tuple = tuple(
+                policy.import_communities(relationship, override)
+            )
+        else:
+            local_pref, added_communities = defaults[relationship]
+        if added_communities:
+            attributes = attributes.add_communities(added_communities)
+        return Route(
+            prefix=prefix,
+            holder=self.asn,
+            attributes=PathAttributes(
+                as_path=attributes.as_path,
+                local_pref=local_pref,
+                med=attributes.med,
+                origin=attributes.origin,
+                next_hop=attributes.next_hop,
+                communities=attributes.communities,
+            ),
+            learned_from=sender,
+            learned_relationship=relationship,
+        )
+
     def import_route(
         self,
         prefix: Prefix,
@@ -204,38 +249,10 @@ class BGPSpeaker:
         of re-resolving the neighbour table per announcement.  Returns
         True when the best route for the prefix changed.
         """
-        as_path = attributes.as_path
         # Standard loop prevention: reject paths that already contain us.
-        if self.asn in as_path._hops:
+        if self.asn in attributes.as_path._hops:
             return False
-        policy = self.policy
-        defaults = self._import_defaults
-        if defaults is None:
-            defaults = self._build_import_defaults()
-        if policy.te_overrides or defaults is _CONSULT_POLICY:
-            local_pref, override = policy.local_pref_for(sender, relationship, prefix)
-            added_communities: Tuple = tuple(
-                policy.import_communities(relationship, override)
-            )
-        else:
-            local_pref, added_communities = defaults[relationship]
-        if added_communities:
-            attributes = attributes.add_communities(added_communities)
-        attributes = PathAttributes(
-            as_path=as_path,
-            local_pref=local_pref,
-            med=attributes.med,
-            origin=attributes.origin,
-            next_hop=attributes.next_hop,
-            communities=attributes.communities,
-        )
-        route = Route(
-            prefix=prefix,
-            holder=self.asn,
-            attributes=attributes,
-            learned_from=sender,
-            learned_relationship=relationship,
-        )
+        route = self.imported(prefix, sender, relationship, attributes)
         self._adj_rib_in[sender]._routes[prefix] = route
         holders = self._routes_by_prefix.get(prefix)
         if holders is None:

@@ -77,17 +77,18 @@ class RelationshipVote(NamedTuple):
 class CommunitiesInferenceResult:
     """Outcome of the communities-based inference.
 
+    The result holds the verdicts only; the raw per-link votes they were
+    aggregated from are :meth:`CommunitiesInference.collect_votes`'s
+    return value, recomputable from the store for debugging.
+
     Attributes:
         annotations: One :class:`ToRAnnotation` per address family with
             the links whose relationship could be established.
-        votes: The raw per-link votes (useful for debugging, confidence
-            reporting and the benchmarks' agreement statistics).
         conflicting_links: Links whose votes disagreed beyond the
             configured threshold and were therefore left unannotated.
     """
 
     annotations: Dict[AFI, ToRAnnotation]
-    votes: Dict[Tuple[Link, AFI], List[RelationshipVote]] = field(default_factory=dict)
     conflicting_links: Dict[AFI, List[Link]] = field(default_factory=dict)
 
     def annotation(self, afi: AFI) -> ToRAnnotation:
@@ -276,5 +277,5 @@ class CommunitiesInference:
         for afi in conflicts:
             conflicts[afi].sort()
         return CommunitiesInferenceResult(
-            annotations=annotations, votes=votes, conflicting_links=conflicts
+            annotations=annotations, conflicting_links=conflicts
         )

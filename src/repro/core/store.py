@@ -270,21 +270,41 @@ class ObservationStore:
         """The per-link path-visibility table of one plane (cached).
 
         Each distinct AS path of the plane is counted once, which is how
-        the paper counts "IPv6 AS paths"; each path's link set is taken
-        from the shared cache instead of being rebuilt.
+        the paper counts "IPv6 AS paths"; each path's links are taken
+        from the shared link tuples (distinct, since paths are
+        loop-free) instead of being rebuilt.
         """
         cached = self._visibility.get(afi)
         if cached is not None:
             return cached
-        index = VisibilityIndex(afi=afi)
+        paths = self.distinct_paths(afi)
         counter: Counter = Counter()
-        path_links: List[Set[Link]] = []
-        for path in self.distinct_paths(afi):
-            links = set(self._path_links[path])
-            counter.update(links)
-            path_links.append(links)
-        index.path_count = len(path_links)
-        index.link_paths = dict(counter)
-        index._path_links = path_links
+        path_links = self._path_links
+        for path in paths:
+            counter.update(path_links[path])
+        index = VisibilityIndex(afi=afi, path_count=len(paths), link_paths=dict(counter))
         self._visibility[afi] = index
         return index
+
+    def paths_crossing_any(self, links: Iterable[Link], afi: Optional[AFI] = None) -> int:
+        """Number of distinct paths (of one plane) that traverse at least
+        one of ``links``.
+
+        This is the statistic behind the paper's ">28 % of the IPv6 paths
+        contain at least one hybrid link"; it cannot be derived from the
+        per-link visibility counters (paths may cross several of the
+        links), so it is answered from the per-path link tuples.
+        """
+        target = set(links)
+        path_links = self._path_links
+        return sum(
+            1 for path in self.distinct_paths(afi) if not target.isdisjoint(path_links[path])
+        )
+
+    def fraction_crossing_any(self, links: Iterable[Link], afi: Optional[AFI] = None) -> float:
+        """Fraction of distinct paths (of one plane) traversing at least
+        one of ``links``; 0.0 for a plane with no paths."""
+        total = self.distinct_path_count(afi)
+        if total == 0:
+            return 0.0
+        return self.paths_crossing_any(links, afi) / total

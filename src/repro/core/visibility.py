@@ -6,12 +6,17 @@ they sit between well-connected tier-1/tier-2 ASes.  Figure 2 then
 corrects the 20 hybrid links "with the highest visibility in the IPv6 AS
 paths".  Both need the same primitive: counting, for every link, how many
 observed paths traverse it.
+
+The index holds the per-link counters only.  The one statistic they
+cannot answer, how many paths cross *any* of a set of links, is
+:meth:`~repro.core.store.ObservationStore.paths_crossing_any`, computed
+from the store's per-path link tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.relationships import AFI, Link
 
@@ -62,26 +67,6 @@ class VisibilityIndex:
         if count < 0:
             raise ValueError("count must be non-negative")
         return [link for link, _ in self.rank_links(links)[:count]]
-
-    def paths_crossing_any(self, links: Iterable[Link]) -> int:
-        """Number of indexed paths that traverse at least one of ``links``.
-
-        This is the statistic behind the paper's ">28 % of the IPv6 paths
-        contain at least one hybrid link"; it cannot be derived from the
-        per-link counters alone (paths may cross several hybrid links),
-        so the index keeps the per-path link sets as well.
-        """
-        target = set(links)
-        return sum(1 for path_links in self._path_links if path_links & target)
-
-    def fraction_crossing_any(self, links: Iterable[Link]) -> float:
-        """Fraction of indexed paths traversing at least one of ``links``."""
-        if self.path_count == 0:
-            return 0.0
-        return self.paths_crossing_any(links) / self.path_count
-
-    # Internal per-path link sets (kept for paths_crossing_any).
-    _path_links: List[Set[Link]] = field(default_factory=list)
 
 
 def build_visibility_index(

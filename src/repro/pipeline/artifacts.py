@@ -414,6 +414,8 @@ class ArtifactCache:
                 tracer.counter("cache.miss", stage=stage)
             return None
         payload, record = verified
+        if tracer:
+            tracer.counter("cache.load_bytes", value=record.size_bytes, stage=stage)
         try:
             value = pickle.loads(payload)
         except Exception:

@@ -458,13 +458,13 @@ def analysis_stages() -> List[StageSpec]:
     return [
         StageSpec(
             name="inference",
-            version="1",
+            version="2",
             dependencies=("store", "irr"),
             compute=_stage_inference,
         ),
         StageSpec(
             name="views",
-            version="1",
+            version="2",
             dependencies=("store", "inference"),
             compute=_stage_views,
         ),

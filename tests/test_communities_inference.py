@@ -126,9 +126,10 @@ class TestAggregation:
             # Seen from AS200's side: learned from customer AS100.
             observe([200, 100, 50], [Community(200, 10)]),
         ]
-        result = inference.infer(ObservationStore(observations))
+        store = ObservationStore(observations)
+        result = inference.infer(store)
         assert result.annotation(AFI.IPV6).get(100, 200) is Relationship.C2P
-        assert len(result.votes[(Link(100, 200), AFI.IPV6)]) == 2
+        assert len(inference.collect_votes(store)[(Link(100, 200), AFI.IPV6)]) == 2
 
     def test_coverage_computation(self, registry):
         inference = CommunitiesInference(registry)

@@ -1,6 +1,8 @@
 """Unit tests for hybrid-link detection and path-visibility indexing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.prefixes import Prefix
 from repro.core.annotation import ToRAnnotation
@@ -140,13 +142,42 @@ class TestVisibilityIndex:
             index.top_links(-1)
 
     def test_paths_crossing_any(self):
-        index = build_visibility_index(ObservationStore(self.make_observations()), afi=AFI.IPV6)
-        assert index.paths_crossing_any([Link(2, 3), Link(2, 4)]) == 3
-        assert index.fraction_crossing_any([Link(2, 3)]) == pytest.approx(2 / 3)
-        assert index.fraction_crossing_any([Link(7, 8)]) == 0.0
+        store = ObservationStore(self.make_observations())
+        assert store.paths_crossing_any([Link(2, 3), Link(2, 4)], AFI.IPV6) == 3
+        assert store.fraction_crossing_any([Link(2, 3)], AFI.IPV6) == pytest.approx(2 / 3)
+        assert store.fraction_crossing_any([Link(7, 8)], AFI.IPV6) == 0.0
 
     def test_empty_index(self):
-        index = build_visibility_index(ObservationStore([]), afi=AFI.IPV6)
+        store = ObservationStore([])
+        index = build_visibility_index(store, afi=AFI.IPV6)
         assert index.path_count == 0
         assert index.visibility_fraction(Link(1, 2)) == 0.0
-        assert index.fraction_crossing_any([Link(1, 2)]) == 0.0
+        assert store.fraction_crossing_any([Link(1, 2)], AFI.IPV6) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        routes=st.lists(
+            st.tuples(
+                # Hops 1-8 only, so links touching AS 9 are on no path.
+                st.lists(st.integers(1, 8), min_size=1, max_size=5, unique=True),
+                st.sampled_from(["3fff:1::/32", "3fff:2::/32", "10.0.0.0/20"]),
+            ),
+            max_size=12,
+        ),
+        pairs=st.lists(
+            st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda p: p[0] != p[1]),
+            max_size=8,
+        ),
+        afi=st.sampled_from([AFI.IPV4, AFI.IPV6, None]),
+    )
+    def test_paths_crossing_any_matches_brute_force(self, routes, pairs, afi):
+        store = ObservationStore([observe(path, prefix) for path, prefix in routes])
+        links = {Link(a, b) for a, b in pairs}
+        expected = sum(
+            1
+            for path in store.distinct_paths(afi)
+            if any(Link(path[i], path[i + 1]) in links for i in range(len(path) - 1))
+        )
+        assert store.paths_crossing_any(links, afi) == expected
+        total = store.distinct_path_count(afi)
+        assert store.fraction_crossing_any(links, afi) == (expected / total if total else 0.0)

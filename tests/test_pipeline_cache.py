@@ -429,6 +429,27 @@ class TestDemandDriven:
             run.value("correction")
 
 
+class TestCachedArtifactShape:
+    """Cached artifacts hold the results their consumers read, not the
+    evidence they were computed from."""
+
+    def test_inference_and_views_hold_no_evidence(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.core.visibility import VisibilityIndex
+
+        assert main(["section3", "--small", "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cache = ArtifactCache(tmp_path)
+        (fingerprint,) = cache.entries()["inference"]
+        payload = cache.payload_path("inference", fingerprint).read_bytes()
+        assert b"RelationshipVote" not in payload
+        assert [field.name for field in dataclasses.fields(VisibilityIndex)] == [
+            "afi",
+            "path_count",
+            "link_paths",
+        ]
+
+
 class TestArtifactCacheUnit:
     def test_store_load_round_trip(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -22,6 +22,7 @@ from repro.analysis.stats import compute_section3
 from repro.bgp.attributes import ASPath, Community
 from repro.bgp.prefixes import Prefix
 from repro.collectors.mrt import TableDumpRecord
+from repro.core.communities_inference import CommunitiesInference
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link
 from repro.core.store import ObservationStore
@@ -43,9 +44,9 @@ class TestGoldenEquivalence:
         assert reference_report.as_dict() == fast.report.as_dict()
         # Below the report: the inference evidence of the seed scans.
         observations, _ = reference_extract_observations(snapshot.archive.records())
-        assert fast.inference.communities.votes == _reference_collect_votes(
-            observations, registry
-        )
+        assert CommunitiesInference(registry).collect_votes(
+            snapshot.store
+        ) == _reference_collect_votes(observations, registry)
         communities = _reference_communities_annotations(observations, registry)
         locpref = _reference_locpref_annotations(observations, registry)
         for afi in (AFI.IPV4, AFI.IPV6):

@@ -211,7 +211,10 @@ class TestPipelineTrace:
         assert "skipped" not in spans_named(cold, "pipeline")[0]["attrs"]
 
         with tracing(trace_dir):
-            run_pipeline(config, cache_dir=tmp_path / "cache", targets=("section3",))
+            warm_run = run_pipeline(
+                config, cache_dir=tmp_path / "cache", targets=("section3",)
+            )
+            warm_run.value("section3")
         warm = read_trace(trace_dir)[len(cold):]
         warm_stages = spans_named(warm, "stage")
         assert [s["attrs"]["stage"] for s in warm_stages] == ["section3"]
@@ -219,6 +222,12 @@ class TestPipelineTrace:
         assert all("verify_seconds" in s["attrs"] for s in warm_stages)
         assert len(counters_named(warm, "cache.hit")) == len(warm_stages)
         assert not counters_named(warm, "cache.miss")
+        # Reading the value loads it once, counting the bytes the cold
+        # run stored for it.
+        (load_bytes,) = counters_named(warm, "cache.load_bytes")
+        assert load_bytes["attrs"]["stage"] == "section3"
+        stored = {s["attrs"]["stage"]: s["attrs"]["artifact_bytes"] for s in cold_cached}
+        assert load_bytes["value"] == stored["section3"]
         # The pipeline span names every closure stage the hit made
         # unnecessary, and the summary counts them per stage.
         (warm_pipeline,) = spans_named(warm, "pipeline")
