@@ -1,26 +1,29 @@
-"""Pluggable propagation backends.
+"""The two propagation engines and their names.
 
-Two interchangeable implementations of route propagation sit behind
-the :class:`~repro.bgp.backends.base.PropagationBackend` interface,
-both valid for every policy configuration:
+Both engines turn ``(graph, policies, origins)`` into a converged
+:class:`~repro.bgp.results.PropagationResult`, and both are valid for
+every policy configuration:
 
 =========  ========================================================
-``event``  The event-driven simulator — the oracle ``array`` is
-           checked against.
-``array``  The event loop over interned int ids and flat arrays —
-           same events, same routes, far less allocation.
+``event``  :class:`~repro.bgp.propagation.PropagationSimulator`, the
+           event-driven simulator — the oracle ``array`` is checked
+           against, and the only engine that fills Adj-RIB-In state.
+``array``  :class:`~repro.bgp.backends.arraycore.ArrayBackend`, the
+           event loop over interned int ids and flat arrays — same
+           events, same routes, far less allocation.
 =========  ========================================================
 
-Callers normally go through :class:`~repro.bgp.engine.PropagationEngine`
-rather than instantiating backends directly.  ``array`` is the default
-engine; ``event`` stays the oracle that tests and CI check it against.
+Contract (pinned by the cross-backend suite): for the same inputs both
+produce identical best routes, ``reachable_counts``, ``events`` and, in
+pruned mode, identical kept state.  Callers normally go through
+:class:`~repro.bgp.engine.PropagationEngine`, which builds the one the
+``engine`` name selects.  ``array`` is the default engine.
 """
 
-#: Valid values of the ``propagation.engine`` config field and ``--engine``
-#: (the keys of :data:`repro.bgp.engine.BACKENDS`).  Naming the engines
-#: here, not importing the backend classes, keeps this module free of
-#: the propagation code, so the CLI and the pipeline config can validate
-#: an engine name without loading an engine.
+#: Valid values of the ``propagation.engine`` config field and ``--engine``.
+#: Naming the engines here, not importing the engine classes, keeps this
+#: module free of the propagation code, so the CLI and the pipeline
+#: config can validate an engine name without loading an engine.
 ENGINE_CHOICES = ("event", "array")
 
 #: The engine every entry point uses unless told otherwise.

@@ -41,15 +41,15 @@ them).  The golden suite pins this equivalence.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.relationships import AFI, Relationship
-from repro.bgp.backends.base import PropagationBackend, speakers_without_sessions
 from repro.bgp.messages import Route
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
 from repro.bgp.results import ConvergenceError, PropagationResult
 from repro.bgp.router import BGPSpeaker
+from repro.topology.graph import ASGraph
 
 #: Learned-relationship classes, in the event engine's plan order.
 #: Index 0 is the locally-originated class (learned relationship None).
@@ -69,13 +69,25 @@ _NO_ROUTE = -1
 _LOCAL_ROUTE = -2
 
 
-class ArrayBackend(PropagationBackend):
-    """Allocation-light event propagation over interned arrays."""
+class ArrayBackend:
+    """Allocation-light event propagation over interned arrays.
 
-    name = "array"
+    Takes the constructor arguments of
+    :class:`~repro.bgp.propagation.PropagationSimulator`, so the engine
+    builds either one the same way.
+    """
 
-    def __init__(self, graph, policies=None, max_events_per_prefix=200_000, keep_ribs_for=None):
-        super().__init__(graph, policies, max_events_per_prefix, keep_ribs_for)
+    def __init__(
+        self,
+        graph: ASGraph,
+        policies: Optional[Mapping[int, RoutingPolicy]] = None,
+        max_events_per_prefix: int = 200_000,
+        keep_ribs_for: Optional[Iterable[int]] = None,
+    ) -> None:
+        self.graph = graph
+        self.policies = dict(policies) if policies is not None else {}
+        self.max_events_per_prefix = max_events_per_prefix
+        self.keep_ribs_for = set(keep_ribs_for) if keep_ribs_for is not None else None
         self._asns: List[int] = graph.ases  # sorted ascending
         self._id_of: Dict[int, int] = {asn: i for i, asn in enumerate(self._asns)}
         n = len(self._asns)
@@ -162,7 +174,11 @@ class ArrayBackend(PropagationBackend):
     # ------------------------------------------------------------------
     def run(self, origins: Mapping[Prefix, int]) -> PropagationResult:
         keep = self.keep_ribs_for
-        speakers = speakers_without_sessions(self.graph, self.policies)
+        # Session-less speakers: they only hold the result's Loc-RIBs,
+        # so building no sessions keeps assembly O(ASes), not O(links).
+        speakers = {
+            asn: BGPSpeaker(asn, self.policies.get(asn)) for asn in self.graph.ases
+        }
         id_of = self._id_of
         best_sender = self._best_sender
         # Pruned mode: the kept ASes as ids, so the per-prefix target

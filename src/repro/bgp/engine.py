@@ -1,11 +1,12 @@
 """Propagation engine: one origin set over one topology, on a chosen backend.
 
-:class:`PropagationEngine` is where the pluggable backends of
-:mod:`repro.bgp.backends` become a configuration choice: ``engine``
-selects ``array`` (the default: the event loop over interned arrays) or
-``event`` (the simulator ``array`` is checked against).  Both are valid
-for every policy configuration, so the engine named is the backend that
-runs.
+:class:`PropagationEngine` makes the two engines of
+:mod:`repro.bgp.backends` a configuration choice: ``engine`` selects
+``array`` (the default: :class:`~repro.bgp.backends.arraycore.ArrayBackend`,
+the event loop over interned arrays) or ``event``
+(:class:`~repro.bgp.propagation.PropagationSimulator`, the simulator
+``array`` is checked against).  Both are valid for every policy
+configuration, so the engine named is the backend that runs.
 
 Every run is serial and in-process: the whole origin set propagates on
 one fresh backend instance.  With ``engine="event"`` a run is exactly
@@ -15,24 +16,15 @@ one fresh backend instance.  With ``engine="event"`` a run is exactly
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Type
+from typing import Dict, Iterable, Mapping, Optional
 
 from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
 from repro.bgp.backends.arraycore import ArrayBackend
-from repro.bgp.backends.base import PropagationBackend
-from repro.bgp.backends.event import EventBackend
 from repro.telemetry.tracer import get_tracer
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
-from repro.bgp.propagation import PropagationResult
+from repro.bgp.propagation import PropagationResult, PropagationSimulator
 from repro.topology.graph import ASGraph
-
-#: Concrete backends by engine-config name, in
-#: :data:`~repro.bgp.backends.ENGINE_CHOICES` order.
-BACKENDS: Dict[str, Type[PropagationBackend]] = {
-    EventBackend.name: EventBackend,
-    ArrayBackend.name: ArrayBackend,
-}
 
 
 def engine_provenance(engine: str) -> Dict[str, object]:
@@ -85,6 +77,7 @@ class PropagationEngine:
         With ``engine="event"`` this is identical to
         ``PropagationSimulator.run``.
         """
+        backend = PropagationSimulator if self.engine == "event" else ArrayBackend
         tracer = get_tracer()
         with tracer.span(
             "propagation",
@@ -92,12 +85,11 @@ class PropagationEngine:
             engine=self.engine,
             prefixes=len(origins),
         ) as span:
-            with tracer.span("propagation.propagate", backend=self.engine):
-                result = BACKENDS[self.engine](
-                    self.graph,
-                    self.policies,
-                    max_events_per_prefix=self.max_events_per_prefix,
-                    keep_ribs_for=self.keep_ribs_for,
-                ).run(origins)
+            result = backend(
+                self.graph,
+                self.policies,
+                max_events_per_prefix=self.max_events_per_prefix,
+                keep_ribs_for=self.keep_ribs_for,
+            ).run(origins)
             span.annotate(events=result.events)
             return result

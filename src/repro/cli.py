@@ -37,7 +37,9 @@ Two flags connect the single-run commands into a staged workflow:
 * ``--cache-dir DIR`` backs the run with the on-disk artifact cache of
   :mod:`repro.pipeline` — running ``figure2`` right after ``section3``
   with the same cache dir reuses the inference and views artifacts and
-  only computes the correction sweep.
+  only computes the correction sweep.  Each command reads only the
+  artifact it reports (``section3`` or ``correction``), so a warm rerun
+  loads one artifact.
 * ``--from-snapshot DIR`` skips the synthetic builder entirely and runs
   the measurement pipeline on a snapshot directory previously written by
   ``repro snapshot`` (the archive, ground truth and IRR corpus are read
@@ -98,12 +100,7 @@ from repro.core.correction import (
 )
 from repro.core.relationships import AFI
 from repro.datasets.synthetic import DatasetConfig, paper_scale_config, small_config
-from repro.pipeline import (
-    PipelineConfig,
-    PropagationConfig,
-    run_pipeline,
-    section3_artifacts,
-)
+from repro.pipeline import PipelineConfig, PropagationConfig, run_pipeline
 from repro.telemetry.tracer import Tracer, activated
 
 if TYPE_CHECKING:
@@ -243,7 +240,7 @@ def _selection_provenance(config: PipelineConfig) -> dict:
 def _cmd_section3(args: argparse.Namespace) -> int:
     provenance = None
     if args.from_snapshot:
-        artifacts = _artifacts_from_disk(args.from_snapshot)
+        report = _artifacts_from_disk(args.from_snapshot).report
         config_payload = {"snapshot_dir": args.from_snapshot}
     else:
         config = _pipeline_config(args)
@@ -251,15 +248,15 @@ def _cmd_section3(args: argparse.Namespace) -> int:
             config, cache_dir=args.cache_dir, targets=("section3",)
         )
         _print_stage_summary(run)
-        artifacts = section3_artifacts(run)
+        report = run.value("section3")
         config_payload = {
             "ases": config.dataset.topology.total_ases,
             "seed": args.seed,
         }
         provenance = _selection_provenance(config)
-    print(format_table(artifacts.report.rows(), title="Section 3 statistics"))
+    print(format_table(report.rows(), title="Section 3 statistics"))
     if args.json:
-        payload = {"config": config_payload, "section3": artifacts.report.as_dict()}
+        payload = {"config": config_payload, "section3": report.as_dict()}
         if provenance is not None:
             payload["provenance"] = provenance
         _write_json_report(args.json, payload)
@@ -509,15 +506,10 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
         print("  engines:")
         for name in sorted(summary["engines"]):
             entry = summary["engines"][name]
-            phases = ", ".join(
-                f"{phase} {rollup['total_seconds']:.3f}s"
-                for phase, rollup in sorted(entry["phases"].items())
-            )
             print(
                 f"    {name:<{width}} x{entry['count']:<3} "
                 f"total {entry['total_seconds']:8.3f}s  "
                 f"events {entry['events']}"
-                + (f"  [{phases}]" if phases else "")
             )
     if summary["counters"]:
         width = max(len(name) for name in summary["counters"])

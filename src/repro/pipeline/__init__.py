@@ -38,7 +38,6 @@ from repro.pipeline.stages import (
     full_stages,
     make_runner,
     run_pipeline,
-    section3_artifacts,
     snapshot_stages,
 )
 
@@ -63,6 +62,5 @@ __all__ = [
     "full_stages",
     "make_runner",
     "run_pipeline",
-    "section3_artifacts",
     "snapshot_stages",
 ]

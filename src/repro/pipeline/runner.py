@@ -4,23 +4,25 @@
 declared as :class:`~repro.pipeline.stages.StageSpec` objects.  Every
 stage has an invocation fingerprint (stage name, code version,
 configuration token, upstream fingerprints — see
-:mod:`repro.pipeline.artifacts`), so the runner resolves the closure
-**backwards from the targets** before computing anything:
+:mod:`repro.pipeline.artifacts`), known before anything runs.  One
+recursive method, :meth:`PipelineRun._resolve`, then resolves each
+target, and it is the only place a stage is verified, loaded or
+computed:
 
-* a target, or an input of a stage that has to be computed, is
-  *demanded*;
-* a demanded cacheable stage is hash-verified in the
-  :class:`ArtifactCache`; a hit satisfies it (its payload is loaded
-  lazily, only if something reads it) and ends the walk up that branch;
-* a demanded stage that missed, or is not cacheable, is computed, which
-  demands its inputs in turn.
+* a stage that is already resolved is left alone;
+* a cacheable stage is hash-verified in the :class:`ArtifactCache`; a
+  hit records it as ``cached`` (its payload is unpickled on first
+  :meth:`PipelineRun.value`) and ends the walk up that branch;
+* a stage that missed, or is not cacheable, resolves its inputs first,
+  in declared order, and is then computed under one ``stage`` span,
+  stored and recorded as ``computed``.
 
-Closure stages no demanded stage needs are *skipped*: a warm
+Closure stages that no resolved stage needed are *skipped*: a warm
 ``figure2`` verifies ``correction``, ``views`` and ``inference`` and
-touches nothing upstream of them.  The computed stages then run in
-declared topological order, so results and span order do not depend on
-the cache.  :meth:`PipelineRun.value` resolves a skipped stage on first
-access (load it from the cache, or compute it).
+touches nothing upstream of them.  :meth:`PipelineRun.value` resolves a
+skipped stage on first access through the same method (a hit costs one
+cache read), and recomputes a verified stage whose payload has become
+unloadable.
 
 The runner is deliberately generic: the concrete snapshot/analysis DAG
 lives in :mod:`repro.pipeline.stages`, and nothing here knows about
@@ -31,14 +33,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.pipeline.artifacts import (
-    ArtifactCache,
-    ArtifactRecord,
-    config_token,
-    fingerprint,
-)
+from repro.pipeline.artifacts import ArtifactCache, config_token, fingerprint
 from repro.telemetry.tracer import get_tracer
 
 
@@ -80,7 +77,6 @@ class StageOutcome:
     stage: str
     fingerprint: str
     status: str  # "computed" | "cached"
-    seconds: float
 
 
 class StageFailure(RuntimeError):
@@ -110,8 +106,7 @@ class PipelineRun:
     skipped are resolved then (loaded from the cache or computed).
     When a cached payload turns out to be unloadable at access time
     (e.g. corrupted between the fingerprint check and the read), the
-    stage is recomputed transparently and the repaired artifact is
-    stored back.
+    stage is recomputed and the repaired artifact is stored back.
     """
 
     def __init__(self, config: object, runner: "PipelineRunner") -> None:
@@ -120,56 +115,24 @@ class PipelineRun:
         self.outcomes: List[StageOutcome] = []
         self._runner = runner
         self._ready: Dict[str, object] = {}
-        self._pending: Set[str] = set()
-        self._outcome_index: Dict[str, StageOutcome] = {}
 
     # ------------------------------------------------------------------
     # artifact access
     # ------------------------------------------------------------------
     def value(self, name: str):
-        """The artifact of one stage, materializing it if necessary."""
-        if name in self._ready:
-            return self._ready[name]
-        if name not in self.fingerprints:
-            raise KeyError(f"stage {name!r} was not part of this run")
-        spec = self._runner.stage(name)
-        cache = self._runner.cache
-        stage_fingerprint = self.fingerprints[name]
-        loaded = (
-            cache.load(name, stage_fingerprint)
-            if cache is not None and spec.cacheable
-            else None
-        )
-        if loaded is not None:
-            value = loaded[0]
-            if name not in self._outcome_index:
-                self._record(StageOutcome(name, stage_fingerprint, "cached", 0.0))
-        else:
-            if name in self._pending:
-                # The verified artifact became unloadable; recompute.
-                tracer = get_tracer()
-                if tracer:
-                    tracer.counter("cache.unloadable", stage=name)
-            started = time.perf_counter()
-            try:
-                value = spec.compute(self)
-            except Exception as exc:
-                raise StageFailure(name, self, exc) from exc
-            if cache is not None and spec.cacheable:
-                cache.store(name, stage_fingerprint, value, spec.version)
-            outcome = self._outcome_index.get(name)
-            if outcome is None:
-                outcome = StageOutcome(name, stage_fingerprint, "computed", 0.0)
-                self._record(outcome)
-            outcome.status = "computed"
-            outcome.seconds = time.perf_counter() - started
-        self._pending.discard(name)
-        self._ready[name] = value
-        return value
+        """The artifact of one stage, resolving it if necessary."""
+        if name not in self._ready:
+            if name not in self.fingerprints:
+                raise KeyError(f"stage {name!r} was not part of this run")
+            self._resolve(name, load=True)
+        return self._ready[name]
 
     def status_of(self, name: str) -> str:
         """``"computed"`` or ``"cached"`` for one stage of this run."""
-        return self._outcome_index[name].status
+        outcome = self._outcome(name)
+        if outcome is None:
+            raise KeyError(f"stage {name!r} was not resolved in this run")
+        return outcome.status
 
     def cached_stages(self) -> List[str]:
         """Names of the stages satisfied from the artifact cache."""
@@ -179,10 +142,73 @@ class PipelineRun:
         """Names of the stages that were (re)computed."""
         return [o.stage for o in self.outcomes if o.status == "computed"]
 
-    # internal: registration by the runner -----------------------------
-    def _record(self, outcome: StageOutcome) -> None:
-        self.outcomes.append(outcome)
-        self._outcome_index[outcome.stage] = outcome
+    # ------------------------------------------------------------------
+    # resolution
+    # ------------------------------------------------------------------
+    def _outcome(self, name: str) -> Optional[StageOutcome]:
+        return next((o for o in self.outcomes if o.stage == name), None)
+
+    def _resolve(self, name: str, load: bool = False) -> None:
+        """Resolve one stage (see the module docstring).
+
+        ``load`` is :meth:`value` asking for the artifact itself: a
+        stage the run skipped is then loaded instead of verified (one
+        cache read), and a verified stage is unpickled, or recomputed
+        when its payload has become unloadable.
+        """
+        outcome = self._outcome(name)
+        if name in self._ready or (outcome is not None and not load):
+            return
+        spec = self._runner.stage(name)
+        stage_fingerprint = self.fingerprints[name]
+        cache = self._runner.cache if spec.cacheable else None
+        tracer = get_tracer()
+        timing: Dict[str, float] = {}
+        if cache is not None:
+            if load:
+                loaded = cache.load(name, stage_fingerprint)
+                record = loaded[1] if loaded is not None else None
+            else:
+                started = time.perf_counter()
+                record = cache.verify(name, stage_fingerprint)
+                timing["verify_seconds"] = round(time.perf_counter() - started, 6)
+            if record is not None:
+                if load:
+                    self._ready[name] = loaded[0]
+                if outcome is None:
+                    with tracer.span(
+                        "stage",
+                        stage=name,
+                        fingerprint=stage_fingerprint,
+                        status="cached",
+                        artifact_bytes=record.size_bytes,
+                        **timing,
+                    ):
+                        pass
+                    self.outcomes.append(
+                        StageOutcome(name, stage_fingerprint, "cached")
+                    )
+                return
+            if outcome is not None:
+                tracer.counter("cache.unloadable", stage=name)
+        for dep in self._runner.in_order(spec.dependencies):
+            self._resolve(dep.name)
+        with tracer.span(
+            "stage", stage=name, fingerprint=stage_fingerprint, **timing
+        ) as span:
+            try:
+                value = spec.compute(self)
+            except Exception as exc:
+                raise StageFailure(name, self, exc) from exc
+            span.annotate(status="computed")
+            if cache is not None:
+                stored = cache.store(name, stage_fingerprint, value, spec.version)
+                span.annotate(artifact_bytes=stored.size_bytes)
+        self._ready[name] = value
+        if outcome is None:
+            self.outcomes.append(StageOutcome(name, stage_fingerprint, "computed"))
+        else:
+            outcome.status = "computed"
 
 
 class PipelineRunner:
@@ -195,18 +221,16 @@ class PipelineRunner:
     ) -> None:
         self._order: List[StageSpec] = list(stages)
         self._by_name: Dict[str, StageSpec] = {}
-        seen: Set[str] = set()
         for spec in self._order:
             if spec.name in self._by_name:
                 raise ValueError(f"duplicate stage name {spec.name!r}")
-            missing = [dep for dep in spec.dependencies if dep not in seen]
+            missing = [dep for dep in spec.dependencies if dep not in self._by_name]
             if missing:
                 raise ValueError(
                     f"stage {spec.name!r} depends on undeclared stage(s) {missing}; "
                     "stages must be declared in topological order"
                 )
             self._by_name[spec.name] = spec
-            seen.add(spec.name)
         self.cache = cache
 
     # ------------------------------------------------------------------
@@ -214,6 +238,11 @@ class PipelineRunner:
     # ------------------------------------------------------------------
     def stage(self, name: str) -> StageSpec:
         return self._by_name[name]
+
+    def in_order(self, names: Iterable[str]) -> List[StageSpec]:
+        """The named stages, in declaration (topological) order."""
+        wanted = set(names)
+        return [spec for spec in self._order if spec.name in wanted]
 
     def closure(self, targets: Optional[Sequence[str]] = None) -> List[StageSpec]:
         """The targets plus all their ancestors, in execution order."""
@@ -229,7 +258,7 @@ class PipelineRunner:
                 raise KeyError(f"unknown stage {name!r}")
             needed.add(name)
             frontier.extend(self._by_name[name].dependencies)
-        return [spec for spec in self._order if spec.name in needed]
+        return self.in_order(needed)
 
     # ------------------------------------------------------------------
     # execution
@@ -262,9 +291,9 @@ class PipelineRunner:
     def run(
         self, config: object, targets: Optional[Sequence[str]] = None
     ) -> PipelineRun:
-        """Run the closure of ``targets`` (default: every stage).
+        """Resolve each of ``targets`` (default: every stage).
 
-        Stages are resolved backwards from the targets (see the module
+        Targets are resolved in declaration order (see the module
         docstring).  A hit is hash-verified here (one read of its
         payload — corruption surfaces immediately as a recompute) and
         unpickled only on first :meth:`PipelineRun.value` access.
@@ -273,77 +302,21 @@ class PipelineRunner:
         explicit :func:`repro.telemetry.tracer.activated`), one ``"pipeline"``
         span wraps the run — nested under whatever span is already open,
         e.g. a sweep's — and lists the ``skipped`` closure stages; one
-        ``"stage"`` span per demanded stage records the fingerprint,
-        cache status, verify time and artifact bytes.  Telemetry never
-        feeds into fingerprints, so a traced run is byte-identical to
-        an untraced one.
+        ``"stage"`` span per resolved stage records the fingerprint,
+        cache status, verify time and artifact bytes, whether the stage
+        is resolved during the run or when :meth:`PipelineRun.value`
+        reads it later.  Telemetry never feeds into fingerprints, so a
+        traced run is byte-identical to an untraced one.
         """
-        tracer = get_tracer()
-        with tracer.span(
-            "pipeline", targets=",".join(targets) if targets else "all"
-        ) as span:
-            return self._run(config, targets, tracer, span)
-
-    def _run(
-        self,
-        config: object,
-        targets: Optional[Sequence[str]],
-        tracer,
-        pipeline_span,
-    ) -> PipelineRun:
         run = PipelineRun(config, self)
         run.fingerprints = self.fingerprints(config, targets)
-        closure = self.closure(targets)
-        # Reverse topological order decides every consumer of a stage
-        # before the stage itself, so ``demanded`` is final on arrival.
-        demanded = set(targets) if targets is not None else set(run.fingerprints)
-        verified: Dict[str, Tuple[Optional[ArtifactRecord], float]] = {}
-        for spec in reversed(closure):
-            if spec.name not in demanded:
-                continue
-            if self.cache is not None and spec.cacheable:
-                verify_started = time.perf_counter()
-                record = self.cache.verify(spec.name, run.fingerprints[spec.name])
-                verified[spec.name] = (record, time.perf_counter() - verify_started)
-                if record is not None:
-                    continue
-            demanded.update(spec.dependencies)
-        skipped = [spec.name for spec in closure if spec.name not in demanded]
-        if skipped:
-            pipeline_span.annotate(skipped=",".join(skipped))
-        for spec in closure:
-            if spec.name not in demanded:
-                continue
-            stage_fingerprint = run.fingerprints[spec.name]
-            with tracer.span(
-                "stage", stage=spec.name, fingerprint=stage_fingerprint
-            ) as span:
-                if spec.name in verified:
-                    record, verify_seconds = verified[spec.name]
-                    span.annotate(verify_seconds=round(verify_seconds, 6))
-                    if record is not None:
-                        span.annotate(
-                            status="cached", artifact_bytes=record.size_bytes
-                        )
-                        run._pending.add(spec.name)
-                        run._record(
-                            StageOutcome(spec.name, stage_fingerprint, "cached", 0.0)
-                        )
-                        continue
-                started = time.perf_counter()
-                try:
-                    value = spec.compute(run)
-                except Exception as exc:
-                    raise StageFailure(spec.name, run, exc) from exc
-                elapsed = time.perf_counter() - started
-                span.annotate(status="computed")
-                if self.cache is not None and spec.cacheable:
-                    stored = self.cache.store(
-                        spec.name, stage_fingerprint, value, spec.version
-                    )
-                    span.annotate(artifact_bytes=stored.size_bytes)
-                run._ready[spec.name] = value
-                run._record(
-                    StageOutcome(spec.name, stage_fingerprint, "computed", elapsed)
-                )
+        with get_tracer().span(
+            "pipeline", targets=",".join(targets) if targets else "all"
+        ) as span:
+            for spec in self.in_order(targets or run.fingerprints):
+                run._resolve(spec.name)
+            resolved = {outcome.stage for outcome in run.outcomes}
+            skipped = [name for name in run.fingerprints if name not in resolved]
+            if skipped:
+                span.annotate(skipped=",".join(skipped))
         return run

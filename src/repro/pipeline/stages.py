@@ -16,12 +16,13 @@ stages the artifact cache persists)::
                                              └─> correction[c]  (Figure 2)
 
 The propagation results, the collector archive and the extracted store
-are not persisted.  The demand-driven runner needs them only when
-``inference`` or ``views`` misses the cache, and on every workload that
-means a new configuration, whose propagation would miss as well; a
-version bump of ``inference`` or ``views`` recomputes them once.  A
-warm ``repro snapshot`` recomputes them too: the snapshot assembles
-them.
+are not persisted.  The runner resolves them only when ``inference`` or
+``views`` misses the cache, and on every workload that means a new
+configuration, whose propagation would miss as well; a version bump of
+``inference`` or ``views`` recomputes them once.  A warm ``repro
+snapshot`` recomputes them too: the snapshot assembles them.  The
+entry points read the one artifact they report: ``repro section3``
+reads ``section3`` and ``repro figure2`` reads ``correction``.
 
 Every stage calls exactly the code the monolithic path called, in the
 same order; in particular the *scenario* stage owns the single
@@ -53,7 +54,7 @@ from repro.pipeline.runner import PipelineRun, PipelineRunner, StageSpec
 
 if TYPE_CHECKING:
     from repro.analysis.paths import ExtractionResult
-    from repro.analysis.stats import Section3Artifacts, Section3Report, Section3Views
+    from repro.analysis.stats import Section3Report, Section3Views
     from repro.bgp.policy import RoutingPolicy
     from repro.bgp.prefixes import Prefix
     from repro.bgp.propagation import PropagationResult
@@ -510,18 +511,3 @@ def run_pipeline(
     """Run (part of) the pipeline for one configuration."""
     return make_runner(cache_dir).run(config, targets=targets)
 
-
-def section3_artifacts(run: PipelineRun) -> Section3Artifacts:
-    """Assemble the legacy :class:`Section3Artifacts` facade from a run
-    that executed (at least) the ``section3`` target."""
-    from repro.analysis.stats import Section3Artifacts
-
-    views: Section3Views = run.value("views")
-    return Section3Artifacts(
-        report=run.value("section3"),
-        inventory=views.inventory,
-        inference=run.value("inference"),
-        hybrid=views.hybrid,
-        visibility=views.visibility,
-        valley=views.valley,
-    )

@@ -15,7 +15,9 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-SUMMARY_SCHEMA_VERSION = 2
+#: Schema version of the :func:`summarize` payload.  v3: engine rollups
+#: lost their ``phases`` entry (the engine has one phase, its span).
+SUMMARY_SCHEMA_VERSION = 3
 
 
 def trace_files(trace_dir) -> List[str]:
@@ -201,8 +203,8 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
 
     Per-stage rollups (count, total, p50/p95, computed vs cached and
     the cache hit rate, artifact bytes, and how often a run skipped the
-    stage because a descendant hit the cache), per-engine rollups (events,
-    per-phase timings), aggregated counters, tree health (roots /
+    stage because a descendant hit the cache), per-engine rollups (count,
+    timings, events, prefixes), aggregated counters, tree health (roots /
     orphans), and the root wall time with the part of it outside every
     stage (:func:`root_accounting`).
     """
@@ -250,12 +252,9 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         stage_rollup[name] = rollup
 
     engines: Dict[str, dict] = {}
-    phase_names = ("propagation.propagate",)
-    phase_groups: Dict[str, Dict[str, List[float]]] = {}
     for span in spans:
-        name = span.get("name")
         attrs = span.get("attrs") or {}
-        if name == "propagation":
+        if span.get("name") == "propagation":
             backend = str(attrs.get("backend", "unknown"))
             entry = engines.setdefault(
                 backend,
@@ -264,23 +263,10 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
             entry["durations"].append(float(span.get("seconds", 0.0)))
             entry["events"] += int(attrs.get("events") or 0)
             entry["prefixes"] += int(attrs.get("prefixes") or 0)
-        elif name in phase_names:
-            backend = str(attrs.get("backend", "unknown"))
-            phases = phase_groups.setdefault(backend, {})
-            phases.setdefault(name.split(".", 1)[1], []).append(
-                float(span.get("seconds", 0.0))
-            )
     engine_rollup = {}
     for backend, entry in engines.items():
         rollup = _duration_rollup(entry["durations"])
-        rollup.update(
-            events=entry["events"],
-            prefixes=entry["prefixes"],
-            phases={
-                phase: _duration_rollup(durations)
-                for phase, durations in phase_groups.get(backend, {}).items()
-            },
-        )
+        rollup.update(events=entry["events"], prefixes=entry["prefixes"])
         engine_rollup[backend] = rollup
 
     counters: Dict[str, float] = {}

@@ -27,11 +27,10 @@ from hypothesis import strategies as st
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
 from repro.bgp.backends.arraycore import ArrayBackend
-from repro.bgp.backends.event import EventBackend
-from repro.bgp.engine import BACKENDS, PropagationEngine
+from repro.bgp.engine import PropagationEngine
 from repro.bgp.policy import LocalPrefScheme, RoutingPolicy
 from repro.bgp.prefixes import PrefixAllocator
-from repro.bgp.propagation import originate_one_prefix_per_as
+from repro.bgp.propagation import PropagationSimulator, originate_one_prefix_per_as
 from repro.bgp.results import ConvergenceError
 from repro.irr.registry import build_registry
 from repro.topology.generator import TopologyConfig, generate_topology
@@ -129,7 +128,7 @@ class TestArrayBackendEquivalence:
         graph = _golden_topology(seed).graph
         policies = _rich_policies(graph, seed)
         origins = originate_one_prefix_per_as(graph, afi)
-        event = EventBackend(graph, policies).run(origins)
+        event = PropagationSimulator(graph, policies).run(origins)
         array = ArrayBackend(graph, policies).run(origins)
         assert array.events == event.events
         _assert_same_converged_state(graph, event, array, origins)
@@ -139,7 +138,7 @@ class TestArrayBackendEquivalence:
         policies = _rich_policies(graph, 2010)
         keep = graph.ases[:4]
         origins = originate_one_prefix_per_as(graph, AFI.IPV4)
-        event = EventBackend(graph, policies, keep_ribs_for=keep).run(origins)
+        event = PropagationSimulator(graph, policies, keep_ribs_for=keep).run(origins)
         array = ArrayBackend(graph, policies, keep_ribs_for=keep).run(origins)
         assert array.events == event.events
         assert array.reachable_counts == event.reachable_counts
@@ -157,14 +156,21 @@ class TestEngineSelection:
     REFUSED = ("quantum", "auto", "equi" "librium")
 
     def test_engine_names_have_one_home(self):
-        """``repro.bgp.backends`` names the engines; ``BACKENDS`` maps
-        exactly those names, in the same order, to backend classes."""
-        assert tuple(BACKENDS) == ENGINE_CHOICES
+        """``repro.bgp.backends`` names the engines, and the engine runs
+        every one of those names with the same result."""
         assert DEFAULT_ENGINE in ENGINE_CHOICES
+        graph = _golden_topology(2010).graph
+        policies = _rich_policies(graph, 2010)
+        origins = originate_one_prefix_per_as(graph, AFI.IPV4)
+        oracle = PropagationSimulator(graph, policies).run(origins)
+        for name in ENGINE_CHOICES:
+            result = PropagationEngine(graph, policies, engine=name).run(origins)
+            assert result.events == oracle.events, name
+            _assert_same_converged_state(graph, oracle, result, origins)
 
     def test_engine_names_import_no_backend(self):
         """Validating an engine name loads no propagation code."""
-        backends = ("repro.bgp.backends.arraycore", "repro.bgp.backends.event")
+        backends = ("repro.bgp.backends.arraycore", "repro.bgp.propagation")
         assert _loaded("import repro.bgp.backends", backends)[1] == "[]"
 
     def test_invalid_engine_rejected(self):
@@ -269,7 +275,7 @@ class TestStaleAdjRibInEntries:
         graph = scenario.topology.graph
         origins = self._origins(scenario, seed)
         keep = scenario.vantage_asns if pruned else None
-        event = EventBackend(graph, scenario.policies, keep_ribs_for=keep).run(origins)
+        event = PropagationSimulator(graph, scenario.policies, keep_ribs_for=keep).run(origins)
         array = ArrayBackend(graph, scenario.policies, keep_ribs_for=keep).run(origins)
         assert array.events == event.events
         assert array.reachable_counts == event.reachable_counts
@@ -293,13 +299,13 @@ class TestStaleAdjRibInEntries:
         ).graph
         policies = _leaky_policies(graph, 730)
         origins = originate_one_prefix_per_as(graph, AFI.IPV6)
-        event = EventBackend(graph, policies).run(origins)
+        event = PropagationSimulator(graph, policies).run(origins)
         array = ArrayBackend(graph, policies).run(origins)
         assert _stale_routes(graph, event, origins)
         assert array.events == event.events
         _assert_same_converged_state(graph, event, array, origins)
 
-    @pytest.mark.parametrize("backend_cls", (EventBackend, ArrayBackend))
+    @pytest.mark.parametrize("backend_cls", (PropagationSimulator, ArrayBackend))
     def test_installed_path_is_not_the_senders_best(self, scenarios, backend_cls):
         """Documents the open stale-route bug (ROADMAP item 1): AS7 holds
         ``3fff:bc::/32`` via AS8 on a path AS8 no longer uses."""
@@ -365,7 +371,7 @@ class TestPropertyBasedCrossValidation:
     @given(scenario=random_scenario(rich=True))
     def test_array_matches_event_on_random_scenarios(self, scenario):
         graph, policies, origins = scenario
-        event = EventBackend(graph, policies).run(origins)
+        event = PropagationSimulator(graph, policies).run(origins)
         array = ArrayBackend(graph, policies).run(origins)
         assert array.events == event.events
         assert array.reachable_counts == event.reachable_counts

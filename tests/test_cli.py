@@ -176,10 +176,9 @@ class TestPipelineOptions:
         assert "inference" in output
 
     def test_warm_section3_json_identical_to_cold(self, tmp_path, capsys):
-        """A warm ``section3`` hits its target and reads ``views`` and
-        ``inference`` lazily; the provenance block comes from the config
-        alone.  The report, provenance included, is byte-identical to
-        the cold one."""
+        """A warm ``section3`` hits its target and reads only its
+        report; the provenance block comes from the config alone.  The
+        report, provenance included, is byte-identical to the cold one."""
         cache_dir = str(tmp_path / "cache")
         reports = []
         for name in ("cold.json", "warm.json"):
@@ -190,6 +189,27 @@ class TestPipelineOptions:
         assert "reused cached stages: section3\n" in capsys.readouterr().out
         assert reports[0] == reports[1]
         assert b'"provenance"' in reports[1]
+
+    def test_warm_section3_reads_only_its_report(self, tmp_path, capsys):
+        """With ``views`` and ``inference`` gone from the cache, a warm
+        ``section3`` still loads one artifact and propagates nothing."""
+        import shutil
+
+        from repro.telemetry.analyze import counters_of, read_trace, spans_of
+
+        cache_dir, trace_dir = tmp_path / "cache", tmp_path / "trace"
+        argv = ["section3", "--small", "--seed", "3", "--cache-dir", str(cache_dir)]
+        assert main(argv + ["--json", str(tmp_path / "cold.json")]) == 0
+        for stage in ("views", "inference"):
+            shutil.rmtree(cache_dir / stage)
+        warm = argv + ["--trace-dir", str(trace_dir), "--json", str(tmp_path / "warm.json")]
+        assert main(warm) == 0
+        capsys.readouterr()
+        records = read_trace(trace_dir)
+        assert not [s for s in spans_of(records) if s["name"] == "propagation"]
+        loads = [c for c in counters_of(records) if c["name"] == "cache.load"]
+        assert [c["attrs"]["stage"] for c in loads] == ["section3"]
+        assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
 
     def test_trace_summary_shows_skipped_stages(self, tmp_path, capsys):
         cache_dir, trace_dir = str(tmp_path / "cache"), str(tmp_path / "trace")
@@ -523,7 +543,7 @@ ABSENT_MODULES = (
 #: ``import repro.cli`` must not load them either.
 COMPUTE_MODULES = (
     "repro.bgp.backends.arraycore",
-    "repro.bgp.backends.event",
+    "repro.bgp.propagation",
     "repro.bgp.router",
     "repro.bgp.engine",
     "repro.collectors",

@@ -27,8 +27,8 @@ from repro.pipeline import (
     full_stages,
     make_runner,
     run_pipeline,
-    section3_artifacts,
 )
+from repro.telemetry.analyze import root_accounting
 from repro.telemetry.tracer import Tracer, activated
 from repro.topology.generator import TopologyConfig
 
@@ -234,14 +234,14 @@ class TestInvalidation:
 
 
 def traced_section3(config, cache_dir):
-    """Run the ``section3`` closure and read its artifacts back the way
-    ``repro section3`` does (``views`` and ``inference`` too), under an
-    in-memory tracer; returns the run and its ``cache.corrupt`` counts
-    per stage."""
+    """Run the ``section3`` closure and read back its report, ``views``
+    and ``inference`` under an in-memory tracer; returns the run and
+    its ``cache.corrupt`` counts per stage."""
     tracer = Tracer(None)
     with activated(tracer):
         run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
-        section3_artifacts(run)
+        for name in ("section3", "views", "inference"):
+            run.value(name)
     corrupt = Counter(
         record["attrs"]["stage"]
         for record in tracer.records()
@@ -294,15 +294,47 @@ class TestCorruptionDetection:
 
     def test_corrupted_and_recomputed_results_match_clean_run(self, warm_cache):
         cache_dir, config = warm_cache
-        clean = section3_artifacts(run_pipeline(config, targets=("section3",)))
+        clean = run_pipeline(config, targets=("section3",))
         payload = self._payload_path(cache_dir, config, "views")
         payload.write_bytes(b"garbage")
         run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
-        recovered = section3_artifacts(run)
+        recovered = run.value("views")
+        run.value("inference")
         assert run.status_of("views") == "computed"
-        assert recovered.report.as_dict() == clean.report.as_dict()
-        assert recovered.hybrid.hybrid_link_set() == clean.hybrid.hybrid_link_set()
-        assert recovered.inventory.summary() == clean.inventory.summary()
+        assert run.value("section3").as_dict() == clean.value("section3").as_dict()
+        assert recovered.hybrid.hybrid_link_set() == (
+            clean.value("views").hybrid.hybrid_link_set()
+        )
+        assert recovered.inventory.summary() == clean.value("views").inventory.summary()
+
+    def test_unloadable_verified_payload_is_recomputed_under_a_span(self, warm_cache):
+        """A payload that verified during the run but is corrupted before
+        its first read is recomputed under a ``stage`` span, and the
+        stage keeps one outcome."""
+        cache_dir, config = warm_cache
+        clean = run_pipeline(config, targets=("section3",)).value("section3")
+        tracer = Tracer(None)
+        with activated(tracer):
+            run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+            assert run.status_of("section3") == "cached"
+            path = run._runner.cache.payload_path("section3", run.fingerprints["section3"])
+            path.write_bytes(b"garbage")
+            report = run.value("section3")
+        assert report.as_dict() == clean.as_dict()
+        assert [o.stage for o in run.outcomes].count("section3") == 1
+        assert run.status_of("section3") == "computed"
+        records = tracer.records()
+        unloadable = [
+            r for r in records if r["kind"] == "counter" and r["name"] == "cache.unloadable"
+        ]
+        assert [r["attrs"]["stage"] for r in unloadable] == ["section3"]
+        section3_spans = [
+            r["attrs"]["status"]
+            for r in records
+            if r["kind"] == "span" and r["name"] == "stage"
+            and r["attrs"]["stage"] == "section3"
+        ]
+        assert section3_spans == ["cached", "computed"]
 
 
 class CountingCache(ArtifactCache):
@@ -406,9 +438,10 @@ class TestDemandDriven:
         run = PipelineRunner(full_stages(), cache).run(config, targets=("section3",))
         assert cache.verified == ["section3"]
         assert cache.loaded == []
-        # What ``section3 --json`` reads: the facade loads its
-        # artifacts; the provenance block needs none.
-        section3_artifacts(run)
+        # Reading the report and its two inputs loads each once; the
+        # provenance block needs no artifact.
+        for name in ("section3", "views", "inference"):
+            run.value(name)
         _selection_provenance(config)
         assert sorted(cache.loaded) == ["inference", "section3", "views"]
         scenario = run.value("scenario")
@@ -427,6 +460,30 @@ class TestDemandDriven:
         assert store.stats == cold.value("store").stats
         with pytest.raises(KeyError):
             run.value("correction")
+
+    def test_stages_computed_on_read_are_traced(self, section3_cache):
+        """Reading a skipped stage after the run opens one ``stage`` span
+        per stage it computes, and leaves none of that time outside a
+        stage."""
+        cache_dir, config = section3_cache
+        tracer = Tracer(None)
+        with activated(tracer):
+            run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+            ran = len(tracer.records())
+            run.value("store")
+        read = tracer.records()[ran:]
+        computed = [
+            r["attrs"]["stage"]
+            for r in read
+            if r["kind"] == "span" and r["name"] == "stage"
+            and r["attrs"]["status"] == "computed"
+        ]
+        assert computed == ["propagation_v4", "propagation_v6", "archive", "store"]
+        assert run.computed_stages() == computed
+        assert run.status_of("scenario") == "cached"
+        root_seconds, unattributed = root_accounting(read)
+        assert root_seconds > 0
+        assert unattributed == 0.0
 
 
 class TestCachedArtifactShape:

@@ -16,7 +16,7 @@ from repro.collectors.mrt import write_table_dump
 from repro.core.relationships import AFI
 from repro.datasets.synthetic import DatasetConfig, build_snapshot
 from repro.datasets.reference import reference_build_snapshot
-from repro.pipeline import PipelineConfig, run_pipeline, section3_artifacts
+from repro.pipeline import PipelineConfig, run_pipeline
 from repro.topology.generator import TopologyConfig
 
 GOLDEN_SEEDS = (3, 11)
@@ -112,12 +112,13 @@ class TestCachedEqualsCold:
         assert warm.value("correction").averages == cold.value("correction").averages
         assert warm.value("correction").diameters == cold.value("correction").diameters
 
-    def test_section3_artifacts_facade_matches_compute_section3(self, tmp_path):
+    def test_stage_values_match_compute_section3(self, tmp_path):
         config = PipelineConfig(dataset=golden_config(3))
         run = run_pipeline(config, cache_dir=tmp_path, targets=("section3",))
-        facade = section3_artifacts(run)
+        views = run.value("views")
         snapshot = build_snapshot(golden_config(3))
         direct = compute_section3(snapshot.store, snapshot.registry)
-        assert facade.report.as_dict() == direct.report.as_dict()
-        assert facade.hybrid.hybrid_link_set() == direct.hybrid.hybrid_link_set()
-        assert facade.inventory.summary() == direct.inventory.summary()
+        assert run.value("section3").as_dict() == direct.report.as_dict()
+        assert views.hybrid.hybrid_link_set() == direct.hybrid.hybrid_link_set()
+        assert views.inventory.summary() == direct.inventory.summary()
+        assert run.value("inference").coverage == direct.inference.coverage

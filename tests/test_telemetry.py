@@ -367,6 +367,6 @@ class TestRootAccounting:
         assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["root_seconds"], payload["unattributed_seconds"]) == (2.0, 1.0)
-        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 2
+        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 3
         assert "retries" not in payload
         assert "dead_letters" not in payload
