@@ -43,7 +43,9 @@ Two flags connect the single-run commands into a staged workflow:
 * ``--from-snapshot DIR`` skips the synthetic builder entirely and runs
   the measurement pipeline on a snapshot directory previously written by
   ``repro snapshot`` (the archive, ground truth and IRR corpus are read
-  back from disk).
+  back from disk).  The snapshot fixes the scale and the seed and no
+  engine runs, so ``--small``, ``--paper-scale``, ``--seed`` and
+  ``--engine`` are refused alongside it (exit code 2).
 
 Every ``--json`` report is written with sorted keys and carries a
 ``schema_version`` field, so golden files and cross-run diffs stay
@@ -120,6 +122,9 @@ REPORT_SCHEMA_VERSION = 2
 #: handful of collections.
 GC_THRESHOLDS = (50000, 20, 100)
 
+#: Snapshot seed when ``--seed`` is not given.
+DEFAULT_SEED = 7
+
 
 def _write_json_report(path: str, payload: dict) -> None:
     """CLI reports go through the shared stable writer
@@ -129,18 +134,10 @@ def _write_json_report(path: str, payload: dict) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> DatasetConfig:
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.paper_scale:
-        return paper_scale_config(seed=args.seed)
-    return small_config(seed=args.seed)
-
-
-class _SeedAction(argparse.Action):
-    """Store ``--seed`` and record that it was given explicitly, so a
-    ``--from-snapshot`` run can refuse it (the default stays 7)."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.seed_given = True
+        return paper_scale_config(seed=seed)
+    return small_config(seed=seed)
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -152,13 +149,12 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--paper-scale", action="store_true", help="larger snapshot (seconds to build)"
     )
     parser.add_argument(
-        "--seed", type=int, default=7, action=_SeedAction, help="snapshot seed"
+        "--seed", type=int, help=f"snapshot seed (default: {DEFAULT_SEED})"
     )
     parser.add_argument(
         "--engine",
         choices=ENGINE_CHOICES,
-        default=DEFAULT_ENGINE,
-        help="propagation backend (default: %(default)s; 'event' is the "
+        help=f"propagation backend (default: {DEFAULT_ENGINE}; 'event' is the "
         "reference simulator it is checked against). Both engines produce "
         "identical results",
     )
@@ -177,7 +173,7 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="run from a snapshot directory written by 'repro snapshot' "
         "instead of building one (the --small/--paper-scale/--seed "
-        "sizing flags do not apply and are rejected)",
+        "sizing flags and --engine do not apply and are rejected)",
     )
 
 
@@ -196,9 +192,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(
         dataset=_config_from_args(args),
         top=getattr(args, "top", 20),
-        propagation=PropagationConfig(
-            engine=getattr(args, "engine", DEFAULT_ENGINE)
-        ),
+        propagation=PropagationConfig(engine=args.engine or DEFAULT_ENGINE),
     )
 
 
@@ -251,7 +245,7 @@ def _cmd_section3(args: argparse.Namespace) -> int:
         report = run.value("section3")
         config_payload = {
             "ases": config.dataset.topology.total_ases,
-            "seed": args.seed,
+            "seed": config.dataset.seed,
         }
         provenance = _selection_provenance(config)
     print(format_table(report.rows(), title="Section 3 statistics"))
@@ -296,7 +290,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
         series = run.value("correction")
         config_payload = {
             "ases": config.dataset.topology.total_ases,
-            "seed": args.seed,
+            "seed": config.dataset.seed,
         }
     print(
         format_series(
@@ -323,10 +317,11 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.datasets.snapshot_io import save_snapshot
     from repro.datasets.synthetic import build_snapshot
 
+    config = _pipeline_config(args)
     snapshot = build_snapshot(
-        _config_from_args(args),
+        config.dataset,
         cache_dir=args.cache_dir,
-        engine=getattr(args, "engine", DEFAULT_ENGINE),
+        engine=config.propagation.engine,
     )
     output = Path(args.output)
     summary = save_snapshot(snapshot, output)
@@ -349,7 +344,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         plan_sweep,
         render_markdown,
         run_sweep,
-        write_json_report,
     )
 
     try:
@@ -751,13 +745,17 @@ def _run_command(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "from_snapshot", None) and (
-        args.small or args.paper_scale or getattr(args, "seed_given", False)
+        args.small
+        or args.paper_scale
+        or args.seed is not None
+        or args.engine is not None
     ):
-        # The snapshot on disk fixes the scale and the seed; a sizing
-        # flag alongside it would be silently ignored, which reads like
-        # it worked.
+        # The snapshot on disk fixes the scale and the seed, and no
+        # engine runs; a sizing or engine flag alongside it would be
+        # silently ignored, which reads like it worked.
         parser.error(
-            "--small/--paper-scale/--seed cannot be combined with --from-snapshot"
+            "--small/--paper-scale/--seed/--engine cannot be combined with "
+            "--from-snapshot"
         )
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None and Path(cache_dir).exists() and not Path(cache_dir).is_dir():

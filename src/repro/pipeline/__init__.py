@@ -26,7 +26,6 @@ from repro.pipeline.runner import (
     PipelineRun,
     PipelineRunner,
     StageFailure,
-    StageOutcome,
     StageSpec,
 )
 from repro.pipeline.stages import (
@@ -34,11 +33,9 @@ from repro.pipeline.stages import (
     PipelineConfig,
     PropagationConfig,
     ScenarioArtifact,
-    analysis_stages,
     full_stages,
     make_runner,
     run_pipeline,
-    snapshot_stages,
 )
 
 __all__ = [
@@ -52,15 +49,12 @@ __all__ = [
     "PipelineRun",
     "PipelineRunner",
     "StageFailure",
-    "StageOutcome",
     "StageSpec",
     "GroundTruthArtifact",
     "PipelineConfig",
     "PropagationConfig",
     "ScenarioArtifact",
-    "analysis_stages",
     "full_stages",
     "make_runner",
     "run_pipeline",
-    "snapshot_stages",
 ]

@@ -30,7 +30,7 @@ fingerprint precisely so that incompatible pickles are never looked up.
 Hygiene: the files are the only metadata.  An entry's size is the
 ``stat`` of its two files and its last use is the payload's mtime, set
 when the payload is written and bumped with ``os.utime`` on every
-verified read (an O(1) touch that keeps warm cache hits cheap), so
+load that hits (an O(1) touch that keeps warm cache hits cheap), so
 :meth:`ArtifactCache.prune` can evict by age and/or LRU order down to
 a byte budget and :meth:`ArtifactCache.stats` reports size accounting
 per stage — sweeps make unbounded caches a real problem in long-lived
@@ -353,14 +353,14 @@ class ArtifactCache:
         """True when a *verifiable* artifact exists (hash checked)."""
         return self.verify(stage, fingerprint) is not None
 
-    def _verified_bytes(
+    def _read_entry(
         self, stage: str, fingerprint: str
-    ) -> Optional[Tuple[bytes, ArtifactRecord]]:
-        """One read + one hash: the payload bytes iff they verify.
+    ) -> Optional[Tuple[bytes, Optional[ArtifactRecord]]]:
+        """One read + one hash of a stored artifact.
 
-        A stored artifact that fails verification (unreadable sidecar,
-        hash mismatch) emits a ``cache.corrupt`` counter, so a trace
-        tells "absent" apart from "present but bad".
+        ``None`` when either file is absent; otherwise the payload bytes
+        and their record, which is ``None`` when the payload fails
+        verification (unreadable sidecar, hash mismatch).
         """
         meta = self._read(self._meta_key(stage, fingerprint))
         if meta is None:
@@ -371,58 +371,57 @@ class ArtifactCache:
         try:
             record = ArtifactRecord.from_json(meta.decode("utf-8"))
         except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError):
-            record = None
-        if record is None or hashlib.sha256(payload).hexdigest() != record.payload_sha256:
-            _count_corrupt(stage)
-            return None
+            return payload, None
+        if hashlib.sha256(payload).hexdigest() != record.payload_sha256:
+            return payload, None
         return payload, record
 
     def verify(self, stage: str, fingerprint: str) -> Optional[ArtifactRecord]:
         """Validate the stored artifact; ``None`` when missing/corrupt.
 
-        Reads and hashes the payload — corruption is detected here, not
-        at unpickle time.  The runner calls this once per stage it
-        demands, so a run pays one sequential read of each cached
-        artifact it needs (the deliberate price of eager corruption
-        detection) but no deserialization.
+        Reads and hashes the payload but does not unpickle it, and
+        counts nothing: the runner reads artifacts with :meth:`load`.
         """
-        verified = self._verified_bytes(stage, fingerprint)
-        tracer = get_tracer()
-        if tracer:
-            tracer.counter("cache.verify", stage=stage)
-            tracer.counter("cache.hit" if verified is not None else "cache.miss",
-                           stage=stage)
-        if verified is not None:
-            self._touch(stage, fingerprint)
-        return verified[1] if verified is not None else None
+        entry = self._read_entry(stage, fingerprint)
+        return entry[1] if entry is not None else None
 
     def load(self, stage: str, fingerprint: str) -> Optional[Tuple[object, ArtifactRecord]]:
         """Load and hash-verify an artifact; ``None`` on any defect.
 
-        A hash mismatch, an unreadable sidecar or a failing unpickle all
-        report a miss — the runner recomputes and the defective entry is
-        overwritten by the subsequent :meth:`store`.  The payload is
-        read and hashed once (re-verified here even if :meth:`verify`
-        passed earlier, because the file may have changed in between).
+        The payload is read and hashed once, then unpickled.  A hash
+        mismatch, an unreadable sidecar or a failing unpickle all report
+        a miss — the runner recomputes and the defective entry is
+        overwritten by the subsequent :meth:`store`.
+
+        This is the cache's one counting site: an absent artifact counts
+        ``cache.miss``; a present one counts ``cache.load`` and the
+        ``cache.load_bytes`` read, then either ``cache.hit`` or, when it
+        is defective, ``cache.corrupt`` and ``cache.miss`` (so a trace
+        tells "absent" apart from "present but bad").
         """
-        verified = self._verified_bytes(stage, fingerprint)
+        entry = self._read_entry(stage, fingerprint)
         tracer = get_tracer()
+        if entry is None:
+            if tracer:
+                tracer.counter("cache.miss", stage=stage)
+            return None
+        payload, record = entry
         if tracer:
             tracer.counter("cache.load", stage=stage)
-        if verified is None:
+            tracer.counter("cache.load_bytes", value=len(payload), stage=stage)
+        value = None
+        if record is not None:
+            try:
+                value = pickle.loads(payload)
+            except Exception:
+                record = None
+        if record is None:
             if tracer:
+                tracer.counter("cache.corrupt", stage=stage)
                 tracer.counter("cache.miss", stage=stage)
             return None
-        payload, record = verified
         if tracer:
-            tracer.counter("cache.load_bytes", value=record.size_bytes, stage=stage)
-        try:
-            value = pickle.loads(payload)
-        except Exception:
-            _count_corrupt(stage)
-            if tracer:
-                tracer.counter("cache.miss", stage=stage)
-            return None
+            tracer.counter("cache.hit", stage=stage)
         self._touch(stage, fingerprint)
         return value, record
 
@@ -602,9 +601,3 @@ class ArtifactCache:
             dry_run=dry_run,
             temp_files_removed=temp_files_removed,
         )
-
-
-def _count_corrupt(stage: str) -> None:
-    tracer = get_tracer()
-    if tracer:
-        tracer.counter("cache.corrupt", stage=stage)

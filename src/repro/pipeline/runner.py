@@ -6,23 +6,21 @@ stage has an invocation fingerprint (stage name, code version,
 configuration token, upstream fingerprints — see
 :mod:`repro.pipeline.artifacts`), known before anything runs.  One
 recursive method, :meth:`PipelineRun._resolve`, then resolves each
-target, and it is the only place a stage is verified, loaded or
-computed:
+target, and it is the only place a stage is loaded or computed:
 
 * a stage that is already resolved is left alone;
-* a cacheable stage is hash-verified in the :class:`ArtifactCache`; a
-  hit records it as ``cached`` (its payload is unpickled on first
-  :meth:`PipelineRun.value`) and ends the walk up that branch;
-* a stage that missed, or is not cacheable, resolves its inputs first,
-  in declared order, and is then computed under one ``stage`` span,
-  stored and recorded as ``computed``.
+* a cacheable stage is loaded from the :class:`ArtifactCache` (one
+  hash-verified read and one unpickle); a hit records it as ``cached``
+  with its value and ends the walk up that branch;
+* a stage that missed (absent or defective artifact), or is not
+  cacheable, resolves its inputs first, in declared order, and is then
+  computed under one ``stage`` span, stored and recorded as
+  ``computed``.
 
 Closure stages that no resolved stage needed are *skipped*: a warm
-``figure2`` verifies ``correction``, ``views`` and ``inference`` and
-touches nothing upstream of them.  :meth:`PipelineRun.value` resolves a
-skipped stage on first access through the same method (a hit costs one
-cache read), and recomputes a verified stage whose payload has become
-unloadable.
+``figure2`` loads ``views`` and ``inference`` and touches nothing
+upstream of them.  :meth:`PipelineRun.value` resolves a skipped stage
+on first access through the same method (a hit costs one cache read).
 
 The runner is deliberately generic: the concrete snapshot/analysis DAG
 lives in :mod:`repro.pipeline.stages`, and nothing here knows about
@@ -31,7 +29,6 @@ topologies or BGP.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -70,23 +67,14 @@ class StageSpec:
     cacheable: bool = True
 
 
-@dataclass
-class StageOutcome:
-    """What happened to one stage during a run."""
-
-    stage: str
-    fingerprint: str
-    status: str  # "computed" | "cached"
-
-
 class StageFailure(RuntimeError):
     """A stage's compute function raised.
 
     Carries the partial :class:`PipelineRun` so callers that account
     for work across many runs (the sweep executor) can still see the
-    outcomes of the stages that *did* complete — and were stored in the
+    statuses of the stages that *did* complete — and were stored in the
     cache — before the failure.  The failing stage itself has no
-    outcome (it never completed).  The original exception is chained as
+    status (it never completed).  The original exception is chained as
     ``__cause__``.
     """
 
@@ -101,18 +89,16 @@ class StageFailure(RuntimeError):
 class PipelineRun:
     """One execution of (a target-closure of) the pipeline.
 
-    Stage values are exposed through :meth:`value`; artifacts of warm
-    stages are unpickled on first access, and closure stages the run
-    skipped are resolved then (loaded from the cache or computed).
-    When a cached payload turns out to be unloadable at access time
-    (e.g. corrupted between the fingerprint check and the read), the
-    stage is recomputed and the repaired artifact is stored back.
+    Stage values are exposed through :meth:`value`; closure stages the
+    run skipped are resolved on first access (loaded from the cache or
+    computed).  :attr:`statuses` maps each resolved stage to
+    ``"computed"`` or ``"cached"``, in resolution order.
     """
 
     def __init__(self, config: object, runner: "PipelineRunner") -> None:
         self.config = config
         self.fingerprints: Dict[str, str] = {}
-        self.outcomes: List[StageOutcome] = []
+        self.statuses: Dict[str, str] = {}
         self._runner = runner
         self._ready: Dict[str, object] = {}
 
@@ -124,78 +110,50 @@ class PipelineRun:
         if name not in self._ready:
             if name not in self.fingerprints:
                 raise KeyError(f"stage {name!r} was not part of this run")
-            self._resolve(name, load=True)
+            self._resolve(name)
         return self._ready[name]
 
     def status_of(self, name: str) -> str:
         """``"computed"`` or ``"cached"`` for one stage of this run."""
-        outcome = self._outcome(name)
-        if outcome is None:
+        if name not in self.statuses:
             raise KeyError(f"stage {name!r} was not resolved in this run")
-        return outcome.status
+        return self.statuses[name]
 
     def cached_stages(self) -> List[str]:
         """Names of the stages satisfied from the artifact cache."""
-        return [o.stage for o in self.outcomes if o.status == "cached"]
+        return [name for name, status in self.statuses.items() if status == "cached"]
 
     def computed_stages(self) -> List[str]:
         """Names of the stages that were (re)computed."""
-        return [o.stage for o in self.outcomes if o.status == "computed"]
+        return [name for name, status in self.statuses.items() if status == "computed"]
 
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
-    def _outcome(self, name: str) -> Optional[StageOutcome]:
-        return next((o for o in self.outcomes if o.stage == name), None)
-
-    def _resolve(self, name: str, load: bool = False) -> None:
-        """Resolve one stage (see the module docstring).
-
-        ``load`` is :meth:`value` asking for the artifact itself: a
-        stage the run skipped is then loaded instead of verified (one
-        cache read), and a verified stage is unpickled, or recomputed
-        when its payload has become unloadable.
-        """
-        outcome = self._outcome(name)
-        if name in self._ready or (outcome is not None and not load):
+    def _resolve(self, name: str) -> None:
+        """Resolve one stage (see the module docstring)."""
+        if name in self._ready:
             return
         spec = self._runner.stage(name)
         stage_fingerprint = self.fingerprints[name]
         cache = self._runner.cache if spec.cacheable else None
         tracer = get_tracer()
-        timing: Dict[str, float] = {}
-        if cache is not None:
-            if load:
-                loaded = cache.load(name, stage_fingerprint)
-                record = loaded[1] if loaded is not None else None
-            else:
-                started = time.perf_counter()
-                record = cache.verify(name, stage_fingerprint)
-                timing["verify_seconds"] = round(time.perf_counter() - started, 6)
-            if record is not None:
-                if load:
-                    self._ready[name] = loaded[0]
-                if outcome is None:
-                    with tracer.span(
-                        "stage",
-                        stage=name,
-                        fingerprint=stage_fingerprint,
-                        status="cached",
-                        artifact_bytes=record.size_bytes,
-                        **timing,
-                    ):
-                        pass
-                    self.outcomes.append(
-                        StageOutcome(name, stage_fingerprint, "cached")
-                    )
-                return
-            if outcome is not None:
-                tracer.counter("cache.unloadable", stage=name)
+        loaded = cache.load(name, stage_fingerprint) if cache is not None else None
+        if loaded is not None:
+            self._ready[name], record = loaded
+            with tracer.span(
+                "stage",
+                stage=name,
+                fingerprint=stage_fingerprint,
+                status="cached",
+                artifact_bytes=record.size_bytes,
+            ):
+                pass
+            self.statuses[name] = "cached"
+            return
         for dep in self._runner.in_order(spec.dependencies):
             self._resolve(dep.name)
-        with tracer.span(
-            "stage", stage=name, fingerprint=stage_fingerprint, **timing
-        ) as span:
+        with tracer.span("stage", stage=name, fingerprint=stage_fingerprint) as span:
             try:
                 value = spec.compute(self)
             except Exception as exc:
@@ -205,10 +163,7 @@ class PipelineRun:
                 stored = cache.store(name, stage_fingerprint, value, spec.version)
                 span.annotate(artifact_bytes=stored.size_bytes)
         self._ready[name] = value
-        if outcome is None:
-            self.outcomes.append(StageOutcome(name, stage_fingerprint, "computed"))
-        else:
-            outcome.status = "computed"
+        self.statuses[name] = "computed"
 
 
 class PipelineRunner:
@@ -294,19 +249,20 @@ class PipelineRunner:
         """Resolve each of ``targets`` (default: every stage).
 
         Targets are resolved in declaration order (see the module
-        docstring).  A hit is hash-verified here (one read of its
-        payload — corruption surfaces immediately as a recompute) and
-        unpickled only on first :meth:`PipelineRun.value` access.
+        docstring).  A hit is loaded here, with one read of its payload:
+        a defective artifact surfaces immediately as a recompute.
 
         Telemetry: when a tracer is active (``repro --trace-dir`` or an
         explicit :func:`repro.telemetry.tracer.activated`), one ``"pipeline"``
         span wraps the run — nested under whatever span is already open,
         e.g. a sweep's — and lists the ``skipped`` closure stages; one
         ``"stage"`` span per resolved stage records the fingerprint,
-        cache status, verify time and artifact bytes, whether the stage
-        is resolved during the run or when :meth:`PipelineRun.value`
-        reads it later.  Telemetry never feeds into fingerprints, so a
-        traced run is byte-identical to an untraced one.
+        cache status and artifact bytes, whether the stage is resolved
+        during the run or when :meth:`PipelineRun.value` reads it later.
+        A hit's span is zero-length: the load that found it precedes
+        it, inside the enclosing span.  Telemetry never feeds into
+        fingerprints, so a traced run is byte-identical to an untraced
+        one.
         """
         run = PipelineRun(config, self)
         run.fingerprints = self.fingerprints(config, targets)
@@ -315,8 +271,7 @@ class PipelineRunner:
         ) as span:
             for spec in self.in_order(targets or run.fingerprints):
                 run._resolve(spec.name)
-            resolved = {outcome.stage for outcome in run.outcomes}
-            skipped = [name for name in run.fingerprints if name not in resolved]
+            skipped = [name for name in run.fingerprints if name not in run.statuses]
             if skipped:
                 span.annotate(skipped=",".join(skipped))
         return run

@@ -368,8 +368,9 @@ def _scenario_slice(config: PipelineConfig) -> tuple:
     )
 
 
-def snapshot_stages() -> List[StageSpec]:
-    """The snapshot-building half of the DAG (topology → snapshot)."""
+def full_stages() -> List[StageSpec]:
+    """The complete DAG: snapshot building (topology → snapshot), then
+    analysis (store → section3 / correction)."""
     return [
         StageSpec(
             name="topology",
@@ -451,12 +452,6 @@ def snapshot_stages() -> List[StageSpec]:
             compute=_stage_snapshot,
             cacheable=False,
         ),
-    ]
-
-
-def analysis_stages() -> List[StageSpec]:
-    """The measurement half of the DAG (store → section3 / correction)."""
-    return [
         StageSpec(
             name="inference",
             version="2",
@@ -483,11 +478,6 @@ def analysis_stages() -> List[StageSpec]:
             config_slice=lambda config: (config.top,),
         ),
     ]
-
-
-def full_stages() -> List[StageSpec]:
-    """The complete DAG: snapshot building plus analysis."""
-    return snapshot_stages() + analysis_stages()
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ from repro.sweep.report import (
     render_markdown,
     scenario_metrics,
     t_critical_95,
-    write_json_report,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "run_sweep",
     "scenario_metrics",
     "t_critical_95",
-    "write_json_report",
 ]

@@ -130,7 +130,7 @@ def _run_scenario(
 ) -> ScenarioResult:
     """Run one scenario's pipeline, containing any failure.
 
-    A :class:`StageFailure` keeps the partial stage outcomes: the stages
+    A :class:`StageFailure` keeps the partial stage statuses: the stages
     that completed (and were cached) before the failure feed the
     sweep's exactly-once accounting.  Any other error keeps only the
     planned fingerprints.
@@ -159,7 +159,7 @@ def _run_scenario(
     if run is None:
         result.fingerprints = dict(plan.fingerprints)
     else:
-        result.stage_statuses = {o.stage: o.status for o in run.outcomes}
+        result.stage_statuses = dict(run.statuses)
         result.fingerprints = dict(run.fingerprints)
     return result
 

@@ -24,10 +24,8 @@ markdown document for humans.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.report import write_json_report as _write_json_report
 from repro.sweep.executor import ScenarioResult, SweepResult
 from repro.sweep.grid import SweepGrid
 
@@ -228,13 +226,6 @@ def build_report(
         "failures": {r.scenario_id: r.error for r in sweep.failed()},
     }
     return report
-
-
-def write_json_report(report: Dict[str, object], path: Union[str, Path]) -> None:
-    """Write a sweep report through the repository's shared stable
-    writer (:func:`repro.analysis.report.write_json_report`); the
-    report already embeds its own ``schema_version``."""
-    _write_json_report(report, path)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Schema version of the :func:`summarize` payload.  v3: engine rollups
 #: lost their ``phases`` entry (the engine has one phase, its span).
-SUMMARY_SCHEMA_VERSION = 3
+#: v4: stage rollups lost their separate verify time (a hit is read
+#: once, by its load).
+SUMMARY_SCHEMA_VERSION = 4
 
 
 def trace_files(trace_dir) -> List[str]:
@@ -217,7 +219,7 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         return stages.setdefault(
             str(name),
             {"durations": [], "computed": 0, "cached": 0, "skipped": 0,
-             "artifact_bytes": 0, "verify_seconds": 0.0, "errors": 0},
+             "artifact_bytes": 0, "errors": 0},
         )
 
     for span in spans:
@@ -235,7 +237,6 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         if span.get("status") != "ok":
             entry["errors"] += 1
         entry["artifact_bytes"] += int(attrs.get("artifact_bytes") or 0)
-        entry["verify_seconds"] += float(attrs.get("verify_seconds") or 0.0)
     stage_rollup = {}
     for name, entry in stages.items():
         lookups = entry["computed"] + entry["cached"]
@@ -247,7 +248,6 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
             errors=entry["errors"],
             cache_hit_rate=round(entry["cached"] / lookups, 4) if lookups else 0.0,
             artifact_bytes=entry["artifact_bytes"],
-            verify_seconds=round(entry["verify_seconds"], 6),
         )
         stage_rollup[name] = rollup
 

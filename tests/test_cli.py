@@ -10,7 +10,7 @@ import pytest
 
 import repro
 
-from repro.cli import build_parser, main
+from repro.cli import _config_from_args, build_parser, main
 
 
 class TestParser:
@@ -21,7 +21,9 @@ class TestParser:
     def test_section3_defaults(self):
         args = build_parser().parse_args(["section3"])
         assert args.command == "section3"
-        assert args.seed == 7
+        # An absent --seed resolves to 7 when the config is built.
+        assert args.seed is None
+        assert _config_from_args(args).seed == 7
         assert not args.paper_scale
 
     def test_scale_flags_mutually_exclusive(self):
@@ -258,18 +260,25 @@ class TestPipelineOptions:
         with pytest.raises(SystemExit):
             main(["figure2", "--paper-scale", "--from-snapshot", str(tmp_path)])
 
-    def test_seed_rejected_with_from_snapshot(self, tmp_path, capsys):
-        """The snapshot on disk fixes the seed; ``--seed`` is refused, not
-        silently ignored."""
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            pytest.param(["--seed", "3"], id="seed"),
+            pytest.param(["--engine", "event"], id="engine"),
+        ],
+    )
+    def test_seed_rejected_with_from_snapshot(self, tmp_path, capsys, flag):
+        """The snapshot on disk fixes the seed and no engine runs;
+        ``--seed`` and ``--engine`` are refused, not silently ignored."""
         snap_dir = str(tmp_path / "snap")
         assert main(["snapshot", "--small", "--seed", "3", "--output", snap_dir]) == 0
         capsys.readouterr()
         for command in (["section3"], ["figure2", "--top", "2"]):
             with pytest.raises(SystemExit) as exit_info:
-                main(command + ["--from-snapshot", snap_dir, "--seed", "3"])
+                main(command + ["--from-snapshot", snap_dir] + flag)
             assert exit_info.value.code == 2
-            assert "--seed" in capsys.readouterr().err
-        # Without --seed the same snapshot runs.
+            assert flag[0] in capsys.readouterr().err
+        # Without the flag the same snapshot runs.
         assert main(["section3", "--from-snapshot", snap_dir]) == 0
 
     def test_json_reports_carry_schema_version_and_sorted_keys(self, tmp_path, capsys):

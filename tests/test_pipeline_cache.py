@@ -132,7 +132,7 @@ def changed_stages(config, changed):
 class TestInvalidation:
     def _statuses(self, cache_dir, config):
         run = run_pipeline(config, cache_dir=cache_dir, targets=ALL_ANALYSIS_TARGETS)
-        return {outcome.stage: outcome.status for outcome in run.outcomes}
+        return run.statuses
 
     def test_changed_dataset_seed_keeps_topology(self, warm_cache):
         """dataset.seed feeds irr+scenario but not the topology stage
@@ -212,7 +212,7 @@ class TestInvalidation:
         run = PipelineRunner(stages, ArtifactCache(cache_dir)).run(
             config, targets=ALL_ANALYSIS_TARGETS
         )
-        statuses = {outcome.stage: outcome.status for outcome in run.outcomes}
+        statuses = run.statuses
         # The uncached store chain recomputes from the cached scenario.
         assert run.computed_stages() == [
             "propagation_v4",
@@ -308,50 +308,65 @@ class TestCorruptionDetection:
         assert recovered.inventory.summary() == clean.value("views").inventory.summary()
 
     def test_unloadable_verified_payload_is_recomputed_under_a_span(self, warm_cache):
-        """A payload that verified during the run but is corrupted before
-        its first read is recomputed under a ``stage`` span, and the
-        stage keeps one outcome."""
+        """A payload whose sidecar hash matches but which fails to
+        unpickle is counted corrupt, recomputed under one ``stage`` span,
+        and the stage keeps one status entry."""
+        import hashlib
+
         cache_dir, config = warm_cache
         clean = run_pipeline(config, targets=("section3",)).value("section3")
+        cache = ArtifactCache(cache_dir)
+        fingerprint = make_runner().fingerprints(config)["section3"]
+        bogus = b"not a pickle"
+        cache.payload_path("section3", fingerprint).write_bytes(bogus)
+        meta_path = cache.meta_path("section3", fingerprint)
+        meta = json.loads(meta_path.read_text())
+        meta["payload_sha256"] = hashlib.sha256(bogus).hexdigest()
+        meta_path.write_text(json.dumps(meta))
+        assert cache.contains("section3", fingerprint)
         tracer = Tracer(None)
         with activated(tracer):
             run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
-            assert run.status_of("section3") == "cached"
-            path = run._runner.cache.payload_path("section3", run.fingerprints["section3"])
-            path.write_bytes(b"garbage")
-            report = run.value("section3")
-        assert report.as_dict() == clean.as_dict()
-        assert [o.stage for o in run.outcomes].count("section3") == 1
-        assert run.status_of("section3") == "computed"
+        assert run.value("section3").as_dict() == clean.as_dict()
+        assert run.statuses == {
+            "inference": "cached",
+            "views": "cached",
+            "section3": "computed",
+        }
         records = tracer.records()
-        unloadable = [
-            r for r in records if r["kind"] == "counter" and r["name"] == "cache.unloadable"
+        corrupt = [
+            r for r in records if r["kind"] == "counter" and r["name"] == "cache.corrupt"
         ]
-        assert [r["attrs"]["stage"] for r in unloadable] == ["section3"]
+        assert [r["attrs"]["stage"] for r in corrupt] == ["section3"]
         section3_spans = [
             r["attrs"]["status"]
             for r in records
             if r["kind"] == "span" and r["name"] == "stage"
             and r["attrs"]["stage"] == "section3"
         ]
-        assert section3_spans == ["cached", "computed"]
+        assert section3_spans == ["computed"]
 
 
 class CountingCache(ArtifactCache):
-    """An artifact cache that records the stages it verifies and loads."""
+    """An artifact cache that records the stages it loads and the
+    payload files it reads."""
 
     def __init__(self, root) -> None:
         super().__init__(root)
-        self.verified = []
         self.loaded = []
-
-    def verify(self, stage, fingerprint):
-        self.verified.append(stage)
-        return super().verify(stage, fingerprint)
+        self.payload_reads = Counter()
+        self.payload_bytes = 0
 
     def load(self, stage, fingerprint):
         self.loaded.append(stage)
         return super().load(stage, fingerprint)
+
+    def _read(self, key):
+        data = super()._read(key)
+        if data is not None and key.endswith(self.PAYLOAD_SUFFIX):
+            self.payload_reads[key.split("/", 1)[0]] += 1
+            self.payload_bytes += len(data)
+        return data
 
 
 def flip_payload(cache_dir, config, stage):
@@ -391,12 +406,11 @@ class TestDemandDriven:
         cache_dir, config = section3_cache
         cache = CountingCache(cache_dir)
         run = PipelineRunner(full_stages(), cache).run(config, targets=("correction",))
-        assert sorted(cache.verified) == ["correction", "inference", "views"]
+        assert sorted(cache.loaded) == ["correction", "inference", "views"]
         assert run.computed_stages() == ["correction"]
         assert run.cached_stages() == ["inference", "views"]
-        assert sorted(cache.loaded) == ["inference", "views"]
-        # Everything upstream of the two hits was neither verified nor run.
-        untouched = set(run.fingerprints) - {o.stage for o in run.outcomes}
+        # Everything upstream of the two hits was neither loaded nor run.
+        untouched = set(run.fingerprints) - set(run.statuses)
         assert untouched == set(ANALYSIS_CLOSURE[: ANALYSIS_CLOSURE.index("inference")])
 
     def test_corrupt_unread_ancestor_is_not_touched(self, section3_cache):
@@ -436,8 +450,7 @@ class TestDemandDriven:
         cold = run_pipeline(config, targets=("scenario",)).value("scenario")
         cache = CountingCache(cache_dir)
         run = PipelineRunner(full_stages(), cache).run(config, targets=("section3",))
-        assert cache.verified == ["section3"]
-        assert cache.loaded == []
+        assert cache.loaded == ["section3"]
         # Reading the report and its two inputs loads each once; the
         # provenance block needs no artifact.
         for name in ("section3", "views", "inference"):
@@ -450,6 +463,30 @@ class TestDemandDriven:
         assert run.computed_stages() == []
         assert scenario.origins == cold.origins
         assert scenario.vantage_asns == cold.vantage_asns
+
+    def test_warm_hits_read_each_payload_once(self, warm_cache):
+        """A warm ``section3`` reads its report's payload once, and a warm
+        ``correction`` with a new ``top`` reads ``views`` and
+        ``inference`` once each: a hit is verified and unpickled from
+        one read."""
+        cache_dir, config = warm_cache
+        section3 = CountingCache(cache_dir)
+        run = PipelineRunner(full_stages(), section3).run(config, targets=("section3",))
+        run.value("section3")
+        assert section3.payload_reads == {"section3": 1}
+        (fingerprint,) = section3.entries()["section3"]
+        assert section3.payload_bytes == (
+            section3.payload_path("section3", fingerprint).stat().st_size
+        )
+
+        retopped = dataclasses.replace(config, top=config.top + 1)
+        correction = CountingCache(cache_dir)
+        run = PipelineRunner(full_stages(), correction).run(
+            retopped, targets=("correction",)
+        )
+        run.value("correction")
+        assert run.computed_stages() == ["correction"]
+        assert correction.payload_reads == {"views": 1, "inference": 1}
 
     def test_skipped_uncached_stage_is_computed_on_read(self, section3_cache):
         cache_dir, config = section3_cache
