@@ -8,16 +8,19 @@ every policy configuration:
 ``event``  :class:`~repro.bgp.propagation.PropagationSimulator`, the
            event-driven simulator — the oracle ``array`` is checked
            against, and the only engine that fills Adj-RIB-In state.
-``array``  :class:`~repro.bgp.backends.arraycore.ArrayBackend`, the
-           event loop over interned int ids and flat arrays — same
-           events, same routes, far less allocation.
+``array``  :class:`~repro.bgp.backends.arraycore.ArrayBackend`, over
+           interned int ids and flat arrays: it solves each plane whose
+           Gao–Rexford stable state is unique, route class by route
+           class, and replays the event loop on any other plane.
 =========  ========================================================
 
 Contract (pinned by the cross-backend suite): for the same inputs both
-produce identical best routes, ``reachable_counts``, ``events`` and, in
-pruned mode, identical kept state.  Callers normally go through
-:class:`~repro.bgp.engine.PropagationEngine`, which builds the one the
-``engine`` name selects.  ``array`` is the default engine.
+produce identical best routes, ``reachable_counts`` and, in pruned
+mode, identical kept state.  ``events`` are identical on the planes
+``array`` replays; a plane it solves runs no events and counts 0.
+Callers normally go through :class:`~repro.bgp.engine.PropagationEngine`,
+which builds the one the ``engine`` name selects.  ``array`` is the
+default engine.
 """
 
 #: Valid values of the ``propagation.engine`` config field and ``--engine``.

@@ -1,41 +1,51 @@
-"""Array-native propagation core: the event loop over dense int ids.
+"""Array-native propagation core over dense int ids: solve or replay.
 
-A faithful port of :class:`~repro.bgp.propagation.PropagationSimulator`
-that replaces every per-event Python object with flat per-AS state:
+:class:`ArrayBackend` produces the converged state of the event engine
+(:class:`~repro.bgp.propagation.PropagationSimulator`) by one of two
+methods, chosen per address family:
+
+``solve``
+    Where the Gao–Rexford stable state is unique, it is computed by
+    route class, in the style of bgpsim's ``PathPref`` phases: customer
+    routes by a BFS up the provider edges from the origin, peer routes
+    one hop from every AS that holds a local or customer route, and
+    provider routes over a providers-first topological order, picked by
+    the packed decision key (so TE overrides are honoured).  A plane is
+    solved when no policy relaxes an export in it, it has no sibling
+    edge, no policy overrides ``RoutingPolicy.local_pref_for``, every TE
+    override sits on a provider session with a LOCAL_PREF below the
+    AS's peer value, and the provider→customer graph is acyclic.  Then
+    every class dominates the next, so no stale Adj-RIB-In entry can win
+    either: an AS whose update a loop check would reject already holds
+    a route in a better class.  A solved plane runs no events.
+``replay``
+    Any other plane replays the event loop over interned state: same
+    queue discipline, same incremental decision shortcuts, same
+    withdrawal ordering, so its ``events`` count and converged state are
+    the event engine's (TE overrides, export relaxations, siblings and
+    custom LOCAL_PREF hooks are consulted exactly when the event engine
+    consults them).  :attr:`ArrayBackend.methods` names each plane's
+    method and the first disqualifier that forced a replay.
+
+Shared representation:
 
 * ASNs are interned to dense ids ``0..n-1`` in ascending-ASN order, so
   id ordering is ASN ordering and the event engine's ASN-based
-  determinism (sorted withdrawal fan-out, sorted export plans, queue
-  admission order) carries over unchanged.
-* A route candidate is ``(packed key, path tuple, relationship code)``
-  instead of a :class:`~repro.bgp.messages.Route`; the decision key
-  ``(LOCAL_PREF, -path length, -sender ASN)`` packs into a single int
-  (monotonic for arbitrary LOCAL_PREF values), so the hot loop's route
-  comparisons are int comparisons and the inner loop allocates nothing
-  beyond the occasional path tuple on best-route change.
-* Best-route state lives in preallocated parallel lists indexed by id
-  (best sender, packed key, path, learned class), reset between
-  prefixes via a touched list.
+  determinism (lowest-ASN tie break, sorted withdrawal fan-out, sorted
+  export plans, queue admission order) carries over unchanged.
+* The decision key ``(LOCAL_PREF, -path length, -sender ASN)`` packs
+  into a single int (monotonic for arbitrary LOCAL_PREF values), so
+  route comparisons are int comparisons.
 
-Route **attributes** are never computed during propagation.  Two routes
-at the same AS are equal iff their ``(sender, AS path)`` pairs are
-equal — attributes are a pure function of the prefix and the AS path,
-by induction from the immutable origin route — so best-route *change*
-detection needs only the interned state.  Actual routes are
-materialized once per prefix at quiescence by walking each installed
-route's *stored* path from the origin outward, memoized per path
-suffix, replaying the real per-edge export/import transforms.  That
-reproduces the event engine's routes bit for bit, including the stale
-Adj-RIB-In entries it keeps when a loop check rejects an update (a
-walk along the current best senders would not).
-
-The port preserves event-loop semantics exactly — same queue
-discipline, same incremental decision shortcuts, same withdrawal
-ordering — so its ``events`` count and converged state are identical
-to the event backend on *arbitrary* policies (including TE overrides,
-export relaxations, siblings and custom LOCAL_PREF hooks, which are
-consulted per import exactly when the event engine would consult
-them).  The golden suite pins this equivalence.
+Route **attributes** are never computed during propagation: they are a
+pure function of the prefix and the AS path, by induction from the
+immutable origin route.  Routes are materialized once per prefix, only
+for the kept ASes, by replaying the real per-edge export/import
+transforms outward from the origin.  A solved plane walks the solver's
+next hops, memoized per AS; a replayed plane walks each installed
+route's *stored* path, memoized per path suffix, which reproduces the
+stale Adj-RIB-In entries the event engine keeps when a loop check
+rejects an update (a walk along the current best senders would not).
 """
 
 from __future__ import annotations
@@ -64,9 +74,10 @@ _CODE_OF_REL = {rel: code for code, rel in enumerate(_LEARNED_CLASSES)}
 
 _EMPTY_SET: frozenset = frozenset()
 
-#: best_sender sentinels.
+#: best_sender and next-hop sentinels.
 _NO_ROUTE = -1
 _LOCAL_ROUTE = -2
+
 
 
 class ArrayBackend:
@@ -95,9 +106,11 @@ class ArrayBackend:
         # uniqueness (the loop check) bounds path length by n.
         self._lenf = n + 2
         self._senf = n + 1
-        # Per-AFI interned export plans and LOCAL_PREF tables (lazy).
-        self._plans: Dict[AFI, List] = {}
-        self._lp_tables: Dict[AFI, List] = {}
+        #: Per AFI: ``("solve", None)`` or ``("replay", first
+        #: disqualifier)``, decided when the plane is first propagated.
+        self.methods: Dict[AFI, Tuple[str, Optional[str]]] = {}
+        # Per-AFI interned tables of the plane's method (lazy).
+        self._tables: Dict[AFI, tuple] = {}
         # One policy object per id; shared with the result speakers so
         # per-import policy consults see exactly what the event engine's
         # speakers would.
@@ -120,7 +133,76 @@ class ArrayBackend:
     # ------------------------------------------------------------------
     # interning
     # ------------------------------------------------------------------
-    def _build_plane(self, afi: AFI) -> None:
+    def _plane(self, afi: AFI) -> Tuple[str, tuple]:
+        """The method of one AFI's plane and the tables it runs on."""
+        if afi not in self.methods:
+            solver, reason = self._solver(afi)
+            self.methods[afi] = ("replay", reason) if solver is None else ("solve", None)
+            self._tables[afi] = solver or self._replay_tables(afi)
+        return self.methods[afi][0], self._tables[afi]
+
+    def _solver(self, afi: AFI) -> Tuple[Optional[tuple], Optional[str]]:
+        """The solver tables of a plane with a unique stable state, or
+        ``None`` and the first disqualifier found.
+
+        Per AS: its providers, its peers, and its provider sessions as
+        ``(provider, key of a zero-length path)`` (key ``None`` where a
+        TE override is consulted per prefix); and a providers-first
+        topological order.
+        """
+        id_of = self._id_of
+        n = len(self._asns)
+        ups, peers, downs, sessions = [()] * n, [()] * n, [()] * n, [()] * n
+        for x, asn in enumerate(self._asns):
+            policy = self._policy_of[x]
+            neighbors = self.graph.oriented_neighbors(asn, afi)
+            rel_of = dict(neighbors)
+            if (
+                policy.relaxed_export_neighbors.get(afi)
+                or type(policy).export_allowed is not RoutingPolicy.export_allowed
+            ):
+                return None, f"AS{asn} relaxes exports in {afi}"
+            if Relationship.SIBLING in rel_of.values():
+                return None, f"AS{asn} has a sibling edge in {afi}"
+            if type(policy).local_pref_for is not RoutingPolicy.local_pref_for:
+                return None, f"AS{asn} overrides local_pref_for"
+            for override in policy.te_overrides:
+                if (
+                    rel_of.get(override.neighbor) is not Relationship.C2P
+                    or override.local_pref >= policy.local_pref.peer
+                ):
+                    return None, (
+                        f"AS{asn} has a TE override on AS{override.neighbor} "
+                        f"that is not a provider below peer LOCAL_PREF in {afi}"
+                    )
+            ups[x], peers[x], downs[x] = (
+                tuple(id_of[nb] for nb, rel in neighbors if rel is wanted)
+                for wanted in (Relationship.C2P, Relationship.P2P, Relationship.P2C)
+            )
+            overridden = {id_of[override.neighbor] for override in policy.te_overrides}
+            lp = policy.local_pref.provider
+            sessions[x] = tuple(
+                (q, None if q in overridden else self._key(lp, 0, q)) for q in ups[x]
+            )
+        # Kahn's algorithm: every AS after all of its providers.
+        pending = [len(providers) for providers in ups]
+        order = [x for x in range(n) if not pending[x]]
+        for x in order:
+            for customer in downs[x]:
+                pending[customer] -= 1
+                if not pending[customer]:
+                    order.append(customer)
+        if len(order) < n:
+            return None, f"the provider graph of {afi} has a cycle"
+        return (ups, peers, sessions, order), None
+
+    def _key(self, local_pref: int, length: int, sender: int) -> int:
+        """The packed decision key ``(LOCAL_PREF, -length, -sender)``."""
+        return (
+            (local_pref * self._lenf) + (self._lenf - 1 - length)
+        ) * self._senf + (self._senf - 1 - sender)
+
+    def _replay_tables(self, afi: AFI) -> Tuple[List, List]:
         """Intern export plans and import LOCAL_PREF tables for one AFI.
 
         Mirrors ``PropagationSimulator._build_export_plans`` (policy
@@ -161,13 +243,7 @@ class ArrayBackend:
                     scheme.for_relationship(Relationship.P2P),
                     scheme.for_relationship(Relationship.SIBLING),
                 )
-        self._plans[afi] = plans
-        self._lp_tables[afi] = lp_tables
-
-    def _plane(self, afi: AFI):
-        if afi not in self._plans:
-            self._build_plane(afi)
-        return self._plans[afi], self._lp_tables[afi]
+        return plans, lp_tables
 
     # ------------------------------------------------------------------
     # running
@@ -197,6 +273,14 @@ class ArrayBackend:
                     f"but originates {prefix}"
                 )
             origin = id_of[origin_asn]
+            method, tables = self._plane(prefix.afi)
+            if method == "solve":
+                hop = self._solve_prefix(prefix, origin, tables)
+                reachable_counts[prefix] = len(hop) - hop.count(_NO_ROUTE)
+                targets = range(len(hop)) if keep_ids is None else keep_ids
+                routed = [i for i in targets if hop[i] != _NO_ROUTE]
+                self._install_solved(speakers, prefix, origin, hop, routed)
+                continue
             events, touched = self._propagate_prefix(prefix, origin)
             total_events += events
             routed = [i for i in touched if best_sender[i] != _NO_ROUTE]
@@ -219,25 +303,19 @@ class ArrayBackend:
         origin: int,
         targets: List[int],
     ) -> None:
-        """Materialize and install the converged routes of one prefix.
+        """Materialize and install a replayed prefix's converged routes.
 
         Each target's route is rebuilt from the AS path it *stored*, not
         from its best sender's current route, which differs where a
         loop check left a stale Adj-RIB-In entry.  A route is a pure
         function of the prefix and its full path (holder first), so the
         walk starts at the longest already-built suffix of the path and
-        replays the real transforms outward
-        (:meth:`BGPSpeaker.exported_attributes` at the sender, then
-        :meth:`BGPSpeaker.imported` at the receiver), memoizing every suffix.
-
-        Raises :class:`ConvergenceError` naming the prefix and the hop
-        when a stored path crosses a pair with no known relationship in
-        the plane, or does not end at the origin.
+        carries the route outward (:meth:`_carry`), memoizing every
+        suffix.  Raises :class:`ConvergenceError` naming the prefix when
+        a stored path does not end at the origin.
         """
         asns = self._asns
         best_path = self._best_path
-        afi = prefix.afi
-        relationship = self.graph.relationship
         routes: Dict[Tuple[int, ...], Route] = {
             (origin,): Route.originate(prefix, asns[origin])
         }
@@ -254,27 +332,79 @@ class ArrayBackend:
                     break
             else:
                 raise ConvergenceError(
-                    f"stored AS path of AS{asns[i]} for {prefix} does not "
+                    f"AS path of AS{asns[i]} for {prefix} does not "
                     f"end at origin AS{asns[origin]}"
                 )
             for hop in range(start - 1, -1, -1):
-                receiver = asns[path[hop]]
-                sender = asns[path[hop + 1]]
-                rel = relationship(receiver, sender, afi)
-                if not rel.is_known:
-                    raise ConvergenceError(
-                        f"stored AS path of AS{asns[i]} for {prefix} crosses "
-                        f"AS{receiver} -> AS{sender}, which have no known "
-                        f"relationship in {afi}"
-                    )
-                route = speakers[receiver].imported(
-                    prefix,
-                    sender,
-                    rel,
-                    speakers[sender].exported_attributes(route),
+                route = routes[path[hop:]] = self._carry(
+                    speakers, prefix, route, path[hop], path[hop + 1], asns[i]
                 )
-                routes[path[hop:]] = route
             speakers[asns[i]].loc_rib._routes[prefix] = route
+
+    def _install_solved(
+        self,
+        speakers: Dict[int, BGPSpeaker],
+        prefix: Prefix,
+        origin: int,
+        hop: List[int],
+        targets: List[int],
+    ) -> None:
+        """Materialize and install a solved prefix's routes at ``targets``.
+
+        A solved route is its next hop's route carried over one edge, so
+        each target's walk follows ``hop`` to the first AS whose route is
+        built, then carries it outward, memoizing every AS it passes.
+        Raises :class:`ConvergenceError` when the next hops do not lead
+        to the origin.
+        """
+        asns = self._asns
+        routes: Dict[int, Route] = {origin: Route.originate(prefix, asns[origin])}
+        for i in targets:
+            if i == origin:
+                speakers[asns[i]].originate(prefix)
+                continue
+            chain = []
+            j = i
+            while j not in routes:
+                chain.append(j)
+                j = hop[j]
+                if j < 0 or len(chain) > len(hop):
+                    raise ConvergenceError(
+                        f"AS path of AS{asns[i]} for {prefix} does not "
+                        f"end at origin AS{asns[origin]}"
+                    )
+            route = routes[j]
+            for receiver in reversed(chain):
+                route = routes[receiver] = self._carry(
+                    speakers, prefix, route, receiver, j, asns[i]
+                )
+                j = receiver
+            speakers[asns[i]].loc_rib._routes[prefix] = route
+
+    def _carry(
+        self,
+        speakers: Dict[int, BGPSpeaker],
+        prefix: Prefix,
+        route: Route,
+        receiver: int,
+        sender: int,
+        holder: int,
+    ) -> Route:
+        """``route``, held by id ``sender``, as id ``receiver`` imports it:
+        :meth:`BGPSpeaker.exported_attributes` at the sender, then
+        :meth:`BGPSpeaker.imported` at the receiver.  Raises
+        :class:`ConvergenceError` naming the prefix and the hop when the
+        two have no known relationship in the plane."""
+        receiver, sender = self._asns[receiver], self._asns[sender]
+        rel = self.graph.relationship(receiver, sender, prefix.afi)
+        if not rel.is_known:
+            raise ConvergenceError(
+                f"AS path of AS{holder} for {prefix} crosses AS{receiver} -> "
+                f"AS{sender}, which have no known relationship in {prefix.afi}"
+            )
+        return speakers[receiver].imported(
+            prefix, sender, rel, speakers[sender].exported_attributes(route)
+        )
 
     def _reset(self, touched: List[int]) -> None:
         cand = self._cand
@@ -296,7 +426,66 @@ class ArrayBackend:
             dirty[i] = 0
 
     # ------------------------------------------------------------------
-    # the hot loop
+    # solve: the unique stable state, one route class at a time
+    # ------------------------------------------------------------------
+    def _solve_prefix(self, prefix: Prefix, origin: int, solver: tuple) -> List[int]:
+        """Each AS's next hop towards ``prefix`` (``_NO_ROUTE`` where it
+        has no route, ``_LOCAL_ROUTE`` at the origin), one route class
+        at a time: each class beats the next, and depends only on the
+        better classes."""
+        ups, peers, sessions, order = solver
+        hop = [_NO_ROUTE] * len(ups)
+        length = [0] * len(ups)
+        hop[origin] = _LOCAL_ROUTE
+        length[origin] = 1
+        # Customer routes: a BFS up the provider edges, one path length
+        # per level.  Visiting a level in id order lets the lowest
+        # sender win a tie, and leaves `exporters` in (length, id) order.
+        exporters = [origin]
+        level = [origin]
+        while level:
+            reached = []
+            for c in level:
+                for q in ups[c]:
+                    if hop[q] == _NO_ROUTE:
+                        hop[q] = c
+                        length[q] = length[c] + 1
+                        reached.append(q)
+            level = sorted(reached)
+            exporters.extend(level)
+        # Peer routes: one hop from every AS holding a local or customer
+        # route; in (length, id) order the first offer is the best.
+        for p in exporters:
+            for x in peers[p]:
+                if hop[x] == _NO_ROUTE:
+                    hop[x] = p
+                    length[x] = length[p] + 1
+        # Provider routes, providers first, by the packed key with each
+        # session's LOCAL_PREF: the key of a zero-length path, less the
+        # path length (TE overrides consulted per prefix).
+        senf = self._senf
+        for x in order:
+            if hop[x] != _NO_ROUTE:
+                continue
+            sender = _NO_ROUTE
+            for q, key in sessions[x]:
+                if hop[q] == _NO_ROUTE:
+                    continue
+                if key is None:
+                    lp = self._policy_of[x].local_pref_for(
+                        self._asns[q], Relationship.C2P, prefix
+                    )[0]
+                    key = self._key(lp, 0, q)
+                key -= length[q] * senf
+                if sender == _NO_ROUTE or key > best:
+                    sender, best = q, key
+            if sender != _NO_ROUTE:
+                hop[x] = sender
+                length[x] = length[sender] + 1
+        return hop
+
+    # ------------------------------------------------------------------
+    # replay: the event loop over interned state
     # ------------------------------------------------------------------
     def _propagate_prefix(self, prefix: Prefix, origin: int) -> Tuple[int, List[int]]:
         """Event-faithful propagation of one prefix over interned state.
@@ -306,7 +495,7 @@ class ArrayBackend:
         shortcuts of ``BGPSpeaker.import_route``/``withdraw``) — the
         golden suite asserts identical event counts and routes.
         """
-        plans, lp_tables = self._plane(prefix.afi)
+        plans, lp_tables = self._tables[prefix.afi]
         asns = self._asns
         cand = self._cand
         best_sender = self._best_sender

@@ -2,16 +2,19 @@
 
 :class:`PropagationEngine` makes the two engines of
 :mod:`repro.bgp.backends` a configuration choice: ``engine`` selects
-``array`` (the default: :class:`~repro.bgp.backends.arraycore.ArrayBackend`,
-the event loop over interned arrays) or ``event``
-(:class:`~repro.bgp.propagation.PropagationSimulator`, the simulator
-``array`` is checked against).  Both are valid for every policy
-configuration, so the engine named is the backend that runs.
+``array`` (the default: :class:`~repro.bgp.backends.arraycore.ArrayBackend`)
+or ``event`` (:class:`~repro.bgp.propagation.PropagationSimulator`, the
+simulator ``array`` is checked against).  Both are valid for every
+policy configuration, so the engine named is the backend that runs.
 
 Every run is serial and in-process: the whole origin set propagates on
 one fresh backend instance.  With ``engine="event"`` a run is exactly
-:meth:`repro.bgp.propagation.PropagationSimulator.run`; the default
-``array`` gives the same events and routes.
+:meth:`repro.bgp.propagation.PropagationSimulator.run`.  The default
+``array`` gives the same routes and ``reachable_counts``; it solves each
+plane whose stable state is unique and replays the event loop, with the
+event engine's ``events``, on any other plane, so its ``events`` count
+only the replayed planes.  The ``propagation`` span records which
+method ran and why.
 """
 
 from __future__ import annotations
@@ -75,9 +78,12 @@ class PropagationEngine:
         """Propagate ``origins`` on a fresh instance of the configured backend.
 
         With ``engine="event"`` this is identical to
-        ``PropagationSimulator.run``.
+        ``PropagationSimulator.run``.  The ``propagation`` span gets
+        ``method`` (``solve`` when every plane was solved, else
+        ``replay``) and ``method_reason`` (the first disqualifier that
+        forced a replay, ``None`` when solved).
         """
-        backend = PropagationSimulator if self.engine == "event" else ArrayBackend
+        backend_cls = PropagationSimulator if self.engine == "event" else ArrayBackend
         tracer = get_tracer()
         with tracer.span(
             "propagation",
@@ -85,11 +91,24 @@ class PropagationEngine:
             engine=self.engine,
             prefixes=len(origins),
         ) as span:
-            result = backend(
+            backend = backend_cls(
                 self.graph,
                 self.policies,
                 max_events_per_prefix=self.max_events_per_prefix,
                 keep_ribs_for=self.keep_ribs_for,
-            ).run(origins)
-            span.annotate(events=result.events)
+            )
+            result = backend.run(origins)
+            if self.engine == "event":
+                reasons = ["engine event"]
+            else:
+                reasons = [
+                    reason
+                    for method, reason in backend.methods.values()
+                    if method == "replay"
+                ]
+            span.annotate(
+                events=result.events,
+                method="replay" if reasons else "solve",
+                method_reason=reasons[0] if reasons else None,
+            )
             return result

@@ -11,7 +11,8 @@ downstream consumers read the same shape:
 * ``reachable_counts`` — per-prefix reachability, available even when
   RIBs were pruned to the vantage points, and
 * ``events`` — the number of best-route changes processed (the same
-  count on both backends).
+  count on both backends for a plane ``array`` replays; 0 for a plane
+  it solves).
 
 This module also hosts :class:`ConvergenceError` and the
 :func:`originate_one_prefix_per_as` convenience so backends do not have

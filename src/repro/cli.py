@@ -55,7 +55,9 @@ stable.
 or ``event``, the oracle it is checked against; see
 :mod:`repro.bgp.backends`); any other name is refused.  Both engines
 produce bit-identical reports — CI diffs the ``--json`` output across
-engines — so the flag only trades build time, never results.  The
+engines — so the flag only trades build time, never results (``array``
+solves the planes whose stable state is unique and replays the event
+loop on the rest; a trace's ``propagation`` spans say which).  The
 engine participates in the propagation stage fingerprint, so switching
 it on a shared ``--cache-dir`` recomputes propagation instead of
 reusing a stale artifact.  ``section3 --json`` reports carry a
@@ -156,7 +158,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         choices=ENGINE_CHOICES,
         help=f"propagation backend (default: {DEFAULT_ENGINE}; 'event' is the "
         "reference simulator it is checked against). Both engines produce "
-        "identical results",
+        "identical routes and reports; 'array' solves each plane whose "
+        "stable state is unique and replays the event loop on the others",
     )
 
 
@@ -496,7 +499,10 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
                 f"(hit rate {entry['cache_hit_rate']:.0%})"
             )
     if summary["engines"]:
-        width = max(len(name) for name in summary["engines"])
+        width = max(
+            max(len(name), *(len(method) + 2 for method in entry["methods"]))
+            for name, entry in summary["engines"].items()
+        )
         print("  engines:")
         for name in sorted(summary["engines"]):
             entry = summary["engines"][name]
@@ -505,6 +511,13 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
                 f"total {entry['total_seconds']:8.3f}s  "
                 f"events {entry['events']}"
             )
+            for method in sorted(entry["methods"]):
+                split = entry["methods"][method]
+                print(
+                    f"      {method:<{width - 2}} x{split['count']:<3} "
+                    f"total {split['total_seconds']:8.3f}s  "
+                    f"events {split['events']}"
+                )
     if summary["counters"]:
         width = max(len(name) for name in summary["counters"])
         print("  counters:")

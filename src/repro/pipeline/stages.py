@@ -76,7 +76,8 @@ class PropagationConfig:
         engine: Propagation backend (see :mod:`repro.bgp.backends`):
             ``array`` (default) or ``event``; any other name raises
             :class:`ValueError`.  Both engines are pinned to produce
-            identical routes and event counts (the parity suite), so
+            identical routes (the parity suite; event counts differ only
+            on the planes ``array`` solves, where it runs none), so
             changing it changes wall time and — deliberately — the
             stage fingerprints: a changed engine is a cache miss, and
             the freshly computed result is still identical.

@@ -18,8 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: Schema version of the :func:`summarize` payload.  v3: engine rollups
 #: lost their ``phases`` entry (the engine has one phase, its span).
 #: v4: stage rollups lost their separate verify time (a hit is read
-#: once, by its load).
-SUMMARY_SCHEMA_VERSION = 4
+#: once, by its load).  v5: engine rollups split by method (``solve``
+#: or ``replay``) under ``methods``.
+SUMMARY_SCHEMA_VERSION = 5
 
 
 def trace_files(trace_dir) -> List[str]:
@@ -121,8 +122,8 @@ def render_tree(records: Sequence[dict], max_attrs: int = 4) -> List[str]:
     roots, orphans = build_tree(records)
     lines: List[str] = []
 
-    preferred = ("stage", "backend", "status", "scenario", "engine",
-                 "events", "targets")
+    preferred = ("stage", "backend", "status", "scenario", "method",
+                 "method_reason", "events", "engine", "targets")
 
     def describe(node: dict) -> str:
         attrs = node.get("attrs") or {}
@@ -200,13 +201,22 @@ def root_accounting(records: Sequence[dict]) -> Tuple[float, float]:
     return round(root_seconds, 6), round(unattributed, 6)
 
 
+def _engine_rollup(spans: List[dict]) -> dict:
+    """Count, timings, events and prefixes of some ``propagation`` spans."""
+    rollup = _duration_rollup([float(span.get("seconds", 0.0)) for span in spans])
+    for key in ("events", "prefixes"):
+        rollup[key] = sum(int((span.get("attrs") or {}).get(key) or 0) for span in spans)
+    return rollup
+
+
 def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
     """The ``repro trace summary`` payload: rollups over one trace dir.
 
     Per-stage rollups (count, total, p50/p95, computed vs cached and
     the cache hit rate, artifact bytes, and how often a run skipped the
     stage because a descendant hit the cache), per-engine rollups (count,
-    timings, events, prefixes), aggregated counters, tree health (roots /
+    timings, events, prefixes, and the same split by the ``method`` each
+    ``propagation`` span ran), aggregated counters, tree health (roots /
     orphans), and the root wall time with the part of it outside every
     stage (:func:`root_accounting`).
     """
@@ -251,23 +261,21 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         )
         stage_rollup[name] = rollup
 
-    engines: Dict[str, dict] = {}
+    engines: Dict[str, List[dict]] = {}
     for span in spans:
-        attrs = span.get("attrs") or {}
         if span.get("name") == "propagation":
-            backend = str(attrs.get("backend", "unknown"))
-            entry = engines.setdefault(
-                backend,
-                {"durations": [], "events": 0, "prefixes": 0},
-            )
-            entry["durations"].append(float(span.get("seconds", 0.0)))
-            entry["events"] += int(attrs.get("events") or 0)
-            entry["prefixes"] += int(attrs.get("prefixes") or 0)
+            backend = str((span.get("attrs") or {}).get("backend", "unknown"))
+            engines.setdefault(backend, []).append(span)
     engine_rollup = {}
-    for backend, entry in engines.items():
-        rollup = _duration_rollup(entry["durations"])
-        rollup.update(events=entry["events"], prefixes=entry["prefixes"])
-        engine_rollup[backend] = rollup
+    for backend, runs in engines.items():
+        by_method: Dict[str, List[dict]] = {}
+        for span in runs:
+            method = str((span.get("attrs") or {}).get("method", "unknown"))
+            by_method.setdefault(method, []).append(span)
+        engine_rollup[backend] = _engine_rollup(runs)
+        engine_rollup[backend]["methods"] = {
+            method: _engine_rollup(grouped) for method, grouped in by_method.items()
+        }
 
     counters: Dict[str, float] = {}
     for record in counters_of(records):

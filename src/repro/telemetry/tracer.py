@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
@@ -37,7 +36,9 @@ TRACE_FILENAME = "trace.jsonl"
 
 
 def _new_id() -> str:
-    return uuid.uuid4().hex[:16]
+    """16 random hex digits (``uuid`` would cost every CLI start its
+    import, and ``platform``'s)."""
+    return os.urandom(8).hex()
 
 
 class _SpanHandle:

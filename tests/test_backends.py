@@ -2,14 +2,16 @@
 
 The event simulator is the oracle: whatever policies are configured, its
 converged state is correct by construction (it is itself pinned against
-the frozen seed implementation in ``test_propagation_golden``, and
-against hand-derived paths in ``test_asrel_tree_oracle``).  ``array``
-replays the same event loop over interned ids and must be
-indistinguishable from it — same event counts, same routes, attribute
-for attribute, on *arbitrary* policies (the rich golden mix: TE
-overrides, relaxations, taggers, strips; leaks that leave stale
-Adj-RIB-In entries behind).  ``engine=`` accepts exactly these two
-names and refuses any other.
+the frozen seed implementation in ``test_propagation_golden``, against
+hand-derived paths in ``test_asrel_tree_oracle`` and against the
+synchronous best response in ``test_best_response_oracle``).  ``array``
+must be indistinguishable from it — same routes, attribute for
+attribute, on *arbitrary* policies (the rich golden mix: TE overrides,
+relaxations, taggers, strips; leaks that leave stale Adj-RIB-In entries
+behind).  A plane ``array`` solves runs no events; a plane it replays
+(every disqualifier of the solver is covered by ``TestSolveGuard``)
+has the event engine's event count too.  ``engine=`` accepts exactly
+these two names and refuses any other.
 
 A hypothesis harness drives the same assertions over random synthetic
 topologies and random origin subsets, so the equivalence does not
@@ -18,6 +20,7 @@ silently narrow to the golden seeds.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -28,7 +31,11 @@ from repro.core.relationships import AFI, Relationship
 from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
 from repro.bgp.backends.arraycore import ArrayBackend
 from repro.bgp.engine import PropagationEngine
-from repro.bgp.policy import LocalPrefScheme, RoutingPolicy
+from repro.bgp.policy import (
+    LocalPrefScheme,
+    RoutingPolicy,
+    TrafficEngineeringOverride,
+)
 from repro.bgp.prefixes import PrefixAllocator
 from repro.bgp.propagation import PropagationSimulator, originate_one_prefix_per_as
 from repro.bgp.results import ConvergenceError
@@ -69,6 +76,24 @@ def _vanilla_policies(graph, seed: int):
             strip_communities_on_export=(index + seed) % 7 == 0,
         )
     return policies
+
+
+class _ConsultedPolicy(RoutingPolicy):
+    """The base LOCAL_PREF through an overriding hook: same routes, but
+    ``array`` must replay the plane."""
+
+    def local_pref_for(self, neighbor, relationship, prefix):
+        return super().local_pref_for(neighbor, relationship, prefix)
+
+
+def _replayed(policies):
+    """Copies of ``policies`` that ``array`` replays instead of solving."""
+    return {
+        asn: _ConsultedPolicy(
+            **{f.name: getattr(policy, f.name) for f in dataclasses.fields(policy)}
+        )
+        for asn, policy in policies.items()
+    }
 
 
 def _leaky_policies(graph, seed: int):
@@ -125,12 +150,20 @@ class TestArrayBackendEquivalence:
     @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
     @pytest.mark.parametrize("afi", (AFI.IPV4, AFI.IPV6))
     def test_rich_policies_bit_identical_to_event(self, seed, afi):
+        """The rich mix's IPv4 plane (a provider TE override) is solved;
+        its IPv6 plane (an export relaxation) is replayed."""
         graph = _golden_topology(seed).graph
         policies = _rich_policies(graph, seed)
         origins = originate_one_prefix_per_as(graph, afi)
         event = PropagationSimulator(graph, policies).run(origins)
-        array = ArrayBackend(graph, policies).run(origins)
-        assert array.events == event.events
+        backend = ArrayBackend(graph, policies)
+        array = backend.run(origins)
+        if afi is AFI.IPV4:
+            assert backend.methods[afi] == ("solve", None)
+            assert array.events == 0
+        else:
+            assert backend.methods[afi][0] == "replay"
+            assert array.events == event.events
         _assert_same_converged_state(graph, event, array, origins)
 
     def test_pruned_mode_matches_event(self):
@@ -139,8 +172,10 @@ class TestArrayBackendEquivalence:
         keep = graph.ases[:4]
         origins = originate_one_prefix_per_as(graph, AFI.IPV4)
         event = PropagationSimulator(graph, policies, keep_ribs_for=keep).run(origins)
-        array = ArrayBackend(graph, policies, keep_ribs_for=keep).run(origins)
-        assert array.events == event.events
+        backend = ArrayBackend(graph, policies, keep_ribs_for=keep)
+        array = backend.run(origins)
+        assert backend.methods[AFI.IPV4] == ("solve", None)
+        assert array.events == 0
         assert array.reachable_counts == event.reachable_counts
         for asn in keep:
             assert array.snapshot(asn).best_routes == event.snapshot(asn).best_routes
@@ -165,7 +200,8 @@ class TestEngineSelection:
         oracle = PropagationSimulator(graph, policies).run(origins)
         for name in ENGINE_CHOICES:
             result = PropagationEngine(graph, policies, engine=name).run(origins)
-            assert result.events == oracle.events, name
+            # `array` solves this IPv4 plane: it runs no events.
+            assert result.events == (oracle.events if name == "event" else 0), name
             _assert_same_converged_state(graph, oracle, result, origins)
 
     def test_engine_names_import_no_backend(self):
@@ -192,20 +228,25 @@ class TestEngineSelection:
         origins = originate_one_prefix_per_as(graph, AFI.IPV4)
         event = PropagationEngine(graph, policies, engine="event").run(origins)
         array = PropagationEngine(graph, policies, engine="array").run(origins)
-        assert array.events == event.events
+        assert array.events == 0  # a solved plane
         _assert_same_converged_state(graph, event, array, origins)
 
 
 class TestChainWalk:
     """The converged-route materializer refuses inconsistent paths."""
 
-    @pytest.mark.parametrize("backend_cls", (ArrayBackend,))
-    def test_chain_through_an_unrouted_as_raises(self, backend_cls, monkeypatch):
+    @pytest.mark.parametrize("method", ("solve", "replay"))
+    def test_chain_through_an_unrouted_as_raises(self, method, monkeypatch):
         """Inconsistent converged state fails loudly, naming the culprit:
-        a stored path that crosses a pair with no relationship in the
-        plane names the prefix and that hop."""
+        a path that crosses a pair with no relationship in the plane
+        names the prefix and that hop.  A solved plane's bad hop is
+        planted in the solver's next hops, a replayed plane's in its
+        stored paths."""
         graph = _golden_topology(2011).graph
-        backend = backend_cls(graph, _vanilla_policies(graph, 2011))
+        policies = _vanilla_policies(graph, 2011)
+        backend = ArrayBackend(
+            graph, policies if method == "solve" else _replayed(policies)
+        )
         origin = graph.ases[0]
         ids = {asn: i for i, asn in enumerate(graph.ases)}
         prefix = PrefixAllocator().prefix(origin, AFI.IPV4)
@@ -215,17 +256,119 @@ class TestChainWalk:
             if asn != origin and not graph.relationship(asn, origin, AFI.IPV4).is_known
         )
 
-        def plant(*_args):
+        def plant_hops(*_args):
+            hop = [-1] * len(graph.ases)
+            hop[ids[origin]] = -2
+            hop[ids[stranger]] = ids[origin]
+            return hop
+
+        def plant_paths(*_args):
             backend._best_sender[ids[origin]] = -2
             backend._best_path[ids[origin]] = (ids[origin],)
             backend._best_sender[ids[stranger]] = ids[origin]
             backend._best_path[ids[stranger]] = (ids[origin],)
             return 0, [ids[origin], ids[stranger]]
 
-        monkeypatch.setattr(backend, "_propagate_prefix", plant)
+        monkeypatch.setattr(backend, "_solve_prefix", plant_hops)
+        monkeypatch.setattr(backend, "_propagate_prefix", plant_paths)
         match = f"{prefix} crosses AS{stranger} -> AS{origin}, "
         with pytest.raises(ConvergenceError, match=match):
             backend.run({prefix: origin})
+        assert backend.methods[AFI.IPV4][0] == method
+
+
+class TestSolveGuard:
+    """``array`` solves a plane only where its stable state is unique.
+
+    Each disqualifier forces a replay, which has the event engine's
+    routes and events; the reason names the first disqualifier.
+    """
+
+    @staticmethod
+    def _assert_replayed(graph, policies, afi, reason):
+        origins = originate_one_prefix_per_as(graph, afi)
+        event = PropagationSimulator(graph, policies).run(origins)
+        backend = ArrayBackend(graph, policies)
+        array = backend.run(origins)
+        method, why = backend.methods[afi]
+        assert method == "replay"
+        assert reason in why
+        assert array.events == event.events
+        _assert_same_converged_state(graph, event, array, origins)
+
+    @staticmethod
+    def _override(graph, policies, relationship, local_pref):
+        """A TE override on the first AS with a ``relationship`` session."""
+        asn, neighbor = next(
+            (asn, neighbor)
+            for asn in graph.ases
+            for neighbor, rel in graph.oriented_neighbors(asn, AFI.IPV4)
+            if rel is relationship
+        )
+        policies[asn].te_overrides.append(
+            TrafficEngineeringOverride(
+                neighbor=neighbor,
+                local_pref=local_pref(policies[asn].local_pref),
+            )
+        )
+        return asn
+
+    def test_ipv6_relaxed_adjacency(self):
+        graph = _golden_topology(2010).graph
+        policies = _rich_policies(graph, 2010)
+        self._assert_replayed(graph, policies, AFI.IPV6, "relaxes exports in IPv6")
+
+    def test_sibling_edge(self):
+        graph = _golden_topology(2011).graph.copy()
+        link = next(
+            link
+            for link in graph.links(AFI.IPV4)
+            if graph.relationship(link.a, link.b, AFI.IPV4) is Relationship.P2P
+        )
+        graph.set_relationship(link.a, link.b, AFI.IPV4, Relationship.SIBLING)
+        policies = _vanilla_policies(graph, 2011)
+        self._assert_replayed(graph, policies, AFI.IPV4, "sibling edge in IPv4")
+
+    def test_local_pref_hook(self):
+        graph = _golden_topology(2012).graph
+        policies = _replayed(_vanilla_policies(graph, 2012))
+        self._assert_replayed(graph, policies, AFI.IPV4, "overrides local_pref_for")
+
+    @pytest.mark.parametrize(
+        "relationship", (Relationship.P2P, Relationship.P2C), ids=("peer", "customer")
+    )
+    def test_override_off_a_provider_session(self, relationship):
+        graph = _golden_topology(2010).graph
+        policies = _vanilla_policies(graph, 2010)
+        asn = self._override(
+            graph, policies, relationship, lambda scheme: scheme.provider - 20
+        )
+        self._assert_replayed(graph, policies, AFI.IPV4, f"AS{asn} has a TE override")
+
+    @pytest.mark.parametrize("bump", (0, 50), ids=("equal", "above"))
+    def test_provider_override_not_below_peer(self, bump):
+        graph = _golden_topology(2011).graph
+        policies = _vanilla_policies(graph, 2011)
+        asn = self._override(
+            graph, policies, Relationship.C2P, lambda scheme: scheme.peer + bump
+        )
+        self._assert_replayed(graph, policies, AFI.IPV4, f"AS{asn} has a TE override")
+
+    def test_provider_cycle(self):
+        """A tier-1 AS buying transit from a customer's customer."""
+        graph = _golden_topology(2012).graph.copy()
+        top, middle, bottom = next(
+            (top, middle, bottom)
+            for top in graph.ases
+            for middle in graph.customers_of(top, AFI.IPV4)
+            for bottom in graph.customers_of(middle, AFI.IPV4)
+            if not graph.has_link(top, bottom)
+        )
+        graph.add_link(bottom, top, rel_v4=Relationship.P2C)
+        policies = _vanilla_policies(graph, 2012)
+        self._assert_replayed(
+            graph, policies, AFI.IPV4, "provider graph of IPv4 has a cycle"
+        )
 
 
 class TestStaleAdjRibInEntries:
@@ -326,8 +469,11 @@ class TestStaleAdjRibInEntries:
 def random_scenario(draw, rich=False):
     """A small random topology, policies and an origin subset.
 
-    Policies are vanilla Gao-Rexford.  With ``rich`` the draw may
-    instead pick :func:`_leaky_policies` over a densely peered
+    Policies are vanilla Gao-Rexford, plus TE overrides on up to four
+    provider sessions of the drawn plane with a LOCAL_PREF below the
+    AS's peer value (for one chosen prefix or for all), so ``array``
+    solves the plane through per-session LOCAL_PREFs.  With ``rich`` the
+    draw may instead pick :func:`_leaky_policies` over a densely peered
     topology, which can leave stale Adj-RIB-In entries behind.  Such a
     draw propagates every IPv6 prefix: the leaks are IPv6-only, and a
     stale entry sits on a single prefix of the plane.
@@ -363,6 +509,16 @@ def random_scenario(draw, rich=False):
         )
     )
     origins = {prefix: full[prefix] for prefix in chosen}
+    customers = [asn for asn in graph.ases if graph.providers_of(asn, afi)]
+    for asn in draw(st.lists(st.sampled_from(customers), max_size=4, unique=True)):
+        scheme = policies[asn].local_pref
+        policies[asn].te_overrides.append(
+            TrafficEngineeringOverride(
+                neighbor=draw(st.sampled_from(graph.providers_of(asn, afi))),
+                local_pref=draw(st.integers(min_value=1, max_value=scheme.peer - 1)),
+                prefixes=draw(st.sampled_from(((), (chosen[0],)))),
+            )
+        )
     return graph, policies, origins
 
 
@@ -370,10 +526,18 @@ class TestPropertyBasedCrossValidation:
     @settings(max_examples=50, deadline=None)
     @given(scenario=random_scenario(rich=True))
     def test_array_matches_event_on_random_scenarios(self, scenario):
+        """Vanilla draws are solved (no events) unless the provider
+        graph has a cycle; leaky draws are replayed with the event
+        engine's events."""
         graph, policies, origins = scenario
+        (afi,) = {prefix.afi for prefix in origins}
         event = PropagationSimulator(graph, policies).run(origins)
-        array = ArrayBackend(graph, policies).run(origins)
-        assert array.events == event.events
+        backend = ArrayBackend(graph, policies)
+        array = backend.run(origins)
+        method, reason = backend.methods[afi]
+        if not any(policy.relaxed_export_neighbors[afi] for policy in policies.values()):
+            assert method == "solve" or reason.endswith("has a cycle"), reason
+        assert array.events == (0 if method == "solve" else event.events)
         assert array.reachable_counts == event.reachable_counts
         for asn in graph.ases:
             for prefix in origins:

@@ -589,6 +589,12 @@ def test_cli_import_loads_no_storage_backends():
     assert _loaded("import repro.cli", ABSENT_MODULES)[1] == "[]"
 
 
+def test_cli_import_loads_no_uuid_or_platform():
+    """Span ids come from ``os.urandom``: ``uuid``, and ``platform``
+    through it, cost every command's start a few milliseconds."""
+    assert _loaded("import repro.cli", ("uuid", "platform"))[1] == "[]"
+
+
 def test_cli_import_loads_no_compute_modules():
     """Package roots re-export nothing heavy and the CLI imports the
     compute side inside the handlers that run it."""

@@ -247,6 +247,27 @@ class TestPipelineTrace:
         assert render_tree(read_trace(trace_dir))  # renders without error
 
 
+    def test_propagation_spans_name_the_method(self, tmp_path):
+        """``array`` solves the IPv4 plane and replays the relaxed IPv6
+        plane; each span names its method and why, and the summary
+        splits the engine rollup by method."""
+        with tracing(tmp_path):
+            run_pipeline(tiny_base(), targets=("propagation_v4", "propagation_v6"))
+        records = read_trace(tmp_path)
+        stage_of = {s["span_id"]: s["attrs"]["stage"] for s in spans_named(records, "stage")}
+        methods = {
+            stage_of[s["parent_id"]]: (s["attrs"]["method"], s["attrs"]["method_reason"])
+            for s in spans_named(records, "propagation")
+        }
+        assert methods["propagation_v4"] == ("solve", None)
+        assert methods["propagation_v6"][0] == "replay"
+        assert methods["propagation_v6"][1]
+        array = summarize(records)["engines"]["array"]
+        assert array["methods"]["solve"]["events"] == 0
+        assert array["methods"]["replay"]["events"] == array["events"] > 0
+        assert array["methods"]["solve"]["count"] + array["methods"]["replay"]["count"] == 2
+
+
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------
@@ -366,6 +387,6 @@ class TestRootAccounting:
         assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["root_seconds"], payload["unattributed_seconds"]) == (2.0, 1.0)
-        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 4
+        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 5
         assert "retries" not in payload
         assert "dead_letters" not in payload
