@@ -122,8 +122,19 @@ class ASPath:
             raise ValueError("AS numbers in a path must be non-negative")
         # The existing hops are already validated; bypassing __init__
         # avoids re-validating the whole path on every export event.
-        path = ASPath.__new__(ASPath)
-        path._hops = (asn,) * times + self._hops
+        return ASPath.trusted((asn,) * times + self._hops)
+
+    @classmethod
+    def trusted(cls, hops: Tuple[int, ...]) -> "ASPath":
+        """A path over ``hops`` whose validity the caller guarantees.
+
+        ``hops`` must be a non-empty tuple of non-negative ints, such as
+        the hops of an existing path with validated ASNs prepended;
+        propagation and archiving build every path this way, so
+        re-validating in ``__init__`` would redo that work per route.
+        """
+        path = cls.__new__(cls)
+        path._hops = hops
         return path
 
     def contains(self, asn: int) -> bool:
@@ -164,6 +175,26 @@ class ASPath:
         return cls(cleaned)
 
 
+def merge_communities(
+    communities: Tuple[Community, ...], added: Iterable[Community]
+) -> Tuple[Community, ...]:
+    """``communities`` followed by each of ``added`` not already present.
+
+    The one community merge: the import transform of both engines
+    (``BGPSpeaker.imported`` and the ``array`` materializer) and
+    :meth:`PathAttributes.add_communities` merge here.
+    """
+    if not added:
+        return communities
+    # Tuple membership, not a set: routes carry a handful of communities,
+    # and hashing each one costs more than comparing it.
+    merged = tuple(communities)
+    for community in added:
+        if community not in merged:
+            merged += (community,)
+    return merged
+
+
 @dataclass(slots=True)
 class PathAttributes:
     """The attribute set attached to one route advertisement.
@@ -193,13 +224,7 @@ class PathAttributes:
 
     def add_communities(self, communities: Iterable[Community]) -> "PathAttributes":
         """Return a copy with extra communities appended (duplicates removed)."""
-        merged = list(self.communities)
-        seen = set(merged)
-        for community in communities:
-            if community not in seen:
-                merged.append(community)
-                seen.add(community)
-        return self.with_communities(merged)
+        return self.with_communities(merge_communities(self.communities, communities))
 
     def communities_of(self, asn: int) -> List[Community]:
         """Communities whose administrator field is ``asn``."""

@@ -40,12 +40,18 @@ Shared representation:
 Route **attributes** are never computed during propagation: they are a
 pure function of the prefix and the AS path, by induction from the
 immutable origin route.  Routes are materialized once per prefix, only
-for the kept ASes, by replaying the real per-edge export/import
-transforms outward from the origin.  A solved plane walks the solver's
-next hops, memoized per AS; a replayed plane walks each installed
-route's *stored* path, memoized per path suffix, which reproduces the
-stale Adj-RIB-In entries the event engine keeps when a loop check
-rejects an update (a walk along the current best senders would not).
+for the kept ASes, by replaying the real per-edge transforms outward
+from the origin: :meth:`BGPSpeaker.export_step` at the sender and
+:meth:`BGPSpeaker.import_terms` at the receiver, the same definitions
+the event engine's :meth:`BGPSpeaker.exported_attributes` and
+:meth:`BGPSpeaker.imported` apply.  The walk carries a small per-hop
+state (AS path hops, communities, LOCAL_PREF, learned-from AS and
+relationship), and only a kept AS gets a :class:`Route`, one each.  A
+solved plane walks the solver's next hops, memoized per AS; a replayed
+plane walks each installed route's *stored* path, memoized per path
+suffix, which reproduces the stale Adj-RIB-In entries the event engine
+keeps when a loop check rejects an update (a walk along the current
+best senders would not).
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from collections import deque
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.relationships import AFI, Relationship
+from repro.bgp.attributes import ASPath, Community, PathAttributes, merge_communities
 from repro.bgp.messages import Route
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
@@ -78,6 +85,37 @@ _EMPTY_SET: frozenset = frozenset()
 _NO_ROUTE = -1
 _LOCAL_ROUTE = -2
 
+
+#: A route as materialization carries it from hop to hop: its AS path
+#: hops (holder excluded), communities, LOCAL_PREF, the AS it was
+#: learned from and the relationship towards that AS (both ``None`` for
+#: the locally originated route).
+_HopState = Tuple[
+    Tuple[int, ...],
+    Tuple[Community, ...],
+    Optional[int],
+    Optional[int],
+    Optional[Relationship],
+]
+
+
+def _route(prefix: Prefix, holder: int, state: _HopState) -> Route:
+    """The learned route ``holder`` installs for its carried ``state``.
+
+    Every learned route has the ORIGIN of :meth:`Route.originate` and
+    the MED and NEXT_HOP of :meth:`BGPSpeaker.exported_attributes`,
+    which are the :class:`PathAttributes` defaults.
+    """
+    hops, communities, local_pref, learned_from, relationship = state
+    return Route(
+        prefix=prefix,
+        holder=holder,
+        attributes=PathAttributes(
+            as_path=ASPath.trusted(hops), local_pref=local_pref, communities=communities
+        ),
+        learned_from=learned_from,
+        learned_relationship=relationship,
+    )
 
 
 class ArrayBackend:
@@ -309,15 +347,16 @@ class ArrayBackend:
         from its best sender's current route, which differs where a
         loop check left a stale Adj-RIB-In entry.  A route is a pure
         function of the prefix and its full path (holder first), so the
-        walk starts at the longest already-built suffix of the path and
-        carries the route outward (:meth:`_carry`), memoizing every
-        suffix.  Raises :class:`ConvergenceError` naming the prefix when
-        a stored path does not end at the origin.
+        walk starts at the longest already-carried suffix of the path and
+        carries the hop state outward (:meth:`_carry`), memoizing every
+        suffix; only the target itself gets a :class:`Route`.  Raises
+        :class:`ConvergenceError` naming the prefix when a stored path
+        does not end at the origin.
         """
         asns = self._asns
         best_path = self._best_path
-        routes: Dict[Tuple[int, ...], Route] = {
-            (origin,): Route.originate(prefix, asns[origin])
+        states: Dict[Tuple[int, ...], _HopState] = {
+            (origin,): self._origin_state(origin)
         }
         for i in targets:
             if i == origin:
@@ -327,8 +366,8 @@ class ArrayBackend:
                 continue
             path = (i,) + best_path[i]
             for start in range(1, len(path)):
-                route = routes.get(path[start:])
-                if route is not None:
+                state = states.get(path[start:])
+                if state is not None:
                     break
             else:
                 raise ConvergenceError(
@@ -336,10 +375,10 @@ class ArrayBackend:
                     f"end at origin AS{asns[origin]}"
                 )
             for hop in range(start - 1, -1, -1):
-                route = routes[path[hop:]] = self._carry(
-                    speakers, prefix, route, path[hop], path[hop + 1], asns[i]
+                state = states[path[hop:]] = self._carry(
+                    speakers, prefix, state, path[hop], path[hop + 1], asns[i]
                 )
-            speakers[asns[i]].loc_rib._routes[prefix] = route
+            speakers[asns[i]].loc_rib._routes[prefix] = _route(prefix, asns[i], state)
 
     def _install_solved(
         self,
@@ -352,20 +391,21 @@ class ArrayBackend:
         """Materialize and install a solved prefix's routes at ``targets``.
 
         A solved route is its next hop's route carried over one edge, so
-        each target's walk follows ``hop`` to the first AS whose route is
-        built, then carries it outward, memoizing every AS it passes.
-        Raises :class:`ConvergenceError` when the next hops do not lead
-        to the origin.
+        each target's walk follows ``hop`` to the first AS whose hop
+        state is carried, then carries it outward, memoizing every AS it
+        passes; only the target itself gets a :class:`Route`.  Raises
+        :class:`ConvergenceError` when the next hops do not lead to the
+        origin.
         """
         asns = self._asns
-        routes: Dict[int, Route] = {origin: Route.originate(prefix, asns[origin])}
+        states: Dict[int, _HopState] = {origin: self._origin_state(origin)}
         for i in targets:
             if i == origin:
                 speakers[asns[i]].originate(prefix)
                 continue
             chain = []
             j = i
-            while j not in routes:
+            while j not in states:
                 chain.append(j)
                 j = hop[j]
                 if j < 0 or len(chain) > len(hop):
@@ -373,26 +413,30 @@ class ArrayBackend:
                         f"AS path of AS{asns[i]} for {prefix} does not "
                         f"end at origin AS{asns[origin]}"
                     )
-            route = routes[j]
+            state = states[j]
             for receiver in reversed(chain):
-                route = routes[receiver] = self._carry(
-                    speakers, prefix, route, receiver, j, asns[i]
+                state = states[receiver] = self._carry(
+                    speakers, prefix, state, receiver, j, asns[i]
                 )
                 j = receiver
-            speakers[asns[i]].loc_rib._routes[prefix] = route
+            speakers[asns[i]].loc_rib._routes[prefix] = _route(prefix, asns[i], state)
+
+    def _origin_state(self, origin: int) -> _HopState:
+        """The hop state of the origin's locally originated route."""
+        return (self._asns[origin],), (), None, None, None
 
     def _carry(
         self,
         speakers: Dict[int, BGPSpeaker],
         prefix: Prefix,
-        route: Route,
+        state: _HopState,
         receiver: int,
         sender: int,
         holder: int,
-    ) -> Route:
-        """``route``, held by id ``sender``, as id ``receiver`` imports it:
-        :meth:`BGPSpeaker.exported_attributes` at the sender, then
-        :meth:`BGPSpeaker.imported` at the receiver.  Raises
+    ) -> _HopState:
+        """``state``, held by id ``sender``, as id ``receiver`` imports it:
+        :meth:`BGPSpeaker.export_step` at the sender, then
+        :meth:`BGPSpeaker.import_terms` at the receiver.  Raises
         :class:`ConvergenceError` naming the prefix and the hop when the
         two have no known relationship in the plane."""
         receiver, sender = self._asns[receiver], self._asns[sender]
@@ -402,9 +446,12 @@ class ArrayBackend:
                 f"AS path of AS{holder} for {prefix} crosses AS{receiver} -> "
                 f"AS{sender}, which have no known relationship in {prefix.afi}"
             )
-        return speakers[receiver].imported(
-            prefix, sender, rel, speakers[sender].exported_attributes(route)
+        hops, communities, _, learned_from, _ = state
+        hops, communities = speakers[sender].export_step(
+            hops, communities, learned_from is None
         )
+        local_pref, added = speakers[receiver].import_terms(prefix, sender, rel)
+        return hops, merge_communities(communities, added), local_pref, sender, rel
 
     def _reset(self, touched: List[int]) -> None:
         cand = self._cand

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.relationships import AFI, Relationship
-from repro.bgp.attributes import PathAttributes
+from repro.bgp.attributes import ASPath, Community, PathAttributes, merge_communities
 from repro.bgp.messages import Announcement, Route
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
@@ -190,6 +190,27 @@ class BGPSpeaker:
         self._import_defaults = defaults
         return defaults
 
+    def import_terms(
+        self, prefix: Prefix, sender: int, relationship: Relationship
+    ) -> Tuple[int, Tuple[Community, ...]]:
+        """``(LOCAL_PREF, communities added)`` for a route from ``sender``.
+
+        The terms of the import transform: :meth:`imported` applies them
+        to a route's attributes, and the ``array`` backend's
+        materialization to the per-hop state it carries.  Vanilla
+        policies are served from the per-relationship import defaults;
+        custom import hooks and traffic-engineering overrides are
+        consulted per route.
+        """
+        policy = self.policy
+        defaults = self._import_defaults
+        if defaults is None:
+            defaults = self._build_import_defaults()
+        if policy.te_overrides or defaults is _CONSULT_POLICY:
+            local_pref, override = policy.local_pref_for(sender, relationship, prefix)
+            return local_pref, tuple(policy.import_communities(relationship, override))
+        return defaults[relationship]
+
     def imported(
         self,
         prefix: Prefix,
@@ -199,27 +220,10 @@ class BGPSpeaker:
     ) -> Route:
         """The route this AS installs for ``attributes`` from ``sender``.
 
-        The import transform alone (LOCAL_PREF assignment and community
-        tagging), with no loop check and no RIB side effects: the event
-        loop's :meth:`import_route` and the ``array`` backend's
-        converged-route materialization both build their routes here.
-        Vanilla policies are served from the per-relationship import
-        defaults; custom import hooks and traffic-engineering overrides
-        are consulted per route.
+        The import transform alone (:meth:`import_terms` applied), with
+        no loop check and no RIB side effects.
         """
-        policy = self.policy
-        defaults = self._import_defaults
-        if defaults is None:
-            defaults = self._build_import_defaults()
-        if policy.te_overrides or defaults is _CONSULT_POLICY:
-            local_pref, override = policy.local_pref_for(sender, relationship, prefix)
-            added_communities: Tuple = tuple(
-                policy.import_communities(relationship, override)
-            )
-        else:
-            local_pref, added_communities = defaults[relationship]
-        if added_communities:
-            attributes = attributes.add_communities(added_communities)
+        local_pref, added = self.import_terms(prefix, sender, relationship)
         return Route(
             prefix=prefix,
             holder=self.asn,
@@ -229,7 +233,7 @@ class BGPSpeaker:
                 med=attributes.med,
                 origin=attributes.origin,
                 next_hop=attributes.next_hop,
-                communities=attributes.communities,
+                communities=merge_communities(attributes.communities, added),
             ),
             learned_from=sender,
             learned_relationship=relationship,
@@ -378,6 +382,21 @@ class BGPSpeaker:
             attributes=self.exported_attributes(best),
         )
 
+    def export_step(
+        self, hops: Tuple[int, ...], communities: Tuple[Community, ...], is_local: bool
+    ) -> Tuple[Tuple[int, ...], Tuple[Community, ...]]:
+        """The AS path hops and communities a route is exported with.
+
+        The export transform, receiver-independent: this AS is prepended
+        unless the route is locally originated (its only hop is already
+        this AS), and the communities are stripped when the policy says
+        so.  :meth:`exported_attributes` and the ``array`` backend's
+        converged-route materialization both export here.
+        """
+        if not is_local:
+            hops = (self.asn,) + hops
+        return hops, (() if self.policy.strip_communities_on_export else communities)
+
     def exported_attributes(self, best: Route) -> PathAttributes:
         """The attributes ``best`` is exported with (receiver-independent).
 
@@ -385,12 +404,11 @@ class BGPSpeaker:
         announcement goes to, so the propagation hot loop computes it
         once per best-route change and fans it out.
         """
-        # Locally originated routes already carry the origin AS as their
-        # only hop; prepending again would duplicate it.
-        exported_path = best.as_path if best.is_local else best.as_path.prepend(self.asn)
-        communities = () if self.policy.strip_communities_on_export else best.communities
+        hops, communities = self.export_step(
+            best.attributes.as_path._hops, best.attributes.communities, best.is_local
+        )
         return PathAttributes(
-            as_path=exported_path,
+            as_path=ASPath.trusted(hops),
             local_pref=None,  # LOCAL_PREF is not propagated across EBGP sessions.
             med=0,
             origin=best.attributes.origin,

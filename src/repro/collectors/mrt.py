@@ -155,14 +155,15 @@ class TableDumpRecord:
         the vantage AS prepended); LOCAL_PREF is included only for feeds
         configured to export it, mirroring the mix of feeds found in the
         real archives.  Non-exporting feeds archive an absent (``None``)
-        LOCAL_PREF, never a ``0``.
+        LOCAL_PREF, never a ``0``.  The route's path is valid by
+        construction, so the record's is built without re-validating it.
         """
         return cls(
             timestamp=timestamp,
             peer_ip=peer_ip,
             peer_as=route.holder,
             prefix=route.prefix,
-            as_path=ASPath(route.full_path()),
+            as_path=ASPath.trusted(route.full_path()),
             origin=route.attributes.origin,
             next_hop="",
             local_pref=route.local_pref if include_local_pref else None,

@@ -80,21 +80,18 @@ class ObservedRoute:
         Hand-built observations should use the normal constructor.
         """
         observation = object.__new__(cls)
-        # One __dict__ swap instead of seven frozen-bypassing setattrs;
+        # Attribute by attribute, as the validating constructor sets
+        # them: assigning a fresh ``__dict__`` instead would lose
+        # CPython's compact per-instance attribute storage, and
         # extraction creates one instance per archived record.
-        object.__setattr__(
-            observation,
-            "__dict__",
-            {
-                "path": path,
-                "prefix": prefix,
-                "vantage": vantage,
-                "communities": communities,
-                "local_pref": local_pref,
-                "collector": collector,
-                "afi": prefix.afi,
-            },
-        )
+        setattr_ = object.__setattr__
+        setattr_(observation, "path", path)
+        setattr_(observation, "prefix", prefix)
+        setattr_(observation, "vantage", vantage)
+        setattr_(observation, "communities", communities)
+        setattr_(observation, "local_pref", local_pref)
+        setattr_(observation, "collector", collector)
+        setattr_(observation, "afi", prefix.afi)
         return observation
 
     @property

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.relationships import AFI, Relationship
+from repro.bgp.attributes import Community
 from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
 from repro.bgp.backends.arraycore import ArrayBackend
 from repro.bgp.engine import PropagationEngine
@@ -39,6 +40,7 @@ from repro.bgp.policy import (
 from repro.bgp.prefixes import PrefixAllocator
 from repro.bgp.propagation import PropagationSimulator, originate_one_prefix_per_as
 from repro.bgp.results import ConvergenceError
+from repro.bgp.router import BGPSpeaker
 from repro.irr.registry import build_registry
 from repro.topology.generator import TopologyConfig, generate_topology
 
@@ -230,6 +232,55 @@ class TestEngineSelection:
         array = PropagationEngine(graph, policies, engine="array").run(origins)
         assert array.events == 0  # a solved plane
         _assert_same_converged_state(graph, event, array, origins)
+
+
+class TestSharedTransforms:
+    """Both engines reach the import and export transforms only through
+    ``BGPSpeaker`` (``import_terms``, ``export_step``): ``array`` keeps
+    no copy of its own, so patching them moves both engines alike."""
+
+    @pytest.mark.parametrize("afi", (AFI.IPV4, AFI.IPV6))
+    def test_patched_transforms_move_both_engines(self, afi, monkeypatch):
+        import_terms, export_step = BGPSpeaker.import_terms, BGPSpeaker.export_step
+
+        def shifted_import(self, prefix, sender, relationship):
+            # A uniform shift: every AS still prefers the same routes.
+            local_pref, added = import_terms(self, prefix, sender, relationship)
+            return local_pref + 1, added
+
+        def marked_export(self, hops, communities, is_local):
+            hops, communities = export_step(self, hops, communities, is_local)
+            return hops, communities + (Community(self.asn, 7),)
+
+        monkeypatch.setattr(BGPSpeaker, "import_terms", shifted_import)
+        monkeypatch.setattr(BGPSpeaker, "export_step", marked_export)
+        graph = _golden_topology(2010).graph
+        policies = _rich_policies(graph, 2010)
+        origins = originate_one_prefix_per_as(graph, afi)
+        event = PropagationSimulator(graph, policies).run(origins)
+        array = ArrayBackend(graph, policies).run(origins)
+        _assert_same_converged_state(graph, event, array, origins)
+        learned = [
+            route
+            for asn in graph.ases
+            for route in array.snapshot(asn).routes()
+            if not route.is_local
+        ]
+        assert learned
+        scheme_values = {
+            value
+            for policy in policies.values()
+            for value in (
+                policy.local_pref.customer,
+                policy.local_pref.peer,
+                policy.local_pref.provider,
+                policy.local_pref.sibling,
+            )
+        }
+        assert not any(route.local_pref in scheme_values for route in learned)
+        assert all(
+            Community(route.learned_from, 7) in route.communities for route in learned
+        )
 
 
 class TestChainWalk:

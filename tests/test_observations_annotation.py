@@ -1,5 +1,7 @@
 """Unit tests for observations and the ToR annotation container."""
 
+import tracemalloc
+
 import pytest
 
 from repro.bgp.attributes import Community
@@ -61,6 +63,45 @@ class TestObservedRoute:
         route = self.make(communities=(Community(10, 1), Community(20, 2)))
         assert route.communities_of(10) == [Community(10, 1)]
         assert route.communities_of(30) == []
+
+    def test_trusted_equals_validated(self):
+        communities = (Community(10, 1),)
+        trusted = ObservedRoute.trusted(
+            (10, 20, 30), V6, 10, communities, 300, "rrc00"
+        )
+        validated = self.make(
+            communities=communities, local_pref=300, collector="rrc00"
+        )
+        assert trusted == validated
+        assert vars(trusted) == vars(validated)
+
+    def test_trusted_is_no_larger_than_validated(self):
+        """Extraction builds one trusted observation per archived record;
+        each must cost no more memory than one from the validating
+        constructor (a fresh ``__dict__`` per instance would, and would
+        make later validated instances larger too, so those are measured
+        first)."""
+        count = 2000
+        paths = [(i, i + 1, i + 2) for i in range(count)]
+
+        def allocated(build):
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            observations = [build(path) for path in paths]
+            size = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.stop()
+            assert len(observations) == count
+            return size
+
+        def validated(path):
+            return ObservedRoute(path, V6, path[0])
+
+        def trusted(path):
+            return ObservedRoute.trusted(path, V6, path[0])
+
+        allocated(validated)  # first-run allocations are not per instance
+        baseline = allocated(validated)
+        assert allocated(trusted) <= baseline
 
 
 class TestToRAnnotation:
