@@ -12,7 +12,7 @@ observations, derive
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Set
+from typing import TYPE_CHECKING, Dict, Set
 
 from repro.core.relationships import AFI, Link
 
@@ -72,23 +72,3 @@ def build_link_inventory(store: ObservationStore) -> LinkInventory:
         ipv4_links=set(store.links(AFI.IPV4)),
         ipv6_links=set(store.links(AFI.IPV6)),
     )
-
-
-def endpoint_ases(links: Iterable[Link]) -> Set[int]:
-    """All ASes appearing as an endpoint of the given links."""
-    ases: Set[int] = set()
-    for link in links:
-        ases.add(link.a)
-        ases.add(link.b)
-    return ases
-
-
-def links_between(links: Iterable[Link], ases: Iterable[int]) -> Set[Link]:
-    """Links whose both endpoints belong to ``ases``.
-
-    Used to restrict hybrid statistics to, e.g., tier-1/tier-2 core links
-    when reproducing the paper's observation about where hybrid links
-    live.
-    """
-    members = set(ases)
-    return {link for link in links if link.a in members and link.b in members}

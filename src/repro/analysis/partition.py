@@ -60,11 +60,6 @@ class ReachabilityPartitionReport:
         """Number of mutual-reachability islands."""
         return len(self.island_sizes)
 
-    @property
-    def is_partitioned(self) -> bool:
-        """True when not every pair is valley-free reachable."""
-        return self.reachable_pairs < self.ordered_pairs
-
     def summary(self) -> Dict[str, float]:
         """Compact numeric summary for reports and benchmarks."""
         return {
@@ -132,24 +127,3 @@ def analyze_reachability(
         island_sizes.append(size)
     report.island_sizes = sorted(island_sizes, reverse=True)
     return report
-
-
-def compare_relaxation(
-    strict: ToRAnnotation,
-    relaxed_paths_reachable_pairs: int,
-    ases: Optional[Iterable[int]] = None,
-) -> Dict[str, float]:
-    """Compare strict valley-free reachability against an observed pair count.
-
-    Helper for ablation A2: given the pair count actually achieved when
-    relaxations are allowed (measured from the propagation results), how
-    much reachability would be lost under strict valley-free routing?
-    """
-    strict_report = analyze_reachability(strict, ases)
-    gained = relaxed_paths_reachable_pairs - strict_report.reachable_pairs
-    return {
-        "strict_reachable_pairs": float(strict_report.reachable_pairs),
-        "relaxed_reachable_pairs": float(relaxed_paths_reachable_pairs),
-        "pairs_gained_by_relaxation": float(max(gained, 0)),
-        "strict_fraction": strict_report.reachable_fraction,
-    }

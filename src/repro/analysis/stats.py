@@ -25,7 +25,7 @@ golden tests pin this against the frozen references).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.analysis.links import LinkInventory, build_link_inventory
 from repro.core.combined_inference import CombinedInference, CombinedInferenceResult
@@ -172,11 +172,9 @@ class Section3Views:
 def run_inference(
     store: ObservationStore,
     registry: IRRRegistry,
-    engine: Optional[CombinedInference] = None,
 ) -> CombinedInferenceResult:
     """Stage: run the Communities/LocPrf combined inference."""
-    engine = engine or CombinedInference(registry)
-    return engine.infer(store)
+    return CombinedInference(registry).infer(store)
 
 
 def build_views(
@@ -254,7 +252,6 @@ def assemble_report(
 def compute_section3(
     store: ObservationStore,
     registry: IRRRegistry,
-    inference: Optional[CombinedInference] = None,
 ) -> Section3Artifacts:
     """Compute every Section-3 statistic for the observations of a store.
 
@@ -262,7 +259,7 @@ def compute_section3(
     functions; the staged pipeline (:mod:`repro.pipeline`) runs the same
     functions with per-stage artifact caching.
     """
-    result = run_inference(store, registry, inference)
+    result = run_inference(store, registry)
     views = build_views(store, result)
     report = assemble_report(views, result)
     return Section3Artifacts(

@@ -84,11 +84,6 @@ class ASPath:
         """The AS that originated the route (last hop)."""
         return self._hops[-1]
 
-    @property
-    def first_as(self) -> int:
-        """The AS closest to the observer (first hop)."""
-        return self._hops[0]
-
     def collapsed(self) -> Tuple[int, ...]:
         """Hops with consecutive duplicates (prepending) removed."""
         result: List[int] = []
@@ -96,17 +91,6 @@ class ASPath:
             if not result or result[-1] != hop:
                 result.append(hop)
         return tuple(result)
-
-    @property
-    def has_prepending(self) -> bool:
-        """True if any AS appears multiple times consecutively."""
-        return len(self.collapsed()) != len(self._hops)
-
-    @property
-    def has_loop(self) -> bool:
-        """True if an AS appears non-consecutively (a routing loop artifact)."""
-        collapsed = self.collapsed()
-        return len(set(collapsed)) != len(collapsed)
 
     def links(self) -> List[Tuple[int, int]]:
         """Adjacent AS pairs along the collapsed path, observer-side first."""

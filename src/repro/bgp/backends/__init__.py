@@ -7,7 +7,7 @@ every policy configuration:
 =========  ========================================================
 ``event``  :class:`~repro.bgp.propagation.PropagationSimulator`, the
            event-driven simulator — the oracle ``array`` is checked
-           against, and the only engine that fills Adj-RIB-In state.
+           against.
 ``array``  :class:`~repro.bgp.backends.arraycore.ArrayBackend`, over
            interned int ids and flat arrays: it solves each plane whose
            Gao–Rexford stable state is unique, route class by route

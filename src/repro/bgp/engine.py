@@ -26,7 +26,8 @@ from repro.bgp.backends.arraycore import ArrayBackend
 from repro.telemetry.tracer import get_tracer
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
-from repro.bgp.propagation import PropagationResult, PropagationSimulator
+from repro.bgp.propagation import PropagationSimulator
+from repro.bgp.results import PropagationResult
 from repro.topology.graph import ASGraph
 
 

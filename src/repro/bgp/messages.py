@@ -21,9 +21,7 @@ class Route:
     """A route to ``prefix`` as held by AS ``holder``.
 
     Routes are created once per import event, so the class is slotted to
-    keep the per-instance footprint small at simulation scale, and the
-    :meth:`full_path` tuple is memoized (analysis code calls it
-    repeatedly on converged routes).
+    keep the per-instance footprint small at simulation scale.
 
     Attributes:
         prefix: The destination prefix.
@@ -44,9 +42,6 @@ class Route:
     attributes: PathAttributes
     learned_from: Optional[int] = None
     learned_relationship: Optional[Relationship] = None
-    _full_path: Optional[Tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     # Memo slot for the BGP decision-process preference key; computed
     # (once, routes are immutable) and read by BGPSpeaker._preference_key.
     _pref_key: Optional[Tuple[int, int, int, int]] = field(
@@ -87,16 +82,12 @@ class Route:
         """The AS path including the holder, observer-side first.
 
         Locally originated routes already carry the holder as their only
-        hop, so it is not repeated.  The result is memoized.
+        hop, so it is not repeated.
         """
-        path = self._full_path
-        if path is None:
-            if self.is_local:
-                path = self.attributes.as_path.hops
-            else:
-                path = (self.holder,) + self.attributes.as_path.hops
-            object.__setattr__(self, "_full_path", path)
-        return path
+        hops = self.attributes.as_path.hops
+        if self.is_local:
+            return hops
+        return (self.holder,) + hops
 
     @classmethod
     def originate(cls, prefix: Prefix, origin_as: int) -> "Route":

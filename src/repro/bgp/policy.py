@@ -27,7 +27,7 @@ depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.attributes import Community
@@ -237,8 +237,3 @@ class RoutingPolicy:
         if self.is_relaxed(neighbor, afi):
             return True
         return gao_rexford_export_allowed(learned_relationship, export_relationship)
-
-
-def default_policies(asns: Iterable[int]) -> Dict[int, RoutingPolicy]:
-    """Build plain (untagged, unrelaxed) policies for a set of ASes."""
-    return {asn: RoutingPolicy(asn=asn) for asn in asns}

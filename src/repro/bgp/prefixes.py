@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Union
+from typing import Union
 
 from repro.core.relationships import AFI
 
@@ -135,15 +135,3 @@ class PrefixAllocator:
     def prefix(self, asn: int, afi: AFI) -> Prefix:
         """The prefix originated by ``asn`` in the requested plane."""
         return self.ipv4_prefix(asn) if afi is AFI.IPV4 else self.ipv6_prefix(asn)
-
-    def prefixes_for(self, asns: Iterable[int], afi: AFI) -> Dict[int, Prefix]:
-        """Allocate prefixes for many ASes at once."""
-        return {asn: self.prefix(asn, afi) for asn in asns}
-
-
-def group_by_afi(prefixes: Iterable[Prefix]) -> Dict[AFI, List[Prefix]]:
-    """Split a collection of prefixes by address family."""
-    groups: Dict[AFI, List[Prefix]] = {AFI.IPV4: [], AFI.IPV6: []}
-    for prefix in prefixes:
-        groups[prefix.afi].append(prefix)
-    return groups

@@ -46,7 +46,7 @@ This simulator is also the ``event`` backend of the pluggable engine
 layer (:mod:`repro.bgp.backends`): the array-native core is
 cross-validated against it as the oracle.  The
 result types it shares with the other backends live in
-:mod:`repro.bgp.results` and are re-exported here for compatibility.
+:mod:`repro.bgp.results`.
 """
 
 from __future__ import annotations
@@ -57,20 +57,9 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
-from repro.bgp.results import (
-    ConvergenceError,
-    PropagationResult,
-    originate_one_prefix_per_as,
-)
+from repro.bgp.results import ConvergenceError, PropagationResult
 from repro.bgp.router import BGPSpeaker
 from repro.topology.graph import ASGraph
-
-__all__ = [
-    "ConvergenceError",
-    "PropagationResult",
-    "PropagationSimulator",
-    "originate_one_prefix_per_as",
-]
 
 #: Learned-relationship classes an export decision can key off.
 _LEARNED_CLASSES: Tuple[Optional[Relationship], ...] = (

@@ -29,7 +29,7 @@ from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import Announcement, Route
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
-from repro.bgp.propagation import ConvergenceError, PropagationResult
+from repro.bgp.results import ConvergenceError, PropagationResult
 from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
 from repro.bgp.router import Neighbor
 from repro.topology.graph import ASGraph

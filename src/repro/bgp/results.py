@@ -22,7 +22,7 @@ to import the event simulator module just for its result types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.relationships import AFI
 from repro.bgp.messages import Route
@@ -72,10 +72,6 @@ class PropagationResult:
         if route is None:
             return None
         return route.full_path()
-
-    def reachable_prefixes(self, asn: int, afi: Optional[AFI] = None) -> List[Prefix]:
-        """Prefixes for which ``asn`` holds a best route."""
-        return self.speakers[asn].loc_rib.prefixes(afi)
 
 
 def originate_one_prefix_per_as(

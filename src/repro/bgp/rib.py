@@ -1,14 +1,14 @@
 """Routing Information Bases for the BGP speakers.
 
-Each simulated AS keeps:
-
-* an **Adj-RIB-In** per neighbour: the routes received from that
-  neighbour (after import policy was applied), and
-* a **Loc-RIB**: the single best route per prefix, selected by the
+* :class:`LocRib`: the single best route per prefix, selected by the
   decision process in :mod:`repro.bgp.router`.
-
-Collectors read the Adj-RIB-In of their vantage-point peers — exactly
-what a RouteViews ``TABLE_DUMP2`` RIB snapshot contains.
+* :class:`RibSnapshot`: a frozen copy of one AS's Loc-RIB.  Collectors
+  archive the snapshots of their vantage-point peers, which is what a
+  RouteViews ``TABLE_DUMP2`` RIB snapshot contains.
+* :class:`AdjRibIn`: the routes received from one neighbour, after
+  import policy, as the frozen seed speaker in :mod:`repro.bgp.reference`
+  keeps them.  :class:`~repro.bgp.router.BGPSpeaker` keeps its
+  Adj-RIB-In as one per-prefix candidate index instead.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ class LocRib:
         if afi is None:
             return list(self._routes.values())
         return [route for route in self._routes.values() if route.afi is afi]
-
-    def prefixes(self, afi: Optional[AFI] = None) -> List[Prefix]:
-        """All prefixes with an installed best route."""
-        return [route.prefix for route in self.routes(afi)]
 
     def __len__(self) -> int:
         return len(self._routes)

@@ -17,27 +17,27 @@ lowest neighbour ASN as the deterministic tie breaker.
 Performance notes
 -----------------
 
-The speaker keeps, next to the per-neighbour Adj-RIB-In tables, a
-**per-prefix candidate index** (``prefix -> {neighbour: route}``).  The
-decision process therefore only looks at the neighbours that actually
-hold a route for the prefix instead of scanning every Adj-RIB-In — on
-hub ASes (hundreds of sessions, the cost hot-spot predicted by the
-scale-free-network literature) this turns each decision from O(degree)
-into O(holders).  The sorted neighbour views used by the export side are
+The speaker's Adj-RIB-In (RFC 4271 §3.2: the routes each neighbour
+advertised, after import policy) is one **per-prefix candidate index**
+(``prefix -> {neighbour: route}``).  The decision process therefore
+only looks at the neighbours that actually hold a route for the prefix
+instead of scanning every session — on hub ASes (hundreds of sessions,
+the cost hot-spot predicted by the scale-free-network literature) this
+turns each decision from O(degree) into O(holders).  The sorted neighbour views used by the export side are
 cached per AFI and invalidated when sessions change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.attributes import ASPath, Community, PathAttributes, merge_communities
 from repro.bgp.messages import Announcement, Route
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
-from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
+from repro.bgp.rib import LocRib, RibSnapshot
 
 
 #: Sentinel import-defaults value: the policy customizes its import
@@ -65,7 +65,6 @@ class BGPSpeaker:
         "asn",
         "policy",
         "_neighbors",
-        "_adj_rib_in",
         "loc_rib",
         "_local_routes",
         "_sorted_neighbors",
@@ -78,11 +77,11 @@ class BGPSpeaker:
         self.policy = policy or RoutingPolicy(asn=asn)
         # Per-AFI neighbour tables: asn -> Neighbor.
         self._neighbors: Dict[AFI, Dict[int, Neighbor]] = {AFI.IPV4: {}, AFI.IPV6: {}}
-        self._adj_rib_in: Dict[int, AdjRibIn] = {}
         self.loc_rib = LocRib()
         self._local_routes: Dict[Prefix, Route] = {}
         # Cached sorted neighbour tuples per AFI (invalidated by
-        # add_neighbor) and the per-prefix candidate index.
+        # add_neighbor) and the per-prefix candidate index, which is the
+        # speaker's Adj-RIB-In.
         self._sorted_neighbors: Dict[AFI, Optional[Tuple[Neighbor, ...]]] = {
             AFI.IPV4: None,
             AFI.IPV6: None,
@@ -104,7 +103,6 @@ class BGPSpeaker:
         if not relationship.is_known:
             raise ValueError("neighbour relationship must be known")
         self._neighbors[afi][asn] = Neighbor(asn=asn, relationship=relationship)
-        self._adj_rib_in.setdefault(asn, AdjRibIn(asn))
         self._sorted_neighbors[afi] = None
 
     def neighbors(self, afi: AFI) -> List[Neighbor]:
@@ -257,7 +255,6 @@ class BGPSpeaker:
         if self.asn in attributes.as_path._hops:
             return False
         route = self.imported(prefix, sender, relationship, attributes)
-        self._adj_rib_in[sender]._routes[prefix] = route
         holders = self._routes_by_prefix.get(prefix)
         if holders is None:
             holders = self._routes_by_prefix[prefix] = {}
@@ -285,14 +282,11 @@ class BGPSpeaker:
 
     def withdraw(self, prefix: Prefix, sender: int) -> bool:
         """Process a withdrawal from a neighbour; returns True if best changed."""
-        rib = self._adj_rib_in.get(sender)
-        if rib is None or rib.withdraw(prefix) is None:
-            return False
         holders = self._routes_by_prefix.get(prefix)
-        if holders is not None:
-            holders.pop(sender, None)
-            if not holders:
-                del self._routes_by_prefix[prefix]
+        if holders is None or holders.pop(sender, None) is None:
+            return False
+        if not holders:
+            del self._routes_by_prefix[prefix]
         # Removing a route that was not the installed best changes nothing.
         best = self.loc_rib.best(prefix)
         if best is not None and best.learned_from != sender:
@@ -416,22 +410,6 @@ class BGPSpeaker:
             communities=communities,
         )
 
-    def exportable_neighbors(self, prefix: Prefix) -> List[int]:
-        """Neighbours to which the current best route may be exported."""
-        best = self.loc_rib.best(prefix)
-        if best is None:
-            return []
-        afi = prefix.afi
-        result = []
-        for neighbor in self.sorted_neighbors(afi):
-            if neighbor.asn == best.learned_from:
-                continue
-            if self.policy.export_allowed(
-                best.learned_relationship, neighbor.relationship, neighbor.asn, afi
-            ):
-                result.append(neighbor.asn)
-        return result
-
     # ------------------------------------------------------------------
     # memory management
     # ------------------------------------------------------------------
@@ -444,10 +422,7 @@ class BGPSpeaker:
         network-wide simulator uses this to keep memory proportional to
         the number of vantage points rather than to ASes x prefixes.
         """
-        holders = self._routes_by_prefix.pop(prefix, None)
-        if holders:
-            for sender in holders:
-                self._adj_rib_in[sender].withdraw(prefix)
+        self._routes_by_prefix.pop(prefix, None)
         if not keep_best:
             self.loc_rib.remove(prefix)
             self._local_routes.pop(prefix, None)

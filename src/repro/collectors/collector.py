@@ -7,7 +7,7 @@ union of the RIB snapshots archived by those collectors.
 
 In this reproduction the vantage points are ASes of the synthetic
 topology; a collector reads their converged Loc-RIBs out of a
-:class:`~repro.bgp.propagation.PropagationResult` and archives them as
+:class:`~repro.bgp.results.PropagationResult` and archives them as
 :class:`~repro.collectors.mrt.TableDumpRecord` lines, exactly the shape
 the measurement pipeline would get from ``bgpdump``.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.relationships import AFI
-from repro.bgp.propagation import PropagationResult
+from repro.bgp.results import PropagationResult
 from repro.collectors.mrt import TableDumpRecord
 
 #: Default snapshot timestamp: 2010-08-20 00:00:00 UTC, inside the

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.relationships import (
     AFI,
@@ -193,18 +193,6 @@ class ToRAnnotation:
             annotation.set_canonical(link, record.relationship(afi))
         return annotation
 
-    @classmethod
-    def from_records(
-        cls, records: Iterable[RelationshipRecord], afi: AFI
-    ) -> "ToRAnnotation":
-        """Build an annotation from relationship records of one plane."""
-        annotation = cls(afi)
-        for record in records:
-            if record.afi is not afi:
-                continue
-            annotation.set_canonical(record.link, record.relationship)
-        return annotation
-
 
 class ValleyFreeIndex:
     """The known links of an annotation as an integer-indexed valley-free plane.
@@ -359,18 +347,3 @@ class ValleyFreeIndex:
             for other, hops in enumerate(self.distances(node, target_ids))
             if hops >= 0
         }
-
-
-def valley_free_distances(
-    annotation: ToRAnnotation,
-    source: int,
-    targets: Optional[Set[int]] = None,
-) -> Dict[int, int]:
-    """Shortest valley-free path lengths (in AS hops) from ``source``.
-
-    The mapping holds every AS reachable over a valley-free path, with
-    ``source`` itself at 0 (see :meth:`ValleyFreeIndex.distances`).
-    Callers running the BFS from many sources should build one
-    :class:`ValleyFreeIndex` and call :meth:`ValleyFreeIndex.distances_from`.
-    """
-    return ValleyFreeIndex(annotation).distances_from(source, targets)

@@ -202,12 +202,3 @@ class HybridDetector:
             false_positives=len(detected - truth),
             false_negatives=len(truth - detected),
         )
-
-
-def detect_hybrid_links(
-    ipv4: ToRAnnotation,
-    ipv6: ToRAnnotation,
-    links: Optional[Iterable[Link]] = None,
-) -> HybridDetectionReport:
-    """Convenience wrapper around :class:`HybridDetector`."""
-    return HybridDetector(ipv4, ipv6).detect(links)

@@ -260,10 +260,6 @@ class RelationshipRecord:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError("confidence must be within [0, 1]")
 
-    def as_seen_from(self, asn: int) -> Relationship:
-        """The relationship from the point of view of endpoint ``asn``."""
-        return self.link.relationship_from(asn, self.relationship)
-
 
 @dataclass
 class DualStackRelationship:

@@ -13,8 +13,7 @@ type of the measurement layer (``repro.analysis`` and the inference
 modules in ``repro.core``).  One pass over the observations builds
 every shared index —
 
-* observations **by AFI** and **by vantage** (and, lazily, by origin AS
-  and by canonical link),
+* observations **by AFI** and **by vantage**,
 * the **distinct-path tables** (per AFI in first-seen order; the
   mixed-plane table lazily),
 * the canonical **link tuple of every distinct path** (``Link`` objects
@@ -22,8 +21,7 @@ every shared index —
 * the subsets of observations **carrying LOCAL_PREF** and **carrying
   communities** (the only observations the LocPrf and communities
   inferences can use), and
-* lazily, per-AFI :class:`~repro.core.visibility.VisibilityIndex` tables
-  and per-path next-hop maps.
+* lazily, per-AFI :class:`~repro.core.visibility.VisibilityIndex` tables.
 
 :meth:`ObservationStore._build` is the only code that fills these
 indexes.  The frozen seed pipeline in :mod:`repro.analysis.reference`
@@ -51,7 +49,7 @@ Index invariants
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link
@@ -92,10 +90,6 @@ class ObservationStore:
         self._all_links: Optional[Set[Link]] = None
         self._dual_stack_links: Optional[Set[Link]] = None
         self._visibility: Dict[Optional[AFI], VisibilityIndex] = {}
-        self._next_hops: Dict[PathTuple, Dict[int, int]] = {}
-        self._by_origin: Optional[Dict[int, List[ObservedRoute]]] = None
-        self._by_link: Optional[Dict[Link, List[ObservedRoute]]] = None
-        self._paths_by_origin: Dict[Optional[AFI], Dict[int, List[PathTuple]]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -162,31 +156,6 @@ class ObservationStore:
         """Vantage-point ASes, in first-seen order."""
         return list(self.by_vantage)
 
-    @property
-    def by_origin(self) -> Dict[int, List[ObservedRoute]]:
-        """Observations grouped by origin AS (built on first access)."""
-        if self._by_origin is None:
-            grouped: Dict[int, List[ObservedRoute]] = {}
-            for observation in self.observations:
-                grouped.setdefault(observation.origin_as, []).append(observation)
-            self._by_origin = grouped
-        return self._by_origin
-
-    @property
-    def by_link(self) -> Dict[Link, List[ObservedRoute]]:
-        """Observations grouped by the canonical links their path crosses."""
-        if self._by_link is None:
-            grouped: Dict[Link, List[ObservedRoute]] = {}
-            for observation in self.observations:
-                for link in self._path_links[observation.path]:
-                    grouped.setdefault(link, []).append(observation)
-            self._by_link = grouped
-        return self._by_link
-
-    def observations_crossing(self, link: Link) -> List[ObservedRoute]:
-        """Observations whose path traverses ``link`` (any plane)."""
-        return self.by_link.get(link, [])
-
     # ------------------------------------------------------------------
     # path tables
     # ------------------------------------------------------------------
@@ -225,29 +194,6 @@ class ObservationStore:
     def path_links(self, path: PathTuple) -> Tuple[Link, ...]:
         """Canonical links of a stored path (observer side first)."""
         return self._path_links[path]
-
-    def next_hops(self, path: PathTuple) -> Mapping[int, int]:
-        """Map each non-origin hop of ``path`` to the hop it learned from.
-
-        Equivalent to :meth:`ObservedRoute.next_hop_of` for every AS on
-        the path at once (paths are loop-free, so the map is unambiguous).
-        """
-        cached = self._next_hops.get(path)
-        if cached is None:
-            cached = {path[i]: path[i + 1] for i in range(len(path) - 1)}
-            self._next_hops[path] = cached
-        return cached
-
-    def paths_by_origin(self, afi: Optional[AFI] = None) -> Dict[int, List[PathTuple]]:
-        """Distinct paths grouped by origin AS (sorted per origin)."""
-        cached = self._paths_by_origin.get(afi)
-        if cached is None:
-            grouped: Dict[int, Set[PathTuple]] = {}
-            for observation in self.observations_for(afi):
-                grouped.setdefault(observation.origin_as, set()).add(observation.path)
-            cached = {origin: sorted(paths) for origin, paths in grouped.items()}
-            self._paths_by_origin[afi] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # link tables
@@ -300,11 +246,3 @@ class ObservationStore:
         return sum(
             1 for path in self.distinct_paths(afi) if not target.isdisjoint(path_links[path])
         )
-
-    def fraction_crossing_any(self, links: Iterable[Link], afi: Optional[AFI] = None) -> float:
-        """Fraction of distinct paths (of one plane) traversing at least
-        one of ``links``; 0.0 for a plane with no paths."""
-        total = self.distinct_path_count(afi)
-        if total == 0:
-            return 0.0
-        return self.paths_crossing_any(links, afi) / total

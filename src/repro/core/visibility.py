@@ -43,12 +43,6 @@ class VisibilityIndex:
         """Number of indexed paths that traverse ``link``."""
         return self.link_paths.get(link, 0)
 
-    def visibility_fraction(self, link: Link) -> float:
-        """Fraction of indexed paths that traverse ``link``."""
-        if self.path_count == 0:
-            return 0.0
-        return self.visibility_of(link) / self.path_count
-
     def rank_links(self, links: Optional[Iterable[Link]] = None) -> List[Tuple[Link, int]]:
         """Links ranked by decreasing visibility.
 

@@ -29,7 +29,8 @@ from typing import Dict, Optional
 
 from repro.analysis.paths import store_from_records
 from repro.bgp.prefixes import PrefixAllocator
-from repro.bgp.propagation import PropagationResult, PropagationSimulator
+from repro.bgp.propagation import PropagationSimulator
+from repro.bgp.results import PropagationResult
 from repro.collectors.archive import CollectorArchive
 from repro.collectors.collector import default_collectors
 from repro.core.annotation import ToRAnnotation

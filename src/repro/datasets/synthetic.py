@@ -36,7 +36,7 @@ if TYPE_CHECKING:
     from repro.analysis.paths import ExtractionResult
     from repro.bgp.policy import RoutingPolicy
     from repro.bgp.prefixes import Prefix, PrefixAllocator
-    from repro.bgp.propagation import PropagationResult
+    from repro.bgp.results import PropagationResult
     from repro.collectors.archive import CollectorArchive
     from repro.collectors.collector import Collector
     from repro.core.annotation import ToRAnnotation

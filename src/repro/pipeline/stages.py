@@ -57,7 +57,7 @@ if TYPE_CHECKING:
     from repro.analysis.stats import Section3Report, Section3Views
     from repro.bgp.policy import RoutingPolicy
     from repro.bgp.prefixes import Prefix
-    from repro.bgp.propagation import PropagationResult
+    from repro.bgp.results import PropagationResult
     from repro.collectors.archive import CollectorArchive
     from repro.collectors.collector import Collector
     from repro.core.annotation import ToRAnnotation

@@ -118,16 +118,6 @@ class GeneratedTopology:
     tier3: List[int]
     hybrid_links: Dict[Link, HybridType] = field(default_factory=dict)
 
-    def tier_of(self, asn: int) -> int:
-        """Tier (1, 2 or 3) the generator assigned to ``asn``."""
-        if asn in self.tier1:
-            return 1
-        if asn in self.tier2:
-            return 2
-        if asn in self.tier3:
-            return 3
-        raise KeyError(f"AS{asn} was not generated")
-
 
 def _sample_count(rng: random.Random, bounds: Tuple[int, int]) -> int:
     lo, hi = bounds

@@ -40,7 +40,7 @@ must call :meth:`rebuild_indexes` afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.relationships import (
     AFI,
@@ -49,9 +49,6 @@ from repro.core.relationships import (
     Relationship,
     orient_relationship,
 )
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 #: Shared immutable fallback for index lookups of ASes with no links.
 _EMPTY: Dict[int, Relationship] = {}
@@ -428,10 +425,6 @@ class ASGraph:
         """Settlement-free peers of ``asn`` in the given plane."""
         return self._directed_query(asn, afi, Relationship.P2P)
 
-    def siblings_of(self, asn: int, afi: AFI) -> List[int]:
-        """Sibling ASes of ``asn`` in the given plane."""
-        return self._directed_query(asn, afi, Relationship.SIBLING)
-
     def transit_free(self, asn: int, afi: AFI) -> bool:
         """True when the AS has no providers in the given plane."""
         return not self.providers_of(asn, afi)
@@ -454,10 +447,6 @@ class ASGraph:
                     frontier.append(neighbor)
         return cone
 
-    def transit_degree(self, asn: int, afi: AFI) -> int:
-        """Number of customers — the 'transit degree' used by degree heuristics."""
-        return len(self.customers_of(asn, afi))
-
     # ------------------------------------------------------------------
     # plane-level views
     # ------------------------------------------------------------------
@@ -472,47 +461,6 @@ class ASGraph:
     def dual_stack_ases(self) -> List[int]:
         """ASes that participate in both planes."""
         return sorted(asn for asn, node in self._nodes.items() if node.dual_stack)
-
-    def subgraph(self, afi: AFI) -> "ASGraph":
-        """A new :class:`ASGraph` restricted to one plane's links."""
-        result = ASGraph()
-        for asn in self.ases_in(afi):
-            node = self._nodes[asn]
-            result.add_as(asn, name=node.name, tier=node.tier, ipv4=node.ipv4, ipv6=node.ipv6)
-        for link in self.links(afi):
-            record = self._relationships[link]
-            rel = record.relationship(afi)
-            if afi is AFI.IPV4:
-                result.add_link(link.a, link.b, rel_v4=rel)
-            else:
-                result.add_link(link.a, link.b, rel_v6=rel)
-        return result
-
-    def to_networkx(self, afi: Optional[AFI] = None) -> nx.Graph:
-        """Export to a :class:`networkx.Graph` for generic graph algorithms.
-
-        Edge attributes ``rel_v4`` / ``rel_v6`` hold the canonical
-        relationship values; node attributes mirror :class:`ASNode`.
-        """
-        # Imported here: nothing else in the package needs networkx, and
-        # importing it costs every command about 0.2 s of start-up.
-        import networkx as nx
-
-        graph = nx.Graph()
-        for asn, node in self._nodes.items():
-            if afi is not None and not node.supports(afi):
-                continue
-            graph.add_node(asn, name=node.name, tier=node.tier, ipv4=node.ipv4, ipv6=node.ipv6)
-        for link, record in self._relationships.items():
-            if afi is not None and not record.relationship(afi).is_known:
-                continue
-            graph.add_edge(
-                link.a,
-                link.b,
-                rel_v4=record.ipv4,
-                rel_v6=record.ipv6,
-            )
-        return graph
 
     def copy(self) -> "ASGraph":
         """Deep-enough copy: nodes and relationship records are duplicated."""

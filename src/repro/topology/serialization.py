@@ -25,7 +25,6 @@ Two on-disk formats are supported:
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
@@ -209,15 +208,3 @@ def read_dual_stack(source: Union[str, Path, TextIO]) -> ASGraph:
         if should_close:
             stream.close()
     return graph
-
-
-def dumps_dual_stack(graph: ASGraph) -> str:
-    """Serialize a graph to an in-memory dual-stack string."""
-    buffer = io.StringIO()
-    write_dual_stack(graph, buffer)
-    return buffer.getvalue()
-
-
-def loads_dual_stack(text: str) -> ASGraph:
-    """Parse a dual-stack string produced by :func:`dumps_dual_stack`."""
-    return read_dual_stack(io.StringIO(text))

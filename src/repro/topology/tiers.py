@@ -19,7 +19,7 @@ tier-1 / tier-2 distinction to describe where hybrid links live.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set
+from typing import Dict
 
 from repro.core.relationships import AFI
 from repro.topology.graph import ASGraph
@@ -80,22 +80,9 @@ def annotate_tiers(
     return tiers
 
 
-def tier_members(tiers: Dict[int, int], tier: int) -> List[int]:
-    """All ASes assigned to a specific tier, sorted."""
-    return sorted(asn for asn, value in tiers.items() if value == tier)
-
-
 def tier_of_link(tiers: Dict[int, int], a: int, b: int) -> int:
     """Tier of a link, defined as the best (lowest) tier of its endpoints.
 
     Links involving ASes missing from ``tiers`` are treated as tier 3.
     """
     return min(tiers.get(a, 3), tiers.get(b, 3))
-
-
-def tier_histogram(tiers: Dict[int, int]) -> Dict[int, int]:
-    """Number of ASes per tier."""
-    histogram: Dict[int, int] = {}
-    for tier in tiers.values():
-        histogram[tier] = histogram.get(tier, 0) + 1
-    return histogram

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis.links import build_link_inventory, endpoint_ases, links_between
-from repro.analysis.partition import analyze_reachability, compare_relaxation
+from repro.analysis.links import build_link_inventory
+from repro.analysis.partition import analyze_reachability
 from repro.analysis.paths import observation_from_record, store_from_records
 from repro.analysis.report import format_series, format_summary, format_table, to_json
 from repro.bgp.attributes import ASPath, Community
@@ -100,16 +100,6 @@ class TestPathExtraction:
         assert result.observations[0].local_pref == 120
         assert result.observations[0].communities == (Community(20, 300),)
 
-    def test_distinct_paths_and_by_origin(self):
-        observations = [
-            ObservedRoute(path=(1, 2, 3), prefix=Prefix("3fff:1::/32"), vantage=1),
-            ObservedRoute(path=(1, 2, 3), prefix=Prefix("3fff:2::/32"), vantage=1),
-            ObservedRoute(path=(4, 2, 3), prefix=Prefix("3fff:1::/32"), vantage=4),
-        ]
-        store = ObservationStore(observations)
-        assert store.distinct_paths() == [(1, 2, 3), (4, 2, 3)]
-        assert store.paths_by_origin() == {3: [(1, 2, 3), (4, 2, 3)]}
-
 
 class TestLinkInventory:
     def make_observations(self):
@@ -130,8 +120,6 @@ class TestLinkInventory:
     def test_links_of_and_helpers(self):
         store = ObservationStore(self.make_observations())
         assert store.links(AFI.IPV6) == {Link(1, 2), Link(2, 3)}
-        assert endpoint_ases([Link(1, 2), Link(2, 3)]) == {1, 2, 3}
-        assert links_between([Link(1, 2), Link(2, 3)], [1, 2]) == {Link(1, 2)}
 
 
 class TestReachabilityPartition:
@@ -150,13 +138,13 @@ class TestReachabilityPartition:
     def test_fully_connected(self):
         report = analyze_reachability(self.connected_annotation())
         assert report.reachable_fraction == 1.0
-        assert not report.is_partitioned
+        assert report.reachable_pairs == report.ordered_pairs
         assert report.island_count == 1
         assert report.fully_reachable_ases == 3
 
     def test_partitioned(self):
         report = analyze_reachability(self.partitioned_annotation())
-        assert report.is_partitioned
+        assert report.reachable_pairs < report.ordered_pairs
         assert report.island_count == 2
         assert report.island_sizes == [2, 2]
         assert report.reachable_fraction == pytest.approx(4 / 12)
@@ -173,12 +161,7 @@ class TestReachabilityPartition:
         annotation.set(1, 2, Relationship.P2P)
         annotation.set(2, 3, Relationship.P2P)
         report = analyze_reachability(annotation)
-        assert report.is_partitioned  # 1 cannot reach 3 valley-free
-
-    def test_compare_relaxation(self):
-        report = compare_relaxation(self.partitioned_annotation(), 12)
-        assert report["pairs_gained_by_relaxation"] == pytest.approx(8.0)
-        assert report["strict_fraction"] == pytest.approx(4 / 12)
+        assert report.reachable_pairs < report.ordered_pairs  # 1 cannot reach 3 valley-free
 
     def test_summary(self):
         summary = analyze_reachability(self.partitioned_annotation()).summary()

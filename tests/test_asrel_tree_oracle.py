@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.bgp.engine import PropagationEngine
-from repro.bgp.propagation import originate_one_prefix_per_as
+from repro.bgp.results import originate_one_prefix_per_as
 from repro.core.relationships import AFI
 from repro.topology.serialization import read_caida_asrel
 

@@ -38,8 +38,8 @@ from repro.bgp.policy import (
     TrafficEngineeringOverride,
 )
 from repro.bgp.prefixes import PrefixAllocator
-from repro.bgp.propagation import PropagationSimulator, originate_one_prefix_per_as
-from repro.bgp.results import ConvergenceError
+from repro.bgp.propagation import PropagationSimulator
+from repro.bgp.results import ConvergenceError, originate_one_prefix_per_as
 from repro.bgp.router import BGPSpeaker
 from repro.irr.registry import build_registry
 from repro.topology.generator import TopologyConfig, generate_topology

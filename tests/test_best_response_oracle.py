@@ -25,7 +25,8 @@ from hypothesis import given, settings
 
 from repro.bgp.backends.arraycore import ArrayBackend
 from repro.bgp.policy import RoutingPolicy
-from repro.bgp.propagation import PropagationSimulator, originate_one_prefix_per_as
+from repro.bgp.propagation import PropagationSimulator
+from repro.bgp.results import originate_one_prefix_per_as
 from repro.core.relationships import AFI, Relationship
 
 from test_backends import _replayed, _vanilla_policies, random_scenario

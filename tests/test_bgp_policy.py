@@ -7,7 +7,6 @@ from repro.bgp.policy import (
     LocalPrefScheme,
     RoutingPolicy,
     TrafficEngineeringOverride,
-    default_policies,
     gao_rexford_export_allowed,
 )
 from repro.bgp.prefixes import Prefix
@@ -103,8 +102,3 @@ class TestRoutingPolicy:
         assert policy.export_allowed(Relationship.P2P, Relationship.P2P, 9, AFI.IPV6)
         # Relaxation is per address family.
         assert not policy.export_allowed(Relationship.P2P, Relationship.P2P, 9, AFI.IPV4)
-
-    def test_default_policies_builder(self):
-        policies = default_policies([1, 2, 3])
-        assert set(policies) == {1, 2, 3}
-        assert all(policy.asn == asn for asn, policy in policies.items())

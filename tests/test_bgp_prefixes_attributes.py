@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bgp.attributes import ASPath, Community, Origin, PathAttributes
-from repro.bgp.prefixes import Prefix, PrefixAllocator, group_by_afi
+from repro.bgp.prefixes import Prefix, PrefixAllocator
 from repro.core.relationships import AFI
 
 
@@ -54,18 +54,6 @@ class TestPrefixAllocator:
         assert allocator.prefix(7, AFI.IPV4).afi is AFI.IPV4
         assert allocator.prefix(7, AFI.IPV6).afi is AFI.IPV6
 
-    def test_prefixes_for_many(self):
-        allocator = PrefixAllocator()
-        mapping = allocator.prefixes_for([1, 2, 3], AFI.IPV6)
-        assert set(mapping) == {1, 2, 3}
-        assert all(p.afi is AFI.IPV6 for p in mapping.values())
-
-    def test_group_by_afi(self):
-        allocator = PrefixAllocator()
-        groups = group_by_afi([allocator.ipv4_prefix(1), allocator.ipv6_prefix(1)])
-        assert len(groups[AFI.IPV4]) == 1
-        assert len(groups[AFI.IPV6]) == 1
-
 
 class TestCommunity:
     def test_parse_and_str_round_trip(self):
@@ -89,7 +77,6 @@ class TestCommunity:
 class TestASPath:
     def test_basic_properties(self):
         path = ASPath([10, 20, 30])
-        assert path.first_as == 10
         assert path.origin_as == 30
         assert len(path) == 3
         assert list(path) == [10, 20, 30]
@@ -100,13 +87,7 @@ class TestASPath:
 
     def test_collapse_prepending(self):
         path = ASPath([10, 20, 20, 20, 30])
-        assert path.has_prepending
         assert path.collapsed() == (10, 20, 30)
-        assert not path.has_loop
-
-    def test_loop_detection(self):
-        assert ASPath([10, 20, 10]).has_loop
-        assert not ASPath([10, 20, 30]).has_loop
 
     def test_links(self):
         assert ASPath([10, 20, 20, 30]).links() == [(10, 20), (20, 30)]

@@ -6,10 +6,8 @@ from repro.bgp.attributes import ASPath, Community, PathAttributes
 from repro.bgp.messages import Announcement, Route
 from repro.bgp.policy import LocalPrefScheme, RoutingPolicy
 from repro.bgp.prefixes import Prefix, PrefixAllocator
-from repro.bgp.propagation import (
-    PropagationSimulator,
-    originate_one_prefix_per_as,
-)
+from repro.bgp.propagation import PropagationSimulator
+from repro.bgp.results import originate_one_prefix_per_as
 from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
 from repro.bgp.router import BGPSpeaker
 from repro.core.relationships import AFI, Relationship
@@ -45,7 +43,7 @@ class TestRibs:
         assert rib.install(route)
         assert not rib.install(route)
         assert V4 in rib
-        assert rib.prefixes() == [V4]
+        assert rib.routes() == [route]
 
     def test_loc_rib_afi_filter(self):
         rib = LocRib()
@@ -112,6 +110,27 @@ class TestBGPSpeaker:
         assert speaker.withdraw(V4, 2)
         assert speaker.best_route(V4) is None
 
+    def test_withdraw_acts_on_the_candidate_index(self):
+        speaker = self.make_speaker()
+        speaker.receive(make_announcement(V4, 1, 100, [1, 30]))
+        speaker.receive(make_announcement(V4, 3, 100, [3, 30]))
+        best = speaker.best_route(V4)
+        held = {prefix: dict(routes) for prefix, routes in speaker._routes_by_prefix.items()}
+        # Senders that hold no route for the prefix: AS2 is a neighbour
+        # without one, AS9 is no neighbour, and nobody announced V6.
+        assert not speaker.withdraw(V4, 2)
+        assert not speaker.withdraw(V4, 9)
+        assert not speaker.withdraw(V6, 3)
+        assert speaker.best_route(V4) is best
+        assert speaker._routes_by_prefix == held
+        # A withdrawn route that is not the best leaves the best in place
+        # but is no candidate any more: withdrawing the best empties the RIB.
+        assert not speaker.withdraw(V4, 1)
+        assert speaker.best_route(V4) is best
+        assert speaker.withdraw(V4, 3)
+        assert speaker.best_route(V4) is None
+        assert speaker._routes_by_prefix == {}
+
     def test_export_applies_valley_free_rule(self):
         speaker = self.make_speaker()
         speaker.receive(make_announcement(V4, 2, 100, [2, 30]))  # learned from peer
@@ -160,6 +179,7 @@ class TestBGPSpeaker:
         speaker.receive(make_announcement(V4, 3, 100, [3, 30]))
         speaker.prune_prefix(V4, keep_best=True)
         assert speaker.best_route(V4) is not None
+        assert not speaker.withdraw(V4, 3)  # the Adj-RIB-In entry is gone
         speaker.prune_prefix(V4, keep_best=False)
         assert speaker.best_route(V4) is None
 
@@ -184,7 +204,7 @@ class TestPropagation:
         origins = originate_one_prefix_per_as(diamond_graph, AFI.IPV4)
         result = simulator.run(origins)
         for asn in (1, 2, 3, 4):
-            assert len(result.reachable_prefixes(asn, AFI.IPV4)) == 4
+            assert len(result.speakers[asn].loc_rib.routes(AFI.IPV4)) == 4
 
     def test_paths_are_valley_free_without_relaxation(self, diamond_graph):
         simulator = PropagationSimulator(diamond_graph)

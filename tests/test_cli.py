@@ -530,8 +530,8 @@ class TestCacheDirValidation:
 #: Modules ``import repro.cli`` must not load: SQLite, the removed
 #: storage layers and the process/thread pools (spelled in parts so
 #: that a repository-wide grep for those layers finds nothing),
-#: networkx, which only ``ASGraph.to_networkx`` imports, and the frozen
-#: BGP oracle, which only the golden tests import.
+#: networkx, which only test oracles import (nothing under ``src/``
+#: does), and the frozen BGP oracle, which only the golden tests import.
 ABSENT_MODULES = (
     "sql" "ite3",
     "repro." "cluster",

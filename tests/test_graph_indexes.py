@@ -38,7 +38,7 @@ def simple_graph():
 class TestUnknownAsnValidation:
     @pytest.mark.parametrize(
         "query",
-        ["providers_of", "customers_of", "peers_of", "siblings_of"],
+        ["providers_of", "customers_of", "peers_of"],
     )
     def test_relationship_queries_raise_for_unknown_asn(self, simple_graph, query):
         with pytest.raises(KeyError):
@@ -130,7 +130,6 @@ class TestIndexConsistency:
                 assert graph.providers_of(asn, afi) == rebuilt.providers_of(asn, afi)
                 assert graph.customers_of(asn, afi) == rebuilt.customers_of(asn, afi)
                 assert graph.peers_of(asn, afi) == rebuilt.peers_of(asn, afi)
-                assert graph.siblings_of(asn, afi) == rebuilt.siblings_of(asn, afi)
                 assert graph.neighbors(asn, afi) == rebuilt.neighbors(asn, afi)
                 assert graph.oriented_neighbors(asn, afi) == rebuilt.oriented_neighbors(asn, afi)
 

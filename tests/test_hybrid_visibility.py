@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.bgp.prefixes import Prefix
 from repro.core.annotation import ToRAnnotation
-from repro.core.hybrid import HybridDetector, detect_hybrid_links
+from repro.core.hybrid import HybridDetector
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, HybridType, Link, Relationship
 from repro.core.store import ObservationStore
@@ -46,7 +46,7 @@ class TestHybridDetector:
 
     def test_detect_report(self):
         ipv4, ipv6 = annotation_pair()
-        report = detect_hybrid_links(ipv4, ipv6)
+        report = HybridDetector(ipv4, ipv6).detect()
         assert len(report.assessed_links) == 2
         assert len(report.hybrid_links) == 1
         assert report.hybrid_fraction == pytest.approx(0.5)
@@ -128,10 +128,6 @@ class TestVisibilityIndex:
         assert index.visibility_of(Link(2, 3)) == 2
         assert index.visibility_of(Link(8, 9)) == 0
 
-    def test_visibility_fraction(self):
-        index = build_visibility_index(ObservationStore(self.make_observations()), afi=AFI.IPV6)
-        assert index.visibility_fraction(Link(1, 2)) == pytest.approx(2 / 3)
-
     def test_ranking_and_top_links(self):
         index = build_visibility_index(ObservationStore(self.make_observations()), afi=AFI.IPV6)
         ranked = index.rank_links()
@@ -144,15 +140,11 @@ class TestVisibilityIndex:
     def test_paths_crossing_any(self):
         store = ObservationStore(self.make_observations())
         assert store.paths_crossing_any([Link(2, 3), Link(2, 4)], AFI.IPV6) == 3
-        assert store.fraction_crossing_any([Link(2, 3)], AFI.IPV6) == pytest.approx(2 / 3)
-        assert store.fraction_crossing_any([Link(7, 8)], AFI.IPV6) == 0.0
 
     def test_empty_index(self):
         store = ObservationStore([])
         index = build_visibility_index(store, afi=AFI.IPV6)
         assert index.path_count == 0
-        assert index.visibility_fraction(Link(1, 2)) == 0.0
-        assert store.fraction_crossing_any([Link(1, 2)], AFI.IPV6) == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -179,5 +171,3 @@ class TestVisibilityIndex:
             if any(Link(path[i], path[i + 1]) in links for i in range(len(path) - 1))
         )
         assert store.paths_crossing_any(links, afi) == expected
-        total = store.distinct_path_count(afi)
-        assert store.fraction_crossing_any(links, afi) == (expected / total if total else 0.0)

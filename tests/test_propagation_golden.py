@@ -23,8 +23,9 @@ import pytest
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.policy import LocalPrefScheme, RoutingPolicy, TrafficEngineeringOverride
 from repro.bgp.prefixes import PrefixAllocator
-from repro.bgp.propagation import PropagationSimulator, originate_one_prefix_per_as
+from repro.bgp.propagation import PropagationSimulator
 from repro.bgp.reference import ReferencePropagationSimulator
+from repro.bgp.results import originate_one_prefix_per_as
 from repro.irr.registry import build_registry
 from repro.topology.generator import TopologyConfig, generate_topology
 

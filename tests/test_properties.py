@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import io
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import ASPath, Community
-from repro.core.annotation import ToRAnnotation, valley_free_distances
+from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
 from repro.core.customer_tree import customer_tree
 from repro.core.observations import clean_raw_path
 from repro.core.relationships import (
@@ -20,7 +22,7 @@ from repro.core.valley import PathValidity, validate_path
 from repro.irr.dictionary import build_standard_dictionary
 from repro.irr.parser import dictionary_from_documentation, render_documentation
 from repro.irr.registry import IRRRegistry
-from repro.topology.serialization import dumps_dual_stack, loads_dual_stack
+from repro.topology.serialization import read_dual_stack, write_dual_stack
 from repro.topology.graph import ASGraph
 
 asns = st.integers(min_value=1, max_value=65_000)
@@ -131,7 +133,7 @@ class TestValleyProperties:
         bounded by the number of ASes."""
         ases = annotation.ases
         source = ases[0]
-        distances = valley_free_distances(annotation, source)
+        distances = ValleyFreeIndex(annotation).distances_from(source)
         assert distances[source] == 0
         for target, distance in distances.items():
             assert 0 <= distance < len(ases) + 1
@@ -145,9 +147,10 @@ class TestValleyProperties:
         valley-free path is valley-free)."""
         ases = annotation.ases
         source = ases[0]
-        forward = set(valley_free_distances(annotation, source))
+        index = ValleyFreeIndex(annotation)
+        forward = set(index.distances_from(source))
         for target in list(forward)[:5]:
-            backward = valley_free_distances(annotation, target)
+            backward = index.distances_from(target)
             assert source in backward
 
     @settings(max_examples=50)
@@ -174,7 +177,10 @@ class TestSerializationProperties:
         graph = ASGraph()
         for link, relationship in annotation.items():
             graph.add_link(link.a, link.b, rel_v6=relationship)
-        loaded = loads_dual_stack(dumps_dual_stack(graph))
+        buffer = io.StringIO()
+        write_dual_stack(graph, buffer)
+        buffer.seek(0)
+        loaded = read_dual_stack(buffer)
         for link, relationship in annotation.items():
             assert loaded.relationship(link.a, link.b, AFI.IPV6) is relationship
 

@@ -155,16 +155,6 @@ class TestRelationshipRecord:
                 confidence=1.5,
             )
 
-    def test_as_seen_from(self):
-        record = RelationshipRecord(
-            link=Link(1, 2),
-            afi=AFI.IPV6,
-            relationship=Relationship.P2C,
-            source=RelationshipSource.GROUND_TRUTH,
-        )
-        assert record.as_seen_from(1) is Relationship.P2C
-        assert record.as_seen_from(2) is Relationship.C2P
-
 
 class TestDualStackRelationship:
     def test_defaults_unknown(self):

@@ -113,20 +113,8 @@ class TestStoreIndexes:
         }
         assert store.dual_stack_links() == {Link(1, 2), Link(2, 3)}
         assert store.links() == store.links(AFI.IPV4) | store.links(AFI.IPV6)
-        # Per-origin and per-link observation indexes.
-        assert sorted(store.by_origin) == [3, 5]
-        assert len(store.by_origin[3]) == 3
-        assert [o.prefix for o in store.observations_crossing(Link(2, 4))] == [
-            Prefix("3fff:1::/32")
-        ]
-        assert store.observations_crossing(Link(7, 8)) == []
         # Path helpers.
         assert store.path_links((1, 2, 3)) == (Link(1, 2), Link(2, 3))
-        assert dict(store.next_hops((1, 2, 3))) == {1: 2, 2: 3}
-        assert store.paths_by_origin(AFI.IPV6) == {
-            3: [(1, 2, 3), (4, 2, 3)],
-            5: [(1, 5)],
-        }
         assert store.observations_for(None) is store.observations
         # Visibility counts each distinct path of the plane once.
         assert store.visibility_index(AFI.IPV6).path_count == 3

@@ -65,12 +65,6 @@ class TestHierarchy:
         for asn in generated.tier1:
             assert tiers[asn] == 1
 
-    def test_tier_of_lookup(self, generated):
-        assert generated.tier_of(generated.tier1[0]) == 1
-        assert generated.tier_of(generated.tier3[0]) == 3
-        with pytest.raises(KeyError):
-            generated.tier_of(10**9)
-
 
 class TestIPv6Plane:
     def test_all_tier1_are_ipv6(self, generated):

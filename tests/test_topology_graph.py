@@ -88,10 +88,6 @@ class TestRelationshipQueries:
         assert simple_graph.customer_cone(2, AFI.IPV4) == {2, 4}
         assert simple_graph.customer_cone(4, AFI.IPV4) == {4}
 
-    def test_transit_degree(self, simple_graph):
-        assert simple_graph.transit_degree(1, AFI.IPV4) == 2
-        assert simple_graph.transit_degree(4, AFI.IPV4) == 0
-
 
 class TestPlaneViews:
     def test_links_per_afi(self, simple_graph):
@@ -114,17 +110,6 @@ class TestPlaneViews:
         assert simple_graph.neighbors(3) == [1, 2, 5]
         assert simple_graph.neighbors(3, AFI.IPV4) == [1, 2]
         assert simple_graph.degree(3, AFI.IPV6) == 3
-
-    def test_subgraph_restricts_to_plane(self, simple_graph):
-        sub = simple_graph.subgraph(AFI.IPV6)
-        assert not sub.has_link(2, 4)
-        assert sub.relationship(3, 5, AFI.IPV6) is Relationship.P2P
-        assert 4 not in sub
-
-    def test_to_networkx_edge_attributes(self, simple_graph):
-        nx_graph = simple_graph.to_networkx(AFI.IPV4)
-        assert nx_graph.number_of_edges() == 4
-        assert nx_graph.edges[1, 2]["rel_v4"] is Relationship.P2C
 
     def test_copy_is_independent(self, simple_graph):
         clone = simple_graph.copy()

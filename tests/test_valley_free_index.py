@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.partition import analyze_reachability
-from repro.core.annotation import ToRAnnotation, ValleyFreeIndex, valley_free_distances
+from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
 from repro.core.correction import CorrectionExperiment
 from repro.core.customer_tree import (
     PathLengthMetrics,
@@ -134,7 +134,6 @@ def test_distances_match_tuple_state_oracle(annotation):
     for source in annotation.ases + [0]:  # AS 0 is never in the annotation
         expected = oracle_distances(annotation, source)
         assert index.distances_from(source) == expected
-        assert valley_free_distances(annotation, source) == expected
 
 
 @settings(max_examples=100, deadline=None)
