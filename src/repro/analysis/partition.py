@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
-from repro.core.relationships import AFI
 
 
 @dataclass

@@ -15,7 +15,8 @@ Only the attributes the paper's methodology relies on are modelled:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -30,18 +31,26 @@ class Origin(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Community:
-    """A single RFC 1997 community value ``asn:value``."""
+class Community(namedtuple("Community", ("asn", "value"))):
+    """A single RFC 1997 community value ``asn:value``.
 
-    asn: int
-    value: int
+    The tuple ``(asn, value)``, hashed and compared in C; it equals the
+    plain int tuple with the same members.  Every way to build one
+    validates, as for :class:`~repro.core.relationships.Link`.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.asn <= 0xFFFF_FFFF:
+    __slots__ = ()
+
+    def __new__(cls, asn: int, value: int) -> "Community":
+        if not 0 <= asn <= 0xFFFF_FFFF:
             raise ValueError("community ASN out of range")
-        if not 0 <= self.value <= 0xFFFF:
+        if not 0 <= value <= 0xFFFF:
             raise ValueError("community value out of range")
+        return tuple.__new__(cls, (asn, value))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Community":
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str) -> "Community":

@@ -9,7 +9,7 @@ extended AS path and freshly computed LOCAL_PREF / communities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.attributes import ASPath, Community, Origin, PathAttributes

@@ -16,7 +16,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.relationships import AFI
 from repro.collectors.collector import Collector

@@ -23,8 +23,7 @@ an empty field back to ``None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.relationships import AFI
 from repro.bgp.attributes import ASPath, Community, Origin
@@ -39,9 +38,12 @@ class MRTFormatError(ValueError):
     """Raised when an MRT text line cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class TableDumpRecord:
+class TableDumpRecord(NamedTuple):
     """One line of a RIB table dump.
+
+    A tuple, so it is built, hashed and compared in C: a collector
+    builds one per archived vantage route.  The record validates
+    nothing, so no constructor is trusted over another.
 
     Attributes:
         timestamp: Unix timestamp of the snapshot.
@@ -158,18 +160,24 @@ class TableDumpRecord:
         LOCAL_PREF, never a ``0``.  The route's path is valid by
         construction, so the record's is built without re-validating it.
         """
-        return cls(
-            timestamp=timestamp,
-            peer_ip=peer_ip,
-            peer_as=route.holder,
-            prefix=route.prefix,
-            as_path=ASPath.trusted(route.full_path()),
-            origin=route.attributes.origin,
-            next_hop="",
-            local_pref=route.local_pref if include_local_pref else None,
-            med=route.attributes.med,
-            communities=route.communities,
-            collector=collector,
+        attributes = route.attributes
+        # The fields in declaration order, built by ``tuple.__new__``
+        # rather than the generated ``__new__``, which is a Python call.
+        return tuple.__new__(
+            cls,
+            (
+                timestamp,
+                peer_ip,
+                route.holder,
+                route.prefix,
+                ASPath.trusted(route.full_path()),
+                attributes.origin,
+                "",
+                attributes.local_pref if include_local_pref else None,
+                attributes.med,
+                attributes.communities,
+                collector,
+            ),
         )
 
 

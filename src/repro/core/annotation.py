@@ -17,7 +17,6 @@ Figure-2 correction experiment.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.relationships import (

@@ -12,7 +12,7 @@ IPv6 links and for the dual-stack subset).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.core.annotation import ToRAnnotation
 from repro.core.communities_inference import (

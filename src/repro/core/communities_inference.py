@@ -26,7 +26,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Tuple,
@@ -189,12 +188,7 @@ class CommunitiesInference:
         construction are looked up, not re-derived.  The grouped votes
         are identical to the naive scan.
         """
-        # Grouping is keyed by plain int tuples (lo, hi, afi value) while
-        # collecting — hashing a Link (generated dataclass __hash__) and
-        # an AFI (enum __hash__) per vote is measurably slower than
-        # hashing three ints — and re-keyed to the public (Link, AFI)
-        # form at the end, preserving first-vote insertion order.
-        grouped: Dict[Tuple[int, int, int], List[RelationshipVote]] = defaultdict(list)
+        grouped: Dict[Tuple[Link, AFI], List[RelationshipVote]] = defaultdict(list)
         # (community, learned_from) -> everything a vote needs that does
         # not vary per observation: the shared canonical Link, the
         # canonical-orientation relationship and the two grouping keys.
@@ -202,7 +196,7 @@ class CommunitiesInference:
         # non-relationship values).
         template_memo: Dict[
             Tuple[object, int],
-            Optional[Tuple[Link, Relationship, Tuple[int, int, int], Tuple[int, int, int]]],
+            Optional[Tuple[Link, Relationship, Tuple[Link, AFI], Tuple[Link, AFI]]],
         ] = {}
         missing = object()
         ipv6 = AFI.IPV6
@@ -235,21 +229,14 @@ class CommunitiesInference:
                         canonical = (
                             relationship if link.a == tagger else relationship.inverse
                         )
-                        entry = (
-                            link,
-                            canonical,
-                            (link.a, link.b, AFI.IPV4.value),
-                            (link.a, link.b, AFI.IPV6.value),
-                        )
+                        entry = (link, canonical, (link, AFI.IPV4), (link, ipv6))
                     template_memo[template_key] = entry
                 if entry is None:
                     continue
                 grouped[entry[3] if is_v6 else entry[2]].append(
                     RelationshipVote(entry[0], afi, entry[1], tagger, vantage)
                 )
-        return {
-            (votes[0].link, votes[0].afi): votes for votes in grouped.values()
-        }
+        return dict(grouped)
 
     # ------------------------------------------------------------------
     # aggregation

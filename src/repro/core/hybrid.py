@@ -19,7 +19,7 @@ truth, for validation), this module
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.annotation import ToRAnnotation
 from repro.core.relationships import (

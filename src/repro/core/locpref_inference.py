@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.annotation import ToRAnnotation
 from repro.core.relationships import (
@@ -295,10 +295,8 @@ class LocPrefInference:
         # The vote a route casts is a pure function of (vantage, first
         # hop, LOCAL_PREF value, AFI) once the mappings are fixed, and a
         # snapshot has only a few hundred distinct such keys for tens of
-        # thousands of routes — memoize the outcome per key.  The key
-        # carries the AFI as its integer value (enum hashing is a Python
-        # call; int hashing is not).
-        outcome_memo: Dict[Tuple[int, int, int, int], Tuple] = {}
+        # thousands of routes — memoize the outcome per key.
+        outcome_memo: Dict[Tuple[int, int, Optional[int], AFI], Tuple] = {}
         for route, excluded in zip(routes, te_flags):
             path = route.path
             if len(path) < 2:
@@ -306,7 +304,7 @@ class LocPrefInference:
             if excluded:
                 filtered += 1
                 continue
-            key = (route.vantage, path[1], route.local_pref, route.afi.value)
+            key = (route.vantage, path[1], route.local_pref, route.afi)
             outcome = outcome_memo.get(key)
             if outcome is None:
                 mapping = mappings.get(route.vantage)

@@ -13,16 +13,20 @@ unit tests without dragging the whole collector substrate in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.relationships import Link
 from repro.bgp.attributes import Community
 from repro.bgp.prefixes import Prefix
 
 
-@dataclass(frozen=True)
-class ObservedRoute:
+class ObservedRoute(
+    namedtuple(
+        "ObservedRoute",
+        ("path", "prefix", "vantage", "communities", "local_pref", "collector", "afi"),
+    )
+):
     """One route observation from a vantage point.
 
     Attributes:
@@ -35,31 +39,53 @@ class ObservedRoute:
         local_pref: LOCAL_PREF reported by the vantage feed, ``None``
             when the feed does not export it.
         collector: Name of the collector the record came from.
-        afi: Address family of the observation (derived from the prefix
-            at construction; a plain attribute, not a dataclass field,
-            because every per-plane filter of every pipeline stage reads
-            it).
+        afi: Address family of the observation, stored from the
+            prefix's at construction (every per-plane filter of every
+            pipeline stage reads it).
+
+    A tuple of those seven fields, built in C: extraction makes one per
+    archived record.  ``afi`` is derived, so the constructor takes the
+    other six.  ``__new__``, ``_make``, ``_replace`` and unpickling all
+    validate; :meth:`trusted` is the one constructor that does not.
     """
 
-    path: Tuple[int, ...]
-    prefix: Prefix
-    vantage: int
-    communities: Tuple[Community, ...] = ()
-    local_pref: Optional[int] = None
-    collector: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.path) < 1:
+    def __new__(
+        cls,
+        path: Tuple[int, ...],
+        prefix: Prefix,
+        vantage: int,
+        communities: Tuple[Community, ...] = (),
+        local_pref: Optional[int] = None,
+        collector: str = "",
+    ) -> "ObservedRoute":
+        if len(path) < 1:
             raise ValueError("an observed path cannot be empty")
-        if self.path[0] != self.vantage:
+        if path[0] != vantage:
             raise ValueError("the vantage AS must be the first hop of the path")
-        if len(set(self.path)) != len(self.path):
+        if len(set(path)) != len(path):
             raise ValueError("observed paths must be loop-free and prepending-free")
-        # ``afi`` is read on every per-plane filter of every pipeline
-        # stage; a plain attribute beats a property chain through the
-        # prefix.  Not a dataclass field: equality and repr stay keyed on
-        # the declared fields.
-        object.__setattr__(self, "afi", self.prefix.afi)
+        return tuple.__new__(
+            cls, (path, prefix, vantage, communities, local_pref, collector, prefix.afi)
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "ObservedRoute":
+        *fields, afi = iterable
+        observation = cls(*fields)
+        if afi is not observation.afi:
+            raise ValueError("afi must be the address family of the prefix")
+        return observation
+
+    def _replace(self, **changes: object) -> "ObservedRoute":
+        # ``afi`` follows the prefix; it is no constructor argument.
+        fields = dict(zip(self._fields[:-1], self))
+        fields.update(changes)
+        return type(self)(**fields)
+
+    def __getnewargs__(self) -> Tuple[object, ...]:
+        return self[:-1]
 
     @classmethod
     def trusted(
@@ -76,23 +102,12 @@ class ObservedRoute:
         The extraction pipeline cleans every path through
         :func:`clean_raw_path` (which already proves it non-empty and
         loop-free) and anchors the vantage AS itself, so re-validating in
-        ``__post_init__`` would redo that work once per archived record.
+        ``__new__`` would redo that work once per archived record.
         Hand-built observations should use the normal constructor.
         """
-        observation = object.__new__(cls)
-        # Attribute by attribute, as the validating constructor sets
-        # them: assigning a fresh ``__dict__`` instead would lose
-        # CPython's compact per-instance attribute storage, and
-        # extraction creates one instance per archived record.
-        setattr_ = object.__setattr__
-        setattr_(observation, "path", path)
-        setattr_(observation, "prefix", prefix)
-        setattr_(observation, "vantage", vantage)
-        setattr_(observation, "communities", communities)
-        setattr_(observation, "local_pref", local_pref)
-        setattr_(observation, "collector", collector)
-        setattr_(observation, "afi", prefix.afi)
-        return observation
+        return tuple.__new__(
+            cls, (path, prefix, vantage, communities, local_pref, collector, prefix.afi)
+        )
 
     @property
     def origin_as(self) -> int:

@@ -38,8 +38,9 @@ This module defines the vocabulary used everywhere else:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 
 class AFI(enum.Enum):
@@ -47,6 +48,10 @@ class AFI(enum.Enum):
 
     IPV4 = 4
     IPV6 = 6
+
+    # Members are singletons compared by identity; hash them the same
+    # way, in C (``Enum.__hash__`` hashes the member name in Python).
+    __hash__ = object.__hash__
 
     @property
     def other(self) -> "AFI":
@@ -71,6 +76,8 @@ class Relationship(enum.Enum):
     P2P = "p2p"
     SIBLING = "s2s"
     UNKNOWN = "unknown"
+
+    __hash__ = object.__hash__  # identity, as for AFI
 
     @property
     def inverse(self) -> "Relationship":
@@ -111,12 +118,13 @@ class RelationshipSource(enum.Enum):
     DEGREE = "degree"
     MANUAL = "manual"
 
+    __hash__ = object.__hash__  # identity, as for AFI
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class Link:
+class Link(namedtuple("Link", ("a", "b"))):
     """A canonical (undirected) AS-level link.
 
     The canonical orientation stores the numerically smaller ASN in
@@ -124,29 +132,26 @@ class Link:
     this orientation, so that two independently constructed ``Link``
     objects for the same pair of ASes compare and hash equal and carry
     comparable relationship values.
+
+    A ``Link`` is the tuple ``(a, b)``: hashing, equality and ordering
+    are the tuple's own, run in C, and a link equals the plain int tuple
+    with the same members.  Every way to build one validates:
+    ``__new__``, ``_make`` and ``_replace`` (which builds through
+    ``_make``), and unpickling, which calls ``__new__``.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __init__(self, a: int, b: int) -> None:  # noqa: D107 - documented above
+    def __new__(cls, a: int, b: int) -> "Link":
         if a == b:
             raise ValueError(f"self-loop link for AS{a} is not allowed")
         if a < 0 or b < 0:
             raise ValueError("AS numbers must be non-negative")
-        lo, hi = (a, b) if a < b else (b, a)
-        object.__setattr__(self, "a", lo)
-        object.__setattr__(self, "b", hi)
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
     @classmethod
-    def of(cls, a: int, b: int) -> "Link":
-        """Build a canonical link from any ordering of its endpoints."""
-        return cls(a, b)
-
-    @property
-    def endpoints(self) -> Tuple[int, int]:
-        """Both endpoints in canonical order."""
-        return (self.a, self.b)
+    def _make(cls, iterable: Iterable[int]) -> "Link":
+        return cls(*iterable)
 
     def other(self, asn: int) -> int:
         """Return the endpoint that is not ``asn``."""
@@ -214,6 +219,8 @@ class HybridType(enum.Enum):
     TRANSIT_REVERSED = "transit-reversed"
     OTHER = "other"
     NOT_HYBRID = "not-hybrid"
+
+    __hash__ = object.__hash__  # identity, as for AFI
 
     @property
     def is_hybrid(self) -> bool:
@@ -309,35 +316,17 @@ def majority_relationship(
     known votes).  Ties also return ``None``: a tie means the evidence is
     contradictory and the paper's methodology refuses to guess.
     """
-    # Counted with identity checks into plain ints: this function runs
-    # once per candidate link and once per calibration route, and dict
-    # counters keyed by enum members (whose __hash__ is a Python call)
-    # dominated its cost.
-    p2c = c2p = p2p = sibling = 0
+    counts: Dict[Relationship, int] = {}
     for rel in relationships:
-        if rel is Relationship.P2C:
-            p2c += 1
-        elif rel is Relationship.C2P:
-            c2p += 1
-        elif rel is Relationship.P2P:
-            p2p += 1
-        elif rel is Relationship.SIBLING:
-            sibling += 1
-    total = p2c + c2p + p2p + sibling
+        counts[rel] = counts.get(rel, 0) + 1
+    counts.pop(Relationship.UNKNOWN, None)
+    total = sum(counts.values())
     if total < min_votes or total == 0:
         return None
-    best = max(p2c, c2p, p2p, sibling)
-    winner: Optional[Relationship] = None
-    for rel, count in (
-        (Relationship.P2C, p2c),
-        (Relationship.C2P, c2p),
-        (Relationship.P2P, p2p),
-        (Relationship.SIBLING, sibling),
-    ):
-        if count == best:
-            if winner is not None:
-                return None  # tie: contradictory evidence
-            winner = rel
+    best = max(counts.values())
+    winners = [rel for rel, count in counts.items() if count == best]
+    if len(winners) > 1:
+        return None  # tie: contradictory evidence
     if best / total < min_agreement:
         return None
-    return winner
+    return winners[0]

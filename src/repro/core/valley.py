@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.annotation import ToRAnnotation, ValleyFreeIndex
-from repro.core.relationships import AFI, Link, Relationship
+from repro.core.relationships import AFI, Relationship
 
 if TYPE_CHECKING:
     from repro.core.store import ObservationStore

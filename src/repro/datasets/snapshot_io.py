@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.collectors.archive import CollectorArchive
 from repro.core.annotation import ToRAnnotation

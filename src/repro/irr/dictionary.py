@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.relationships import Relationship
 from repro.bgp.attributes import Community

@@ -13,8 +13,7 @@ limits the paper's relationship coverage to 72 % of the IPv6 links.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.relationships import Relationship
 from repro.bgp.attributes import Community

@@ -34,9 +34,11 @@ selection and origin selection — so the staged pipeline is
 golden tests pin on two seeds.
 
 Stage *code versions* are declared next to each stage; bump one when
-the stage's implementation changes in a result-affecting way, and every
-cached artifact of that stage and its descendants is invalidated
-(fingerprints chain — see :mod:`repro.pipeline.artifacts`).
+the stage's implementation changes in a result-affecting way, or when a
+type its payload pickles changes form (an old artifact then reads as a
+clean miss instead of ``cache.corrupt``), and every cached artifact of
+that stage and its descendants is invalidated (fingerprints chain — see
+:mod:`repro.pipeline.artifacts`).
 """
 
 from __future__ import annotations
@@ -379,14 +381,14 @@ def full_stages() -> List[StageSpec]:
     return [
         StageSpec(
             name="topology",
-            version="1",
+            version="2",
             dependencies=(),
             compute=_stage_topology,
             config_slice=lambda config: config.dataset.topology,
         ),
         StageSpec(
             name="irr",
-            version="1",
+            version="2",
             dependencies=("topology",),
             compute=_stage_irr,
             config_slice=lambda config: (
@@ -396,7 +398,7 @@ def full_stages() -> List[StageSpec]:
         ),
         StageSpec(
             name="scenario",
-            version="1",
+            version="2",
             dependencies=("topology", "irr"),
             compute=_stage_scenario,
             config_slice=_scenario_slice,
@@ -438,7 +440,7 @@ def full_stages() -> List[StageSpec]:
         ),
         StageSpec(
             name="ground_truth",
-            version="1",
+            version="2",
             dependencies=("scenario",),
             compute=_stage_ground_truth,
         ),
@@ -459,13 +461,13 @@ def full_stages() -> List[StageSpec]:
         ),
         StageSpec(
             name="inference",
-            version="2",
+            version="3",
             dependencies=("store", "irr"),
             compute=_stage_inference,
         ),
         StageSpec(
             name="views",
-            version="2",
+            version="3",
             dependencies=("store", "inference"),
             compute=_stage_views,
         ),
@@ -477,7 +479,7 @@ def full_stages() -> List[StageSpec]:
         ),
         StageSpec(
             name="correction",
-            version="2",
+            version="3",
             dependencies=("views", "inference"),
             compute=_stage_correction,
             config_slice=lambda config: (config.top,),

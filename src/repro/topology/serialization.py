@@ -26,9 +26,9 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import Optional, TextIO, Tuple, Union
 
-from repro.core.relationships import AFI, Link, Relationship
+from repro.core.relationships import AFI, Relationship
 from repro.topology.graph import ASGraph
 
 _REL_TO_CAIDA = {

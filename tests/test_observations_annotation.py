@@ -74,7 +74,10 @@ class TestObservedRoute:
             communities=communities, local_pref=300, collector="rrc00"
         )
         assert trusted == validated
-        assert vars(trusted) == vars(validated)
+        assert type(trusted) is type(validated)
+        for name in ObservedRoute._fields:
+            assert getattr(trusted, name) == getattr(validated, name), name
+        assert trusted.afi is validated.afi is AFI.IPV6
 
     def test_trusted_is_no_larger_than_validated(self):
         """Extraction builds one trusted observation per archived record;
