@@ -23,7 +23,8 @@ from repro.core.annotation import ToRAnnotation
 from repro.core.customer_tree import customer_tree
 from repro.core.relationships import AFI, HybridType, Relationship
 from repro.datasets.scenarios import figure1_scenario
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.config import TopologyConfig
+from repro.topology.generator import generate_topology
 
 
 def paper_example() -> None:

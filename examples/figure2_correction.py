@@ -24,7 +24,8 @@ from repro.analysis.report import format_series, format_summary
 from repro.analysis.stats import compute_section3
 from repro.core.correction import CorrectionExperiment, plane_agnostic_annotation
 from repro.core.relationships import AFI
-from repro.datasets.synthetic import build_snapshot, paper_scale_config, small_config
+from repro.datasets.config import paper_scale_config, small_config
+from repro.datasets.synthetic import build_snapshot
 
 
 def main() -> None:

@@ -23,7 +23,8 @@ from repro.core.combined_inference import CombinedInference
 from repro.core.hybrid import HybridDetector
 from repro.core.relationships import AFI
 from repro.core.visibility import build_visibility_index
-from repro.datasets.synthetic import build_snapshot, small_config
+from repro.datasets.config import small_config
+from repro.datasets.synthetic import build_snapshot
 
 
 def main() -> None:

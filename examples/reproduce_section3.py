@@ -18,7 +18,8 @@ import argparse
 
 from repro.analysis.report import format_table
 from repro.analysis.stats import compute_section3
-from repro.datasets.synthetic import build_snapshot, paper_scale_config, small_config
+from repro.datasets.config import paper_scale_config, small_config
+from repro.datasets.synthetic import build_snapshot
 
 #: The values reported by the paper for August 2010 (absolute counts are
 #: not expected to match a synthetic snapshot; the shapes should).

@@ -24,7 +24,8 @@ from repro.analysis.report import format_summary
 from repro.analysis.stats import compute_section3
 from repro.core.relationships import AFI
 from repro.core.valley import ValleyReason
-from repro.datasets.synthetic import build_snapshot, small_config
+from repro.datasets.config import small_config
+from repro.datasets.synthetic import build_snapshot
 
 
 def main() -> None:

@@ -23,6 +23,8 @@ which builds the one the ``engine`` name selects.  ``array`` is the
 default engine.
 """
 
+from typing import Dict
+
 #: Valid values of the ``propagation.engine`` config field and ``--engine``.
 #: Naming the engines here, not importing the engine classes, keeps this
 #: module free of the propagation code, so the CLI and the pipeline
@@ -31,3 +33,15 @@ ENGINE_CHOICES = ("event", "array")
 
 #: The engine every entry point uses unless told otherwise.
 DEFAULT_ENGINE = "array"
+
+
+def engine_provenance(engine: str) -> Dict[str, object]:
+    """Which backend a run configured with ``engine`` used, and why.
+
+    The per-plane entry of ``section3 --json``'s ``provenance`` block,
+    defined here so the CLI builds it without loading an engine.
+    ``backend`` is always ``engine`` (no engine falls back), and
+    ``fallback_reason`` is always ``None``; both keys stay so the report
+    keeps its shape.
+    """
+    return {"engine": engine, "backend": engine, "fallback_reason": None}

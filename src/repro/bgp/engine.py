@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional
 
-from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
+from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES, engine_provenance
 from repro.bgp.backends.arraycore import ArrayBackend
 from repro.telemetry.tracer import get_tracer
 from repro.bgp.policy import RoutingPolicy
@@ -29,17 +29,6 @@ from repro.bgp.prefixes import Prefix
 from repro.bgp.propagation import PropagationSimulator
 from repro.bgp.results import PropagationResult
 from repro.topology.graph import ASGraph
-
-
-def engine_provenance(engine: str) -> Dict[str, object]:
-    """Which backend a run configured with ``engine`` used, and why.
-
-    The per-plane entry of ``section3 --json``'s ``provenance`` block.
-    ``backend`` is always ``engine`` (no engine falls back), and
-    ``fallback_reason`` is always ``None``; both keys stay so the report
-    keeps its shape.
-    """
-    return {"engine": engine, "backend": engine, "fallback_reason": None}
 
 
 class PropagationEngine:

@@ -51,6 +51,17 @@ class Prefix:
         # the hash is precomputed alongside.
         object.__setattr__(self, "_hash", hash((Prefix, str(parsed))))
 
+    @classmethod
+    def trusted(cls, network: str, afi: AFI) -> "Prefix":
+        """A prefix over ``network`` whose canonical CIDR form the caller
+        guarantees (as :meth:`PrefixAllocator.ipv4_prefix` builds it), so
+        the :mod:`ipaddress` parse of ``__init__`` is skipped."""
+        prefix = cls.__new__(cls)
+        object.__setattr__(prefix, "network", network)
+        object.__setattr__(prefix, "_afi", afi)
+        object.__setattr__(prefix, "_hash", hash((Prefix, network)))
+        return prefix
+
     def __hash__(self) -> int:
         try:
             return self._hash
@@ -117,20 +128,33 @@ class PrefixAllocator:
     def __init__(self) -> None:
         self._ipv4_capacity = 2 ** (self.IPV4_PLEN - self.IPV4_BASE.prefixlen)
         self._ipv6_capacity = 2 ** (self.IPV6_PLEN - self.IPV6_BASE.prefixlen)
+        self._ipv4_base = int(self.IPV4_BASE.network_address)
+        self._ipv6_base = int(self.IPV6_BASE.network_address)
 
+    # Both planes format their CIDR strings by integer arithmetic: a
+    # round trip through ipaddress per prefix was half of the paper-scale
+    # ``scenario`` stage.  ``tests/test_bgp_prefixes_attributes.py``
+    # compares every index of both planes with the ipaddress result.
     def ipv4_prefix(self, asn: int) -> Prefix:
         """The IPv4 prefix originated by ``asn``."""
         index = asn % self._ipv4_capacity
-        offset = index * 2 ** (32 - self.IPV4_PLEN)
-        address = int(self.IPV4_BASE.network_address) + offset
-        return Prefix(f"{ipaddress.IPv4Address(address)}/{self.IPV4_PLEN}")
+        address = self._ipv4_base + (index << (32 - self.IPV4_PLEN))
+        network = (
+            f"{address >> 24}.{(address >> 16) & 255}.{(address >> 8) & 255}."
+            f"{address & 255}/{self.IPV4_PLEN}"
+        )
+        return Prefix.trusted(network, AFI.IPV4)
 
     def ipv6_prefix(self, asn: int) -> Prefix:
         """The IPv6 prefix originated by ``asn``."""
         index = asn % self._ipv6_capacity
-        offset = index * 2 ** (128 - self.IPV6_PLEN)
-        address = int(self.IPV6_BASE.network_address) + offset
-        return Prefix(f"{ipaddress.IPv6Address(address)}/{self.IPV6_PLEN}")
+        address = self._ipv6_base + (index << (128 - self.IPV6_PLEN))
+        # A /32 leaves the six low groups zero and the base's high group
+        # is non-zero, so the canonical form (RFC 5952) is the two high
+        # groups, a zero second group folding into the "::" run.
+        high, second = address >> 112, (address >> 96) & 0xFFFF
+        head = f"{high:x}:{second:x}" if second else f"{high:x}"
+        return Prefix.trusted(f"{head}::/{self.IPV6_PLEN}", AFI.IPV6)
 
     def prefix(self, asn: int, afi: AFI) -> Prefix:
         """The prefix originated by ``asn`` in the requested plane."""

@@ -69,16 +69,17 @@ across engines.
 turns on structured telemetry: :func:`main` activates one tracer around
 the command, and its spans and counters are appended to
 ``DIR/trace.jsonl`` (see :mod:`repro.telemetry` and
-``docs/observability.md``).  Tracing is off by default, adds no
-overhead when off, and never changes a fingerprint or an output byte.
-``trace show`` renders the reassembled span tree and ``trace summary``
-prints per-stage/per-engine rollups (count, total, p50/p95, cache hit
-rate, runs that skipped the stage because a descendant hit the cache)
-and counters (``cache.corrupt`` counts artifacts that failed
-verification) plus the root span's wall time and the part of it
-outside every stage.  For a function-level view inside a stage, run
-the command under the standard library's profiler (recipe in
-``docs/observability.md``).
+``docs/observability.md``).  The command is the trace's one root span,
+``command``.  Tracing is off by default, adds no overhead when off, and
+never changes a fingerprint or an output byte.  ``trace show`` renders
+the reassembled span tree and ``trace summary`` prints
+per-stage/per-engine rollups (count, total, p50/p95, cache hit rate,
+runs that skipped the stage because a descendant hit the cache) and
+counters (``cache.corrupt`` counts artifacts that failed verification),
+then each command's wall time, the part of it outside every stage and
+the CPU time the process spent before :func:`main`.  For a
+function-level view inside a stage, run the command under the standard
+library's profiler (recipe in ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ import argparse
 import gc
 import json
 import sys
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -96,14 +98,14 @@ from repro.analysis.report import (
     format_table,
     write_json_report,
 )
-from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
+from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES, engine_provenance
 from repro.core.correction import (
     CorrectionSeries,
     correction_payload,
     run_correction_sweep,
 )
 from repro.core.relationships import AFI
-from repro.datasets.synthetic import DatasetConfig, paper_scale_config, small_config
+from repro.datasets.config import DatasetConfig, paper_scale_config, small_config
 from repro.pipeline import PipelineConfig, PropagationConfig, run_pipeline
 from repro.telemetry.tracer import Tracer, activated
 
@@ -220,14 +222,12 @@ def _selection_provenance(config: PipelineConfig) -> dict:
     """Per-AFI backend provenance for ``--json`` reports.
 
     Each plane runs the configured engine, so the block follows from
-    the config alone (:func:`repro.bgp.engine.engine_provenance`, the
+    the config alone (:func:`repro.bgp.backends.engine_provenance`, the
     shape :meth:`~repro.bgp.engine.PropagationEngine.selection_report`
     returns) and needs no pipeline artifact.  CI strips this block
     before byte-comparing reports across engines — it is the one part
     of the report that *should* differ.
     """
-    from repro.bgp.engine import engine_provenance
-
     return {
         afi.name.lower(): engine_provenance(config.propagation.engine)
         for afi in (AFI.IPV4, AFI.IPV6)
@@ -523,6 +523,17 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
         print("  counters:")
         for name in sorted(summary["counters"]):
             print(f"    {name:<{width}} {summary['counters'][name]:g}")
+    if summary["commands"]:
+        width = max(len(name) for name in summary["commands"])
+        print("  commands:")
+        for name in sorted(summary["commands"]):
+            entry = summary["commands"][name]
+            print(
+                f"    {name:<{width}} x{entry['count']:<3} "
+                f"wall {entry['wall_seconds']:8.3f}s  "
+                f"outside any stage {entry['outside_stages_seconds']:7.3f}s  "
+                f"startup cpu {entry['startup_cpu_seconds']:7.3f}s"
+            )
     print(
         f"  root: {summary['root_seconds']:.3f}s, "
         f"outside any stage: {summary['unattributed_seconds']:.3f}s"
@@ -745,16 +756,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Runs the command under :data:`GC_THRESHOLDS` and restores the
     caller's thresholds afterwards, so in-process callers keep theirs.
+    A ``--trace-dir`` run records the whole command as one ``command``
+    root span that starts here.
     """
+    entered = (time.time(), time.perf_counter(), time.process_time())
     previous = gc.get_threshold()
     gc.set_threshold(*GC_THRESHOLDS)
     try:
-        return _run_command(argv)
+        return _run_command(argv, entered)
     finally:
         gc.set_threshold(*previous)
 
 
-def _run_command(argv: Optional[Sequence[str]]) -> int:
+def _run_command(argv: Optional[Sequence[str]], entered) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "from_snapshot", None) and (
@@ -779,16 +793,24 @@ def _run_command(argv: Optional[Sequence[str]]) -> int:
             f"error: cannot open cache {cache_dir}: not a directory", file=sys.stderr
         )
         return 2
-    tracer = None
-    if args.command != "trace" and getattr(args, "trace_dir", None):
-        tracer = Tracer(args.trace_dir)
+    if args.command == "trace" or not getattr(args, "trace_dir", None):
+        return args.handler(args)
+    # A traced run is one ``command`` root span, backdated to main's
+    # entry so the parse and setup before the tracer existed count too.
+    # ``startup_cpu_seconds`` is the process's CPU time at that entry:
+    # interpreter start plus imports under ``python -m repro`` (for an
+    # in-process caller, everything the process did before).
+    tracer = Tracer(args.trace_dir)
+    wall, started, cpu = entered
     try:
-        with activated(tracer):
-            return args.handler(args)
+        with activated(tracer), tracer.span(
+            "command",
+            since=(wall, started),
+            command=args.command,
+            startup_cpu_seconds=round(cpu, 6),
+        ) as span:
+            code = args.handler(args)
+            span.annotate(exit_code=code)
+            return code
     finally:
-        if tracer is not None:
-            tracer.flush()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py
-    sys.exit(main())
+        tracer.flush()

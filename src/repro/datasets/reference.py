@@ -35,8 +35,8 @@ from repro.collectors.archive import CollectorArchive
 from repro.collectors.collector import default_collectors
 from repro.core.annotation import ToRAnnotation
 from repro.core.relationships import AFI
+from repro.datasets.config import DatasetConfig
 from repro.datasets.synthetic import (
-    DatasetConfig,
     SyntheticSnapshot,
     _apply_gratuitous_leaks,
     _apply_peering_disputes,

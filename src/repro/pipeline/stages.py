@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
 from repro.core.relationships import AFI, HybridType, Link
-from repro.datasets.synthetic import DatasetConfig
+from repro.datasets.config import DatasetConfig
 from repro.pipeline.artifacts import ArtifactCache
 from repro.pipeline.runner import PipelineRun, PipelineRunner, StageSpec
 

@@ -23,8 +23,8 @@ Grids are also loadable from JSON (``repro sweep --grid grid.json``)::
       ]
     }
 
-``base.scale`` selects :func:`~repro.datasets.synthetic.small_config` (default)
-or :func:`~repro.datasets.synthetic.paper_scale_config`; ``base.overrides`` then
+``base.scale`` selects :func:`~repro.datasets.config.small_config` (default)
+or :func:`~repro.datasets.config.paper_scale_config`; ``base.overrides`` then
 adjusts any field by the same dotted-path mechanism the axes use.
 Unknown field paths are rejected at grid-construction time with the
 list of valid fields — not halfway through a multi-hour sweep.
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from repro.datasets.synthetic import paper_scale_config, small_config
+from repro.datasets.config import paper_scale_config, small_config
 from repro.pipeline import PipelineConfig
 
 #: Bump when the grid JSON schema changes incompatibly.

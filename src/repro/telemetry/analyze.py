@@ -19,8 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: lost their ``phases`` entry (the engine has one phase, its span).
 #: v4: stage rollups lost their separate verify time (a hit is read
 #: once, by its load).  v5: engine rollups split by method (``solve``
-#: or ``replay``) under ``methods``.
-SUMMARY_SCHEMA_VERSION = 5
+#: or ``replay``) under ``methods``.  v6: ``commands`` rolls up the CLI's
+#: ``command`` root spans (wall time, time outside every stage, startup
+#: CPU).
+SUMMARY_SCHEMA_VERSION = 6
 
 
 def trace_files(trace_dir) -> List[str]:
@@ -174,31 +176,73 @@ def _interval(span: dict) -> Tuple[float, float]:
     return start, start + float(span.get("seconds", 0.0))
 
 
-def root_accounting(records: Sequence[dict]) -> Tuple[float, float]:
-    """``(root_seconds, unattributed_seconds)`` of a trace.
-
-    ``root_seconds`` is the wall time of the root spans (the whole
-    traced run); ``unattributed_seconds`` is the part of it that no
-    ``stage`` span covers — runner bookkeeping between stages and the
-    sweep's own work between scenarios.  Overlapping stage spans
-    (two runs traced into one directory at once) count once.
-    """
-    spans = spans_of(records)
+def _stage_cover(spans: Sequence[dict]) -> List[List[float]]:
+    """The union of the ``stage`` spans' intervals, merged and sorted
+    (overlapping stage spans — two runs traced into one directory at
+    once — count once)."""
     covered: List[List[float]] = []
     for start, end in sorted(_interval(s) for s in spans if s.get("name") == "stage"):
         if covered and start <= covered[-1][1]:
             covered[-1][1] = max(covered[-1][1], end)
         else:
             covered.append([start, end])
+    return covered
+
+
+def _outside(span: dict, covered: List[List[float]]) -> Tuple[float, float]:
+    """``(wall, outside)``: a span's wall time and the part of it no
+    interval of ``covered`` overlaps."""
+    start, end = _interval(span)
+    inside = sum(max(0.0, min(end, e) - max(start, s)) for s, e in covered)
+    return end - start, end - start - inside
+
+
+def root_accounting(records: Sequence[dict]) -> Tuple[float, float]:
+    """``(root_seconds, unattributed_seconds)`` of a trace.
+
+    ``root_seconds`` is the wall time of the root spans (the whole
+    traced run); ``unattributed_seconds`` is the part of it that no
+    ``stage`` span covers — argument parsing, runner bookkeeping
+    between stages, report writing and the sweep's own work between
+    scenarios.
+    """
+    spans = spans_of(records)
+    covered = _stage_cover(spans)
     root_seconds = unattributed = 0.0
     for span in spans:
-        if span.get("parent_id") is not None:
-            continue
-        start, end = _interval(span)
-        inside = sum(max(0.0, min(end, e) - max(start, s)) for s, e in covered)
-        root_seconds += end - start
-        unattributed += end - start - inside
+        if span.get("parent_id") is None:
+            wall, outside = _outside(span, covered)
+            root_seconds += wall
+            unattributed += outside
     return round(root_seconds, 6), round(unattributed, 6)
+
+
+def command_rollup(records: Sequence[dict]) -> Dict[str, dict]:
+    """Per CLI command (``section3``, ``figure2`` ...), its ``command``
+    spans' count, wall time, the part of it outside every stage, and the
+    CPU time the processes spent before ``main`` (interpreter start plus
+    imports, the ``startup_cpu_seconds`` attribute)."""
+    spans = spans_of(records)
+    covered = _stage_cover(spans)
+    rollup: Dict[str, dict] = {}
+    for span in spans:
+        if span.get("name") != "command":
+            continue
+        attrs = span.get("attrs") or {}
+        entry = rollup.setdefault(
+            str(attrs.get("command")),
+            {"count": 0, "wall_seconds": 0.0, "outside_stages_seconds": 0.0,
+             "startup_cpu_seconds": 0.0},
+        )
+        wall, outside = _outside(span, covered)
+        entry["count"] += 1
+        entry["wall_seconds"] += wall
+        entry["outside_stages_seconds"] += outside
+        entry["startup_cpu_seconds"] += float(attrs.get("startup_cpu_seconds") or 0.0)
+    for entry in rollup.values():
+        for key in ("wall_seconds", "outside_stages_seconds", "startup_cpu_seconds"):
+            entry[key] = round(entry[key], 6)
+    return rollup
 
 
 def _engine_rollup(spans: List[dict]) -> dict:
@@ -217,8 +261,9 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
     stage because a descendant hit the cache), per-engine rollups (count,
     timings, events, prefixes, and the same split by the ``method`` each
     ``propagation`` span ran), aggregated counters, tree health (roots /
-    orphans), and the root wall time with the part of it outside every
-    stage (:func:`root_accounting`).
+    orphans), per-command rollups of the CLI's ``command`` spans
+    (:func:`command_rollup`), and the root wall time with the part of it
+    outside every stage (:func:`root_accounting`).
     """
     spans = spans_of(records)
     roots, orphans = build_tree(records)
@@ -295,6 +340,7 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         "stages": stage_rollup,
         "engines": engine_rollup,
         "counters": counters,
+        "commands": command_rollup(records),
     }
     summary["root_seconds"], summary["unattributed_seconds"] = root_accounting(records)
     return summary

@@ -29,7 +29,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 TRACE_SCHEMA_VERSION = 1
 TRACE_FILENAME = "trace.jsonl"
@@ -137,9 +137,18 @@ class Tracer:
         """The innermost open span (``None`` when no span is open)."""
         return self._stack[-1] if self._stack else None
 
-    def span(self, name: str, **attrs) -> _SpanHandle:
+    def span(
+        self, name: str, *, since: Optional[Tuple[float, float]] = None, **attrs
+    ) -> _SpanHandle:
         """Open a span nested in the innermost open one; close it by
-        exiting the context manager."""
+        exiting the context manager.
+
+        ``since`` backdates the span's start to an earlier
+        ``(time.time(), time.perf_counter())`` reading, for work that
+        began before the tracer existed (the CLI's ``command`` span
+        starts when ``main`` is entered).
+        """
+        wall, started = since or (time.time(), time.perf_counter())
         record: Dict[str, object] = {
             "kind": "span",
             "schema_version": TRACE_SCHEMA_VERSION,
@@ -149,9 +158,9 @@ class Tracer:
             "name": name,
             "attrs": dict(attrs),
             "status": "ok",
-            "start_time": time.time(),
+            "start_time": wall,
             "pid": os.getpid(),
-            "_started": time.perf_counter(),
+            "_started": started,
         }
         self._stack.append(record["span_id"])
         return _SpanHandle(self, record)

@@ -1,1 +1,2 @@
-"""AS-level topology substrate: graph, tiers, generator and serialization."""
+"""AS-level topology substrate: graph, tiers, generator (configured by
+:mod:`repro.topology.config`) and serialization."""

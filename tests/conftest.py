@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.synthetic import build_snapshot, small_config
+from repro.datasets.config import small_config
+from repro.datasets.synthetic import build_snapshot
 from repro.datasets.scenarios import (
     figure1_scenario,
     hybrid_scenario,

@@ -24,7 +24,7 @@ from repro.bgp.prefixes import Prefix
 from repro.collectors.archive import CollectorArchive
 from repro.collectors.mrt import TableDumpRecord, write_table_dump
 from repro.core.relationships import Relationship
-from repro.datasets.synthetic import small_config
+from repro.datasets.config import small_config
 from repro.pipeline import PipelineConfig, PropagationConfig, run_pipeline
 
 FIXTURE = Path(__file__).parent / "fixtures" / "archive_small_seed7.txt"

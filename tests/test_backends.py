@@ -42,7 +42,8 @@ from repro.bgp.propagation import PropagationSimulator
 from repro.bgp.results import ConvergenceError, originate_one_prefix_per_as
 from repro.bgp.router import BGPSpeaker
 from repro.irr.registry import build_registry
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.config import TopologyConfig
+from repro.topology.generator import generate_topology
 
 from test_cli import _loaded
 from test_propagation_golden import GOLDEN_SEEDS, _golden_topology, _rich_policies
@@ -440,7 +441,7 @@ class TestStaleAdjRibInEntries:
 
     @pytest.fixture(scope="class")
     def scenarios(self):
-        from repro.datasets.synthetic import paper_scale_config
+        from repro.datasets.config import paper_scale_config
         from repro.pipeline import PipelineConfig, run_pipeline
 
         return {

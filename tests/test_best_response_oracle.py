@@ -6,7 +6,8 @@ any event order.  It shares no code with either engine: it reads the
 graph's relationships and each policy's LOCAL_PREF
 (``RoutingPolicy.local_pref_for``), and applies the Gao-Rexford export
 rule and the decision process (highest LOCAL_PREF, shortest AS path,
-lowest neighbour ASN) itself.
+lowest neighbour ASN) itself, in :func:`offer`, which the exhaustive
+stable-paths oracle (``tests/test_stable_paths_oracle.py``) shares.
 
 On a plane where no policy relaxes an export and the provider graph
 is acyclic, the stable state is unique, so the fixed point is the state
@@ -36,6 +37,33 @@ from test_propagation_golden import GOLDEN_SEEDS, _golden_topology, _rich_polici
 _NOT_TRANSITED = (Relationship.C2P, Relationship.P2P)
 
 
+def offer(graph, policies, prefix, asn, neighbor, path):
+    """What ``neighbor``, holding the full ``path`` (holder first),
+    offers ``asn``: ``(decision key, asn's full path)``, or ``None``.
+
+    The export rule is Gao-Rexford (a route learned from a peer or a
+    provider goes to customers and siblings only), lifted on an
+    adjacency the exporter relaxes for the prefix's plane.  A path that
+    already holds ``asn`` is a loop.  The key ranks highest LOCAL_PREF,
+    then shortest AS path, then lowest neighbour ASN.
+    """
+    if path is None or asn in path:
+        return None
+    afi = prefix.afi
+    exporter = policies.get(neighbor) or RoutingPolicy(asn=neighbor)
+    rel = graph.relationship(asn, neighbor, afi)
+    learned = graph.relationship(neighbor, path[1], afi) if len(path) > 1 else None
+    if (
+        learned in _NOT_TRANSITED
+        and rel not in (Relationship.C2P, Relationship.SIBLING)
+        and asn not in exporter.relaxed_export_neighbors.get(afi, ())
+    ):
+        return None
+    policy = policies.get(asn) or RoutingPolicy(asn=asn)
+    local_pref = policy.local_pref_for(neighbor, rel, prefix)[0]
+    return (local_pref, -len(path), -neighbor), (asn,) + path
+
+
 def best_response(graph, policies, prefix, origin, max_rounds=100):
     """``{asn: full AS path, holder first}`` at the iteration's fixed point."""
     afi = prefix.afi
@@ -45,24 +73,11 @@ def best_response(graph, policies, prefix, origin, max_rounds=100):
         for asn in graph.ases:
             if asn == origin:
                 continue
-            policy = policies.get(asn) or RoutingPolicy(asn=asn)
-            pick = None
-            for neighbor, rel in graph.oriented_neighbors(asn, afi):
-                path = best.get(neighbor)
-                if path is None or asn in path:
-                    continue
-                learned = (
-                    graph.relationship(neighbor, path[1], afi) if len(path) > 1 else None
-                )
-                if learned in _NOT_TRANSITED and rel not in (
-                    Relationship.C2P,
-                    Relationship.SIBLING,
-                ):
-                    continue
-                local_pref = policy.local_pref_for(neighbor, rel, prefix)[0]
-                key = (local_pref, -len(path), -neighbor)
-                if pick is None or key > pick[0]:
-                    pick = (key, (asn,) + path)
+            offers = (
+                offer(graph, policies, prefix, asn, neighbor, best.get(neighbor))
+                for neighbor, _ in graph.oriented_neighbors(asn, afi)
+            )
+            pick = max(filter(None, offers), default=None)
             if pick is not None:
                 chosen[asn] = pick[1]
         if chosen == best:
@@ -113,7 +128,7 @@ def test_golden_ipv4_planes(seed):
 @pytest.mark.parametrize("seed", (1, 2, 7))
 def test_small_scenario_ipv4_planes(seed):
     """The IPv4 plane of ``--small --seed N``: TE overrides included."""
-    from repro.datasets.synthetic import small_config
+    from repro.datasets.config import small_config
     from repro.pipeline import PipelineConfig, run_pipeline
 
     scenario = run_pipeline(

@@ -54,6 +54,29 @@ class TestPrefixAllocator:
         assert allocator.prefix(7, AFI.IPV4).afi is AFI.IPV4
         assert allocator.prefix(7, AFI.IPV6).afi is AFI.IPV6
 
+    def test_every_index_matches_ipaddress(self):
+        """The integer-built CIDR strings equal what :mod:`ipaddress`
+        formats, at every index of both planes (index 0 is ``10.0.0.0``
+        and ``3fff::``), and ASNs past the capacity wrap around."""
+        allocator = PrefixAllocator()
+        planes = (
+            (allocator.ipv4_prefix, allocator.IPV4_BASE, allocator.IPV4_PLEN, AFI.IPV4),
+            (allocator.ipv6_prefix, allocator.IPV6_BASE, allocator.IPV6_PLEN, AFI.IPV6),
+        )
+        for allocate, base, plen, afi in planes:
+            subnets = list(base.subnets(new_prefix=plen))
+            assert len(subnets) == 4096
+            for index, subnet in enumerate(subnets):
+                expected = Prefix(str(subnet))
+                for asn in (index, index + len(subnets)):
+                    prefix = allocate(asn)
+                    assert prefix.network == expected.network
+                    assert prefix == expected and hash(prefix) == hash(expected)
+                    assert prefix.afi is afi
+        assert allocator.ipv6_prefix(0).network == "3fff::/32"
+        assert allocator.ipv6_prefix(4096).network == "3fff::/32"
+        assert allocator.ipv4_prefix(4095).network == "10.255.240.0/20"
+
 
 class TestCommunity:
     def test_parse_and_str_round_trip(self):

@@ -15,9 +15,9 @@ import time
 
 import pytest
 
-from repro.datasets.synthetic import DatasetConfig
+from repro.datasets.config import DatasetConfig
 from repro.pipeline import ArtifactCache, PipelineConfig, run_pipeline
-from repro.topology.generator import TopologyConfig
+from repro.topology.config import TopologyConfig
 
 
 @pytest.fixture()

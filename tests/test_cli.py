@@ -614,3 +614,91 @@ def test_warm_figure2_loads_no_compute_modules(tmp_path, capsys):
     )
     assert "[pipeline] reused cached stages: inference, views" in output
     assert loaded == "[]"
+
+
+#: The snapshot builders.  A warm command names its configuration
+#: (``repro.datasets.config``, ``repro.topology.config``) but builds
+#: nothing, so it loads none of them.
+BUILDER_MODULES = (
+    "repro.datasets.synthetic",
+    "repro.topology.generator",
+    "repro.topology.graph",
+    "repro.topology.tiers",
+)
+
+
+@pytest.mark.parametrize(
+    "command, reused",
+    [(["section3"], "section3"), (["figure2", "--top", "3"], "inference, views")],
+)
+def test_warm_commands_load_no_snapshot_builder(tmp_path, capsys, command, reused):
+    """A warm ``section3`` or ``figure2`` loads no snapshot builder, and
+    no compute module either: ``section3``'s provenance block comes from
+    ``repro.bgp.backends``, not from the engine module."""
+    cache = str(tmp_path / "cache")
+    assert main(["section3", "--small", "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    argv = [command[0], "--small", *command[1:], "--cache-dir", cache]
+    output, loaded = _loaded(
+        f"from repro.cli import main\nassert main({argv!r}) == 0",
+        BUILDER_MODULES + COMPUTE_MODULES,
+    )
+    assert f"[pipeline] reused cached stages: {reused}" in output
+    assert loaded == "[]"
+
+
+def _python(*args):
+    """Run ``python ARGS`` with stdout block-buffered, as piped stdout is
+    unless ``PYTHONUNBUFFERED`` says otherwise."""
+    env = {
+        **{name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"},
+        "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+    }
+    return subprocess.run(
+        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env
+    )
+
+
+def test_python_m_repro_exits_once_outputs_are_durable(tmp_path, capsys):
+    """``python -m repro`` ends with ``os._exit`` after ``main`` returns.
+    Piped stdout still arrives complete, the report and the trace parse,
+    the next run hits every artifact this one stored, and the exit codes
+    keep their meaning."""
+    from repro.telemetry.analyze import build_tree, read_trace, summarize
+
+    cache, report = tmp_path / "cache", tmp_path / "figure2.json"
+    argv = ["figure2", "--small", "--top", "3", "--cache-dir", cache]
+    cold = _python("-m", "repro", *argv, "--json", report, "--trace-dir", tmp_path / "cold")
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stdout.endswith(f"wrote JSON report to {report}\n")
+    assert json.loads(report.read_text())["figure2"]["top"] == 3
+    (root,), orphans = build_tree(read_trace(tmp_path / "cold"))
+    assert orphans == [] and root["name"] == "command"
+    assert [child["name"] for child in root["children"]] == ["pipeline"]
+    stored = sorted(path.name for path in cache.rglob("*.pkl"))
+    assert stored
+
+    warm = _python("-m", "repro", *argv, "--trace-dir", tmp_path / "warm")
+    assert warm.returncode == 0, warm.stderr
+    counters = summarize(read_trace(tmp_path / "warm"))["counters"]
+    assert counters["cache.hit"] == counters["cache.load"] == 1
+    assert "cache.corrupt" not in counters
+    assert sorted(path.name for path in cache.rglob("*.pkl")) == stored
+    # Piped stdout is block-buffered: the whole of it arrives, the same
+    # bytes an in-process run prints.
+    assert main([str(part) for part in argv]) == 0
+    assert warm.stdout == capsys.readouterr().out
+
+    bad_engine = _python("-m", "repro", "figure2", "--engine", "bogus")
+    assert bad_engine.returncode == 2
+    assert "invalid choice" in bad_engine.stderr
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    refused = _python("-m", "repro", "section3", "--small", "--cache-dir", not_a_dir)
+    assert refused.returncode == 2
+    assert refused.stderr == f"error: cannot open cache {not_a_dir}: not a directory\n"
+    # A profiler reports at interpreter exit, so a profiled run exits
+    # normally.
+    profiled = _python("-m", "cProfile", "-m", "repro", "cache", "stats", "--cache-dir", cache)
+    assert profiled.returncode == 0, profiled.stderr
+    assert "function calls" in profiled.stdout

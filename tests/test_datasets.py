@@ -12,8 +12,9 @@ from repro.datasets.scenarios import (
     rosetta_scenario,
     valley_scenario,
 )
-from repro.datasets.synthetic import DatasetConfig, build_snapshot, small_config
-from repro.topology.generator import TopologyConfig
+from repro.datasets.config import DatasetConfig, small_config
+from repro.datasets.synthetic import build_snapshot
+from repro.topology.config import TopologyConfig
 
 
 class TestScenarios:

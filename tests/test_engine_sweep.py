@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.synthetic import DatasetConfig
+from repro.datasets.config import DatasetConfig
 from repro.pipeline import PipelineConfig, run_pipeline
 from repro.sweep import GridAxis, SweepGrid, run_sweep
-from repro.topology.generator import TopologyConfig
+from repro.topology.config import TopologyConfig
 
 ENGINES = ("event", "array")
 

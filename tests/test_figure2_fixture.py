@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.correction import run_correction_sweep
 from repro.core.relationships import AFI
-from repro.datasets.synthetic import small_config
+from repro.datasets.config import small_config
 from repro.pipeline import PipelineConfig, run_pipeline
 
 FIXTURE = Path(__file__).parent / "fixtures" / "figure2_small.json"

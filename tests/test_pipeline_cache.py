@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.core.correction import correction_payload
-from repro.datasets.synthetic import DatasetConfig
+from repro.datasets.config import DatasetConfig
 from repro.pipeline import (
     ArtifactCache,
     PipelineConfig,
@@ -30,7 +30,7 @@ from repro.pipeline import (
 )
 from repro.telemetry.analyze import root_accounting
 from repro.telemetry.tracer import Tracer, activated
-from repro.topology.generator import TopologyConfig
+from repro.topology.config import TopologyConfig
 
 ALL_ANALYSIS_TARGETS = ("section3", "correction")
 #: Every stage in the closure of the analysis targets, in execution order.

@@ -14,10 +14,11 @@ import pytest
 from repro.analysis.stats import compute_section3
 from repro.collectors.mrt import write_table_dump
 from repro.core.relationships import AFI
-from repro.datasets.synthetic import DatasetConfig, build_snapshot
+from repro.datasets.config import DatasetConfig
+from repro.datasets.synthetic import build_snapshot
 from repro.datasets.reference import reference_build_snapshot
 from repro.pipeline import PipelineConfig, run_pipeline
-from repro.topology.generator import TopologyConfig
+from repro.topology.config import TopologyConfig
 
 GOLDEN_SEEDS = (3, 11)
 

@@ -27,7 +27,8 @@ from repro.bgp.propagation import PropagationSimulator
 from repro.bgp.reference import ReferencePropagationSimulator
 from repro.bgp.results import originate_one_prefix_per_as
 from repro.irr.registry import build_registry
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.config import TopologyConfig
+from repro.topology.generator import generate_topology
 
 GOLDEN_SEEDS = (2010, 2011, 2012)
 

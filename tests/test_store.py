@@ -26,7 +26,8 @@ from repro.core.communities_inference import CommunitiesInference
 from repro.core.observations import ObservedRoute
 from repro.core.relationships import AFI, Link
 from repro.core.store import ObservationStore
-from repro.datasets.synthetic import build_snapshot, small_config
+from repro.datasets.config import small_config
+from repro.datasets.synthetic import build_snapshot
 
 
 @pytest.fixture(scope="module", params=[7, 13], ids=["seed7", "seed13"])

@@ -19,10 +19,10 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.correction import correction_payload
-from repro.datasets.synthetic import DatasetConfig
+from repro.datasets.config import DatasetConfig
 from repro.pipeline import PipelineConfig, full_stages, run_pipeline
 from repro.sweep import GridAxis, SweepGrid, run_sweep
-from repro.topology.generator import TopologyConfig
+from repro.topology.config import TopologyConfig
 
 
 def tiny_base(seed: int = 5) -> PipelineConfig:

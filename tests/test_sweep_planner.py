@@ -7,10 +7,10 @@ cells share).
 
 from __future__ import annotations
 
-from repro.datasets.synthetic import DatasetConfig
+from repro.datasets.config import DatasetConfig
 from repro.pipeline import PipelineConfig
 from repro.sweep import GridAxis, SweepGrid, plan_sweep
-from repro.topology.generator import TopologyConfig
+from repro.topology.config import TopologyConfig
 
 
 def tiny_base(seed: int = 5) -> PipelineConfig:

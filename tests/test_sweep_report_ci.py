@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.datasets.synthetic import DatasetConfig
+from repro.datasets.config import DatasetConfig
 from repro.pipeline import PipelineConfig
 from repro.sweep import (
     SWEEP_REPORT_SCHEMA_VERSION,
@@ -24,7 +24,7 @@ from repro.sweep import (
     run_sweep,
     t_critical_95,
 )
-from repro.topology.generator import TopologyConfig
+from repro.topology.config import TopologyConfig
 
 
 class TestTTable:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.datasets.synthetic import DatasetConfig
+from repro.datasets.config import DatasetConfig
 from repro.pipeline import PipelineConfig, run_pipeline
 from repro.pipeline.runner import PipelineRunner
 from repro.pipeline.stages import full_stages
@@ -41,7 +41,7 @@ from repro.telemetry.tracer import (
     activated,
     get_tracer,
 )
-from repro.topology.generator import TopologyConfig
+from repro.topology.config import TopologyConfig
 
 
 def tiny_base(seed: int = 5) -> PipelineConfig:
@@ -387,6 +387,64 @@ class TestRootAccounting:
         assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["root_seconds"], payload["unattributed_seconds"]) == (2.0, 1.0)
-        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 5
+        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 6
+        assert payload["commands"] == {}
         assert "retries" not in payload
         assert "dead_letters" not in payload
+
+    def test_command_rollup_is_wall_outside_stages_and_startup(self, tmp_path, capsys):
+        from repro.cli import main
+
+        command = _timed_span("cmd", None, "command", 0.0, 4.0)
+        command["attrs"] = {"command": "figure2", "startup_cpu_seconds": 0.25}
+        records = [
+            command,
+            _timed_span("p", "cmd", "pipeline", 1.0, 2.0),
+            _timed_span("a", "p", "stage", 1.5, 1.0),
+        ]
+        assert summarize(records)["commands"] == {
+            "figure2": {
+                "count": 1,
+                "wall_seconds": 4.0,
+                "outside_stages_seconds": 3.0,
+                "startup_cpu_seconds": 0.25,
+            }
+        }
+        (tmp_path / "trace.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+        )
+        assert main(["trace", "summary", "--trace-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "figure2 x1" in out
+        assert "outside any stage   3.000s  startup cpu   0.250s" in out
+
+
+class TestCommandSpan:
+    def test_traced_cli_run_is_one_command_root_holding_the_pipeline(
+        self, tmp_path, capsys
+    ):
+        """``main`` opens the ``command`` root first, so the ``pipeline``
+        span nests under it; it records the command, its exit code and
+        the CPU time the process spent before ``main``."""
+        from repro.cli import main
+
+        trace_dir = tmp_path / "trace"
+        argv = ["section3", "--small", "--cache-dir", str(tmp_path / "cache")]
+        assert main([*argv, "--trace-dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        records = read_trace(trace_dir)
+        roots, orphans = build_tree(records)
+        assert orphans == []
+        (root,) = roots
+        assert root["name"] == "command"
+        assert root["attrs"]["command"] == "section3"
+        assert root["attrs"]["exit_code"] == 0
+        assert root["attrs"]["startup_cpu_seconds"] > 0
+        assert [child["name"] for child in root["children"]] == ["pipeline"]
+        (pipeline,) = spans_named(records, "pipeline")
+        assert root["start_time"] <= pipeline["start_time"]
+        summary = summarize(records)
+        entry = summary["commands"]["section3"]
+        assert entry["wall_seconds"] == summary["root_seconds"]
+        assert entry["outside_stages_seconds"] == summary["unattributed_seconds"]
+

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.relationships import AFI, HybridType, Relationship
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.config import TopologyConfig
+from repro.topology.generator import generate_topology
 from repro.topology.tiers import classify_tiers
 
 
