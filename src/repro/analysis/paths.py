@@ -126,7 +126,11 @@ def store_from_records(records: Iterable[TableDumpRecord]) -> ExtractionResult:
     observation list and attached to the returned
     :class:`ExtractionResult`.  The per-record body of
     :func:`observation_from_record` is inlined because the call
-    overhead is measurable at paper scale.
+    overhead is measurable at paper scale.  An archived path's hops are
+    validated ints (:class:`~repro.bgp.attributes.ASPath` guarantees it,
+    :meth:`~repro.bgp.attributes.ASPath.parse` included), and a path
+    with no repeated AS is its own cleaned form, so only paths with a
+    repeat go through :func:`clean_raw_path`.
     """
     stats = ExtractionStats()
     observations: List[ObservedRoute] = []
@@ -135,10 +139,12 @@ def store_from_records(records: Iterable[TableDumpRecord]) -> ExtractionResult:
     trusted = ObservedRoute.trusted
     for record in records:
         records_seen += 1
-        cleaned = clean_raw_path(record.as_path.hops)
-        if cleaned is None:
-            looped += 1
-            continue
+        cleaned = record.as_path.hops
+        if len(set(cleaned)) != len(cleaned):
+            cleaned = clean_raw_path(cleaned)
+            if cleaned is None:
+                looped += 1
+                continue
         vantage = cleaned[0]
         if vantage != record.peer_as:
             if record.peer_as in cleaned:
@@ -146,15 +152,16 @@ def store_from_records(records: Iterable[TableDumpRecord]) -> ExtractionResult:
                 continue
             cleaned = (record.peer_as,) + cleaned
             vantage = record.peer_as
+        prefix = record.prefix
         observation = trusted(
-            path=cleaned,
-            prefix=record.prefix,
-            vantage=vantage,
-            communities=record.communities,
-            local_pref=record.local_pref,
-            collector=record.collector,
+            cleaned,
+            prefix,
+            vantage,
+            record.communities,
+            record.local_pref,
+            record.collector,
         )
-        key = (vantage, record.prefix, cleaned)
+        key = (vantage, prefix, cleaned)
         index = seen.get(key)
         if index is not None:
             observations[index] = _merge_duplicate(observations[index], observation)

@@ -6,15 +6,18 @@ methods, chosen per address family:
 
 ``solve``
     Where the Gao–Rexford stable state is unique, it is computed by
-    route class, in the style of bgpsim's ``PathPref`` phases: customer
-    routes by a BFS up the provider edges from the origin, peer routes
-    one hop from every AS that holds a local or customer route, and
-    provider routes over a providers-first topological order, picked by
-    the packed decision key (so TE overrides are honoured).  A plane is
-    solved when no policy relaxes an export in it, it has no sibling
-    edge, no policy overrides ``RoutingPolicy.local_pref_for``, every TE
-    override sits on a provider session with a LOCAL_PREF below the
-    AS's peer value, and the provider→customer graph is acyclic.  Then
+    route class, in the style of bgpsim's ``PathPref`` phases, for every
+    origin of the plane at once (origins are the bits of Python ints):
+    customer routes customers first, peer routes one hop from every AS
+    that holds a local or customer route, and provider routes providers
+    first, in the packed decision key's order (so TE overrides are
+    honoured).  Each AS keeps one mask of the prefixes it reaches per
+    path length and one ``(next hop, mask)`` entry per neighbour it
+    took routes from.  A plane is solved when no policy relaxes an
+    export in it, it has no sibling edge, no policy overrides
+    ``RoutingPolicy.local_pref_for``, every TE override sits on a
+    provider session with a LOCAL_PREF below the AS's peer value, and
+    the provider→customer graph is acyclic.  Then
     every class dominates the next, so no stale Adj-RIB-In entry can win
     either: an AS whose update a loop check would reject already holds
     a route in a better class.  A solved plane runs no events.
@@ -47,22 +50,23 @@ the event engine's :meth:`BGPSpeaker.exported_attributes` and
 :meth:`BGPSpeaker.imported` apply.  The walk carries a small per-hop
 state (AS path hops, communities, LOCAL_PREF, learned-from AS and
 relationship), and only a kept AS gets a :class:`Route`, one each.  A
-solved plane walks the solver's next hops, memoized per AS; a replayed
-plane walks each installed route's *stored* path, memoized per path
-suffix, which reproduces the stale Adj-RIB-In entries the event engine
-keeps when a loop check rejects an update (a walk along the current
-best senders would not).
+solved plane walks the next hops picked from the solver's entries,
+memoized per AS; a replayed plane walks each installed route's
+*stored* path, memoized per path suffix, which reproduces the stale
+Adj-RIB-In entries the event engine keeps when a loop check rejects an
+update (a walk along the current best senders would not).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.relationships import AFI, Relationship
-from repro.bgp.attributes import ASPath, Community, PathAttributes, merge_communities
+from repro.bgp.attributes import Community, merge_communities
 from repro.bgp.messages import Route
-from repro.bgp.policy import RoutingPolicy
+from repro.bgp.policy import RoutingPolicy, gao_rexford_export_allowed
 from repro.bgp.prefixes import Prefix
 from repro.bgp.results import ConvergenceError, PropagationResult
 from repro.bgp.router import BGPSpeaker
@@ -99,23 +103,51 @@ _HopState = Tuple[
 ]
 
 
-def _route(prefix: Prefix, holder: int, state: _HopState) -> Route:
-    """The learned route ``holder`` installs for its carried ``state``.
+#: A solved AS that took routes from more neighbours than this has its
+#: next-hop entries decoded into one next hop per prefix; below it, a
+#: pick scans the ``(neighbour, mask)`` entries, largest mask first.
+_SCAN_LIMIT = 32
 
-    Every learned route has the ORIGIN of :meth:`Route.originate` and
-    the MED and NEXT_HOP of :meth:`BGPSpeaker.exported_attributes`,
-    which are the :class:`PathAttributes` defaults.
+
+#: Binary digits as the bytes 0 and 1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The indexes of the set bits of ``mask``, ascending."""
+    digits = format(mask, "b").encode().translate(_DIGIT_VALUES)[::-1]
+    return compress(range(len(digits)), digits)
+
+
+def _mask_size(entry: Tuple[int, int]) -> int:
+    """The number of prefixes a ``(next hop, mask)`` entry covers."""
+    return entry[1].bit_count()
+
+
+def _bit_counts(masks: Iterable[int], width: int) -> List[int]:
+    """For each bit below ``width``, how many of ``masks`` set it.
+
+    A bit-sliced popcount: slice ``k`` holds bit ``k`` of every count,
+    and adding a mask is a ripple-carry add over the slices, so the cost
+    follows the number of masks, not masks × bits.
     """
-    hops, communities, local_pref, learned_from, relationship = state
-    return Route(
-        prefix=prefix,
-        holder=holder,
-        attributes=PathAttributes(
-            as_path=ASPath.trusted(hops), local_pref=local_pref, communities=communities
-        ),
-        learned_from=learned_from,
-        learned_relationship=relationship,
-    )
+    slices: List[int] = []
+    for carry in masks:
+        k = 0
+        while carry:
+            if k == len(slices):
+                slices.append(carry)
+                break
+            total = slices[k]
+            slices[k] = total ^ carry
+            carry &= total
+            k += 1
+    counts = [0] * width
+    for k, total in enumerate(slices):
+        weight = 1 << k
+        for bit in _set_bits(total):
+            counts[bit] += weight
+    return counts
 
 
 class ArrayBackend:
@@ -147,8 +179,10 @@ class ArrayBackend:
         #: Per AFI: ``("solve", None)`` or ``("replay", first
         #: disqualifier)``, decided when the plane is first propagated.
         self.methods: Dict[AFI, Tuple[str, Optional[str]]] = {}
-        # Per-AFI interned tables of the plane's method (lazy).
+        # Per-AFI interned tables of the plane's method, and per-AFI
+        # relationship rows for the materializer (both lazy).
         self._tables: Dict[AFI, tuple] = {}
+        self._rel_rows: Dict[AFI, List[Mapping[int, Relationship]]] = {}
         # One policy object per id; shared with the result speakers so
         # per-import policy consults see exactly what the event engine's
         # speakers would.
@@ -157,15 +191,14 @@ class ArrayBackend:
         ]
         for asn, policy in zip(self._asns, self._policy_of):
             self.policies.setdefault(asn, policy)
-        # Per-prefix propagation state, reused across prefixes and reset
-        # through the touched list.
+        # Per-prefix propagation state, reused across prefixes (see
+        # _reset).
         self._cand: List[Optional[dict]] = [None] * n
         self._best_sender = [_NO_ROUTE] * n
         self._best_key = [0] * n
         self._best_path: List[Optional[Tuple[int, ...]]] = [None] * n
         self._best_rel = [0] * n
         self._announced: List[Optional[set]] = [None] * n
-        self._dirty = bytearray(n)
         self._queued = bytearray(n)
 
     # ------------------------------------------------------------------
@@ -179,18 +212,26 @@ class ArrayBackend:
             self._tables[afi] = solver or self._replay_tables(afi)
         return self.methods[afi][0], self._tables[afi]
 
+    def _rows(self, afi: AFI) -> List[Mapping[int, Relationship]]:
+        """Per id, the AS's known relationships in ``afi`` by neighbour ASN."""
+        rows = self._rel_rows.get(afi)
+        if rows is None:
+            relationships_of = self.graph.relationships_of
+            rows = self._rel_rows[afi] = [
+                relationships_of(asn, afi) for asn in self._asns
+            ]
+        return rows
+
     def _solver(self, afi: AFI) -> Tuple[Optional[tuple], Optional[str]]:
         """The solver tables of a plane with a unique stable state, or
         ``None`` and the first disqualifier found.
 
-        Per AS: its providers, its peers, and its provider sessions as
-        ``(provider, key of a zero-length path)`` (key ``None`` where a
-        TE override is consulted per prefix); and a providers-first
-        topological order.
+        Per AS: its providers, its peers and its customers, each in id
+        order; and a providers-first topological order.
         """
         id_of = self._id_of
         n = len(self._asns)
-        ups, peers, downs, sessions = [()] * n, [()] * n, [()] * n, [()] * n
+        ups, peers, downs = [()] * n, [()] * n, [()] * n
         for x, asn in enumerate(self._asns):
             policy = self._policy_of[x]
             neighbors = self.graph.oriented_neighbors(asn, afi)
@@ -217,11 +258,6 @@ class ArrayBackend:
                 tuple(id_of[nb] for nb, rel in neighbors if rel is wanted)
                 for wanted in (Relationship.C2P, Relationship.P2P, Relationship.P2C)
             )
-            overridden = {id_of[override.neighbor] for override in policy.te_overrides}
-            lp = policy.local_pref.provider
-            sessions[x] = tuple(
-                (q, None if q in overridden else self._key(lp, 0, q)) for q in ups[x]
-            )
         # Kahn's algorithm: every AS after all of its providers.
         pending = [len(providers) for providers in ups]
         order = [x for x in range(n) if not pending[x]]
@@ -232,76 +268,99 @@ class ArrayBackend:
                     order.append(customer)
         if len(order) < n:
             return None, f"the provider graph of {afi} has a cycle"
-        return (ups, peers, sessions, order), None
+        return (ups, peers, downs, order), None
 
-    def _key(self, local_pref: int, length: int, sender: int) -> int:
-        """The packed decision key ``(LOCAL_PREF, -length, -sender)``."""
-        return (
-            (local_pref * self._lenf) + (self._lenf - 1 - length)
-        ) * self._senf + (self._senf - 1 - sender)
+    def _replay_tables(self, afi: AFI) -> List:
+        """Intern the export plans of one AFI.
 
-    def _replay_tables(self, afi: AFI) -> Tuple[List, List]:
-        """Intern export plans and import LOCAL_PREF tables for one AFI.
+        Mirrors ``PropagationSimulator._build_export_plans``: per AS and
+        learned class, the neighbours the route is exported to.  A policy
+        whose class keeps :meth:`RoutingPolicy.export_allowed` exports to
+        every relaxed neighbour and otherwise by
+        :func:`gao_rexford_export_allowed`, evaluated once per (learned
+        class, relationship) pair; any other policy is consulted once per
+        learned class × neighbour.
 
-        Mirrors ``PropagationSimulator._build_export_plans`` (policy
-        ``export_allowed`` consulted once per learned class × neighbour)
-        and ``BGPSpeaker._build_import_defaults`` (policies with custom
-        import hooks or TE overrides are consulted per import instead of
-        being snapshotted into a table).
+        Each plan entry is ``(receiver id, receiver's relationship code,
+        LOCAL_PREF term)``: the receiver's LOCAL_PREF times the packing
+        factors of the decision key, or ``None`` where the receiver's
+        policy is consulted per import (custom import hooks or TE
+        overrides, as ``BGPSpeaker._build_import_defaults`` decides).
         """
         id_of = self._id_of
+        scale = self._lenf * self._senf
+        known = _LEARNED_CLASSES[1:]
+        lp_terms = [
+            None
+            if type(policy).local_pref_for is not RoutingPolicy.local_pref_for
+            or policy.te_overrides
+            else {rel: policy.local_pref.for_relationship(rel) * scale for rel in known}
+            for policy in self._policy_of
+        ]
+        gao_rexford = {
+            (learned, rel): gao_rexford_export_allowed(learned, rel)
+            for learned in _LEARNED_CLASSES
+            for rel in known
+        }
         plans: List = [None] * len(self._asns)
-        lp_tables: List = [None] * len(self._asns)
         for x, asn in enumerate(self._asns):
-            policy = self._policy_of[x]
             neighbors = self.graph.oriented_neighbors(asn, afi)
-            if neighbors:
-                per_learned = []
-                for learned in _LEARNED_CLASSES:
-                    allowed = tuple(
-                        (id_of[n], _CODE_OF_REL[rel.inverse])
-                        for n, rel in neighbors
-                        if policy.export_allowed(learned, rel, n, afi)
-                    )
-                    per_learned.append(
-                        (allowed, frozenset(pair[0] for pair in allowed))
-                    )
-                plans[x] = per_learned
-            cls = type(policy)
-            consult = (
-                cls.local_pref_for is not RoutingPolicy.local_pref_for
-                or bool(policy.te_overrides)
-            )
-            if not consult:
-                scheme = policy.local_pref
-                lp_tables[x] = (
-                    0,  # unused: code 0 is the locally-originated class
-                    scheme.for_relationship(Relationship.P2C),
-                    scheme.for_relationship(Relationship.C2P),
-                    scheme.for_relationship(Relationship.P2P),
-                    scheme.for_relationship(Relationship.SIBLING),
+            if not neighbors:
+                continue
+            policy = self._policy_of[x]
+            sessions = []
+            for nb, rel in neighbors:
+                y = id_of[nb]
+                terms = lp_terms[y]
+                inverse = rel.inverse
+                entry = (
+                    y,
+                    _CODE_OF_REL[inverse],
+                    None if terms is None else terms[inverse],
                 )
-        return plans, lp_tables
+                sessions.append((nb, rel, entry))
+            vanilla = type(policy).export_allowed is RoutingPolicy.export_allowed
+            relaxed = policy.relaxed_export_neighbors.get(afi, _EMPTY_SET)
+            per_learned = []
+            for learned in _LEARNED_CLASSES:
+                if vanilla:
+                    allowed = tuple(
+                        entry
+                        for nb, rel, entry in sessions
+                        if nb in relaxed or gao_rexford[learned, rel]
+                    )
+                else:
+                    allowed = tuple(
+                        entry
+                        for nb, rel, entry in sessions
+                        if policy.export_allowed(learned, rel, nb, afi)
+                    )
+                per_learned.append((allowed, frozenset(entry[0] for entry in allowed)))
+            plans[x] = per_learned
+        return plans
 
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
     def run(self, origins: Mapping[Prefix, int]) -> PropagationResult:
         keep = self.keep_ribs_for
+        asns = self._asns
         # Session-less speakers: they only hold the result's Loc-RIBs,
         # so building no sessions keeps assembly O(ASes), not O(links).
-        speakers = {
-            asn: BGPSpeaker(asn, self.policies.get(asn)) for asn in self.graph.ases
-        }
+        speakers = {asn: BGPSpeaker(asn, self.policies.get(asn)) for asn in asns}
+        by_id = [speakers[asn] for asn in asns]
         id_of = self._id_of
         best_sender = self._best_sender
-        # Pruned mode: the kept ASes as ids, so the per-prefix target
-        # scan is O(|keep|), not O(touched) x a list-membership probe.
-        keep_ids = (
-            None if keep is None else [id_of[asn] for asn in keep if asn in id_of]
+        # The ids that get routes: every AS, or in pruned mode the kept
+        # ones, so the per-prefix target scan is O(|keep|).
+        targets = (
+            range(len(asns))
+            if keep is None
+            else [id_of[asn] for asn in keep if asn in id_of]
         )
-        reachable_counts: Dict[Prefix, int] = {}
-        total_events = 0
+        # Every origin is checked, and every plane's method decided, in
+        # `origins` order before anything propagates.
+        planes: Dict[AFI, List[Prefix]] = {}
         for prefix, origin_asn in origins.items():
             if origin_asn not in id_of:
                 raise KeyError(f"origin AS{origin_asn} is not in the topology")
@@ -310,23 +369,38 @@ class ArrayBackend:
                     f"AS{origin_asn} does not participate in {prefix.afi} "
                     f"but originates {prefix}"
                 )
-            origin = id_of[origin_asn]
-            method, tables = self._plane(prefix.afi)
-            if method == "solve":
-                hop = self._solve_prefix(prefix, origin, tables)
-                reachable_counts[prefix] = len(hop) - hop.count(_NO_ROUTE)
-                targets = range(len(hop)) if keep_ids is None else keep_ids
-                routed = [i for i in targets if hop[i] != _NO_ROUTE]
-                self._install_solved(speakers, prefix, origin, hop, routed)
+            planes.setdefault(prefix.afi, []).append(prefix)
+        # Each solved plane in one pass; per prefix: its bit, reachable
+        # count, the routed targets and the plane's next-hop picks.
+        solved: Dict[Prefix, tuple] = {}
+        for afi, prefixes in planes.items():
+            method, tables = self._plane(afi)
+            if method != "solve":
                 continue
-            events, touched = self._propagate_prefix(prefix, origin)
-            total_events += events
-            routed = [i for i in touched if best_sender[i] != _NO_ROUTE]
-            reachable_counts[prefix] = len(routed)
-            if keep_ids is not None:
-                routed = [i for i in keep_ids if best_sender[i] != _NO_ROUTE]
-            self._install_routes(speakers, prefix, origin, routed)
-            self._reset(touched)
+            reach, picks, counts = self._solve(
+                prefixes, [id_of[origins[prefix]] for prefix in prefixes], tables
+            )
+            routed: List[List[int]] = [[] for _ in prefixes]
+            for i in targets:
+                for bit in _set_bits(reach[i]):
+                    routed[bit].append(i)
+            for bit, prefix in enumerate(prefixes):
+                solved[prefix] = (bit, counts[bit], routed[bit], picks)
+        reachable_counts: Dict[Prefix, int] = {}
+        total_events = 0
+        for prefix, origin_asn in origins.items():
+            origin = id_of[origin_asn]
+            rows = self._rows(prefix.afi)
+            plan = solved.get(prefix)
+            if plan is not None:
+                bit, reachable_counts[prefix], routed, picks = plan
+                self._install_solved(by_id, rows, prefix, origin, bit, picks, routed)
+                continue
+            total_events += self._propagate_prefix(prefix, origin)
+            reachable_counts[prefix] = len(asns) - best_sender.count(_NO_ROUTE)
+            routed = [i for i in targets if best_sender[i] != _NO_ROUTE]
+            self._install_routes(by_id, rows, prefix, origin, routed)
+            self._reset()
         return PropagationResult(
             speakers=speakers,
             origins=dict(origins),
@@ -336,7 +410,8 @@ class ArrayBackend:
 
     def _install_routes(
         self,
-        speakers: Dict[int, BGPSpeaker],
+        speakers: List[BGPSpeaker],
+        rows: List[Mapping[int, Relationship]],
         prefix: Prefix,
         origin: int,
         targets: List[int],
@@ -362,7 +437,7 @@ class ArrayBackend:
             if i == origin:
                 # Exactly like the event path: the origin keeps its
                 # locally originated route (Loc-RIB + local-routes table).
-                speakers[asns[i]].originate(prefix)
+                speakers[i].originate(prefix)
                 continue
             path = (i,) + best_path[i]
             for start in range(1, len(path)):
@@ -376,39 +451,51 @@ class ArrayBackend:
                 )
             for hop in range(start - 1, -1, -1):
                 state = states[path[hop:]] = self._carry(
-                    speakers, prefix, state, path[hop], path[hop + 1], asns[i]
+                    speakers, rows, prefix, state, path[hop], path[hop + 1], asns[i]
                 )
-            speakers[asns[i]].loc_rib._routes[prefix] = _route(prefix, asns[i], state)
+            speakers[i].loc_rib._routes[prefix] = Route.trusted(prefix, asns[i], *state)
 
     def _install_solved(
         self,
-        speakers: Dict[int, BGPSpeaker],
+        speakers: List[BGPSpeaker],
+        rows: List[Mapping[int, Relationship]],
         prefix: Prefix,
         origin: int,
-        hop: List[int],
+        bit: int,
+        picks: List,
         targets: List[int],
     ) -> None:
         """Materialize and install a solved prefix's routes at ``targets``.
 
         A solved route is its next hop's route carried over one edge, so
-        each target's walk follows ``hop`` to the first AS whose hop
-        state is carried, then carries it outward, memoizing every AS it
-        passes; only the target itself gets a :class:`Route`.  Raises
-        :class:`ConvergenceError` when the next hops do not lead to the
-        origin.
+        each target's walk picks next hops towards the first AS whose
+        hop state is carried, then carries it outward, memoizing every AS
+        it passes; only the target itself gets a :class:`Route`.  An AS's
+        ``picks`` (see :meth:`_solve`) are scanned for ``bit``, or
+        indexed by it once decoded.  Raises :class:`ConvergenceError`
+        when the next hops do not lead to the origin.
         """
         asns = self._asns
+        n = len(asns)
         states: Dict[int, _HopState] = {origin: self._origin_state(origin)}
         for i in targets:
             if i == origin:
-                speakers[asns[i]].originate(prefix)
+                speakers[i].originate(prefix)
                 continue
             chain = []
             j = i
             while j not in states:
                 chain.append(j)
-                j = hop[j]
-                if j < 0 or len(chain) > len(hop):
+                nexts = picks[j]
+                if nexts.__class__ is list:
+                    j = nexts[bit]
+                else:
+                    j = _NO_ROUTE
+                    for hop, mask in nexts:
+                        if mask >> bit & 1:
+                            j = hop
+                            break
+                if j < 0 or len(chain) > n:
                     raise ConvergenceError(
                         f"AS path of AS{asns[i]} for {prefix} does not "
                         f"end at origin AS{asns[origin]}"
@@ -416,10 +503,10 @@ class ArrayBackend:
             state = states[j]
             for receiver in reversed(chain):
                 state = states[receiver] = self._carry(
-                    speakers, prefix, state, receiver, j, asns[i]
+                    speakers, rows, prefix, state, receiver, j, asns[i]
                 )
                 j = receiver
-            speakers[asns[i]].loc_rib._routes[prefix] = _route(prefix, asns[i], state)
+            speakers[i].loc_rib._routes[prefix] = Route.trusted(prefix, asns[i], *state)
 
     def _origin_state(self, origin: int) -> _HopState:
         """The hop state of the origin's locally originated route."""
@@ -427,7 +514,8 @@ class ArrayBackend:
 
     def _carry(
         self,
-        speakers: Dict[int, BGPSpeaker],
+        speakers: List[BGPSpeaker],
+        rows: List[Mapping[int, Relationship]],
         prefix: Prefix,
         state: _HopState,
         receiver: int,
@@ -439,110 +527,187 @@ class ArrayBackend:
         :meth:`BGPSpeaker.import_terms` at the receiver.  Raises
         :class:`ConvergenceError` naming the prefix and the hop when the
         two have no known relationship in the plane."""
-        receiver, sender = self._asns[receiver], self._asns[sender]
-        rel = self.graph.relationship(receiver, sender, prefix.afi)
-        if not rel.is_known:
+        sender_asn = self._asns[sender]
+        rel = rows[receiver].get(sender_asn)
+        if rel is None:
             raise ConvergenceError(
-                f"AS path of AS{holder} for {prefix} crosses AS{receiver} -> "
-                f"AS{sender}, which have no known relationship in {prefix.afi}"
+                f"AS path of AS{holder} for {prefix} crosses "
+                f"AS{self._asns[receiver]} -> AS{sender_asn}, which have no "
+                f"known relationship in {prefix.afi}"
             )
         hops, communities, _, learned_from, _ = state
         hops, communities = speakers[sender].export_step(
             hops, communities, learned_from is None
         )
-        local_pref, added = speakers[receiver].import_terms(prefix, sender, rel)
-        return hops, merge_communities(communities, added), local_pref, sender, rel
+        local_pref, added = speakers[receiver].import_terms(prefix, sender_asn, rel)
+        return hops, merge_communities(communities, added), local_pref, sender_asn, rel
 
-    def _reset(self, touched: List[int]) -> None:
-        cand = self._cand
-        best_sender = self._best_sender
-        best_path = self._best_path
-        best_rel = self._best_rel
-        announced = self._announced
-        dirty = self._dirty
-        for i in touched:
-            state = cand[i]
-            if state is not None:
-                state.clear()
-            state = announced[i]
-            if state is not None:
-                state.clear()
-            best_sender[i] = _NO_ROUTE
-            best_path[i] = None
-            best_rel[i] = 0
-            dirty[i] = 0
+    def _reset(self) -> None:
+        """Drop the replay state the last prefix left, for the next one."""
+        n = len(self._asns)
+        self._cand[:] = self._announced[:] = self._best_path[:] = [None] * n
+        self._best_sender[:] = [_NO_ROUTE] * n
+        self._best_rel[:] = [0] * n
 
     # ------------------------------------------------------------------
     # solve: the unique stable state, one route class at a time
     # ------------------------------------------------------------------
-    def _solve_prefix(self, prefix: Prefix, origin: int, solver: tuple) -> List[int]:
-        """Each AS's next hop towards ``prefix`` (``_NO_ROUTE`` where it
-        has no route, ``_LOCAL_ROUTE`` at the origin), one route class
-        at a time: each class beats the next, and depends only on the
-        better classes."""
-        ups, peers, sessions, order = solver
-        hop = [_NO_ROUTE] * len(ups)
-        length = [0] * len(ups)
-        hop[origin] = _LOCAL_ROUTE
-        length[origin] = 1
-        # Customer routes: a BFS up the provider edges, one path length
-        # per level.  Visiting a level in id order lets the lowest
-        # sender win a tie, and leaves `exporters` in (length, id) order.
-        exporters = [origin]
-        level = [origin]
-        while level:
-            reached = []
-            for c in level:
-                for q in ups[c]:
-                    if hop[q] == _NO_ROUTE:
-                        hop[q] = c
-                        length[q] = length[c] + 1
-                        reached.append(q)
-            level = sorted(reached)
-            exporters.extend(level)
-        # Peer routes: one hop from every AS holding a local or customer
-        # route; in (length, id) order the first offer is the best.
-        for p in exporters:
-            for x in peers[p]:
-                if hop[x] == _NO_ROUTE:
-                    hop[x] = p
-                    length[x] = length[p] + 1
-        # Provider routes, providers first, by the packed key with each
-        # session's LOCAL_PREF: the key of a zero-length path, less the
-        # path length (TE overrides consulted per prefix).
-        senf = self._senf
+    def _solve(
+        self, prefixes: List[Prefix], origins: List[int], solver: tuple
+    ) -> Tuple[List[int], List, List[int]]:
+        """Every AS's routes to all ``prefixes`` at once; prefix ``b``
+        (originated by id ``origins[b]``) is bit ``b`` of every mask.
+
+        One route class at a time, since each class beats the next and
+        depends only on the better classes.  Each AS keeps one mask per
+        path length (index: length - 1) of the prefixes it reaches, and
+        a prefix goes to the first neighbour that offers it in the
+        packed decision key's order:
+
+        * customer routes, customers first: one hop longer than a
+          customer's local or customer route, the lowest id winning a
+          tie;
+        * peer routes: one hop longer than a peer's local or customer
+          route, lowest id first;
+        * provider routes, providers first: by the LOCAL_PREF the
+          session gives the prefix (highest first, see
+          :meth:`_provider_groups`), then length, then provider id.
+
+        Returns, per AS, the mask of prefixes it reaches and its picks,
+        and per prefix the number of ASes that reach it.  An AS's picks
+        are ``(next hop, mask)`` pairs, one per neighbour it took a
+        route from (its own prefixes are in none), largest mask first,
+        so a scan usually stops at the first; or, past
+        :data:`_SCAN_LIMIT` pairs, the next hop of every bit
+        (``_NO_ROUTE`` where it has none).
+        """
+        ups, peers, downs, order = solver
+        n = len(ups)
+        width = len(prefixes)
+        everything = (1 << width) - 1
+        bit_of = {prefix: bit for bit, prefix in enumerate(prefixes)}
+        own = [0] * n
+        for bit, origin in enumerate(origins):
+            own[origin] |= 1 << bit
+        # Per AS: its local and customer masks, then those of every class.
+        customer: List[List[int]] = [[]] * n
+        by_length: List[List[int]] = [[]] * n
+        left = [everything] * n
+        taken: List[Dict[int, int]] = [{} for _ in range(n)]
+
+        def offer(x: int, rest: int, masks: List[int], sessions, offers) -> int:
+            """Give ``x`` the prefixes of ``rest`` that ``sessions``
+            ``(neighbour, scope)`` offer, shortest first, then by session
+            order; return what stays unreached."""
+            depth = max(len(offers[q]) for q, _ in sessions)
+            got_from = taken[x]
+            for level in range(depth):
+                reached = 0
+                for q, scope in sessions:
+                    held = offers[q]
+                    if level < len(held):
+                        got = held[level] & scope & rest
+                        if got:
+                            got_from[q] = got_from.get(q, 0) | got
+                            rest ^= got
+                            reached |= got
+                if reached:
+                    if len(masks) < level + 2:
+                        masks.extend([0] * (level + 2 - len(masks)))
+                    masks[level + 1] |= reached
+                if not rest:
+                    break
+            return rest
+
+        for x in reversed(order):
+            masks = [own[x]]
+            rest = everything ^ own[x]
+            if downs[x]:
+                rest = offer(
+                    x, rest, masks, [(c, everything) for c in downs[x]], customer
+                )
+            customer[x] = masks
+            left[x] = rest
+        for x in range(n):
+            masks = list(customer[x])
+            if peers[x] and left[x]:
+                left[x] = offer(
+                    x, left[x], masks, [(p, everything) for p in peers[x]], customer
+                )
+            by_length[x] = masks
         for x in order:
-            if hop[x] != _NO_ROUTE:
+            if not ups[x] or not left[x]:
                 continue
-            sender = _NO_ROUTE
-            for q, key in sessions[x]:
-                if hop[q] == _NO_ROUTE:
+            for sessions in self._provider_groups(x, ups[x], bit_of, everything):
+                left[x] = offer(x, left[x], by_length[x], sessions, by_length)
+                if not left[x]:
+                    break
+        reach = [everything ^ rest for rest in left]
+        picks: List = []
+        for got_from in taken:
+            if len(got_from) <= _SCAN_LIMIT:
+                picks.append(
+                    tuple(sorted(got_from.items(), key=_mask_size, reverse=True))
+                )
+                continue
+            hops = [_NO_ROUTE] * width
+            for hop, mask in got_from.items():
+                for bit in _set_bits(mask):
+                    hops[bit] = hop
+            picks.append(hops)
+        return reach, picks, _bit_counts(reach, width)
+
+    def _provider_groups(
+        self,
+        x: int,
+        providers: Tuple[int, ...],
+        bit_of: Dict[Prefix, int],
+        everything: int,
+    ) -> List[List[Tuple[int, int]]]:
+        """``x``'s provider sessions grouped by the LOCAL_PREF they give,
+        highest first; each group lists ``(provider, prefix mask)`` in
+        provider order.  A TE override's LOCAL_PREF covers the prefixes
+        it names (all when it names none), the first matching override
+        winning as in :meth:`RoutingPolicy.local_pref_for`; the scheme's
+        provider value covers the rest."""
+        policy = self._policy_of[x]
+        if not policy.te_overrides:
+            return [[(q, everything) for q in providers]]
+        groups: Dict[int, List[Tuple[int, int]]] = {}
+        for q in providers:
+            asn = self._asns[q]
+            rest = everything
+            for override in policy.te_overrides:
+                if override.neighbor != asn:
                     continue
-                if key is None:
-                    lp = self._policy_of[x].local_pref_for(
-                        self._asns[q], Relationship.C2P, prefix
-                    )[0]
-                    key = self._key(lp, 0, q)
-                key -= length[q] * senf
-                if sender == _NO_ROUTE or key > best:
-                    sender, best = q, key
-            if sender != _NO_ROUTE:
-                hop[x] = sender
-                length[x] = length[sender] + 1
-        return hop
+                scope = rest
+                if override.prefixes:
+                    named = 0
+                    for prefix in override.prefixes:
+                        bit = bit_of.get(prefix)
+                        if bit is not None:
+                            named |= 1 << bit
+                    scope &= named
+                if scope:
+                    groups.setdefault(override.local_pref, []).append((q, scope))
+                    rest ^= scope
+            if rest:
+                groups.setdefault(policy.local_pref.provider, []).append((q, rest))
+        return [groups[lp] for lp in sorted(groups, reverse=True)]
 
     # ------------------------------------------------------------------
     # replay: the event loop over interned state
     # ------------------------------------------------------------------
-    def _propagate_prefix(self, prefix: Prefix, origin: int) -> Tuple[int, List[int]]:
-        """Event-faithful propagation of one prefix over interned state.
+    def _propagate_prefix(self, prefix: Prefix, origin: int) -> int:
+        """Event-faithful propagation of one prefix over interned state;
+        returns the events it took.
 
         Keep in lockstep with ``PropagationSimulator._propagate_prefix``
         (queue discipline, withdrawal ordering, incremental decision
         shortcuts of ``BGPSpeaker.import_route``/``withdraw``) — the
         golden suite asserts identical event counts and routes.
         """
-        plans, lp_tables = self._tables[prefix.afi]
+        plans = self._tables[prefix.afi]
         asns = self._asns
         cand = self._cand
         best_sender = self._best_sender
@@ -550,18 +715,16 @@ class ArrayBackend:
         best_path = self._best_path
         best_rel = self._best_rel
         announced = self._announced
-        dirty = self._dirty
         queued = self._queued
         policy_of = self._policy_of
         lenf = self._lenf
         senf = self._senf
+        scale = lenf * senf
         max_events = self.max_events_per_prefix
 
         best_sender[origin] = _LOCAL_ROUTE
         best_path[origin] = (origin,)
         best_rel[origin] = 0
-        dirty[origin] = 1
-        touched = [origin]
 
         queue = deque((origin,))
         queued[origin] = 1
@@ -630,30 +793,31 @@ class ArrayBackend:
             if exportable:
                 bp = best_path[x]
                 path = bp if bs == _LOCAL_ROUTE else (x,) + bp
-                plen = len(path)
+                # The decision key's (length, sender) term; each plan
+                # entry carries the receiver's LOCAL_PREF term.
+                tail = (lenf - 1 - len(path)) * senf + (senf - 1 - x)
+                # Every exportable neighbour but the sender is announced
+                # to; the withdrawals above took the sender out of `sent`.
                 if sent is None:
-                    sent = announced[x] = set()
-                for nb, recv_rel in exportable:
+                    sent = announced[x] = set(exportable_set)
+                else:
+                    sent |= exportable_set
+                sent.discard(learned_from)
+                for nb, recv_rel, lp_term in exportable:
                     if nb == learned_from:
                         continue
-                    sent.add(nb)
                     # --- BGPSpeaker.import_route over interned state ---
                     if nb in path:  # loop prevention, before any state write
                         continue
-                    lp_table = lp_tables[nb]
-                    if lp_table is None:
+                    if lp_term is None:
                         lp, _override = policy_of[nb].local_pref_for(
                             asns[x], _LEARNED_CLASSES[recv_rel], prefix
                         )
-                    else:
-                        lp = lp_table[recv_rel]
-                    key = ((lp * lenf) + (lenf - 1 - plen)) * senf + (senf - 1 - x)
+                        lp_term = lp * scale
+                    key = lp_term + tail
                     holders = cand[nb]
                     if holders is None:
                         holders = cand[nb] = {}
-                    if not dirty[nb]:
-                        dirty[nb] = 1
-                        touched.append(nb)
                     holders[x] = (key, path, recv_rel)
                     nb_best = best_sender[nb]
                     if nb_best == _NO_ROUTE:
@@ -690,4 +854,4 @@ class ArrayBackend:
                     if changed and not queued[nb]:
                         queue.append(nb)
                         queued[nb] = 1
-        return events, touched
+        return events

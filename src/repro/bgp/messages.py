@@ -100,6 +100,51 @@ class Route:
         )
         return cls(prefix=prefix, holder=origin_as, attributes=attributes)
 
+    @classmethod
+    def trusted(
+        cls,
+        prefix: Prefix,
+        holder: int,
+        hops: Tuple[int, ...],
+        communities: Tuple[Community, ...],
+        local_pref: Optional[int],
+        learned_from: int,
+        learned_relationship: Relationship,
+    ) -> "Route":
+        """A learned route whose validity the caller guarantees.
+
+        ``hops`` must be valid AS path hops (see :meth:`ASPath.trusted`).
+        The route has the ORIGIN of :meth:`originate` and the MED and
+        NEXT_HOP every exported route carries, which are the
+        :class:`PathAttributes` defaults.  The slots are set directly:
+        the frozen dataclass ``__init__`` sets each field through
+        ``object.__setattr__``, which costs more than the rest of the
+        route at propagation scale.
+        """
+        route = _new_route(cls)
+        _set_prefix(route, prefix)
+        _set_holder(route, holder)
+        _set_attributes(
+            route,
+            PathAttributes(
+                ASPath.trusted(hops), local_pref, 0, Origin.IGP, "", communities
+            ),
+        )
+        _set_learned_from(route, learned_from)
+        _set_learned_relationship(route, learned_relationship)
+        _set_pref_key(route, None)
+        return route
+
+
+# The slot setters :meth:`Route.trusted` writes through.
+_new_route = object.__new__
+_set_prefix = Route.prefix.__set__
+_set_holder = Route.holder.__set__
+_set_attributes = Route.attributes.__set__
+_set_learned_from = Route.learned_from.__set__
+_set_learned_relationship = Route.learned_relationship.__set__
+_set_pref_key = Route._pref_key.__set__
+
 
 @dataclass(frozen=True, slots=True)
 class Announcement:

@@ -235,7 +235,7 @@ def _selection_provenance(config: PipelineConfig) -> dict:
 
 
 def _cmd_section3(args: argparse.Namespace) -> int:
-    provenance = None
+    provenance = run = None
     if args.from_snapshot:
         report = _artifacts_from_disk(args.from_snapshot).report
         config_payload = {"snapshot_dir": args.from_snapshot}
@@ -244,19 +244,23 @@ def _cmd_section3(args: argparse.Namespace) -> int:
         run = run_pipeline(
             config, cache_dir=args.cache_dir, targets=("section3",)
         )
-        _print_stage_summary(run)
         report = run.value("section3")
         config_payload = {
             "ases": config.dataset.topology.total_ases,
             "seed": config.dataset.seed,
         }
         provenance = _selection_provenance(config)
-    print(format_table(report.rows(), title="Section 3 statistics"))
+    # The report is written before anything is printed, so a closed
+    # stdout cannot lose it.
     if args.json:
         payload = {"config": config_payload, "section3": report.as_dict()}
         if provenance is not None:
             payload["provenance"] = provenance
         _write_json_report(args.json, payload)
+    if run is not None:
+        _print_stage_summary(run)
+    print(format_table(report.rows(), title="Section 3 statistics"))
+    if args.json:
         print(f"\nwrote JSON report to {args.json}")
     return 0
 
@@ -281,6 +285,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    run = None
     if args.from_snapshot:
         artifacts = _artifacts_from_disk(args.from_snapshot)
         series = _figure2_series(artifacts, args.top)
@@ -289,12 +294,22 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
         run = run_pipeline(
             config, cache_dir=args.cache_dir, targets=("correction",)
         )
-        _print_stage_summary(run)
         series = run.value("correction")
         config_payload = {
             "ases": config.dataset.topology.total_ases,
             "seed": config.dataset.seed,
         }
+    # Written before anything is printed, as in ``section3``.
+    if args.json:
+        _write_json_report(
+            args.json,
+            {
+                "config": config_payload,
+                "figure2": correction_payload(series, args.top),
+            },
+        )
+    if run is not None:
+        _print_stage_summary(run)
     print(
         format_series(
             "corrected links",
@@ -305,13 +320,6 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
     print()
     print(format_summary(series.improvement(), title="Start vs end"))
     if args.json:
-        _write_json_report(
-            args.json,
-            {
-                "config": config_payload,
-                "figure2": correction_payload(series, args.top),
-            },
-        )
         print(f"\nwrote JSON report to {args.json}")
     return 0
 
@@ -491,6 +499,7 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
             entry = summary["stages"][name]
             print(
                 f"    {name:<{width}} x{entry['count']:<3} "
+                f"self {entry['self_seconds']:8.3f}s  "
                 f"total {entry['total_seconds']:8.3f}s  "
                 f"p50 {entry['p50_seconds']:7.3f}s  "
                 f"p95 {entry['p95_seconds']:7.3f}s  "
@@ -518,6 +527,15 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
                     f"total {split['total_seconds']:8.3f}s  "
                     f"events {split['events']}"
                 )
+    cache = summary["cache"]
+    if cache["load"]["count"] or cache["store"]["count"]:
+        print("  cache:")
+        for kind in ("load", "store"):
+            entry = cache[kind]
+            print(
+                f"    {kind:<5} x{entry['count']:<3} "
+                f"total {entry['total_seconds']:8.3f}s  bytes {entry['bytes']}"
+            )
     if summary["counters"]:
         width = max(len(name) for name in summary["counters"])
         print("  counters:")

@@ -163,9 +163,11 @@ class Collector:
         for vantage in self.vantage_points:
             if vantage.asn not in result.speakers:
                 continue
+            if afi is not None and not vantage.carries(afi):
+                continue
             snapshot = result.snapshot(vantage.asn)
             for route in snapshot.routes(afi):
-                if not vantage.carries(route.afi):
+                if afi is None and not vantage.carries(route.afi):
                     continue
                 yield TableDumpRecord.from_route(
                     route,

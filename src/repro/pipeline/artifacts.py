@@ -397,32 +397,39 @@ class ArtifactCache:
         ``cache.miss``; a present one counts ``cache.load`` and the
         ``cache.load_bytes`` read, then either ``cache.hit`` or, when it
         is defective, ``cache.corrupt`` and ``cache.miss`` (so a trace
-        tells "absent" apart from "present but bad").
+        tells "absent" apart from "present but bad").  The whole call is
+        one ``cache.load`` span with the ``bytes`` read and its
+        ``outcome`` (``hit``, ``miss`` or ``corrupt``).
         """
-        entry = self._read_entry(stage, fingerprint)
         tracer = get_tracer()
-        if entry is None:
+        with tracer.span("cache.load", stage=stage) as span:
+            entry = self._read_entry(stage, fingerprint)
+            if entry is None:
+                if tracer:
+                    span.annotate(bytes=0, outcome="miss")
+                    tracer.counter("cache.miss", stage=stage)
+                return None
+            payload, record = entry
             if tracer:
-                tracer.counter("cache.miss", stage=stage)
-            return None
-        payload, record = entry
-        if tracer:
-            tracer.counter("cache.load", stage=stage)
-            tracer.counter("cache.load_bytes", value=len(payload), stage=stage)
-        value = None
-        if record is not None:
-            try:
-                value = pickle.loads(payload)
-            except Exception:
-                record = None
-        if record is None:
+                span.annotate(bytes=len(payload))
+                tracer.counter("cache.load", stage=stage)
+                tracer.counter("cache.load_bytes", value=len(payload), stage=stage)
+            value = None
+            if record is not None:
+                try:
+                    value = pickle.loads(payload)
+                except Exception:
+                    record = None
+            if record is None:
+                if tracer:
+                    span.annotate(outcome="corrupt")
+                    tracer.counter("cache.corrupt", stage=stage)
+                    tracer.counter("cache.miss", stage=stage)
+                return None
             if tracer:
-                tracer.counter("cache.corrupt", stage=stage)
-                tracer.counter("cache.miss", stage=stage)
-            return None
-        if tracer:
-            tracer.counter("cache.hit", stage=stage)
-        self._touch(stage, fingerprint)
+                span.annotate(outcome="hit")
+                tracer.counter("cache.hit", stage=stage)
+            self._touch(stage, fingerprint)
         return value, record
 
     def store(
@@ -437,19 +444,27 @@ class ArtifactCache:
         sees a payload and a sidecar of the same fingerprint, whose
         hashes agree because every writer pickles the same bytes; a pair
         that still disagrees verifies as a miss, never as torn data.
+        The whole call is one ``cache.store`` span with the ``bytes``
+        written.
         """
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        record = ArtifactRecord(
-            stage=stage,
-            fingerprint=fingerprint,
-            payload_sha256=hashlib.sha256(payload).hexdigest(),
-            size_bytes=len(payload),
-            code_version=code_version,
-            created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
-        )
-        self._write(self._payload_key(stage, fingerprint), payload)
-        self._write(self._meta_key(stage, fingerprint), record.to_json().encode("utf-8"))
         tracer = get_tracer()
+        with tracer.span("cache.store", stage=stage) as span:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            record = ArtifactRecord(
+                stage=stage,
+                fingerprint=fingerprint,
+                payload_sha256=hashlib.sha256(payload).hexdigest(),
+                size_bytes=len(payload),
+                code_version=code_version,
+                created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(
+                    timespec="seconds"
+                ),
+            )
+            self._write(self._payload_key(stage, fingerprint), payload)
+            self._write(
+                self._meta_key(stage, fingerprint), record.to_json().encode("utf-8")
+            )
+            span.annotate(bytes=record.size_bytes)
         if tracer:
             tracer.counter("cache.put", stage=stage)
             tracer.counter("cache.put_bytes", value=record.size_bytes, stage=stage)

@@ -14,8 +14,10 @@ target, and it is the only place a stage is loaded or computed:
   with its value and ends the walk up that branch;
 * a stage that missed (absent or defective artifact), or is not
   cacheable, resolves its inputs first, in declared order, and is then
-  computed under one ``stage`` span, stored and recorded as
-  ``computed``.
+  computed, stored and recorded as ``computed``.
+
+All of it happens under the stage's one ``stage`` span, which opens
+before the cache lookup.
 
 Closure stages that no resolved stage needed are *skipped*: a warm
 ``figure2`` loads ``views`` and ``inference`` and touches nothing
@@ -137,23 +139,17 @@ class PipelineRun:
         spec = self._runner.stage(name)
         stage_fingerprint = self.fingerprints[name]
         cache = self._runner.cache if spec.cacheable else None
-        tracer = get_tracer()
-        loaded = cache.load(name, stage_fingerprint) if cache is not None else None
-        if loaded is not None:
-            self._ready[name], record = loaded
-            with tracer.span(
-                "stage",
-                stage=name,
-                fingerprint=stage_fingerprint,
-                status="cached",
-                artifact_bytes=record.size_bytes,
-            ):
-                pass
-            self.statuses[name] = "cached"
-            return
-        for dep in self._runner.in_order(spec.dependencies):
-            self._resolve(dep.name)
-        with tracer.span("stage", stage=name, fingerprint=stage_fingerprint) as span:
+        with get_tracer().span(
+            "stage", stage=name, fingerprint=stage_fingerprint
+        ) as span:
+            loaded = cache.load(name, stage_fingerprint) if cache is not None else None
+            if loaded is not None:
+                self._ready[name], record = loaded
+                span.annotate(status="cached", artifact_bytes=record.size_bytes)
+                self.statuses[name] = "cached"
+                return
+            for dep in self._runner.in_order(spec.dependencies):
+                self._resolve(dep.name)
             try:
                 value = spec.compute(self)
             except Exception as exc:
@@ -259,10 +255,14 @@ class PipelineRunner:
         ``"stage"`` span per resolved stage records the fingerprint,
         cache status and artifact bytes, whether the stage is resolved
         during the run or when :meth:`PipelineRun.value` reads it later.
-        A hit's span is zero-length: the load that found it precedes
-        it, inside the enclosing span.  Telemetry never feeds into
-        fingerprints, so a traced run is byte-identical to an untraced
-        one.
+        A stage's span covers everything its resolution does: the cache
+        lookup (a ``cache.load`` child span), then on a miss the stages
+        it resolves upstream (nested ``stage`` spans), its compute and
+        its ``cache.store`` (see :meth:`ArtifactCache.load` and
+        :meth:`ArtifactCache.store`); ``repro trace summary`` reports
+        each stage's self time without the nested stages and cache
+        I/O.  Telemetry never feeds into fingerprints, so a traced run
+        is byte-identical to an untraced one.
         """
         run = PipelineRun(config, self)
         run.fingerprints = self.fingerprints(config, targets)

@@ -21,8 +21,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: once, by its load).  v5: engine rollups split by method (``solve``
 #: or ``replay``) under ``methods``.  v6: ``commands`` rolls up the CLI's
 #: ``command`` root spans (wall time, time outside every stage, startup
-#: CPU).
-SUMMARY_SCHEMA_VERSION = 6
+#: CPU).  v7: stage rollups gained ``self_seconds`` (a stage's span
+#: holds its cache lookup, the stages it resolves upstream and its cache
+#: write), and ``cache`` rolls up the ``cache.load`` and ``cache.store``
+#: spans.
+SUMMARY_SCHEMA_VERSION = 7
+
+#: The spans a stage's self time leaves out: the stages it resolves
+#: upstream, and its cache reads and writes.
+_NESTED_WORK = ("stage", "cache.load", "cache.store")
 
 
 def trace_files(trace_dir) -> List[str]:
@@ -253,28 +260,55 @@ def _engine_rollup(spans: List[dict]) -> dict:
     return rollup
 
 
+def _cache_rollup(spans: Sequence[dict]) -> Dict[str, dict]:
+    """Count, seconds and bytes of the ``cache.load`` and ``cache.store``
+    spans (a load that found nothing counts with 0 bytes)."""
+    rollup = {}
+    for kind in ("load", "store"):
+        timed = [span for span in spans if span.get("name") == f"cache.{kind}"]
+        rollup[kind] = {
+            "count": len(timed),
+            "total_seconds": round(sum(float(s.get("seconds", 0.0)) for s in timed), 6),
+            "bytes": sum(int((s.get("attrs") or {}).get("bytes") or 0) for s in timed),
+        }
+    return rollup
+
+
 def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
     """The ``repro trace summary`` payload: rollups over one trace dir.
 
-    Per-stage rollups (count, total, p50/p95, computed vs cached and
-    the cache hit rate, artifact bytes, and how often a run skipped the
-    stage because a descendant hit the cache), per-engine rollups (count,
+    Per-stage rollups (count, total, p50/p95, self time, computed vs
+    cached and the cache hit rate, artifact bytes, and how often a run
+    skipped the stage because a descendant hit the cache), per-engine
+    rollups (count,
     timings, events, prefixes, and the same split by the ``method`` each
     ``propagation`` span ran), aggregated counters, tree health (roots /
     orphans), per-command rollups of the CLI's ``command`` spans
-    (:func:`command_rollup`), and the root wall time with the part of it
+    (:func:`command_rollup`), the cache's reads and writes
+    (:func:`_cache_rollup`), and the root wall time with the part of it
     outside every stage (:func:`root_accounting`).
+
+    A stage's total covers everything its span holds; its self time
+    leaves out the stages it resolved upstream and its cache reads and
+    writes, so the stages' self times and the cache's seconds add up to
+    the time under stage spans.
     """
     spans = spans_of(records)
     roots, orphans = build_tree(records)
+
+    nested: Dict[str, float] = {}
+    for span in spans:
+        if span.get("name") in _NESTED_WORK and span.get("parent_id") is not None:
+            parent = span["parent_id"]
+            nested[parent] = nested.get(parent, 0.0) + float(span.get("seconds", 0.0))
 
     stages: Dict[str, dict] = {}
 
     def stage_entry(name) -> dict:
         return stages.setdefault(
             str(name),
-            {"durations": [], "computed": 0, "cached": 0, "skipped": 0,
-             "artifact_bytes": 0, "errors": 0},
+            {"durations": [], "self_seconds": 0.0, "computed": 0, "cached": 0,
+             "skipped": 0, "artifact_bytes": 0, "errors": 0},
         )
 
     for span in spans:
@@ -285,7 +319,9 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         if span.get("name") != "stage":
             continue
         entry = stage_entry(attrs.get("stage"))
-        entry["durations"].append(float(span.get("seconds", 0.0)))
+        seconds = float(span.get("seconds", 0.0))
+        entry["durations"].append(seconds)
+        entry["self_seconds"] += seconds - nested.get(span.get("span_id"), 0.0)
         status = attrs.get("status")
         if status in ("computed", "cached"):
             entry[status] += 1
@@ -297,6 +333,7 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         lookups = entry["computed"] + entry["cached"]
         rollup = _duration_rollup(entry["durations"])
         rollup.update(
+            self_seconds=round(entry["self_seconds"], 6),
             computed=entry["computed"],
             cached=entry["cached"],
             skipped=entry["skipped"],
@@ -340,6 +377,7 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         "stages": stage_rollup,
         "engines": engine_rollup,
         "counters": counters,
+        "cache": _cache_rollup(spans),
         "commands": command_rollup(records),
     }
     summary["root_seconds"], summary["unattributed_seconds"] = root_accounting(records)

@@ -40,7 +40,7 @@ must call :meth:`rebuild_indexes` afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.relationships import (
     AFI,
@@ -357,6 +357,17 @@ class ASGraph:
         afterwards.
         """
         return self._relationships.get(Link(a, b))
+
+    def relationships_of(self, asn: int, afi: AFI) -> Mapping[int, Relationship]:
+        """``neighbor -> relationship-from-asn`` for ``asn``'s known
+        relationships in ``afi``: :meth:`relationship` as one mapping,
+        for callers probing many pairs from one AS.
+
+        The mapping is the graph's live index row; read it, do not
+        mutate it.
+        """
+        self._require_as(asn)
+        return self._rel_from[afi].get(asn, _EMPTY)
 
     def oriented_neighbors(self, asn: int, afi: AFI) -> Tuple[Tuple[int, Relationship], ...]:
         """``(neighbor, relationship-from-asn)`` pairs, sorted by neighbor.

@@ -37,13 +37,14 @@ from repro.bgp.policy import (
     RoutingPolicy,
     TrafficEngineeringOverride,
 )
-from repro.bgp.prefixes import PrefixAllocator
+from repro.bgp.prefixes import Prefix, PrefixAllocator
 from repro.bgp.propagation import PropagationSimulator
 from repro.bgp.results import ConvergenceError, originate_one_prefix_per_as
 from repro.bgp.router import BGPSpeaker
 from repro.irr.registry import build_registry
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import generate_topology
+from repro.topology.graph import ASGraph
 
 from test_cli import _loaded
 from test_propagation_golden import GOLDEN_SEEDS, _golden_topology, _rich_policies
@@ -292,8 +293,8 @@ class TestChainWalk:
         """Inconsistent converged state fails loudly, naming the culprit:
         a path that crosses a pair with no relationship in the plane
         names the prefix and that hop.  A solved plane's bad hop is
-        planted in the solver's next hops, a replayed plane's in its
-        stored paths."""
+        planted in the solver's next-hop picks, a replayed plane's in
+        its stored paths."""
         graph = _golden_topology(2011).graph
         policies = _vanilla_policies(graph, 2011)
         backend = ArrayBackend(
@@ -308,25 +309,98 @@ class TestChainWalk:
             if asn != origin and not graph.relationship(asn, origin, AFI.IPV4).is_known
         )
 
-        def plant_hops(*_args):
-            hop = [-1] * len(graph.ases)
-            hop[ids[origin]] = -2
-            hop[ids[stranger]] = ids[origin]
-            return hop
+        def plant_picks(*_args):
+            # Bit 0 is the prefix: the origin and the stranger reach it,
+            # the stranger through the origin.
+            reach = [0] * len(graph.ases)
+            picks = [()] * len(graph.ases)
+            reach[ids[origin]] = reach[ids[stranger]] = 1
+            picks[ids[stranger]] = ((ids[origin], 1),)
+            return reach, picks, [2]
 
         def plant_paths(*_args):
             backend._best_sender[ids[origin]] = -2
             backend._best_path[ids[origin]] = (ids[origin],)
             backend._best_sender[ids[stranger]] = ids[origin]
             backend._best_path[ids[stranger]] = (ids[origin],)
-            return 0, [ids[origin], ids[stranger]]
+            return 0
 
-        monkeypatch.setattr(backend, "_solve_prefix", plant_hops)
+        monkeypatch.setattr(backend, "_solve", plant_picks)
         monkeypatch.setattr(backend, "_propagate_prefix", plant_paths)
         match = f"{prefix} crosses AS{stranger} -> AS{origin}, "
         with pytest.raises(ConvergenceError, match=match):
             backend.run({prefix: origin})
         assert backend.methods[AFI.IPV4][0] == method
+
+
+class TestAllOriginsSolve:
+    """``array`` solves every origin of a plane in one pass: an AS may
+    originate several prefixes, and a TE override's LOCAL_PREF covers
+    the prefixes it names, the first matching override winning."""
+
+    P1, P2, P3 = Prefix("10.1.0.0/20"), Prefix("10.2.0.0/20"), Prefix("10.3.0.0/20")
+    Q1, Q2 = Prefix("3fff:100::/32"), Prefix("3fff:200::/32")
+
+    @classmethod
+    def _plane(cls):
+        """Seven dual-stack ASes.  1 and 2 peer; 1 provides 3, 5 and 6;
+        2 provides 3, 6 and 7; 3 provides 4.  AS5 originates two IPv4
+        prefixes.  AS6 overrides its session to AS1 twice: LOCAL_PREF 50
+        for P1 only, then 150 for every prefix.  AS3 leaks to AS1 in
+        IPv6, so that plane is replayed."""
+        graph = ASGraph()
+        for asn in range(1, 8):
+            graph.add_as(asn, ipv4=True, ipv6=True)
+        transit = ((1, 3), (1, 5), (1, 6), (2, 3), (2, 6), (2, 7), (3, 4))
+        links = ((1, 2, Relationship.P2P),) + tuple(
+            (provider, customer, Relationship.P2C) for provider, customer in transit
+        )
+        for a, b, rel in links:
+            graph.add_link(a, b, rel_v4=rel, rel_v6=rel)
+        registry = build_registry(graph.ases, documented_fraction=1.0, seed=3)
+        policies = {
+            asn: RoutingPolicy(asn=asn, tagger=registry.dictionary_for(asn))
+            for asn in graph.ases
+        }
+        policies[6].te_overrides += [
+            TrafficEngineeringOverride(neighbor=1, local_pref=50, prefixes=(cls.P1,)),
+            TrafficEngineeringOverride(neighbor=1, local_pref=150),
+        ]
+        policies[3].add_relaxation(1, AFI.IPV6)
+        origins = {cls.P1: 5, cls.Q1: 4, cls.P2: 5, cls.Q2: 5, cls.P3: 7}
+        return graph, policies, origins
+
+    def test_full_state_equals_event(self):
+        graph, policies, origins = self._plane()
+        event = PropagationSimulator(graph, policies).run(origins)
+        backend = ArrayBackend(graph, policies)
+        array = backend.run(origins)
+        assert backend.methods[AFI.IPV4] == ("solve", None)
+        assert backend.methods[AFI.IPV6][0] == "replay"
+        # `array` runs events only on the replayed plane.
+        replayed = {p: asn for p, asn in origins.items() if p.afi is AFI.IPV6}
+        oracle = PropagationSimulator(graph, policies).run(replayed)
+        assert array.events == oracle.events
+        assert list(array.reachable_counts.items()) == list(
+            event.reachable_counts.items()
+        )
+        for asn in graph.ases:
+            # Same routes, inserted in the same order.
+            assert list(array.speakers[asn].loc_rib._routes.items()) == list(
+                event.speakers[asn].loc_rib._routes.items()
+            ), f"AS{asn}"
+
+    def test_first_matching_override_wins(self):
+        """Hand-derived: for P1 the scoped override (50) puts AS1 below
+        AS2 (100); for P2 and P3 the unscoped one (150) puts it above,
+        however long the path through AS1 is."""
+        graph, policies, origins = self._plane()
+        array = ArrayBackend(graph, policies).run(origins)
+        p1, p2, p3 = (array.best_route(6, p) for p in (self.P1, self.P2, self.P3))
+        assert [route.learned_from for route in (p1, p2, p3)] == [2, 1, 1]
+        assert [route.local_pref for route in (p1, p2, p3)] == [100, 150, 150]
+        assert p1.as_path.hops == (2, 1, 5)
+        assert p3.as_path.hops == (1, 2, 7)
 
 
 class TestSolveGuard:

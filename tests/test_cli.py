@@ -702,3 +702,32 @@ def test_python_m_repro_exits_once_outputs_are_durable(tmp_path, capsys):
     profiled = _python("-m", "cProfile", "-m", "repro", "cache", "stats", "--cache-dir", cache)
     assert profiled.returncode == 0, profiled.stderr
     assert "function calls" in profiled.stdout
+
+
+@pytest.mark.parametrize(
+    "command", (["section3"], ["figure2", "--top", "3"]), ids=("section3", "figure2")
+)
+def test_json_report_survives_a_closed_stdout(tmp_path, command):
+    """A reader that has gone away (``repro ... | true``) cannot lose the
+    ``--json`` report: it is written before anything is printed.  Stdout
+    is unbuffered here, so the first print meets the closed pipe."""
+    report = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        "PYTHONUNBUFFERED": "1",
+    }
+    argv = [command[0], "--small", *command[1:], "--json", str(report)]
+    try:
+        subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=write_end,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert command[0] in json.loads(report.read_text())

@@ -247,6 +247,58 @@ class TestPipelineTrace:
         assert render_tree(read_trace(trace_dir))  # renders without error
 
 
+    def test_stage_spans_hold_their_cache_io_and_report_self_time(self, tmp_path):
+        """A stage's span opens before its cache lookup.  A hit's span
+        holds its ``cache.load``; a computed stage's span holds the
+        stages it resolved upstream and its ``cache.store``, each with
+        its bytes.  A stage's self time leaves those out, so the stages'
+        self times plus the cache's seconds are the time under the
+        outermost stage spans."""
+        cache = tmp_path / "cache"
+        with tracing(tmp_path / "cold"):
+            run_pipeline(tiny_base(), cache_dir=cache, targets=("section3",))
+        with tracing(tmp_path / "warm"):
+            run_pipeline(tiny_base(), cache_dir=cache, targets=("section3",))
+
+        warm = read_trace(tmp_path / "warm")
+        (stage,) = spans_named(warm, "stage")
+        (load,) = spans_named(warm, "cache.load")
+        assert load["parent_id"] == stage["span_id"]
+        assert load["attrs"]["outcome"] == "hit"
+        assert load["attrs"]["bytes"] == stage["attrs"]["artifact_bytes"] > 0
+        assert summarize(warm)["cache"]["load"]["bytes"] == load["attrs"]["bytes"]
+
+        cold = read_trace(tmp_path / "cold")
+        stages = {s["span_id"]: s for s in spans_named(cold, "stage")}
+        stores = spans_named(cold, "cache.store")
+        assert stores
+        for store in stores:
+            owner = stages[store["parent_id"]]
+            assert owner["attrs"]["stage"] == store["attrs"]["stage"]
+            assert store["attrs"]["bytes"] == owner["attrs"]["artifact_bytes"]
+        outcomes = {s["attrs"]["outcome"] for s in spans_named(cold, "cache.load")}
+        assert outcomes == {"miss"}
+        # The target's span holds the whole cold run.
+        (section3,) = [s for s in stages.values() if s["attrs"]["stage"] == "section3"]
+        assert all(
+            s is section3 or s["parent_id"] in stages for s in stages.values()
+        )
+
+        summary = summarize(cold)
+        assert summary["stages"]["section3"]["total_seconds"] == section3["seconds"]
+        assert (
+            summary["stages"]["section3"]["self_seconds"]
+            < summary["stages"]["section3"]["total_seconds"]
+        )
+        for entry in summary["stages"].values():
+            assert 0 <= entry["self_seconds"] <= entry["total_seconds"]
+        outermost = sum(s["seconds"] for s in stages.values() if s["parent_id"] not in stages)
+        accounted = sum(e["self_seconds"] for e in summary["stages"].values()) + sum(
+            summary["cache"][kind]["total_seconds"] for kind in ("load", "store")
+        )
+        assert accounted == pytest.approx(outermost, abs=1e-4)
+        assert summary["cache"]["store"]["bytes"] == sum(s["attrs"]["bytes"] for s in stores)
+
     def test_propagation_spans_name_the_method(self, tmp_path):
         """``array`` solves the IPv4 plane and replays the relaxed IPv6
         plane; each span names its method and why, and the summary
@@ -387,7 +439,7 @@ class TestRootAccounting:
         assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["root_seconds"], payload["unattributed_seconds"]) == (2.0, 1.0)
-        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 6
+        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 7
         assert payload["commands"] == {}
         assert "retries" not in payload
         assert "dead_letters" not in payload
