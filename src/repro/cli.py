@@ -119,11 +119,13 @@ if TYPE_CHECKING:
 REPORT_SCHEMA_VERSION = 2
 
 #: Collector generation thresholds while a command runs.  A cold
-#: paper-scale snapshot allocates millions of objects that stay alive
-#: until the command ends (speakers, routes, RIB entries); with the
-#: default gen-0 threshold of 700 the collector runs about 750 times,
-#: mostly rescanning live objects.  50,000 brings that down to a
-#: handful of collections.
+#: paper-scale ``section3`` keeps about 130,000 tracked objects alive at
+#: its peak (speakers, routes, observations), and most of what it
+#: allocates lives until a later stage has consumed it.  At the default
+#: thresholds (700, 10, 10) the collector runs 351 gen-0, 31 gen-1 and
+#: 3 gen-2 collections in such a run, mostly rescanning live objects;
+#: under these it runs 3 gen-0 collections and no older ones (counted
+#: in-process from ``gc.get_stats()`` after ``repro.cli`` is imported).
 GC_THRESHOLDS = (50000, 20, 100)
 
 #: Snapshot seed when ``--seed`` is not given.
@@ -504,8 +506,9 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
                 f"p50 {entry['p50_seconds']:7.3f}s  "
                 f"p95 {entry['p95_seconds']:7.3f}s  "
                 f"computed {entry['computed']} cached {entry['cached']} "
-                f"skipped {entry['skipped']} "
-                f"(hit rate {entry['cache_hit_rate']:.0%})"
+                f"skipped {entry['skipped']} released {entry['released']} "
+                f"(hit rate {entry['cache_hit_rate']:.0%})  "
+                f"max rss {entry['max_rss_kb'] / 1024:6.1f} MB"
             )
     if summary["engines"]:
         width = max(
@@ -550,7 +553,10 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
                 f"    {name:<{width}} x{entry['count']:<3} "
                 f"wall {entry['wall_seconds']:8.3f}s  "
                 f"outside any stage {entry['outside_stages_seconds']:7.3f}s  "
-                f"startup cpu {entry['startup_cpu_seconds']:7.3f}s"
+                f"startup cpu {entry['startup_cpu_seconds']:7.3f}s  "
+                f"tracer {entry['tracer_seconds']:9.6f}s  "
+                f"peak rss {entry['max_rss_kb'] / 1024:6.1f} MB"
+                f" at {entry['peak_stage'] or 'no stage'}"
             )
     print(
         f"  root: {summary['root_seconds']:.3f}s, "
@@ -817,7 +823,9 @@ def _run_command(argv: Optional[Sequence[str]], entered) -> int:
     # entry so the parse and setup before the tracer existed count too.
     # ``startup_cpu_seconds`` is the process's CPU time at that entry:
     # interpreter start plus imports under ``python -m repro`` (for an
-    # in-process caller, everything the process did before).
+    # in-process caller, everything the process did before).  At its
+    # close it records the process's peak RSS (``max_rss_kb``) and the
+    # tracer's own bookkeeping time so far (``tracer_seconds``).
     tracer = Tracer(args.trace_dir)
     wall, started, cpu = entered
     try:
@@ -828,7 +836,7 @@ def _run_command(argv: Optional[Sequence[str]], entered) -> int:
             startup_cpu_seconds=round(cpu, 6),
         ) as span:
             code = args.handler(args)
-            span.annotate(exit_code=code)
+            span.annotate(exit_code=code, tracer_seconds=round(tracer.own_seconds, 6))
             return code
     finally:
         tracer.flush()

@@ -24,6 +24,18 @@ Closure stages that no resolved stage needed are *skipped*: a warm
 upstream of them.  :meth:`PipelineRun.value` resolves a skipped stage
 on first access through the same method (a hit costs one cache read).
 
+A run that names its targets also *releases* what it no longer needs.
+It counts each closure stage's consumers inside the closure; each time
+a consumer resolves (computed or loaded) for the first time, every one
+of its inputs loses one, and an input left with none is dropped from
+the run unless it is a target.  A cold ``section3`` thus frees both
+propagation results once the archive holds its records, and the
+archive once the store is built, instead of holding every intermediate
+until the process exits.  A run of every stage (``targets=None``) has
+only targets and releases nothing.  :meth:`PipelineRun.value` resolves
+a released stage again, as it does a skipped one: a cacheable stage is
+one cache read, any other stage is computed again.
+
 The runner is deliberately generic: the concrete snapshot/analysis DAG
 lives in :mod:`repro.pipeline.stages`, and nothing here knows about
 topologies or BGP.
@@ -92,17 +104,23 @@ class PipelineRun:
     """One execution of (a target-closure of) the pipeline.
 
     Stage values are exposed through :meth:`value`; closure stages the
-    run skipped are resolved on first access (loaded from the cache or
-    computed).  :attr:`statuses` maps each resolved stage to
-    ``"computed"`` or ``"cached"``, in resolution order.
+    run skipped or released are resolved on access (loaded from the
+    cache or computed).  :attr:`statuses` maps each resolved stage to
+    ``"computed"`` or ``"cached"``, in the order of first resolution;
+    resolving a released stage again keeps its first status.
+    :attr:`released` lists the stages dropped once their last consumer
+    in the closure had resolved (see the module docstring).
     """
 
     def __init__(self, config: object, runner: "PipelineRunner") -> None:
         self.config = config
         self.fingerprints: Dict[str, str] = {}
         self.statuses: Dict[str, str] = {}
+        self.released: List[str] = []
         self._runner = runner
         self._ready: Dict[str, object] = {}
+        # Non-target closure stage -> consumers not yet resolved.
+        self._consumers: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # artifact access
@@ -144,22 +162,36 @@ class PipelineRun:
         ) as span:
             loaded = cache.load(name, stage_fingerprint) if cache is not None else None
             if loaded is not None:
-                self._ready[name], record = loaded
-                span.annotate(status="cached", artifact_bytes=record.size_bytes)
-                self.statuses[name] = "cached"
-                return
-            for dep in self._runner.in_order(spec.dependencies):
-                self._resolve(dep.name)
-            try:
-                value = spec.compute(self)
-            except Exception as exc:
-                raise StageFailure(name, self, exc) from exc
-            span.annotate(status="computed")
-            if cache is not None:
-                stored = cache.store(name, stage_fingerprint, value, spec.version)
-                span.annotate(artifact_bytes=stored.size_bytes)
-        self._ready[name] = value
-        self.statuses[name] = "computed"
+                value, record = loaded
+                status = "cached"
+                span.annotate(status=status, artifact_bytes=record.size_bytes)
+            else:
+                for dep in self._runner.in_order(spec.dependencies):
+                    self._resolve(dep.name)
+                try:
+                    value = spec.compute(self)
+                except Exception as exc:
+                    raise StageFailure(name, self, exc) from exc
+                status = "computed"
+                span.annotate(status=status)
+                if cache is not None:
+                    stored = cache.store(name, stage_fingerprint, value, spec.version)
+                    span.annotate(artifact_bytes=stored.size_bytes)
+            self._ready[name] = value
+            if name not in self.statuses:
+                self.statuses[name] = status
+                self._release_inputs(spec)
+
+    def _release_inputs(self, spec: StageSpec) -> None:
+        """A consumer resolved for the first time: drop each input it
+        was the last unresolved consumer of."""
+        for dep in spec.dependencies:
+            if dep not in self._consumers:
+                continue
+            self._consumers[dep] -= 1
+            if self._consumers[dep] == 0 and dep in self._ready:
+                del self._ready[dep]
+                self.released.append(dep)
 
 
 class PipelineRunner:
@@ -251,10 +283,12 @@ class PipelineRunner:
         Telemetry: when a tracer is active (``repro --trace-dir`` or an
         explicit :func:`repro.telemetry.tracer.activated`), one ``"pipeline"``
         span wraps the run — nested under whatever span is already open,
-        e.g. a sweep's — and lists the ``skipped`` closure stages; one
-        ``"stage"`` span per resolved stage records the fingerprint,
-        cache status and artifact bytes, whether the stage is resolved
-        during the run or when :meth:`PipelineRun.value` reads it later.
+        e.g. a sweep's — and lists the ``skipped`` and the ``released``
+        closure stages; one ``"stage"`` span per resolved stage records
+        the fingerprint, cache status, artifact bytes and the process's
+        peak RSS at its close (``max_rss_kb``), whether the stage is
+        resolved during the run or when :meth:`PipelineRun.value` reads
+        it later.
         A stage's span covers everything its resolution does: the cache
         lookup (a ``cache.load`` child span), then on a miss the stages
         it resolves upstream (nested ``stage`` spans), its compute and
@@ -266,6 +300,11 @@ class PipelineRunner:
         """
         run = PipelineRun(config, self)
         run.fingerprints = self.fingerprints(config, targets)
+        if targets is not None:
+            for name in run.fingerprints:
+                for dep in self._by_name[name].dependencies:
+                    if dep not in targets:
+                        run._consumers[dep] = run._consumers.get(dep, 0) + 1
         with get_tracer().span(
             "pipeline", targets=",".join(targets) if targets else "all"
         ) as span:
@@ -274,4 +313,6 @@ class PipelineRunner:
             skipped = [name for name in run.fingerprints if name not in run.statuses]
             if skipped:
                 span.annotate(skipped=",".join(skipped))
+            if run.released:
+                span.annotate(released=",".join(run.released))
         return run

@@ -24,6 +24,16 @@ snapshot`` recomputes them too: the snapshot assembles them.  The
 entry points read the one artifact they report: ``repro section3``
 reads ``section3`` and ``repro figure2`` reads ``correction``.
 
+Neither do they outlive their consumers.  A run with targets releases
+each stage once the last of its consumers in the closure has resolved
+(see :mod:`repro.pipeline.runner`): a cold ``section3`` drops the
+topology once ``irr`` and ``scenario`` hold what they need, both
+propagation results and the scenario once the archive holds its
+records, and the archive once the store is built, so its peak holds the
+store and not the whole chain.  ``build_snapshot`` targets ``snapshot``,
+which references every artifact it assembles; a run of every stage
+(``targets=None``) releases nothing.
+
 Every stage calls exactly the code the monolithic path called, in the
 same order; in particular the *scenario* stage owns the single
 ``random.Random(seed)`` stream the legacy builder threaded through

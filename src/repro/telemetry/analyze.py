@@ -24,8 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: CPU).  v7: stage rollups gained ``self_seconds`` (a stage's span
 #: holds its cache lookup, the stages it resolves upstream and its cache
 #: write), and ``cache`` rolls up the ``cache.load`` and ``cache.store``
-#: spans.
-SUMMARY_SCHEMA_VERSION = 7
+#: spans.  v8: stage rollups gained ``released`` and ``max_rss_kb``, and
+#: command rollups ``max_rss_kb``, ``peak_stage`` and ``tracer_seconds``.
+SUMMARY_SCHEMA_VERSION = 8
 
 #: The spans a stage's self time leaves out: the stages it resolves
 #: upstream, and its cache reads and writes.
@@ -224,13 +225,41 @@ def root_accounting(records: Sequence[dict]) -> Tuple[float, float]:
     return round(root_seconds, 6), round(unattributed, 6)
 
 
+def _peak_stage(command: dict, stages: Sequence[dict]) -> Optional[str]:
+    """The first of a command's ``stage`` spans, by close, whose
+    ``max_rss_kb`` reached the command's; ``None`` when the peak came
+    after every stage (or no RSS was recorded)."""
+    peak = (command.get("attrs") or {}).get("max_rss_kb")
+    if not peak:
+        return None
+    for span in sorted(stages, key=lambda span: _interval(span)[1]):
+        attrs = span.get("attrs") or {}
+        if (attrs.get("max_rss_kb") or 0) >= peak:
+            return str(attrs.get("stage"))
+    return None
+
+
 def command_rollup(records: Sequence[dict]) -> Dict[str, dict]:
     """Per CLI command (``section3``, ``figure2`` ...), its ``command``
-    spans' count, wall time, the part of it outside every stage, and the
+    spans' count, wall time, the part of it outside every stage, the
     CPU time the processes spent before ``main`` (interpreter start plus
-    imports, the ``startup_cpu_seconds`` attribute)."""
+    imports, the ``startup_cpu_seconds`` attribute) and the tracer's own
+    time (``tracer_seconds``); and the highest peak RSS any of them
+    closed with (``max_rss_kb``), with the first stage of that command
+    whose close already reached it (``peak_stage``, see
+    :func:`_peak_stage`)."""
     spans = spans_of(records)
     covered = _stage_cover(spans)
+    by_id = {span.get("span_id"): span for span in spans}
+    stages_under: Dict[str, List[dict]] = {}
+    for span in spans:
+        if span.get("name") != "stage":
+            continue
+        outer = by_id.get(span.get("parent_id"))
+        while outer is not None and outer.get("name") != "command":
+            outer = by_id.get(outer.get("parent_id"))
+        if outer is not None:
+            stages_under.setdefault(outer.get("span_id"), []).append(span)
     rollup: Dict[str, dict] = {}
     for span in spans:
         if span.get("name") != "command":
@@ -239,15 +268,24 @@ def command_rollup(records: Sequence[dict]) -> Dict[str, dict]:
         entry = rollup.setdefault(
             str(attrs.get("command")),
             {"count": 0, "wall_seconds": 0.0, "outside_stages_seconds": 0.0,
-             "startup_cpu_seconds": 0.0},
+             "startup_cpu_seconds": 0.0, "tracer_seconds": 0.0,
+             "max_rss_kb": 0, "peak_stage": None},
         )
         wall, outside = _outside(span, covered)
         entry["count"] += 1
         entry["wall_seconds"] += wall
         entry["outside_stages_seconds"] += outside
         entry["startup_cpu_seconds"] += float(attrs.get("startup_cpu_seconds") or 0.0)
+        entry["tracer_seconds"] += float(attrs.get("tracer_seconds") or 0.0)
+        max_rss_kb = int(attrs.get("max_rss_kb") or 0)
+        if max_rss_kb > entry["max_rss_kb"]:
+            entry["max_rss_kb"] = max_rss_kb
+            entry["peak_stage"] = _peak_stage(
+                span, stages_under.get(span.get("span_id"), [])
+            )
     for entry in rollup.values():
-        for key in ("wall_seconds", "outside_stages_seconds", "startup_cpu_seconds"):
+        for key in ("wall_seconds", "outside_stages_seconds", "startup_cpu_seconds",
+                    "tracer_seconds"):
             entry[key] = round(entry[key], 6)
     return rollup
 
@@ -278,8 +316,10 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
     """The ``repro trace summary`` payload: rollups over one trace dir.
 
     Per-stage rollups (count, total, p50/p95, self time, computed vs
-    cached and the cache hit rate, artifact bytes, and how often a run
-    skipped the stage because a descendant hit the cache), per-engine
+    cached and the cache hit rate, artifact bytes, how often a run
+    skipped the stage because a descendant hit the cache or released it
+    after its last consumer, and the highest peak RSS a span of the
+    stage closed with), per-engine
     rollups (count,
     timings, events, prefixes, and the same split by the ``method`` each
     ``propagation`` span ran), aggregated counters, tree health (roots /
@@ -308,14 +348,17 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         return stages.setdefault(
             str(name),
             {"durations": [], "self_seconds": 0.0, "computed": 0, "cached": 0,
-             "skipped": 0, "artifact_bytes": 0, "errors": 0},
+             "skipped": 0, "released": 0, "artifact_bytes": 0, "errors": 0,
+             "max_rss_kb": 0},
         )
 
     for span in spans:
         attrs = span.get("attrs") or {}
-        if span.get("name") == "pipeline" and attrs.get("skipped"):
-            for name in str(attrs["skipped"]).split(","):
-                stage_entry(name)["skipped"] += 1
+        if span.get("name") == "pipeline":
+            for key in ("skipped", "released"):
+                if attrs.get(key):
+                    for name in str(attrs[key]).split(","):
+                        stage_entry(name)[key] += 1
         if span.get("name") != "stage":
             continue
         entry = stage_entry(attrs.get("stage"))
@@ -328,6 +371,7 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         if span.get("status") != "ok":
             entry["errors"] += 1
         entry["artifact_bytes"] += int(attrs.get("artifact_bytes") or 0)
+        entry["max_rss_kb"] = max(entry["max_rss_kb"], int(attrs.get("max_rss_kb") or 0))
     stage_rollup = {}
     for name, entry in stages.items():
         lookups = entry["computed"] + entry["cached"]
@@ -337,9 +381,11 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
             computed=entry["computed"],
             cached=entry["cached"],
             skipped=entry["skipped"],
+            released=entry["released"],
             errors=entry["errors"],
             cache_hit_rate=round(entry["cached"] / lookups, 4) if lookups else 0.0,
             artifact_bytes=entry["artifact_bytes"],
+            max_rss_kb=entry["max_rss_kb"],
         )
         stage_rollup[name] = rollup
 

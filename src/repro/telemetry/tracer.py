@@ -21,6 +21,12 @@ the fingerprint-neutrality tests and the CI trace smoke).
 
 The pipeline is single-threaded, so the tracer keeps one stack of open
 spans and takes no locks.
+
+Every span of a real tracer records the process's peak resident set
+size at its close (``max_rss_kb``, from ``getrusage``; kilobytes on
+Linux), and :attr:`Tracer.own_seconds` is the time the tracer has spent
+in span and counter bookkeeping.  ``resource`` is imported only when a
+real tracer is made, so an untraced command never loads it.
 """
 
 from __future__ import annotations
@@ -64,13 +70,16 @@ class _SpanHandle:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         record = self._record
+        tracer = self._tracer
         ended = time.perf_counter()
         record["seconds"] = round(ended - record.pop("_started"), 6)
         record["end_time"] = time.time()
         if exc is not None:
             record["status"] = "error"
             self._attrs.setdefault("error", f"{type(exc).__name__}: {exc}")
-        self._tracer._finish_span(record)
+        self._attrs["max_rss_kb"] = tracer._max_rss_kb()
+        tracer._finish_span(record)
+        tracer.own_seconds += time.perf_counter() - ended
         return False
 
 
@@ -118,14 +127,19 @@ class Tracer:
     """Collects spans and counters; flushes to JSONL.
 
     Span parentage follows one stack of open spans: a span opened with
-    no span open is a root.
+    no span open is a root.  :attr:`own_seconds` accumulates the time
+    spent opening and closing spans and recording counters.
     """
 
     def __init__(self, trace_dir, *, run_id: Optional[str] = None) -> None:
+        import resource
+
         self.trace_dir = os.fspath(trace_dir) if trace_dir is not None else None
         self.run_id = run_id or _new_id()
+        self.own_seconds = 0.0
         self._records: List[Dict[str, object]] = []
         self._stack: List[str] = []  # ids of the open spans, innermost last
+        self._resource = resource
 
     def __bool__(self) -> bool:
         return True
@@ -148,7 +162,8 @@ class Tracer:
         began before the tracer existed (the CLI's ``command`` span
         starts when ``main`` is entered).
         """
-        wall, started = since or (time.time(), time.perf_counter())
+        entered = time.perf_counter()
+        wall, started = since or (time.time(), entered)
         record: Dict[str, object] = {
             "kind": "span",
             "schema_version": TRACE_SCHEMA_VERSION,
@@ -163,7 +178,12 @@ class Tracer:
             "_started": started,
         }
         self._stack.append(record["span_id"])
-        return _SpanHandle(self, record)
+        handle = _SpanHandle(self, record)
+        self.own_seconds += time.perf_counter() - entered
+        return handle
+
+    def _max_rss_kb(self) -> int:
+        return self._resource.getrusage(self._resource.RUSAGE_SELF).ru_maxrss
 
     def _finish_span(self, record: Dict[str, object]) -> None:
         if self._stack and self._stack[-1] == record["span_id"]:
@@ -171,6 +191,7 @@ class Tracer:
         self._records.append(record)
 
     def counter(self, name: str, value: int = 1, **attrs) -> None:
+        entered = time.perf_counter()
         record = {
             "kind": "counter",
             "schema_version": TRACE_SCHEMA_VERSION,
@@ -183,6 +204,7 @@ class Tracer:
             "pid": os.getpid(),
         }
         self._records.append(record)
+        self.own_seconds += time.perf_counter() - entered
 
     # ------------------------------------------------------------------
     # export

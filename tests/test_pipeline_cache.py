@@ -6,13 +6,15 @@ version invalidates exactly the stages downstream of the change, and a
 corrupted or truncated artifact is detected by its payload hash and
 recomputed rather than loaded.  It also pins the demand-driven runner:
 a run verifies a cached stage only when a consumer that missed needs
-it, and resolves the stages it skipped when something reads them.
+it, resolves the stages it skipped when something reads them, and
+releases each intermediate once its last consumer has resolved.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -521,6 +523,92 @@ class TestDemandDriven:
         root_seconds, unattributed = root_accounting(read)
         assert root_seconds > 0
         assert unattributed == 0.0
+
+
+def recording_stages(refs):
+    """``full_stages()`` whose computes leave a weak reference to each
+    value they return in ``refs`` (stage name -> ``weakref.ref``)."""
+
+    def recording(spec):
+        def compute(run):
+            value = spec.compute(run)
+            refs[spec.name] = weakref.ref(value)
+            return value
+
+        return dataclasses.replace(spec, compute=compute)
+
+    return [recording(spec) for spec in full_stages()]
+
+
+def loc_ribs(result):
+    """Every speaker's Loc-RIB routes, in insertion order."""
+    return {asn: speaker.loc_rib.routes() for asn, speaker in result.speakers.items()}
+
+
+class TestRelease:
+    """A run with targets drops each intermediate once the last of its
+    consumers in the closure has resolved, and reads it back on demand."""
+
+    def test_cold_section3_frees_propagation_and_archive(self):
+        refs = {}
+        run = PipelineRunner(recording_stages(refs)).run(
+            tiny_config(), targets=("section3",)
+        )
+        for name in ("propagation_v4", "propagation_v6", "archive"):
+            assert refs[name]() is None, name
+        assert run.released == [
+            "topology",
+            "scenario",
+            "propagation_v4",
+            "propagation_v6",
+            "archive",
+            "irr",
+            "store",
+            "views",
+            "inference",
+        ]
+        # The target is held: reading it computes nothing.
+        assert run.value("section3") is refs["section3"]()
+        assert run.computed_stages() == ANALYSIS_CLOSURE[:-1]
+
+    def test_released_stages_read_back(self, tmp_path):
+        config = tiny_config()
+        run = run_pipeline(config, cache_dir=tmp_path, targets=("section3",))
+        assert {"scenario", "propagation_v4"} <= set(run.released)
+        tracer = Tracer(None)
+        with activated(tracer):
+            propagation = run.value("propagation_v4")
+        statuses = [
+            (r["attrs"]["stage"], r["attrs"]["status"])
+            for r in tracer.records()
+            if r["kind"] == "span" and r["name"] == "stage"
+        ]
+        # The cached scenario is one read; the propagation recomputes.
+        assert statuses == [("scenario", "cached"), ("propagation_v4", "computed")]
+        assert run.status_of("scenario") == "computed"
+        fresh = run_pipeline(config, targets=("propagation_v4",)).value("propagation_v4")
+        assert loc_ribs(propagation) == loc_ribs(fresh)
+        assert propagation.reachable_counts == fresh.reachable_counts
+        # What a read resolved again stays resolved.
+        assert run.value("propagation_v4") is propagation
+
+    def test_a_run_of_every_stage_releases_nothing(self):
+        refs = {}
+        run = PipelineRunner(recording_stages(refs)).run(tiny_config())
+        assert run.released == []
+        assert all(ref() is not None for ref in refs.values())
+
+    def test_a_consumer_that_hit_the_cache_counts_as_resolved(self, section3_cache):
+        cache_dir, config = section3_cache
+        cache = ArtifactCache(cache_dir)
+        fingerprints = make_runner().fingerprints(config)
+        for stage in ("inference", "section3"):
+            cache.payload_path(stage, fingerprints[stage]).unlink()
+        run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
+        assert run.status_of("inference") == "computed"
+        assert run.status_of("views") == "cached"
+        # ``views`` hit, so ``inference`` was the store's last consumer.
+        assert "store" in run.released
 
 
 class TestCachedArtifactShape:

@@ -439,7 +439,7 @@ class TestRootAccounting:
         assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["root_seconds"], payload["unattributed_seconds"]) == (2.0, 1.0)
-        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 7
+        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 8
         assert payload["commands"] == {}
         assert "retries" not in payload
         assert "dead_letters" not in payload
@@ -460,6 +460,9 @@ class TestRootAccounting:
                 "wall_seconds": 4.0,
                 "outside_stages_seconds": 3.0,
                 "startup_cpu_seconds": 0.25,
+                "tracer_seconds": 0.0,
+                "max_rss_kb": 0,
+                "peak_stage": None,
             }
         }
         (tmp_path / "trace.jsonl").write_text(
@@ -500,3 +503,100 @@ class TestCommandSpan:
         assert entry["wall_seconds"] == summary["root_seconds"]
         assert entry["outside_stages_seconds"] == summary["unattributed_seconds"]
 
+
+    def test_command_records_its_peak_rss_and_the_tracers_own_time(
+        self, tmp_path, capsys
+    ):
+        """A traced cold ``section3`` closes every ``stage`` span and its
+        ``command`` span with the process's peak RSS, lists the stages
+        the run released, and states the tracer's own time, which is
+        positive and a small part of the command's wall time."""
+        from repro.cli import main
+
+        trace_dir = tmp_path / "trace"
+        assert main(["section3", "--small", "--trace-dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        records = read_trace(trace_dir)
+        (command,) = spans_named(records, "command")
+        stages = spans_named(records, "stage")
+        assert all(span["attrs"]["max_rss_kb"] > 0 for span in stages)
+        peak = command["attrs"]["max_rss_kb"]
+        assert peak >= max(span["attrs"]["max_rss_kb"] for span in stages)
+        assert 0 < command["attrs"]["tracer_seconds"] < command["seconds"]
+        (pipeline,) = spans_named(records, "pipeline")
+        released = pipeline["attrs"]["released"].split(",")
+        assert {"propagation_v4", "propagation_v6", "archive"} <= set(released)
+        assert "section3" not in released
+        entry = summarize(records)["commands"]["section3"]
+        assert entry["max_rss_kb"] == peak
+        assert entry["tracer_seconds"] == command["attrs"]["tracer_seconds"]
+
+
+class TestMemoryRollup:
+    """``repro trace summary`` reports peak RSS per stage and per
+    command, the stage whose close first reached a command's peak, and
+    how often each stage was released."""
+
+    @staticmethod
+    def _records():
+        command = _timed_span("cmd", None, "command", 0.0, 10.0)
+        command["attrs"] = {
+            "command": "section3", "max_rss_kb": 40960, "tracer_seconds": 0.002,
+        }
+        pipeline = _timed_span("p", "cmd", "pipeline", 0.5, 9.0)
+        pipeline["attrs"] = {"targets": "section3", "released": "archive,store"}
+        records = [command, pipeline]
+        # (name, parent, start, seconds, max_rss_kb): ``store`` closes
+        # at 6.0 s at the peak; ``section3`` holds it and closes later.
+        for name, parent, start, seconds, rss in [
+            ("archive", "section3", 1.0, 2.0, 30720),
+            ("store", "section3", 3.5, 2.5, 40960),
+            ("section3", "p", 0.8, 8.0, 40960),
+        ]:
+            span = _timed_span(name, parent, "stage", start, seconds)
+            span["attrs"] = {"stage": name, "status": "computed", "max_rss_kb": rss}
+            records.append(span)
+        return records
+
+    def test_peak_rss_peak_stage_and_released_counts(self):
+        summary = summarize(self._records())
+        assert summary["commands"]["section3"]["max_rss_kb"] == 40960
+        assert summary["commands"]["section3"]["peak_stage"] == "store"
+        assert summary["commands"]["section3"]["tracer_seconds"] == 0.002
+        stages = summary["stages"]
+        assert {name: entry["released"] for name, entry in stages.items()} == {
+            "archive": 1, "store": 1, "section3": 0,
+        }
+        assert stages["archive"]["max_rss_kb"] == 30720
+
+    def test_a_peak_after_every_stage_names_no_stage(self):
+        records = self._records()
+        records[0]["attrs"]["max_rss_kb"] = 51200
+        assert summarize(records)["commands"]["section3"]["peak_stage"] is None
+
+    def test_the_highest_command_names_the_peak(self):
+        """Two ``section3`` commands in one trace: the rollup keeps the
+        higher peak and the stage that reached it."""
+        records = self._records()
+        other = _timed_span("cmd2", None, "command", 20.0, 1.0)
+        other["attrs"] = {"command": "section3", "max_rss_kb": 20480}
+        views = _timed_span("v", "cmd2", "stage", 20.1, 0.5)
+        views["attrs"] = {"stage": "views", "status": "cached", "max_rss_kb": 20480}
+        entry = summarize([*records, other, views])["commands"]["section3"]
+        assert (entry["count"], entry["max_rss_kb"], entry["peak_stage"]) == (
+            2, 40960, "store",
+        )
+
+    def test_trace_summary_prints_peak_rss_and_tracer_time(self, tmp_path, capsys):
+        from repro.cli import main
+
+        (tmp_path / "trace.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in self._records())
+        )
+        assert main(["trace", "summary", "--trace-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "tracer  0.002000s  peak rss   40.0 MB at store" in out
+        assert "released 1" in out
+        assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["commands"]["section3"]["peak_stage"] == "store"
