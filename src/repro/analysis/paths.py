@@ -134,7 +134,11 @@ def store_from_records(records: Iterable[TableDumpRecord]) -> ExtractionResult:
     """
     stats = ExtractionStats()
     observations: List[ObservedRoute] = []
-    seen: Dict[Tuple[int, Prefix, Tuple[int, ...]], int] = {}
+    # prefix -> cleaned path -> index into ``observations``.  The
+    # vantage is the path's first hop once anchored, so (prefix, path)
+    # is the (vantage, prefix, path) triple without a key tuple per
+    # record.
+    seen: Dict[Prefix, Dict[Tuple[int, ...], int]] = {}
     records_seen = looped = 0
     trusted = ObservedRoute.trusted
     for record in records:
@@ -161,13 +165,16 @@ def store_from_records(records: Iterable[TableDumpRecord]) -> ExtractionResult:
             record.local_pref,
             record.collector,
         )
-        key = (vantage, prefix, cleaned)
-        index = seen.get(key)
+        by_path = seen.get(prefix)
+        if by_path is None:
+            by_path = seen[prefix] = {}
+        index = by_path.get(cleaned)
         if index is not None:
             observations[index] = _merge_duplicate(observations[index], observation)
             continue
-        seen[key] = len(observations)
+        by_path[cleaned] = len(observations)
         observations.append(observation)
+    del seen  # the dedupe table must not share the store build's peak
     store = ObservationStore(observations)
     stats.records = records_seen
     stats.looped_paths = looped

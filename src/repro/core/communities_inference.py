@@ -201,6 +201,9 @@ class CommunitiesInference:
         missing = object()
         ipv6 = AFI.IPV6
         relationship_for = self.registry.relationship_for
+        # The namedtuple's generated ``__new__`` is a Python-level
+        # function; ``tuple.__new__`` builds the same vote in C.
+        new_vote = tuple.__new__
         for route in store.with_communities:
             path = route.path
             last = len(path) - 1
@@ -234,7 +237,7 @@ class CommunitiesInference:
                 if entry is None:
                     continue
                 grouped[entry[3] if is_v6 else entry[2]].append(
-                    RelationshipVote(entry[0], afi, entry[1], tagger, vantage)
+                    new_vote(RelationshipVote, (entry[0], afi, entry[1], tagger, vantage))
                 )
         return dict(grouped)
 

@@ -11,20 +11,27 @@ paths themselves.
 :func:`repro.analysis.paths.store_from_records`, and is the only input
 type of the measurement layer (``repro.analysis`` and the inference
 modules in ``repro.core``).  One pass over the observations builds
-every shared index —
+the indexes every consumer reads —
 
 * observations **by AFI** and **by vantage**,
 * the **distinct-path tables** (per AFI in first-seen order; the
-  mixed-plane table lazily),
-* the canonical **link tuple of every distinct path** (``Link`` objects
-  are created once per path instead of once per scan),
+  mixed-plane table lazily), and
 * the subsets of observations **carrying LOCAL_PREF** and **carrying
   communities** (the only observations the LocPrf and communities
-  inferences can use), and
-* lazily, per-AFI :class:`~repro.core.visibility.VisibilityIndex` tables.
+  inferences can use).
 
-:meth:`ObservationStore._build` is the only code that fills these
-indexes.  The frozen seed pipeline in :mod:`repro.analysis.reference`
+The link side is built on first use: the canonical **link tuple of
+every distinct path** (``Link`` objects are created once per link and
+shared by every path instead of once per scan), the **link set of each
+plane** and the per-AFI :class:`~repro.core.visibility.VisibilityIndex`
+tables.  The pipeline builds the store while the collector archive is
+still alive and releases the archive before the inferences read links,
+so the link tables never share the peak with the archive.
+
+:meth:`ObservationStore._build` is the only code that fills the eager
+indexes, :meth:`ObservationStore.path_links` and
+:meth:`ObservationStore.links` the only code that fills the link
+tables.  The frozen seed pipeline in :mod:`repro.analysis.reference`
 re-scans a plain list instead and is the oracle the store-backed
 results are pinned to (``tests/test_store.py``).
 
@@ -37,8 +44,9 @@ Index invariants
    distinct-path tables in first-seen order).  This is what makes the
    store-backed results *identical* to the seed's list scans, down to
    dict insertion order.
-2. ``path_links(path)`` is a pure function of the path; the cached tuple
-   is shared by every observation of that path in either plane.
+2. ``path_links(path)`` is a pure function of the path; the tuple is
+   built once and shared by every observation of that path in either
+   plane.
 3. ``links(afi)`` equals the union of ``path_links(p)`` over the
    distinct paths of that plane — links are plane-tagged only through
    the prefixes observed over them.
@@ -73,15 +81,21 @@ class ObservationStore:
         self.by_vantage: Dict[int, List[ObservedRoute]] = {}
         self.with_local_pref: List[ObservedRoute] = []
         self.with_communities: List[ObservedRoute] = []
-        self._path_links: Dict[PathTuple, Tuple[Link, ...]] = {}
-        # The mixed-plane (afi=None) table is derived lazily: it is only
-        # consulted by whole-archive queries, not the per-plane pipeline.
-        self._distinct: Dict[Optional[AFI], Optional[List[PathTuple]]] = {
+        # Each plane's distinct paths in first-seen order, as the keys
+        # of one dict (the values are unused).  The mixed-plane
+        # (afi=None) table is derived lazily: it is only consulted by
+        # whole-archive queries, not the per-plane pipeline.
+        self._distinct: Dict[Optional[AFI], Optional[Dict[PathTuple, None]]] = {
             None: None,
-            AFI.IPV4: [],
-            AFI.IPV6: [],
+            AFI.IPV4: {},
+            AFI.IPV6: {},
         }
-        self._links: Dict[AFI, Set[Link]] = {AFI.IPV4: set(), AFI.IPV6: set()}
+        # The link tuple of each path and the link set of each plane
+        # are built on first use, by the inferences and the views: a
+        # pipeline builds the store while the collector archive is
+        # still alive, and releases the archive before those run.
+        self._path_links: Dict[PathTuple, Tuple[Link, ...]] = {}
+        self._links: Dict[AFI, Set[Link]] = {}
         # Canonical Link interning table: distinct links number in the
         # low thousands while the paths reference them tens of thousands
         # of times, so construct each once and share it.
@@ -93,42 +107,29 @@ class ObservationStore:
         self._build()
 
     def _build(self) -> None:
-        path_links = self._path_links
         by_afi = self.by_afi
         by_vantage = self.by_vantage
         with_local_pref = self.with_local_pref
         with_communities = self.with_communities
         ipv4 = AFI.IPV4
         # Per-plane structures bound to locals and selected with one
-        # identity check per observation: that replaces four dict probes
-        # and attribute loads per observation, and still builds a
-        # paper-scale store 1-3 ms (about 6%) faster than the plain form.
+        # identity check per observation: that replaces dict probes
+        # and attribute loads per observation.
         v4_obs, v6_obs = by_afi[ipv4], by_afi[AFI.IPV6]
         v4_distinct, v6_distinct = self._distinct[ipv4], self._distinct[AFI.IPV6]
-        v4_links, v6_links = self._links[ipv4], self._links[AFI.IPV6]
-        v4_seen: Set[PathTuple] = set()
-        v6_seen: Set[PathTuple] = set()
         for observation in self.observations:
-            path = observation.path
             if observation.afi is ipv4:
-                obs_list, seen = v4_obs, v4_seen
-                distinct, plane_links = v4_distinct, v4_links
+                obs_list, distinct = v4_obs, v4_distinct
             else:
-                obs_list, seen = v6_obs, v6_seen
-                distinct, plane_links = v6_distinct, v6_links
+                obs_list, distinct = v6_obs, v6_distinct
             obs_list.append(observation)
             vantage_list = by_vantage.get(observation.vantage)
             if vantage_list is None:
                 by_vantage[observation.vantage] = [observation]
             else:
                 vantage_list.append(observation)
-            links = path_links.get(path)
-            if links is None:
-                links = path_links[path] = self._links_of(path)
-            if path not in seen:
-                seen.add(path)
-                distinct.append(path)
-                plane_links.update(links)
+            # A repeated path keeps its first key and position.
+            distinct[observation.path] = None
             if observation.local_pref is not None:
                 with_local_pref.append(observation)
             if observation.communities:
@@ -162,21 +163,23 @@ class ObservationStore:
     # ------------------------------------------------------------------
     def distinct_paths(self, afi: Optional[AFI] = None) -> List[PathTuple]:
         """Distinct AS paths (of one plane), in first-seen order."""
-        paths = self._distinct[afi]
-        if paths is None:  # afi is None: derive the mixed table on demand
-            seen: Set[PathTuple] = set()
-            paths = []
-            for observation in self.observations:
-                path = observation.path
-                if path not in seen:
-                    seen.add(path)
-                    paths.append(path)
-            self._distinct[afi] = paths
-        return paths
+        return list(self._distinct_table(afi))
 
     def distinct_path_count(self, afi: Optional[AFI] = None) -> int:
         """Number of distinct AS paths (of one plane)."""
-        return len(self.distinct_paths(afi))
+        if afi is None and self._distinct[None] is None:
+            # Count the union of the planes without building its table.
+            v4, v6 = self._distinct[AFI.IPV4], self._distinct[AFI.IPV6]
+            return len(v4) + sum(1 for path in v6 if path not in v4)
+        return len(self._distinct_table(afi))
+
+    def _distinct_table(self, afi: Optional[AFI]) -> Dict[PathTuple, None]:
+        paths = self._distinct[afi]
+        if paths is None:  # afi is None: derive the mixed table on demand
+            paths = self._distinct[afi] = dict.fromkeys(
+                observation.path for observation in self.observations
+            )
+        return paths
 
     def _links_of(self, path: PathTuple) -> Tuple[Link, ...]:
         """Build a path's link tuple through the interning table."""
@@ -193,24 +196,36 @@ class ObservationStore:
         return tuple(links)
 
     def path_links(self, path: PathTuple) -> Tuple[Link, ...]:
-        """Canonical links of a stored path (observer side first)."""
-        return self._path_links[path]
+        """Canonical links of a path (observer side first), built on
+        first use and shared by both planes."""
+        links = self._path_links.get(path)
+        if links is None:
+            links = self._path_links[path] = self._links_of(path)
+        return links
 
     # ------------------------------------------------------------------
     # link tables
     # ------------------------------------------------------------------
     def links(self, afi: Optional[AFI] = None) -> Set[Link]:
         """Links visible in the paths of one plane (``None`` = union)."""
-        if afi is not None:
-            return self._links[afi]
-        if self._all_links is None:
-            self._all_links = self._links[AFI.IPV4] | self._links[AFI.IPV6]
-        return self._all_links
+        if afi is None:
+            if self._all_links is None:
+                self._all_links = self.links(AFI.IPV4) | self.links(AFI.IPV6)
+            return self._all_links
+        plane = self._links.get(afi)
+        if plane is None:
+            # Distinct paths in first-seen order, each path's links in
+            # path order: the insertion order the set always had.
+            plane = self._links[afi] = set()
+            path_links = self.path_links
+            for path in self._distinct[afi]:
+                plane.update(path_links(path))
+        return plane
 
     def dual_stack_links(self) -> Set[Link]:
         """Links visible in both planes."""
         if self._dual_stack_links is None:
-            self._dual_stack_links = self._links[AFI.IPV4] & self._links[AFI.IPV6]
+            self._dual_stack_links = self.links(AFI.IPV4) & self.links(AFI.IPV6)
         return self._dual_stack_links
 
     def visibility_index(self, afi: Optional[AFI] = None) -> VisibilityIndex:
@@ -224,11 +239,11 @@ class ObservationStore:
         cached = self._visibility.get(afi)
         if cached is not None:
             return cached
-        paths = self.distinct_paths(afi)
+        paths = self._distinct_table(afi)
         counter: Counter = Counter()
-        path_links = self._path_links
+        path_links = self.path_links
         for path in paths:
-            counter.update(path_links[path])
+            counter.update(path_links(path))
         index = VisibilityIndex(afi=afi, path_count=len(paths), link_paths=dict(counter))
         self._visibility[afi] = index
         return index
@@ -243,7 +258,7 @@ class ObservationStore:
         links), so it is answered from the per-path link tuples.
         """
         target = set(links)
-        path_links = self._path_links
+        path_links = self.path_links
         return sum(
-            1 for path in self.distinct_paths(afi) if not target.isdisjoint(path_links[path])
+            1 for path in self._distinct_table(afi) if not target.isdisjoint(path_links(path))
         )

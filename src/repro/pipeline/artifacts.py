@@ -45,7 +45,6 @@ import contextlib
 import dataclasses
 import datetime as _dt
 import enum
-import hashlib
 import json
 import os
 import pickle
@@ -55,6 +54,18 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.tracer import get_tracer
+
+# The interpreter's own SHA-256 (``_sha2`` on 3.12+, ``_sha256`` on
+# 3.11) gives the same digests as ``hashlib.sha256`` without mapping
+# OpenSSL's libcrypto into the process, which ``import hashlib`` does
+# (3.7 MB of RSS in every ``repro`` process).
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:  # Python 3.11
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # a build without the built-in module
+        from hashlib import sha256 as _sha256
 
 #: Bump when the cache layout / metadata schema changes incompatibly.
 CACHE_LAYOUT_VERSION = 1
@@ -134,7 +145,7 @@ def fingerprint(
     upstream: Sequence[str] = (),
 ) -> str:
     """The SHA-256 fingerprint of one stage invocation."""
-    digest = hashlib.sha256()
+    digest = _sha256()
     for part in (f"layout:{CACHE_LAYOUT_VERSION}", stage, version, token, *upstream):
         digest.update(part.encode("utf-8"))
         digest.update(b"\x00")
@@ -372,7 +383,7 @@ class ArtifactCache:
             record = ArtifactRecord.from_json(meta.decode("utf-8"))
         except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError):
             return payload, None
-        if hashlib.sha256(payload).hexdigest() != record.payload_sha256:
+        if _sha256(payload).hexdigest() != record.payload_sha256:
             return payload, None
         return payload, record
 
@@ -453,7 +464,7 @@ class ArtifactCache:
             record = ArtifactRecord(
                 stage=stage,
                 fingerprint=fingerprint,
-                payload_sha256=hashlib.sha256(payload).hexdigest(),
+                payload_sha256=_sha256(payload).hexdigest(),
                 size_bytes=len(payload),
                 code_version=code_version,
                 created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(

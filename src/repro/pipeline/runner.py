@@ -31,10 +31,14 @@ of its inputs loses one, and an input left with none is dropped from
 the run unless it is a target.  A cold ``section3`` thus frees both
 propagation results once the archive holds its records, and the
 archive once the store is built, instead of holding every intermediate
-until the process exits.  A run of every stage (``targets=None``) has
-only targets and releases nothing.  :meth:`PipelineRun.value` resolves
-a released stage again, as it does a skipped one: a cacheable stage is
-one cache read, any other stage is computed again.
+until the process exits.  Releasing stops once the last target has
+resolved: nothing is left to compute, so freeing what the targets were
+computed from would lower no peak and only cost its deallocation (a
+cold ``section3`` keeps ``views`` and ``inference``).  A run of every
+stage (``targets=None``) has only targets and releases nothing.
+:meth:`PipelineRun.value` resolves a released stage again, as it does
+a skipped one: a cacheable stage is one cache read, any other stage is
+computed again.
 
 The runner is deliberately generic: the concrete snapshot/analysis DAG
 lives in :mod:`repro.pipeline.stages`, and nothing here knows about
@@ -109,7 +113,8 @@ class PipelineRun:
     ``"computed"`` or ``"cached"``, in the order of first resolution;
     resolving a released stage again keeps its first status.
     :attr:`released` lists the stages dropped once their last consumer
-    in the closure had resolved (see the module docstring).
+    in the closure had resolved, while a target was still unresolved
+    (see the module docstring).
     """
 
     def __init__(self, config: object, runner: "PipelineRunner") -> None:
@@ -121,6 +126,8 @@ class PipelineRun:
         self._ready: Dict[str, object] = {}
         # Non-target closure stage -> consumers not yet resolved.
         self._consumers: Dict[str, int] = {}
+        # Targets not yet resolved; releasing stops with the last one.
+        self._pending: Set[str] = set()
 
     # ------------------------------------------------------------------
     # artifact access
@@ -180,7 +187,9 @@ class PipelineRun:
             self._ready[name] = value
             if name not in self.statuses:
                 self.statuses[name] = status
-                self._release_inputs(spec)
+                self._pending.discard(name)
+                if self._pending:
+                    self._release_inputs(spec)
 
     def _release_inputs(self, spec: StageSpec) -> None:
         """A consumer resolved for the first time: drop each input it
@@ -301,6 +310,7 @@ class PipelineRunner:
         run = PipelineRun(config, self)
         run.fingerprints = self.fingerprints(config, targets)
         if targets is not None:
+            run._pending = set(targets)
             for name in run.fingerprints:
                 for dep in self._by_name[name].dependencies:
                     if dep not in targets:

@@ -595,6 +595,39 @@ def test_cli_import_loads_no_uuid_or_platform():
     assert _loaded("import repro.cli", ("uuid", "platform"))[1] == "[]"
 
 
+#: ``hashlib`` maps OpenSSL's libcrypto into the process (3.7 MB of
+#: RSS); the artifact cache hashes with the interpreter's built-in
+#: SHA-256 instead.
+OPENSSL_MODULES = ("hashlib", "_hashlib")
+
+
+def test_cli_import_loads_no_openssl():
+    assert _loaded("import repro.cli", OPENSSL_MODULES)[1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["section3", "--small"], ["figure2", "--small", "--top", "3"]],
+    ids=["cold_section3", "warm_figure2"],
+)
+def test_commands_load_no_openssl(tmp_path, capsys, argv):
+    """A cold ``section3`` hashes every artifact it stores and a warm
+    ``figure2`` every artifact it loads, without ``hashlib``."""
+    cache = str(tmp_path / "cache")
+    if argv[0] == "figure2":
+        assert main(["section3", "--small", "--cache-dir", cache]) == 0
+        capsys.readouterr()
+    output, loaded = _loaded(
+        f"from repro.cli import main\nassert main({[*argv, '--cache-dir', cache]!r}) == 0",
+        OPENSSL_MODULES,
+    )
+    if argv[0] == "figure2":
+        assert "[pipeline] reused cached stages: inference, views" in output
+    else:
+        assert "reused" not in output
+    assert loaded == "[]"
+
+
 def test_cli_import_loads_no_compute_modules():
     """Package roots re-export nothing heavy and the CLI imports the
     compute side inside the handlers that run it."""

@@ -26,10 +26,12 @@ from repro.pipeline import (
     PipelineConfig,
     PipelineRunner,
     config_token,
+    fingerprint,
     full_stages,
     make_runner,
     run_pipeline,
 )
+from repro.pipeline.artifacts import CACHE_LAYOUT_VERSION
 from repro.telemetry.analyze import root_accounting
 from repro.telemetry.tracer import Tracer, activated
 from repro.topology.config import TopologyConfig
@@ -564,9 +566,11 @@ class TestRelease:
             "archive",
             "irr",
             "store",
-            "views",
-            "inference",
         ]
+        # Once the target has resolved nothing is left to compute: the
+        # inputs of ``section3`` are kept, not freed just before exit.
+        for name in ("views", "inference"):
+            assert refs[name]() is not None, name
         # The target is held: reading it computes nothing.
         assert run.value("section3") is refs["section3"]()
         assert run.computed_stages() == ANALYSIS_CLOSURE[:-1]
@@ -642,6 +646,21 @@ class TestArtifactCacheUnit:
         assert value == {"value": [1, 2, 3]}
         assert meta.payload_sha256 == record.payload_sha256
         assert cache.entries() == {"stage": ["f" * 64]}
+
+    def test_digests_are_hashlib_sha256(self, tmp_path):
+        """The cache hashes with the interpreter's built-in SHA-256, not
+        ``hashlib``'s OpenSSL one; the digests must be the same bytes, or
+        every cache an older build filled would read as misses."""
+        import hashlib
+
+        parts = (f"layout:{CACHE_LAYOUT_VERSION}", "views", "3", "token", "a" * 64, "b" * 64)
+        expected = hashlib.sha256(b"".join(part.encode() + b"\x00" for part in parts))
+        assert fingerprint("views", "3", "token", ["a" * 64, "b" * 64]) == expected.hexdigest()
+        cache = ArtifactCache(tmp_path)
+        record = cache.store("stage", "c" * 64, {"value": list(range(1000))}, code_version="1")
+        payload = cache.payload_path("stage", "c" * 64).read_bytes()
+        assert record.payload_sha256 == hashlib.sha256(payload).hexdigest()
+        assert cache.verify("stage", "c" * 64) == record
 
     def test_missing_artifact_is_none(self, tmp_path):
         cache = ArtifactCache(tmp_path)
