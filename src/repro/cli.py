@@ -557,6 +557,7 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
                 f"tracer {entry['tracer_seconds']:9.6f}s  "
                 f"peak rss {entry['max_rss_kb'] / 1024:6.1f} MB"
                 f" at {entry['peak_stage'] or 'no stage'}"
+                + (f" ({entry['rss_source']})" if entry["rss_source"] else "")
             )
     print(
         f"  root: {summary['root_seconds']:.3f}s, "

@@ -61,6 +61,13 @@ class CollectorArchive:
         """Store records produced by a :class:`Collector` object."""
         return self.add_snapshot(collector.name, date, records, project=collector.project)
 
+    def extend(self, other: "CollectorArchive") -> None:
+        """Append every snapshot of ``other`` after this archive's own
+        records of the same key."""
+        for key, records in other._snapshots.items():
+            self._snapshots[key].extend(records)
+        self._projects.update(other._projects)
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

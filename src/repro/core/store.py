@@ -20,20 +20,22 @@ the indexes every consumer reads —
   communities** (the only observations the LocPrf and communities
   inferences can use).
 
-The link side is built on first use: the canonical **link tuple of
-every distinct path** (``Link`` objects are created once per link and
-shared by every path instead of once per scan), the **link set of each
-plane** and the per-AFI :class:`~repro.core.visibility.VisibilityIndex`
-tables.  The pipeline builds the store while the collector archive is
-still alive and releases the archive before the inferences read links,
-so the link tables never share the peak with the archive.
+The link side is built on first use: the **link set of each plane**
+and the per-AFI :class:`~repro.core.visibility.VisibilityIndex` tables.
+Each scan takes a path's links from :meth:`ObservationStore.path_links`,
+which builds the tuple from the interned ``Link`` objects (``Link``
+objects are created once per hop pair and shared by every path instead
+of once per scan) and keeps no per-path table: a scan of tens of
+thousands of paths leaves nothing per path behind it.  The pipeline
+builds the store while the collector archive is still alive and
+releases the archive before the inferences read links, so the link
+tables never share the peak with the archive.
 
 :meth:`ObservationStore._build` is the only code that fills the eager
-indexes, :meth:`ObservationStore.path_links` and
-:meth:`ObservationStore.links` the only code that fills the link
-tables.  The frozen seed pipeline in :mod:`repro.analysis.reference`
-re-scans a plain list instead and is the oracle the store-backed
-results are pinned to (``tests/test_store.py``).
+indexes, :meth:`ObservationStore.links` and
+:meth:`ObservationStore.visibility_index` the only code that fills the
+link tables.  ``tests/test_store.py`` pins the store-backed results to
+what the seed's per-stage list scans computed.
 
 Index invariants
 ----------------
@@ -44,9 +46,10 @@ Index invariants
    distinct-path tables in first-seen order).  This is what makes the
    store-backed results *identical* to the seed's list scans, down to
    dict insertion order.
-2. ``path_links(path)`` is a pure function of the path; the tuple is
-   built once and shared by every observation of that path in either
-   plane.
+2. ``path_links(path)`` is a pure function of the path, built anew on
+   each call from the shared, interned ``Link`` objects; the store
+   keeps no container with one entry per path beyond the distinct-path
+   tables.
 3. ``links(afi)`` equals the union of ``path_links(p)`` over the
    distinct paths of that plane — links are plane-tagged only through
    the prefixes observed over them.
@@ -57,6 +60,7 @@ Index invariants
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.observations import ObservedRoute
@@ -90,11 +94,10 @@ class ObservationStore:
             AFI.IPV4: {},
             AFI.IPV6: {},
         }
-        # The link tuple of each path and the link set of each plane
-        # are built on first use, by the inferences and the views: a
-        # pipeline builds the store while the collector archive is
-        # still alive, and releases the archive before those run.
-        self._path_links: Dict[PathTuple, Tuple[Link, ...]] = {}
+        # The link set of each plane is built on first use, by the
+        # inferences and the views: a pipeline builds the store while
+        # the collector archive is still alive, and releases the
+        # archive before those run.  Path link tuples are not kept.
         self._links: Dict[AFI, Set[Link]] = {}
         # Canonical Link interning table: distinct links number in the
         # low thousands while the paths reference them tens of thousands
@@ -181,27 +184,18 @@ class ObservationStore:
             )
         return paths
 
-    def _links_of(self, path: PathTuple) -> Tuple[Link, ...]:
-        """Build a path's link tuple through the interning table."""
-        memo = self._link_memo
-        links = []
-        previous = path[0]
-        for hop in path[1:]:
-            pair = (previous, hop)
-            link = memo.get(pair)
-            if link is None:
-                link = memo[pair] = Link(previous, hop)
-            links.append(link)
-            previous = hop
-        return tuple(links)
-
     def path_links(self, path: PathTuple) -> Tuple[Link, ...]:
-        """Canonical links of a path (observer side first), built on
-        first use and shared by both planes."""
-        links = self._path_links.get(path)
-        if links is None:
-            links = self._path_links[path] = self._links_of(path)
-        return links
+        """Canonical links of a path (observer side first), built from
+        the interned ``Link`` objects on every call; no per-path table
+        outlives a scan."""
+        memo = self._link_memo
+        try:
+            return tuple(map(memo.__getitem__, zip(path, path[1:])))
+        except KeyError:  # a hop pair not seen before: intern it
+            for pair in zip(path, path[1:]):
+                if pair not in memo:
+                    memo[pair] = Link(*pair)
+            return tuple(map(memo.__getitem__, zip(path, path[1:])))
 
     # ------------------------------------------------------------------
     # link tables
@@ -216,10 +210,9 @@ class ObservationStore:
         if plane is None:
             # Distinct paths in first-seen order, each path's links in
             # path order: the insertion order the set always had.
-            plane = self._links[afi] = set()
-            path_links = self.path_links
-            for path in self._distinct[afi]:
-                plane.update(path_links(path))
+            plane = self._links[afi] = set(
+                chain.from_iterable(map(self.path_links, self._distinct[afi]))
+            )
         return plane
 
     def dual_stack_links(self) -> Set[Link]:
@@ -232,18 +225,14 @@ class ObservationStore:
         """The per-link path-visibility table of one plane (cached).
 
         Each distinct AS path of the plane is counted once, which is how
-        the paper counts "IPv6 AS paths"; each path's links are taken
-        from the shared link tuples (distinct, since paths are
-        loop-free) instead of being rebuilt.
+        the paper counts "IPv6 AS paths"; a path's links are distinct,
+        since paths are loop-free.
         """
         cached = self._visibility.get(afi)
         if cached is not None:
             return cached
         paths = self._distinct_table(afi)
-        counter: Counter = Counter()
-        path_links = self.path_links
-        for path in paths:
-            counter.update(path_links(path))
+        counter = Counter(chain.from_iterable(map(self.path_links, paths)))
         index = VisibilityIndex(afi=afi, path_count=len(paths), link_paths=dict(counter))
         self._visibility[afi] = index
         return index
@@ -255,10 +244,14 @@ class ObservationStore:
         This is the statistic behind the paper's ">28 % of the IPv6 paths
         contain at least one hybrid link"; it cannot be derived from the
         per-link visibility counters (paths may cross several of the
-        links), so it is answered from the per-path link tuples.
+        links), so it is answered from each path's hop pairs.
         """
+        # A link equals the hop pair in its canonical orientation, so
+        # matching both orientations checks a path's hop pairs directly.
         target = set(links)
-        path_links = self.path_links
+        target.update([(link.b, link.a) for link in target])
         return sum(
-            1 for path in self._distinct_table(afi) if not target.isdisjoint(path_links(path))
+            1
+            for path in self._distinct_table(afi)
+            if not target.isdisjoint(zip(path, path[1:]))
         )

@@ -282,9 +282,9 @@ def build_snapshot(
 
     A thin composition of the staged pipeline
     (:mod:`repro.pipeline.stages`): the stages run in exactly the order
-    the historical monolithic builder ran (frozen as
-    :func:`repro.datasets.reference.reference_build_snapshot`, pinned by
-    golden tests), so the result is bit-identical.  ``cache_dir``
+    the historical monolithic builder ran, so the result is
+    bit-identical to what it built (pinned by
+    ``tests/test_pipeline_golden.py``).  ``cache_dir``
     enables the on-disk artifact cache — a warm call skips every stage
     whose fingerprint is unchanged.  ``engine`` selects the propagation
     backend (see :mod:`repro.bgp.backends`); every engine must produce

@@ -28,13 +28,13 @@ A run that names its targets also *releases* what it no longer needs.
 It counts each closure stage's consumers inside the closure; each time
 a consumer resolves (computed or loaded) for the first time, every one
 of its inputs loses one, and an input left with none is dropped from
-the run unless it is a target.  A cold ``section3`` thus frees both
-propagation results once the archive holds its records, and the
-archive once the store is built, instead of holding every intermediate
-until the process exits.  Releasing stops once the last target has
-resolved: nothing is left to compute, so freeing what the targets were
-computed from would lower no peak and only cost its deallocation (a
-cold ``section3`` keeps ``views`` and ``inference``).  A run of every
+the run unless it is a target.  A cold ``section3`` thus frees each
+plane's propagation result once that plane's collection holds its
+records, and the archive once the store is built, instead of holding
+every intermediate until the process exits.  Releasing stops once the
+last target has resolved: nothing is left to compute, so freeing what
+the targets were computed from would lower no peak and only cost its
+deallocation (a cold ``section3`` keeps ``views`` and ``inference``).  A run of every
 stage (``targets=None``) has only targets and releases nothing.
 :meth:`PipelineRun.value` resolves a released stage again, as it does
 a skipped one: a cacheable stage is one cache read, any other stage is
@@ -175,6 +175,7 @@ class PipelineRun:
             else:
                 for dep in self._runner.in_order(spec.dependencies):
                     self._resolve(dep.name)
+                span.annotate(held=",".join(self._ready))
                 try:
                     value = spec.compute(self)
                 except Exception as exc:
@@ -297,7 +298,8 @@ class PipelineRunner:
         the fingerprint, cache status, artifact bytes and the process's
         peak RSS at its close (``max_rss_kb``), whether the stage is
         resolved during the run or when :meth:`PipelineRun.value` reads
-        it later.
+        it later; a computed stage's span also lists the stages whose
+        artifacts the run ``held`` when its compute started.
         A stage's span covers everything its resolution does: the cache
         lookup (a ``cache.load`` child span), then on a miss the stages
         it resolves upstream (nested ``stage`` spans), its compute and

@@ -6,42 +6,47 @@ This module decomposes the formerly monolithic
 (see ``docs/architecture.md`` for the full picture; ``[c]`` marks the
 stages the artifact cache persists)::
 
-    topology[c] ──┬─> scenario[c] ──┬─> propagation_v4 ──┐
-    irr[c] ───────┘                 ├─> propagation_v6 ──┼─> archive ─> store
-                                    └─> ground_truth[c]  │
-                                                         v
-    snapshot  <──── (assembly of everything above) ──────┘
+    topology[c] ──┬─> scenario[c] ──┬─> propagation_v4 ─> collection_v4 ──┐
+    irr[c] ───────┘                 ├─> propagation_v6 ─> collection_v6 ──┴─> archive ─> store
+                                    └─> ground_truth[c]
+    snapshot  <──── (assembly of scenario, irr, both propagations,
+                     archive, store and ground_truth)
 
     store + irr ─> inference[c] ─> views[c] ─┬─> section3[c]
                                              └─> correction[c]  (Figure 2)
 
-The propagation results, the collector archive and the extracted store
-are not persisted.  The runner resolves them only when ``inference`` or
-``views`` misses the cache, and on every workload that means a new
-configuration, whose propagation would miss as well; a version bump of
-``inference`` or ``views`` recomputes them once.  A warm ``repro
-snapshot`` recomputes them too: the snapshot assembles them.  The
-entry points read the one artifact they report: ``repro section3``
-reads ``section3`` and ``repro figure2`` reads ``correction``.
+Each collection stage also reads ``scenario`` (its collectors).  The
+propagation results, the per-plane collections, the collector archive
+and the extracted store are not persisted.  The runner resolves them
+only when ``inference`` or ``views`` misses the cache, and on every
+workload that means a new configuration, whose propagation would miss
+as well; a version bump of ``inference`` or ``views`` recomputes them
+once.  A warm ``repro snapshot`` recomputes them too: the snapshot
+assembles them.  The entry points read the one artifact they report:
+``repro section3`` reads ``section3`` and ``repro figure2`` reads
+``correction``.
 
 Neither do they outlive their consumers.  A run with targets releases
 each stage once the last of its consumers in the closure has resolved
-(see :mod:`repro.pipeline.runner`): a cold ``section3`` drops the
-topology once ``irr`` and ``scenario`` hold what they need, both
-propagation results and the scenario once the archive holds its
-records, and the archive once the store is built, so its peak holds the
-store and not the whole chain.  ``build_snapshot`` targets ``snapshot``,
-which references every artifact it assembles; a run of every stage
-(``targets=None``) releases nothing.
+(see :mod:`repro.pipeline.runner`).  The paper joins the planes only
+at the link level, so each plane is collected as soon as it converges:
+a cold ``section3`` drops the topology once ``irr`` and ``scenario``
+hold what they need, ``propagation_v4`` once ``collection_v4`` holds
+its records (before ``propagation_v6`` computes, so the two planes'
+routes never share the peak), ``propagation_v6`` and the scenario once
+``collection_v6`` does, both collections once the archive joins them,
+and the archive once the store is built.  ``build_snapshot`` targets
+``snapshot``, which references every artifact it assembles; a run of
+every stage (``targets=None``) releases nothing.
 
 Every stage calls exactly the code the monolithic path called, in the
 same order; in particular the *scenario* stage owns the single
 ``random.Random(seed)`` stream the legacy builder threaded through
 policy construction, peering disputes, gratuitous leaks, vantage
-selection and origin selection — so the staged pipeline is
-**bit-identical** to the frozen monolith
-(:func:`repro.datasets.reference.reference_build_snapshot`), which the
-golden tests pin on two seeds.
+selection and origin selection, and each plane is propagated and then
+collected, IPv4 first — so the staged pipeline is **bit-identical** to
+the monolith, whose outputs ``tests/test_pipeline_golden.py`` pins on
+two seeds.
 
 Stage *code versions* are declared next to each stage; bump one when
 the stage's implementation changes in a result-affecting way, or when a
@@ -78,7 +83,6 @@ if TYPE_CHECKING:
     from repro.datasets.synthetic import SyntheticSnapshot
     from repro.irr.registry import IRRRegistry
     from repro.topology.generator import GeneratedTopology
-
 
 @dataclass(frozen=True)
 class PropagationConfig:
@@ -257,20 +261,35 @@ def _stage_propagation_v6(run: PipelineRun) -> PropagationResult:
     return _propagate(run, AFI.IPV6)
 
 
-def _stage_archive(run: PipelineRun) -> CollectorArchive:
+def _collect(run: PipelineRun, afi: AFI, propagation: str) -> CollectorArchive:
+    """One plane's snapshots: what every collector archives of it."""
     from repro.collectors.archive import CollectorArchive
 
-    config = run.config.dataset
+    date = run.config.dataset.snapshot_date
     scenario: ScenarioArtifact = run.value("scenario")
-    results = {
-        AFI.IPV4: run.value("propagation_v4"),
-        AFI.IPV6: run.value("propagation_v6"),
-    }
+    result: PropagationResult = run.value(propagation)
+    collection = CollectorArchive()
+    for collector in scenario.collectors:
+        collection.add_collection(collector, date, collector.collect(result, afi=afi))
+    return collection
+
+
+def _stage_collection_v4(run: PipelineRun) -> CollectorArchive:
+    return _collect(run, AFI.IPV4, "propagation_v4")
+
+
+def _stage_collection_v6(run: PipelineRun) -> CollectorArchive:
+    return _collect(run, AFI.IPV6, "propagation_v6")
+
+
+def _stage_archive(run: PipelineRun) -> CollectorArchive:
+    """Join the planes' collections: each snapshot holds its IPv4
+    records, then its IPv6 records."""
+    from repro.collectors.archive import CollectorArchive
+
     archive = CollectorArchive()
-    for afi in (AFI.IPV4, AFI.IPV6):
-        for collector in scenario.collectors:
-            records = collector.collect(results[afi], afi=afi)
-            archive.add_collection(collector, config.snapshot_date, records)
+    archive.extend(run.value("collection_v4"))
+    archive.extend(run.value("collection_v6"))
     return archive
 
 
@@ -426,6 +445,14 @@ def full_stages() -> List[StageSpec]:
             cacheable=False,
         ),
         StageSpec(
+            name="collection_v4",
+            version="1",
+            dependencies=("scenario", "propagation_v4"),
+            compute=_stage_collection_v4,
+            config_slice=lambda config: config.dataset.snapshot_date,
+            cacheable=False,
+        ),
+        StageSpec(
             name="propagation_v6",
             version="3",
             dependencies=("scenario",),
@@ -434,11 +461,18 @@ def full_stages() -> List[StageSpec]:
             cacheable=False,
         ),
         StageSpec(
+            name="collection_v6",
+            version="1",
+            dependencies=("scenario", "propagation_v6"),
+            compute=_stage_collection_v6,
+            config_slice=lambda config: config.dataset.snapshot_date,
+            cacheable=False,
+        ),
+        StageSpec(
             name="archive",
             version="1",
-            dependencies=("scenario", "propagation_v4", "propagation_v6"),
+            dependencies=("collection_v4", "collection_v6"),
             compute=_stage_archive,
-            config_slice=lambda config: config.dataset.snapshot_date,
             cacheable=False,
         ),
         StageSpec(

@@ -26,7 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: write), and ``cache`` rolls up the ``cache.load`` and ``cache.store``
 #: spans.  v8: stage rollups gained ``released`` and ``max_rss_kb``, and
 #: command rollups ``max_rss_kb``, ``peak_stage`` and ``tracer_seconds``.
-SUMMARY_SCHEMA_VERSION = 8
+#: v9: command rollups name where the peak was read (``rss_source``:
+#: ``VmHWM`` or ``ru_maxrss``; ``None`` for spans that do not say).
+SUMMARY_SCHEMA_VERSION = 9
 
 #: The spans a stage's self time leaves out: the stages it resolves
 #: upstream, and its cache reads and writes.
@@ -245,9 +247,9 @@ def command_rollup(records: Sequence[dict]) -> Dict[str, dict]:
     CPU time the processes spent before ``main`` (interpreter start plus
     imports, the ``startup_cpu_seconds`` attribute) and the tracer's own
     time (``tracer_seconds``); and the highest peak RSS any of them
-    closed with (``max_rss_kb``), with the first stage of that command
-    whose close already reached it (``peak_stage``, see
-    :func:`_peak_stage`)."""
+    closed with (``max_rss_kb``), where it was read (``rss_source``)
+    and the first stage of that command whose close already reached it
+    (``peak_stage``, see :func:`_peak_stage`)."""
     spans = spans_of(records)
     covered = _stage_cover(spans)
     by_id = {span.get("span_id"): span for span in spans}
@@ -269,7 +271,7 @@ def command_rollup(records: Sequence[dict]) -> Dict[str, dict]:
             str(attrs.get("command")),
             {"count": 0, "wall_seconds": 0.0, "outside_stages_seconds": 0.0,
              "startup_cpu_seconds": 0.0, "tracer_seconds": 0.0,
-             "max_rss_kb": 0, "peak_stage": None},
+             "max_rss_kb": 0, "rss_source": None, "peak_stage": None},
         )
         wall, outside = _outside(span, covered)
         entry["count"] += 1
@@ -280,6 +282,7 @@ def command_rollup(records: Sequence[dict]) -> Dict[str, dict]:
         max_rss_kb = int(attrs.get("max_rss_kb") or 0)
         if max_rss_kb > entry["max_rss_kb"]:
             entry["max_rss_kb"] = max_rss_kb
+            entry["rss_source"] = attrs.get("rss_source")
             entry["peak_stage"] = _peak_stage(
                 span, stages_under.get(span.get("span_id"), [])
             )

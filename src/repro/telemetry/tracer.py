@@ -23,10 +23,15 @@ The pipeline is single-threaded, so the tracer keeps one stack of open
 spans and takes no locks.
 
 Every span of a real tracer records the process's peak resident set
-size at its close (``max_rss_kb``, from ``getrusage``; kilobytes on
-Linux), and :attr:`Tracer.own_seconds` is the time the tracer has spent
-in span and counter bookkeeping.  ``resource`` is imported only when a
-real tracer is made, so an untraced command never loads it.
+size at its close (``max_rss_kb``, in kilobytes) and where the tracer
+read it (``rss_source``).  Where ``/proc/self/status`` exists the source
+is ``VmHWM``, the process's own high-water mark.  Elsewhere it is
+``ru_maxrss`` from ``getrusage``, which on Linux carries a spawning
+process's peak across ``exec``: a command started from a process
+holding 150 MB read 167 MB there against its own 8.5 MB, so it is only
+the fallback.  ``resource`` is imported only then.
+:attr:`Tracer.own_seconds` is the time the tracer has spent in span and
+counter bookkeeping.
 """
 
 from __future__ import annotations
@@ -39,6 +44,20 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 TRACE_SCHEMA_VERSION = 1
 TRACE_FILENAME = "trace.jsonl"
+
+
+def _vmhwm_kb() -> Optional[int]:
+    """The process's own peak RSS in kB (``VmHWM`` of
+    ``/proc/self/status``), or ``None`` where that is not available."""
+    try:
+        with open("/proc/self/status", "rb") as status:
+            data = status.read()
+    except OSError:
+        return None
+    start = data.find(b"VmHWM:")
+    if start < 0:
+        return None
+    return int(data[start + 6 : data.index(b"kB", start)])
 
 
 def _new_id() -> str:
@@ -78,6 +97,7 @@ class _SpanHandle:
             record["status"] = "error"
             self._attrs.setdefault("error", f"{type(exc).__name__}: {exc}")
         self._attrs["max_rss_kb"] = tracer._max_rss_kb()
+        self._attrs["rss_source"] = tracer.rss_source
         tracer._finish_span(record)
         tracer.own_seconds += time.perf_counter() - ended
         return False
@@ -132,14 +152,21 @@ class Tracer:
     """
 
     def __init__(self, trace_dir, *, run_id: Optional[str] = None) -> None:
-        import resource
-
         self.trace_dir = os.fspath(trace_dir) if trace_dir is not None else None
         self.run_id = run_id or _new_id()
         self.own_seconds = 0.0
         self._records: List[Dict[str, object]] = []
         self._stack: List[str] = []  # ids of the open spans, innermost last
-        self._resource = resource
+        if _vmhwm_kb() is not None:
+            self.rss_source = "VmHWM"
+            self._max_rss_kb = _vmhwm_kb
+        else:
+            import resource
+
+            self.rss_source = "ru_maxrss"
+            self._max_rss_kb = lambda: resource.getrusage(
+                resource.RUSAGE_SELF
+            ).ru_maxrss
 
     def __bool__(self) -> bool:
         return True
@@ -181,9 +208,6 @@ class Tracer:
         handle = _SpanHandle(self, record)
         self.own_seconds += time.perf_counter() - entered
         return handle
-
-    def _max_rss_kb(self) -> int:
-        return self._resource.getrusage(self._resource.RUSAGE_SELF).ru_maxrss
 
     def _finish_span(self, record: Dict[str, object]) -> None:
         if self._stack and self._stack[-1] == record["span_id"]:

@@ -43,7 +43,9 @@ ANALYSIS_CLOSURE = [
     "irr",
     "scenario",
     "propagation_v4",
+    "collection_v4",
     "propagation_v6",
+    "collection_v6",
     "archive",
     "store",
     "inference",
@@ -187,12 +189,14 @@ class TestInvalidation:
             ),
             top=config.top,
         )
-        downstream = ANALYSIS_CLOSURE[ANALYSIS_CLOSURE.index("archive"):]
+        downstream = ["collection_v4", "collection_v6"] + ANALYSIS_CLOSURE[
+            ANALYSIS_CLOSURE.index("archive"):
+        ]
         assert changed_stages(config, changed) == set(downstream)
         statuses = self._statuses(cache_dir, changed)
         for stage in downstream:
             assert statuses[stage] == "computed", stage
-        # The archive reads the propagation results, which are not
+        # The collections read the propagation results, which are not
         # persisted: they recompute from the cached scenario.
         assert statuses["propagation_v4"] == statuses["propagation_v6"] == "computed"
         assert statuses["scenario"] == statuses["irr"] == "cached"
@@ -220,7 +224,9 @@ class TestInvalidation:
         # The uncached store chain recomputes from the cached scenario.
         assert run.computed_stages() == [
             "propagation_v4",
+            "collection_v4",
             "propagation_v6",
+            "collection_v6",
             "archive",
             "store",
             "inference",
@@ -434,7 +440,9 @@ class TestDemandDriven:
         assert corrupt == {"views": 1}
         assert run.computed_stages() == [
             "propagation_v4",
+            "collection_v4",
             "propagation_v6",
+            "collection_v6",
             "archive",
             "store",
             "views",
@@ -519,7 +527,14 @@ class TestDemandDriven:
             if r["kind"] == "span" and r["name"] == "stage"
             and r["attrs"]["status"] == "computed"
         ]
-        assert computed == ["propagation_v4", "propagation_v6", "archive", "store"]
+        assert computed == [
+            "propagation_v4",
+            "collection_v4",
+            "propagation_v6",
+            "collection_v6",
+            "archive",
+            "store",
+        ]
         assert run.computed_stages() == computed
         assert run.status_of("scenario") == "cached"
         root_seconds, unattributed = root_accounting(read)
@@ -556,13 +571,21 @@ class TestRelease:
         run = PipelineRunner(recording_stages(refs)).run(
             tiny_config(), targets=("section3",)
         )
-        for name in ("propagation_v4", "propagation_v6", "archive"):
+        for name in (
+            "propagation_v4",
+            "collection_v4",
+            "propagation_v6",
+            "collection_v6",
+            "archive",
+        ):
             assert refs[name]() is None, name
         assert run.released == [
             "topology",
-            "scenario",
             "propagation_v4",
+            "scenario",
             "propagation_v6",
+            "collection_v4",
+            "collection_v6",
             "archive",
             "irr",
             "store",
@@ -574,6 +597,27 @@ class TestRelease:
         # The target is held: reading it computes nothing.
         assert run.value("section3") is refs["section3"]()
         assert run.computed_stages() == ANALYSIS_CLOSURE[:-1]
+
+    def test_cold_section3_frees_ipv4_routes_before_ipv6_propagates(self):
+        """The planes meet only at the link level, so IPv4 is collected
+        and its routes freed before the IPv6 plane computes: the two
+        planes' routes never share the peak."""
+        refs = {}
+        alive = {}
+
+        def checked(spec):
+            def compute(run):
+                alive["propagation_v4"] = refs["propagation_v4"]() is not None
+                return spec.compute(run)
+
+            return dataclasses.replace(spec, compute=compute)
+
+        stages = [
+            checked(spec) if spec.name == "propagation_v6" else spec
+            for spec in recording_stages(refs)
+        ]
+        PipelineRunner(stages).run(tiny_config(), targets=("section3",))
+        assert alive == {"propagation_v4": False}
 
     def test_released_stages_read_back(self, tmp_path):
         config = tiny_config()

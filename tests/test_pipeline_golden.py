@@ -1,26 +1,36 @@
 """Golden-equivalence suite for the staged pipeline.
 
 The staged pipeline (:mod:`repro.pipeline`) must be indistinguishable
-from the frozen monolithic builder
-(:func:`repro.datasets.reference.reference_build_snapshot`) — same
-observations, same archive bytes, same ground truth, same Section-3
-report — on two seeds, cold *and* through a warm artifact cache.
+from the monolithic builder it replaced — same observations, same
+archive bytes, same ground truth, same Section-3 report — on two seeds,
+cold *and* through a warm artifact cache.
+``tests/fixtures/pipeline_golden.json`` holds what that builder (one
+shared ``random.Random(seed)`` stream threaded through policies,
+disputes, leaks, vantage and origin selection, with propagation and
+collection interleaved per address family) produced for them: small
+results as values, large ones as digests (see ``tests/golden.py``).
+
+Regenerate (only on purpose, and say why in CHANGES.md)::
+
+    PYTHONPATH=src python tests/test_pipeline_golden.py
 """
 
 from __future__ import annotations
 
 import pytest
 
+from golden import canonical, digest, load, write
 from repro.analysis.stats import compute_section3
 from repro.collectors.mrt import write_table_dump
 from repro.core.relationships import AFI
 from repro.datasets.config import DatasetConfig
 from repro.datasets.synthetic import build_snapshot
-from repro.datasets.reference import reference_build_snapshot
 from repro.pipeline import PipelineConfig, run_pipeline
 from repro.topology.config import TopologyConfig
 
+FIXTURE = "pipeline_golden.json"
 GOLDEN_SEEDS = (3, 11)
+AFIS = (AFI.IPV4, AFI.IPV6)
 
 
 def golden_config(seed: int) -> DatasetConfig:
@@ -36,49 +46,66 @@ def golden_config(seed: int) -> DatasetConfig:
     )
 
 
-def _assert_snapshots_identical(staged, monolith):
-    assert staged.observations == monolith.observations
-    assert staged.archive.snapshots() == monolith.archive.snapshots()
-    for key in staged.archive.snapshots():
-        assert write_table_dump(staged.archive._snapshots[key]) == write_table_dump(
-            monolith.archive._snapshots[key]
-        ), key
-    for collector in staged.archive.collectors:
-        assert staged.archive.project_of(collector) == monolith.archive.project_of(
-            collector
-        )
-    assert staged.relaxed_adjacencies == monolith.relaxed_adjacencies
-    assert staged.dispute_links == monolith.dispute_links
-    assert staged.true_hybrid_links == monolith.true_hybrid_links
-    assert staged.extraction.stats == monolith.extraction.stats
-    for afi in (AFI.IPV4, AFI.IPV6):
-        assert (
-            staged.ground_truth[afi].records() == monolith.ground_truth[afi].records()
-        )
-        assert (
-            staged.propagation[afi].reachable_counts
-            == monolith.propagation[afi].reachable_counts
-        )
-    assert sorted(staged.registry.documented_ases) == sorted(
-        monolith.registry.documented_ases
-    )
-    assert staged.registry.documentation_corpus() == monolith.registry.documentation_corpus()
+def monolith(seed: int) -> dict:
+    """The fixture entry of one golden seed."""
+    return load(FIXTURE)[str(seed)]
+
+
+def section3_of(snapshot) -> dict:
+    return compute_section3(snapshot.store, snapshot.registry).report.as_dict()
+
+
+def snapshot_entry(snapshot) -> dict:
+    """What the fixture records for one snapshot (less its report)."""
+    archive = snapshot.archive
+    return {
+        "observations_sha256": digest(snapshot.observations),
+        "archive": {
+            "snapshots": canonical(archive.snapshots()),
+            "table_dump_sha256": [
+                digest(write_table_dump(archive._snapshots[key]))
+                for key in archive.snapshots()
+            ],
+            "projects": {
+                collector: archive.project_of(collector)
+                for collector in archive.collectors
+            },
+        },
+        "relaxed_adjacencies": canonical(snapshot.relaxed_adjacencies),
+        "dispute_links": canonical(snapshot.dispute_links),
+        "true_hybrid_links": canonical(snapshot.true_hybrid_links),
+        "extraction_stats": canonical(snapshot.extraction.stats),
+        "ground_truth_sha256": {
+            afi.name: digest(snapshot.ground_truth[afi].records()) for afi in AFIS
+        },
+        "reachable_counts_sha256": {
+            afi.name: digest(snapshot.propagation[afi].reachable_counts)
+            for afi in AFIS
+        },
+        "documented_ases": sorted(snapshot.registry.documented_ases),
+        "documentation_corpus_sha256": digest(
+            snapshot.registry.documentation_corpus()
+        ),
+    }
+
+
+def _assert_snapshots_identical(staged, expected: dict):
+    entry = snapshot_entry(staged)
+    for key, value in entry.items():
+        assert value == expected[key], key
+    assert set(entry) | {"section3"} == set(expected)
 
 
 class TestStagedEqualsMonolith:
     @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
     def test_snapshot_bit_identical(self, seed):
         staged = build_snapshot(golden_config(seed))
-        monolith = reference_build_snapshot(golden_config(seed))
-        _assert_snapshots_identical(staged, monolith)
+        _assert_snapshots_identical(staged, monolith(seed))
 
     @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
     def test_section3_report_identical(self, seed):
         staged = build_snapshot(golden_config(seed))
-        monolith = reference_build_snapshot(golden_config(seed))
-        staged_report = compute_section3(staged.store, staged.registry).report
-        monolith_report = compute_section3(monolith.store, monolith.registry).report
-        assert staged_report.as_dict() == monolith_report.as_dict()
+        assert section3_of(staged) == monolith(seed)["section3"]
 
 
 class TestCachedEqualsCold:
@@ -93,6 +120,8 @@ class TestCachedEqualsCold:
         assert warm.computed_stages() == [
             "propagation_v4",
             "propagation_v6",
+            "collection_v4",
+            "collection_v6",
             "archive",
             "store",
             "snapshot",
@@ -104,12 +133,9 @@ class TestCachedEqualsCold:
             "section3",
             "correction",
         ]
-        monolith = reference_build_snapshot(golden_config(seed))
-        _assert_snapshots_identical(warm.value("snapshot"), monolith)
-        assert (
-            warm.value("section3").as_dict()
-            == compute_section3(monolith.store, monolith.registry).report.as_dict()
-        )
+        expected = monolith(seed)
+        _assert_snapshots_identical(warm.value("snapshot"), expected)
+        assert warm.value("section3").as_dict() == expected["section3"]
         assert warm.value("correction").averages == cold.value("correction").averages
         assert warm.value("correction").diameters == cold.value("correction").diameters
 
@@ -123,3 +149,11 @@ class TestCachedEqualsCold:
         assert views.hybrid.hybrid_link_set() == direct.hybrid.hybrid_link_set()
         assert views.inventory.summary() == direct.inventory.summary()
         assert run.value("inference").coverage == direct.inference.coverage
+
+
+if __name__ == "__main__":
+    entries = {}
+    for seed in GOLDEN_SEEDS:
+        snapshot = build_snapshot(golden_config(seed))
+        entries[str(seed)] = {**snapshot_entry(snapshot), "section3": section3_of(snapshot)}
+    print(write(FIXTURE, entries))

@@ -3,24 +3,25 @@ plus the store's index invariants.
 
 The store is the only input of the measurement layer.  These tests pin
 its results, from the extraction counters through the communities and
-LocPrf evidence to the Section-3 report, against the frozen seed
-implementation (``repro.analysis.reference``) on two differently seeded
-snapshots.
+LocPrf evidence to the Section-3 report, on two differently seeded
+snapshots.  ``tests/fixtures/store_golden_small.json`` holds what the
+retired seed pipeline (one list re-scan per stage) computed for them:
+the reports and counters as values, the observations, votes and
+annotations as digests (see ``tests/golden.py``).
+
+Regenerate (only on purpose, and say why in CHANGES.md)::
+
+    PYTHONPATH=src python tests/test_store.py
 """
 
 import gc
+import inspect
 import tracemalloc
 
 import pytest
 
+from golden import canonical, digest, load, write
 from repro.analysis.paths import store_from_records
-from repro.analysis.reference import (
-    _reference_collect_votes,
-    _reference_communities_annotations,
-    _reference_locpref_annotations,
-    reference_extract_observations,
-    reference_pipeline,
-)
 from repro.analysis.stats import compute_section3
 from repro.bgp.attributes import ASPath, Community
 from repro.bgp.prefixes import Prefix
@@ -33,46 +34,72 @@ from repro.datasets.config import small_config
 from repro.datasets.synthetic import build_snapshot
 from repro.pipeline.stages import PipelineConfig, run_pipeline
 
+FIXTURE = "store_golden_small.json"
+SEEDS = (7, 13)
+AFIS = (AFI.IPV4, AFI.IPV6)
 
-@pytest.fixture(scope="module", params=[7, 13], ids=["seed7", "seed13"])
+
+def golden_entry(snapshot) -> dict:
+    """What the fixture records for one snapshot, from the live store."""
+    registry = snapshot.registry
+    live = store_from_records(snapshot.archive.records())
+    section3 = compute_section3(live.store, registry)
+    votes = CommunitiesInference(registry).collect_votes(live.store)
+    inference = section3.inference
+    return {
+        "section3": section3.report.as_dict(),
+        "extraction_stats": canonical(live.stats),
+        "observations_sha256": digest(live.observations),
+        "votes": {
+            "links": len(votes),
+            "votes": sum(map(len, votes.values())),
+            "sha256": digest(votes),
+        },
+        "communities_sha256": {
+            afi.name: digest(inference.communities.annotation(afi).records())
+            for afi in AFIS
+        },
+        "locpref_sha256": {
+            afi.name: digest(inference.locpref.annotation(afi).records())
+            for afi in AFIS
+        },
+    }
+
+
+@pytest.fixture(scope="module", params=SEEDS, ids=[f"seed{seed}" for seed in SEEDS])
 def seeded_snapshot(request):
-    """Two differently seeded small snapshots (built once per module)."""
-    return build_snapshot(small_config(seed=request.param))
+    """Two differently seeded small snapshots (built once per module),
+    with their fixture entry."""
+    return build_snapshot(small_config(seed=request.param)), load(FIXTURE)[
+        f"seed{request.param}"
+    ]
 
 
 class TestGoldenEquivalence:
     def test_reference_pipeline_matches_store_pipeline(self, seeded_snapshot):
-        snapshot = seeded_snapshot
+        snapshot, expected = seeded_snapshot
         registry = snapshot.registry
-        reference_report = reference_pipeline(snapshot.archive, registry)
         fast = compute_section3(snapshot.store, registry)
-        assert reference_report.as_dict() == fast.report.as_dict()
+        assert fast.report.as_dict() == expected["section3"]
         # Below the report: the inference evidence of the seed scans.
-        observations, _ = reference_extract_observations(snapshot.archive.records())
-        assert CommunitiesInference(registry).collect_votes(
-            snapshot.store
-        ) == _reference_collect_votes(observations, registry)
-        communities = _reference_communities_annotations(observations, registry)
-        locpref = _reference_locpref_annotations(observations, registry)
-        for afi in (AFI.IPV4, AFI.IPV6):
+        votes = CommunitiesInference(registry).collect_votes(snapshot.store)
+        assert digest(votes) == expected["votes"]["sha256"]
+        for afi in AFIS:
             assert (
-                fast.inference.communities.annotation(afi).records()
-                == communities[afi].records()
+                digest(fast.inference.communities.annotation(afi).records())
+                == expected["communities_sha256"][afi.name]
             )
             assert (
-                fast.inference.locpref.annotation(afi).records()
-                == locpref[afi].records()
+                digest(fast.inference.locpref.annotation(afi).records())
+                == expected["locpref_sha256"][afi.name]
             )
 
     def test_reference_extraction_matches_live(self, seeded_snapshot):
-        snapshot = seeded_snapshot
-        observations, stats = reference_extract_observations(
-            snapshot.archive.records(), deduplicate=True
-        )
+        snapshot, expected = seeded_snapshot
         live = store_from_records(snapshot.archive.records())
-        assert observations == live.observations
-        assert observations == live.store.observations
-        assert stats == live.stats
+        assert digest(live.observations) == expected["observations_sha256"]
+        assert digest(live.store.observations) == expected["observations_sha256"]
+        assert canonical(live.stats) == expected["extraction_stats"]
 
 
 class TestStoreIndexes:
@@ -181,3 +208,47 @@ class TestStoreBuildMemory:
         assert len(result.store) == result.stats.observations > 0
         kept = after - before
         assert peak - after <= kept // 5, (peak - after, kept)
+
+    def test_link_scans_keep_nothing_per_path(self):
+        """The link set of each plane, the IPv6 visibility index and the
+        hybrid path-crossing count read every distinct path's links,
+        and keep none of them per path: what the scans leave behind
+        (the interned links, the plane sets, the visibility counters)
+        grows with the hop pairs, not with the paths.  At ``--small``
+        seed 7 the store module retains far fewer blocks than the IPv6
+        plane has distinct paths (a per-path link table retains more
+        than both planes have)."""
+        config = PipelineConfig(dataset=small_config(seed=7))
+        store = run_pipeline(config, targets=("store",)).value("store").store
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            store.links(AFI.IPV4)
+            store.links(AFI.IPV6)
+            store.visibility_index(AFI.IPV6)
+            store.paths_crossing_any(store.dual_stack_links(), AFI.IPV6)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        only_store = [tracemalloc.Filter(True, inspect.getsourcefile(ObservationStore))]
+        retained = sum(
+            stat.count_diff
+            for stat in after.filter_traces(only_store).compare_to(
+                before.filter_traces(only_store), "lineno"
+            )
+        )
+        assert 0 < retained < store.distinct_path_count(AFI.IPV6), retained
+
+
+if __name__ == "__main__":
+    print(
+        write(
+            FIXTURE,
+            {
+                f"seed{seed}": golden_entry(build_snapshot(small_config(seed=seed)))
+                for seed in SEEDS
+            },
+        )
+    )

@@ -50,7 +50,9 @@ class TestSharing:
             "irr",
             "scenario",
             "propagation_v4",
+            "collection_v4",
             "propagation_v6",
+            "collection_v6",
             "archive",
             "store",
             "inference",
@@ -120,7 +122,15 @@ class TestNonCacheableStages:
 
     def test_noncacheable_stages_excluded_from_accounting(self):
         plan = self.plan()
-        uncached = {"propagation_v4", "propagation_v6", "archive", "store", "snapshot"}
+        uncached = {
+            "propagation_v4",
+            "collection_v4",
+            "propagation_v6",
+            "collection_v6",
+            "archive",
+            "store",
+            "snapshot",
+        }
         assert plan.noncacheable_stages == uncached
         assert not uncached & set(plan.distinct_fingerprints())
         assert not uncached & set(plan.sharing_summary())

@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.datasets.config import DatasetConfig
 from repro.pipeline import PipelineConfig, run_pipeline
 from repro.pipeline.runner import PipelineRunner
@@ -439,7 +443,7 @@ class TestRootAccounting:
         assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["root_seconds"], payload["unattributed_seconds"]) == (2.0, 1.0)
-        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 8
+        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 9
         assert payload["commands"] == {}
         assert "retries" not in payload
         assert "dead_letters" not in payload
@@ -462,6 +466,7 @@ class TestRootAccounting:
                 "startup_cpu_seconds": 0.25,
                 "tracer_seconds": 0.0,
                 "max_rss_kb": 0,
+                "rss_source": None,
                 "peak_stage": None,
             }
         }
@@ -532,6 +537,30 @@ class TestCommandSpan:
         assert entry["tracer_seconds"] == command["attrs"]["tracer_seconds"]
 
 
+    def test_computed_stages_record_what_the_run_held(self, tmp_path, capsys):
+        """Each computed ``stage`` span lists the stages whose artifacts
+        the run held when its compute started: a cold ``section3`` has
+        released the IPv4 routes before the IPv6 plane propagates."""
+        from repro.cli import main
+
+        trace_dir = tmp_path / "trace"
+        assert main(["section3", "--small", "--trace-dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        records = read_trace(trace_dir)
+        held = {
+            span["attrs"]["stage"]: span["attrs"]["held"].split(",")
+            for span in spans_named(records, "stage")
+        }
+        assert held["topology"] == [""]
+        assert "propagation_v4" in held["collection_v4"]
+        assert "propagation_v4" not in held["propagation_v6"]
+        assert "collection_v4" in held["propagation_v6"]
+        entry = summarize(records)["commands"]["section3"]
+        (command,) = spans_named(records, "command")
+        assert entry["rss_source"] == command["attrs"]["rss_source"]
+        assert entry["rss_source"] in ("VmHWM", "ru_maxrss")
+
+
 class TestMemoryRollup:
     """``repro trace summary`` reports peak RSS per stage and per
     command, the stage whose close first reached a command's peak, and
@@ -600,3 +629,40 @@ class TestMemoryRollup:
         assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["commands"]["section3"]["peak_stage"] == "store"
+
+
+#: Runs ``argv[2:]`` from a process that first holds ``argv[1]`` MB.
+HOLDING_LAUNCHER = (
+    "import subprocess, sys\n"
+    "held = b'x' * (int(sys.argv[1]) << 20)\n"
+    "sys.exit(subprocess.call(sys.argv[2:]))\n"
+)
+
+
+class TestOwnPeakRss:
+    """A span's ``max_rss_kb`` is the op's own peak, not its spawner's."""
+
+    @staticmethod
+    def _command_peak(tmp_path, held_mb: int) -> dict:
+        trace_dir = tmp_path / f"trace-{held_mb}"
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        subprocess.run(
+            [sys.executable, "-S", "-c", HOLDING_LAUNCHER, str(held_mb),
+             sys.executable, "-m", "repro", "figure2", "--small", "--top", "3",
+             "--trace-dir", str(trace_dir)],
+            check=True, env=env, stdout=subprocess.DEVNULL,
+        )
+        (command,) = spans_named(read_trace(trace_dir), "command")
+        return command["attrs"]
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_a_large_spawner_does_not_raise_the_ops_peak(self, tmp_path):
+        """The same ``figure2`` op started from a small process and from
+        one holding 120 MB reads the same peak within 1 MB:
+        ``getrusage`` would report the large spawner's peak."""
+        small = self._command_peak(tmp_path, 0)
+        large = self._command_peak(tmp_path, 120)
+        assert small["rss_source"] == large["rss_source"] == "VmHWM"
+        assert abs(large["max_rss_kb"] - small["max_rss_kb"]) <= 1024, (small, large)
