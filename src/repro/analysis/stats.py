@@ -19,7 +19,8 @@ pipeline (:mod:`repro.pipeline.stages`) caches individually:
 
 :func:`compute_section3` is their thin, cache-free composition and
 produces results bit-identical to the pre-decomposition monolith (the
-golden tests pin this against the frozen references).
+golden tests pin this against the committed fixtures in
+``tests/fixtures``).
 """
 
 from __future__ import annotations

@@ -68,7 +68,11 @@ from repro.bgp.attributes import Community, merge_communities
 from repro.bgp.messages import Route
 from repro.bgp.policy import RoutingPolicy, gao_rexford_export_allowed
 from repro.bgp.prefixes import Prefix
-from repro.bgp.results import ConvergenceError, PropagationResult
+from repro.bgp.results import (
+    MAX_EVENTS_PER_PREFIX,
+    ConvergenceError,
+    PropagationResult,
+)
 from repro.bgp.router import BGPSpeaker
 from repro.topology.graph import ASGraph
 
@@ -162,12 +166,10 @@ class ArrayBackend:
         self,
         graph: ASGraph,
         policies: Optional[Mapping[int, RoutingPolicy]] = None,
-        max_events_per_prefix: int = 200_000,
         keep_ribs_for: Optional[Iterable[int]] = None,
     ) -> None:
         self.graph = graph
         self.policies = dict(policies) if policies is not None else {}
-        self.max_events_per_prefix = max_events_per_prefix
         self.keep_ribs_for = set(keep_ribs_for) if keep_ribs_for is not None else None
         self._asns: List[int] = graph.ases  # sorted ascending
         self._id_of: Dict[int, int] = {asn: i for i, asn in enumerate(self._asns)}
@@ -720,7 +722,7 @@ class ArrayBackend:
         lenf = self._lenf
         senf = self._senf
         scale = lenf * senf
-        max_events = self.max_events_per_prefix
+        max_events = MAX_EVENTS_PER_PREFIX
 
         best_sender[origin] = _LOCAL_ROUTE
         best_path[origin] = (origin,)

@@ -38,7 +38,6 @@ class PropagationEngine:
         self,
         graph: ASGraph,
         policies: Optional[Mapping[int, RoutingPolicy]] = None,
-        max_events_per_prefix: int = 200_000,
         keep_ribs_for: Optional[Iterable[int]] = None,
         engine: str = DEFAULT_ENGINE,
     ) -> None:
@@ -52,7 +51,6 @@ class PropagationEngine:
             )
         self.graph = graph
         self.policies = dict(policies) if policies is not None else None
-        self.max_events_per_prefix = max_events_per_prefix
         self.keep_ribs_for = (
             sorted(keep_ribs_for) if keep_ribs_for is not None else None
         )
@@ -82,10 +80,7 @@ class PropagationEngine:
             prefixes=len(origins),
         ) as span:
             backend = backend_cls(
-                self.graph,
-                self.policies,
-                max_events_per_prefix=self.max_events_per_prefix,
-                keep_ribs_for=self.keep_ribs_for,
+                self.graph, self.policies, keep_ribs_for=self.keep_ribs_for
             )
             result = backend.run(origins)
             if self.engine == "event":

@@ -39,8 +39,8 @@ The hot loop is profile-guided (see ``docs/performance.md``):
   speakers that actually acquired state for the prefix instead of every
   speaker in the topology.
 
-The frozen seed implementation lives in :mod:`repro.bgp.reference`;
-golden-equivalence tests assert the two produce identical routes.
+Golden-equivalence tests compare its routes, reachable counts and event
+counts with the committed results of the seed implementation.
 
 This simulator is also the ``event`` backend of the pluggable engine
 layer (:mod:`repro.bgp.backends`): the array-native core is
@@ -57,7 +57,11 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.prefixes import Prefix
-from repro.bgp.results import ConvergenceError, PropagationResult
+from repro.bgp.results import (
+    MAX_EVENTS_PER_PREFIX,
+    ConvergenceError,
+    PropagationResult,
+)
 from repro.bgp.router import BGPSpeaker
 from repro.topology.graph import ASGraph
 
@@ -82,7 +86,6 @@ class PropagationSimulator:
         self,
         graph: ASGraph,
         policies: Optional[Mapping[int, RoutingPolicy]] = None,
-        max_events_per_prefix: int = 200_000,
         keep_ribs_for: Optional[Iterable[int]] = None,
     ) -> None:
         """Create a simulator over ``graph``.
@@ -93,7 +96,6 @@ class PropagationSimulator:
         collector vantage points).  ``None`` keeps everything.
         """
         self.graph = graph
-        self.max_events_per_prefix = max_events_per_prefix
         self.keep_ribs_for = set(keep_ribs_for) if keep_ribs_for is not None else None
         self.speakers: Dict[int, BGPSpeaker] = {}
         policies = policies or {}
@@ -217,7 +219,7 @@ class PropagationSimulator:
         afi = prefix.afi
         speakers = self.speakers
         plans = self._export_plans[afi]
-        max_events = self.max_events_per_prefix
+        max_events = MAX_EVENTS_PER_PREFIX
         origin = speakers[origin_asn]
         origin.originate(prefix)
         reachable = 1  # the origin itself

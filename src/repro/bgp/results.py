@@ -14,9 +14,10 @@ downstream consumers read the same shape:
   count on both backends for a plane ``array`` replays; 0 for a plane
   it solves).
 
-This module also hosts :class:`ConvergenceError` and the
-:func:`originate_one_prefix_per_as` convenience so backends do not have
-to import the event simulator module just for its result types.
+This module also hosts :class:`ConvergenceError`, the event budget
+:data:`MAX_EVENTS_PER_PREFIX` and the :func:`originate_one_prefix_per_as`
+convenience so backends do not have to import the event simulator module
+just for its result types.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ class ConvergenceError(RuntimeError):
     """Raised when propagation does not quiesce within the event budget,
     or when a converged route's stored AS path is inconsistent (it
     crosses a pair with no known relationship or misses the origin)."""
+
+
+#: Events one prefix may take to quiesce before its event loop (the
+#: ``event`` engine's, or the replay of ``array``) raises
+#: :class:`ConvergenceError`.
+MAX_EVENTS_PER_PREFIX = 200_000
 
 
 @dataclass

@@ -5,10 +5,9 @@
 * :class:`RibSnapshot`: a frozen copy of one AS's Loc-RIB.  Collectors
   archive the snapshots of their vantage-point peers, which is what a
   RouteViews ``TABLE_DUMP2`` RIB snapshot contains.
-* :class:`AdjRibIn`: the routes received from one neighbour, after
-  import policy, as the frozen seed speaker in :mod:`repro.bgp.reference`
-  keeps them.  :class:`~repro.bgp.router.BGPSpeaker` keeps its
-  Adj-RIB-In as one per-prefix candidate index instead.
+
+:class:`~repro.bgp.router.BGPSpeaker` keeps its Adj-RIB-In as one
+per-prefix candidate index, not as a RIB object per neighbour.
 """
 
 from __future__ import annotations
@@ -19,40 +18,6 @@ from typing import Dict, Iterator, List, Optional
 from repro.core.relationships import AFI
 from repro.bgp.messages import Route
 from repro.bgp.prefixes import Prefix
-
-
-class AdjRibIn:
-    """Routes received from one neighbour, keyed by prefix."""
-
-    __slots__ = ("neighbor", "_routes")
-
-    def __init__(self, neighbor: int) -> None:
-        self.neighbor = neighbor
-        self._routes: Dict[Prefix, Route] = {}
-
-    def update(self, route: Route) -> None:
-        """Store (or replace) the route for the route's prefix."""
-        self._routes[route.prefix] = route
-
-    def withdraw(self, prefix: Prefix) -> Optional[Route]:
-        """Remove and return the route for ``prefix`` (``None`` if absent)."""
-        return self._routes.pop(prefix, None)
-
-    def route_for(self, prefix: Prefix) -> Optional[Route]:
-        """The stored route for ``prefix``, if any."""
-        return self._routes.get(prefix)
-
-    def routes(self, afi: Optional[AFI] = None) -> List[Route]:
-        """All stored routes, optionally filtered by address family."""
-        if afi is None:
-            return list(self._routes.values())
-        return [route for route in self._routes.values() if route.afi is afi]
-
-    def __len__(self) -> int:
-        return len(self._routes)
-
-    def __iter__(self) -> Iterator[Route]:
-        return iter(self._routes.values())
 
 
 class LocRib:

@@ -149,18 +149,6 @@ class CommunityDictionary:
         """The meaning of a community value (``None`` if undocumented)."""
         return self._meanings.get(community)
 
-    def relationship_for(self, community: Community) -> Optional[Relationship]:
-        """Relationship encoded by a community (``None`` if not a relationship tag)."""
-        meaning = self._meanings.get(community)
-        if meaning is None or meaning.kind is not MeaningKind.RELATIONSHIP:
-            return None
-        return meaning.relationship
-
-    def is_traffic_engineering(self, community: Community) -> bool:
-        """True if the community is a documented traffic-engineering tag."""
-        meaning = self._meanings.get(community)
-        return meaning is not None and meaning.kind is MeaningKind.TRAFFIC_ENGINEERING
-
     # ------------------------------------------------------------------
     # CommunityTagger protocol (used by the routing policies)
     # ------------------------------------------------------------------

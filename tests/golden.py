@@ -6,10 +6,12 @@ as the SHA-256 of their canonical JSON; this module is the one encoding
 both the writer and the tests use.
 
 ``canonical`` turns a result into plain JSON values: an enum becomes
-its name, a tuple (named or not) and a list a list, a prefix its text, a
-date its ISO form, a dataclass the dict of its fields, and a mapping
-the list of its ``[key, value]`` pairs sorted by encoded key, so two
-equal mappings encode alike whatever their insertion order.
+its name, a tuple (named or not) and a list a list, a prefix its text, an
+AS path the list of its hops, a date its ISO form, a dataclass the dict
+of the fields its equality compares (a ``compare=False`` memo is left
+out), and a mapping the list of its ``[key, value]`` pairs sorted by
+encoded key, so two equal mappings encode alike whatever their insertion
+order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.bgp.attributes import ASPath
 from repro.bgp.prefixes import Prefix
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -35,12 +38,15 @@ def canonical(value: Any) -> Any:
         return value.name
     if isinstance(value, Prefix):
         return str(value)
+    if isinstance(value, ASPath):
+        return list(value.hops)
     if isinstance(value, datetime.date):
         return value.isoformat()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: canonical(getattr(value, field.name))
             for field in dataclasses.fields(value)
+            if field.compare
         }
     if isinstance(value, Mapping):
         pairs = [[canonical(key), canonical(item)] for key, item in value.items()]

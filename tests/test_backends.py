@@ -2,7 +2,7 @@
 
 The event simulator is the oracle: whatever policies are configured, its
 converged state is correct by construction (it is itself pinned against
-the frozen seed implementation in ``test_propagation_golden``, against
+the seed implementation's committed results in ``test_propagation_golden``, against
 hand-derived paths in ``test_asrel_tree_oracle`` and against the
 synchronous best response in ``test_best_response_oracle``).  ``array``
 must be indistinguishable from it — same routes, attribute for
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ from hypothesis import strategies as st
 
 from repro.core.relationships import AFI, Relationship
 from repro.bgp.attributes import Community
-from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES
+from repro.bgp import propagation
+from repro.bgp.backends import DEFAULT_ENGINE, ENGINE_CHOICES, arraycore
 from repro.bgp.backends.arraycore import ArrayBackend
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.policy import (
@@ -331,6 +333,51 @@ class TestChainWalk:
         with pytest.raises(ConvergenceError, match=match):
             backend.run({prefix: origin})
         assert backend.methods[AFI.IPV4][0] == method
+
+
+class TestEventBudget:
+    """Each event loop (``event``'s, and ``array``'s replay) raises
+    :class:`ConvergenceError` naming the prefix once it takes more than
+    ``MAX_EVENTS_PER_PREFIX`` events; a solved plane runs none."""
+
+    BUDGET = 5
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(propagation, "MAX_EVENTS_PER_PREFIX", self.BUDGET)
+        monkeypatch.setattr(arraycore, "MAX_EVENTS_PER_PREFIX", self.BUDGET)
+
+    def _rich(self, afi: AFI):
+        graph = _golden_topology(2010).graph
+        origins = originate_one_prefix_per_as(graph, afi)
+        return graph, _rich_policies(graph, 2010), origins
+
+    def _exhausted(self, origins):
+        first = next(iter(origins))
+        return re.escape(
+            f"prefix {first} did not converge within {self.BUDGET} events"
+        )
+
+    @pytest.mark.parametrize("afi", (AFI.IPV4, AFI.IPV6))
+    def test_event_engine_stops_at_the_budget(self, afi):
+        graph, policies, origins = self._rich(afi)
+        with pytest.raises(ConvergenceError, match=self._exhausted(origins)):
+            PropagationSimulator(graph, policies).run(origins)
+
+    def test_array_replay_stops_at_the_budget(self):
+        graph, policies, origins = self._rich(AFI.IPV6)
+        backend = ArrayBackend(graph, policies)
+        with pytest.raises(ConvergenceError, match=self._exhausted(origins)):
+            backend.run(origins)
+        assert backend.methods[AFI.IPV6][0] == "replay"
+
+    def test_array_solved_plane_has_no_budget(self):
+        graph, policies, origins = self._rich(AFI.IPV4)
+        backend = ArrayBackend(graph, policies)
+        result = backend.run(origins)
+        assert backend.methods[AFI.IPV4] == ("solve", None)
+        assert result.events == 0
+        assert set(result.reachable_counts) == set(origins)
 
 
 class TestAllOriginsSolve:

@@ -8,7 +8,7 @@ from repro.bgp.policy import LocalPrefScheme, RoutingPolicy
 from repro.bgp.prefixes import Prefix, PrefixAllocator
 from repro.bgp.propagation import PropagationSimulator
 from repro.bgp.results import originate_one_prefix_per_as
-from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
+from repro.bgp.rib import LocRib, RibSnapshot
 from repro.bgp.router import BGPSpeaker
 from repro.core.relationships import AFI, Relationship
 from repro.irr.dictionary import CommunityDictionary
@@ -28,15 +28,6 @@ def make_announcement(prefix, sender, receiver, hops, communities=()):
 
 
 class TestRibs:
-    def test_adj_rib_in_update_and_withdraw(self):
-        rib = AdjRibIn(neighbor=2)
-        route = Route.originate(V4, 2)
-        rib.update(route)
-        assert rib.route_for(V4) == route
-        assert len(rib) == 1
-        assert rib.withdraw(V4) == route
-        assert rib.withdraw(V4) is None
-
     def test_loc_rib_install_reports_change(self):
         rib = LocRib()
         route = Route.originate(V4, 1)

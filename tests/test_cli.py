@@ -531,7 +531,7 @@ class TestCacheDirValidation:
 #: storage layers and the process/thread pools (spelled in parts so
 #: that a repository-wide grep for those layers finds nothing),
 #: networkx, which only test oracles import (nothing under ``src/``
-#: does), and the frozen BGP oracle, which only the golden tests import.
+#: does).
 ABSENT_MODULES = (
     "sql" "ite3",
     "repro." "cluster",
@@ -539,7 +539,6 @@ ABSENT_MODULES = (
     "multi" "processing",
     "concurrent." "futures",
     "networkx",
-    "repro.bgp.reference",
     "cProfile",
     "pstats",
     "tracemalloc",

@@ -49,15 +49,19 @@ class TestCommunityDictionary:
         dictionary = CommunityDictionary(100)
         dictionary.add_relationship(10, Relationship.P2C)
         dictionary.add_traffic_engineering(666, "blackhole")
-        assert dictionary.relationship_for(Community(100, 10)) is Relationship.P2C
-        assert dictionary.relationship_for(Community(100, 666)) is None
-        assert dictionary.relationship_for(Community(100, 999)) is None
+        registry = IRRRegistry()
+        registry.register(dictionary)
+        assert registry.relationship_for(Community(100, 10)) is Relationship.P2C
+        assert registry.relationship_for(Community(100, 666)) is None
+        assert registry.relationship_for(Community(100, 999)) is None
 
     def test_traffic_engineering_lookup(self):
         dictionary = CommunityDictionary(100)
         dictionary.add_traffic_engineering(666, "lower-pref")
-        assert dictionary.is_traffic_engineering(Community(100, 666))
-        assert not dictionary.is_traffic_engineering(Community(100, 1))
+        registry = IRRRegistry()
+        registry.register(dictionary)
+        assert registry.is_traffic_engineering(Community(100, 666))
+        assert not registry.is_traffic_engineering(Community(100, 1))
 
     def test_tagger_protocol(self):
         dictionary = CommunityDictionary(100)

@@ -1,22 +1,30 @@
 """Golden-equivalence suite for the optimized propagation fast path.
 
-The optimized :class:`~repro.bgp.propagation.PropagationSimulator` must
-be indistinguishable, route for route, from the frozen seed
-implementation in :mod:`repro.bgp.reference`.  These tests run both over
-the same generated topologies (seeds 2010 / 2011 / 2012, both address
-families, policy features switched on: mixed LOCAL_PREF schemes,
-community tagging, traffic-engineering overrides and IPv6 export
-relaxations) and compare everything observable:
+The :class:`~repro.bgp.propagation.PropagationSimulator` must be
+indistinguishable, route for route, from the seed event loop it
+replaced.  That loop's results over the generated topologies (seeds
+2010 / 2011 / 2012, both address families, policy features switched on:
+mixed LOCAL_PREF schemes, community tagging, traffic-engineering
+overrides and IPv6 export relaxations) are committed in
+``tests/fixtures/propagation_golden.json``, and these tests compare
+everything observable with them:
 
-* the best path of every AS towards every prefix,
-* the per-prefix reachable counts (which the optimized code tracks
+* the best path of every AS towards every prefix (one digest per AS,
+  plus a readable sample),
+* the per-prefix reachable counts (which the simulator tracks
   incrementally during the events instead of re-scanning),
-* the event counts (the optimized loop preserves the seed's event
-  ordering exactly), and
-* the RIB snapshots of sampled vantage ASes.
+* the event counts (the loop preserves the seed's event ordering
+  exactly), and
+* the RIB snapshots of sampled vantage ASes, every field a route's
+  equality compares.
+
+Regenerate the fixture only on purpose, with
+``PYTHONPATH=src python tests/test_propagation_golden.py``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -24,13 +32,25 @@ from repro.core.relationships import AFI, Relationship
 from repro.bgp.policy import LocalPrefScheme, RoutingPolicy, TrafficEngineeringOverride
 from repro.bgp.prefixes import PrefixAllocator
 from repro.bgp.propagation import PropagationSimulator
-from repro.bgp.reference import ReferencePropagationSimulator
 from repro.bgp.results import originate_one_prefix_per_as
 from repro.irr.registry import build_registry
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import generate_topology
 
+from golden import canonical, digest, load, write
+
+FIXTURE = "propagation_golden.json"
+
 GOLDEN_SEEDS = (2010, 2011, 2012)
+AFIS = (AFI.IPV4, AFI.IPV6)
+
+#: Origins at each end of a plane whose best paths the fixture keeps
+#: in the clear.
+SAMPLE = 3
+#: Vantage ASes (the first of the graph) whose snapshots are compared.
+SNAPSHOT_ASES = 10
+#: Speakers that keep their RIBs in the pruned run.
+PRUNED_KEEP = 4
 
 _SCHEMES = (
     (300, 200, 100),
@@ -94,75 +114,126 @@ def _rich_policies(graph, seed: int):
     return policies
 
 
-def _assert_equivalent(graph, reference, optimized, origins):
-    assert reference.events == optimized.events
-    assert reference.reachable_counts == optimized.reachable_counts
-    for asn in graph.ases:
-        for prefix in origins:
-            assert reference.best_path(asn, prefix) == optimized.best_path(
-                asn, prefix
-            ), f"AS{asn} towards {prefix}"
+class WeirdPolicy(RoutingPolicy):
+    def local_pref_for(self, neighbor, relationship, prefix):
+        # Prefer even-numbered neighbours, ignoring relationship: only
+        # visible if the hook actually runs per route.
+        return (500 if neighbor % 2 == 0 else 50), None
+
+
+def _rich_case(seed: int, afi: AFI):
+    """The golden topology of ``seed``, its rich policies and the
+    one-prefix-per-AS origins of ``afi``."""
+    graph = _golden_topology(seed).graph
+    return graph, _rich_policies(graph, seed), originate_one_prefix_per_as(graph, afi)
+
+
+def routes_entry(graph, origins, result) -> dict:
+    """What the fixture keeps of one run: its events, reachable counts,
+    a digest of every AS's best paths and a readable sample of them."""
+    ends = list(origins.items())
+    return {
+        "events": result.events,
+        "reachable_counts": canonical(result.reachable_counts),
+        "best_paths_sha256": {
+            str(asn): digest(
+                {prefix: result.best_path(asn, prefix) for prefix in origins}
+            )
+            for asn in graph.ases
+        },
+        "best_paths_sample": canonical(
+            [
+                [holder, prefix, result.best_path(holder, prefix)]
+                for _, holder in ends[-SAMPLE:]
+                for prefix, _ in ends[:SAMPLE]
+            ]
+        ),
+    }
+
+
+def snapshots_entry(result, ases) -> dict:
+    """The digest of each of ``ases``'s Loc-RIB snapshot routes."""
+    return {str(asn): digest(result.snapshot(asn).best_routes) for asn in ases}
+
+
+def pruned_entry(result, keep) -> dict:
+    """What the fixture keeps of the pruned run: events, reachable
+    counts and the snapshots of the speakers that keep their RIBs."""
+    return {
+        "events": result.events,
+        "reachable_counts": canonical(result.reachable_counts),
+        "snapshots": snapshots_entry(result, keep),
+    }
+
+
+def golden_payload() -> dict:
+    """Every case's results, as the fixture stores them."""
+    routes, snapshots = {}, {}
+    for seed in GOLDEN_SEEDS:
+        for afi in AFIS:
+            graph, policies, origins = _rich_case(seed, afi)
+            result = PropagationSimulator(graph, policies).run(origins)
+            routes[f"{seed}-{afi.name}"] = routes_entry(graph, origins, result)
+            if afi is AFI.IPV4:
+                snapshots[str(seed)] = snapshots_entry(
+                    result, graph.ases[:SNAPSHOT_ASES]
+                )
+    graph, policies, origins = _rich_case(2010, AFI.IPV4)
+    keep = graph.ases[:PRUNED_KEEP]
+    pruned = PropagationSimulator(graph, policies, keep_ribs_for=keep).run(origins)
+    graph = _golden_topology(2012).graph
+    origins = originate_one_prefix_per_as(graph, AFI.IPV4)
+    weird = {asn: WeirdPolicy(asn=asn) for asn in graph.ases}
+    custom = PropagationSimulator(graph, weird).run(origins)
+    return {
+        "routes": routes,
+        "snapshots": snapshots,
+        "pruned": pruned_entry(pruned, keep),
+        "custom_policy": routes_entry(graph, origins, custom),
+    }
+
+
+@functools.cache
+def expected() -> dict:
+    return load(FIXTURE)
 
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-    @pytest.mark.parametrize("afi", (AFI.IPV4, AFI.IPV6))
+    @pytest.mark.parametrize("afi", AFIS)
     def test_routes_reachability_and_events_match_reference(self, seed, afi):
-        topology = _golden_topology(seed)
-        graph = topology.graph
-        policies = _rich_policies(graph, seed)
-        origins = originate_one_prefix_per_as(graph, afi)
-        reference = ReferencePropagationSimulator(graph, policies).run(origins)
-        optimized = PropagationSimulator(graph, policies).run(origins)
-        _assert_equivalent(graph, reference, optimized, origins)
+        graph, policies, origins = _rich_case(seed, afi)
+        result = PropagationSimulator(graph, policies).run(origins)
+        assert routes_entry(graph, origins, result) == (
+            expected()["routes"][f"{seed}-{afi.name}"]
+        )
 
     @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
     def test_snapshots_match_reference(self, seed):
-        topology = _golden_topology(seed)
-        graph = topology.graph
-        policies = _rich_policies(graph, seed)
-        origins = originate_one_prefix_per_as(graph, AFI.IPV4)
-        reference = ReferencePropagationSimulator(graph, policies).run(origins)
-        optimized = PropagationSimulator(graph, policies).run(origins)
-        for asn in graph.ases[:10]:
-            assert reference.snapshot(asn).best_routes == optimized.snapshot(asn).best_routes
+        graph, policies, origins = _rich_case(seed, AFI.IPV4)
+        result = PropagationSimulator(graph, policies).run(origins)
+        assert snapshots_entry(result, graph.ases[:SNAPSHOT_ASES]) == (
+            expected()["snapshots"][str(seed)]
+        )
 
     def test_pruned_mode_matches_reference(self):
-        topology = _golden_topology(2010)
-        graph = topology.graph
-        policies = _rich_policies(graph, 2010)
-        keep = graph.ases[:4]
-        origins = originate_one_prefix_per_as(graph, AFI.IPV4)
-        reference = ReferencePropagationSimulator(
-            graph, policies, keep_ribs_for=keep
-        ).run(origins)
-        optimized = PropagationSimulator(graph, policies, keep_ribs_for=keep).run(
+        graph, policies, origins = _rich_case(2010, AFI.IPV4)
+        keep = graph.ases[:PRUNED_KEEP]
+        result = PropagationSimulator(graph, policies, keep_ribs_for=keep).run(
             origins
         )
-        assert reference.reachable_counts == optimized.reachable_counts
-        assert reference.events == optimized.events
-        for asn in keep:
-            assert reference.snapshot(asn).best_routes == optimized.snapshot(asn).best_routes
-        # Non-kept speakers are fully pruned in both implementations.
+        assert pruned_entry(result, keep) == expected()["pruned"]
+        # Non-kept speakers are fully pruned.
         other = next(asn for asn in graph.ases if asn not in keep)
-        assert not optimized.speakers[other].loc_rib.routes()
+        assert not result.speakers[other].loc_rib.routes()
 
     def test_custom_policy_subclass_consulted_per_route(self):
         """Policies overriding the import hooks bypass the defaults cache."""
-
-        class WeirdPolicy(RoutingPolicy):
-            def local_pref_for(self, neighbor, relationship, prefix):
-                # Prefer even-numbered neighbours, ignoring relationship:
-                # only visible if the hook actually runs per route.
-                return (500 if neighbor % 2 == 0 else 50), None
-
-        topology = _golden_topology(2012)
-        graph = topology.graph
+        graph = _golden_topology(2012).graph
         policies = {asn: WeirdPolicy(asn=asn) for asn in graph.ases}
         origins = originate_one_prefix_per_as(graph, AFI.IPV4)
-        reference = ReferencePropagationSimulator(graph, policies).run(origins)
-        optimized = PropagationSimulator(graph, policies).run(origins)
-        _assert_equivalent(graph, reference, optimized, origins)
+        result = PropagationSimulator(graph, policies).run(origins)
+        assert routes_entry(graph, origins, result) == expected()["custom_policy"]
 
     def test_prefix_pickle_drops_cached_hash(self):
         """The per-process hash cache must not cross a pickle boundary."""
@@ -186,3 +257,7 @@ class TestGoldenEquivalence:
             assert graph.copy().stats() == baseline
             graph.rebuild_indexes()
             assert graph.stats() == baseline
+
+
+if __name__ == "__main__":
+    print(write(FIXTURE, golden_payload()))
