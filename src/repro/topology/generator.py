@@ -56,6 +56,18 @@ class GeneratedTopology:
     tier3: List[int]
     hybrid_links: Dict[Link, HybridType] = field(default_factory=dict)
 
+    def copy(self) -> "GeneratedTopology":
+        """An independent copy (see :meth:`ASGraph.copy`); the
+        ``config``, which nothing mutates, is shared."""
+        return GeneratedTopology(
+            graph=self.graph.copy(),
+            config=self.config,
+            tier1=list(self.tier1),
+            tier2=list(self.tier2),
+            tier3=list(self.tier3),
+            hybrid_links=dict(self.hybrid_links),
+        )
+
 
 def _sample_count(rng: random.Random, bounds: Tuple[int, int]) -> int:
     lo, hi = bounds

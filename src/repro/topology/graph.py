@@ -474,17 +474,29 @@ class ASGraph:
         return sorted(asn for asn, node in self._nodes.items() if node.dual_stack)
 
     def copy(self) -> "ASGraph":
-        """Deep-enough copy: nodes and relationship records are duplicated."""
+        """An independent copy: every mutable table is duplicated.
+
+        Nodes, adjacency sets, relationship records and index rows are
+        new objects, in the same insertion order as this graph's; the
+        immutable :class:`Link` and :class:`Relationship` values and the
+        memoized tuples are shared.  No mutation of the copy through the
+        graph API reaches this graph, or the other way round.
+        """
         result = ASGraph()
-        for asn, node in self._nodes.items():
-            result.add_as(asn, name=node.name, tier=node.tier, ipv4=node.ipv4, ipv6=node.ipv6)
-        for link, record in self._relationships.items():
-            result._relationships[link] = DualStackRelationship(
-                link=link, ipv4=record.ipv4, ipv6=record.ipv6
-            )
-            result._adjacency[link.a].add(link.b)
-            result._adjacency[link.b].add(link.a)
-        result.rebuild_indexes()
+        result._nodes = {
+            asn: ASNode(node.asn, node.name, node.tier, node.ipv4, node.ipv6)
+            for asn, node in self._nodes.items()
+        }
+        result._adjacency = {asn: set(peers) for asn, peers in self._adjacency.items()}
+        result._relationships = {
+            link: DualStackRelationship(link, record.ipv4, record.ipv6)
+            for link, record in self._relationships.items()
+        }
+        result._rel_from = {
+            afi: {asn: dict(row) for asn, row in index.items()}
+            for afi, index in self._rel_from.items()
+        }
+        result._sorted_cache = dict(self._sorted_cache)
         return result
 
     # ------------------------------------------------------------------

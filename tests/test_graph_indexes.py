@@ -123,7 +123,10 @@ class TestIndexConsistency:
         assert simple_graph.customers_of(2, AFI.IPV4) == [3, 4]
 
     def _assert_matches_rebuilt(self, graph: ASGraph) -> None:
+        # The copy carries the indexes over; rebuild them from its
+        # relationship records.
         rebuilt = graph.copy()
+        rebuilt.rebuild_indexes()
         assert graph.stats() == rebuilt.stats()
         for asn in graph.ases:
             for afi in (AFI.IPV4, AFI.IPV6):

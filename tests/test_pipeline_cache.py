@@ -196,11 +196,12 @@ class TestInvalidation:
         statuses = self._statuses(cache_dir, changed)
         for stage in downstream:
             assert statuses[stage] == "computed", stage
-        # The collections read the propagation results, which are not
-        # persisted: they recompute from the cached scenario.
+        # The collections read the propagation results and the
+        # scenario, which are not persisted: they recompute from the
+        # cached topology.
         assert statuses["propagation_v4"] == statuses["propagation_v6"] == "computed"
-        assert statuses["scenario"] == statuses["irr"] == "cached"
-        assert "topology" not in statuses
+        assert statuses["scenario"] == statuses["irr"] == "computed"
+        assert statuses["topology"] == "cached"
 
     def test_bumped_stage_version_invalidates_stage_and_descendants(self, warm_cache):
         cache_dir, config = warm_cache
@@ -221,8 +222,10 @@ class TestInvalidation:
             config, targets=ALL_ANALYSIS_TARGETS
         )
         statuses = run.statuses
-        # The uncached store chain recomputes from the cached scenario.
+        # The uncached store chain recomputes from the cached topology.
         assert run.computed_stages() == [
+            "irr",
+            "scenario",
             "propagation_v4",
             "collection_v4",
             "propagation_v6",
@@ -234,8 +237,7 @@ class TestInvalidation:
             "section3",
             "correction",
         ]
-        assert statuses["scenario"] == statuses["irr"] == "cached"
-        assert "topology" not in statuses
+        assert statuses["topology"] == "cached"
         cold = run_pipeline(config, targets=ALL_ANALYSIS_TARGETS)
         assert run.value("section3").as_dict() == cold.value("section3").as_dict()
         assert correction_payload(run.value("correction"), config.top) == (
@@ -426,7 +428,7 @@ class TestDemandDriven:
     def test_corrupt_unread_ancestor_is_not_touched(self, section3_cache):
         cache_dir, config = section3_cache
         _, cold, _ = traced_figure2(config, None)
-        flip_payload(cache_dir, config, "scenario")
+        flip_payload(cache_dir, config, "topology")
         run, payload, corrupt = traced_figure2(config, cache_dir)
         assert corrupt == {}
         assert run.computed_stages() == ["correction"]
@@ -439,6 +441,8 @@ class TestDemandDriven:
         run, payload, corrupt = traced_figure2(config, cache_dir)
         assert corrupt == {"views": 1}
         assert run.computed_stages() == [
+            "irr",
+            "scenario",
             "propagation_v4",
             "collection_v4",
             "propagation_v6",
@@ -448,7 +452,7 @@ class TestDemandDriven:
             "views",
             "correction",
         ]
-        assert run.status_of("scenario") == run.status_of("inference") == "cached"
+        assert run.status_of("topology") == run.status_of("inference") == "cached"
         assert payload == cold
         # The recompute stored a good artifact back.
         rerun, payload, corrupt = traced_figure2(config, cache_dir)
@@ -469,10 +473,11 @@ class TestDemandDriven:
             run.value(name)
         _selection_provenance(config)
         assert sorted(cache.loaded) == ["inference", "section3", "views"]
+        # The scenario is rebuilt from the cached topology.
         scenario = run.value("scenario")
-        assert cache.loaded[-1] == "scenario"
-        assert run.status_of("scenario") == "cached"
-        assert run.computed_stages() == []
+        assert cache.loaded[-1] == "topology"
+        assert run.status_of("topology") == "cached"
+        assert run.computed_stages() == ["irr", "scenario"]
         assert scenario.origins == cold.origins
         assert scenario.vantage_asns == cold.vantage_asns
 
@@ -528,6 +533,8 @@ class TestDemandDriven:
             and r["attrs"]["status"] == "computed"
         ]
         assert computed == [
+            "irr",
+            "scenario",
             "propagation_v4",
             "collection_v4",
             "propagation_v6",
@@ -536,7 +543,7 @@ class TestDemandDriven:
             "store",
         ]
         assert run.computed_stages() == computed
-        assert run.status_of("scenario") == "cached"
+        assert run.status_of("topology") == "cached"
         root_seconds, unattributed = root_accounting(read)
         assert root_seconds > 0
         assert unattributed == 0.0
@@ -631,8 +638,14 @@ class TestRelease:
             for r in tracer.records()
             if r["kind"] == "span" and r["name"] == "stage"
         ]
-        # The cached scenario is one read; the propagation recomputes.
-        assert statuses == [("scenario", "cached"), ("propagation_v4", "computed")]
+        # The cached topology is one read; the scenario (and the irr
+        # it reads) and the propagation recompute.
+        assert statuses == [
+            ("topology", "cached"),
+            ("irr", "computed"),
+            ("scenario", "computed"),
+            ("propagation_v4", "computed"),
+        ]
         assert run.status_of("scenario") == "computed"
         fresh = run_pipeline(config, targets=("propagation_v4",)).value("propagation_v4")
         assert loc_ribs(propagation) == loc_ribs(fresh)
@@ -678,6 +691,69 @@ class TestCachedArtifactShape:
             "path_count",
             "link_paths",
         ]
+
+
+class TestWhatIsCached:
+    """Only artifacts some run reads back are persisted: ``irr`` and
+    ``scenario`` are rebuilt from the cached ``topology`` instead."""
+
+    def test_cold_section3_stores_only_what_runs_read_back(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.telemetry.analyze import read_trace
+
+        trace_dir = tmp_path / "trace"
+        assert main([
+            "section3", "--small", "--cache-dir", str(tmp_path / "cache"),
+            "--trace-dir", str(trace_dir),
+        ]) == 0
+        capsys.readouterr()
+        stored = sorted(
+            record["attrs"]["stage"]
+            for record in read_trace(trace_dir)
+            if record["kind"] == "span" and record["name"] == "cache.store"
+        )
+        assert stored == ["inference", "section3", "topology", "views"]
+        entries = ArtifactCache(tmp_path / "cache").entries()
+        assert {stage: len(found) for stage, found in entries.items()} == {
+            "topology": 1,
+            "inference": 1,
+            "views": 1,
+            "section3": 1,
+        }
+
+    def test_engine_switch_rebuilds_scenario_from_cached_topology(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.telemetry.analyze import read_trace
+
+        cache_dir = str(tmp_path / "cache")
+        assert main(["section3", "--small", "--cache-dir", cache_dir]) == 0
+        warm_json = tmp_path / "warm.json"
+        cold_json = tmp_path / "cold.json"
+        assert main([
+            "section3", "--small", "--engine", "event", "--cache-dir", cache_dir,
+            "--trace-dir", str(tmp_path / "trace"), "--json", str(warm_json),
+        ]) == 0
+        assert main([
+            "section3", "--small", "--engine", "event", "--json", str(cold_json),
+        ]) == 0
+        capsys.readouterr()
+        statuses = {
+            r["attrs"]["stage"]: r["attrs"]["status"]
+            for r in read_trace(tmp_path / "trace")
+            if r["kind"] == "span" and r["name"] == "stage"
+        }
+        assert statuses["topology"] == "cached"
+        assert statuses["irr"] == statuses["scenario"] == "computed"
+        assert statuses["propagation_v4"] == statuses["propagation_v6"] == "computed"
+
+        def strip(path):
+            payload = json.loads(path.read_text())
+            payload.pop("provenance")
+            return payload
+
+        assert strip(warm_json) == strip(cold_json)
 
 
 class TestArtifactCacheUnit:

@@ -116,8 +116,11 @@ class TestCachedEqualsCold:
         cold = run_pipeline(config, cache_dir=tmp_path, targets=targets)
         warm = run_pipeline(config, cache_dir=tmp_path, targets=targets)
         # Only the stages that are never persisted recompute: the
-        # snapshot assembly and the propagation → store chain it reads.
+        # snapshot assembly, and the irr → scenario → propagation →
+        # store chain it reads, from the cached topology.
         assert warm.computed_stages() == [
+            "irr",
+            "scenario",
             "propagation_v4",
             "propagation_v6",
             "collection_v4",
@@ -127,8 +130,7 @@ class TestCachedEqualsCold:
             "snapshot",
         ]
         assert warm.cached_stages() == [
-            "irr",
-            "scenario",
+            "topology",
             "ground_truth",
             "section3",
             "correction",

@@ -225,9 +225,9 @@ class TestFailureIsolation:
         assert ok.status == "ok"
         counts = result.computed_counts()
         # The failed scenario's completed upstream work is counted once ...
-        assert counts[failed.fingerprints["scenario"]] == 1
+        assert counts[failed.fingerprints["topology"]] == 1
         # ... and reused by the surviving scenario from the cache.
-        assert ok.stage_statuses["scenario"] == "cached"
+        assert ok.stage_statuses["topology"] == "cached"
         # The stage that died mid-compute was completed only by the
         # retry, so its count is 1 — no phantom duplicate.
         assert counts[ok.fingerprints["inference"]] == 1

@@ -67,11 +67,10 @@ class TestSharing:
 
     def test_invocation_counts(self):
         plan = seeds_by_tops_plan()
-        # 7 cacheable closure stages (topology, irr, scenario, inference,
-        # views, section3, correction) x 4 scenarios vs 1 + 5*2 + 4
-        # distinct.
-        assert plan.total_stage_invocations() == 28
-        assert plan.distinct_stage_invocations() == 15
+        # 5 cacheable closure stages (topology, inference, views,
+        # section3, correction) x 4 scenarios vs 1 + 3*2 + 4 distinct.
+        assert plan.total_stage_invocations() == 20
+        assert plan.distinct_stage_invocations() == 11
 
     def test_sharing_summary_shape(self):
         summary = seeds_by_tops_plan().sharing_summary()
@@ -103,12 +102,12 @@ class TestSchedule:
         plan = seeds_by_tops_plan(targets=("section3",))
         assert "correction" not in plan.distinct_fingerprints()
         # Without the correction stage the two tops collapse entirely.
-        assert plan.distinct_stage_invocations() == 1 + 5 * 2
+        assert plan.distinct_stage_invocations() == 1 + 3 * 2
 
 
 class TestNonCacheableStages:
-    """``cacheable=False`` stages (the ``snapshot`` facade and the
-    propagation → store chain) can never be served from the cache, so
+    """``cacheable=False`` stages (``irr``, ``scenario``, the
+    ``snapshot`` facade and the propagation → store chain) can never be served from the cache, so
     they must not participate in the sharing accounting — otherwise
     every multi-scenario sweep targeting them would report phantom
     duplicate computes."""
@@ -123,6 +122,8 @@ class TestNonCacheableStages:
     def test_noncacheable_stages_excluded_from_accounting(self):
         plan = self.plan()
         uncached = {
+            "irr",
+            "scenario",
             "propagation_v4",
             "collection_v4",
             "propagation_v6",
@@ -134,10 +135,10 @@ class TestNonCacheableStages:
         assert plan.noncacheable_stages == uncached
         assert not uncached & set(plan.distinct_fingerprints())
         assert not uncached & set(plan.sharing_summary())
-        # 2 scenarios x 4 cacheable stages (topology, irr, scenario,
-        # ground_truth), topology shared.
-        assert plan.total_stage_invocations() == 2 * 4
-        assert plan.distinct_stage_invocations() == 1 + 3 * 2
+        # 2 scenarios x 2 cacheable stages (topology, ground_truth),
+        # topology shared.
+        assert plan.total_stage_invocations() == 2 * 2
+        assert plan.distinct_stage_invocations() == 1 + 1 * 2
 
     def test_schedule_claims_only_cacheable_fingerprints(self):
         """Scenarios identical in the snapshot closure (a `top` axis

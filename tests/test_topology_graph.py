@@ -122,3 +122,74 @@ class TestPlaneViews:
         assert stats["ases"] == 5
         assert stats["links"] == 5
         assert stats["dual_stack_links"] == 3
+
+
+def graph_tables(graph):
+    """Every table of a graph, in insertion order where it has one, as
+    values (no live record is held)."""
+    return (
+        [
+            (asn, node.asn, node.name, node.tier, node.ipv4, node.ipv6)
+            for asn, node in graph._nodes.items()
+        ],
+        [(asn, sorted(peers)) for asn, peers in graph._adjacency.items()],
+        [
+            (link, record.link, record.ipv4, record.ipv6)
+            for link, record in graph._relationships.items()
+        ],
+        {
+            afi: [(asn, list(row.items())) for asn, row in index.items()]
+            for afi, index in graph._rel_from.items()
+        },
+        list(graph._sorted_cache.items()),
+    )
+
+
+class TestCopy:
+    """``ASGraph.copy`` is what a pickle round trip yields, without the
+    pickling, and shares nothing a mutation can reach."""
+
+    @pytest.fixture()
+    def generated(self):
+        from repro.topology.config import TopologyConfig
+        from repro.topology.generator import generate_topology
+
+        graph = generate_topology(
+            TopologyConfig(seed=3, tier1_count=4, tier2_count=12, tier3_count=40)
+        ).graph
+        graph.remove_link(*graph.links(AFI.IPV6)[0])
+        # Fill the memoized query results a copy carries along.
+        for asn in graph.ases:
+            graph.customers_of(asn, AFI.IPV4)
+            graph.oriented_neighbors(asn, AFI.IPV6)
+        graph.links(AFI.IPV6)
+        return graph
+
+    def test_copy_equals_pickle_round_trip(self, generated, simple_graph):
+        import pickle
+
+        for graph in (generated, simple_graph):
+            clone = graph.copy()
+            expected = pickle.loads(pickle.dumps(graph))
+            assert graph_tables(clone) == graph_tables(expected)
+            for afi in (AFI.IPV4, AFI.IPV6):
+                assert clone.links(afi) == expected.links(afi)
+                for asn in graph.ases:
+                    assert clone.customers_of(asn, afi) == expected.customers_of(asn, afi)
+                    for neighbor in graph.neighbors(asn):
+                        assert clone.relationship(asn, neighbor, afi) is (
+                            expected.relationship(asn, neighbor, afi)
+                        )
+
+    def test_mutating_the_copy_leaves_the_original_unchanged(self, generated):
+        link = generated.links(AFI.IPV4)[0]
+        first, stub = generated.ases[0], generated.ases[-1]
+        before = graph_tables(generated)
+        clone = generated.copy()
+        clone.set_relationship(link.a, link.b, AFI.IPV4, Relationship.UNKNOWN)
+        clone.set_relationship(link.a, link.b, AFI.IPV6, Relationship.P2C)
+        clone.add_link(first, stub, rel_v6=Relationship.P2P)
+        clone.add_as(stub, name="renamed", tier=1, ipv6=True)
+        clone.add_as(stub + 1)
+        assert graph_tables(generated) == before
+        assert graph_tables(clone) != before
