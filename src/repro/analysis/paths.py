@@ -11,7 +11,7 @@ story of a run can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.bgp.prefixes import Prefix
 from repro.collectors.mrt import TableDumpRecord
@@ -51,36 +51,6 @@ class ExtractionResult:
 
     def __len__(self) -> int:
         return len(self.observations)
-
-
-def observation_from_record(record: TableDumpRecord) -> Optional[ObservedRoute]:
-    """Convert one table-dump record into an observation.
-
-    Returns ``None`` when the path contains a loop after prepending is
-    collapsed (such paths are artifacts and are dropped, as the paper's
-    pipeline does).
-    """
-    cleaned = clean_raw_path(record.as_path.hops)
-    if cleaned is None:
-        return None
-    # The archived path starts with the vantage AS; defensively re-anchor
-    # it in case a malformed record slipped through.
-    vantage = cleaned[0]
-    if vantage != record.peer_as:
-        if record.peer_as in cleaned:
-            return None
-        cleaned = (record.peer_as,) + cleaned
-        vantage = record.peer_as
-    # clean_raw_path proved the path non-empty and loop-free and the
-    # vantage is anchored above, so the validating constructor is skipped.
-    return ObservedRoute.trusted(
-        path=cleaned,
-        prefix=record.prefix,
-        vantage=vantage,
-        communities=record.communities,
-        local_pref=record.local_pref,
-        collector=record.collector,
-    )
 
 
 def _merge_duplicate(kept: ObservedRoute, duplicate: ObservedRoute) -> ObservedRoute:
@@ -124,9 +94,11 @@ def store_from_records(records: Iterable[TableDumpRecord]) -> ExtractionResult:
     archives can therefore feed it lazily).  The indexed
     :class:`~repro.core.store.ObservationStore` is built from the final
     observation list and attached to the returned
-    :class:`ExtractionResult`.  The per-record body of
-    :func:`observation_from_record` is inlined because the call
-    overhead is measurable at paper scale.  An archived path's hops are
+    :class:`ExtractionResult`.  A record whose path still loops once
+    prepending is collapsed yields no observation (such paths are
+    artifacts and are dropped, as the paper's pipeline does), and a path
+    that does not start with the record's peer AS is re-anchored on it
+    unless the peer already appears in it.  An archived path's hops are
     validated ints (:class:`~repro.bgp.attributes.ASPath` guarantees it,
     :meth:`~repro.bgp.attributes.ASPath.parse` included), and a path
     with no repeated AS is its own cleaned form, so only paths with a

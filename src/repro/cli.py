@@ -67,17 +67,17 @@ across engines.
 
 ``--trace-dir DIR`` (on ``section3``/``figure2``/``snapshot``/``sweep``)
 turns on structured telemetry: :func:`main` activates one tracer around
-the command, and its spans and counters are appended to
-``DIR/trace.jsonl`` (see :mod:`repro.telemetry` and
-``docs/observability.md``).  The command is the trace's one root span,
-``command``.  Tracing is off by default, adds no overhead when off, and
-never changes a fingerprint or an output byte.  ``trace show`` renders
-the reassembled span tree and ``trace summary`` prints
-per-stage/per-engine rollups (count, total, p50/p95, cache hit rate,
-runs that skipped the stage because a descendant hit the cache) and
-counters (``cache.corrupt`` counts artifacts that failed verification),
-then each command's wall time, the part of it outside every stage and
-the CPU time the process spent before :func:`main`.  For a
+the command, and its spans are appended to ``DIR/trace.jsonl`` (see
+:mod:`repro.telemetry` and ``docs/observability.md``).  The command is
+the trace's one root span, ``command``.  Tracing is off by default,
+adds no overhead when off, and never changes a fingerprint or an output
+byte.  ``trace show`` renders the reassembled span tree and ``trace
+summary`` prints per-stage/per-engine rollups (count, total, p50/p95,
+cache hit rate, runs that skipped the stage because a descendant hit
+the cache), the cache's loads by outcome (``corrupt`` counts the
+artifacts that failed verification) and stores, then each command's
+wall time, the part of it outside every stage and the CPU time the
+process spent before :func:`main`.  For a
 function-level view inside a stage, run the command under the standard
 library's profiler (recipe in ``docs/observability.md``).
 """
@@ -189,7 +189,7 @@ def _add_trace_option(parser: argparse.ArgumentParser) -> None:
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="write structured telemetry (spans + counters, JSONL) to this "
+        help="write structured telemetry (spans, JSONL) to this "
         "directory; inspect with 'repro trace show|summary'.  Off by "
         "default; tracing never changes fingerprints or outputs",
     )
@@ -535,15 +535,13 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
         print("  cache:")
         for kind in ("load", "store"):
             entry = cache[kind]
-            print(
+            line = (
                 f"    {kind:<5} x{entry['count']:<3} "
                 f"total {entry['total_seconds']:8.3f}s  bytes {entry['bytes']}"
             )
-    if summary["counters"]:
-        width = max(len(name) for name in summary["counters"])
-        print("  counters:")
-        for name in sorted(summary["counters"]):
-            print(f"    {name:<{width}} {summary['counters'][name]:g}")
+            if kind == "load":
+                line += f"  hit {entry['hit']} miss {entry['miss']} corrupt {entry['corrupt']}"
+            print(line)
     if summary["commands"]:
         width = max(len(name) for name in summary["commands"])
         print("  commands:")
@@ -733,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_summary = trace_commands.add_parser(
         "summary",
         help="per-stage and per-engine rollups (count, total, p50/p95, "
-        "cache hit rate), counters, root wall time and time outside any "
-        "stage",
+        "cache hit rate), cache loads by outcome and stores, root wall "
+        "time and time outside any stage",
     )
     trace_summary.add_argument(
         "--trace-dir", required=True,

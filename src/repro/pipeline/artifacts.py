@@ -391,7 +391,7 @@ class ArtifactCache:
         """Validate the stored artifact; ``None`` when missing/corrupt.
 
         Reads and hashes the payload but does not unpickle it, and
-        counts nothing: the runner reads artifacts with :meth:`load`.
+        traces nothing: the runner reads artifacts with :meth:`load`.
         """
         entry = self._read_entry(stage, fingerprint)
         return entry[1] if entry is not None else None
@@ -404,27 +404,18 @@ class ArtifactCache:
         a miss — the runner recomputes and the defective entry is
         overwritten by the subsequent :meth:`store`.
 
-        This is the cache's one counting site: an absent artifact counts
-        ``cache.miss``; a present one counts ``cache.load`` and the
-        ``cache.load_bytes`` read, then either ``cache.hit`` or, when it
-        is defective, ``cache.corrupt`` and ``cache.miss`` (so a trace
-        tells "absent" apart from "present but bad").  The whole call is
-        one ``cache.load`` span with the ``bytes`` read and its
-        ``outcome`` (``hit``, ``miss`` or ``corrupt``).
+        The whole call is one ``cache.load`` span with the ``bytes``
+        read and its ``outcome``: ``miss`` for an absent artifact,
+        ``corrupt`` for a present but defective one, ``hit`` otherwise
+        (so a trace tells "absent" apart from "present but bad").
         """
-        tracer = get_tracer()
-        with tracer.span("cache.load", stage=stage) as span:
+        with get_tracer().span("cache.load", stage=stage) as span:
             entry = self._read_entry(stage, fingerprint)
             if entry is None:
-                if tracer:
-                    span.annotate(bytes=0, outcome="miss")
-                    tracer.counter("cache.miss", stage=stage)
+                span.annotate(bytes=0, outcome="miss")
                 return None
             payload, record = entry
-            if tracer:
-                span.annotate(bytes=len(payload))
-                tracer.counter("cache.load", stage=stage)
-                tracer.counter("cache.load_bytes", value=len(payload), stage=stage)
+            span.annotate(bytes=len(payload))
             value = None
             if record is not None:
                 try:
@@ -432,14 +423,9 @@ class ArtifactCache:
                 except Exception:
                     record = None
             if record is None:
-                if tracer:
-                    span.annotate(outcome="corrupt")
-                    tracer.counter("cache.corrupt", stage=stage)
-                    tracer.counter("cache.miss", stage=stage)
+                span.annotate(outcome="corrupt")
                 return None
-            if tracer:
-                span.annotate(outcome="hit")
-                tracer.counter("cache.hit", stage=stage)
+            span.annotate(outcome="hit")
             self._touch(stage, fingerprint)
         return value, record
 
@@ -458,8 +444,7 @@ class ArtifactCache:
         The whole call is one ``cache.store`` span with the ``bytes``
         written.
         """
-        tracer = get_tracer()
-        with tracer.span("cache.store", stage=stage) as span:
+        with get_tracer().span("cache.store", stage=stage) as span:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             record = ArtifactRecord(
                 stage=stage,
@@ -476,9 +461,6 @@ class ArtifactCache:
                 self._meta_key(stage, fingerprint), record.to_json().encode("utf-8")
             )
             span.annotate(bytes=record.size_bytes)
-        if tracer:
-            tracer.counter("cache.put", stage=stage)
-            tracer.counter("cache.put_bytes", value=record.size_bytes, stage=stage)
         return record
 
     # ------------------------------------------------------------------

@@ -58,7 +58,7 @@ two seeds.
 Stage *code versions* are declared next to each stage; bump one when
 the stage's implementation changes in a result-affecting way, or when a
 type a cached stage's payload pickles changes form (an old artifact
-then reads as a clean miss instead of ``cache.corrupt``).  The bump
+then reads as a clean miss instead of a corrupt load).  The bump
 invalidates every cached artifact of that stage and its descendants
 (fingerprints chain — see :mod:`repro.pipeline.artifacts`); for a stage
 that is not cached, only its cached descendants' keys change.

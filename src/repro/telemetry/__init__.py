@@ -1,9 +1,9 @@
 """Structured tracing, metrics and run provenance (stdlib-only).
 
 * :mod:`repro.telemetry.tracer` — :class:`~repro.telemetry.tracer.Tracer`,
-  ``NULL_TRACER``, ``get_tracer`` and ``activated``: the span/counter
-  emitter and its process-wide activation stack (off by default,
-  zero-overhead no-op when off).  ``repro --trace-dir DIR`` activates
+  ``NULL_TRACER``, ``get_tracer`` and ``activated``: the span emitter
+  and its process-wide activation stack (off by default, zero-overhead
+  no-op when off).  ``repro --trace-dir DIR`` activates
   one tracer around the command.
 * :mod:`repro.telemetry.analyze` — ``read_trace``, ``build_tree``,
   ``summarize`` and ``render_tree``: the join/rollup side behind

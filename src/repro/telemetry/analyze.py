@@ -4,8 +4,10 @@ A trace directory holds one or more ``trace*.jsonl`` files; several
 ``repro`` runs may append to one.  :func:`read_trace` merges them;
 :func:`build_tree` reassembles one span tree per run (each run stamps
 its own ``run_id``);
-:func:`summarize` produces the per-stage / per-engine / counter
-rollups behind ``repro trace summary``.
+:func:`summarize` produces the per-stage / per-engine / cache
+rollups behind ``repro trace summary``.  Spans are the only record kind
+a tracer writes; readers skip any other record (a trace written before
+counters were retired holds some), so such a trace still summarizes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: command rollups ``max_rss_kb``, ``peak_stage`` and ``tracer_seconds``.
 #: v9: command rollups name where the peak was read (``rss_source``:
 #: ``VmHWM`` or ``ru_maxrss``; ``None`` for spans that do not say).
-SUMMARY_SCHEMA_VERSION = 9
+#: v10: the ``counters`` rollup is gone (a tracer records spans only),
+#: and the ``cache`` rollup's ``load`` entry counts each span's
+#: ``outcome`` under ``hit``, ``miss`` and ``corrupt``.
+SUMMARY_SCHEMA_VERSION = 10
 
 #: The spans a stage's self time leaves out: the stages it resolves
 #: upstream, and its cache reads and writes.
@@ -88,10 +93,6 @@ def read_trace(trace_dir) -> List[dict]:
 
 def spans_of(records: Sequence[dict]) -> List[dict]:
     return [record for record in records if record.get("kind") == "span"]
-
-
-def counters_of(records: Sequence[dict]) -> List[dict]:
-    return [record for record in records if record.get("kind") == "counter"]
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +304,9 @@ def _engine_rollup(spans: List[dict]) -> dict:
 
 def _cache_rollup(spans: Sequence[dict]) -> Dict[str, dict]:
     """Count, seconds and bytes of the ``cache.load`` and ``cache.store``
-    spans (a load that found nothing counts with 0 bytes)."""
+    spans (a load that found nothing counts with 0 bytes), and the
+    loads split by ``outcome``: ``hit``, ``miss`` (absent) and
+    ``corrupt`` (present but failed verification)."""
     rollup = {}
     for kind in ("load", "store"):
         timed = [span for span in spans if span.get("name") == f"cache.{kind}"]
@@ -312,6 +315,10 @@ def _cache_rollup(spans: Sequence[dict]) -> Dict[str, dict]:
             "total_seconds": round(sum(float(s.get("seconds", 0.0)) for s in timed), 6),
             "bytes": sum(int((s.get("attrs") or {}).get("bytes") or 0) for s in timed),
         }
+    outcomes = [(s.get("attrs") or {}).get("outcome") for s in spans
+                if s.get("name") == "cache.load"]
+    for outcome in ("hit", "miss", "corrupt"):
+        rollup["load"][outcome] = outcomes.count(outcome)
     return rollup
 
 
@@ -325,7 +332,7 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
     stage closed with), per-engine
     rollups (count,
     timings, events, prefixes, and the same split by the ``method`` each
-    ``propagation`` span ran), aggregated counters, tree health (roots /
+    ``propagation`` span ran), tree health (roots /
     orphans), per-command rollups of the CLI's ``command`` spans
     (:func:`command_rollup`), the cache's reads and writes
     (:func:`_cache_rollup`), and the root wall time with the part of it
@@ -408,11 +415,6 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
             method: _engine_rollup(grouped) for method, grouped in by_method.items()
         }
 
-    counters: Dict[str, float] = {}
-    for record in counters_of(records):
-        name = str(record.get("name"))
-        counters[name] = counters.get(name, 0) + record.get("value", 1)
-
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "files": len(trace_files(trace_dir)) if trace_dir is not None else None,
@@ -425,7 +427,6 @@ def summarize(records: Sequence[dict], trace_dir: Optional[str] = None) -> dict:
         },
         "stages": stage_rollup,
         "engines": engine_rollup,
-        "counters": counters,
         "cache": _cache_rollup(spans),
         "commands": command_rollup(records),
     }

@@ -1,4 +1,4 @@
-"""Process-local tracer: nested spans and counters.
+"""Process-local tracer: nested spans, the one record kind of a trace.
 
 The tracer is deliberately tiny and stdlib-only.  A :class:`Tracer`
 collects finished records in memory and appends them to
@@ -13,7 +13,7 @@ Telemetry is **off by default**: :func:`get_tracer` returns the shared
 ``NullTracer`` operation is a constant-time no-op on shared singletons
 (no allocation — the disabled path is benchmark-guarded by
 ``tests/test_telemetry.py``).  Instrumented code therefore calls
-``get_tracer()`` unconditionally; spans and counters cost nothing until
+``get_tracer()`` unconditionally; spans cost nothing until
 someone opts in: ``repro --trace-dir`` activates one tracer around the
 whole command.  Nothing a tracer records feeds a stage fingerprint, so
 tracing a run never changes a fingerprint or an output byte (pinned by
@@ -30,8 +30,8 @@ is ``VmHWM``, the process's own high-water mark.  Elsewhere it is
 process's peak across ``exec``: a command started from a process
 holding 150 MB read 167 MB there against its own 8.5 MB, so it is only
 the fallback.  ``resource`` is imported only then.
-:attr:`Tracer.own_seconds` is the time the tracer has spent in span and
-counter bookkeeping.
+:attr:`Tracer.own_seconds` is the time the tracer has spent in span
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -133,9 +133,6 @@ class NullTracer:
     def span(self, name, **attrs) -> _NullSpan:
         return _NULL_SPAN
 
-    def counter(self, name, value=1, **attrs) -> None:
-        pass
-
     def flush(self) -> None:
         return None
 
@@ -144,11 +141,11 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects spans and counters; flushes to JSONL.
+    """Collects spans; flushes to JSONL.
 
     Span parentage follows one stack of open spans: a span opened with
     no span open is a root.  :attr:`own_seconds` accumulates the time
-    spent opening and closing spans and recording counters.
+    spent opening and closing spans.
     """
 
     def __init__(self, trace_dir, *, run_id: Optional[str] = None) -> None:
@@ -213,22 +210,6 @@ class Tracer:
         if self._stack and self._stack[-1] == record["span_id"]:
             self._stack.pop()
         self._records.append(record)
-
-    def counter(self, name: str, value: int = 1, **attrs) -> None:
-        entered = time.perf_counter()
-        record = {
-            "kind": "counter",
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "run_id": self.run_id,
-            "span_id": self.current_span_id(),
-            "name": name,
-            "value": value,
-            "attrs": attrs,
-            "time": time.time(),
-            "pid": os.getpid(),
-        }
-        self._records.append(record)
-        self.own_seconds += time.perf_counter() - entered
 
     # ------------------------------------------------------------------
     # export

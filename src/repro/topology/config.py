@@ -25,14 +25,6 @@ class TopologyConfig:
     """
 
     seed: int = 2010
-    # How tier-3 stubs choose providers.  ``hierarchical`` (default):
-    # uniform choice over tier-2 (92 %) or tier-1.  ``scale_free``:
-    # preferential attachment — a provider's chance of winning the next
-    # stub is proportional to 1 + its current customer count, producing
-    # the Internet's heavy-tailed degree distribution (a few providers
-    # serve most stubs).  Sweepable as the ``dataset.topology.mode``
-    # grid axis.
-    mode: str = "hierarchical"
     # Hierarchy sizes.
     tier1_count: int = 10
     tier2_count: int = 90
@@ -56,11 +48,6 @@ class TopologyConfig:
     first_asn: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in ("hierarchical", "scale_free"):
-            raise ValueError(
-                "mode must be 'hierarchical' or 'scale_free', "
-                f"got {self.mode!r}"
-            )
         if self.tier1_count < 2:
             raise ValueError("at least two tier-1 ASes are required")
         if not 0.0 <= self.hybrid_fraction <= 1.0:

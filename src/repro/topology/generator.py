@@ -126,43 +126,16 @@ def generate_topology(config: Optional[TopologyConfig] = None) -> GeneratedTopol
     # ------------------------------------------------------------------
     # Tier 3: stubs and small edge networks.
     # ------------------------------------------------------------------
-    if config.mode == "scale_free":
-        # Preferential attachment, Barabási–Albert style via the
-        # repeated-nodes trick: the pool holds every transit AS once
-        # (so new providers can always win a stub) plus one extra entry
-        # per customer edge, and each uniform draw from the pool is
-        # therefore a draw proportional to 1 + customer count.  The
-        # hierarchical branch below keeps its historical RNG stream
-        # byte-identical — this branch owns its own draw sequence.
-        attachment: List[int] = []
-        for provider in tier1 + tier2:
-            attachment.extend(
-                [provider] * (1 + len(graph.customers_of(provider, AFI.IPV4)))
-            )
-        transit_count = len(tier1) + len(tier2)
-        for index in range(config.tier3_count):
-            asn = next_asn
-            next_asn += 1
-            tier3.append(asn)
-            graph.add_as(asn, name=f"stub-{index}", tier=3, ipv4=True)
-            count = min(_sample_count(rng, config.tier3_providers), transit_count)
-            providers_set: Set[int] = set()
-            while len(providers_set) < count:
-                providers_set.add(attachment[rng.randrange(len(attachment))])
-            for provider in sorted(providers_set):
-                graph.add_link(provider, asn, rel_v4=Relationship.P2C)
-                attachment.append(provider)
-    else:
-        for index in range(config.tier3_count):
-            asn = next_asn
-            next_asn += 1
-            tier3.append(asn)
-            graph.add_as(asn, name=f"stub-{index}", tier=3, ipv4=True)
-            provider_pool = tier2 if rng.random() < 0.92 else tier1
-            count = min(_sample_count(rng, config.tier3_providers), len(provider_pool))
-            providers = rng.sample(provider_pool, count)
-            for provider in providers:
-                graph.add_link(provider, asn, rel_v4=Relationship.P2C)
+    for index in range(config.tier3_count):
+        asn = next_asn
+        next_asn += 1
+        tier3.append(asn)
+        graph.add_as(asn, name=f"stub-{index}", tier=3, ipv4=True)
+        provider_pool = tier2 if rng.random() < 0.92 else tier1
+        count = min(_sample_count(rng, config.tier3_providers), len(provider_pool))
+        providers = rng.sample(provider_pool, count)
+        for provider in providers:
+            graph.add_link(provider, asn, rel_v4=Relationship.P2C)
     # Occasional stub-to-stub peering (IXP-style).
     for i, a in enumerate(tier3):
         for b in tier3[i + 1 : i + 40]:

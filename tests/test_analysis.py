@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.links import build_link_inventory
 from repro.analysis.partition import analyze_reachability
-from repro.analysis.paths import observation_from_record, store_from_records
+from repro.analysis.paths import store_from_records
 from repro.analysis.report import format_series, format_summary, format_table, to_json
 from repro.bgp.attributes import ASPath, Community
 from repro.bgp.prefixes import Prefix
@@ -31,29 +31,31 @@ def record(path, prefix="3fff:77::/32", peer_as=None, local_pref=200):
 
 class TestPathExtraction:
     def test_observation_from_record_basic(self):
-        observation = observation_from_record(record([10, 20, 30]))
+        (observation,) = store_from_records([record([10, 20, 30])])
         assert observation.path == (10, 20, 30)
         assert observation.vantage == 10
         assert observation.local_pref == 200
         assert observation.communities == (Community(10, 100),)
 
     def test_prepending_collapsed(self):
-        observation = observation_from_record(record([10, 20, 20, 30]))
+        (observation,) = store_from_records([record([10, 20, 20, 30])])
         assert observation.path == (10, 20, 30)
 
     def test_looped_path_dropped(self):
-        assert observation_from_record(record([10, 20, 10, 30])) is None
+        result = store_from_records([record([10, 20, 10, 30])])
+        assert len(result) == 0
+        assert result.stats.looped_paths == 1
 
     def test_local_pref_values_survive_extraction(self):
         # A genuinely exported LOCAL_PREF 0 is kept distinct from a feed
         # that does not export the attribute at all.
-        observation = observation_from_record(record([10, 20], local_pref=0))
+        (observation,) = store_from_records([record([10, 20], local_pref=0)])
         assert observation.local_pref == 0
-        observation = observation_from_record(record([10, 20], local_pref=None))
+        (observation,) = store_from_records([record([10, 20], local_pref=None)])
         assert observation.local_pref is None
 
     def test_missing_vantage_hop_reanchored(self):
-        observation = observation_from_record(record([20, 30], peer_as=10))
+        (observation,) = store_from_records([record([20, 30], peer_as=10)])
         assert observation.path == (10, 20, 30)
         assert observation.vantage == 10
 

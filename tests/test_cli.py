@@ -197,7 +197,7 @@ class TestPipelineOptions:
         ``section3`` still loads one artifact and propagates nothing."""
         import shutil
 
-        from repro.telemetry.analyze import counters_of, read_trace, spans_of
+        from repro.telemetry.analyze import read_trace, spans_of
 
         cache_dir, trace_dir = tmp_path / "cache", tmp_path / "trace"
         argv = ["section3", "--small", "--seed", "3", "--cache-dir", str(cache_dir)]
@@ -207,10 +207,10 @@ class TestPipelineOptions:
         warm = argv + ["--trace-dir", str(trace_dir), "--json", str(tmp_path / "warm.json")]
         assert main(warm) == 0
         capsys.readouterr()
-        records = read_trace(trace_dir)
-        assert not [s for s in spans_of(records) if s["name"] == "propagation"]
-        loads = [c for c in counters_of(records) if c["name"] == "cache.load"]
-        assert [c["attrs"]["stage"] for c in loads] == ["section3"]
+        spans = spans_of(read_trace(trace_dir))
+        assert not [s for s in spans if s["name"] == "propagation"]
+        loads = [s["attrs"] for s in spans if s["name"] == "cache.load"]
+        assert [(a["stage"], a["outcome"]) for a in loads] == [("section3", "hit")]
         assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
 
     def test_trace_summary_shows_skipped_stages(self, tmp_path, capsys):
@@ -712,9 +712,8 @@ def test_python_m_repro_exits_once_outputs_are_durable(tmp_path, capsys):
 
     warm = _python("-m", "repro", *argv, "--trace-dir", tmp_path / "warm")
     assert warm.returncode == 0, warm.stderr
-    counters = summarize(read_trace(tmp_path / "warm"))["counters"]
-    assert counters["cache.hit"] == counters["cache.load"] == 1
-    assert "cache.corrupt" not in counters
+    loads = summarize(read_trace(tmp_path / "warm"))["cache"]["load"]
+    assert (loads["hit"], loads["corrupt"]) == (1, 0)
     assert sorted(path.name for path in cache.rglob("*.pkl")) == stored
     # Piped stdout is block-buffered: the whole of it arrives, the same
     # bytes an in-process run prints.

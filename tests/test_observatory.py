@@ -71,13 +71,18 @@ class TestAnalyzeAdversarial:
             parse_jsonl(path)
 
     def test_counters_only_trace_summarizes_empty_but_valid(self, tmp_path):
+        """A trace holding only a counter record, as older traces did,
+        summarizes to no spans and no cache activity."""
         path = tmp_path / "trace.jsonl"
         counter = {"kind": "counter", "name": "cache.hit", "value": 3, "run_id": "r"}
         path.write_text(json.dumps(counter) + "\n")
         summary = summarize(read_trace(tmp_path), trace_dir=tmp_path)
         assert summary["spans"] == {"total": 0, "roots": 0, "orphans": 0, "errors": 0}
         assert summary["stages"] == {} and summary["engines"] == {}
-        assert summary["counters"] == {"cache.hit": 3}
+        loads = summary["cache"]["load"]
+        assert (loads["count"], loads["hit"], loads["miss"], loads["corrupt"]) == (0, 0, 0, 0)
+        assert summary["cache"]["store"]["count"] == 0
+        assert "counters" not in summary
 
     def test_trace_cli_exits_one_on_missing_dir(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")

@@ -245,21 +245,26 @@ class TestInvalidation:
         )
 
 
+def corrupt_loads(records):
+    """Per stage, the ``cache.load`` spans whose ``outcome`` is
+    ``corrupt`` (present artifacts that failed verification)."""
+    return Counter(
+        record["attrs"]["stage"]
+        for record in records
+        if record["name"] == "cache.load" and record["attrs"]["outcome"] == "corrupt"
+    )
+
+
 def traced_section3(config, cache_dir):
     """Run the ``section3`` closure and read back its report, ``views``
     and ``inference`` under an in-memory tracer; returns the run and
-    its ``cache.corrupt`` counts per stage."""
+    its corrupt loads per stage."""
     tracer = Tracer(None)
     with activated(tracer):
         run = run_pipeline(config, cache_dir=cache_dir, targets=("section3",))
         for name in ("section3", "views", "inference"):
             run.value(name)
-    corrupt = Counter(
-        record["attrs"]["stage"]
-        for record in tracer.records()
-        if record["kind"] == "counter" and record["name"] == "cache.corrupt"
-    )
-    return run, corrupt
+    return run, corrupt_loads(tracer.records())
 
 
 class TestCorruptionDetection:
@@ -346,10 +351,7 @@ class TestCorruptionDetection:
             "section3": "computed",
         }
         records = tracer.records()
-        corrupt = [
-            r for r in records if r["kind"] == "counter" and r["name"] == "cache.corrupt"
-        ]
-        assert [r["attrs"]["stage"] for r in corrupt] == ["section3"]
+        assert corrupt_loads(records) == {"section3": 1}
         section3_spans = [
             r["attrs"]["status"]
             for r in records
@@ -392,17 +394,12 @@ def flip_payload(cache_dir, config, stage):
 
 def traced_figure2(config, cache_dir):
     """A ``correction`` run under an in-memory tracer: its payload and
-    its ``cache.corrupt`` counts per stage."""
+    its corrupt loads per stage."""
     tracer = Tracer(None)
     with activated(tracer):
         run = run_pipeline(config, cache_dir=cache_dir, targets=("correction",))
-    corrupt = Counter(
-        record["attrs"]["stage"]
-        for record in tracer.records()
-        if record["kind"] == "counter" and record["name"] == "cache.corrupt"
-    )
     payload = correction_payload(run.value("correction"), config.top)
-    return run, payload, corrupt
+    return run, payload, corrupt_loads(tracer.records())
 
 
 @pytest.fixture()
@@ -805,10 +802,7 @@ class TestArtifactCacheUnit:
         tracer = Tracer(None)
         with activated(tracer):
             assert cache.load("stage", "a" * 64) is None  # ... but the load refuses
-        assert [
-            record["attrs"] for record in tracer.records()
-            if record["name"] == "cache.corrupt"
-        ] == [{"stage": "stage"}]
+        assert corrupt_loads(tracer.records()) == {"stage": 1}
 
 
 class TestConfigToken:

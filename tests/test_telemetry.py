@@ -1,4 +1,4 @@
-"""Telemetry: span/counter correctness, zero overhead off, provenance.
+"""Telemetry: span correctness, zero overhead off, provenance.
 
 The acceptance criteria of the observability work:
 
@@ -6,7 +6,7 @@ The acceptance criteria of the observability work:
   the hot path, benchmark-guarded) and **fingerprint-neutral** —
   tracing a run never changes a stage fingerprint or an output byte,
 * a traced pipeline run yields one coherent span tree with per-stage
-  cache status, and cache hit/miss counters that match the run,
+  cache status, and ``cache.load`` outcomes that match the run,
 * a traced sweep yields one tree: every scenario's pipeline span nests
   under the sweep span, under one run id, with no orphans,
 * ``summarize`` reproduces the sweep's per-stage compute counts
@@ -78,8 +78,9 @@ def spans_named(records, name):
     return [r for r in records if r.get("kind") == "span" and r.get("name") == name]
 
 
-def counters_named(records, name):
-    return [r for r in records if r.get("kind") == "counter" and r.get("name") == name]
+def load_outcomes(records):
+    """The ``outcome`` of each ``cache.load`` span, in record order."""
+    return [s["attrs"]["outcome"] for s in spans_named(records, "cache.load")]
 
 
 # ----------------------------------------------------------------------
@@ -108,21 +109,14 @@ class TestTracerBasics:
         assert record["status"] == "error"
         assert "RuntimeError" in record["attrs"]["error"]
 
-    def test_counters_attach_to_current_span(self, tmp_path):
-        tracer = Tracer(tmp_path)
-        with tracer.span("work") as span:
-            tracer.counter("widgets", 3, kind="round")
-        counters = [r for r in tracer.records() if r["kind"] != "span"]
-        assert {r["name"] for r in counters} == {"widgets"}
-        assert all(r["span_id"] == span.span_id for r in counters)
-
     def test_flush_writes_sorted_key_jsonl_and_appends(self, tmp_path):
         tracer = Tracer(tmp_path, run_id="r1")
         with tracer.span("a"):
             pass
         path = tracer.flush()
         with tracer.span("b"):
-            tracer.counter("c")
+            with tracer.span("c"):
+                pass
         assert tracer.flush() == path
         lines = Path(path).read_text().splitlines()
         assert len(lines) == 3
@@ -203,12 +197,10 @@ class TestPipelineTrace:
         statuses = {s["attrs"]["stage"]: s["attrs"]["status"] for s in cold_stages}
         assert statuses and set(statuses.values()) == {"computed"}
         assert all("fingerprint" in s["attrs"] for s in cold_stages)
-        assert not counters_named(cold, "cache.hit")
         cacheable = {spec.name for spec in full_stages() if spec.cacheable}
         cold_cached = [s for s in cold_stages if s["attrs"]["stage"] in cacheable]
-        misses = counters_named(cold, "cache.miss")
-        assert len(misses) == len(cold_cached)
-        assert counters_named(cold, "cache.put")
+        assert load_outcomes(cold) == ["miss"] * len(cold_cached)
+        assert spans_named(cold, "cache.store")
         # Computed cacheable stages record their stored artifact size.
         assert all(s["attrs"].get("artifact_bytes", 0) > 0 for s in cold_cached)
         # A cold run skips nothing.
@@ -223,14 +215,13 @@ class TestPipelineTrace:
         warm_stages = spans_named(warm, "stage")
         assert [s["attrs"]["stage"] for s in warm_stages] == ["section3"]
         assert {s["attrs"]["status"] for s in warm_stages} == {"cached"}
-        assert len(counters_named(warm, "cache.hit")) == len(warm_stages)
-        assert not counters_named(warm, "cache.miss")
-        # Reading the value loads it once, counting the bytes the cold
+        assert load_outcomes(warm) == ["hit"] * len(warm_stages)
+        # Reading the value loads it once, reading the bytes the cold
         # run stored for it.
-        (load_bytes,) = counters_named(warm, "cache.load_bytes")
-        assert load_bytes["attrs"]["stage"] == "section3"
+        (load,) = spans_named(warm, "cache.load")
+        assert load["attrs"]["stage"] == "section3"
         stored = {s["attrs"]["stage"]: s["attrs"]["artifact_bytes"] for s in cold_cached}
-        assert load_bytes["value"] == stored["section3"]
+        assert load["attrs"]["bytes"] == stored["section3"]
         # The pipeline span names every closure stage the hit made
         # unnecessary, and the summary counts them per stage.
         (warm_pipeline,) = spans_named(warm, "pipeline")
@@ -250,6 +241,31 @@ class TestPipelineTrace:
         assert len({r["run_id"] for r in roots}) == 2
         assert render_tree(read_trace(trace_dir))  # renders without error
 
+    def test_load_outcomes_partition_loads_and_match_stage_rollup(self, tmp_path):
+        """Over a cold run, a warm one and a warm one whose ``section3``,
+        ``views`` and ``inference`` payloads were bit-flipped, every
+        ``cache.load`` span has one outcome: the outcome counts add up
+        to the loads, the hits are the stage rollup's cached lookups and
+        the corrupt loads are the flipped payloads."""
+        cache = tmp_path / "cache"
+        config = tiny_base()
+        flipped = ("section3", "views", "inference")
+        for phase, corrupt in (("cold", 0), ("warm", 0), ("flipped", len(flipped))):
+            if phase == "flipped":
+                for stage in flipped:
+                    (payload,) = (cache / stage).glob("*.pkl")
+                    data = bytearray(payload.read_bytes())
+                    data[len(data) // 2] ^= 0xFF
+                    payload.write_bytes(bytes(data))
+            with tracing(tmp_path / phase):
+                run_pipeline(config, cache_dir=cache, targets=("section3",))
+            summary = summarize(read_trace(tmp_path / phase))
+            loads = summary["cache"]["load"]
+            assert loads["hit"] + loads["miss"] + loads["corrupt"] == loads["count"] > 0
+            assert loads["hit"] == sum(e["cached"] for e in summary["stages"].values())
+            assert loads["corrupt"] == corrupt
+        # The flipped run found its one intact ancestor, the topology.
+        assert loads["hit"] == 1
 
     def test_stage_spans_hold_their_cache_io_and_report_self_time(self, tmp_path):
         """A stage's span opens before its cache lookup.  A hit's span
@@ -364,8 +380,8 @@ class TestSweepTrace:
     def test_bitflipped_cache_sweep_heals_and_counts_corruption(self, tmp_path):
         """A traced sweep over a warm cache whose ``correction`` and
         ``views`` payloads were bit-flipped: every cell equals the clean
-        sweep's, and the trace counts one ``cache.corrupt`` per flipped
-        payload (present-but-bad, told apart from absent).  The flipped
+        sweep's, and the trace counts one corrupt ``cache.load`` per
+        flipped payload (present-but-bad, told apart from absent).  The flipped
         correction makes each cell read its views, so both are found."""
         grid = SweepGrid(tiny_base(), [GridAxis("dataset.seed", (1, 2))])
         cache_dir = tmp_path / "cache"
@@ -388,7 +404,7 @@ class TestSweepTrace:
 
         assert cells(healed) == cells(clean)
         summary = summarize(read_trace(trace_dir), trace_dir=trace_dir)
-        assert summary["counters"]["cache.corrupt"] == len(flipped)
+        assert summary["cache"]["load"]["corrupt"] == len(flipped)
 
 
 # ----------------------------------------------------------------------
@@ -443,8 +459,9 @@ class TestRootAccounting:
         assert main(["trace", "summary", "--trace-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["root_seconds"], payload["unattributed_seconds"]) == (2.0, 1.0)
-        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 9
+        assert payload["schema_version"] == SUMMARY_SCHEMA_VERSION == 10
         assert payload["commands"] == {}
+        assert "counters" not in payload
         assert "retries" not in payload
         assert "dead_letters" not in payload
 

@@ -137,43 +137,3 @@ class TestDeterminism:
         assert (
             generate_topology(base).graph.stats() != generate_topology(other).graph.stats()
         )
-
-
-class TestScaleFreeMode:
-    """The preferential-attachment generator mode (sweepable axis)."""
-
-    def _config(self, **overrides):
-        base = dict(
-            seed=77, mode="scale_free", tier1_count=4, tier2_count=30,
-            tier3_count=300,
-        )
-        base.update(overrides)
-        return TopologyConfig(**base)
-
-    def test_deterministic(self):
-        first = generate_topology(self._config())
-        second = generate_topology(self._config())
-        assert first.graph.ases == second.graph.ases
-        assert list(first.graph.links()) == list(second.graph.links())
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            TopologyConfig(mode="small_world")
-
-    def test_heavy_tail(self):
-        """Preferential attachment concentrates stubs: the busiest
-        provider must dwarf the median one."""
-        topo = generate_topology(self._config())
-        counts = sorted(
-            len(topo.graph.customers_of(asn, AFI.IPV4))
-            for asn in topo.tier1 + topo.tier2
-        )
-        assert counts[-1] >= 5 * max(1, counts[len(counts) // 2])
-
-    def test_hierarchical_default_unchanged(self):
-        """mode='scale_free' must not perturb the default stream: the
-        hierarchical graph for a seed is what it always was (the golden
-        suites pin this globally; this is the targeted check)."""
-        default = generate_topology(TopologyConfig(seed=77))
-        explicit = generate_topology(TopologyConfig(seed=77, mode="hierarchical"))
-        assert list(default.graph.links()) == list(explicit.graph.links())
